@@ -282,7 +282,7 @@ def _cmd_snchi(args) -> ResultTable:
         raise _UsageError("--seed is required for sampled permutation statistics (n > 9)")
     result = prob.sn_fixed_point_law(args.n, args.t, rng=rng)
     rows = [(int(loc), mass) for loc, mass in result.law.atoms]
-    mode = "exact enumeration" if result.exact else f"{result.samples} seeded samples"
+    mode = "exact" if result.exact else f"{result.samples} seeded samples"
     return ResultTable(["fixed_points", "probability"], rows, note=mode)
 
 
@@ -302,7 +302,9 @@ def _cmd_critical(args) -> ResultTable:
 
 def _cmd_harmonic(args) -> ResultTable:
     f, dim = _FIELDS[args.fn]
-    rng = np.random.Generator(np.random.Philox(args.seed if args.seed is not None else 0))
+    if args.seed is None:
+        raise _UsageError("--seed is required for sampled harmonic checks")
+    rng = RandomSource(args.seed).generator()
     pts = 0.4 + rng.uniform(0.0, 1.0, size=(args.samples, dim))
     rows = []
     for p in pts:

@@ -102,13 +102,21 @@ def middle_binomial(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def bell(k: int) -> int:
-    """Number of set partitions of {1..k}, via B_{k+1} = sum binom(k,s) B_{k-s}."""
+    """Number of set partitions of {1..k}, from the Bell triangle.
+
+    Each row of the triangle starts with the last entry of the previous row
+    and adds the entry above at every step; row k starts with B_k.  The rows
+    are built iteratively, O(k^2) integer additions and no recursion.
+    """
     if k < 0:
         raise ValueError("bell needs k >= 0")
-    if k == 0:
-        return 1
-    m = k - 1
-    return sum(math.comb(m, s) * bell(m - s) for s in range(m + 1))
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
 
 
 @lru_cache(maxsize=None)
@@ -241,24 +249,23 @@ def count_matching_pairings(word: str) -> int:
     """Number of pairings of a colored word that only pair 'o' with 'b'.
 
     The word is a string over {'o', 'b'}: 'o' for a plain symbol and 'b' for
-    a conjugate one.  A matching pairing connects each plain symbol to a
-    conjugate one, so non-uniform words (unequal counts) give 0.
+    a conjugate one.  A matching pairing is a bijection from the plain
+    symbols to the conjugate ones, so a word with p of each has p! of them
+    and a non-uniform word (unequal counts) has none.
     """
     bad = set(word) - {"o", "b"}
     if bad:
         raise ValueError(f"colored word may only contain 'o' and 'b', got {bad}")
-    n = len(word)
-    if n % 2:
-        return 0
-    count = 0
-    for pairing in _pairings_of(tuple(range(n))):
-        if all(word[a] != word[b] for a, b in pairing):
-            count += 1
-    return count
+    p = word.count("o")
+    return math.factorial(p) if 2 * p == len(word) else 0
 
 
 def matching_pairings(word: str) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield the pairings counted by :func:`count_matching_pairings` (0-based)."""
+    """Yield the pairings counted by :func:`count_matching_pairings` (0-based).
+
+    Enumerates all pairings and filters them; the tests use it as the
+    oracle for the closed-form counts.
+    """
     n = len(word)
     if n % 2:
         return

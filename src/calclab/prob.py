@@ -13,8 +13,8 @@ fixed-point statistics of random permutations.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -25,7 +25,6 @@ from .combinat import (
     binomial as binom,
     count_matching_pairings,
     factorial,
-    matching_pairings,
     semi_factorial,
     set_partitions,
 )
@@ -208,23 +207,51 @@ def binomial_stats(x: float, n: int) -> tuple[float, float]:
 
 
 def poisson_law(t: float, residual: float = 1e-12) -> Law:
-    """Atoms e^-t t^k/k! at k = 0, 1, ..., truncated at the residual mass.
+    """Atoms e^-t t^k/k!, truncated so that the omitted mass is below ``residual``.
 
-    High moments of heavily truncated laws are biased low; the default
-    residual 1e-12 keeps moments up to order ~10 accurate for moderate t.
+    The atoms are built outward from the mode floor(t), whose mass is taken
+    in log space, so e^-t may underflow (t above ~745) without losing the
+    law.  Each side stops once a geometric bound on its remaining tail is
+    below residual/2.  High moments of heavily truncated laws are biased
+    low; the default residual 1e-12 keeps moments up to order ~10 accurate
+    for moderate t.
     """
     if t <= 0:
         raise ValueError("need t > 0")
-    atoms = []
-    cumulative = 0.0
-    mass = math.exp(-t)
-    k = 0
-    while 1.0 - cumulative >= residual:
-        atoms.append((float(k), mass))
-        cumulative += mass
-        k += 1
-        mass *= t / k
-    return Law(atoms=tuple(atoms))
+    if residual <= 0:
+        raise ValueError("need residual > 0")
+    mode = math.floor(t)
+    peak = math.exp(_poisson_log_mode_mass(t, mode))
+    # past k >= mode every further ratio t/(j+1) is at most t/(k+2) < 1, so
+    # the tail beyond k is at most p_{k+1} / (1 - t/(k+2))
+    upper, k, mass = [peak], mode, peak
+    while (nxt := mass * t / (k + 1)) / (1.0 - t / (k + 2)) >= residual / 2:
+        upper.append(nxt)
+        k, mass = k + 1, nxt
+    # below k <= mode every further ratio j/t is at most (k-1)/t < 1, so
+    # the tail below k is at most p_{k-1} / (1 - (k-1)/t)
+    lower, k, mass = [], mode, peak
+    while k > 0 and (prev := mass * k / t) / (1.0 - (k - 1) / t) >= residual / 2:
+        lower.append(prev)
+        k, mass = k - 1, prev
+    masses = lower[::-1] + upper
+    start = mode - len(lower)
+    return Law(atoms=tuple((float(start + i), m) for i, m in enumerate(masses)))
+
+
+def _poisson_log_mode_mass(t: float, mode: int) -> float:
+    """log(e^-t t^mode / mode!) for mode = floor(t).
+
+    For large modes, -t + mode log t - lgamma(mode+1) cancels terms of size
+    t log t; Stirling's series for lgamma leaves only O(log t) terms.
+    """
+    if mode < 20:
+        return mode * math.log(t) - t - math.lgamma(mode + 1)
+    f = t - mode
+    inv = 1.0 / mode
+    inv2 = inv * inv
+    stirling = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
+    return mode * math.log1p(f / mode) - f - 0.5 * math.log(2.0 * math.pi * mode) - stirling
 
 
 def poisson_fourier(t: float, y: float) -> complex:
@@ -283,7 +310,7 @@ def complex_gaussian_moment(t: float, word: str) -> float:
     """Moment of the complex Gaussian for a colored word over {'o', 'b'}.
 
     Equals t^(|word|/2) times the number of matching pairings: t^p p! for a
-    uniform word of length 2p, and 0 otherwise.
+    uniform word of length 2p, and 0 otherwise (Isserlis/Wick).
     """
     if t <= 0:
         raise ValueError("need t > 0")
@@ -301,22 +328,24 @@ def wick(t: float, factors: Sequence[tuple[int, str]]) -> float:
     ``factors`` lists (index, color) pairs, color 'o' for f_i and 'b' for
     its conjugate.  The value is t^(s/2) times the number of matching
     pairings whose blocks respect the index kernel (odd length gives 0).
+    Such a pairing matches, for each index i, its p_i plain factors to its
+    conjugate ones, so the count is prod_i p_i! when every index has as
+    many 'o' as 'b' factors, and 0 otherwise.
     """
     if t <= 0:
         raise ValueError("need t > 0")
+    bad = {color for _, color in factors} - {"o", "b"}
+    if bad:
+        raise ValueError(f"factor colors may only be 'o' and 'b', got {bad}")
     s = len(factors)
     if s == 0:
         return 1.0
     if s % 2:
         return 0.0
-    word = "".join(color for _, color in factors)
-    idx = [i for i, _ in factors]
-    compatible = sum(
-        1
-        for pairing in matching_pairings(word)
-        if all(idx[a] == idx[b] for a, b in pairing)
-    )
-    return t ** (s // 2) * compatible
+    plain = Counter(i for i, color in factors if color == "o")
+    if plain != Counter(i for i, color in factors if color == "b"):
+        return 0.0
+    return t ** (s // 2) * math.prod(math.factorial(p) for p in plain.values())
 
 
 def _merge_atoms(atoms: list[tuple[float, float]], tol: float) -> tuple[tuple[float, float], ...]:
@@ -345,13 +374,9 @@ def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
         + [1.0]
     )
     tol = 1e-12 * scale
-    new_atoms = []
-    if a.atoms and b.atoms:
-        new_atoms = [
-            (la + lb, ma * mb) for la, ma in a.atoms for lb, mb in b.atoms if ma * mb != 0.0
-        ]
-    elif a.atoms or b.atoms:
-        new_atoms = []  # a pure-density partner absorbs the atoms below
+    new_atoms = [
+        (la + lb, ma * mb) for la, ma in a.atoms for lb, mb in b.atoms if ma * mb != 0.0
+    ]
 
     if a.density is None and b.density is None:
         return Law(atoms=_merge_atoms(new_atoms, tol))
@@ -633,18 +658,29 @@ class SnFixedPointResult:
 def sn_fixed_point_counts(N: int, t: float = 1.0) -> dict[int, int]:
     """Exact counts of permutations of {1..N} by fixed points among 1..floor(tN).
 
-    Enumerates the full symmetric group; N is capped at 9.
+    With m = floor(tN), exactly k fixed points among the first m occur in
+    D(N, m, k) = C(m, k) sum_j (-1)^j C(m-k, j) (N-k-j)! permutations
+    (choose the k, then inclusion-exclusion over the other m - k), computed
+    in exact integers.  Only nonzero counts are returned.  N is capped at 9,
+    the limit of the exact mode of :func:`sn_fixed_point_law`.
     """
     if not 1 <= N <= 9:
-        raise ValueError("exact enumeration is for 1 <= N <= 9")
+        raise ValueError("exact counts are for 1 <= N <= 9")
     if not 0.0 < t <= 1.0:
         raise ValueError("need t in (0, 1]")
     m = int(t * N)
-    counts: dict[int, int] = {}
-    for perm in itertools.permutations(range(N)):
-        fixed = sum(1 for i in range(m) if perm[i] == i)
-        counts[fixed] = counts.get(fixed, 0) + 1
+    counts = {}
+    for k in range(m + 1):
+        count = binom(m, k) * sum(
+            (-1) ** j * binom(m - k, j) * factorial(N - k - j) for j in range(m - k + 1)
+        )
+        if count:
+            counts[k] = count
     return counts
+
+
+# entries per block of sampled permutations: at most 512 KiB of int64
+_SAMPLE_BLOCK_ENTRIES = 2**16
 
 
 def sn_fixed_point_law(
@@ -655,9 +691,11 @@ def sn_fixed_point_law(
 ) -> SnFixedPointResult:
     """Law of the number of fixed points among 1..floor(tN) of a random permutation.
 
-    Exact by enumeration for N <= 9; beyond that, seeded Fisher-Yates
-    sampling (an explicit RandomSource is then required).  The result
-    reports which mode was used.
+    Exact for N <= 9, from :func:`sn_fixed_point_counts`.  Beyond that, the
+    law is estimated from ``samples`` uniform permutations drawn from an
+    explicit RandomSource (then required), shuffled in blocks of at most
+    2**16 entries; the same source gives the same atoms.  The result reports
+    which mode was used.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -674,11 +712,13 @@ def sn_fixed_point_law(
         raise ValueError("sampling mode needs an explicit RandomSource")
     m = int(t * N)
     gen = rng.generator()
+    rows = max(1, _SAMPLE_BLOCK_ENTRIES // N)
+    identity = np.tile(np.arange(N), (rows, 1))
     hits = np.zeros(m + 1, dtype=np.int64)
-    for _ in range(samples):
-        perm = gen.permutation(N)
-        fixed = int(np.sum(perm[:m] == np.arange(m)))
-        hits[fixed] += 1
+    for start in range(0, samples, rows):
+        perms = gen.permuted(identity[: min(rows, samples - start)], axis=1)
+        fixed = np.count_nonzero(perms[:, :m] == identity[0, :m], axis=1)
+        hits += np.bincount(fixed, minlength=m + 1)
     atoms = tuple(
         (float(r), hits[r] / samples) for r in range(m + 1) if hits[r] > 0
     )

@@ -189,6 +189,17 @@ def test_harmonic_cli(capsys):
     assert all(abs(float(r[-1])) < 1e-4 for r in rows)
 
 
+def test_harmonic_requires_seed(capsys):
+    code, _, err = invoke(["harmonic", "--fn", "re_z3", "--samples", "5"], capsys)
+    assert code == 1 and "seed" in err
+    # the sample points are the seed's Philox stream, shifted by 0.4
+    code, out, _ = invoke(["harmonic", "--fn", "re_z3", "--samples", "5", "--seed", "7"], capsys)
+    assert code == 0
+    pts = 0.4 + np.random.Generator(np.random.Philox(7)).uniform(0.0, 1.0, size=(5, 2))
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [[float(v) for v in r[:2]] for r in rows] == pts.tolist()
+
+
 def test_orbit_cli(capsys):
     code, out, _ = invoke(
         ["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "1", "--dt", "0.01"],

@@ -16,6 +16,7 @@ from calclab.combinat import (
     count_pairings,
     factorial,
     generalized_binomial,
+    matching_pairings,
     middle_binomial,
     pairings,
     power_sum,
@@ -99,6 +100,16 @@ def test_bell_numbers():
         assert bell(k) == len(list(set_partitions(k)))
 
 
+def test_bell_cold_cache_is_not_recursive():
+    bell.cache_clear()
+    big = bell(1500)
+    # Touchard's congruence B_{n+p} = B_n + B_{n+1} (mod p), at n = 1, p = 1499 (prime)
+    assert big % 1499 == (bell(1) + bell(2)) % 1499
+    bell.cache_clear()
+    for k in range(9):
+        assert bell(k) == len(list(set_partitions(k)))
+
+
 def test_bernoulli_table():
     table = {
         0: Fraction(1),
@@ -169,6 +180,11 @@ def test_count_matching_pairings():
     assert count_matching_pairings("ooobbb") == 6
     with pytest.raises(ValueError):
         count_matching_pairings("xy")
+
+
+@given(st.text(alphabet="ob", max_size=12))
+def test_count_matching_pairings_against_enumeration(word):
+    assert count_matching_pairings(word) == sum(1 for _ in matching_pairings(word))
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))

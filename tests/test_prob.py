@@ -1,15 +1,21 @@
 import cmath
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from calclab import prob
 
 from calclab.combinat import (
     catalan,
     central_binomial,
     count_matching_pairings,
     factorial,
+    matching_pairings,
     middle_binomial,
 )
 from calclab.prob import (
@@ -105,6 +111,18 @@ def test_poisson_law_and_moments():
     assert poisson_fourier(t, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         poisson_law(-1.0)
+    with pytest.raises(ValueError):
+        poisson_law(1.0, residual=0.0)
+
+
+@pytest.mark.parametrize("t", [0.5, 30.5, 800.0, 5000.0])
+def test_poisson_law_large_t(t):
+    # e^-t underflows beyond t ~ 745; the law must still come out whole
+    residual = 1e-12
+    atoms = poisson_law(t, residual).atoms
+    total = sum(mass for _, mass in atoms)
+    assert abs(total - 1.0) <= residual
+    assert sum(loc * mass for loc, mass in atoms) == pytest.approx(t, rel=1e-10)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -164,6 +182,21 @@ def test_wick():
     for word in ("ob", "obob", "oobb", "obbo"):
         factors = [(7, c) for c in word]
         assert wick(t, factors) == pytest.approx(complex_gaussian_moment(t, word))
+    with pytest.raises(ValueError):
+        wick(t, [(1, "o"), (1, "x")])
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from("ob")), max_size=12),
+    st.floats(0.25, 4.0),
+)
+def test_wick_against_enumeration(factors, t):
+    word = "".join(color for _, color in factors)
+    idx = [i for i, _ in factors]
+    compatible = sum(
+        1 for pairing in matching_pairings(word) if all(idx[a] == idx[b] for a, b in pairing)
+    )
+    assert wick(t, factors) == t ** (len(factors) // 2) * compatible
 
 
 def test_convolve_atoms():
@@ -378,6 +411,65 @@ def test_sn_fixed_points_sampled():
     assert p0 == pytest.approx(1.0 / math.e, abs=0.02)
     with pytest.raises(ValueError):
         sn_fixed_point_law(12, 1.0)  # sampling needs a seed
+
+
+def _fixed_point_counts_by_enumeration(N):
+    """counts[m]: permutations of range(N) tallied by fixed points among the first m."""
+    counts = [Counter() for _ in range(N + 1)]
+    for perm in itertools.permutations(range(N)):
+        fixed = 0
+        counts[0][0] += 1
+        for m in range(1, N + 1):
+            fixed += perm[m - 1] == m - 1
+            counts[m][fixed] += 1
+    return counts
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_sn_fixed_point_counts_against_enumeration(N):
+    oracle = _fixed_point_counts_by_enumeration(N)
+    for m in range(N + 1):
+        t = 1.0 if m == N else (m + 0.5) / N
+        assert int(t * N) == m
+        assert sn_fixed_point_counts(N, t) == dict(oracle[m])
+
+
+def test_sn_fixed_points_sampled_reproducible_across_blocks():
+    N = 12
+    samples = prob._SAMPLE_BLOCK_ENTRIES // N + 1  # one full block and one row
+    a = sn_fixed_point_law(N, 1.0, rng=RandomSource(9), samples=samples)
+    b = sn_fixed_point_law(N, 1.0, rng=RandomSource(9), samples=samples)
+    assert a.law.atoms == b.law.atoms
+    assert a.samples == samples
+    assert sum(mass for _, mass in a.law.atoms) == pytest.approx(1.0, abs=1e-12)
+    assert sum(round(mass * samples) for _, mass in a.law.atoms) == samples
+
+
+def _fixed_point_law(N, m):
+    """Exact P(k fixed points among the first m of a uniform permutation of N), k = 0..m."""
+    return [
+        Fraction(
+            math.comb(m, k)
+            * sum((-1) ** j * math.comb(m - k, j) * math.factorial(N - k - j) for j in range(m - k + 1)),
+            math.factorial(N),
+        )
+        for k in range(m + 1)
+    ]
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5])
+def test_sn_fixed_points_sampled_within_5_sigma(t):
+    N, samples = 12, 50_000
+    res = sn_fixed_point_law(N, t, rng=RandomSource(17), samples=samples)
+    got = dict(res.law.atoms)
+    m = int(t * N)
+    assert set(got) <= {float(k) for k in range(m + 1)}
+    for k, p in enumerate(_fixed_point_law(N, m)):
+        p = float(p)
+        seen = got.get(float(k), 0.0) * samples
+        sigma = math.sqrt(samples * p * (1.0 - p))
+        # one count of slack for the atoms expected less than once
+        assert abs(seen - samples * p) <= 5.0 * sigma + 1.0, (k, seen, samples * p)
 
 
 def test_graph_loop_moments():
