@@ -160,11 +160,12 @@ def _cmd_sequence(args) -> ResultTable:
         "catalan": combinat.catalan,
         "central": combinat.central_binomial,
         "middle": combinat.middle_binomial,
-        "bell": combinat.bell,
         "bernoulli": combinat.bernoulli,
     }
-    fn = makers[args.kind]
-    rows = [(k, fn(k)) for k in range(n + 1)]
+    if args.kind == "bell":
+        rows = list(enumerate(combinat.bell_numbers(n)))
+    else:
+        rows = [(k, makers[args.kind](k)) for k in range(n + 1)]
     return ResultTable(["index", "value"], rows, note=f"{args.kind} sequence")
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "central_binomial",
     "middle_binomial",
     "bell",
+    "bell_numbers",
     "bernoulli",
     "power_sum",
     "Permutation",
@@ -102,21 +103,30 @@ def middle_binomial(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def bell(k: int) -> int:
-    """Number of set partitions of {1..k}, from the Bell triangle.
+    """Number of set partitions of {1..k}, from the Bell triangle."""
+    if k < 0:
+        raise ValueError("bell needs k >= 0")
+    return bell_numbers(k)[k]
+
+
+def bell_numbers(n: int) -> list[int]:
+    """The Bell numbers B_0..B_n, from one pass over the Bell triangle.
 
     Each row of the triangle starts with the last entry of the previous row
     and adds the entry above at every step; row k starts with B_k.  The rows
-    are built iteratively, O(k^2) integer additions and no recursion.
+    are built iteratively, O(n^2) integer additions and no recursion.
     """
-    if k < 0:
-        raise ValueError("bell needs k >= 0")
+    if n < 0:
+        raise ValueError("bell_numbers needs n >= 0")
     row = [1]
-    for _ in range(k):
+    out = [1]
+    for _ in range(n):
         nxt = [row[-1]]
         for v in row:
             nxt.append(nxt[-1] + v)
         row = nxt
-    return row[0]
+        out.append(row[0])
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -11,13 +11,14 @@ Stokes/divergence theorems by product quadrature.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .quad import simpson
+from .quad import _finite, _simpson_rule, simpson
 
 __all__ = [
     "cross",
@@ -528,8 +529,6 @@ def ode2_solve(
     they differ, (l x + m) e^(rx) for a double root.  Complex roots are
     handled in complex arithmetic; the returned callback is real.
     """
-    import cmath
-
     disc = complex(b * b + 4.0 * a)
     sq = cmath.sqrt(disc)
     r = (b + sq) / 2.0
@@ -651,6 +650,35 @@ def _map_jacobian(mapping, u: float, v: float, h: float = 1e-6):
     return xu, xv
 
 
+def _boundary_edges(mapping, u_span, v_span):
+    """The non-degenerate edges (curve, t0, t1) of the mapped rectangle, counterclockwise."""
+    (u0, u1), (v0, v1) = u_span, v_span
+    edges = [
+        (lambda t: mapping(t, v0), u0, u1),
+        (lambda t: mapping(u1, t), v0, v1),
+        (lambda t: mapping(t, v1), u1, u0),
+        (lambda t: mapping(u0, t), v1, v0),
+    ]
+    return [edge for edge in edges if edge[1] != edge[2]]
+
+
+def _line_integral(G, curve, t0: float, t1: float, n: int, h: float) -> float:
+    """Simpson integral of <G(x), dx/dt> along x = curve(t), dx/dt by central differences."""
+
+    def f(t):
+        xt = np.subtract(curve(t + h), curve(t - h)) / (2 * h)
+        return float(np.asarray(G(np.asarray(curve(t), dtype=float)), dtype=float) @ xt)
+
+    return simpson(f, t0, t1, n)
+
+
+def _tensor_simpson(g: Callable[[float, float], float], u_span, v_span, n: int) -> float:
+    """Product Simpson rule for g over the rectangle u_span x v_span, n intervals per side."""
+    u, wu = _simpson_rule(*u_span, n)
+    v, wv = _simpson_rule(*v_span, n)
+    return float(wu @ _finite([[g(a, b) for b in v] for a in u]) @ wv)
+
+
 def green_check(
     P: Callable[[float, float], float],
     Q: Callable[[float, float], float],
@@ -666,28 +694,13 @@ def green_check(
     Returns (line integral of P dx + Q dy, area integral of dQ/dx - dP/dy,
     |difference|).
     """
-    mapping, (u0, u1), (v0, v1) = region
-    h = 1e-6 * max(u1 - u0, v1 - v0)
+    mapping, u_span, v_span = region
+    h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
 
-    def field_dot_edge(points):
-        # line integrand <(P, Q), dx/dt> along a parametrized edge
-        def f(t):
-            x, y = points(t)
-            xt = (np.array(points(t + h)) - np.array(points(t - h))) / (2 * h)
-            return P(x, y) * xt[0] + Q(x, y) * xt[1]
-
-        return f
-
-    lhs = 0.0
-    edges = [
-        (lambda t: mapping(t, v0), u0, u1),
-        (lambda t: mapping(u1, t), v0, v1),
-        (lambda t: mapping(t, v1), u1, u0),
-        (lambda t: mapping(u0, t), v1, v0),
-    ]
-    for points, t0, t1 in edges:
-        if t0 != t1:
-            lhs += simpson(field_dot_edge(points), t0, t1, n)
+    lhs = sum(
+        _line_integral(lambda x: (P(*x), Q(*x)), *edge, n, h)
+        for edge in _boundary_edges(mapping, u_span, v_span)
+    )
 
     def curl_z(u, v):
         x, y = mapping(u, v)
@@ -698,7 +711,7 @@ def green_check(
         jac = xu[0] * xv[1] - xu[1] * xv[0]
         return (dQdx - dPdy) * jac
 
-    rhs = simpson(lambda u: simpson(lambda v: curl_z(u, v), v0, v1, n), u0, u1, n)
+    rhs = _tensor_simpson(curl_z, u_span, v_span, n)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -732,39 +745,19 @@ def stokes_check(
     the normal is S_u x S_v and the boundary is the mapped rectangle edge
     loop, so the orientations match automatically.
     """
-    mapping, (u0, u1), (v0, v1) = surface
-    h = 1e-6 * max(u1 - u0, v1 - v0)
+    mapping, u_span, v_span = surface
+    h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
 
     def surf_integrand(u, v):
         xu, xv = _map_jacobian(mapping, u, v, h)
         x = np.asarray(mapping(u, v), dtype=float)
         return float(_curl(F, x) @ cross(xu, xv))
 
-    lhs = simpson(
-        lambda u: simpson(lambda v: surf_integrand(u, v), v0, v1, n), u0, u1, n
+    lhs = _tensor_simpson(surf_integrand, u_span, v_span, n)
+    rhs = sum(
+        _line_integral(F, *edge, 2 * n, h)
+        for edge in _boundary_edges(mapping, u_span, v_span)
     )
-
-    def line_integrand(points):
-        def f(t):
-            x = np.asarray(points(t), dtype=float)
-            xt = (
-                np.asarray(points(t + h), dtype=float)
-                - np.asarray(points(t - h), dtype=float)
-            ) / (2 * h)
-            return float(np.asarray(F(x), dtype=float) @ xt)
-
-        return f
-
-    rhs = 0.0
-    edges = [
-        (lambda t: mapping(t, v0), u0, u1),
-        (lambda t: mapping(u1, t), v0, v1),
-        (lambda t: mapping(t, v1), u1, u0),
-        (lambda t: mapping(u0, t), v1, v0),
-    ]
-    for points, t0, t1 in edges:
-        if t0 != t1:
-            rhs += simpson(line_integrand(points), t0, t1, 2 * n)
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -123,6 +123,12 @@ def legendre(l: int) -> Polynomial:
     return p.scale(Fraction(1, 2**l * factorial(l)))
 
 
+@lru_cache(maxsize=None)
+def _float_polynomial(coefficients: tuple[Fraction, ...]) -> Polynomial:
+    """The exact polynomial with its coefficients rounded to float once, for Horner evaluation."""
+    return Polynomial([float(c) for c in coefficients])
+
+
 def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
     """Legendre function P_l^m(x) = (-1)^m (1-x^2)^(m/2) (d/dx)^m P_l(x).
 
@@ -137,10 +143,11 @@ def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
     dpl = legendre(l)
     for _ in range(m):
         dpl = dpl.deriv()
+    dpl_f = _float_polynomial(tuple(dpl.coefficients))
     sign = (-1.0) ** m
 
     def plm(x: float) -> float:
-        return sign * (max(0.0, 1.0 - x * x)) ** (m / 2.0) * float(dpl(x))
+        return sign * (max(0.0, 1.0 - x * x)) ** (m / 2.0) * dpl_f(x)
 
     return plm
 
@@ -281,18 +288,14 @@ def radial_wavefunction(
     """
     QuantumNumbers(n, l, 0)
     a = bohr_radius(constants)
-    lag = assoc_laguerre(2 * l + 1, n - l - 1)
-    lag_f = [float(c) for c in lag.coefficients]
+    lag = _float_polynomial(tuple(assoc_laguerre(2 * l + 1, n - l - 1).coefficients))
     norm = math.sqrt(
         (2.0 / (n * a)) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l))
     )
 
     def rho(r: float) -> float:
         p = 2.0 * r / (n * a)
-        lval = 0.0
-        for c in reversed(lag_f):
-            lval = lval * p + c
-        return norm * math.exp(-p / 2.0) * p**l * lval
+        return norm * math.exp(-p / 2.0) * p**l * lag(p)
 
     return rho
 

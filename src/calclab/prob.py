@@ -29,7 +29,7 @@ from .combinat import (
     set_partitions,
 )
 from .linalg import Polynomial
-from .quad import SphereMomentKey, sphere_moment, sphere_moment_mc
+from .quad import SphereMomentKey, _finite, _simpson_weights, sphere_moment, sphere_moment_mc
 from .rng import RandomSource
 
 __all__ = [
@@ -97,10 +97,7 @@ class Law:
             raise ValueError("support must be a nondegenerate interval")
 
     def total_mass(self, nodes: int = 8000) -> float:
-        total = sum(mass for _, mass in self.atoms)
-        if self.density is not None:
-            total += _density_integral(self, lambda x: 1.0, nodes)
-        return total
+        return moments(self, 0, nodes)[0]
 
 
 class _GridDensity:
@@ -114,69 +111,53 @@ class _GridDensity:
         return float(np.interp(t, self.x, self.values, left=0.0, right=0.0))
 
 
-def _density_integral(law: Law, f: Callable[[float], float], nodes: int) -> float:
-    """Integral of f against the density part.
+def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with sum w f(x) the integral of f against the density.
 
     Grid-backed densities are integrated on their native grid (Simpson);
     everything else goes through the substitution x = mid - half*cos(u),
     whose sin(u) Jacobian cancels inverse-square-root singularities at
-    either endpoint of the support.
+    either endpoint of the support.  The density is sampled once per call,
+    on the interior nodes only.
     """
     if isinstance(law.density, _GridDensity):
         xs = law.density.x
-        vals = law.density.values * np.array([f(float(t)) for t in xs])
-        n = len(xs) - 1
-        h = float(xs[1] - xs[0])
-        if n % 2:  # Simpson needs an even interval count; fold the last one
-            head = float(
-                (vals[0] + vals[n - 1] + 4.0 * vals[1 : n - 1 : 2].sum() + 2.0 * vals[2 : n - 1 : 2].sum())
-                * h
-                / 3.0
-            )
-            return head + 0.5 * h * float(vals[n - 1] + vals[n])
-        return float(
-            (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()) * h / 3.0
-        )
+        weights = _simpson_weights(len(xs) - 1, float(xs[1] - xs[0]))
+        return xs, weights * _finite(law.density.values)
     a, b = law.support
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = max(nodes, 8)
-    if nodes % 2:
-        nodes += 1
+    nodes = max(nodes + nodes % 2, 8)
     u = np.linspace(0.0, math.pi, nodes + 1)
-    x = mid - half * np.cos(u)
-    vals = np.empty_like(x)
-    for i in range(1, nodes):
-        vals[i] = law.density(float(x[i])) * f(float(x[i]))
-    vals[1:-1] *= half * np.sin(u[1:-1])
+    s = _simpson_weights(nodes, math.pi / nodes)
     # the substituted integrand extends smoothly to u = 0, pi even when the
-    # density blows up like an inverse square root there; extrapolate the
-    # endpoint values quadratically from the interior nodes
-    vals[0] = 3.0 * (vals[1] - vals[2]) + vals[3]
-    vals[-1] = 3.0 * (vals[-2] - vals[-3]) + vals[-4]
-    h = math.pi / nodes
-    return float((vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()) * h / 3.0)
+    # density blows up like an inverse square root there; its endpoint values
+    # are extrapolated quadratically, v_0 = 3 (v_1 - v_2) + v_3, and that
+    # linear map is folded into the interior weights
+    c = s[1:-1].copy()
+    c[:3] += s[0] * np.array([3.0, -3.0, 1.0])
+    c[-3:] += s[-1] * np.array([1.0, -3.0, 3.0])
+    x = mid - half * np.cos(u[1:-1])
+    density = _finite([law.density(float(t)) for t in x])
+    return x, c * half * np.sin(u[1:-1]) * density
 
 
 def moments(law: Law, upto: int, nodes: int = 8000) -> list[float]:
     """The moment sequence M_0..M_upto of a law (atom sums + quadrature)."""
     if upto < 0:
         raise ValueError("need upto >= 0")
-    out = []
-    for k in range(upto + 1):
-        m = sum(mass * loc**k for loc, mass in law.atoms)
-        if law.density is not None:
-            m += _density_integral(law, lambda x: x**k, nodes)
-        out.append(float(m))
-    return out
+    out = [sum(mass * loc**k for loc, mass in law.atoms) for k in range(upto + 1)]
+    if law.density is not None:
+        x, w = _density_rule(law, nodes)
+        out = np.add(out, w @ np.power.outer(x, np.arange(upto + 1)))
+    return [float(m) for m in out]
 
 
 def law_fourier(law: Law, y: float, nodes: int = 8000) -> complex:
     """E(exp(iyX)) for the law."""
     out = sum(mass * cmath.exp(1j * y * loc) for loc, mass in law.atoms)
     if law.density is not None:
-        re = _density_integral(law, lambda x: math.cos(y * x), nodes)
-        im = _density_integral(law, lambda x: math.sin(y * x), nodes)
-        out += complex(re, im)
+        x, w = _density_rule(law, nodes)
+        out += complex(w @ np.exp(1j * y * x))
     return out
 
 
@@ -314,12 +295,8 @@ def complex_gaussian_moment(t: float, word: str) -> float:
     """
     if t <= 0:
         raise ValueError("need t > 0")
-    if word == "":
-        return 1.0
-    n = len(word)
-    if n % 2:
-        return 0.0
-    return t ** (n // 2) * count_matching_pairings(word)
+    count = count_matching_pairings(word)
+    return t ** (len(word) // 2) * count if count else 0.0
 
 
 def wick(t: float, factors: Sequence[tuple[int, str]]) -> float:
@@ -436,10 +413,6 @@ def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
     return Law(atoms=_merge_atoms(new_atoms, tol), density=density, support=(lo, hi))
 
 
-def _atomic_moments(law: Law, upto: int) -> list[float]:
-    return [sum(mass * loc**k for loc, mass in law.atoms) for k in range(upto + 1)]
-
-
 def plt_distance(t: float, n: int, upto: int = 4) -> float:
     """Relative moment gap between the n-fold convolved t/n-coin and Poisson(t).
 
@@ -455,7 +428,7 @@ def plt_distance(t: float, n: int, upto: int = 4) -> float:
     law = coin
     for _ in range(n - 1):
         law = convolve(law, coin)
-    got = _atomic_moments(law, upto)
+    got = moments(law, upto)
     gap = 0.0
     for k in range(1, upto + 1):
         target = poisson_moment(t, k)
@@ -483,7 +456,7 @@ def clt_moment_gap(base: Law, n: int, upto: int = 4) -> float:
         law = convolve(law, base)
     root = math.sqrt(n)
     scaled = Law(atoms=tuple((loc / root, mass) for loc, mass in law.atoms))
-    got = _atomic_moments(scaled, upto)
+    got = moments(scaled, upto)
     gap = 0.0
     for k in range(1, upto + 1):
         gap = max(gap, abs(got[k] - gaussian_moment(var, k)))

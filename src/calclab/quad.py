@@ -59,10 +59,7 @@ def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("riemann needs a finite interval")
     x = a + (b - a) * np.arange(1, N + 1) / N
-    values = np.asarray([f(t) for t in x], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite samples")
-    return float((b - a) / N * values.sum())
+    return float((b - a) / N * _finite([f(t) for t in x]).sum())
 
 
 def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -70,24 +67,46 @@ def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     if N < 1:
         raise ValueError("need N >= 1")
     x = np.linspace(a, b, N + 1)
-    values = np.asarray([f(t) for t in x], dtype=float)
-    return float(np.trapezoid(values, x))
+    return float(np.trapezoid(_finite([f(t) for t in x]), x))
 
 
 def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     """Composite Simpson rule with N subintervals (N made even if needed)."""
     if N < 2:
         raise ValueError("need N >= 2")
-    if N % 2:
-        N += 1
-    x = np.linspace(a, b, N + 1)
-    values = np.asarray([f(t) for t in x], dtype=float)
-    return _simpson_samples(values, (b - a) / N)
+    x, w = _simpson_rule(a, b, N)
+    return float(w @ _finite([f(t) for t in x]))
 
 
-def _simpson_samples(values: np.ndarray, h: float) -> float:
-    acc = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
-    return float(acc * h / 3.0)
+def _simpson_rule(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Simpson rule on [a, b] (N made even if needed)."""
+    N += N % 2
+    return np.linspace(a, b, N + 1), _simpson_weights(N, (b - a) / N)
+
+
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights for n+1 samples at spacing h.
+
+    For odd n the last interval is folded in by the trapezoid rule.
+    """
+    m = n - n % 2
+    w = np.zeros(n + 1)
+    if m:
+        w[1:m:2] = 4.0
+        w[2:m:2] = 2.0
+        w[0] = w[m] = 1.0
+        w *= h / 3.0
+    if n % 2:
+        w[-2:] += 0.5 * h
+    return w
+
+
+def _finite(values) -> np.ndarray:
+    """The samples as a float array, rejected if any is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("integrand produced non-finite samples")
+    return values
 
 
 def monte_carlo(
@@ -199,9 +218,7 @@ def sphere_area(N: int) -> float:
     if N < 1:
         raise ValueError("need N >= 1")
     if N <= _LOG_DOMAIN_CUTOFF:
-        return float(Fraction(2**N, semi_factorial(N - 1) if N >= 1 else 1)) * (
-            math.pi / 2.0
-        ) ** (N // 2)
+        return float(Fraction(2**N, semi_factorial(N - 1))) * (math.pi / 2.0) ** (N // 2)
     log_a = N * math.log(2.0) - _log_semi_factorial(N - 1) + (N // 2) * math.log(math.pi / 2.0)
     return math.exp(log_a)
 
@@ -266,7 +283,7 @@ def sphere_moment(key: SphereMomentKey) -> float:
     if key.field == "real":
         if any(k % 2 for k in ks):
             return 0.0
-        num = semi_factorial(N - 1) if N >= 1 else 1
+        num = semi_factorial(N - 1)
         for k in ks:
             num *= semi_factorial(k)
         return float(Fraction(num, semi_factorial(N + total - 1)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from calclab.cli import ResultTable, emit, main, run
+from calclab.combinat import bell
 
 
 def invoke(argv, capsys):
@@ -29,6 +30,13 @@ def test_sequence_bernoulli_rationals(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     values = [r[1] for r in rows[1:]]
     assert values == ["1", "-1/2", "1/6", "0", "-1/30", "0", "1/42"]
+
+
+def test_sequence_bell_matches_bell(capsys):
+    code, out, _ = invoke(["sequence", "--kind", "bell", "--n", "30"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [int(r[1]) for r in rows[1:]] == [bell(k) for k in range(31)]
 
 
 def test_unknown_flag_is_usage_error(capsys):

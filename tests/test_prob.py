@@ -77,6 +77,30 @@ def test_moments_uniform():
     assert got == pytest.approx([1.0 / (k + 1) for k in range(7)], abs=1e-10)
 
 
+def test_moments_sample_the_density_once():
+    calls = []
+
+    def density(x):
+        calls.append(x)
+        return math.sqrt(max(0.0, 4.0 - x * x)) / (2.0 * math.pi)
+
+    law = Law(density=density, support=(-2.0, 2.0))
+    N = 400
+    got = moments(law, 10, nodes=N)
+    assert len(calls) == N - 1
+    assert got == pytest.approx(moments(semicircle_law(), 10, nodes=N), rel=1e-12)
+
+
+def test_density_rule_rejects_non_finite_density():
+    law = Law(density=lambda x: math.nan if x > 0.5 else 0.5, support=(-1.0, 1.0))
+    with pytest.raises(ValueError):
+        moments(law, 2)
+    with pytest.raises(ValueError):
+        law.total_mass()
+    with pytest.raises(ValueError):
+        law_fourier(law, 1.0)
+
+
 def test_builtin_law_moment_sequences():
     # combinatorial moment sequences of the four continuous laws
     semi = moments(semicircle_law(), 6)
@@ -169,6 +193,10 @@ def test_complex_gaussian_moment():
     # uniform word of length 2p gives t^p p!
     assert complex_gaussian_moment(0.5, "ooobbb") == pytest.approx(0.5**3 * 6)
     assert complex_gaussian_moment(1.0, "obb") == 0.0
+    # colors are checked before the odd-length shortcut, as in wick
+    for word in ("x", "obx", "xy"):
+        with pytest.raises(ValueError):
+            complex_gaussian_moment(1.0, word)
 
 
 def test_wick():

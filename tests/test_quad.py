@@ -47,8 +47,10 @@ def test_riemann_exponential():
 def test_riemann_rejects_bad_input():
     with pytest.raises(ValueError):
         riemann(lambda x: x, 0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        riemann(lambda x: float("nan"), 0.0, 1.0, 10)
+    for rule in (riemann, trapezoid, simpson):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rule(lambda x: bad if x > 0.5 else x, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
         riemann(lambda x: x, 0.0, math.inf, 10)
 
