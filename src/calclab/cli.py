@@ -64,7 +64,7 @@ def _format_value(v, digits: int | None) -> str:
         sign = "+" if v.imag >= 0 else "-"
         return f"{re}{sign}{im}i"
     if isinstance(v, (float, np.floating)):
-        return f"{float(v):.{digits or 17}g}"
+        return f"{float(v):.{17 if digits is None else digits}g}"
     return str(v)
 
 
@@ -78,7 +78,7 @@ def _json_value(v, digits: int | None):
     if isinstance(v, (complex, np.complexfloating)) and not isinstance(v, (float, np.floating)):
         return _format_value(v, digits)
     if isinstance(v, (float, np.floating)):
-        return float(f"{float(v):.{digits}g}") if digits else float(v)
+        return float(v) if digits is None else float(f"{float(v):.{digits}g}")
     return str(v)
 
 
@@ -101,19 +101,38 @@ def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        return [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise _UsageError(f"{text!r} is not a comma list of numbers") from None
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace(" ", "").replace("i", "j"))
+    try:
+        return complex(text.strip().replace(" ", "").replace("i", "j"))
+    except ValueError:
+        raise _UsageError(f"{text!r} is not a number like 1+2i") from None
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Comma list of values, or start:stop:count."""
-    if ":" in text:
+    """Comma list of values, or start:stop:count with count >= 1."""
+    if ":" not in text:
+        return _parse_floats(text)
+    try:
         a, b, n = text.split(":")
-        return list(np.linspace(float(a), float(b), int(n)))
-    return _parse_floats(text)
+        a, b, n = float(a), float(b), int(n)
+    except ValueError:
+        raise _UsageError(f"grid {text!r} is not start:stop:count") from None
+    if n < 1:
+        raise _UsageError("grid count must be at least 1")
+    return list(np.linspace(a, b, n))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
 
 
 # ---------------------------------------------------------------- builtins
@@ -220,6 +239,8 @@ def _cmd_integrate(args) -> ResultTable:
 
 
 def _cmd_sphere(args) -> ResultTable:
+    if args.dim < 1:
+        raise _UsageError("need --dim >= 1")
     if args.what == "volume":
         return ResultTable(
             ["quantity", "value", "error"],
@@ -248,6 +269,8 @@ def _cmd_sphere(args) -> ResultTable:
 def _cmd_law(args) -> ResultTable:
     name = args.name
     K = args.moments
+    if K < 0:
+        raise _UsageError("need --moments >= 0")
     note = f"moments of the {name} law"
     if name == "bernoulli":
         law = prob.bernoulli_law(args.x)
@@ -387,8 +410,13 @@ def _cmd_hydrogen(args) -> ResultTable:
             [(args.n, e.joules, e.ev)],
             note="bound-state energy",
         )
-    rmax, steps = args.grid.split(",")
-    rmax, steps = float(rmax), int(steps)
+    try:
+        rmax, steps = args.grid.split(",")
+        rmax, steps = float(rmax), int(steps)
+    except ValueError:
+        raise _UsageError(f"--grid {args.grid!r} is not rmax,steps") from None
+    if not rmax > 0 or steps < 1:
+        raise _UsageError("--grid needs rmax > 0 and steps >= 1")
     qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
     phi = hydrogen.wavefunction(qn)
     s_fixed, t_fixed = math.pi / 2.0, 0.0
@@ -410,7 +438,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="calclab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["csv", "json"], default=None)
-    common.add_argument("--digits", type=int, default=None, help="significant digits for floats")
+    common.add_argument("--digits", type=_positive_int, default=None, help="significant digits for floats (>= 1)")
     common.add_argument("--output", default=None, help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -275,3 +275,42 @@ def test_digits_flag(capsys):
     )
     value = list(csv.reader(io.StringIO(out)))[1][1]
     assert value == "2.718"
+
+
+@pytest.mark.parametrize("digits", ["0", "-2"])
+def test_digits_below_one_is_usage_error(capsys, digits):
+    code, out, err = invoke(
+        ["constants", "--which", "e", "--terms", "30", "--digits", digits], capsys
+    )
+    assert code == 1 and out == ""
+    assert "usage error" in err
+
+
+def test_emit_digits_zero_is_not_full_precision():
+    buffer = io.StringIO()
+    emit(ResultTable(["x"], [(math.pi,)]), "csv", buffer, digits=0)
+    assert buffer.getvalue() == "x\n3\n"
+    buffer = io.StringIO()
+    emit(ResultTable(["x"], [(math.pi,)]), "json", buffer, digits=0)
+    assert json.loads(buffer.getvalue())["rows"] == [[3.0]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stieltjes", "--law", "semicircle", "--t", "0.1", "--x=1:2:0"],
+        ["stieltjes", "--law", "semicircle", "--t", "0.1", "--x=1:2"],
+        ["sphere", "--what", "area", "--dim", "0"],
+        ["sphere", "--what", "volume", "--dim", "-1"],
+        ["law", "--name", "semicircle", "--moments", "-1"],
+        ["law", "--name", "poisson", "--moments", "-1"],
+        ["hydrogen", "wavefunction", "--n", "1", "--l", "0", "--m", "0", "--grid", "10"],
+        ["hydrogen", "wavefunction", "--n", "1", "--l", "0", "--m", "0", "--grid", "5,0"],
+        ["critical", "--fn", "bowl", "--x", "a,b"],
+        ["roots", "--coeffs=1,x"],
+    ],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    code, out, err = invoke(argv, capsys)
+    assert code == 1 and out == ""
+    assert "usage error" in err

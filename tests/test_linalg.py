@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calclab.linalg import (
     Polynomial,
@@ -309,6 +310,89 @@ def test_symmetric_eigen():
     assert np.prod(d) == pytest.approx(det_elimination(A), rel=1e-8)
     with pytest.raises(ValueError):
         symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _check_eigen(A, U, d):
+    """The identities every symmetric_eigen result must satisfy."""
+    n = A.shape[0]
+    norm = float(np.linalg.norm(A)) or 1.0
+    assert np.abs(U @ np.diag(d) @ U.T - A).max() <= 1e-10 * norm
+    assert np.abs(U.T @ U - np.eye(n)).max() <= 1e-10
+    # the stopping rule (off-diagonal norm <= 1e-12 ||A||), with room for rounding
+    assert np.linalg.norm(U.T @ A @ U - np.diag(d)) <= 1e-11 * norm
+    assert list(d) == sorted(d, reverse=True)
+    assert np.abs(d - np.linalg.eigvalsh(A)[::-1]).max() <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("seed", [6, 10])
+def test_symmetric_eigen_stops_at_tolerance(seed):
+    # an off-diagonal norm taken as sqrt(||W||^2 - ||diag W||^2) cancels below
+    # sqrt(eps)*||A||: seed 6 then stopped early, seed 10 never stopped
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((40, 40))
+    A = 0.5 * (A + A.T)
+    U, d = symmetric_eigen(A)
+    _check_eigen(A, U, d)
+
+
+@pytest.mark.filterwarnings("error")
+def test_symmetric_eigen_tiny_pivot_no_overflow():
+    A = np.array([[1.0, 1e-160, 0.5], [1e-160, 2.0, 0.0], [0.5, 0.0, 3.0]])
+    U, d = symmetric_eigen(A)
+    _check_eigen(A, U, d)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_symmetric_eigen_extreme_scale(scale):
+    # squared entries of this size underflow or overflow
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((6, 6))
+    B = B + B.T
+    U, d = symmetric_eigen(scale * B)
+    _check_eigen(B, U, d / scale)
+
+
+@pytest.mark.parametrize("n", [3, 30])
+def test_symmetric_eigen_repeated_eigenvalues(n):
+    # rank one: n - 1 zero eigenvalues, so rotations meet a_qq = a_pp, often
+    # with a tiny a_pq that rounding has left slightly asymmetric
+    v = np.random.default_rng(n).standard_normal(n)
+    for A in (np.ones((n, n)), np.outer(v, v)):
+        U, d = symmetric_eigen(A)
+        _check_eigen(A, U, d)
+
+
+def test_symmetric_eigen_rejects_bad_input():
+    with pytest.raises(ValueError):
+        symmetric_eigen(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        symmetric_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "diagonal", "zero", "identity", "rank_one"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        A = rng.standard_normal((n, n))
+        return 0.5 * (A + A.T)
+    if kind == "diagonal":
+        # a_pq = 0 everywhere: no rotation at all
+        return np.diag(rng.integers(-2, 3, n).astype(float))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "identity":
+        return np.eye(n)
+    v = rng.standard_normal(n)
+    return np.outer(v, v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_symmetric_matrices())
+def test_symmetric_eigen_properties(A):
+    U, d = symmetric_eigen(A)
+    _check_eigen(A, U, d)
 
 
 def test_classify_definiteness():
