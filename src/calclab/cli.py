@@ -356,9 +356,9 @@ def _cmd_wave(args) -> ResultTable:
     g = _PROFILES[args.profile](args.a, args.b)
     zero = lambda x: 0.0
     rows = []
-    times = np.linspace(0.0, args.t, args.frames + 1)[1:]
-    for frame, t in enumerate(times):
-        grid = dynamics.simulate_wave(g, zero, args.v, args.a, args.b, args.dx, args.cfl, float(t))
+    times = np.linspace(0.0, args.t, args.frames + 1)[1:].tolist()
+    grids = dynamics._wave_frames(g, zero, args.v, args.a, args.b, args.dx, args.cfl, times)
+    for frame, grid in enumerate(grids):
         for x, u in zip(grid.x, grid.values):
             rows.append((frame, grid.time, float(x), float(u)))
     return ResultTable(["frame", "t", "x", "u"], rows, note=f"{args.profile} pulse, leapfrog lattice")
@@ -367,9 +367,9 @@ def _cmd_wave(args) -> ResultTable:
 def _cmd_heat(args) -> ResultTable:
     g = _PROFILES[args.profile](args.a, args.b)
     rows = []
-    times = np.linspace(0.0, args.t, args.frames + 1)[1:]
-    for frame, t in enumerate(times):
-        grid = dynamics.simulate_heat(g, args.alpha, args.a, args.b, args.dx, args.cfl, float(t))
+    times = np.linspace(0.0, args.t, args.frames + 1)[1:].tolist()
+    grids = dynamics._heat_frames(g, args.alpha, args.a, args.b, args.dx, args.cfl, times)
+    for frame, grid in enumerate(grids):
         for x, u in zip(grid.x, grid.values):
             rows.append((frame, grid.time, float(x), float(u)))
     return ResultTable(["frame", "t", "x", "u"], rows, note=f"{args.profile} profile, forward-Euler lattice")
@@ -380,9 +380,14 @@ def _cmd_flux(args) -> ResultTable:
         raw = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
     if raw and raw[0][0].strip().lower() == "q":
         raw = raw[1:]
-    charges = tuple(
-        (float(r[0]), (float(r[1]), float(r[2]), float(r[3]))) for r in raw
-    )
+    try:
+        charges = tuple(
+            (float(r[0]), (float(r[1]), float(r[2]), float(r[3]))) for r in raw
+        )
+    except (ValueError, IndexError):
+        raise _UsageError(
+            f"--charges {args.charges}: every row must be four numbers q,x,y,z"
+        ) from None
     cfg = dynamics.ChargeConfig(charges=charges, k=args.k)
     center = tuple(_parse_floats(args.center))
     flux = dynamics.flux_through_sphere(cfg, center, args.radius, order=args.order)

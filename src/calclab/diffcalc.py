@@ -64,18 +64,37 @@ def gradient(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.n
     return out
 
 
+def _values(F: Callable[[np.ndarray], object], points: np.ndarray) -> np.ndarray:
+    """F at each row of the 2-D array ``points``, as one float array (one call per row)."""
+    return np.array(list(map(F, points)), dtype=float)
+
+
+def _central_differences(
+    F: Callable[[np.ndarray], object], points: Sequence[Sequence[float]], h: float
+) -> np.ndarray:
+    """Central differences (F(x + h e_i) - F(x - h e_i))/(2h) at every row x of points.
+
+    The one finite-difference stencil kernel.  ``points`` is an (M, d)
+    block; its 2dM stencil points are built with numpy, and F is called once
+    per stencil point on a 1-D float row of a fresh array.  F returns a
+    number or a sequence of k numbers; the result has shape (M, d) or
+    (M, d, k), with [m, i] the difference along axis i at row m.
+    """
+    points = np.asarray(points, dtype=float)
+    M, d = points.shape
+    step = h * np.eye(d)[:, None, :]
+    vals = _values(F, np.stack([points + step, points - step]).reshape(-1, d))
+    vals = vals.reshape((2, d, M) + vals.shape[1:])
+    return np.moveaxis((vals[0] - vals[1]) / (2.0 * h), 0, 1)
+
+
 def jacobian(
     F: Callable[[np.ndarray], Sequence[float]], x: Sequence[float], h: float | None = None
 ) -> np.ndarray:
     """Central-difference Jacobian matrix (dF_i/dx_j)."""
     x = np.asarray(x, dtype=float)
     h = h or _step1(x)
-    cols = []
-    for j in range(len(x)):
-        e = np.zeros_like(x)
-        e[j] = h
-        cols.append((np.asarray(F(x + e), dtype=float) - np.asarray(F(x - e), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    return _central_differences(F, x[None, :], h)[0].T
 
 
 def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:

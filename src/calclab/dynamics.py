@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .diffcalc import _central_differences, _values
 from .quad import _finite, _simpson_rule, simpson
 
 __all__ = [
@@ -59,15 +60,16 @@ __all__ = [
 
 
 def cross(u: Sequence[float], v: Sequence[float]) -> np.ndarray:
-    """Vector product in R^3 by the 2x2-determinant rule."""
+    """Vector product in R^3 by the 2x2-determinant rule (row by row for stacks of vectors)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return np.array(
+    return np.stack(
         [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ]
+            u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
+        ],
+        axis=-1,
     )
 
 
@@ -156,42 +158,69 @@ class OrbitState:
         return 0.5 * (self.vx**2 + self.vy**2) - self.K / self.r
 
 
-def _kepler_rhs(state: np.ndarray, K: float) -> np.ndarray:
-    x, y, vx, vy = state
-    r3 = (x * x + y * y) ** 1.5
-    return np.array([vx, vy, -K * x / r3, -K * y / r3])
-
-
 def kepler_step(s: OrbitState, dt: float, r_min: float = 1e-12) -> OrbitState:
-    """One classical fourth-order step of zdd = -K z/|z|^3."""
+    """One classical fourth-order (RK4) step of zdd = -K z/|z|^3.
+
+    Evaluated on Python floats, in the operation order of the vector form
+    z + dt/6 (k1 + 2 k2 + 2 k3 + k4) with stages at z + (dt/2) k1,
+    z + (dt/2) k2 and z + dt k3.
+    """
     if dt <= 0:
         raise ValueError("need dt > 0")
-    state = np.array([s.x, s.y, s.vx, s.vy])
-    k1 = _kepler_rhs(state, s.K)
-    k2 = _kepler_rhs(state + 0.5 * dt * k1, s.K)
-    k3 = _kepler_rhs(state + 0.5 * dt * k2, s.K)
-    k4 = _kepler_rhs(state + dt * k3, s.K)
-    new = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if math.hypot(new[0], new[1]) < r_min:
+    K = s.K
+    half = 0.5 * dt
+
+    def accel(x: float, y: float) -> tuple[float, float]:
+        r3 = (x * x + y * y) ** 1.5
+        return -K * x / r3, -K * y / r3
+
+    x1, y1, vx1, vy1 = s.x, s.y, s.vx, s.vy
+    ax1, ay1 = accel(x1, y1)
+    x2, y2, vx2, vy2 = x1 + half * vx1, y1 + half * vy1, vx1 + half * ax1, vy1 + half * ay1
+    ax2, ay2 = accel(x2, y2)
+    x3, y3, vx3, vy3 = x1 + half * vx2, y1 + half * vy2, vx1 + half * ax2, vy1 + half * ay2
+    ax3, ay3 = accel(x3, y3)
+    x4, y4, vx4, vy4 = x1 + dt * vx3, y1 + dt * vy3, vx1 + dt * ax3, vy1 + dt * ay3
+    ax4, ay4 = accel(x4, y4)
+    c = dt / 6.0
+    x = x1 + c * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
+    y = y1 + c * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4)
+    vx = vx1 + c * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+    vy = vy1 + c * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    if math.hypot(x, y) < r_min:
         raise ArithmeticError("collision: radius fell below the threshold")
-    return OrbitState(new[0], new[1], new[2], new[3], s.K, s.time + dt)
+    return OrbitState(x, y, vx, vy, K, s.time + dt)
 
 
 def kepler_integrate(
     s: OrbitState, T: float, dt: float, r_min: float = 1e-12
 ) -> list[OrbitState]:
-    """Trajectory from s over duration T in steps of dt (last step clipped).
+    """Trajectory from s over duration T in RK4 steps of dt, ending at s.time + T.
+
+    When T/dt is a whole number n up to rounding (|T/dt - n| <= 1e-9 T/dt,
+    as for dt = T/n) the trajectory is n full steps.  Otherwise it is
+    floor(T/dt) full steps plus one shorter step that ends at s.time + T, so
+    T = 1, dt = 0.3 gives four steps and T < dt gives one step of T.
 
     Pass a physically meaningful r_min when collisions are possible; the
     default only catches an exact fall onto the center.
     """
     if T <= 0:
         raise ValueError("need T > 0")
-    steps = int(round(T / dt))
+    if dt <= 0:
+        raise ValueError("need dt > 0")
+    ratio = T / dt
+    steps = round(ratio)
+    clipped = abs(ratio - steps) > 1e-9 * ratio
+    if clipped:
+        steps = math.floor(ratio)
+    end = s.time + T
     out = [s]
     for _ in range(steps):
         s = kepler_step(s, dt, r_min=r_min)
         out.append(s)
+    if clipped:
+        out.append(replace(kepler_step(s, end - s.time, r_min=r_min), time=end))
     return out
 
 
@@ -428,27 +457,22 @@ def heat_lattice_step(u: Grid1D, alpha: float, dt: float) -> Grid1D:
     return Grid1D(new, u.a, u.b, u.time + dt)
 
 
-def simulate_wave(
+def _leapfrog(
     g: Callable[[float], float],
     h: Callable[[float], float],
     v: float,
     a: float,
     b: float,
     dx: float,
-    cfl: float,
-    t_final: float,
-) -> Grid1D:
-    """Leapfrog evolution from displacement g and velocity h to t ~ t_final.
+    dt: float,
+) -> Iterator[Grid1D]:
+    """Leapfrog wave states after 1, 2, 3, ... steps of dt, from displacement g and velocity h.
 
     The first step is the standard Taylor start using the initial velocity
     and the spatial second difference.
     """
-    if not 0 < cfl <= 1:
-        raise ValueError("need 0 < cfl <= 1")
     n = int(round((b - a) / dx))
     xs = np.linspace(a, b, n + 1)
-    dt = cfl * dx / v
-    steps = max(1, int(round(t_final / dt)))
     u0 = np.array([g(x) for x in xs])
     hv = np.array([h(x) for x in xs])
     lam2 = (v * dt / dx) ** 2
@@ -460,9 +484,76 @@ def simulate_wave(
     )
     prev = Grid1D(u0, a, b, 0.0)
     curr = Grid1D(u1, a, b, dt)
-    for _ in range(steps - 1):
+    while True:
+        yield curr
         prev, curr = curr, wave_lattice_step(prev, curr, v, dt)
-    return curr
+
+
+def _forward_euler(
+    g: Callable[[float], float], alpha: float, a: float, b: float, dx: float, dt: float
+) -> Iterator[Grid1D]:
+    """Forward-Euler heat states after 1, 2, 3, ... steps of dt, from the profile g."""
+    n = int(round((b - a) / dx))
+    xs = np.linspace(a, b, n + 1)
+    grid = Grid1D(np.array([g(x) for x in xs]), a, b, 0.0)
+    while True:
+        grid = heat_lattice_step(grid, alpha, dt)
+        yield grid
+
+
+def _snapshots(states: Iterator[Grid1D], dt: float, times: Sequence[float]) -> list[Grid1D]:
+    """The states at max(1, round(t/dt)) steps for each of the nondecreasing times, from one run."""
+    out: list[Grid1D] = []
+    done = 0
+    for t in times:
+        target = max(1, int(round(t / dt)))
+        for _ in range(target - done):
+            state = next(states)
+        done = target
+        out.append(state)
+    return out
+
+
+def _wave_frames(g, h, v, a, b, dx, cfl, times) -> list[Grid1D]:
+    """Leapfrog states at each of the nondecreasing times, from one run.
+
+    Frame by frame the same as :func:`simulate_wave`.
+    """
+    if not 0 < cfl <= 1:
+        raise ValueError("need 0 < cfl <= 1")
+    dt = cfl * dx / v
+    return _snapshots(_leapfrog(g, h, v, a, b, dx, dt), dt, times)
+
+
+def _heat_frames(g, alpha, a, b, dx, cfl, times) -> list[Grid1D]:
+    """Forward-Euler states at each of the nondecreasing times, from one run.
+
+    Frame by frame the same as :func:`simulate_heat`.
+    """
+    if not 0 < cfl <= 0.5:
+        raise ValueError("need 0 < cfl <= 1/2")
+    dt = cfl * dx * dx / alpha
+    return _snapshots(_forward_euler(g, alpha, a, b, dx, dt), dt, times)
+
+
+def simulate_wave(
+    g: Callable[[float], float],
+    h: Callable[[float], float],
+    v: float,
+    a: float,
+    b: float,
+    dx: float,
+    cfl: float,
+    t_final: float,
+) -> Grid1D:
+    """Leapfrog evolution from displacement g and velocity h, on round((b-a)/dx) + 1 samples.
+
+    The time step dt = cfl dx/v stays constant, as leapfrog needs, so the
+    result is the state after max(1, round(t_final/dt)) steps: its ``time``
+    is that many steps of dt, which is t_final only to within dt/2.  The
+    first step is the Taylor start from the initial velocity.
+    """
+    return _wave_frames(g, h, v, a, b, dx, cfl, [t_final])[0]
 
 
 def simulate_heat(
@@ -474,17 +565,13 @@ def simulate_heat(
     cfl: float,
     t_final: float,
 ) -> Grid1D:
-    """Forward-Euler heat evolution from the initial profile g to t ~ t_final."""
-    if not 0 < cfl <= 0.5:
-        raise ValueError("need 0 < cfl <= 1/2")
-    n = int(round((b - a) / dx))
-    xs = np.linspace(a, b, n + 1)
-    dt = cfl * dx * dx / alpha
-    steps = max(1, int(round(t_final / dt)))
-    grid = Grid1D(np.array([g(x) for x in xs]), a, b, 0.0)
-    for _ in range(steps):
-        grid = heat_lattice_step(grid, alpha, dt)
-    return grid
+    """Forward-Euler heat evolution from the profile g, on round((b-a)/dx) + 1 samples.
+
+    The time step is dt = cfl dx^2/alpha, so the result is the state after
+    max(1, round(t_final/dt)) steps: its ``time`` is that many steps of dt,
+    which is t_final only to within dt/2.
+    """
+    return _heat_frames(g, alpha, a, b, dx, cfl, [t_final])[0]
 
 
 def heat_kernel(alpha: float, t: float, x: Sequence[float] | float) -> float:
@@ -595,20 +682,17 @@ def electric_field(cfg: ChargeConfig, x: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _sphere_quadrature(order: int):
+def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Product nodes/weights on the unit sphere: Gauss-Legendre in cos(polar),
-    uniform in azimuth.  Weights sum to the sphere area 4 pi."""
+    uniform in azimuth, polar-major order.  Weights sum to the sphere area 4 pi."""
     u, w = np.polynomial.legendre.leggauss(order)
     ts = np.linspace(0.0, 2.0 * math.pi, 2 * order, endpoint=False)
     dt = 2.0 * math.pi / (2 * order)
-    nodes = []
-    weights = []
-    for ui, wi in zip(u, w):
-        sin_s = math.sqrt(max(0.0, 1.0 - ui * ui))
-        for t in ts:
-            nodes.append((sin_s * math.cos(t), sin_s * math.sin(t), ui))
-            weights.append(wi * dt)
-    return np.array(nodes), np.array(weights)
+    sin_s = np.sqrt(np.maximum(0.0, 1.0 - u * u))[:, None]
+    cos_t = np.array([math.cos(t) for t in ts])
+    sin_t = np.array([math.sin(t) for t in ts])
+    nodes = np.stack(np.broadcast_arrays(sin_s * cos_t, sin_s * sin_t, u[:, None]), axis=-1)
+    return nodes.reshape(-1, 3), np.repeat(w * dt, len(ts))
 
 
 def flux_through_sphere(
@@ -617,7 +701,13 @@ def flux_through_sphere(
     radius: float,
     order: int = 64,
 ) -> float:
-    """Outward flux of the electric field through the given sphere."""
+    """Outward flux of the electric field through the given sphere.
+
+    Integrates <E, n> over the 2 order^2 product nodes of the sphere, with
+    the Coulomb field of every charge at every node in one array operation
+    (the sum that :func:`electric_field` forms one point at a time).  A
+    charge on the surface is rejected; no charges give exactly 0.
+    """
     center = np.asarray(center, dtype=float)
     if radius <= 0:
         raise ValueError("need radius > 0")
@@ -625,11 +715,13 @@ def flux_through_sphere(
         if abs(np.linalg.norm(np.asarray(p) - center) - radius) < 1e-9 * radius:
             raise ValueError("a charge lies on the sphere surface")
     nodes, weights = _sphere_quadrature(order)
-    total = 0.0
-    for n, w in zip(nodes, weights):
-        x = center + radius * n
-        total += w * float(electric_field(cfg, x) @ n)
-    return total * radius * radius
+    q = cfg.k * np.array([q for q, _ in cfg.charges], dtype=float)
+    d = (center + radius * nodes)[:, None, :] - np.array(
+        [p for _, p in cfg.charges], dtype=float
+    ).reshape(1, -1, 3)
+    r = np.sqrt(np.einsum("ncj,ncj->nc", d, d))
+    normal = np.einsum("ncj,nj->nc", d, nodes) / r**3
+    return float(weights @ (normal @ q)) * radius * radius
 
 
 def disk_map(radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)):
@@ -642,12 +734,6 @@ def disk_map(radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)):
         )
 
     return mapping, (0.0, 1.0), (0.0, 2.0 * math.pi)
-
-
-def _map_jacobian(mapping, u: float, v: float, h: float = 1e-6):
-    xu = (np.array(mapping(u + h, v)) - np.array(mapping(u - h, v))) / (2 * h)
-    xv = (np.array(mapping(u, v + h)) - np.array(mapping(u, v - h))) / (2 * h)
-    return xu, xv
 
 
 def _boundary_edges(mapping, u_span, v_span):
@@ -664,19 +750,25 @@ def _boundary_edges(mapping, u_span, v_span):
 
 def _line_integral(G, curve, t0: float, t1: float, n: int, h: float) -> float:
     """Simpson integral of <G(x), dx/dt> along x = curve(t), dx/dt by central differences."""
+    if n < 2:
+        raise ValueError("need N >= 2")
+    t, w = _simpson_rule(t0, t1, n)
+    path = lambda p: curve(p[0])
+    x = _values(path, t[:, None])
+    xt = _central_differences(path, t[:, None], h)[:, 0]
+    return float(w @ _finite(np.einsum("ij,ij->i", _values(G, x), xt)))
 
-    def f(t):
-        xt = np.subtract(curve(t + h), curve(t - h)) / (2 * h)
-        return float(np.asarray(G(np.asarray(curve(t), dtype=float)), dtype=float) @ xt)
 
-    return simpson(f, t0, t1, n)
+def _tensor_simpson(g: Callable[[np.ndarray], np.ndarray], u_span, v_span, n: int) -> float:
+    """Product Simpson rule over the rectangle u_span x v_span, n intervals per side.
 
-
-def _tensor_simpson(g: Callable[[float, float], float], u_span, v_span, n: int) -> float:
-    """Product Simpson rule for g over the rectangle u_span x v_span, n intervals per side."""
+    g maps an (M, 2) block of (u, v) nodes to M values; it is called once
+    per u node, on the block of that node's row.
+    """
     u, wu = _simpson_rule(*u_span, n)
     v, wv = _simpson_rule(*v_span, n)
-    return float(wu @ _finite([[g(a, b) for b in v] for a in u]) @ wv)
+    rows = [g(np.column_stack((np.full_like(v, a), v))) for a in u]
+    return float(wu @ _finite(rows) @ wv)
 
 
 def green_check(
@@ -692,46 +784,31 @@ def green_check(
     boundary curve is the mapped rectangle boundary, traversed
     counterclockwise, so degenerate or cancelling edges contribute nothing.
     Returns (line integral of P dx + Q dy, area integral of dQ/dx - dP/dy,
-    |difference|).
+    |difference|).  Derivatives are central differences: step 1e-5 for
+    P and Q, 1e-6 for the chart, and 1e-6 times the longer span along the
+    boundary.
     """
     mapping, u_span, v_span = region
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
+    chart = lambda p: mapping(*p.tolist())
+
+    def field(p: np.ndarray) -> tuple[float, float]:
+        x, y = p.tolist()
+        return P(x, y), Q(x, y)
 
     lhs = sum(
-        _line_integral(lambda x: (P(*x), Q(*x)), *edge, n, h)
+        _line_integral(field, *edge, n, h)
         for edge in _boundary_edges(mapping, u_span, v_span)
     )
 
-    def curl_z(u, v):
-        x, y = mapping(u, v)
-        hh = 1e-5
-        dQdx = (Q(x + hh, y) - Q(x - hh, y)) / (2 * hh)
-        dPdy = (P(x, y + hh) - P(x, y - hh)) / (2 * hh)
-        xu, xv = _map_jacobian(mapping, u, v)
-        jac = xu[0] * xv[1] - xu[1] * xv[0]
-        return (dQdx - dPdy) * jac
+    def curl_z(uv: np.ndarray) -> np.ndarray:
+        J = _central_differences(chart, uv, 1e-6)
+        D = _central_differences(field, _values(chart, uv), 1e-5)
+        jac = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        return (D[:, 0, 1] - D[:, 1, 0]) * jac
 
     rhs = _tensor_simpson(curl_z, u_span, v_span, n)
     return lhs, rhs, abs(lhs - rhs)
-
-
-def _curl(F: Callable[[np.ndarray], Sequence[float]], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    def partial(i):
-        e = np.zeros(3)
-        e[i] = h
-        return (np.asarray(F(x + e), dtype=float) - np.asarray(F(x - e), dtype=float)) / (2 * h)
-
-    dx, dy, dz = partial(0), partial(1), partial(2)
-    return np.array([dy[2] - dz[1], dz[0] - dx[2], dx[1] - dy[0]])
-
-
-def _divergence(F: Callable[[np.ndarray], Sequence[float]], x: np.ndarray, h: float = 1e-5) -> float:
-    out = 0.0
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        out += (F(x + e)[i] - F(x - e)[i]) / (2 * h)
-    return float(out)
 
 
 def stokes_check(
@@ -743,15 +820,21 @@ def stokes_check(
 
     ``surface`` is (mapping, u_span, v_span) with mapping: (u, v) -> R^3;
     the normal is S_u x S_v and the boundary is the mapped rectangle edge
-    loop, so the orientations match automatically.
+    loop, so the orientations match automatically.  The curl is taken by
+    central differences of step 1e-5, the chart derivatives with step 1e-6
+    times the longer span.
     """
     mapping, u_span, v_span = surface
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
+    chart = lambda p: mapping(*p.tolist())
 
-    def surf_integrand(u, v):
-        xu, xv = _map_jacobian(mapping, u, v, h)
-        x = np.asarray(mapping(u, v), dtype=float)
-        return float(_curl(F, x) @ cross(xu, xv))
+    def surf_integrand(uv: np.ndarray) -> np.ndarray:
+        J = _central_differences(chart, uv, h)
+        D = _central_differences(F, _values(chart, uv), 1e-5)
+        curl = np.stack(
+            [D[:, 1, 2] - D[:, 2, 1], D[:, 2, 0] - D[:, 0, 2], D[:, 0, 1] - D[:, 1, 0]], axis=1
+        )
+        return np.einsum("ij,ij->i", curl, cross(J[:, 0], J[:, 1]))
 
     lhs = _tensor_simpson(surf_integrand, u_span, v_span, n)
     rhs = sum(
@@ -768,20 +851,26 @@ def divergence_check(
     order: int = 32,
     radial_nodes: int = 64,
 ) -> tuple[float, float, float]:
-    """Ball integral of div F vs the outward flux of F through the sphere."""
+    """Ball integral of div F vs the outward flux of F through the sphere.
+
+    The ball side is a Simpson rule in the radius (``radial_nodes``
+    intervals) over shells of the 2 order^2 sphere nodes; div F is the sum
+    of central differences of step 1e-5, six F calls per node, taken one
+    shell at a time.  The flux side evaluates F once per node of the outer
+    sphere.  F receives each point as a 1-D float array of shape (3,).
+    Returns (ball integral, flux, |difference|).
+    """
     center = np.asarray(center, dtype=float)
     nodes, weights = _sphere_quadrature(order)
-
-    def shell(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        return r * r * sum(
-            w * _divergence(F, center + r * n) for n, w in zip(nodes, weights)
-        )
-
-    lhs = simpson(shell, 0.0, radius, radial_nodes)
-    rhs = radius * radius * sum(
-        w * float(np.asarray(F(center + radius * n), dtype=float) @ n)
-        for n, w in zip(nodes, weights)
-    )
+    r, wr = _simpson_rule(0.0, radius, radial_nodes)
+    shells = []
+    for ri in r:
+        if ri == 0.0:
+            shells.append(0.0)
+            continue
+        D = _central_differences(F, center + ri * nodes, 1e-5)
+        shells.append(ri * ri * (weights @ (D[:, 0, 0] + D[:, 1, 1] + D[:, 2, 2])))
+    lhs = float(wr @ _finite(shells))
+    flux = np.einsum("ij,ij->i", _values(F, center + radius * nodes), nodes)
+    rhs = radius * radius * float(weights @ flux)
     return lhs, rhs, abs(lhs - rhs)

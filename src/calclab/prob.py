@@ -101,29 +101,69 @@ class Law:
 
 
 class _GridDensity:
-    """Density backed by uniform samples, as produced by grid convolution."""
+    """Masses c_k at the points of a uniform grid, as a density: the linear interpolant of c_k/dx.
 
-    def __init__(self, x: np.ndarray, values: np.ndarray):
+    Grid convolution produces it with zero masses at both ends, so the grid
+    points and the masses are an exact quadrature rule for its mass.
+    """
+
+    def __init__(self, x: np.ndarray, masses: np.ndarray):
         self.x = x
-        self.values = values
+        self.masses = masses
 
     def __call__(self, t: float) -> float:
-        return float(np.interp(t, self.x, self.values, left=0.0, right=0.0))
+        dx = float(self.x[1] - self.x[0])
+        return float(np.interp(t, self.x, self.masses, left=0.0, right=0.0)) / dx
+
+    def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.x, _finite(self.masses)
+
+
+class _ShiftedDensity:
+    """The mixture sum_i m_i f(x - l_i) of a law's density f shifted by atoms (l_i, m_i)."""
+
+    def __init__(self, law: Law, atoms: Sequence[tuple[float, float]]):
+        self.law = law
+        self.atoms = [(loc, mass) for loc, mass in atoms if mass != 0.0]
+
+    def __call__(self, x: float) -> float:
+        a0, a1 = self.law.support
+        return sum(
+            mass * self.law.density(x - loc) for loc, mass in self.atoms if a0 <= x - loc <= a1
+        )
+
+    def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        # one sampling of f, reused by every shifted copy
+        x, w = _density_rule(self.law, nodes)
+        loc, mass = np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        return (loc[:, None] + x).ravel(), (mass[:, None] * w).ravel()
+
+
+class _DensitySum:
+    """The sum of the density parts of a convolution."""
+
+    def __init__(self, parts: list):
+        self.parts = parts
+
+    def __call__(self, x: float) -> float:
+        return sum(p(x) for p in self.parts)
+
+    def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        rules = [p.rule(nodes) for p in self.parts]
+        return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with sum w f(x) the integral of f against the density.
 
-    Grid-backed densities are integrated on their native grid (Simpson);
-    everything else goes through the substitution x = mid - half*cos(u),
-    whose sin(u) Jacobian cancels inverse-square-root singularities at
-    either endpoint of the support.  The density is sampled once per call,
-    on the interior nodes only.
+    The parts of a convolved law bring their own rules (grid masses, or the
+    rule of the shifted law).  Everything else goes through the substitution
+    x = mid - half*cos(u), whose sin(u) Jacobian cancels
+    inverse-square-root singularities at either endpoint of the support.
+    The density is sampled once per call, on the interior nodes only.
     """
-    if isinstance(law.density, _GridDensity):
-        xs = law.density.x
-        weights = _simpson_weights(len(xs) - 1, float(xs[1] - xs[0]))
-        return xs, weights * _finite(law.density.values)
+    if isinstance(law.density, (_GridDensity, _ShiftedDensity, _DensitySum)):
+        return law.density.rule(nodes)
     a, b = law.support
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     nodes = max(nodes + nodes % 2, 8)
@@ -139,6 +179,31 @@ def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x = mid - half * np.cos(u[1:-1])
     density = _finite([law.density(float(t)) for t in x])
     return x, c * half * np.sin(u[1:-1]) * density
+
+
+def _grid_masses(law: Law, x0: float, dx: float, n: int, nodes: int = 8000) -> np.ndarray:
+    """The density part of a law as masses at the grid points x0 + i dx, i < n.
+
+    Each node of the law's quadrature rule hands its weight to the four
+    nearest grid points by the transpose of cubic Lagrange interpolation, so
+    the masses keep the rule's total mass and its first three moments (next
+    to a singular end a few masses can come out slightly negative).  The
+    grid must reach two points beyond each end of the support.
+    """
+    x, w = _density_rule(law, nodes)
+    s = (x - x0) / dx
+    i = np.floor(s).astype(int)
+    f = s - i
+    shares = (
+        -f * (f - 1.0) * (f - 2.0) / 6.0,
+        (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0,
+        -(f + 1.0) * f * (f - 2.0) / 2.0,
+        (f + 1.0) * f * (f - 1.0) / 6.0,
+    )
+    return sum(
+        np.bincount(i + k - 1, weights=w * share, minlength=n)
+        for k, share in enumerate(shares)
+    )
 
 
 def moments(law: Law, upto: int, nodes: int = 8000) -> list[float]:
@@ -342,8 +407,12 @@ def _merge_atoms(atoms: list[tuple[float, float]], tol: float) -> tuple[tuple[fl
 def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
     """The law of the sum of independent variables with laws a and b.
 
-    Atom pairs convolve exactly; any density parts are convolved on a
-    uniform grid of about ``grid`` points and interpolated linearly.
+    Atom pairs convolve exactly, and a density convolves with atoms as a
+    mixture of shifted copies that keeps the density's own quadrature rule.
+    Two densities are handed to a uniform grid of about ``grid`` points,
+    keeping each one's mass and first three moments, and their masses are
+    convolved there; the result is interpolated linearly.  So the total mass
+    is 1 up to the quadrature error of the input laws.
     """
     scale = max(
         [abs(loc) for loc, _ in a.atoms + b.atoms]
@@ -358,58 +427,37 @@ def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
     if a.density is None and b.density is None:
         return Law(atoms=_merge_atoms(new_atoms, tol))
 
-    # at least one density part: build the density of the sum on a grid
-    pieces: list[Callable[[float], float]] = []
+    # the density of the sum: shifted copies of each density by the other
+    # law's atoms, plus the grid convolution of the two densities
+    parts: list = []
     supports: list[tuple[float, float]] = []
-
-    def add_shifted(law_d: Law, atom_law: Law):
-        # sum of a density law and an atomic law: mixture of shifted densities
-        a0, b0 = law_d.support
-        for loc, mass in atom_law.atoms:
-            if mass == 0.0:
-                continue
-            supports.append((a0 + loc, b0 + loc))
-
-        def piece(x: float, law_d=law_d, atom_law=atom_law) -> float:
-            return sum(
-                mass * law_d.density(x - loc)
-                for loc, mass in atom_law.atoms
-                if law_d.support[0] <= x - loc <= law_d.support[1]
-            )
-
-        pieces.append(piece)
+    for law_d, atom_law in ((a, b), (b, a)):
+        if law_d.density is not None and atom_law.atoms:
+            part = _ShiftedDensity(law_d, atom_law.atoms)
+            if part.atoms:
+                parts.append(part)
+                d0, d1 = law_d.support
+                supports.extend((d0 + loc, d1 + loc) for loc, _ in part.atoms)
 
     if a.density is not None and b.density is not None:
         a0, a1 = a.support
         b0, b1 = b.support
         dx = (a1 - a0 + b1 - b0) / grid
-        xa = np.arange(a0, a1 + dx / 2, dx)
-        xb = np.arange(b0, b1 + dx / 2, dx)
-        fa = np.array([a.density(float(x)) for x in xa])
-        fb = np.array([b.density(float(x)) for x in xb])
-        conv = np.convolve(fa, fb) * dx
-        xc = a0 + b0 + dx * np.arange(len(conv))
-        pieces.append(_GridDensity(xc, conv))
+        # three grid points beyond each end of each support: the cubic
+        # hand-out reaches two, so the first and last points stay empty and
+        # the convolved masses start and end with zero
+        na = int(math.ceil((a1 - a0) / dx)) + 7
+        nb = int(math.ceil((b1 - b0) / dx)) + 7
+        conv = np.convolve(
+            _grid_masses(a, a0 - 3 * dx, dx, na), _grid_masses(b, b0 - 3 * dx, dx, nb)
+        )
+        xc = a0 + b0 - 6 * dx + dx * np.arange(len(conv))
+        parts.append(_GridDensity(xc, conv))
         supports.append((float(xc[0]), float(xc[-1])))
-        if a.atoms:
-            add_shifted(b, a)
-        if b.atoms:
-            add_shifted(a, b)
-    elif a.density is not None:
-        add_shifted(a, b)
-    else:
-        add_shifted(b, a)
 
     lo = min(s[0] for s in supports)
     hi = max(s[1] for s in supports)
-
-    if len(pieces) == 1:
-        density = pieces[0]  # keep grid densities detectable for quadrature
-    else:
-
-        def density(x: float) -> float:
-            return sum(p(x) for p in pieces)
-
+    density = parts[0] if len(parts) == 1 else _DensitySum(parts)
     return Law(atoms=_merge_atoms(new_atoms, tol), density=density, support=(lo, hi))
 
 

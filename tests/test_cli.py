@@ -247,6 +247,21 @@ def test_flux_cli(tmp_path, capsys):
     assert rows["enclosed_charge"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["q,x,y,z\n1.0,0,abc,0\n", "q,x,y,z\n1.0,0,0\n"],
+    ids=["non-numeric", "short-row"],
+)
+def test_flux_cli_malformed_charges_are_usage_errors(tmp_path, capsys, text):
+    charges = tmp_path / "charges.csv"
+    charges.write_text(text)
+    code, out, err = invoke(
+        ["flux", "--charges", str(charges), "--center", "0,0,0", "--radius", "1"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("calclab: usage error:")
+
+
 def test_hydrogen_cli(capsys):
     code, out, _ = invoke(["hydrogen", "lines", "--series", "balmer", "--upto", "7"], capsys)
     rows = list(csv.reader(io.StringIO(out)))[1:]

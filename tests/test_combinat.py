@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from calclab.combinat import (
     Permutation,
@@ -185,6 +185,12 @@ def test_count_matching_pairings():
 @given(st.text(alphabet="ob", max_size=12))
 def test_count_matching_pairings_against_enumeration(word):
     assert count_matching_pairings(word) == sum(1 for _ in matching_pairings(word))
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=60))
+def test_power_sum_against_direct_sum(p, N):
+    assert power_sum(p, N) == sum(k**p for k in range(1, N + 1))
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -447,3 +448,367 @@ def test_canonicalize_orbit():
     # canonicalized states feed the parameter extraction directly
     c0, eps, delta, lam = orbit_params(canon)
     assert lam == pytest.approx(s.angular_momentum)
+
+
+# --- the batched routes against the per-point routes they replaced --------
+
+from hypothesis import given, settings, strategies as st
+
+from calclab import cli, dynamics
+from calclab.dynamics import _sphere_quadrature
+
+
+def _partial(F, x, i, h):
+    e = np.zeros(len(x))
+    e[i] = h
+    return (np.asarray(F(x + e), dtype=float) - np.asarray(F(x - e), dtype=float)) / (2 * h)
+
+
+def _curl_oracle(F, x, h=1e-5):
+    dx, dy, dz = (_partial(F, x, i, h) for i in range(3))
+    return np.array([dy[2] - dz[1], dz[0] - dx[2], dx[1] - dy[0]])
+
+
+def _divergence_oracle(F, x, h=1e-5):
+    return float(sum(_partial(F, x, i, h)[i] for i in range(3)))
+
+
+def _chart_oracle(mapping, u, v, h=1e-6):
+    xu = (np.array(mapping(u + h, v)) - np.array(mapping(u - h, v))) / (2 * h)
+    xv = (np.array(mapping(u, v + h)) - np.array(mapping(u, v - h))) / (2 * h)
+    return xu, xv
+
+
+def _line_oracle(G, curve, t0, t1, n, h):
+    def f(t):
+        xt = np.subtract(curve(t + h), curve(t - h)) / (2 * h)
+        return float(np.asarray(G(np.asarray(curve(t), dtype=float)), dtype=float) @ xt)
+
+    return simpson(f, t0, t1, n)
+
+
+def _edges(mapping, u_span, v_span):
+    (u0, u1), (v0, v1) = u_span, v_span
+    edges = [
+        (lambda t: mapping(t, v0), u0, u1),
+        (lambda t: mapping(u1, t), v0, v1),
+        (lambda t: mapping(t, v1), u1, u0),
+        (lambda t: mapping(u0, t), v1, v0),
+    ]
+    return [edge for edge in edges if edge[1] != edge[2]]
+
+
+def _tensor_oracle(g, u_span, v_span, n):
+    return simpson(lambda u: simpson(lambda v: g(u, v), *v_span, n), *u_span, n)
+
+
+def _sphere_oracle(order):
+    u, w = np.polynomial.legendre.leggauss(order)
+    ts = np.linspace(0.0, 2.0 * math.pi, 2 * order, endpoint=False)
+    dt = 2.0 * math.pi / (2 * order)
+    nodes, weights = [], []
+    for ui, wi in zip(u, w):
+        sin_s = math.sqrt(max(0.0, 1.0 - ui * ui))
+        for t in ts:
+            nodes.append((sin_s * math.cos(t), sin_s * math.sin(t), ui))
+            weights.append(wi * dt)
+    return np.array(nodes), np.array(weights)
+
+
+def _green_oracle(P, Q, region, n):
+    mapping, u_span, v_span = region
+    h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
+    lhs = sum(
+        _line_oracle(lambda x: (P(*x), Q(*x)), *edge, n, h)
+        for edge in _edges(mapping, u_span, v_span)
+    )
+
+    def curl_z(u, v):
+        x, y = mapping(u, v)
+        hh = 1e-5
+        dQdx = (Q(x + hh, y) - Q(x - hh, y)) / (2 * hh)
+        dPdy = (P(x, y + hh) - P(x, y - hh)) / (2 * hh)
+        xu, xv = _chart_oracle(mapping, u, v)
+        return (dQdx - dPdy) * (xu[0] * xv[1] - xu[1] * xv[0])
+
+    return lhs, _tensor_oracle(curl_z, u_span, v_span, n)
+
+
+def _stokes_oracle(F, surface, n):
+    mapping, u_span, v_span = surface
+    h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
+
+    def surf(u, v):
+        xu, xv = _chart_oracle(mapping, u, v, h)
+        x = np.asarray(mapping(u, v), dtype=float)
+        return float(_curl_oracle(F, x) @ np.cross(xu, xv))
+
+    lhs = _tensor_oracle(surf, u_span, v_span, n)
+    rhs = sum(_line_oracle(F, *edge, 2 * n, h) for edge in _edges(mapping, u_span, v_span))
+    return lhs, rhs
+
+
+def _divergence_check_oracle(F, center, radius, order, radial_nodes):
+    nodes, weights = _sphere_oracle(order)
+
+    def shell(r):
+        if r == 0.0:
+            return 0.0
+        return r * r * sum(
+            w * _divergence_oracle(F, center + r * p) for p, w in zip(nodes, weights)
+        )
+
+    lhs = simpson(shell, 0.0, radius, radial_nodes)
+    rhs = radius * radius * sum(
+        w * float(np.asarray(F(center + radius * p), dtype=float) @ p)
+        for p, w in zip(nodes, weights)
+    )
+    return lhs, rhs
+
+
+def _close(got, want):
+    # the fields below have coefficients of order one, so their integrals
+    # are compared relative to max(1, |want|)
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+_coef = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(_coef, min_size=12, max_size=12), st.floats(0.5, 1.5), st.floats(-0.5, 0.5))
+def test_theorem_checks_match_per_point_oracles(c, radius, shift):
+    M = np.array(c[:9]).reshape(3, 3).tolist()
+    g = c[9:]
+
+    def F(q):
+        x, y, z = q.tolist()
+        return (
+            M[0][0] * x + M[0][1] * y + M[0][2] * z + g[0] * x * x * x,
+            M[1][0] * x + M[1][1] * y + M[1][2] * z + g[1] * y * y * y,
+            M[2][0] * x + M[2][1] * y + M[2][2] * z + g[2] * z * z * z,
+        )
+
+    center = np.array([shift, -shift, 0.5 * shift])
+    got = divergence_check(F, center, radius, order=5, radial_nodes=6)
+    want = _divergence_check_oracle(F, center, radius, 5, 6)
+    assert _close(got[0], want[0]) and _close(got[1], want[1])
+    assert got[2] == abs(got[0] - got[1])
+
+    hemi = (
+        lambda u, v: (
+            radius * math.sin(u) * math.cos(v),
+            radius * math.sin(u) * math.sin(v),
+            radius * math.cos(u) + shift,
+        ),
+        (0.0, math.pi / 2),
+        (0.0, 2 * math.pi),
+    )
+    got = stokes_check(F, hemi, n=10)
+    want = _stokes_oracle(F, hemi, 10)
+    assert _close(got[0], want[0]) and _close(got[1], want[1])
+
+    P = lambda x, y: M[0][0] * x + M[0][1] * y + g[0] * y**3
+    Q = lambda x, y: M[1][0] * x + M[1][1] * y + g[1] * x**3
+    region = disk_map(radius, (shift, 0.3))
+    got = green_check(P, Q, region, n=12)
+    want = _green_oracle(P, Q, region, 12)
+    assert _close(got[0], want[0]) and _close(got[1], want[1])
+
+
+def test_divergence_check_calls_per_node():
+    calls = []
+
+    def F(q):
+        calls.append((q, q.copy()))
+        return (q[0] + q[1] * q[2], q[1] ** 3, -q[2])
+
+    order, radial_nodes = 3, 4
+    divergence_check(F, order=order, radial_nodes=radial_nodes)
+    sphere = 2 * order * order
+    shells = radial_nodes  # Simpson radii 0 .. radius; the r = 0 shell is skipped
+    assert len(calls) == 6 * shells * sphere + sphere
+    for q, copy in calls:
+        assert isinstance(q, np.ndarray) and q.dtype == float and q.shape == (3,)
+        assert np.array_equal(q, copy)  # no buffer handed to F was overwritten
+
+
+def test_sphere_quadrature_matches_loop_order():
+    for order in (1, 4, 9):
+        nodes, weights = _sphere_quadrature(order)
+        want_nodes, want_weights = _sphere_oracle(order)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(weights, want_weights)
+
+
+@pytest.mark.parametrize("order", [8, 33])
+def test_batched_flux_equals_summed_electric_field(order):
+    cfg = ChargeConfig(
+        charges=(
+            (1.0, (0.2, 0.1, -0.3)),
+            (-0.5, (-0.4, 0.2, 0.1)),
+            (2.0, (1.8, 0.5, 0.2)),
+            (0.7, (0.1, -1.6, 0.3)),
+        ),
+        k=1.3,
+    )
+    center, radius = np.array([0.1, 0.0, -0.2]), 1.2
+    nodes, weights = _sphere_oracle(order)
+    want = radius * radius * sum(
+        w * float(electric_field(cfg, center + radius * p) @ p) for p, w in zip(nodes, weights)
+    )
+    got = flux_through_sphere(cfg, center, radius, order=order)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _kepler_step_numpy(s, dt):
+    def rhs(state, K):
+        x, y, vx, vy = state
+        r3 = (x * x + y * y) ** 1.5
+        return np.array([vx, vy, -K * x / r3, -K * y / r3])
+
+    state = np.array([s.x, s.y, s.vx, s.vy])
+    k1 = rhs(state, s.K)
+    k2 = rhs(state + 0.5 * dt * k1, s.K)
+    k3 = rhs(state + 0.5 * dt * k2, s.K)
+    k4 = rhs(state + dt * k3, s.K)
+    new = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return OrbitState(new[0], new[1], new[2], new[3], s.K, s.time + dt)
+
+
+@pytest.mark.parametrize("e", [0.0, 0.3, 0.85])
+def test_kepler_integrate_is_bitwise_the_numpy_rk4(e):
+    s = OrbitState(1.0 / (1.0 + e), 0.0, -0.05, 1.0 + e, 1.3)
+    T = orbit_period(s)
+    traj = kepler_integrate(s, T, T / 1500)
+    assert len(traj) == 1501
+    for got in traj[1:]:
+        s = _kepler_step_numpy(s, T / 1500)
+        assert (got.x, got.y, got.vx, got.vy, got.time) == (s.x, s.y, s.vx, s.vy, s.time)
+
+
+def test_kepler_integrate_clips_the_last_step():
+    s0 = OrbitState(1.0, 0.0, 0.0, 1.1, 1.0)
+    traj = kepler_integrate(s0, 1.0, 0.3)
+    assert len(traj) == 5
+    assert [p.time for p in traj[:4]] == [p.time for p in kepler_integrate(s0, 0.9, 0.3)]
+    assert traj[-1].time == 1.0
+    last = kepler_step(traj[3], 1.0 - traj[3].time)
+    assert (traj[-1].x, traj[-1].y, traj[-1].vx, traj[-1].vy) == (last.x, last.y, last.vx, last.vy)
+    # a duration shorter than dt is one step of that duration
+    short = kepler_integrate(s0, 0.05, 0.1)
+    one = kepler_step(s0, 0.05)
+    assert len(short) == 2 and short[1].time == 0.05 and short[1].x == one.x
+    # the end is s.time + T for a state that does not start at t = 0
+    later = kepler_integrate(OrbitState(1.0, 0.0, 0.0, 1.1, 1.0, time=2.0), 1.0, 0.3)
+    assert len(later) == 5 and later[-1].time == 3.0
+    with pytest.raises(ValueError):
+        kepler_integrate(s0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0 * math.pi, 9.7, 51.3])
+def test_kepler_integrate_whole_step_counts(T):
+    s0 = OrbitState(1.0, 0.0, 0.0, 1.0, 1.0)
+    traj = kepler_integrate(s0, T, T / 2000)
+    assert len(traj) == 2001
+    assert traj[-1].time == pytest.approx(T, rel=1e-12)
+
+
+def _wave_oracle(g, h, v, a, b, dx, cfl, t_final):
+    n = int(round((b - a) / dx))
+    xs = np.linspace(a, b, n + 1)
+    dt = cfl * dx / v
+    steps = max(1, int(round(t_final / dt)))
+    u0 = np.array([g(x) for x in xs])
+    hv = np.array([h(x) for x in xs])
+    lam2 = (v * dt / dx) ** 2
+    u1 = np.copy(u0)
+    u1[1:-1] = u0[1:-1] + dt * hv[1:-1] + 0.5 * lam2 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])
+    prev, curr = Grid1D(u0, a, b, 0.0), Grid1D(u1, a, b, dt)
+    for _ in range(steps - 1):
+        prev, curr = curr, wave_lattice_step(prev, curr, v, dt)
+    return curr
+
+
+def _heat_oracle(g, alpha, a, b, dx, cfl, t_final):
+    n = int(round((b - a) / dx))
+    xs = np.linspace(a, b, n + 1)
+    dt = cfl * dx * dx / alpha
+    grid = Grid1D(np.array([g(x) for x in xs]), a, b, 0.0)
+    for _ in range(max(1, int(round(t_final / dt)))):
+        grid = heat_lattice_step(grid, alpha, dt)
+    return grid
+
+
+def test_simulate_wave_and_heat_equal_step_loops():
+    g = lambda x: math.exp(-((x - 2.0) ** 2))
+    h = lambda x: 0.3 * math.sin(x)
+    for t in (0.0, 0.01, 0.37, 1.5):
+        got = simulate_wave(g, h, 1.2, 0.0, 4.0, 0.05, 0.7, t)
+        want = _wave_oracle(g, h, 1.2, 0.0, 4.0, 0.05, 0.7, t)
+        assert got.time == want.time and np.array_equal(got.values, want.values)
+        got = simulate_heat(g, 0.8, 0.0, 4.0, 0.1, 0.4, t)
+        want = _heat_oracle(g, 0.8, 0.0, 4.0, 0.1, 0.4, t)
+        assert got.time == want.time and np.array_equal(got.values, want.values)
+
+
+def test_lattice_time_is_the_rounded_step_count():
+    g = lambda x: math.sin(x)
+    zero = lambda x: 0.0
+    dt_wave = 0.5 * 0.1 / 2.0
+    dt_heat = 0.25 * 0.1 * 0.1 / 0.5
+    for t in (1e-4, 0.26, 0.3374, 1.0):
+        wave = simulate_wave(g, zero, 2.0, 0.0, 3.0, 0.1, 0.5, t)
+        heat = simulate_heat(g, 0.5, 0.0, 3.0, 0.1, 0.25, t)
+        assert wave.time == pytest.approx(max(1, round(t / dt_wave)) * dt_wave, rel=1e-12)
+        assert heat.time == pytest.approx(max(1, round(t / dt_heat)) * dt_heat, rel=1e-12)
+
+
+def _frames_table(simulate, args, note):
+    g = cli._PROFILES[args["profile"]](args["a"], args["b"])
+    rows = []
+    for frame, t in enumerate(np.linspace(0.0, args["t"], args["frames"] + 1)[1:]):
+        grid = simulate(g, float(t))
+        rows.extend((frame, grid.time, float(x), float(u)) for x, u in zip(grid.x, grid.values))
+    return cli.ResultTable(["frame", "t", "x", "u"], rows, note=note)
+
+
+def _csv(table):
+    sink = io.StringIO()
+    cli.emit(table, "csv", sink)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "step"])
+def test_cli_lattice_frames_from_one_run(profile, monkeypatch):
+    wave = dict(profile=profile, a=0.0, b=4.0, dx=0.1, cfl=0.5, v=1.0, t=3.0, frames=7)
+    heat = dict(profile=profile, a=0.0, b=2.0, dx=0.1, cfl=0.25, alpha=1.0, t=0.3, frames=6)
+    argv = lambda kind, d: [kind] + [f"--{k}={v}" for k, v in d.items()]
+    zero = lambda x: 0.0
+    want = _frames_table(
+        lambda g, t: simulate_wave(g, zero, 1.0, 0.0, 4.0, 0.1, 0.5, t), wave,
+        f"{profile} pulse, leapfrog lattice",
+    )
+    assert _csv(cli.run(argv("wave", wave))) == _csv(want)
+    want = _frames_table(
+        lambda g, t: simulate_heat(g, 1.0, 0.0, 2.0, 0.1, 0.25, t), heat,
+        f"{profile} profile, forward-Euler lattice",
+    )
+    assert _csv(cli.run(argv("heat", heat))) == _csv(want)
+
+    # one run: the steps taken are the last frame's count, not the sum over frames
+    counts = {"wave": 0, "heat": 0}
+
+    def counting(kind, step):
+        def wrapped(*a, **k):
+            counts[kind] += 1
+            return step(*a, **k)
+
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "wave_lattice_step", counting("wave", dynamics.wave_lattice_step))
+    monkeypatch.setattr(dynamics, "heat_lattice_step", counting("heat", dynamics.heat_lattice_step))
+    cli.run(argv("wave", wave))
+    cli.run(argv("heat", heat))
+    assert counts["wave"] + 1 == round(3.0 / (0.5 * 0.1))  # plus the Taylor start step
+    assert counts["heat"] == round(0.3 / (0.25 * 0.1 * 0.1))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from calclab import prob
 
@@ -256,6 +256,21 @@ def test_convolve_mixed_atom_density():
     # mean 1/2, variance 1 + 1/4
     assert m[1] == pytest.approx(0.5, abs=1e-8)
     assert m[2] - m[1] ** 2 == pytest.approx(1.25, abs=1e-8)
+
+
+_BUILTIN_LAWS = st.one_of(
+    st.floats(0.0, 1.0).map(bernoulli_law),
+    st.builds(binomial_law, st.floats(0.0, 1.0), st.integers(1, 8)),
+    st.floats(0.1, 4.0).map(poisson_law),
+    st.floats(0.1, 4.0).map(gaussian_law),
+    st.sampled_from([semicircle_law, mp_law, arcsine_law, marcsine_law]).map(lambda law: law()),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_BUILTIN_LAWS, _BUILTIN_LAWS)
+def test_convolve_keeps_total_mass(a, b):
+    assert abs(convolve(a, b).total_mass() - 1.0) <= 1e-9
 
 
 def test_fourier_linearizes_convolution():
