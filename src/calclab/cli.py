@@ -14,16 +14,15 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from . import combinat, diffcalc, dynamics, hydrogen, linalg, prob, quad, series
-from .rng import RandomSource
+# Each subcommand imports the modules it uses inside its _cmd_* function, so a
+# process pays only for its own command: the exact ones never load numpy.
 
 __all__ = ["main", "ResultTable", "run"]
 
@@ -50,48 +49,102 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_value(v, digits: int | None) -> str:
+    """A value's CSV text before quoting.
+
+    numpy registers its scalars with the ``numbers`` ABCs (``np.int64`` is
+    Integral, ``np.float32`` Real, ``np.complex128`` Complex), so they print
+    as the Python numbers do without numpy being imported here.
+    """
     if v is None:
         return ""
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):
         return str(int(v))
-    if isinstance(v, (complex, np.complexfloating)):
+    if isinstance(v, numbers.Real):
+        return f"{float(v):.{17 if digits is None else digits}g}"
+    if isinstance(v, numbers.Complex):
         re = _format_value(float(v.real), digits)
         im = _format_value(abs(float(v.imag)), digits)
         sign = "+" if v.imag >= 0 else "-"
         return f"{re}{sign}{im}i"
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.{17 if digits is None else digits}g}"
     return str(v)
 
 
 def _json_value(v, digits: int | None):
+    """A value as the JSON document holds it."""
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, np.integer):
-        return int(v)
     if isinstance(v, Fraction):
         return _format_value(v, digits)
-    if isinstance(v, (complex, np.complexfloating)) and not isinstance(v, (float, np.floating)):
-        return _format_value(v, digits)
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    if isinstance(v, numbers.Real):
         return float(v) if digits is None else float(f"{float(v):.{digits}g}")
+    if isinstance(v, numbers.Complex):
+        return _format_value(v, digits)
     return str(v)
 
 
+# characters that make some Python version's csv module quote a field or
+# reject it; text holding none of them is written as it is
+_CSV_SPECIAL = frozenset(',"\r\n\x00')
+
+
+def _csv_text(text: str) -> str:
+    """A text cell, quoted as the csv module quotes it."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
+
+
+def _csv_cells(digits: int | None):
+    """Cell formatters by exact type, and the fallback for every other type."""
+    cells = {
+        type(None): lambda v: "",
+        bool: {True: "true", False: "false"}.__getitem__,
+        int: str,
+        float: ("{:.%dg}" % (17 if digits is None else digits)).format,
+        str: _csv_text,
+    }
+    return cells, lambda v: _csv_text(_format_value(v, digits))
+
+
+def _json_values(digits: int | None):
+    """JSON converters by exact type, and the fallback for every other type."""
+    same = lambda v: v
+    values = {type(None): same, bool: same, int: same, str: same}
+    values[float] = same if digits is None else lambda v: float(f"{v:.{digits}g}")
+    return values, lambda v: _json_value(v, digits)
+
+
 def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
+    """Write the table as CSV or JSON.
+
+    Each value's formatter is looked up by its exact type, so a big table of
+    floats pays one dict lookup per value; other types (Fraction, complex,
+    numpy scalars) take the ``_format_value``/``_json_value`` chain.
+    """
     if fmt == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(table.columns)
+        csv.writer(sink, lineterminator="\n").writerow(table.columns)
+        cells, other = _csv_cells(digits)
+        cell = cells.get
+        lone = len(table.columns) == 1
+        write = sink.write
         for row in table.rows:
-            writer.writerow([_format_value(v, digits) for v in row])
+            line = ",".join([cell(type(v), other)(v) for v in row])
+            # the csv module quotes a lone empty field, so that the row is not blank
+            write('""\n' if lone and not line else line + "\n")
     elif fmt == "json":
+        values, other = _json_values(digits)
+        value = values.get
         payload = {
             "columns": table.columns,
-            "rows": [[_json_value(v, digits) for v in row] for row in table.rows],
+            "rows": [[value(type(v), other)(v) for v in row] for row in table.rows],
             "note": table.note,
         }
         json.dump(payload, sink, indent=2)
@@ -125,6 +178,8 @@ def _parse_grid(text: str) -> list[float]:
         raise _UsageError(f"grid {text!r} is not start:stop:count") from None
     if n < 1:
         raise _UsageError("grid count must be at least 1")
+    import numpy as np
+
     return list(np.linspace(a, b, n))
 
 
@@ -148,8 +203,15 @@ _INTEGRANDS = {
     "runge": lambda x: 1.0 / (1.0 + 25.0 * x * x),
 }
 
+
+def _bowl(v) -> float:
+    import numpy as np
+
+    return float(np.sum(np.asarray(v) ** 2))
+
+
 _FIELDS = {
-    "bowl": (lambda v: float(np.sum(np.asarray(v) ** 2)), 2),
+    "bowl": (_bowl, 2),
     "saddle": (lambda v: v[0] ** 2 - v[1] ** 2, 2),
     "cubic": (lambda v: v[0] ** 3, 1),
     "xy": (lambda v: v[0] * v[1], 2),
@@ -171,9 +233,11 @@ _PROFILES = {
 
 
 def _cmd_sequence(args) -> ResultTable:
+    from . import combinat
+
     n = args.n
     if n < 0:
-        raise ValueError("need --n >= 0")
+        raise _UsageError("need --n >= 0")
     makers = {
         "factorial": combinat.factorial,
         "catalan": combinat.catalan,
@@ -189,6 +253,8 @@ def _cmd_sequence(args) -> ResultTable:
 
 
 def _cmd_constants(args) -> ResultTable:
+    from . import series
+
     if args.which == "e":
         value, bound = series.eval_series(series.exp_series(), 1.0, args.terms)
     elif args.which == "pi":
@@ -203,14 +269,20 @@ def _cmd_constants(args) -> ResultTable:
 
 
 def _cmd_roots(args) -> ResultTable:
+    from .poly import Polynomial, all_roots
+
     coeffs = [_parse_complex(c) for c in args.coeffs.split(",")]
-    poly = linalg.Polynomial(coeffs)
-    roots = linalg.all_roots(poly, tol=1e-12)
+    poly = Polynomial(coeffs)
+    roots = all_roots(poly, tol=1e-12)
     rows = [(i, r, abs(poly(r))) for i, r in enumerate(roots)]
     return ResultTable(["index", "root", "residual"], rows, note="simultaneous-iteration roots")
 
 
 def _cmd_eig(args) -> ResultTable:
+    import numpy as np
+
+    from . import linalg
+
     with open(args.matrix, newline="") as fh:
         rows = [[_parse_complex(v) for v in line] for line in csv.reader(fh) if line]
     A = np.array(rows)
@@ -222,6 +294,9 @@ def _cmd_eig(args) -> ResultTable:
 
 
 def _cmd_integrate(args) -> ResultTable:
+    from . import quad
+    from .rng import RandomSource
+
     f = _INTEGRANDS[args.fn]
     if args.method == "riemann":
         value, err = quad.riemann(f, args.a, args.b, args.n), None
@@ -239,6 +314,8 @@ def _cmd_integrate(args) -> ResultTable:
 
 
 def _cmd_sphere(args) -> ResultTable:
+    from . import quad
+
     if args.dim < 1:
         raise _UsageError("need --dim >= 1")
     if args.what == "volume":
@@ -267,6 +344,8 @@ def _cmd_sphere(args) -> ResultTable:
 
 
 def _cmd_law(args) -> ResultTable:
+    from . import prob
+
     name = args.name
     K = args.moments
     if K < 0:
@@ -293,6 +372,8 @@ def _cmd_law(args) -> ResultTable:
 
 
 def _cmd_stieltjes(args) -> ResultTable:
+    from . import prob
+
     xs = _parse_grid(args.x)
     rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in xs]
     return ResultTable(
@@ -301,6 +382,9 @@ def _cmd_stieltjes(args) -> ResultTable:
 
 
 def _cmd_snchi(args) -> ResultTable:
+    from . import prob
+    from .rng import RandomSource
+
     rng = RandomSource(args.seed) if args.seed is not None else None
     if args.n > 9 and rng is None:
         raise _UsageError("--seed is required for sampled permutation statistics (n > 9)")
@@ -311,6 +395,8 @@ def _cmd_snchi(args) -> ResultTable:
 
 
 def _cmd_critical(args) -> ResultTable:
+    from . import diffcalc
+
     f, dim = _FIELDS[args.fn]
     x = _parse_floats(args.x)
     if len(x) != dim:
@@ -325,6 +411,9 @@ def _cmd_critical(args) -> ResultTable:
 
 
 def _cmd_harmonic(args) -> ResultTable:
+    from . import diffcalc
+    from .rng import RandomSource
+
     f, dim = _FIELDS[args.fn]
     if args.seed is None:
         raise _UsageError("--seed is required for sampled harmonic checks")
@@ -338,6 +427,8 @@ def _cmd_harmonic(args) -> ResultTable:
 
 
 def _cmd_orbit(args) -> ResultTable:
+    from . import dynamics
+
     s0 = dynamics.OrbitState(args.r0, 0.0, args.vr0, args.vt0, args.K)
     traj = dynamics.kepler_integrate(s0, args.T, args.dt)
     c, eps, delta, residual = dynamics.conic_fit(traj)
@@ -353,6 +444,10 @@ def _cmd_orbit(args) -> ResultTable:
 
 
 def _cmd_wave(args) -> ResultTable:
+    import numpy as np
+
+    from . import dynamics
+
     g = _PROFILES[args.profile](args.a, args.b)
     zero = lambda x: 0.0
     rows = []
@@ -365,6 +460,10 @@ def _cmd_wave(args) -> ResultTable:
 
 
 def _cmd_heat(args) -> ResultTable:
+    import numpy as np
+
+    from . import dynamics
+
     g = _PROFILES[args.profile](args.a, args.b)
     rows = []
     times = np.linspace(0.0, args.t, args.frames + 1)[1:].tolist()
@@ -376,6 +475,8 @@ def _cmd_heat(args) -> ResultTable:
 
 
 def _cmd_flux(args) -> ResultTable:
+    from . import dynamics
+
     with open(args.charges, newline="") as fh:
         raw = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
     if raw and raw[0][0].strip().lower() == "q":
@@ -401,6 +502,8 @@ def _cmd_flux(args) -> ResultTable:
 
 
 def _cmd_hydrogen(args) -> ResultTable:
+    from . import hydrogen
+
     if args.hydrogen_cmd == "lines":
         rows = hydrogen.spectral_series(args.series, args.upto)
         return ResultTable(
@@ -422,6 +525,8 @@ def _cmd_hydrogen(args) -> ResultTable:
         raise _UsageError(f"--grid {args.grid!r} is not rmax,steps") from None
     if not rmax > 0 or steps < 1:
         raise _UsageError("--grid needs rmax > 0 and steps >= 1")
+    import numpy as np
+
     qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
     phi = hydrogen.wavefunction(qn)
     s_fixed, t_fixed = math.pi / 2.0, 0.0
@@ -437,6 +542,10 @@ def _cmd_hydrogen(args) -> ResultTable:
 
 
 # ------------------------------------------------------------------ parser
+
+# sorted(hydrogen.SPECTRAL_SERIES_NAMES), written out so that building the
+# parser imports no calclab module
+_SPECTRAL_SERIES = ["balmer", "brackett", "humphreys", "lyman", "paschen", "pfund"]
 
 
 def _build_parser() -> _Parser:
@@ -511,7 +620,7 @@ def _build_parser() -> _Parser:
 
     p = add_parser("harmonic", help="laplacian residual samples")
     p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn_impl=_cmd_harmonic)
 
@@ -532,7 +641,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cfl", type=float, default=0.5)
     p.add_argument("--v", type=float, default=1.0)
     p.add_argument("--t", type=float, default=5.0)
-    p.add_argument("--frames", type=int, default=5)
+    p.add_argument("--frames", type=_positive_int, default=5)
     p.set_defaults(fn_impl=_cmd_wave)
 
     p = add_parser("heat", help="forward-Euler heat lattice frames")
@@ -543,7 +652,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cfl", type=float, default=0.25)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--frames", type=int, default=5)
+    p.add_argument("--frames", type=_positive_int, default=5)
     p.set_defaults(fn_impl=_cmd_heat)
 
     p = add_parser("flux", help="electric flux through a sphere")
@@ -557,7 +666,7 @@ def _build_parser() -> _Parser:
     p = add_parser("hydrogen", help="spectral lines, energies, wavefunctions")
     hsub = p.add_subparsers(dest="hydrogen_cmd", required=True, parser_class=_Parser)
     ph = hsub.add_parser("lines", parents=[common])
-    ph.add_argument("--series", required=True, choices=sorted(hydrogen.SPECTRAL_SERIES_NAMES))
+    ph.add_argument("--series", required=True, choices=_SPECTRAL_SERIES)
     ph.add_argument("--upto", type=int, required=True)
     ph.set_defaults(fn_impl=_cmd_hydrogen)
     ph = hsub.add_parser("energy", parents=[common])
@@ -599,8 +708,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     emit(table, fmt, buffer, digits=args.digits)
     text = buffer.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"calclab: usage error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -269,16 +269,3 @@ def count_matching_pairings(word: str) -> int:
     p = word.count("o")
     return math.factorial(p) if 2 * p == len(word) else 0
 
-
-def matching_pairings(word: str) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield the pairings counted by :func:`count_matching_pairings` (0-based).
-
-    Enumerates all pairings and filters them; the tests use it as the
-    oracle for the closed-form counts.
-    """
-    n = len(word)
-    if n % 2:
-        return
-    for pairing in _pairings_of(tuple(range(n))):
-        if all(word[a] != word[b] for a, b in pairing):
-            yield pairing

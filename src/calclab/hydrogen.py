@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .combinat import factorial
-from .linalg import Polynomial
+from .poly import Polynomial
 
 __all__ = [
     "PhysicalConstants",

@@ -8,6 +8,10 @@ moment-gap computations, the Cauchy transform with Stieltjes inversion for
 the four combinatorial laws (semicircle, Marchenko-Pastur, arcsine, modified
 arcsine), Hankel positivity, orthogonal polynomials from moments, and the
 fixed-point statistics of random permutations.
+
+numpy is imported inside the functions that use it, so that the closed-form
+moments and the exact permutation law (and the CLI commands built on them)
+run without loading it.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .combinat import (
     binomial as binom,
@@ -28,9 +30,12 @@ from .combinat import (
     semi_factorial,
     set_partitions,
 )
-from .linalg import Polynomial
+from .poly import Polynomial
 from .quad import SphereMomentKey, _finite, _simpson_weights, sphere_moment, sphere_moment_mc
 from .rng import RandomSource
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Law",
@@ -112,6 +117,8 @@ class _GridDensity:
         self.masses = masses
 
     def __call__(self, t: float) -> float:
+        import numpy as np
+
         dx = float(self.x[1] - self.x[0])
         return float(np.interp(t, self.x, self.masses, left=0.0, right=0.0)) / dx
 
@@ -133,6 +140,8 @@ class _ShiftedDensity:
         )
 
     def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         # one sampling of f, reused by every shifted copy
         x, w = _density_rule(self.law, nodes)
         loc, mass = np.array(self.atoms, dtype=float).reshape(-1, 2).T
@@ -149,6 +158,8 @@ class _DensitySum:
         return sum(p(x) for p in self.parts)
 
     def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         rules = [p.rule(nodes) for p in self.parts]
         return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
@@ -164,6 +175,8 @@ def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if isinstance(law.density, (_GridDensity, _ShiftedDensity, _DensitySum)):
         return law.density.rule(nodes)
+    import numpy as np
+
     a, b = law.support
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     nodes = max(nodes + nodes % 2, 8)
@@ -190,6 +203,8 @@ def _grid_masses(law: Law, x0: float, dx: float, n: int, nodes: int = 8000) -> n
     to a singular end a few masses can come out slightly negative).  The
     grid must reach two points beyond each end of the support.
     """
+    import numpy as np
+
     x, w = _density_rule(law, nodes)
     s = (x - x0) / dx
     i = np.floor(s).astype(int)
@@ -212,6 +227,8 @@ def moments(law: Law, upto: int, nodes: int = 8000) -> list[float]:
         raise ValueError("need upto >= 0")
     out = [sum(mass * loc**k for loc, mass in law.atoms) for k in range(upto + 1)]
     if law.density is not None:
+        import numpy as np
+
         x, w = _density_rule(law, nodes)
         out = np.add(out, w @ np.power.outer(x, np.arange(upto + 1)))
     return [float(m) for m in out]
@@ -221,6 +238,8 @@ def law_fourier(law: Law, y: float, nodes: int = 8000) -> complex:
     """E(exp(iyX)) for the law."""
     out = sum(mass * cmath.exp(1j * y * loc) for loc, mass in law.atoms)
     if law.density is not None:
+        import numpy as np
+
         x, w = _density_rule(law, nodes)
         out += complex(w @ np.exp(1j * y * x))
     return out
@@ -440,6 +459,8 @@ def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
                 supports.extend((d0 + loc, d1 + loc) for loc, _ in part.atoms)
 
     if a.density is not None and b.density is not None:
+        import numpy as np
+
         a0, a1 = a.support
         b0, b1 = b.support
         dx = (a1 - a0 + b1 - b0) / grid
@@ -632,6 +653,8 @@ def hankel_check(moment_seq: Sequence[float], depth: int) -> list[float]:
         raise ValueError("need depth >= 1")
     if len(moment_seq) < 2 * depth - 1:
         raise ValueError("need moments up to order 2*(depth-1)")
+    import numpy as np
+
     out = []
     for d in range(depth):
         H = np.array(
@@ -655,6 +678,8 @@ def orthopoly_from_moments(moment_seq: Sequence[float], k: int) -> Polynomial:
         raise ValueError("need moments up to order 2k - 1")
     if k == 0:
         return Polynomial([1.0])
+    import numpy as np
+
     rows = [[float(moment_seq[i + j]) for j in range(k + 1)] for i in range(k)]
     lead_minor = np.array([row[:k] for row in rows], dtype=float)
     delta = float(np.linalg.det(lead_minor))
@@ -731,6 +756,8 @@ def sn_fixed_point_law(
         return SnFixedPointResult(Law(atoms=atoms), exact=True, samples=0)
     if rng is None:
         raise ValueError("sampling mode needs an explicit RandomSource")
+    import numpy as np
+
     m = int(t * N)
     gen = rng.generator()
     rows = max(1, _SAMPLE_BLOCK_ENTRIES // N)
@@ -774,6 +801,8 @@ def graph_loop_moment(adjacency: Sequence[Sequence[int]], base: int, k: int) -> 
         raise ValueError("base vertex out of range")
     if k < 0:
         raise ValueError("need k >= 0")
+    import numpy as np
+
     M = np.array(A, dtype=object)
     out = np.eye(n, dtype=int).astype(object)
     for _ in range(k):

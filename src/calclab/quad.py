@@ -8,7 +8,8 @@ of polar/spherical coordinates.
 
 Closed forms are evaluated in exact rational arithmetic and converted to
 float at the end; factorial-type factors switch to log-domain once the
-integers would exceed ~150!.
+integers would exceed ~150!.  numpy is imported inside the functions that
+use it, so the closed forms run without loading it.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .combinat import factorial, semi_factorial
-from .rng import RandomSource
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .rng import RandomSource
 
 __all__ = [
     "riemann",
@@ -58,6 +61,8 @@ def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
         raise ValueError("need N >= 1")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("riemann needs a finite interval")
+    import numpy as np
+
     x = a + (b - a) * np.arange(1, N + 1) / N
     return float((b - a) / N * _finite([f(t) for t in x]).sum())
 
@@ -66,6 +71,8 @@ def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     """Composite trapezoid rule with N subintervals."""
     if N < 1:
         raise ValueError("need N >= 1")
+    import numpy as np
+
     x = np.linspace(a, b, N + 1)
     return float(np.trapezoid(_finite([f(t) for t in x]), x))
 
@@ -80,6 +87,8 @@ def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
 
 def _simpson_rule(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Simpson rule on [a, b] (N made even if needed)."""
+    import numpy as np
+
     N += N % 2
     return np.linspace(a, b, N + 1), _simpson_weights(N, (b - a) / N)
 
@@ -89,6 +98,8 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 
     For odd n the last interval is folded in by the trapezoid rule.
     """
+    import numpy as np
+
     m = n - n % 2
     w = np.zeros(n + 1)
     if m:
@@ -103,6 +114,8 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 
 def _finite(values) -> np.ndarray:
     """The samples as a float array, rejected if any is NaN or infinite."""
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand produced non-finite samples")
@@ -118,6 +131,8 @@ def monte_carlo(
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    import numpy as np
+
     x = rng.generator().uniform(a, b, size=N)
     values = np.asarray([f(t) for t in x], dtype=float)
     mean = float(values.mean())
@@ -165,6 +180,8 @@ def verify_fresnel(T: float = 20.0, averaging: int = 8) -> float:
     # fine composite Simpson from 0 to the first zero, then per half-period
     f = lambda t: math.sin(t * t)
     n0 = max(2, int(zeros[0] * 2000))
+    import numpy as np
+
     partials = [simpson(f, 0.0, zeros[0], n0)]
     for left, right in zip(zeros, zeros[1:]):
         partials.append(partials[-1] + simpson(f, left, right, 200))
@@ -313,12 +330,16 @@ def sphere_moment_abs(key: SphereMomentKey) -> float:
 
 def sample_real_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
     """Uniform points on the unit sphere of R^N via normalized Gaussians."""
+    import numpy as np
+
     g = rng.generator().standard_normal((samples, N))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def sample_complex_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
     """Uniform points on the unit sphere of C^N via normalized complex Gaussians."""
+    import numpy as np
+
     g = rng.generator().standard_normal((samples, 2 * N))
     z = g[:, :N] + 1j * g[:, N:]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -341,6 +362,8 @@ def _sphere_batch(key: SphereMomentKey, samples: int, rng: RandomSource) -> np.n
 
 
 def _moment_values(key: SphereMomentKey, points: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     values = np.ones(points.shape[0])
     for i, k in enumerate(key.exponents):
         if k == 0:

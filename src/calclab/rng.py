@@ -1,10 +1,15 @@
-"""Reproducible randomness: a seed-keyed, counter-based generator."""
+"""Reproducible randomness: a seed-keyed, counter-based generator.
+
+numpy is imported when a generator is made, not with this module.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RandomSource"]
 
@@ -21,6 +26,8 @@ class RandomSource:
     seed: int
 
     def generator(self) -> np.random.Generator:
+        import numpy as np
+
         return np.random.Generator(np.random.Philox(self.seed))
 
     def split(self, tag: int) -> "RandomSource":

@@ -1,6 +1,7 @@
 """Power-series evaluation with honest truncation bounds, plus the classical
 constants (e, pi via the odd-reciprocal alternating series, the Basel sum)
-and fixed-point square roots.
+and fixed-point square roots.  Only the pi and Basel sums use numpy (its
+pairwise summation), and they import it themselves.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 from .combinat import bernoulli, catalan, central_binomial, factorial
 
@@ -113,6 +112,8 @@ def pi_leibnitz(terms: int) -> tuple[float, float]:
     """pi from 4(1 - 1/3 + 1/5 - ...); the bound is 4/(2*terms+1)."""
     if terms < 1:
         raise ValueError("need terms >= 1")
+    import numpy as np
+
     signs = np.ones(terms)
     signs[1::2] = -1.0
     value = 4.0 * float(np.sum(signs / np.arange(1, 2 * terms, 2)))
@@ -123,6 +124,8 @@ def basel_sum(terms: int) -> float:
     """Partial sum of sum 1/k^2; the tail lies in (1/(terms+1), 1/terms)."""
     if terms < 1:
         raise ValueError("need terms >= 1")
+    import numpy as np
+
     k = np.arange(terms, 0, -1, dtype=np.float64)
     return float(np.sum(1.0 / (k * k)))
 

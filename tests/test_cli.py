@@ -329,3 +329,29 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     code, out, err = invoke(argv, capsys)
     assert code == 1 and out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sequence", "--kind", "catalan", "--n", "-1"],
+        ["wave", "--profile", "gaussian", "--frames", "0"],
+        ["heat", "--profile", "step", "--frames", "0"],
+        ["harmonic", "--fn", "re_z3", "--samples", "0", "--seed", "1"],
+    ],
+    ids=["sequence-n", "wave-frames", "heat-frames", "harmonic-samples"],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    code, out, err = invoke(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("calclab: usage error:")
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = invoke(
+        ["sequence", "--kind", "factorial", "--n", "4", "--output", str(target)], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("calclab: usage error:") and err.count("\n") == 1
+    assert not target.parent.exists()

@@ -1,0 +1,189 @@
+"""The CLI's start-up and table writer: exact commands load no numpy, and
+every table prints the bytes of the writer it replaced (``oracles.emit``)."""
+
+import io
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import calclab
+from calclab import cli, hydrogen, linalg, poly
+from calclab.cli import ResultTable, emit, run
+
+import oracles
+
+SRC = str(Path(calclab.__file__).resolve().parent.parent)
+
+NUMPY_FREE = [
+    ["sequence", "--kind", "catalan", "--n", "10"],
+    ["sequence", "--kind", "bernoulli", "--n", "12"],
+    ["sequence", "--kind", "bell", "--n", "15"],
+    ["constants", "--which", "e", "--terms", "18"],
+    ["roots", "--coeffs=-6,11,-6,1"],
+    ["roots", "--coeffs=1,-4,6,-4,1"],
+    ["sphere", "--what", "volume", "--dim", "7"],
+    ["sphere", "--what", "moment", "--dim", "4", "--key", "2,0,1,1", "--complex"],
+    ["law", "--name", "gauss", "--moments", "5", "--t", "2"],
+    ["law", "--name", "cgauss", "--moments", "5", "--t", "0.5"],
+    ["snchi", "--n", "9"],
+    ["hydrogen", "lines", "--series", "balmer", "--upto", "8"],
+    ["hydrogen", "energy", "--n", "3"],
+]
+
+# runs calclab.cli as `python -m` does, then lists the numpy modules loaded
+_RUN_AND_LIST_NUMPY = """
+import runpy, sys
+sys.argv = ["calclab", *sys.argv[1:]]
+try:
+    runpy.run_module("calclab.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda a: "-".join(a[:3]).lstrip("-"))
+def test_exact_commands_never_import_numpy(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_NUMPY, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    # the repeated quartic root is a known numerical failure (exit 2)
+    assert proc.returncode == (2 if argv[1] == "--coeffs=1,-4,6,-4,1" else 0)
+    assert proc.stderr.splitlines()[-1] == "[]", proc.stderr
+
+
+def test_spectral_series_choices_match_hydrogen():
+    assert cli._SPECTRAL_SERIES == sorted(hydrogen.SPECTRAL_SERIES_NAMES)
+
+
+def test_linalg_reexports_the_polynomial_module():
+    assert linalg.Polynomial is poly.Polynomial
+    for name in poly.__all__:
+        assert getattr(linalg, name) is getattr(poly, name)
+        assert name in linalg.__all__
+
+
+# ---------------------------------------------------------- byte oracle
+
+_MATRIX = "2,1,0\n1,3,1\n0,1,4\n"
+_CHARGES = "q,x,y,z\n1.5,0.1,0,0\n-2.0,2,0,0\n"
+
+# the benchmark's one-shot shapes, then its in-process tables
+COMMANDS = [
+    ["sequence", "--kind", "catalan", "--n", "12"],
+    ["sequence", "--kind", "bernoulli", "--n", "16"],
+    ["sequence", "--kind", "bell", "--n", "20"],
+    ["constants", "--which", "e", "--terms", "17"],
+    ["constants", "--which", "pi", "--terms", "1234"],
+    ["constants", "--which", "basel", "--terms", "12345"],
+    ["roots", "--coeffs=3.0,-5.5,-0.5,1.0"],
+    ["roots", "--coeffs=-1,0,0,0,1"],
+    ["sphere", "--what", "volume", "--dim", "9"],
+    ["sphere", "--what", "moment", "--dim", "4", "--key", "2,0,4,2"],
+    ["law", "--name", "gauss", "--moments", "5", "--t", "0.5"],
+    ["law", "--name", "cgauss", "--moments", "5", "--t", "2"],
+    ["law", "--name", "semicircle", "--moments", "8"],
+    ["stieltjes", "--law", "mp", "--x=0.7:3.2:5", "--t", "0.001"],
+    ["snchi", "--n", "7"],
+    ["critical", "--fn", "saddle", "--x", "0,0"],
+    ["harmonic", "--fn", "log_r", "--samples", "10", "--seed", "11"],
+    ["eig", "--matrix", "{matrix}"],
+    ["integrate", "--method", "trapezoid", "--fn", "runge", "--a", "-0.5", "--b", "1.25", "--n", "2000"],
+    ["integrate", "--method", "mc", "--fn", "gauss", "--a", "-0.5", "--b", "1", "--n", "1000", "--seed", "5"],
+    ["flux", "--charges", "{charges}", "--center", "0,0,0", "--radius", "1"],
+    ["hydrogen", "lines", "--series", "balmer", "--upto", "9"],
+    ["hydrogen", "energy", "--n", "4"],
+    ["orbit", "--r0", "0.66", "--vt0", "1.5", "--K", "1", "--T", "2", "--dt", "0.001"],
+    ["wave", "--profile", "gaussian", "--t", "4", "--frames", "8"],
+    ["heat", "--profile", "step", "--t", "0.4", "--frames", "4"],
+    ["hydrogen", "wavefunction", "--n", "3", "--l", "1", "--m", "-1", "--grid", "30,400"],
+]
+
+
+def _written(writer, table, fmt, digits):
+    sink = io.StringIO()
+    writer(table, fmt, sink, digits=digits)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: "-".join(a[:3]).lstrip("-"))
+def test_every_command_prints_the_old_bytes(tmp_path, argv):
+    files = {"matrix": tmp_path / "m.csv", "charges": tmp_path / "q.csv"}
+    files["matrix"].write_text(_MATRIX)
+    files["charges"].write_text(_CHARGES)
+    table = run([a.format(**files) for a in argv])
+    for fmt in ("csv", "json"):
+        for digits in (None, 4):
+            assert _written(emit, table, fmt, digits) == _written(oracles.emit, table, fmt, digits)
+
+
+MIXED = ResultTable(
+    ["a", "b", "c"],
+    [
+        (np.int64(-7), np.float32(0.1), np.complex128(1.5 - 2.25j)),
+        (np.bool_(True), Fraction(-3, 8), None),
+        (-0.0, math.nan, "x, y"),
+        (math.inf, -math.inf, 'say "hi"\nthere'),
+        (np.float64(1 / 3), np.uint8(200), complex(0.0, -0.0)),
+        (True, False, Fraction(6, 3)),
+        (np.float16(2.5), np.longdouble(0.2), np.str_("p,q")),
+        (Decimal("1.10"), (1, 2), "a\rb"),
+        (2**70, -(2**70), complex(math.nan, 1.0)),
+    ],
+    note="mixed types",
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("digits", [None, 1, 4])
+def test_mixed_types_print_the_old_bytes(fmt, digits):
+    assert _written(emit, MIXED, fmt, digits) == _written(oracles.emit, MIXED, fmt, digits)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        ResultTable(["only"], [(None,), ("",), ("x",), (0.5,)]),
+        ResultTable([], [(), ()]),
+        ResultTable(["a", "b"], []),
+        ResultTable(["a,b", ""], [("", None)]),
+    ],
+    ids=["one-column", "no-columns", "no-rows", "odd-header"],
+)
+def test_table_edges_print_the_old_bytes(table):
+    for fmt in ("csv", "json"):
+        assert _written(emit, table, fmt, None) == _written(oracles.emit, table, fmt, None)
+
+
+_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.complex_numbers(),
+    st.fractions(),
+    st.text(alphabet=st.sampled_from('ab, "\n\r1.-')),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_cells, min_size=2, max_size=2).map(tuple), max_size=6), st.sampled_from([None, 3]))
+def test_random_tables_print_the_old_bytes(rows, digits):
+    table = ResultTable(["x", "y"], rows)
+    for fmt in ("csv", "json"):
+        assert _written(emit, table, fmt, digits) == _written(oracles.emit, table, fmt, digits)

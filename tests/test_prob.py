@@ -15,7 +15,6 @@ from calclab.combinat import (
     central_binomial,
     count_matching_pairings,
     factorial,
-    matching_pairings,
     middle_binomial,
 )
 from calclab.prob import (
@@ -56,6 +55,8 @@ from calclab.prob import (
     wick,
 )
 from calclab.rng import RandomSource
+
+from oracles import matching_pairings
 
 
 def test_law_validation():

@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calclab.series import (
     babylonian_iterates,
@@ -175,3 +177,21 @@ def test_sin_cos_pythagoras():
         sx, _ = eval_series(sin_s, x, 40)
         cx, _ = eval_series(cos_s, x, 40)
         assert sx * sx + cx * cx == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["exp", "sin", "cos"]),
+    st.floats(-8.0, 8.0, allow_nan=False),
+    st.integers(1, 40),
+)
+def test_eval_series_tail_bound_covers_the_error(name, x, terms):
+    make, reference = {"exp": (exp_series, math.exp), "sin": (sin_series, math.sin), "cos": (cos_series, math.cos)}[name]
+    s = make()
+    value, bound = eval_series(s, x, terms)
+    want = reference(x)
+    # the bound covers truncation only: allow the roundoff of forming and
+    # summing the terms, (terms + 4) eps times the sum of their magnitudes
+    magnitude = max(sum(abs(s.coefficient(k) * x**k) for k in range(terms)), abs(want))
+    allowance = (terms + 4) * sys.float_info.epsilon * magnitude
+    assert bound >= abs(value - want) - allowance
