@@ -127,30 +127,40 @@ def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
 
     Each value's formatter is looked up by its exact type, so a big table of
     floats pays one dict lookup per value; other types (Fraction, complex,
-    numpy scalars) take the ``_format_value``/``_json_value`` chain.
+    numpy scalars) take the ``_format_value``/``_json_value`` chain.  Exact
+    integers print in full: the interpreter's limit on int-to-string digits
+    is lifted while the table is written.
     """
-    if fmt == "csv":
-        csv.writer(sink, lineterminator="\n").writerow(table.columns)
-        cells, other = _csv_cells(digits)
-        cell = cells.get
-        lone = len(table.columns) == 1
-        write = sink.write
-        for row in table.rows:
-            line = ",".join([cell(type(v), other)(v) for v in row])
-            # the csv module quotes a lone empty field, so that the row is not blank
-            write('""\n' if lone and not line else line + "\n")
-    elif fmt == "json":
-        values, other = _json_values(digits)
-        value = values.get
-        payload = {
-            "columns": table.columns,
-            "rows": [[value(type(v), other)(v) for v in row] for row in table.rows],
-            "note": table.note,
-        }
-        json.dump(payload, sink, indent=2)
-        sink.write("\n")
-    else:
-        raise _UsageError(f"unknown format {fmt!r}")
+    # 0 where the interpreter has no such limit (before 3.10.7) or it is already off
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "csv":
+            csv.writer(sink, lineterminator="\n").writerow(table.columns)
+            cells, other = _csv_cells(digits)
+            cell = cells.get
+            lone = len(table.columns) == 1
+            write = sink.write
+            for row in table.rows:
+                line = ",".join([cell(type(v), other)(v) for v in row])
+                # the csv module quotes a lone empty field, so that the row is not blank
+                write('""\n' if lone and not line else line + "\n")
+        elif fmt == "json":
+            values, other = _json_values(digits)
+            value = values.get
+            payload = {
+                "columns": table.columns,
+                "rows": [[value(type(v), other)(v) for v in row] for row in table.rows],
+                "note": table.note,
+            }
+            json.dump(payload, sink, indent=2)
+            sink.write("\n")
+        else:
+            raise _UsageError(f"unknown format {fmt!r}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _parse_floats(text: str) -> list[float]:

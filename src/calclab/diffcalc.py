@@ -1,8 +1,8 @@
 """Finite-difference multivariable calculus.
 
 Central differences with roundoff-balanced default steps: gradients,
-Jacobians, Hessians (symmetrized, with the raw asymmetry available as a
-diagnostic), Taylor approximation, critical-point classification by Hessian
+Jacobians, Hessians (each mixed pair evaluated once, so symmetric by
+construction), Taylor approximation, critical-point classification by Hessian
 eigenvalue signs, Laplacians and harmonicity checks, spherical-coordinate
 Laplacian, root-of-unity derivative averaging, and the constrained-extremum
 verifiers (p-norm sphere maximizer, 1-norm criticality on the orthogonal
@@ -19,12 +19,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import symmetric_eigen
+from .quad import _simpson_rule, _sphere_quadrature
 
 __all__ = [
     "gradient",
     "jacobian",
     "hessian",
-    "hessian_asymmetry",
     "derivative_1d",
     "taylor1d",
     "taylor2_multi",
@@ -52,18 +52,6 @@ def _step2(x: np.ndarray) -> float:
     return _EPS ** 0.25 * (1.0 + float(np.abs(x).max()))
 
 
-def gradient(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
-    """Central-difference gradient, O(h^2) on C^3 fields."""
-    x = np.asarray(x, dtype=float)
-    h = h or _step1(x)
-    out = np.empty_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = h
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return out
-
-
 def _values(F: Callable[[np.ndarray], object], points: np.ndarray) -> np.ndarray:
     """F at each row of the 2-D array ``points``, as one float array (one call per row)."""
     return np.array(list(map(F, points)), dtype=float)
@@ -74,7 +62,8 @@ def _central_differences(
 ) -> np.ndarray:
     """Central differences (F(x + h e_i) - F(x - h e_i))/(2h) at every row x of points.
 
-    The one finite-difference stencil kernel.  ``points`` is an (M, d)
+    The first-difference stencil kernel (``_axis_differences`` adds the
+    second differences at one point).  ``points`` is an (M, d)
     block; its 2dM stencil points are built with numpy, and F is called once
     per stencil point on a 1-D float row of a fresh array.  F returns a
     number or a sequence of k numbers; the result has shape (M, d) or
@@ -83,9 +72,31 @@ def _central_differences(
     points = np.asarray(points, dtype=float)
     M, d = points.shape
     step = h * np.eye(d)[:, None, :]
-    vals = _values(F, np.stack([points + step, points - step]).reshape(-1, d))
+    vals = _values(F, np.concatenate([points + step, points - step]).reshape(-1, d))
     vals = vals.reshape((2, d, M) + vals.shape[1:])
-    return np.moveaxis((vals[0] - vals[1]) / (2.0 * h), 0, 1)
+    return ((vals[0] - vals[1]) / (2.0 * h)).swapaxes(0, 1)
+
+
+def _axis_differences(
+    f: Callable[[np.ndarray], object], x: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first and pure second central differences of f at x along each axis.
+
+    f is called once at x and once at each x +/- h e_i (2d + 1 calls); the
+    first differences are (f(x + h e_i) - f(x - h e_i))/(2h) and the second
+    (f(x + h e_i) - 2 f(x) + f(x - h e_i))/h^2.
+    """
+    step = h * np.eye(len(x))
+    vals = _values(f, np.concatenate([x[None, :], x + step, x - step]))
+    fx, up, down = vals[0], vals[1 : len(x) + 1], vals[len(x) + 1 :]
+    return (up - down) / (2.0 * h), (up - 2.0 * fx + down) / (h * h)
+
+
+def gradient(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
+    """Central-difference gradient, O(h^2) on C^3 fields."""
+    x = np.asarray(x, dtype=float)
+    h = h or _step1(x)
+    return _central_differences(f, x[None, :], h)[0]
 
 
 def jacobian(
@@ -98,40 +109,27 @@ def jacobian(
 
 
 def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
-    """Symmetrized central-difference Hessian, O(h^2) on C^4 fields."""
+    """Central-difference Hessian, O(h^2) on C^4 fields.
+
+    The diagonal holds the pure second differences; each mixed entry
+    (f(x+ei+ej) - f(x+ei-ej) - f(x-ei+ej) + f(x-ei-ej))/(4h^2) is evaluated
+    once per pair i < j and written to both (i, j) and (j, i), so H is
+    symmetric by construction: 1 + 2d + 2d(d - 1) calls of f.
+    """
     x = np.asarray(x, dtype=float)
     h = h or _step2(x)
-    H = _hessian_raw_unsym(f, x, h)
-    return 0.5 * (H + H.T)
-
-
-def _hessian_raw_unsym(f: ScalarField, x: np.ndarray, h: float) -> np.ndarray:
-    # evaluate the (i, j) stencil independently of (j, i) so the raw
-    # asymmetry is a meaningful roundoff/truncation diagnostic
+    _, second = _axis_differences(f, x, h)
+    H = np.diag(second)
     n = len(x)
-    H = np.empty((n, n))
-    fx = f(x)
-    for i in range(n):
-        for j in range(n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            if i == j:
-                H[i, i] = (f(x + ei) - 2.0 * fx + f(x - ei)) / (h * h)
-            else:
-                H[i, j] = (
-                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-                ) / (4.0 * h * h)
+    # the pairs i < j as lists: np.triu_indices costs more than the calls of f saved at d = 3
+    i = [a for a in range(n) for b in range(a + 1, n)]
+    j = [b for a in range(n) for b in range(a + 1, n)]
+    step = h * np.eye(n)
+    ei, ej = step[i], step[j]
+    corners = _values(f, np.concatenate([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]))
+    pp, pm, mp, mm = corners.reshape(4, len(i))
+    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
     return H
-
-
-def hessian_asymmetry(f: ScalarField, x: Sequence[float], h: float | None = None) -> float:
-    """Max-norm of H - H^T before symmetrization (a mixed-partials diagnostic)."""
-    x = np.asarray(x, dtype=float)
-    h = h or _step2(x)
-    H = _hessian_raw_unsym(f, x, h)
-    return float(np.abs(H - H.T).max())
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
@@ -215,12 +213,10 @@ def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> flo
     """Sum of second central differences along the axes."""
     x = np.asarray(x, dtype=float)
     h = h or _step2(x)
-    fx = f(x)
+    _, second = _axis_differences(f, x, h)
     out = 0.0
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = h
-        out += (f(x + e) - 2.0 * fx + f(x - e)) / (h * h)
+    for v in second.tolist():  # in axis order: sum() compensates from Python 3.12 on
+        out += v
     return out
 
 
@@ -240,52 +236,38 @@ def mean_value_gap(
 ) -> float:
     """|average of f over the sphere (or ball) - f(center)|.
 
-    Dimensions 2 and 3 use product quadrature (trapezoid in angles, which is
-    spectrally accurate, plus Simpson radially for balls).
+    Dimensions 2 and 3 use product quadrature: the trapezoid rule in the
+    angles (spectrally accurate) on ``samples`` circle points, or the sphere
+    rule of ``quad`` with max(8, sqrt(samples)) Gauss-Legendre polar nodes,
+    plus the composite Simpson rule in the radius for balls.
     """
     center = np.asarray(center, dtype=float)
     dim = len(center)
     if radius <= 0:
         raise ValueError("need radius > 0")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
 
     if dim == 2:
+        ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        nodes = np.stack([np.cos(ts), np.sin(ts)], axis=1)
+        weights = np.full(samples, 1.0 / samples)
+        rs, wr = _simpson_rule(0.0, radius, 128)
+    elif dim == 3:
+        nodes, weights = _sphere_quadrature(max(8, int(math.sqrt(samples))))
+        weights = weights / (4.0 * math.pi)
+        rs, wr = _simpson_rule(0.0, radius, 64)
+    else:
+        raise ValueError("mean_value_gap supports dimensions 2 and 3")
 
-        def circle_average(r: float) -> float:
-            ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-            pts = center[None, :] + r * np.stack([np.cos(ts), np.sin(ts)], axis=1)
-            return float(np.mean([f(p) for p in pts]))
+    def average(r: float) -> float:
+        return float(weights @ _values(f, center + r * nodes))
 
-        if surface:
-            return abs(circle_average(radius) - f(center))
-        rs = np.linspace(0.0, radius, 129)
-        vals = np.array([circle_average(r) * r for r in rs])
-        integral = float(np.trapezoid(vals, rs)) * 2.0 * math.pi
-        return abs(integral / (math.pi * radius**2) - f(center))
-
-    if dim == 3:
-        m = max(8, int(math.sqrt(samples)))
-        u, w = np.polynomial.legendre.leggauss(m)  # u = cos(polar)
-        ts = np.linspace(0.0, 2.0 * math.pi, 2 * m, endpoint=False)
-
-        def sphere_average(r: float) -> float:
-            total = 0.0
-            for ui, wi in zip(u, w):
-                sin_s = math.sqrt(max(0.0, 1.0 - ui * ui))
-                ring = np.stack(
-                    [sin_s * np.cos(ts), sin_s * np.sin(ts), np.full_like(ts, ui)],
-                    axis=1,
-                )
-                total += wi * np.mean([f(center + r * p) for p in ring])
-            return total / 2.0  # weights sum to 2
-
-        if surface:
-            return abs(sphere_average(radius) - f(center))
-        rs = np.linspace(0.0, radius, 65)
-        vals = np.array([sphere_average(r) * r * r for r in rs])
-        integral = float(np.trapezoid(vals, rs)) * 4.0 * math.pi
-        return abs(integral / (4.0 / 3.0 * math.pi * radius**3) - f(center))
-
-    raise ValueError("mean_value_gap supports dimensions 2 and 3")
+    if surface:
+        return abs(average(radius) - f(center))
+    # the ball average is d/R^d times the integral over [0, R] of r^(d-1) times the sphere average
+    integral = float(wr @ np.array([average(r) * r ** (dim - 1) for r in rs]))
+    return abs(dim * integral / radius**dim - f(center))
 
 
 def spherical_laplacian(
@@ -297,8 +279,9 @@ def spherical_laplacian(
 ) -> float:
     """Laplacian of f(r, s, t) in spherical coordinates (3D).
 
-    Evaluates the radial, polar and azimuthal terms by central differences;
-    the polar axis (sin s = 0) is rejected.
+    Evaluates the radial, polar and azimuthal terms by central differences
+    from the 7 values of f at (r, s, t) and its axis neighbours; the polar
+    axis (sin s = 0) is rejected.
     """
     if r <= 0:
         raise ValueError("need r > 0")
@@ -307,11 +290,8 @@ def spherical_laplacian(
         raise ValueError("polar axis: the spherical form is singular there")
     h = h or _EPS ** 0.25 * (1.0 + abs(r) + abs(s) + abs(t))
     h = min(h, 0.45 * r)  # keep the radial stencil away from the origin
-    f_r = (f(r + h, s, t) - f(r - h, s, t)) / (2.0 * h)
-    f_rr = (f(r + h, s, t) - 2.0 * f(r, s, t) + f(r - h, s, t)) / (h * h)
-    f_s = (f(r, s + h, t) - f(r, s - h, t)) / (2.0 * h)
-    f_ss = (f(r, s + h, t) - 2.0 * f(r, s, t) + f(r, s - h, t)) / (h * h)
-    f_tt = (f(r, s, t + h) - 2.0 * f(r, s, t) + f(r, s, t - h)) / (h * h)
+    first, second = _axis_differences(lambda p: f(*p.tolist()), np.array([r, s, t]), h)
+    (f_r, f_s, _), (f_rr, f_ss, f_tt) = first.tolist(), second.tolist()
     radial = f_rr + 2.0 * f_r / r
     polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)
     azimuthal = f_tt / (r * r * sin_s * sin_s)

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .diffcalc import _central_differences, _values
-from .quad import _finite, _simpson_rule, simpson
+from .quad import _finite, _simpson_rule, _sphere_quadrature, simpson
 
 __all__ = [
     "cross",
@@ -680,19 +680,6 @@ def electric_field(cfg: ChargeConfig, x: Sequence[float]) -> np.ndarray:
             raise ZeroDivisionError("field evaluated at a charge location")
         out += cfg.k * q * d / r**3
     return out
-
-
-def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product nodes/weights on the unit sphere: Gauss-Legendre in cos(polar),
-    uniform in azimuth, polar-major order.  Weights sum to the sphere area 4 pi."""
-    u, w = np.polynomial.legendre.leggauss(order)
-    ts = np.linspace(0.0, 2.0 * math.pi, 2 * order, endpoint=False)
-    dt = 2.0 * math.pi / (2 * order)
-    sin_s = np.sqrt(np.maximum(0.0, 1.0 - u * u))[:, None]
-    cos_t = np.array([math.cos(t) for t in ts])
-    sin_t = np.array([math.sin(t) for t in ts])
-    nodes = np.stack(np.broadcast_arrays(sin_s * cos_t, sin_s * sin_t, u[:, None]), axis=-1)
-    return nodes.reshape(-1, 3), np.repeat(w * dt, len(ts))
 
 
 def flux_through_sphere(

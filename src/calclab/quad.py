@@ -3,8 +3,9 @@
 One-dimensional rules (right-endpoint Riemann, trapezoid, composite Simpson)
 and seeded Monte Carlo, the Gauss and Fresnel improper integrals with their
 quadrature verifiers, Wallis trigonometric integrals, sphere volumes/areas
-and polynomial moments over real and complex unit spheres, and the Jacobians
-of polar/spherical coordinates.
+and polynomial moments over real and complex unit spheres, the product
+quadrature rule on the unit 2-sphere, and the Jacobians of polar/spherical
+coordinates.
 
 Closed forms are evaluated in exact rational arithmetic and converted to
 float at the end; factorial-type factors switch to log-domain once the
@@ -110,6 +111,21 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     if n % 2:
         w[-2:] += 0.5 * h
     return w
+
+
+def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product nodes/weights on the unit sphere: Gauss-Legendre in cos(polar),
+    uniform in azimuth, polar-major order.  Weights sum to the sphere area 4 pi."""
+    import numpy as np
+
+    u, w = np.polynomial.legendre.leggauss(order)
+    ts = np.linspace(0.0, 2.0 * math.pi, 2 * order, endpoint=False)
+    dt = 2.0 * math.pi / (2 * order)
+    sin_s = np.sqrt(np.maximum(0.0, 1.0 - u * u))[:, None]
+    cos_t = np.array([math.cos(t) for t in ts])
+    sin_t = np.array([math.sin(t) for t in ts])
+    nodes = np.stack(np.broadcast_arrays(sin_s * cos_t, sin_s * sin_t, u[:, None]), axis=-1)
+    return nodes.reshape(-1, 3), np.repeat(w * dt, len(ts))
 
 
 def _finite(values) -> np.ndarray:

@@ -6,10 +6,16 @@
   it was before the typed writer: one isinstance chain per value, with
   numpy's scalar types named, and every CSV row through ``csv.writer``.
   The tests hold the current writer to these bytes.
+- ``gradient``, ``hessian``, ``laplacian`` and ``spherical_laplacian`` are
+  the per-point finite-difference routes of ``diffcalc`` before its one axis
+  stencil: every stencil value is a separate call of f, and the Hessian
+  evaluates the (i, j) and (j, i) mixed stencils separately
+  (``hessian_raw_unsym``) and then symmetrizes.
 """
 
 import csv
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -71,3 +77,63 @@ def emit(table, fmt, sink, digits=None):
         }
         json.dump(payload, sink, indent=2)
         sink.write("\n")
+
+
+def gradient(f, x, h):
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for i in range(len(x)):
+        e = np.zeros_like(x)
+        e[i] = h
+        out[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+    return out
+
+
+def hessian_raw_unsym(f, x, h):
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    H = np.empty((n, n))
+    fx = f(x)
+    for i in range(n):
+        for j in range(n):
+            ei = np.zeros(n)
+            ej = np.zeros(n)
+            ei[i] = h
+            ej[j] = h
+            if i == j:
+                H[i, i] = (f(x + ei) - 2.0 * fx + f(x - ei)) / (h * h)
+            else:
+                H[i, j] = (
+                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+                ) / (4.0 * h * h)
+    return H
+
+
+def hessian(f, x, h):
+    H = hessian_raw_unsym(f, x, h)
+    return 0.5 * (H + H.T)
+
+
+def laplacian(f, x, h):
+    x = np.asarray(x, dtype=float)
+    fx = f(x)
+    out = 0.0
+    for i in range(len(x)):
+        e = np.zeros_like(x)
+        e[i] = h
+        out += (f(x + e) - 2.0 * fx + f(x - e)) / (h * h)
+    return out
+
+
+def spherical_laplacian(f, r, s, t, h):
+    """The spherical Laplacian with the step h as given (no 0.45 r cap)."""
+    sin_s = math.sin(s)
+    f_r = (f(r + h, s, t) - f(r - h, s, t)) / (2.0 * h)
+    f_rr = (f(r + h, s, t) - 2.0 * f(r, s, t) + f(r - h, s, t)) / (h * h)
+    f_s = (f(r, s + h, t) - f(r, s - h, t)) / (2.0 * h)
+    f_ss = (f(r, s + h, t) - 2.0 * f(r, s, t) + f(r, s - h, t)) / (h * h)
+    f_tt = (f(r, s, t + h) - 2.0 * f(r, s, t) + f(r, s, t - h)) / (h * h)
+    radial = f_rr + 2.0 * f_r / r
+    polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)
+    azimuthal = f_tt / (r * r * sin_s * sin_s)
+    return radial + polar + azimuthal

@@ -1,7 +1,9 @@
 import csv
+import decimal
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +39,20 @@ def test_sequence_bell_matches_bell(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert [int(r[1]) for r in rows[1:]] == [bell(k) for k in range(31)]
+
+
+def test_sequence_prints_integers_past_the_str_digits_limit(capsys):
+    # 1700! has 4756 digits, past the interpreter's default limit of 4300
+    digits = decimal.Decimal(math.factorial(1700)).adjusted() + 1
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = invoke(["sequence", "--kind", "factorial", "--n", "1700"], capsys)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()[-1].split(",")[1]) == digits
+    code, out, err = invoke(["sequence", "--kind", "factorial", "--n", "1700", "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    assert len(json.loads(out, parse_int=str)["rows"][-1][1]) == digits
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored after writing
 
 
 def test_unknown_flag_is_usage_error(capsys):

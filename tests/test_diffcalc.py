@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from calclab.diffcalc import (
+    _EPS,
+    _step1,
+    _step2,
     classify_critical,
     derivative_1d,
     gradient,
     hessian,
-    hessian_asymmetry,
     holder_critical_check,
     is_harmonic,
     jacobian,
@@ -42,9 +46,10 @@ def test_hessian():
     f = lambda v: v[0] * v[1]
     H = hessian(f, [0.4, -1.2])
     assert H == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0]]), abs=1e-6)
-    # raw asymmetry (mixed partials commute) is small on smooth fields
+    # each mixed pair is evaluated once, so H is symmetric by construction
     g = lambda v: math.sin(v[0] * v[1]) + v[0] ** 3 * v[1]
-    assert hessian_asymmetry(g, [0.5, 0.3]) < 1e-6
+    H = hessian(g, [0.5, 0.3])
+    assert np.array_equal(H, H.T)
 
 
 def test_jacobian_chain_rule():
@@ -118,6 +123,20 @@ def test_mean_value_property():
     inv_r = lambda v: 1.0 / math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
     assert mean_value_gap(inv_r, [2.0, 1.0, 1.0], 0.7, samples=4096) <= 1e-4
     assert mean_value_gap(inv_r, [2.0, 1.0, 1.0], 0.7, samples=4096, surface=False) <= 1e-3
+
+
+def test_mean_value_ball_is_exact_for_harmonic_fields():
+    # the sphere average of a harmonic field is constant in the radius, so the
+    # ball integrand avg(r) r^2 is a quadratic that Simpson's rule integrates exactly
+    inv_r = lambda v: 1.0 / math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+    assert mean_value_gap(inv_r, [2.0, 1.0, 1.0], 0.7, samples=4096, surface=False) <= 1e-12
+
+
+@pytest.mark.parametrize("center", [[0.0, 0.0], [0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("samples", [0, -5])
+def test_mean_value_gap_rejects_no_samples(center, samples):
+    with pytest.raises(ValueError, match="samples"):
+        mean_value_gap(lambda v: 1.0, center, 1.0, samples=samples)
 
 
 def test_spherical_laplacian():
@@ -230,3 +249,91 @@ def test_young_inequality():
         p = rng.uniform(1.1, 5.0)
         q = p / (p - 1.0)
         assert a * b <= a**p / p + b**q / q + 1e-12
+
+
+# --- the one axis stencil against the per-point routes it replaced ---------
+
+
+def _counting(f):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stencil_evaluates_each_point_once(d):
+    f, calls = _counting(lambda v: float(np.sin(v).sum() + np.prod(v)))
+    x = np.linspace(0.3, 0.9, d)
+    n_hessian = 1 + 2 * d + 2 * d * (d - 1)  # 19 in 3-D, where (i, j) and (j, i) took 31
+    for route, want in (
+        (gradient, 2 * d),
+        (laplacian, 2 * d + 1),
+        (hessian, n_hessian),
+        (classify_critical, 2 * d + 1 + n_hessian),  # 26 in 3-D, was 38
+    ):
+        calls.clear()
+        route(f, x)
+        assert len(calls) == want, route.__name__
+        # classify_critical evaluates f(x) for its scale and again in the Hessian
+        repeats = 1 if route is classify_critical else 0
+        assert len({args[0].tobytes() for args in calls}) == len(calls) - repeats
+
+
+def test_spherical_laplacian_evaluates_seven_points():
+    f, calls = _counting(lambda r, s, t: r * r * math.cos(s) * math.sin(t))
+    spherical_laplacian(f, 1.3, 0.9, 0.4)
+    assert len(calls) == 7 and len(set(calls)) == 7  # 13 calls before, at the same 7 points
+    assert all(type(v) is float for args in calls for v in args)
+
+
+_Q, _R = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+_Q = _Q * np.sign(np.diag(_R))
+
+
+def _styblinski_tang(v):
+    """The rotated, scaled Styblinski-Tang field of the benchmark's critical-point census."""
+    w = _Q.T @ (np.asarray(v) - np.array([0.2, -0.4, 0.7]))
+    return float(np.array([1.3, 0.6, 1.8]) @ (w**4 - 16.0 * w * w + 5.0 * w))
+
+
+def _sin_cubic(v):
+    return math.sin(v[0] * v[1]) + v[0] ** 3 * v[1]
+
+
+def _close(got, want):
+    return np.abs(np.asarray(got) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(_styblinski_tang, 3), (_sin_cubic, 2)]),
+    st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+)
+def test_stencil_routes_match_per_point_oracles(field, coords):
+    f, d = field
+    x = np.array(coords[:d])
+    H = hessian(f, x)
+    assert np.array_equal(H, H.T)
+    assert _close(H, oracles.hessian(f, x, _step2(x)))
+    assert _close(laplacian(f, x), oracles.laplacian(f, x, _step2(x)))
+    assert _close(gradient(f, x), oracles.gradient(f, x, _step1(x)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.2, 3.0),
+    st.floats(0.1, math.pi - 0.1),
+    st.floats(-math.pi, math.pi),
+)
+def test_spherical_laplacian_matches_per_point_oracle(r, s, t):
+    def spher(r, s, t):
+        return _styblinski_tang(
+            [r * math.cos(s), r * math.sin(s) * math.cos(t), r * math.sin(s) * math.sin(t)]
+        )
+
+    h = min(_EPS**0.25 * (1.0 + r + abs(s) + abs(t)), 0.45 * r)  # the default step
+    assert _close(spherical_laplacian(spher, r, s, t), oracles.spherical_laplacian(spher, r, s, t, h))
