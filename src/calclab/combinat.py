@@ -242,17 +242,11 @@ def _pairings_of(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...
 def count_pairings(k: int) -> int:
     """|P_2(k)|, the number of pairings of {1..k}; 0 for odd k.
 
-    Uses the recurrence |P_2(k)| = (k-1)|P_2(k-2)| rather than enumeration.
+    For even k it is the double factorial (k-1)(k-3)...1, ``semi_factorial(k)``.
     """
     if k < 0:
         raise ValueError("count_pairings needs k >= 0")
-    if k % 2:
-        return 0
-    out = 1
-    while k >= 2:
-        out *= k - 1
-        k -= 2
-    return out
+    return 0 if k % 2 else semi_factorial(k)
 
 
 def count_matching_pairings(word: str) -> int:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import symmetric_eigen
-from .quad import _simpson_rule, _sphere_quadrature
+from .quad import _samples, _simpson_rule, _sphere_quadrature
 
 __all__ = [
     "gradient",
@@ -52,11 +52,6 @@ def _step2(x: np.ndarray) -> float:
     return _EPS ** 0.25 * (1.0 + float(np.abs(x).max()))
 
 
-def _values(F: Callable[[np.ndarray], object], points: np.ndarray) -> np.ndarray:
-    """F at each row of the 2-D array ``points``, as one float array (one call per row)."""
-    return np.array(list(map(F, points)), dtype=float)
-
-
 def _central_differences(
     F: Callable[[np.ndarray], object], points: Sequence[Sequence[float]], h: float
 ) -> np.ndarray:
@@ -64,32 +59,33 @@ def _central_differences(
 
     The first-difference stencil kernel (``_axis_differences`` adds the
     second differences at one point).  ``points`` is an (M, d)
-    block; its 2dM stencil points are built with numpy, and F is called once
-    per stencil point on a 1-D float row of a fresh array.  F returns a
-    number or a sequence of k numbers; the result has shape (M, d) or
-    (M, d, k), with [m, i] the difference along axis i at row m.
+    block; its 2dM stencil points are built with numpy and sampled by
+    ``quad._samples``: F is called once per stencil point on a 1-D float
+    row of a fresh array, and a NaN or infinite value raises ValueError.
+    F returns a number or a sequence of k numbers; the result has shape
+    (M, d) or (M, d, k), with [m, i] the difference along axis i at row m.
     """
     points = np.asarray(points, dtype=float)
     M, d = points.shape
     step = h * np.eye(d)[:, None, :]
-    vals = _values(F, np.concatenate([points + step, points - step]).reshape(-1, d))
+    vals = _samples(F, np.concatenate([points + step, points - step]).reshape(-1, d))
     vals = vals.reshape((2, d, M) + vals.shape[1:])
     return ((vals[0] - vals[1]) / (2.0 * h)).swapaxes(0, 1)
 
 
 def _axis_differences(
     f: Callable[[np.ndarray], object], x: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first and pure second central differences of f at x along each axis.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """f(x) and the first and pure second central differences of f at x along each axis.
 
     f is called once at x and once at each x +/- h e_i (2d + 1 calls); the
     first differences are (f(x + h e_i) - f(x - h e_i))/(2h) and the second
     (f(x + h e_i) - 2 f(x) + f(x - h e_i))/h^2.
     """
     step = h * np.eye(len(x))
-    vals = _values(f, np.concatenate([x[None, :], x + step, x - step]))
+    vals = _samples(f, np.concatenate([x[None, :], x + step, x - step]))
     fx, up, down = vals[0], vals[1 : len(x) + 1], vals[len(x) + 1 :]
-    return (up - down) / (2.0 * h), (up - 2.0 * fx + down) / (h * h)
+    return float(fx), (up - down) / (2.0 * h), (up - 2.0 * fx + down) / (h * h)
 
 
 def gradient(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
@@ -116,9 +112,13 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     once per pair i < j and written to both (i, j) and (j, i), so H is
     symmetric by construction: 1 + 2d + 2d(d - 1) calls of f.
     """
-    x = np.asarray(x, dtype=float)
+    return _hessian(f, np.asarray(x, dtype=float), h)[1]
+
+
+def _hessian(f: ScalarField, x: np.ndarray, h: float | None) -> tuple[float, np.ndarray]:
+    """f(x), from the centre of the stencil, and the Hessian of :func:`hessian`."""
     h = h or _step2(x)
-    _, second = _axis_differences(f, x, h)
+    fx, _, second = _axis_differences(f, x, h)
     H = np.diag(second)
     n = len(x)
     # the pairs i < j as lists: np.triu_indices costs more than the calls of f saved at d = 3
@@ -126,10 +126,10 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     j = [b for a in range(n) for b in range(a + 1, n)]
     step = h * np.eye(n)
     ei, ej = step[i], step[j]
-    corners = _values(f, np.concatenate([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]))
+    corners = _samples(f, np.concatenate([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]))
     pp, pm, mp, mm = corners.reshape(4, len(i))
     H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
-    return H
+    return fx, H
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
@@ -159,9 +159,8 @@ def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> flo
     """Second-order multivariable Taylor value f(x) + <grad, t> + <Ht, t>/2."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    g = gradient(f, x)
-    H = hessian(f, x)
-    return float(f(x) + g @ t + 0.5 * t @ H @ t)
+    fx, H = _hessian(f, x, None)
+    return float(fx + gradient(f, x) @ t + 0.5 * t @ H @ t)
 
 
 @dataclass(frozen=True)
@@ -188,8 +187,8 @@ def classify_critical(
     x = np.asarray(x, dtype=float)
     g = gradient(f, x, h)
     gnorm = float(np.linalg.norm(g))
-    scale = 1.0 + abs(f(x))
-    H = hessian(f, x, h)
+    fx, H = _hessian(f, x, h)
+    scale = 1.0 + abs(fx)
     _, eig = symmetric_eigen(H, tol=1e-12)
     if gnorm > grad_tol * scale:
         label = "not critical"
@@ -213,7 +212,7 @@ def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> flo
     """Sum of second central differences along the axes."""
     x = np.asarray(x, dtype=float)
     h = h or _step2(x)
-    _, second = _axis_differences(f, x, h)
+    _, _, second = _axis_differences(f, x, h)
     out = 0.0
     for v in second.tolist():  # in axis order: sum() compensates from Python 3.12 on
         out += v
@@ -261,13 +260,15 @@ def mean_value_gap(
         raise ValueError("mean_value_gap supports dimensions 2 and 3")
 
     def average(r: float) -> float:
-        return float(weights @ _values(f, center + r * nodes))
+        return float(weights @ _samples(f, center + r * nodes))
 
+    f_center = float(_samples(f, center[None, :])[0])
     if surface:
-        return abs(average(radius) - f(center))
-    # the ball average is d/R^d times the integral over [0, R] of r^(d-1) times the sphere average
-    integral = float(wr @ np.array([average(r) * r ** (dim - 1) for r in rs]))
-    return abs(dim * integral / radius**dim - f(center))
+        return abs(average(radius) - f_center)
+    # the ball average is d/R^d times the integral over [0, R] of r^(d-1) times the
+    # sphere average; the r = 0 shell has weight 0 and is not sampled
+    shells = [average(r) * r ** (dim - 1) if r else 0.0 for r in rs]
+    return abs(dim * float(wr @ np.array(shells)) / radius**dim - f_center)
 
 
 def spherical_laplacian(
@@ -290,7 +291,7 @@ def spherical_laplacian(
         raise ValueError("polar axis: the spherical form is singular there")
     h = h or _EPS ** 0.25 * (1.0 + abs(r) + abs(s) + abs(t))
     h = min(h, 0.45 * r)  # keep the radial stencil away from the origin
-    first, second = _axis_differences(lambda p: f(*p.tolist()), np.array([r, s, t]), h)
+    _, first, second = _axis_differences(lambda p: f(*p.tolist()), np.array([r, s, t]), h)
     (f_r, f_s, _), (f_rr, f_ss, f_tt) = first.tolist(), second.tolist()
     radial = f_rr + 2.0 * f_r / r
     polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)

@@ -18,8 +18,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .diffcalc import _central_differences, _values
-from .quad import _finite, _simpson_rule, _sphere_quadrature, simpson
+from .diffcalc import _central_differences
+from .quad import _samples, _simpson_rule, _sphere_quadrature, simpson
 
 __all__ = [
     "cross",
@@ -473,8 +473,8 @@ def _leapfrog(
     """
     n = int(round((b - a) / dx))
     xs = np.linspace(a, b, n + 1)
-    u0 = np.array([g(x) for x in xs])
-    hv = np.array([h(x) for x in xs])
+    u0 = _samples(g, xs)
+    hv = _samples(h, xs)
     lam2 = (v * dt / dx) ** 2
     u1 = np.copy(u0)
     u1[1:-1] = (
@@ -495,7 +495,7 @@ def _forward_euler(
     """Forward-Euler heat states after 1, 2, 3, ... steps of dt, from the profile g."""
     n = int(round((b - a) / dx))
     xs = np.linspace(a, b, n + 1)
-    grid = Grid1D(np.array([g(x) for x in xs]), a, b, 0.0)
+    grid = Grid1D(_samples(g, xs), a, b, 0.0)
     while True:
         grid = heat_lattice_step(grid, alpha, dt)
         yield grid
@@ -741,9 +741,9 @@ def _line_integral(G, curve, t0: float, t1: float, n: int, h: float) -> float:
         raise ValueError("need N >= 2")
     t, w = _simpson_rule(t0, t1, n)
     path = lambda p: curve(p[0])
-    x = _values(path, t[:, None])
+    x = _samples(path, t[:, None])
     xt = _central_differences(path, t[:, None], h)[:, 0]
-    return float(w @ _finite(np.einsum("ij,ij->i", _values(G, x), xt)))
+    return float(w @ np.einsum("ij,ij->i", _samples(G, x), xt))
 
 
 def _tensor_simpson(g: Callable[[np.ndarray], np.ndarray], u_span, v_span, n: int) -> float:
@@ -755,7 +755,7 @@ def _tensor_simpson(g: Callable[[np.ndarray], np.ndarray], u_span, v_span, n: in
     u, wu = _simpson_rule(*u_span, n)
     v, wv = _simpson_rule(*v_span, n)
     rows = [g(np.column_stack((np.full_like(v, a), v))) for a in u]
-    return float(wu @ _finite(rows) @ wv)
+    return float(wu @ np.array(rows) @ wv)
 
 
 def green_check(
@@ -790,7 +790,7 @@ def green_check(
 
     def curl_z(uv: np.ndarray) -> np.ndarray:
         J = _central_differences(chart, uv, 1e-6)
-        D = _central_differences(field, _values(chart, uv), 1e-5)
+        D = _central_differences(field, _samples(chart, uv), 1e-5)
         jac = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         return (D[:, 0, 1] - D[:, 1, 0]) * jac
 
@@ -817,7 +817,7 @@ def stokes_check(
 
     def surf_integrand(uv: np.ndarray) -> np.ndarray:
         J = _central_differences(chart, uv, h)
-        D = _central_differences(F, _values(chart, uv), 1e-5)
+        D = _central_differences(F, _samples(chart, uv), 1e-5)
         curl = np.stack(
             [D[:, 1, 2] - D[:, 2, 1], D[:, 2, 0] - D[:, 0, 2], D[:, 0, 1] - D[:, 1, 0]], axis=1
         )
@@ -841,23 +841,22 @@ def divergence_check(
     """Ball integral of div F vs the outward flux of F through the sphere.
 
     The ball side is a Simpson rule in the radius (``radial_nodes``
-    intervals) over shells of the 2 order^2 sphere nodes; div F is the sum
-    of central differences of step 1e-5, six F calls per node, taken one
-    shell at a time.  The flux side evaluates F once per node of the outer
-    sphere.  F receives each point as a 1-D float array of shape (3,).
-    Returns (ball integral, flux, |difference|).
+    intervals) over shells of the 2 order^2 sphere nodes, the r = 0 shell
+    unsampled; div F is the sum of central differences of step 1e-5, six F
+    calls per node.  The flux side evaluates F once per node of the outer
+    sphere.  F receives each point as a 1-D float array of shape (3,), and
+    a NaN or infinite value raises ValueError.  Returns (ball integral,
+    flux, |difference|).
     """
     center = np.asarray(center, dtype=float)
     nodes, weights = _sphere_quadrature(order)
     r, wr = _simpson_rule(0.0, radius, radial_nodes)
-    shells = []
-    for ri in r:
-        if ri == 0.0:
-            shells.append(0.0)
-            continue
+
+    def shell(ri: float) -> float:
         D = _central_differences(F, center + ri * nodes, 1e-5)
-        shells.append(ri * ri * (weights @ (D[:, 0, 0] + D[:, 1, 1] + D[:, 2, 2])))
-    lhs = float(wr @ _finite(shells))
-    flux = np.einsum("ij,ij->i", _values(F, center + radius * nodes), nodes)
+        return ri * ri * (weights @ (D[:, 0, 0] + D[:, 1, 1] + D[:, 2, 2]))
+
+    lhs = float(wr @ np.array([shell(ri) if ri else 0.0 for ri in r]))
+    flux = np.einsum("ij,ij->i", _samples(F, center + radius * nodes), nodes)
     rhs = radius * radius * float(weights @ flux)
     return lhs, rhs, abs(lhs - rhs)

@@ -31,7 +31,7 @@ from .combinat import (
     set_partitions,
 )
 from .poly import Polynomial
-from .quad import SphereMomentKey, _finite, _simpson_weights, sphere_moment, sphere_moment_mc
+from .quad import SphereMomentKey, _samples, _simpson_weights, sphere_moment, sphere_moment_mc
 from .rng import RandomSource
 
 if TYPE_CHECKING:
@@ -123,7 +123,7 @@ class _GridDensity:
         return float(np.interp(t, self.x, self.masses, left=0.0, right=0.0)) / dx
 
     def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.x, _finite(self.masses)
+        return self.x, self.masses
 
 
 class _ShiftedDensity:
@@ -190,7 +190,7 @@ def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     c[:3] += s[0] * np.array([3.0, -3.0, 1.0])
     c[-3:] += s[-1] * np.array([1.0, -3.0, 3.0])
     x = mid - half * np.cos(u[1:-1])
-    density = _finite([law.density(float(t)) for t in x])
+    density = _samples(law.density, x)
     return x, c * half * np.sin(u[1:-1]) * density
 
 

@@ -10,7 +10,9 @@ coordinates.
 Closed forms are evaluated in exact rational arithmetic and converted to
 float at the end; factorial-type factors switch to log-domain once the
 integers would exceed ~150!.  numpy is imported inside the functions that
-use it, so the closed forms run without loading it.
+use it, so the closed forms run without loading it.  Every route of the
+package that calls a user function on a block of nodes does so through
+``_samples``.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     import numpy as np
 
     x = a + (b - a) * np.arange(1, N + 1) / N
-    return float((b - a) / N * _finite([f(t) for t in x]).sum())
+    return float((b - a) / N * _samples(f, x).sum())
 
 
 def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -75,7 +77,7 @@ def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     import numpy as np
 
     x = np.linspace(a, b, N + 1)
-    return float(np.trapezoid(_finite([f(t) for t in x]), x))
+    return float(np.trapezoid(_samples(f, x), x))
 
 
 def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -83,7 +85,7 @@ def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     if N < 2:
         raise ValueError("need N >= 2")
     x, w = _simpson_rule(a, b, N)
-    return float(w @ _finite([f(t) for t in x]))
+    return float(w @ _samples(f, x))
 
 
 def _simpson_rule(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,13 +130,22 @@ def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.reshape(-1, 3), np.repeat(w * dt, len(ts))
 
 
-def _finite(values) -> np.ndarray:
-    """The samples as a float array, rejected if any is NaN or infinite."""
+def _samples(f: Callable, nodes: np.ndarray) -> np.ndarray:
+    """f at each node, one call per node, as one float array.
+
+    f gets each node of a 1-D array as a Python float, and each row of a
+    2-D array as a 1-D float array, in which case it may return a number or
+    a sequence (a row of the result).  Raises ValueError if any value is
+    NaN or infinite.
+    """
     import numpy as np
 
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite samples")
+    if nodes.ndim == 1:
+        values = np.fromiter(map(f, nodes.tolist()), float, count=len(nodes))
+    else:
+        values = np.array(list(map(f, nodes)), dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("the function produced NaN or infinite values")
     return values
 
 
@@ -147,10 +158,7 @@ def monte_carlo(
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    import numpy as np
-
-    x = rng.generator().uniform(a, b, size=N)
-    values = np.asarray([f(t) for t in x], dtype=float)
+    values = _samples(f, rng.generator().uniform(a, b, size=N))
     mean = float(values.mean())
     if N > 1:
         stderr = float(values.std(ddof=1) / math.sqrt(N))

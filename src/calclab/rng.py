@@ -29,7 +29,3 @@ class RandomSource:
         import numpy as np
 
         return np.random.Generator(np.random.Philox(self.seed))
-
-    def split(self, tag: int) -> "RandomSource":
-        """Derive an independent source keyed by (seed, tag)."""
-        return RandomSource((self.seed * 0x9E3779B97F4A7C15 + tag) % 2**64)

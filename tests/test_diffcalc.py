@@ -132,6 +132,15 @@ def test_mean_value_ball_is_exact_for_harmonic_fields():
     assert mean_value_gap(inv_r, [2.0, 1.0, 1.0], 0.7, samples=4096, surface=False) <= 1e-12
 
 
+def test_mean_value_ball_skips_the_centre_shell():
+    center = np.array([0.1, 0.2, 0.3])
+    f, calls = _counting(lambda v: float(v @ v))
+    mean_value_gap(f, center, 0.5, samples=64, surface=False)
+    # 64 shells of 128 sphere nodes and f(center); the r = 0 shell has weight 0
+    assert len(calls) == 8193
+    assert sum(np.array_equal(args[0], center) for args in calls) == 1
+
+
 @pytest.mark.parametrize("center", [[0.0, 0.0], [0.0, 0.0, 0.0]])
 @pytest.mark.parametrize("samples", [0, -5])
 def test_mean_value_gap_rejects_no_samples(center, samples):
@@ -273,14 +282,12 @@ def test_stencil_evaluates_each_point_once(d):
         (gradient, 2 * d),
         (laplacian, 2 * d + 1),
         (hessian, n_hessian),
-        (classify_critical, 2 * d + 1 + n_hessian),  # 26 in 3-D, was 38
+        (classify_critical, 2 * d + n_hessian),  # 25 in 3-D: f(x) comes from the Hessian's centre
     ):
         calls.clear()
         route(f, x)
         assert len(calls) == want, route.__name__
-        # classify_critical evaluates f(x) for its scale and again in the Hessian
-        repeats = 1 if route is classify_critical else 0
-        assert len({args[0].tobytes() for args in calls}) == len(calls) - repeats
+        assert len({args[0].tobytes() for args in calls}) == len(calls)
 
 
 def test_spherical_laplacian_evaluates_seven_points():

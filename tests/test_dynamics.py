@@ -315,6 +315,17 @@ def test_heat():
         assert got == pytest.approx(math.sqrt(sig2 / var) * math.exp(-x * x / (2 * var)), abs=1e-10)
 
 
+def test_lattice_solvers_take_int_valued_profiles():
+    step = lambda x: 1 if 0.4 <= x <= 0.6 else 0
+    float_step = lambda x: float(step(x))
+    heat = simulate_heat(step, 1.0, 0.0, 1.0, 0.05, 0.25, 0.01)
+    want = simulate_heat(float_step, 1.0, 0.0, 1.0, 0.05, 0.25, 0.01)
+    assert heat.values.max() > 0.0 and np.array_equal(heat.values, want.values)
+    wave = simulate_wave(step, lambda x: 0, 1.0, 0.0, 1.0, 0.05, 0.5, 0.1)
+    want = simulate_wave(float_step, lambda x: 0.0, 1.0, 0.0, 1.0, 0.05, 0.5, 0.1)
+    assert np.array_equal(wave.values, want.values)
+
+
 def test_heat_lattice_matches_kernel_solution():
     g0 = lambda x: math.exp(-x * x / 2.0)
     grid = simulate_heat(g0, 1.0, -8.0, 8.0, 0.04, 0.25, 0.25)
