@@ -307,6 +307,8 @@ def _cmd_integrate(args) -> ResultTable:
     from . import quad
     from .rng import RandomSource
 
+    if not (math.isfinite(args.a) and math.isfinite(args.b)):
+        raise _UsageError("--a and --b must be finite")
     f = _INTEGRANDS[args.fn]
     if args.method == "riemann":
         value, err = quad.riemann(f, args.a, args.b, args.n), None
@@ -533,17 +535,19 @@ def _cmd_hydrogen(args) -> ResultTable:
         rmax, steps = float(rmax), int(steps)
     except ValueError:
         raise _UsageError(f"--grid {args.grid!r} is not rmax,steps") from None
-    if not rmax > 0 or steps < 1:
-        raise _UsageError("--grid needs rmax > 0 and steps >= 1")
+    if not (0 < rmax < math.inf) or steps < 1:
+        raise _UsageError("--grid needs a finite rmax > 0 and steps >= 1")
     import numpy as np
 
     qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
-    phi = hydrogen.wavefunction(qn)
+    rho = hydrogen.radial_wavefunction(qn.n, qn.l)
     s_fixed, t_fixed = math.pi / 2.0, 0.0
+    # the angles are fixed, so Y is one number; rho(r) * y is wavefunction(qn)'s product
+    y = hydrogen.spherical_harmonic(qn.l, qn.m)(s_fixed, t_fixed)
     rows = []
-    for r in np.linspace(rmax / steps, rmax, steps):
-        v = phi(float(r), s_fixed, t_fixed)
-        rows.append((float(r), s_fixed, t_fixed, v.real, v.imag, abs(v) ** 2))
+    for r in np.linspace(rmax / steps, rmax, steps).tolist():
+        v = rho(r) * y
+        rows.append((r, s_fixed, t_fixed, v.real, v.imag, abs(v) ** 2))
     return ResultTable(
         ["r", "s", "t", "re", "im", "density"],
         rows,

@@ -133,15 +133,19 @@ def _hessian(f: ScalarField, x: np.ndarray, h: float | None) -> tuple[float, np.
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
-    """k-th derivative by the central difference stencil of width k."""
+    """k-th derivative by the central difference stencil of width k.
+
+    Raises ValueError if f is NaN or infinite at a stencil point.
+    """
     if k < 0:
         raise ValueError("need k >= 0")
     if k == 0:
-        return f(x)
+        return _samples(f, np.array([x], dtype=float)).item()
     h = h or _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x))
+    values = _samples(f, np.array([x + (k / 2.0 - j) * h for j in range(k + 1)]))
     total = 0.0
-    for j in range(k + 1):
-        total += (-1.0) ** j * math.comb(k, j) * f(x + (k / 2.0 - j) * h)
+    for j, v in enumerate(values.tolist()):
+        total += (-1.0) ** j * math.comb(k, j) * v
     return total / h**k
 
 
@@ -306,13 +310,16 @@ def unity_root_average(
 
     For f analytic near x the gap to f(x) estimates f^(n)(x) t^n / n!.  The
     imaginary part of the average is discarded (it vanishes for
-    real-coefficient f up to roundoff).
+    real-coefficient f up to roundoff).  Raises ValueError if f is NaN or
+    infinite at a rotated point.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     w = cmath.exp(2j * math.pi / n)
-    total = sum(f(x + t * w**s) for s in range(n))
-    return (total / n).real
+    values = [f(x + t * w**s) for s in range(n)]
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError("the function produced NaN or infinite values")
+    return (sum(values) / n).real
 
 
 def holder_critical_check(y: Sequence[float], p: float) -> tuple[np.ndarray, float]:

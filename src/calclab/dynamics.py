@@ -386,10 +386,14 @@ def dalembert(
     t: float,
     nodes: int = 512,
 ) -> float:
-    """Wave solution (g(x-vt) + g(x+vt))/2 + (1/2v) int_{x-vt}^{x+vt} h."""
+    """Wave solution (g(x-vt) + g(x+vt))/2 + (1/2v) int_{x-vt}^{x+vt} h.
+
+    Raises ValueError if g or h gives a NaN or infinite value.
+    """
     if v <= 0:
         raise ValueError("need v > 0")
-    out = 0.5 * (g(x - v * t) + g(x + v * t))
+    g_left, g_right = _samples(g, np.array([x - v * t, x + v * t])).tolist()
+    out = 0.5 * (g_left + g_right)
     if t != 0.0:
         out += simpson(h, x - v * t, x + v * t, nodes) / (2.0 * v)
     return out

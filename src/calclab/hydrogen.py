@@ -5,6 +5,15 @@ formulas in exact rational arithmetic, spherical harmonics carry explicit
 quadrature-validated normalization, and the energy levels, Rydberg lines and
 wavefunctions follow from a pluggable physical-constants object.
 
+The float functions ``assoc_legendre`` and ``radial_wavefunction`` round
+the exact coefficients to float once per (l, m) or (n, l) and close over
+them: each call runs one inlined Horner loop on Python floats (Knuth, TAOCP
+vol. 2, 4.6.4) in the operation order of ``Polynomial.__call__``, so every
+finite input gives the same bits as that method on the rounded
+coefficients.  They stay scalar: an array route would evaluate ``exp`` and
+powers through numpy, whose results differ from ``math``'s in the last bit
+on some inputs, and would change the printed tables.
+
 Two Rydberg values coexist deliberately: the one derived from the 4-digit
 constants (~1.0960e7) and the measured hydrogen constant 1.0967758e7 that
 the spectral-line tables are built from.  Wavelength tables additionally
@@ -124,9 +133,16 @@ def legendre(l: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _float_polynomial(coefficients: tuple[Fraction, ...]) -> Polynomial:
-    """The exact polynomial with its coefficients rounded to float once, for Horner evaluation."""
-    return Polynomial([float(c) for c in coefficients])
+def _float_polynomial(coefficients: tuple[Fraction, ...]) -> tuple[float, tuple[float, ...]]:
+    """Exact ascending coefficients rounded to float once, in Horner order.
+
+    Returns the leading coefficient and the rest from the next-highest down
+    to the constant term, so that ``acc = lead; for c in rest: acc = acc * x
+    + c`` evaluates the polynomial with ``Polynomial.__call__``'s operations
+    and, for every finite x, its bits.
+    """
+    lead, *rest = (float(c) for c in reversed(coefficients))
+    return lead, tuple(rest)
 
 
 def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
@@ -143,11 +159,16 @@ def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
     dpl = legendre(l)
     for _ in range(m):
         dpl = dpl.deriv()
-    dpl_f = _float_polynomial(tuple(dpl.coefficients))
+    lead, rest = _float_polynomial(tuple(dpl.coefficients))
     sign = (-1.0) ** m
+    half_m = m / 2.0
 
     def plm(x: float) -> float:
-        return sign * (max(0.0, 1.0 - x * x)) ** (m / 2.0) * dpl_f(x)
+        acc = lead
+        for c in rest:
+            acc = acc * x + c
+        # max(y, 0.0) keeps a NaN y, which max(0.0, y) would turn into 0.0
+        return sign * max(1.0 - x * x, 0.0) ** half_m * acc
 
     return plm
 
@@ -288,14 +309,18 @@ def radial_wavefunction(
     """
     QuantumNumbers(n, l, 0)
     a = bohr_radius(constants)
-    lag = _float_polynomial(tuple(assoc_laguerre(2 * l + 1, n - l - 1).coefficients))
+    lead, rest = _float_polynomial(tuple(assoc_laguerre(2 * l + 1, n - l - 1).coefficients))
+    na = n * a
     norm = math.sqrt(
-        (2.0 / (n * a)) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l))
+        (2.0 / na) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l))
     )
 
     def rho(r: float) -> float:
-        p = 2.0 * r / (n * a)
-        return norm * math.exp(-p / 2.0) * p**l * lag(p)
+        p = 2.0 * r / na
+        acc = lead
+        for c in rest:
+            acc = acc * p + c
+        return norm * math.exp(-p / 2.0) * p**l * acc
 
     return rho
 

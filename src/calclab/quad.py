@@ -62,8 +62,7 @@ def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     """Right-endpoint Riemann sum (b-a)/N * sum f(a + (b-a)k/N), k = 1..N."""
     if N < 1:
         raise ValueError("need N >= 1")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("riemann needs a finite interval")
+    _finite_interval(a, b)
     import numpy as np
 
     x = a + (b - a) * np.arange(1, N + 1) / N
@@ -74,6 +73,7 @@ def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     """Composite trapezoid rule with N subintervals."""
     if N < 1:
         raise ValueError("need N >= 1")
+    _finite_interval(a, b)
     import numpy as np
 
     x = np.linspace(a, b, N + 1)
@@ -84,8 +84,15 @@ def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     """Composite Simpson rule with N subintervals (N made even if needed)."""
     if N < 2:
         raise ValueError("need N >= 2")
+    _finite_interval(a, b)
     x, w = _simpson_rule(a, b, N)
     return float(w @ _samples(f, x))
+
+
+def _finite_interval(a: float, b: float) -> None:
+    """Raise ValueError unless both ends of the integration interval are finite."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("the integration interval must be finite")
 
 
 def _simpson_rule(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,6 +165,7 @@ def monte_carlo(
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    _finite_interval(a, b)
     values = _samples(f, rng.generator().uniform(a, b, size=N))
     mean = float(values.mean())
     if N > 1:

@@ -11,6 +11,10 @@
   stencil: every stencil value is a separate call of f, and the Hessian
   evaluates the (i, j) and (j, i) mixed stencils separately
   (``hessian_raw_unsym``) and then symmetrizes.
+- ``assoc_legendre`` and ``radial_wavefunction`` are the ``hydrogen`` float
+  functions as they were before their inlined Horner loops: the rounded
+  coefficients wrapped in a ``Polynomial`` and evaluated by its
+  ``__call__``.  The tests hold the current closures to these bits.
 """
 
 import csv
@@ -20,7 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from calclab.combinat import pairings
+from calclab import hydrogen
+from calclab.combinat import factorial, pairings
+from calclab.poly import Polynomial
 
 
 def matching_pairings(word: str):
@@ -137,3 +143,31 @@ def spherical_laplacian(f, r, s, t, h):
     polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)
     azimuthal = f_tt / (r * r * sin_s * sin_s)
     return radial + polar + azimuthal
+
+
+def assoc_legendre(l, m):
+    m = abs(m)
+    dpl = hydrogen.legendre(l)
+    for _ in range(m):
+        dpl = dpl.deriv()
+    dpl_f = Polynomial([float(c) for c in dpl.coefficients])
+    sign = (-1.0) ** m
+
+    def plm(x):
+        return sign * (max(0.0, 1.0 - x * x)) ** (m / 2.0) * dpl_f(x)
+
+    return plm
+
+
+def radial_wavefunction(n, l, constants=hydrogen.DIMENSIONLESS_CONSTANTS):
+    a = hydrogen.bohr_radius(constants)
+    lag = Polynomial([float(c) for c in hydrogen.assoc_laguerre(2 * l + 1, n - l - 1).coefficients])
+    norm = math.sqrt(
+        (2.0 / (n * a)) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l))
+    )
+
+    def rho(r):
+        p = 2.0 * r / (n * a)
+        return norm * math.exp(-p / 2.0) * p**l * lag(p)
+
+    return rho

@@ -339,6 +339,10 @@ def test_emit_digits_zero_is_not_full_precision():
         ["hydrogen", "wavefunction", "--n", "1", "--l", "0", "--m", "0", "--grid", "5,0"],
         ["critical", "--fn", "bowl", "--x", "a,b"],
         ["roots", "--coeffs=1,x"],
+        ["integrate", "--method", "riemann", "--fn", "exp", "--a", "0", "--b", "inf", "--n", "10"],
+        ["integrate", "--method", "trapezoid", "--fn", "exp", "--a=-inf", "--b", "0", "--n", "10"],
+        ["integrate", "--method", "mc", "--fn", "exp", "--a", "nan", "--b", "1", "--n", "10", "--seed", "1"],
+        ["hydrogen", "wavefunction", "--n", "1", "--l", "0", "--m", "0", "--grid", "inf,3"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):

@@ -130,6 +130,20 @@ def test_every_command_prints_the_old_bytes(tmp_path, argv):
             assert _written(emit, table, fmt, digits) == _written(oracles.emit, table, fmt, digits)
 
 
+@pytest.mark.parametrize("n, l, m, rmax, steps", [(1, 0, 0, 5, 10), (3, 1, -1, 30, 400), (4, 3, 2, 30, 2000)])
+def test_wavefunction_table_is_the_wavefunction(n, l, m, rmax, steps):
+    argv = ["hydrogen", "wavefunction", "--n", n, "--l", l, "--m", m, "--grid", f"{rmax},{steps}"]
+    table = run([str(a) for a in argv])
+    phi = hydrogen.wavefunction(hydrogen.QuantumNumbers(n, l, m))
+    rows = []
+    for r in np.linspace(rmax / steps, rmax, steps):
+        v = phi(float(r), math.pi / 2.0, 0.0)
+        rows.append((float(r), math.pi / 2.0, 0.0, v.real, v.imag, abs(v) ** 2))
+    expected = ResultTable(["r", "s", "t", "re", "im", "density"], rows, note=table.note)
+    for fmt in ("csv", "json"):
+        assert _written(emit, table, fmt, None) == _written(emit, expected, fmt, None)
+
+
 MIXED = ResultTable(
     ["a", "b", "c"],
     [

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from calclab.diffcalc import spherical_laplacian
 from calclab.hydrogen import (
     BOOK_CONSTANTS,
@@ -90,6 +91,14 @@ def test_assoc_legendre():
         assert f(x) == pytest.approx(-math.sqrt(1 - x * x))
     with pytest.raises(ValueError):
         assoc_legendre(1, 2)
+
+
+def test_assoc_legendre_matches_the_polynomial_route():
+    xs = [-0.0, *np.linspace(-1.0, 1.0, 801).tolist()]
+    for l in range(9):
+        for m in range(-l, l + 1):
+            plm, old = assoc_legendre(l, m), oracles.assoc_legendre(l, m)
+            assert [plm(x).hex() for x in xs] == [old(x).hex() for x in xs], (l, m)
 
 
 def test_general_legendre_equation_residual():
@@ -286,6 +295,19 @@ def test_radial_wavefunction():
     rs = np.linspace(0.5, 1.5, 401)
     dens = [r * r * rho10(r) ** 2 for r in rs]
     assert rs[int(np.argmax(dens))] == pytest.approx(1.0, abs=5e-3)
+
+
+def test_radial_wavefunction_matches_the_polynomial_route():
+    for n in range(1, 11):
+        grid = np.linspace(0.0, 40.0 * n + 4.0 * n * n, 801).tolist()
+        rs = [0.0, 1e-300, 5e-324, 700.0, 1e5, -1.0, *grid]
+        for l in range(n):
+            rho, old = radial_wavefunction(n, l), oracles.radial_wavefunction(n, l)
+            assert [rho(r).hex() for r in rs] == [old(r).hex() for r in rs], (n, l)
+    c = BOOK_CONSTANTS
+    rs = np.linspace(0.0, 60.0 * bohr_radius(c), 201).tolist()
+    rho, old = radial_wavefunction(3, 1, c), oracles.radial_wavefunction(3, 1, c)
+    assert [rho(r).hex() for r in rs] == [old(r).hex() for r in rs]
 
 
 def test_modified_radial_equation_residual():

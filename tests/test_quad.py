@@ -51,8 +51,24 @@ def test_riemann_rejects_bad_input():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 rule(lambda x: bad if x > 0.5 else x, 0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        riemann(lambda x: x, 0.0, math.inf, 10)
+
+
+@pytest.mark.parametrize(
+    "interval", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)], ids=["b=inf", "a=-inf", "a=nan"]
+)
+@pytest.mark.parametrize(
+    "rule",
+    [
+        riemann,
+        trapezoid,
+        simpson,
+        lambda f, a, b, N: monte_carlo(f, a, b, N, RandomSource(1)),
+    ],
+    ids=["riemann", "trapezoid", "simpson", "monte_carlo"],
+)
+def test_rules_reject_non_finite_intervals(rule, interval):
+    with pytest.raises(ValueError, match="interval must be finite"):
+        rule(math.exp, *interval, 10)
 
 
 def test_monte_carlo():

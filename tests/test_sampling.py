@@ -11,15 +11,19 @@ import pytest
 
 from calclab.diffcalc import (
     classify_critical,
+    derivative_1d,
     gradient,
     hessian,
     jacobian,
     laplacian,
     mean_value_gap,
     spherical_laplacian,
+    taylor1d,
     taylor2_multi,
+    unity_root_average,
 )
 from calclab.dynamics import (
+    dalembert,
     disk_map,
     divergence_check,
     green_check,
@@ -42,6 +46,12 @@ _ROUTES = {
     "simpson": lambda c: simpson(lambda x: c, 0.0, 1.0, 8),
     "monte_carlo": lambda c: monte_carlo(lambda x: c, 0.0, 1.0, 8, RandomSource(1)),
     "moments": lambda c: moments(Law(density=lambda x: c / 2, support=(-1.0, 1.0)), 2, 16),
+    "derivative_1d": lambda c: derivative_1d(lambda x: c, 0.5, 2),
+    "derivative_1d_k0": lambda c: derivative_1d(lambda x: c, 0.5, 0),
+    "taylor1d": lambda c: taylor1d(lambda x: c, 0.5, 2, 0.1),
+    "unity_root_average": lambda c: unity_root_average(lambda z: complex(c, 0.0), 0.5, 0.1, 4),
+    "dalembert": lambda c: dalembert(lambda x: c, _ZERO, 1.0, 0.3, 0.2),
+    "dalembert_velocity": lambda c: dalembert(_ZERO, lambda x: c, 1.0, 0.3, 0.2),
     "gradient": lambda c: gradient(lambda p: c, [0.3, 0.4]),
     "jacobian": lambda c: jacobian(lambda p: (c, 1.0), [0.3, 0.4]),
     "hessian": lambda c: hessian(lambda p: c, [0.3, 0.4]),
@@ -88,6 +98,9 @@ _SCALAR_ROUTES = {
     "simpson": lambda f: simpson(f, 0.0, 1.0, 8),
     "monte_carlo": lambda f: monte_carlo(f, 0.0, 1.0, 8, RandomSource(1)),
     "moments": lambda f: moments(Law(density=f, support=(-1.0, 1.0)), 2, 16),
+    "derivative_1d": lambda f: derivative_1d(f, 0.5, 3),
+    "taylor1d": lambda f: taylor1d(f, 0.5, 2, 0.1),
+    "dalembert": lambda f: dalembert(f, f, 1.0, 0.3, 0.2),
     "simulate_wave": lambda f: simulate_wave(f, f, 1.0, 0.0, 1.0, 0.1, 0.5, 0.2),
     "simulate_heat": lambda f: simulate_heat(f, 1.0, 0.0, 1.0, 0.1, 0.25, 0.02),
 }
