@@ -163,11 +163,22 @@ def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
             sys.set_int_max_str_digits(limit)
 
 
+def _finite_float(text: str) -> float:
+    """The parse type of every float option and coordinate: NaN and +/-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise _UsageError(f"{text!r} is not a comma list of numbers") from None
+        return [_finite_float(v) for v in text.split(",") if v.strip() != ""]
+    except argparse.ArgumentTypeError:
+        raise _UsageError(f"{text!r} is not a comma list of finite numbers") from None
 
 
 def _parse_complex(text: str) -> complex:
@@ -183,9 +194,9 @@ def _parse_grid(text: str) -> list[float]:
         return _parse_floats(text)
     try:
         a, b, n = text.split(":")
-        a, b, n = float(a), float(b), int(n)
-    except ValueError:
-        raise _UsageError(f"grid {text!r} is not start:stop:count") from None
+        a, b, n = _finite_float(a), _finite_float(b), int(n)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise _UsageError(f"grid {text!r} is not start:stop:count with finite ends") from None
     if n < 1:
         raise _UsageError("grid count must be at least 1")
     import numpy as np
@@ -307,8 +318,6 @@ def _cmd_integrate(args) -> ResultTable:
     from . import quad
     from .rng import RandomSource
 
-    if not (math.isfinite(args.a) and math.isfinite(args.b)):
-        raise _UsageError("--a and --b must be finite")
     f = _INTEGRANDS[args.fn]
     if args.method == "riemann":
         value, err = quad.riemann(f, args.a, args.b, args.n), None
@@ -594,8 +603,8 @@ def _build_parser() -> _Parser:
     p = add_parser("integrate", help="one-dimensional quadrature")
     p.add_argument("--method", required=True, choices=["riemann", "trapezoid", "mc"])
     p.add_argument("--fn", required=True, choices=sorted(_INTEGRANDS))
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
+    p.add_argument("--b", type=_finite_float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn_impl=_cmd_integrate)
@@ -610,20 +619,20 @@ def _build_parser() -> _Parser:
     p = add_parser("law", help="moment sequences of the builtin laws")
     p.add_argument("--name", required=True, choices=["bernoulli", "binomial", "poisson", "gauss", "cgauss", "semicircle", "mp", "arcsine", "marcsine"])
     p.add_argument("--moments", type=int, required=True)
-    p.add_argument("--x", type=float, default=0.5, help="coin bias for bernoulli/binomial")
+    p.add_argument("--x", type=_finite_float, default=0.5, help="coin bias for bernoulli/binomial")
     p.add_argument("--count", type=int, default=10, help="binomial trial count")
-    p.add_argument("--t", type=float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
+    p.add_argument("--t", type=_finite_float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
     p.set_defaults(fn_impl=_cmd_law)
 
     p = add_parser("stieltjes", help="pointwise density recovery")
     p.add_argument("--law", required=True, choices=["semicircle", "mp", "arcsine", "marcsine"])
     p.add_argument("--x", required=True, help="comma list or start:stop:count")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.set_defaults(fn_impl=_cmd_stieltjes)
 
     p = add_parser("snchi", help="fixed-point law of random permutations")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn_impl=_cmd_snchi)
 
@@ -639,42 +648,42 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn_impl=_cmd_harmonic)
 
     p = add_parser("orbit", help="two-body trajectory with conservation columns")
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--vt0", type=float, required=True)
-    p.add_argument("--vr0", type=float, default=0.0)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--r0", type=_finite_float, required=True)
+    p.add_argument("--vt0", type=_finite_float, required=True)
+    p.add_argument("--vr0", type=_finite_float, default=0.0)
+    p.add_argument("--K", type=_finite_float, required=True)
+    p.add_argument("--T", type=_finite_float, required=True)
+    p.add_argument("--dt", type=_finite_float, required=True)
     p.set_defaults(fn_impl=_cmd_orbit)
 
     p = add_parser("wave", help="leapfrog wave lattice frames")
     p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=20.0)
-    p.add_argument("--dx", type=float, default=0.05)
-    p.add_argument("--cfl", type=float, default=0.5)
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=5.0)
+    p.add_argument("--a", type=_finite_float, default=0.0)
+    p.add_argument("--b", type=_finite_float, default=20.0)
+    p.add_argument("--dx", type=_finite_float, default=0.05)
+    p.add_argument("--cfl", type=_finite_float, default=0.5)
+    p.add_argument("--v", type=_finite_float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=5.0)
     p.add_argument("--frames", type=_positive_int, default=5)
     p.set_defaults(fn_impl=_cmd_wave)
 
     p = add_parser("heat", help="forward-Euler heat lattice frames")
     p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=10.0)
-    p.add_argument("--dx", type=float, default=0.05)
-    p.add_argument("--cfl", type=float, default=0.25)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=0.5)
+    p.add_argument("--a", type=_finite_float, default=0.0)
+    p.add_argument("--b", type=_finite_float, default=10.0)
+    p.add_argument("--dx", type=_finite_float, default=0.05)
+    p.add_argument("--cfl", type=_finite_float, default=0.25)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=0.5)
     p.add_argument("--frames", type=_positive_int, default=5)
     p.set_defaults(fn_impl=_cmd_heat)
 
     p = add_parser("flux", help="electric flux through a sphere")
     p.add_argument("--charges", required=True, help="CSV file with rows q,x,y,z")
     p.add_argument("--center", required=True, help="x,y,z")
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_finite_float, required=True)
     p.add_argument("--order", type=int, default=64)
-    p.add_argument("--k", type=float, default=1.0, help="Coulomb constant")
+    p.add_argument("--k", type=_finite_float, default=1.0, help="Coulomb constant")
     p.set_defaults(fn_impl=_cmd_flux)
 
     p = add_parser("hydrogen", help="spectral lines, energies, wavefunctions")

@@ -12,6 +12,7 @@ group).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -45,11 +46,11 @@ ScalarField = Callable[[np.ndarray], float]
 
 
 def _step1(x: np.ndarray) -> float:
-    return _EPS ** (1.0 / 3.0) * (1.0 + float(np.abs(x).max()))
+    return _EPS ** (1.0 / 3.0) * (1.0 + max(map(abs, x.ravel().tolist())))
 
 
 def _step2(x: np.ndarray) -> float:
-    return _EPS ** 0.25 * (1.0 + float(np.abs(x).max()))
+    return _EPS ** 0.25 * (1.0 + max(map(abs, x.ravel().tolist())))
 
 
 def _central_differences(
@@ -73,6 +74,34 @@ def _central_differences(
     return ((vals[0] - vals[1]) / (2.0 * h)).swapaxes(0, 1)
 
 
+@functools.lru_cache(maxsize=16)  # an entry holds O(d^3) floats
+def _unit_stencil(d: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit offsets U of the second-order stencil in d dimensions, for steps of sign s,
+    and the layout of the Hessian in its differences.
+
+    The rows of U are 0, then +e_i and -e_i for each axis i, then the
+    corners +e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j of each pair i < j.
+    x + h*U is, bit for bit, the block x, x + h e_i, x - h e_i,
+    (x + h e_i) + h e_j, ... written out, signed zeros included: an axis
+    that does not move keeps the -0.0 of x only where every zero added to it
+    is -0.0, so U is those sums evaluated at x = -0.0 with h = s, times s.
+    ``layout`` is the (d, d) index of each Hessian entry in the d pure
+    second differences followed by the mixed ones (pair order, both
+    triangles).
+    """
+    eye = np.eye(d)
+    i = [a for a in range(d) for b in range(a + 1, d)]
+    j = [b for a in range(d) for b in range(a + 1, d)]
+    x = np.full(d, -0.0)
+    ei, ej = s * eye[i], s * eye[j]
+    block = [x[None, :], x + s * eye, x - s * eye, x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
+    units = s * np.concatenate(block)
+    layout = np.diag(np.arange(d))
+    layout[i, j] = layout[j, i] = np.arange(d, d + len(i))
+    units.flags.writeable = layout.flags.writeable = False
+    return units, layout
+
+
 def _axis_differences(
     f: Callable[[np.ndarray], object], x: np.ndarray, h: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -82,15 +111,23 @@ def _axis_differences(
     first differences are (f(x + h e_i) - f(x - h e_i))/(2h) and the second
     (f(x + h e_i) - 2 f(x) + f(x - h e_i))/h^2.
     """
-    step = h * np.eye(len(x))
-    vals = _samples(f, np.concatenate([x[None, :], x + step, x - step]))
-    fx, up, down = vals[0], vals[1 : len(x) + 1], vals[len(x) + 1 :]
+    d = len(x)
+    vals = _samples(f, x + h * _unit_stencil(d, math.copysign(1.0, h))[0][: 2 * d + 1])
+    fx, up, down = vals[0], vals[1 : d + 1], vals[d + 1 :]
     return float(fx), (up - down) / (2.0 * h), (up - 2.0 * fx + down) / (h * h)
+
+
+def _point(x: Sequence[float]) -> np.ndarray:
+    """x as a float array; ValueError, before any call of f, if a coordinate is NaN or infinite."""
+    x = np.asarray(x, dtype=float)
+    if not all(map(math.isfinite, x.ravel().tolist())):
+        raise ValueError(f"the point {x.tolist()} has a NaN or infinite coordinate")
+    return x
 
 
 def gradient(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
     """Central-difference gradient, O(h^2) on C^3 fields."""
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     h = h or _step1(x)
     return _central_differences(f, x[None, :], h)[0]
 
@@ -99,7 +136,7 @@ def jacobian(
     F: Callable[[np.ndarray], Sequence[float]], x: Sequence[float], h: float | None = None
 ) -> np.ndarray:
     """Central-difference Jacobian matrix (dF_i/dx_j)."""
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     h = h or _step1(x)
     return _central_differences(F, x[None, :], h)[0].T
 
@@ -110,26 +147,31 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     The diagonal holds the pure second differences; each mixed entry
     (f(x+ei+ej) - f(x+ei-ej) - f(x-ei+ej) + f(x-ei-ej))/(4h^2) is evaluated
     once per pair i < j and written to both (i, j) and (j, i), so H is
-    symmetric by construction: 1 + 2d + 2d(d - 1) calls of f.
+    symmetric by construction: 1 + 2d + 2d(d - 1) calls of f, sampled in
+    one block.
     """
-    return _hessian(f, np.asarray(x, dtype=float), h)[1]
+    return _hessian(f, _point(x), h)[2]
 
 
-def _hessian(f: ScalarField, x: np.ndarray, h: float | None) -> tuple[float, np.ndarray]:
-    """f(x), from the centre of the stencil, and the Hessian of :func:`hessian`."""
+def _hessian(
+    f: ScalarField, x: np.ndarray, h: float | None, lead: np.ndarray | None = None
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """f at the rows of ``lead``, f(x) and the Hessian of :func:`hessian`.
+
+    The rows of ``lead`` (none by default) go in front of the Hessian's
+    stencil, so that f is sampled once, in one block, for both.
+    """
     h = h or _step2(x)
-    fx, _, second = _axis_differences(f, x, h)
-    H = np.diag(second)
-    n = len(x)
-    # the pairs i < j as lists: np.triu_indices costs more than the calls of f saved at d = 3
-    i = [a for a in range(n) for b in range(a + 1, n)]
-    j = [b for a in range(n) for b in range(a + 1, n)]
-    step = h * np.eye(n)
-    ei, ej = step[i], step[j]
-    corners = _samples(f, np.concatenate([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]))
-    pp, pm, mp, mm = corners.reshape(4, len(i))
-    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
-    return fx, H
+    d = len(x)
+    units, layout = _unit_stencil(d, math.copysign(1.0, h))
+    rows = x + h * units
+    n = 0 if lead is None else len(lead)
+    vals = _samples(f, rows if lead is None else np.concatenate([lead, rows]))
+    fx, up, down = vals[n], vals[n + 1 : n + d + 1], vals[n + d + 1 : n + 2 * d + 1]
+    second = (up - 2.0 * fx + down) / (h * h)
+    pp, pm, mp, mm = vals[n + 2 * d + 1 :].reshape(4, -1)
+    mixed = (pp - pm - mp + mm) / (4.0 * h * h)
+    return vals[:n], float(fx), np.concatenate([second, mixed])[layout]
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
@@ -161,10 +203,25 @@ def taylor1d(f: Callable[[float], float], x: float, order: int, t: float) -> flo
 
 def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> float:
     """Second-order multivariable Taylor value f(x) + <grad, t> + <Ht, t>/2."""
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     t = np.asarray(t, dtype=float)
-    fx, H = _hessian(f, x, None)
-    return float(fx + gradient(f, x) @ t + 0.5 * t @ H @ t)
+    g, fx, H = _gradient_and_hessian(f, x, None)
+    return float(fx + g @ t + 0.5 * t @ H @ t)
+
+
+def _gradient_and_hessian(
+    f: ScalarField, x: np.ndarray, h: float | None
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The gradient of :func:`gradient`, f(x) and the Hessian of :func:`hessian`.
+
+    The gradient's 2d rows go in front of the Hessian's stencil, and f is
+    sampled once, in one block of 1 + 4d + 2d(d - 1) points.
+    """
+    d = len(x)
+    h1 = h or _step1(x)
+    axes = _unit_stencil(d, math.copysign(1.0, h1))[0][1 : 2 * d + 1]
+    lead, fx, H = _hessian(f, x, h, lead=x + h1 * axes)
+    return (lead[:d] - lead[d:]) / (2.0 * h1), fx, H
 
 
 @dataclass(frozen=True)
@@ -186,22 +243,22 @@ def classify_critical(
 
     Eigenvalues within +/- zero_band * ||H|| count as zero; any zero makes
     the verdict "degenerate" (no higher-order analysis is attempted).  A
-    gradient norm above grad_tol * scale reports "not critical".
+    gradient norm above grad_tol * scale reports "not critical", where
+    scale = 1 + |f(x)|.  The gradient and Hessian stencils are sampled in
+    one block: 1 + 4d + 2d(d - 1) calls of f, 25 in 3-D.  A NaN or infinite
+    coordinate of x raises ValueError before f is called.
     """
-    x = np.asarray(x, dtype=float)
-    g = gradient(f, x, h)
-    gnorm = float(np.linalg.norm(g))
-    fx, H = _hessian(f, x, h)
-    scale = 1.0 + abs(fx)
-    _, eig = symmetric_eigen(H, tol=1e-12)
-    if gnorm > grad_tol * scale:
+    x = _point(x)
+    g, fx, H = _gradient_and_hessian(f, x, h)
+    gnorm = math.sqrt(g.dot(g))  # np.linalg.norm's sum, without its dispatch
+    eig = symmetric_eigen(H, tol=1e-12)[1].tolist()
+    if gnorm > grad_tol * (1.0 + abs(fx)):
         label = "not critical"
     else:
-        band = zero_band * max(float(np.abs(eig).max()), 1e-30)
-        pos = int(np.sum(eig > band))
-        neg = int(np.sum(eig < -band))
-        zero = len(eig) - pos - neg
-        if zero > 0:
+        band = zero_band * max(max(map(abs, eig)), 1e-30)
+        pos = sum(v > band for v in eig)
+        neg = sum(v < -band for v in eig)
+        if pos + neg < len(eig):
             label = "degenerate"
         elif neg == 0:
             label = "minimum"
@@ -209,12 +266,12 @@ def classify_critical(
             label = "maximum"
         else:
             label = "saddle"
-    return CriticalReport(tuple(x), gnorm, tuple(float(v) for v in eig), label)
+    return CriticalReport(tuple(x.tolist()), gnorm, tuple(eig), label)
 
 
 def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> float:
     """Sum of second central differences along the axes."""
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     h = h or _step2(x)
     _, _, second = _axis_differences(f, x, h)
     out = 0.0

@@ -297,6 +297,8 @@ def _batched_sweeps(work: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndar
     upper = np.triu_indices(n, 1)
     diag = work.diagonal()  # a view: follows the in-place updates
     V = np.eye(n)
+    k = len(steps[0][0])
+    rows, cols = (np.empty((k, n)), np.empty((k, n))), (np.empty((n, k)), np.empty((n, k)))
     for _ in range(_MAX_SWEEPS):
         off = work[upper]
         if off @ off <= bound:
@@ -311,12 +313,30 @@ def _batched_sweeps(work: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndar
             t = np.divide(2.0 * apq, den, out=np.zeros_like(apq), where=apq != 0.0)
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            work[PQ] = c[:, None] * work[PQ] - s[:, None] * work[QP]
-            work[:, PQ] = work[:, PQ] * c - work[:, QP] * s
-            V[PQ] = c[:, None] * V[PQ] - s[:, None] * V[QP]
+            _rotate(work, 0, PQ, QP, c[:, None], s[:, None], *rows)
+            _rotate(work, 1, PQ, QP, c, s, *cols)
+            _rotate(V, 0, PQ, QP, c[:, None], s[:, None], *rows)
     else:
         raise ArithmeticError("Jacobi sweeps did not converge")
     return diag.copy(), V
+
+
+def _rotate(X, axis, PQ, QP, c, s, a, b) -> None:
+    """Along axis, X[PQ] = X[PQ] c - X[QP] s in place, through the buffers a and b.
+
+    Fresh n x n temporaries past the allocator's mmap threshold are paged
+    in anew at every step (at n = 160 that more than doubled the solve), so
+    the gathers go to buffers allocated once per solve.
+    """
+    np.take(X, PQ, axis=axis, out=a, mode="clip")  # the indices are valid; "raise" would buffer out
+    np.take(X, QP, axis=axis, out=b, mode="clip")
+    a *= c
+    b *= s
+    a -= b
+    if axis:
+        X[:, PQ] = a
+    else:
+        X[PQ] = a
 
 
 def classify_definiteness(A: np.ndarray, tol: float = 1e-10) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 from .combinat import factorial, semi_factorial
@@ -142,15 +143,29 @@ def _samples(f: Callable, nodes: np.ndarray) -> np.ndarray:
 
     f gets each node of a 1-D array as a Python float, and each row of a
     2-D array as a 1-D float array, in which case it may return a number or
-    a sequence (a row of the result).  Raises ValueError if any value is
-    NaN or infinite.
+    a sequence of k numbers (a row of the result); every row must have the
+    same length k, and numbers and sequences do not mix.  Raises
+    ValueError if any value is NaN or infinite, and for rows of different
+    lengths.
     """
     import numpy as np
 
     if nodes.ndim == 1:
         values = np.fromiter(map(f, nodes.tolist()), float, count=len(nodes))
     else:
-        values = np.array(list(map(f, nodes)), dtype=float)
+        rows = list(map(f, nodes))
+        try:
+            lengths = set(map(len, rows))
+        except TypeError:  # numbers; np.array rejects numbers mixed with sequences
+            lengths = set()
+        if len(lengths) > 1:
+            raise ValueError("the function returned rows of different lengths")
+        if lengths:
+            k = lengths.pop()
+            values = np.fromiter(chain.from_iterable(rows), float, count=k * len(rows))
+            values = values.reshape(len(rows), k)
+        else:
+            values = np.array(rows, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("the function produced NaN or infinite values")
     return values

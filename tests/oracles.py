@@ -11,6 +11,11 @@
   stencil: every stencil value is a separate call of f, and the Hessian
   evaluates the (i, j) and (j, i) mixed stencils separately
   (``hessian_raw_unsym``) and then symmetrizes.
+- ``gradient_and_hessian`` and ``classify_critical`` are ``diffcalc``'s
+  critical-point route before its one stencil block: the gradient from the
+  first-difference kernel, then the Hessian from the axis stencil and the
+  corners, three separate sampling passes built with ``np.eye``.  The tests
+  hold the current route to these bits, signed zeros included.
 - ``assoc_legendre`` and ``radial_wavefunction`` are the ``hydrogen`` float
   functions as they were before their inlined Horner loops: the rounded
   coefficients wrapped in a ``Polynomial`` and evaluated by its
@@ -26,6 +31,8 @@ import numpy as np
 
 from calclab import hydrogen
 from calclab.combinat import factorial, pairings
+from calclab.diffcalc import CriticalReport
+from calclab.linalg import symmetric_eigen
 from calclab.poly import Polynomial
 
 
@@ -143,6 +150,55 @@ def spherical_laplacian(f, r, s, t, h):
     polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)
     azimuthal = f_tt / (r * r * sin_s * sin_s)
     return radial + polar + azimuthal
+
+
+def _sample(f, rows):
+    return np.array([f(r) for r in rows], dtype=float)
+
+
+def gradient_and_hessian(f, x, h=None):
+    """(gradient, f(x), Hessian) with the default steps of diffcalc when h is None."""
+    x = np.asarray(x, dtype=float)
+    d = len(x)
+    eps = float(np.finfo(float).eps)
+    h1 = h or eps ** (1.0 / 3.0) * (1.0 + float(np.abs(x).max()))
+    h2 = h or eps**0.25 * (1.0 + float(np.abs(x).max()))
+    step = h1 * np.eye(d)[:, None, :]
+    vals = _sample(f, np.concatenate([x[None, :] + step, x[None, :] - step]).reshape(-1, d))
+    g = (vals[:d] - vals[d:]) / (2.0 * h1)
+    step = h2 * np.eye(d)
+    vals = _sample(f, np.concatenate([x[None, :], x + step, x - step]))
+    fx, up, down = vals[0], vals[1 : d + 1], vals[d + 1 :]
+    H = np.diag((up - 2.0 * fx + down) / (h2 * h2))
+    i = [a for a in range(d) for b in range(a + 1, d)]
+    j = [b for a in range(d) for b in range(a + 1, d)]
+    ei, ej = step[i], step[j]
+    corners = _sample(f, np.concatenate([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]))
+    pp, pm, mp, mm = corners.reshape(4, len(i))
+    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h2 * h2)
+    return g, float(fx), H
+
+
+def classify_critical(f, x, h=None, grad_tol=1e-5, zero_band=1e-4):
+    x = np.asarray(x, dtype=float)
+    g, fx, H = gradient_and_hessian(f, x, h)
+    gnorm = float(np.linalg.norm(g))
+    _, eig = symmetric_eigen(H, tol=1e-12)
+    if gnorm > grad_tol * (1.0 + abs(fx)):
+        label = "not critical"
+    else:
+        band = zero_band * max(float(np.abs(eig).max()), 1e-30)
+        pos = int(np.sum(eig > band))
+        neg = int(np.sum(eig < -band))
+        if pos + neg < len(eig):
+            label = "degenerate"
+        elif neg == 0:
+            label = "minimum"
+        elif pos == 0:
+            label = "maximum"
+        else:
+            label = "saddle"
+    return CriticalReport(tuple(x), gnorm, tuple(float(v) for v in eig), label)
 
 
 def assoc_legendre(l, m):

@@ -354,6 +354,30 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["law", "--name", "gauss", "--moments", "3", "--t", "nan"],
+        ["stieltjes", "--law", "mp", "--x=0.7:3.2:5", "--t", "inf"],
+        ["stieltjes", "--law", "mp", "--x=0.7:inf:5", "--t", "0.1"],
+        ["stieltjes", "--law", "mp", "--x=0.7,nan", "--t", "0.1"],
+        ["flux", "--charges", "CHARGES", "--center", "0,0,0", "--radius", "inf"],
+        ["flux", "--charges", "CHARGES", "--center", "0,-inf,0", "--radius", "1"],
+        ["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "inf", "--dt", "0.01"],
+        ["wave", "--profile", "sine", "--t", "inf"],
+        ["heat", "--profile", "step", "--alpha", "nan"],
+        ["critical", "--fn", "bowl", "--x", "0,inf"],
+    ],
+)
+def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
+    charges = tmp_path / "charges.csv"
+    charges.write_text("1.0,0,0,0\n")
+    argv = [str(charges) if a == "CHARGES" else a for a in argv]
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("calclab: usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sequence", "--kind", "catalan", "--n", "-1"],
         ["wave", "--profile", "gaussian", "--frames", "0"],
         ["heat", "--profile", "step", "--frames", "0"],

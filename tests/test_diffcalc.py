@@ -344,3 +344,85 @@ def test_spherical_laplacian_matches_per_point_oracle(r, s, t):
 
     h = min(_EPS**0.25 * (1.0 + r + abs(s) + abs(t)), 0.45 * r)  # the default step
     assert _close(spherical_laplacian(spher, r, s, t), oracles.spherical_laplacian(spher, r, s, t, h))
+
+
+# --- classify_critical's one stencil block against the three-pass route -----
+
+
+def _signed_field(v):
+    """A smooth coupled field plus copysign terms: f differs at -0.0 and +0.0 coordinates."""
+    t = v.tolist()
+    out = math.cos(0.3 * sum(t))
+    for k, a in enumerate(t):
+        out += math.copysign(0.25 * (k + 1), a) + math.sin((k + 1.5) * a) * a + a**4 / (k + 2)
+        if k:
+            out += t[k - 1] * a
+    return out
+
+
+def _bits(report):
+    return (
+        tuple(map(float.hex, report.point)),
+        float.hex(report.gradient_norm),
+        tuple(map(float.hex, report.eigenvalues)),
+        report.classification,
+    )
+
+
+_coordinate = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-3.0, 3.0))
+_step = st.one_of(st.none(), st.floats(1e-4, 1e-2), st.floats(-1e-2, -1e-4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(_coordinate, min_size=d, max_size=d)), _step)
+def test_classify_critical_matches_three_pass_oracle(coords, h):
+    x = np.array(coords)
+    rows = []
+
+    def f(v):
+        assert type(v) is np.ndarray and v.shape == x.shape and v.dtype == np.float64
+        rows.append(v.tobytes())
+        return _signed_field(v)
+
+    assert _bits(classify_critical(f, x, h)) == _bits(oracles.classify_critical(_signed_field, x, h))
+    d = len(x)
+    assert len(rows) == 1 + 4 * d + 2 * d * (d - 1)
+    g, fx, H = oracles.gradient_and_hessian(_signed_field, x, h)
+    assert hessian(_signed_field, x, h).tobytes() == H.tobytes()
+    if h is None:
+        assert gradient(_signed_field, x).tobytes() == g.tobytes()
+        t = np.linspace(-0.01, 0.02, d)
+        assert taylor2_multi(_signed_field, x, t) == float(fx + g @ t + 0.5 * t @ H @ t)
+
+
+def test_classify_critical_census_matches_three_pass_oracle():
+    roots = np.sort(np.roots([4.0, 0.0, -32.0, 5.0]).real)  # critical points of t^4 - 16 t^2 + 5 t
+    labels = []
+    for i in range(27):
+        w = np.array([roots[i % 3], roots[(i // 3) % 3], roots[i // 9]])
+        x = _Q @ w + np.array([0.2, -0.4, 0.7])
+        report = classify_critical(_styblinski_tang, x)
+        assert _bits(report) == _bits(oracles.classify_critical(_styblinski_tang, x))
+        labels.append(report.classification)
+        assert labels[-1] == ("minimum", "saddle", "saddle", "maximum")[int((w * w < 8.0 / 3.0).sum())]
+    assert len(set(labels)) == 3
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda f, x: gradient(f, x),
+        lambda f, x: jacobian(lambda v: (f(v), f(v)), x),
+        lambda f, x: hessian(f, x),
+        lambda f, x: laplacian(f, x),
+        lambda f, x: classify_critical(f, x),
+        lambda f, x: taylor2_multi(f, x, [0.1, 0.1]),
+    ],
+    ids=["gradient", "jacobian", "hessian", "laplacian", "classify_critical", "taylor2_multi"],
+)
+@pytest.mark.parametrize("x", [[0.0, math.inf], [math.nan, 1.0], [-math.inf, 2.0]])
+def test_point_routes_reject_a_non_finite_point_before_calling_f(route, x):
+    f, calls = _counting(lambda v: float(v @ v))
+    with pytest.raises(ValueError, match=r"point \[.*\] has a NaN or infinite coordinate"):
+        route(f, x)
+    assert calls == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calclab.quad import (
+    _samples,
     SphereMomentKey,
     fresnel,
     gauss_integral,
@@ -286,3 +287,60 @@ def test_polar_change_of_variables_consistency():
     assert cartesian == pytest.approx(polar, abs=1e-4)
     # analytic value: pi (constant term) + 0.5 * pi/4 (the x^2 term)
     assert polar == pytest.approx(math.pi + 0.5 * math.pi / 4, abs=1e-6)
+
+
+# --- the 2-D contract of the one sampler ------------------------------------
+
+_NODES = np.arange(12.0).reshape(4, 3)
+
+
+def test_samples_rows_of_numbers_and_sequences():
+    seen = []
+
+    def f(v):
+        seen.append(v)
+        return (v[0], v[1] + v[2])
+
+    got = _samples(f, _NODES)
+    assert got.dtype == np.float64 and got.shape == (4, 2)
+    assert np.array_equal(got, np.stack([_NODES[:, 0], _NODES[:, 1] + _NODES[:, 2]], axis=1))
+    assert all(type(v) is np.ndarray and v.shape == (3,) and v.dtype == np.float64 for v in seen)
+    scalar = _samples(lambda v: float(v.sum()), _NODES)
+    assert scalar.shape == (4,) and np.array_equal(scalar, _NODES.sum(axis=1))
+
+
+@pytest.mark.parametrize(
+    "f, want",
+    [
+        (lambda v: v * 2.0, _NODES * 2.0),  # ndarray rows
+        (lambda v: [v[0]], _NODES[:, :1]),  # one-element sequences keep their column
+        (lambda v: (int(v[0]), 7), np.stack([_NODES[:, 0], np.full(4, 7.0)], axis=1)),  # ints
+        (lambda v: int(v[1]), _NODES[:, 1]),
+    ],
+    ids=["ndarray-rows", "one-element", "int-rows", "int-numbers"],
+)
+def test_samples_converts_rows_to_float(f, want):
+    got = _samples(f, _NODES)
+    assert got.dtype == np.float64 and got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda v: (1.0,) * (1 + int(v[0]) % 2),  # ragged rows
+        lambda v: 1.0 if v[0] else (1.0, 2.0),  # a sequence, then numbers
+        lambda v: (1.0, 2.0) if v[0] else 1.0,  # a number, then sequences
+    ],
+    ids=["ragged", "sequence-then-numbers", "number-then-sequences"],
+)
+def test_samples_rejects_mixed_row_shapes(f):
+    with pytest.raises(ValueError):
+        _samples(f, _NODES)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_samples_rejects_non_finite_rows(bad):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        _samples(lambda v: (1.0, bad if v[0] == 6.0 else 2.0), _NODES)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        _samples(lambda v: bad if v[0] == 6.0 else 2.0, _NODES)
