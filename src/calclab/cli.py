@@ -504,11 +504,12 @@ def _cmd_flux(args) -> ResultTable:
         raw = raw[1:]
     try:
         charges = tuple(
-            (float(r[0]), (float(r[1]), float(r[2]), float(r[3]))) for r in raw
+            (_finite_float(r[0]), (_finite_float(r[1]), _finite_float(r[2]), _finite_float(r[3])))
+            for r in raw
         )
-    except (ValueError, IndexError):
+    except (argparse.ArgumentTypeError, IndexError):
         raise _UsageError(
-            f"--charges {args.charges}: every row must be four numbers q,x,y,z"
+            f"--charges {args.charges}: every row must be four finite numbers q,x,y,z"
         ) from None
     cfg = dynamics.ChargeConfig(charges=charges, k=args.k)
     center = tuple(_parse_floats(args.center))

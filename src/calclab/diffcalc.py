@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import symmetric_eigen
-from .quad import _samples, _simpson_rule, _sphere_quadrature
+from .quad import _gauss_rule, _samples, _sphere_quadrature
 
 __all__ = [
     "gradient",
@@ -177,10 +177,11 @@ def _hessian(
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
     """k-th derivative by the central difference stencil of width k.
 
-    Raises ValueError if f is NaN or infinite at a stencil point.
+    Raises ValueError if x, or f at a stencil point, is NaN or infinite.
     """
     if k < 0:
         raise ValueError("need k >= 0")
+    x = _point([x]).item()
     if k == 0:
         return _samples(f, np.array([x], dtype=float)).item()
     h = h or _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x))
@@ -299,12 +300,14 @@ def mean_value_gap(
     Dimensions 2 and 3 use product quadrature: the trapezoid rule in the
     angles (spectrally accurate) on ``samples`` circle points, or the sphere
     rule of ``quad`` with max(8, sqrt(samples)) Gauss-Legendre polar nodes,
-    plus the composite Simpson rule in the radius for balls.
+    plus a 16-node Gauss-Legendre rule in the radius for balls.  A ball
+    costs 16 sphere averages and f(center).  A NaN or infinite coordinate
+    of center or radius raises ValueError before f is called.
     """
-    center = np.asarray(center, dtype=float)
+    center = _point(center)
     dim = len(center)
-    if radius <= 0:
-        raise ValueError("need radius > 0")
+    if not 0 < radius < math.inf:
+        raise ValueError("need a finite radius > 0")
     if samples < 1:
         raise ValueError("need samples >= 1")
 
@@ -312,11 +315,9 @@ def mean_value_gap(
         ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
         nodes = np.stack([np.cos(ts), np.sin(ts)], axis=1)
         weights = np.full(samples, 1.0 / samples)
-        rs, wr = _simpson_rule(0.0, radius, 128)
     elif dim == 3:
         nodes, weights = _sphere_quadrature(max(8, int(math.sqrt(samples))))
         weights = weights / (4.0 * math.pi)
-        rs, wr = _simpson_rule(0.0, radius, 64)
     else:
         raise ValueError("mean_value_gap supports dimensions 2 and 3")
 
@@ -327,8 +328,9 @@ def mean_value_gap(
     if surface:
         return abs(average(radius) - f_center)
     # the ball average is d/R^d times the integral over [0, R] of r^(d-1) times the
-    # sphere average; the r = 0 shell has weight 0 and is not sampled
-    shells = [average(r) * r ** (dim - 1) if r else 0.0 for r in rs]
+    # sphere average
+    rs, wr = _gauss_rule(0.0, radius, 16)
+    shells = [average(r) * r ** (dim - 1) for r in rs]
     return abs(dim * float(wr @ np.array(shells)) / radius**dim - f_center)
 
 
@@ -343,8 +345,9 @@ def spherical_laplacian(
 
     Evaluates the radial, polar and azimuthal terms by central differences
     from the 7 values of f at (r, s, t) and its axis neighbours; the polar
-    axis (sin s = 0) is rejected.
+    axis (sin s = 0) and a NaN or infinite coordinate are rejected.
     """
+    r, s, t = _point([r, s, t]).tolist()
     if r <= 0:
         raise ValueError("need r > 0")
     sin_s = math.sin(s)

@@ -20,6 +20,10 @@
   functions as they were before their inlined Horner loops: the rounded
   coefficients wrapped in a ``Polynomial`` and evaluated by its
   ``__call__``.  The tests hold the current closures to these bits.
+- ``simpson_density_rule`` is ``prob._density_rule`` before its Gauss
+  rule: x = mid - half cos(u) with composite Simpson in u, the density
+  sampled on the interior nodes and its endpoint values extrapolated
+  quadratically.  The tests hold the current moments to it.
 """
 
 import csv
@@ -227,3 +231,21 @@ def radial_wavefunction(n, l, constants=hydrogen.DIMENSIONLESS_CONSTANTS):
         return norm * math.exp(-p / 2.0) * p**l * lag(p)
 
     return rho
+
+
+def simpson_density_rule(law, nodes=8000):
+    a, b = law.support
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = max(nodes + nodes % 2, 8)
+    u = np.linspace(0.0, math.pi, nodes + 1)
+    s = np.full(nodes + 1, 2.0)
+    s[1::2] = 4.0
+    s[0] = s[-1] = 1.0
+    s *= math.pi / nodes / 3.0
+    # v_0 = 3 (v_1 - v_2) + v_3 at either end, folded into the interior weights
+    c = s[1:-1].copy()
+    c[:3] += s[0] * np.array([3.0, -3.0, 1.0])
+    c[-3:] += s[-1] * np.array([1.0, -3.0, 3.0])
+    x = mid - half * np.cos(u[1:-1])
+    density = np.array([law.density(t) for t in x.tolist()])
+    return x, c * half * np.sin(u[1:-1]) * density

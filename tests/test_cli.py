@@ -265,8 +265,8 @@ def test_flux_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["q,x,y,z\n1.0,0,abc,0\n", "q,x,y,z\n1.0,0,0\n"],
-    ids=["non-numeric", "short-row"],
+    ["q,x,y,z\n1.0,0,abc,0\n", "q,x,y,z\n1.0,0,0\n", "q,x,y,z\n1.0,inf,0,0\n", "nan,0,0,0\n"],
+    ids=["non-numeric", "short-row", "infinite-coordinate", "nan-charge"],
 )
 def test_flux_cli_malformed_charges_are_usage_errors(tmp_path, capsys, text):
     charges = tmp_path / "charges.csv"

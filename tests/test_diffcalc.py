@@ -127,7 +127,7 @@ def test_mean_value_property():
 
 def test_mean_value_ball_is_exact_for_harmonic_fields():
     # the sphere average of a harmonic field is constant in the radius, so the
-    # ball integrand avg(r) r^2 is a quadratic that Simpson's rule integrates exactly
+    # ball integrand avg(r) r^2 is a quadratic that the radial Gauss rule integrates exactly
     inv_r = lambda v: 1.0 / math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
     assert mean_value_gap(inv_r, [2.0, 1.0, 1.0], 0.7, samples=4096, surface=False) <= 1e-12
 
@@ -136,8 +136,8 @@ def test_mean_value_ball_skips_the_centre_shell():
     center = np.array([0.1, 0.2, 0.3])
     f, calls = _counting(lambda v: float(v @ v))
     mean_value_gap(f, center, 0.5, samples=64, surface=False)
-    # 64 shells of 128 sphere nodes and f(center); the r = 0 shell has weight 0
-    assert len(calls) == 8193
+    # 16 Gauss-Legendre shells of 128 sphere nodes, none at r = 0, and f(center)
+    assert len(calls) == 16 * 128 + 1
     assert sum(np.array_equal(args[0], center) for args in calls) == 1
 
 
@@ -146,6 +146,14 @@ def test_mean_value_ball_skips_the_centre_shell():
 def test_mean_value_gap_rejects_no_samples(center, samples):
     with pytest.raises(ValueError, match="samples"):
         mean_value_gap(lambda v: 1.0, center, 1.0, samples=samples)
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_mean_value_gap_rejects_a_non_finite_radius(radius):
+    f, calls = _counting(lambda v: float(v @ v))
+    with pytest.raises(ValueError, match="radius"):
+        mean_value_gap(f, [0.0, 0.0], radius)
+    assert calls == []
 
 
 def test_spherical_laplacian():
@@ -417,8 +425,23 @@ def test_classify_critical_census_matches_three_pass_oracle():
         lambda f, x: laplacian(f, x),
         lambda f, x: classify_critical(f, x),
         lambda f, x: taylor2_multi(f, x, [0.1, 0.1]),
+        lambda f, x: mean_value_gap(f, x, 1.0),
+        lambda f, x: mean_value_gap(f, x, 1.0, surface=False),
+        lambda f, x: spherical_laplacian(lambda *p: f(np.array(p)), x[0], x[1], 1.0),
+        lambda f, x: derivative_1d(lambda t: f(np.array([t, t])), x[0] + x[1], 1),
     ],
-    ids=["gradient", "jacobian", "hessian", "laplacian", "classify_critical", "taylor2_multi"],
+    ids=[
+        "gradient",
+        "jacobian",
+        "hessian",
+        "laplacian",
+        "classify_critical",
+        "taylor2_multi",
+        "mean_value_gap",
+        "mean_value_ball",
+        "spherical_laplacian",
+        "derivative_1d",
+    ],
 )
 @pytest.mark.parametrize("x", [[0.0, math.inf], [math.nan, 1.0], [-math.inf, 2.0]])
 def test_point_routes_reject_a_non_finite_point_before_calling_f(route, x):

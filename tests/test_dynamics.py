@@ -563,13 +563,12 @@ def _divergence_check_oracle(F, center, radius, order, radial_nodes):
     nodes, weights = _sphere_oracle(order)
 
     def shell(r):
-        if r == 0.0:
-            return 0.0
         return r * r * sum(
             w * _divergence_oracle(F, center + r * p) for p, w in zip(nodes, weights)
         )
 
-    lhs = simpson(shell, 0.0, radius, radial_nodes)
+    t, wt = np.polynomial.legendre.leggauss(radial_nodes)
+    lhs = sum(0.5 * radius * wi * shell(0.5 * radius * (ti + 1.0)) for ti, wi in zip(t, wt))
     rhs = radius * radius * sum(
         w * float(np.asarray(F(center + radius * p), dtype=float) @ p)
         for p, w in zip(nodes, weights)
@@ -637,7 +636,7 @@ def test_divergence_check_calls_per_node():
     order, radial_nodes = 3, 4
     divergence_check(F, order=order, radial_nodes=radial_nodes)
     sphere = 2 * order * order
-    shells = radial_nodes  # Simpson radii 0 .. radius; the r = 0 shell is skipped
+    shells = radial_nodes  # Gauss-Legendre radii, none at r = 0
     assert len(calls) == 6 * shells * sphere + sphere
     for q, copy in calls:
         assert isinstance(q, np.ndarray) and q.dtype == float and q.shape == (3,)

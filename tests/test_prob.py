@@ -18,6 +18,7 @@ from calclab.combinat import (
     middle_binomial,
 )
 from calclab.prob import (
+    BUILTIN_CONTINUOUS_LAWS,
     Law,
     arcsine_law,
     arcsine_transform,
@@ -56,7 +57,7 @@ from calclab.prob import (
 )
 from calclab.rng import RandomSource
 
-from oracles import matching_pairings
+from oracles import matching_pairings, simpson_density_rule
 
 
 def test_law_validation():
@@ -88,8 +89,66 @@ def test_moments_sample_the_density_once():
     law = Law(density=density, support=(-2.0, 2.0))
     N = 400
     got = moments(law, 10, nodes=N)
-    assert len(calls) == N - 1
+    assert len(calls) == N
     assert got == pytest.approx(moments(semicircle_law(), 10, nodes=N), rel=1e-12)
+
+
+_EXACT_MOMENTS = {
+    "semicircle": lambda k: 0 if k % 2 else catalan(k // 2),
+    "mp": catalan,
+    "arcsine": central_binomial,
+    "marcsine": middle_binomial,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CONTINUOUS_LAWS))
+def test_builtin_law_moments_are_exact_from_few_samples(name):
+    law = BUILTIN_CONTINUOUS_LAWS[name]()
+    calls = []
+
+    def density(x):
+        calls.append(x)
+        return law.density(x)
+
+    got = moments(Law(density=density, support=law.support), 10)
+    assert len(calls) <= 256
+    for k, m in enumerate(got):
+        want = _EXACT_MOMENTS[name](k)
+        assert abs(m - want) <= 1e-13 * max(1, want)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CONTINUOUS_LAWS))
+def test_moments_match_the_simpson_density_rule(name):
+    law = BUILTIN_CONTINUOUS_LAWS[name]()
+    x, w = simpson_density_rule(law)
+    want = w @ np.power.outer(x, np.arange(11))
+    for got, m in zip(moments(law, 10), want.tolist()):
+        assert abs(got - m) <= 1e-12 * max(1.0, abs(m))
+
+
+@pytest.mark.parametrize(
+    "density, support, exact",
+    [
+        (lambda x: 1.0, (0.0, 1.0), lambda k: 1 / (k + 1)),
+        (lambda x: 2.0 * x, (0.0, 1.0), lambda k: 2 / (k + 2)),
+        (lambda x: 0.75 * (1.0 - x * x), (-1.0, 1.0), lambda k: 0 if k % 2 else 3 / ((k + 1) * (k + 3))),
+    ],
+    ids=["uniform", "linear", "parabolic"],
+)
+def test_moments_of_densities_that_do_not_vanish_like_a_square_root(density, support, exact):
+    # a rule in u must stay exponentially accurate when the u-integrand's ends
+    # are not those of a square-root density (a midpoint rule is only O(n^-2) here)
+    got = moments(Law(density=density, support=support), 10)
+    assert max(abs(m - exact(k)) for k, m in enumerate(got)) <= 1e-14
+
+
+@pytest.mark.parametrize("y", [0.5, 3.0, 10.0, 40.0])
+def test_semicircle_fourier_matches_its_moment_series(y):
+    # E exp(iyX) = sum_k (iy)^k M_k / k!, with M_2m = Catalan(m) and odd M_k = 0,
+    # summed exactly; the tail past k = 400 is below 1e-100 for y <= 40
+    y2 = Fraction(y) ** 2
+    series = sum(Fraction((-1) ** m * catalan(m)) * y2**m / factorial(2 * m) for m in range(200))
+    assert abs(law_fourier(semicircle_law(), y) - float(series)) <= 1e-14
 
 
 def test_density_rule_rejects_non_finite_density():

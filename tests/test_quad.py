@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calclab.quad import (
+    _gauss_rule,
     _samples,
     SphereMomentKey,
     fresnel,
@@ -70,6 +71,17 @@ def test_riemann_rejects_bad_input():
 def test_rules_reject_non_finite_intervals(rule, interval):
     with pytest.raises(ValueError, match="interval must be finite"):
         rule(math.exp, *interval, 10)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("panels", [1, 4])
+def test_gauss_rule_is_exact_to_degree_2n_minus_1(n, panels):
+    a, b = -0.5, 1.25
+    x, w = _gauss_rule(a, b, n, panels)
+    assert len(x) == n * panels and np.all((a < x) & (x < b)) and np.all(np.diff(x) > 0)
+    for k in range(2 * n):
+        want = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        assert abs(w @ x**k - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_monte_carlo():
