@@ -849,12 +849,17 @@ def divergence_check(
     div F is the sum of central differences of step 1e-5, six F calls per
     node.  The flux side evaluates F once per node of the outer sphere.
     F receives each point as a 1-D float array of shape (3,), and a NaN or
-    infinite value raises ValueError.  Returns (ball integral, flux,
-    |difference|).
+    infinite value raises ValueError, as does a radius that is not finite
+    and positive or a NaN or infinite center, before F is called.  Returns
+    (ball integral, flux, |difference|).
     """
     if radial_nodes < 1:
         raise ValueError("need radial_nodes >= 1")
+    if not 0 < radius < math.inf:
+        raise ValueError("need a finite radius > 0")
     center = np.asarray(center, dtype=float)
+    if not np.isfinite(center).all():
+        raise ValueError(f"the center {center.tolist()} has a NaN or infinite coordinate")
     nodes, weights = _sphere_quadrature(order)
     r, wr = _gauss_rule(0.0, radius, radial_nodes)
 

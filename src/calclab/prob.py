@@ -253,7 +253,9 @@ def moments(law: Law, upto: int, nodes: int | None = None) -> list[float]:
 
 
 def law_fourier(law: Law, y: float, nodes: int | None = None) -> complex:
-    """E(exp(iyX)) for the law; the density takes the rule of :func:`moments`."""
+    """E(exp(iyX)) for a finite y; the density takes the rule of :func:`moments`."""
+    if not math.isfinite(y):
+        raise ValueError("need a finite y")
     out = sum(mass * cmath.exp(1j * y * loc) for loc, mass in law.atoms)
     if law.density is not None:
         import numpy as np

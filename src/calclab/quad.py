@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _LOG_DOMAIN_CUTOFF = 150
+_SPHERE_BLOCK = 16_384  # rows of Gaussians that sphere_moment_mc draws at a time
 
 
 def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -388,6 +389,7 @@ def sphere_moment_abs(key: SphereMomentKey) -> float:
 
 def sample_real_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
     """Uniform points on the unit sphere of R^N via normalized Gaussians."""
+    _check_sphere_sampling(N, samples)
     import numpy as np
 
     g = rng.generator().standard_normal((samples, N))
@@ -396,6 +398,7 @@ def sample_real_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
 
 def sample_complex_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
     """Uniform points on the unit sphere of C^N via normalized complex Gaussians."""
+    _check_sphere_sampling(N, samples)
     import numpy as np
 
     g = rng.generator().standard_normal((samples, 2 * N))
@@ -403,32 +406,51 @@ def sample_complex_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _check_sphere_sampling(N: int, samples: int) -> None:
+    if N < 1:
+        raise ValueError("need N >= 1")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
+
+
 def sphere_moment_mc(
     key: SphereMomentKey, samples: int, rng: RandomSource
 ) -> tuple[float, float]:
-    """Monte Carlo sphere moment with standard error, seeded and reproducible."""
+    """Monte Carlo sphere moment with standard error, seeded and reproducible.
+
+    The points are those of ``sample_real_sphere(N, samples, rng)`` (or
+    ``sample_complex_sphere``), drawn in blocks of 16,384 rows; only the
+    coordinates with a nonzero exponent are normalized, and integer powers
+    are taken by multiplication (repeated squaring), never by ``**``.
+    An all-zero key returns (1.0, 0.0) without drawing.
+    """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    values = _moment_values(key, _sphere_batch(key, samples, rng))
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
-
-
-def _sphere_batch(key: SphereMomentKey, samples: int, rng: RandomSource) -> np.ndarray:
-    if key.field == "real":
-        return sample_real_sphere(key.dimension, samples, rng)
-    return sample_complex_sphere(key.dimension, samples, rng)
-
-
-def _moment_values(key: SphereMomentKey, points: np.ndarray) -> np.ndarray:
+    used = [(i, k) for i, k in enumerate(key.exponents) if k]
+    if not used:
+        return 1.0, 0.0
     import numpy as np
 
-    values = np.ones(points.shape[0])
-    for i, k in enumerate(key.exponents):
-        if k == 0:
-            continue
-        col = np.abs(points[:, i]) ** 2 if key.field == "complex" else points[:, i]
-        values = values * col**k
-    return values
+    N, complex_field = key.dimension, key.field == "complex"
+    gen = rng.generator()
+    values = np.ones(samples)
+    for start in range(0, samples, _SPHERE_BLOCK):
+        g = gen.standard_normal((min(_SPHERE_BLOCK, samples - start), 2 * N if complex_field else N))
+        sq = [g[:, j] * g[:, j] for j in range(g.shape[1])]
+        if complex_field:  # |z_j|^2
+            sq = [a + b for a, b in zip(sq[:N], sq[N:])]
+        s = sum(sq[1:], sq[0])  # left to right, as np.linalg.norm sums
+        denom = s if complex_field else np.sqrt(s)  # |z_i|^2 / s, or x_i / sqrt(s)
+        block = values[start : start + len(g)]
+        for i, k in used:
+            x = (sq[i] if complex_field else g[:, i]) / denom
+            while k:  # block *= x**k by repeated squaring
+                if k & 1:
+                    block *= x
+                k >>= 1
+                if k:
+                    x = x * x
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
 
 
 def jacobian_polar(r: float) -> float:

@@ -24,6 +24,11 @@
   rule: x = mid - half cos(u) with composite Simpson in u, the density
   sampled on the interior nodes and its endpoint values extrapolated
   quadratically.  The tests hold the current moments to it.
+- ``sphere_moment_values`` is ``quad.sphere_moment_mc`` before its blocked
+  draws: the whole sample of ``sample_real_sphere`` or
+  ``sample_complex_sphere`` at once, |z_i|^2 as ``abs()**2`` of the
+  normalized complex points, and each power by ``**``.  It returns the
+  per-sample values; the tests compare their mean and standard error.
 """
 
 import csv
@@ -38,6 +43,7 @@ from calclab.combinat import factorial, pairings
 from calclab.diffcalc import CriticalReport
 from calclab.linalg import symmetric_eigen
 from calclab.poly import Polynomial
+from calclab.quad import sample_complex_sphere, sample_real_sphere
 
 
 def matching_pairings(word: str):
@@ -249,3 +255,17 @@ def simpson_density_rule(law, nodes=8000):
     x = mid - half * np.cos(u[1:-1])
     density = np.array([law.density(t) for t in x.tolist()])
     return x, c * half * np.sin(u[1:-1]) * density
+
+
+def sphere_moment_values(key, samples, rng):
+    if key.field == "real":
+        points = sample_real_sphere(key.dimension, samples, rng)
+    else:
+        points = sample_complex_sphere(key.dimension, samples, rng)
+    values = np.ones(points.shape[0])
+    for i, k in enumerate(key.exponents):
+        if k == 0:
+            continue
+        col = np.abs(points[:, i]) ** 2 if key.field == "complex" else points[:, i]
+        values = values * col**k
+    return values

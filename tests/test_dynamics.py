@@ -643,6 +643,29 @@ def test_divergence_check_calls_per_node():
         assert np.array_equal(q, copy)  # no buffer handed to F was overwritten
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"radius": -1.0}, "radius"),
+        ({"radius": 0.0}, "radius"),
+        ({"radius": math.inf}, "radius"),
+        ({"radius": math.nan}, "radius"),
+        ({"center": (math.nan, 0.0, 0.0)}, "center"),
+        ({"center": (0.0, -math.inf, 0.0)}, "center"),
+    ],
+)
+def test_divergence_check_rejects_a_bad_ball_before_calling_F(kwargs, name):
+    calls = []
+
+    def F(q):
+        calls.append(q)
+        return (q[0], q[1], q[2])
+
+    with pytest.raises(ValueError, match=name):
+        divergence_check(F, order=4, radial_nodes=2, **kwargs)
+    assert calls == []
+
+
 def test_sphere_quadrature_matches_loop_order():
     for order in (1, 4, 9):
         nodes, weights = _sphere_quadrature(order)

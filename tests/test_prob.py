@@ -151,6 +151,13 @@ def test_semicircle_fourier_matches_its_moment_series(y):
     assert abs(law_fourier(semicircle_law(), y) - float(series)) <= 1e-14
 
 
+@pytest.mark.parametrize("law", [semicircle_law(), bernoulli_law(0.3)])
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_law_fourier_rejects_a_non_finite_y(law, y):
+    with pytest.raises(ValueError, match="y"):
+        law_fourier(law, y)
+
+
 def test_density_rule_rejects_non_finite_density():
     law = Law(density=lambda x: math.nan if x > 0.5 else 0.5, support=(-1.0, 1.0))
     with pytest.raises(ValueError):

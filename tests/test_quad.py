@@ -1,9 +1,14 @@
+import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from oracles import sphere_moment_values
 
 from calclab.quad import (
+    _SPHERE_BLOCK,
     _gauss_rule,
     _samples,
     SphereMomentKey,
@@ -13,6 +18,7 @@ from calclab.quad import (
     jacobian_spherical,
     monte_carlo,
     riemann,
+    sample_complex_sphere,
     sample_real_sphere,
     simpson,
     sphere_area,
@@ -254,6 +260,102 @@ def test_sphere_moment_mc_matches_closed_form():
     ]:
         est, se = sphere_moment_mc(key, 10**5, RandomSource(seed))
         assert abs(est - sphere_moment(key)) <= 4 * se + 1e-12
+
+
+def _criterion06_keys():
+    """The criterion-06 keys: exponents sorted descending, total <= 6 real, <= 3 complex."""
+    keys = []
+    for N, total, field in [(N, 6, "real") for N in range(1, 6)] + [
+        (N, 3, "complex") for N in range(1, 5)
+    ]:
+        found = {
+            tuple(sorted(combo, reverse=True))
+            for combo in itertools.combinations_with_replacement(range(total + 1), N)
+            if sum(combo) <= total
+        }
+        keys += [SphereMomentKey(k, field) for k in sorted(found)]
+    return keys
+
+
+_SU2_KEYS = [SphereMomentKey((2 * k, 0, 0, 0)) for k in (1, 2, 3)]
+_SPHERE_MC_KEYS = _criterion06_keys() + _SU2_KEYS
+
+
+def _assert_matches_whole_sample_route(key, samples, seed):
+    est, se = sphere_moment_mc(key, samples, RandomSource(seed))
+    values = sphere_moment_values(key, samples, RandomSource(seed))
+    want_est = float(values.mean())
+    want_se = float(values.std(ddof=1) / math.sqrt(samples))
+    scale = float(np.abs(values).mean())
+    assert abs(est - want_est) <= 1e-12 * scale
+    # values constant on the sphere (complex N = 1) have se 0 here and rounding noise there
+    assert se == pytest.approx(want_se, rel=1e-12, abs=1e-15 * scale / math.sqrt(samples))
+    if key.field == "real" and max(key.exponents) <= 2:
+        # the same normalization and the same multiplications: the same bits
+        assert (est, se) == (want_est, want_se)
+
+
+@pytest.mark.parametrize("samples", [1000, _SPHERE_BLOCK + 1])
+def test_sphere_moment_mc_matches_the_whole_sample_route(samples):
+    for j, key in enumerate(_SPHERE_MC_KEYS):
+        _assert_matches_whole_sample_route(key, samples, 300 + j)
+
+
+def test_sphere_moment_mc_matches_the_whole_sample_route_at_200k():
+    # the highest key of each criterion-06 class, and the su2 keys
+    last = {}
+    for key in _criterion06_keys():
+        last[key.dimension, key.field] = key
+    for j, key in enumerate(list(last.values()) + _SU2_KEYS):
+        _assert_matches_whole_sample_route(key, 200_000, 500 + j)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        SphereMomentKey((400,)),
+        SphereMomentKey((200, 0), field="complex"),
+        SphereMomentKey((150, 0, 150)),
+    ],
+)
+def test_sphere_moment_mc_high_exponents_stay_finite(key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = sphere_moment_mc(key, 20_000, RandomSource(8))
+    assert math.isfinite(est) and math.isfinite(se)
+    assert abs(est - sphere_moment(key)) <= 5 * se + 1e-12
+
+
+def test_sphere_moment_mc_draws_in_blocks():
+    # the whole-sample route holds all 200k x 4 complex points at once (a 42 MB traced peak)
+    key = SphereMomentKey((1, 1, 1, 0), field="complex")
+    tracemalloc.start()
+    try:
+        sphere_moment_mc(key, 200_000, RandomSource(21))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_sphere_moment_mc_all_zero_key_draws_nothing():
+    class NoDraws:
+        def generator(self):
+            raise AssertionError("the all-zero key drew samples")
+
+    for key in (SphereMomentKey((0,)), SphereMomentKey((0, 0, 0), field="complex")):
+        assert sphere_moment_mc(key, 1000, NoDraws()) == (1.0, 0.0)
+    with pytest.raises(ValueError, match="1000 samples"):
+        sphere_moment_mc(SphereMomentKey((0,)), 999, NoDraws())
+
+
+@pytest.mark.parametrize("sample", [sample_real_sphere, sample_complex_sphere])
+@pytest.mark.parametrize(
+    "N, samples, name", [(0, 10, "N"), (-1, 10, "N"), (3, 0, "samples"), (3, -1, "samples")]
+)
+def test_sphere_samplers_reject_bad_arguments(sample, N, samples, name):
+    with pytest.raises(ValueError, match=f"need {name} >= 1"):
+        sample(N, samples, RandomSource(1))
 
 
 def test_jacobians():
