@@ -3,8 +3,10 @@
 One binary with verb-style subcommands dispatching into the library and
 emitting CSV (default) or JSON tables.  Numbers are written with full
 round-trip precision unless --digits is given; exact rationals print as
-p/q.  Exit codes: 0 success, 1 usage error, 2 numerical failure.
-The CALCLAB_FORMAT environment variable sets the default output format.
+p/q, and numpy scalars as the Python numbers they stand for.  Exit codes:
+0 success, 1 usage error (out-of-range counts and input files that cannot
+be read included), 2 numerical failure.  The CALCLAB_FORMAT environment
+variable sets the default output format.
 """
 
 from __future__ import annotations
@@ -48,46 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _format_value(v, digits: int | None) -> str:
-    """A value's CSV text before quoting.
-
-    numpy registers its scalars with the ``numbers`` ABCs (``np.int64`` is
-    Integral, ``np.float32`` Real, ``np.complex128`` Complex), so they print
-    as the Python numbers do without numpy being imported here.
-    """
-    if v is None:
-        return ""
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, numbers.Integral):
-        return str(int(v))
-    if isinstance(v, numbers.Real):
-        return f"{float(v):.{17 if digits is None else digits}g}"
-    if isinstance(v, numbers.Complex):
-        re = _format_value(float(v.real), digits)
-        im = _format_value(abs(float(v.imag)), digits)
-        sign = "+" if v.imag >= 0 else "-"
-        return f"{re}{sign}{im}i"
-    return str(v)
-
-
-def _json_value(v, digits: int | None):
-    """A value as the JSON document holds it."""
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, Fraction):
-        return _format_value(v, digits)
-    if isinstance(v, numbers.Integral):
-        return int(v)
-    if isinstance(v, numbers.Real):
-        return float(v) if digits is None else float(f"{float(v):.{digits}g}")
-    if isinstance(v, numbers.Complex):
-        return _format_value(v, digits)
-    return str(v)
-
-
 # characters that make some Python version's csv module quote a field or
 # reject it; text holding none of them is written as it is
 _CSV_SPECIAL = frozenset(',"\r\n\x00')
@@ -102,35 +64,56 @@ def _csv_text(text: str) -> str:
     return buffer.getvalue()[:-1]
 
 
-def _csv_cells(digits: int | None):
-    """Cell formatters by exact type, and the fallback for every other type."""
-    cells = {
-        type(None): lambda v: "",
-        bool: {True: "true", False: "false"}.__getitem__,
-        int: str,
-        float: ("{:.%dg}" % (17 if digits is None else digits)).format,
-        str: _csv_text,
-    }
-    return cells, lambda v: _csv_text(_format_value(v, digits))
+# A value of a type the formatter tables lack is converted by the first entry
+# whose class it is an instance of, or else by str.  numpy registers its
+# scalars with the numbers ABCs (np.int64 is Integral, np.float32 Real,
+# np.complex128 Complex), so they print as the Python numbers do without
+# numpy being imported here.
+_PLAIN = ((Fraction, Fraction), (numbers.Integral, int), (numbers.Real, float), (numbers.Complex, complex))
 
 
-def _json_values(digits: int | None):
-    """JSON converters by exact type, and the fallback for every other type."""
-    same = lambda v: v
-    values = {type(None): same, bool: same, int: same, str: same}
-    values[float] = same if digits is None else lambda v: float(f"{v:.{digits}g}")
-    return values, lambda v: _json_value(v, digits)
+def _formatters(fmt: str, digits: int | None):
+    """The format's formatters by exact type, and the fallback for every other type."""
+    real = ("{:.%dg}" % (17 if digits is None else digits)).format
+
+    def complex_text(z: complex) -> str:
+        return f"{real(z.real)}{'+' if z.imag >= 0 else '-'}{real(abs(z.imag))}i"
+
+    if fmt == "csv":
+        by_type = {
+            type(None): lambda v: "",
+            bool: {True: "true", False: "false"}.__getitem__,
+            int: str,
+            float: real,
+            str: _csv_text,
+        }
+    else:
+        same = lambda v: v
+        by_type = {type(None): same, bool: same, int: same, str: same}
+        by_type[float] = same if digits is None else lambda v: float(real(v))
+    by_type.update({Fraction: str, complex: complex_text})
+
+    def other(v):
+        plain = next((plain for kind, plain in _PLAIN if isinstance(v, kind)), str)
+        return by_type[plain](plain(v))
+
+    return by_type, other
 
 
 def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
-    """Write the table as CSV or JSON.
+    """Write the table as CSV or JSON; any other format is a ValueError.
 
-    Each value's formatter is looked up by its exact type, so a big table of
-    floats pays one dict lookup per value; other types (Fraction, complex,
-    numpy scalars) take the ``_format_value``/``_json_value`` chain.  Exact
-    integers print in full: the interpreter's limit on int-to-string digits
-    is lifted while the table is written.
+    Each value's formatter is looked up by its exact type in one table per
+    format, so a big table of floats pays one dict lookup per value.  A value
+    of any other type (numpy scalars, subclasses) is turned once into the
+    Python number or text it stands for and looked up again.  Exact integers
+    print in full: the interpreter's limit on int-to-string digits is lifted
+    while the table is written.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    formatters, other = _formatters(fmt, digits)
+    get = formatters.get
     # 0 where the interpreter has no such limit (before 3.10.7) or it is already off
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     if limit:
@@ -138,26 +121,20 @@ def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
     try:
         if fmt == "csv":
             csv.writer(sink, lineterminator="\n").writerow(table.columns)
-            cells, other = _csv_cells(digits)
-            cell = cells.get
             lone = len(table.columns) == 1
             write = sink.write
             for row in table.rows:
-                line = ",".join([cell(type(v), other)(v) for v in row])
+                line = ",".join([get(type(v), other)(v) for v in row])
                 # the csv module quotes a lone empty field, so that the row is not blank
                 write('""\n' if lone and not line else line + "\n")
-        elif fmt == "json":
-            values, other = _json_values(digits)
-            value = values.get
+        else:
             payload = {
                 "columns": table.columns,
-                "rows": [[value(type(v), other)(v) for v in row] for row in table.rows],
+                "rows": [[get(type(v), other)(v) for v in row] for row in table.rows],
                 "note": table.note,
             }
             json.dump(payload, sink, indent=2)
             sink.write("\n")
-        else:
-            raise _UsageError(f"unknown format {fmt!r}")
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -209,6 +186,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is below 1")
     return value
+
+
+def _read_csv(path: str, option: str) -> list[list[str]]:
+    """The nonblank rows of a CSV file; a file that cannot be read is a usage error naming the option."""
+    try:
+        with open(path, newline="") as fh:
+            return [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise _UsageError(f"cannot read {option} {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------- builtins
@@ -304,8 +290,7 @@ def _cmd_eig(args) -> ResultTable:
 
     from . import linalg
 
-    with open(args.matrix, newline="") as fh:
-        rows = [[_parse_complex(v) for v in line] for line in csv.reader(fh) if line]
+    rows = [[_parse_complex(v) for v in line] for line in _read_csv(args.matrix, "--matrix")]
     A = np.array(rows)
     if np.abs(A.imag).max() > 0:
         raise ValueError("eig handles real symmetric matrices only")
@@ -353,7 +338,12 @@ def _cmd_sphere(args) -> ResultTable:
         )
     if not args.key:
         raise _UsageError("--key is required for sphere moments")
-    exponents = tuple(int(v) for v in args.key.split(","))
+    try:
+        exponents = tuple(int(v) for v in args.key.split(","))
+        if min(exponents) < 0:
+            raise ValueError
+    except ValueError:
+        raise _UsageError(f"--key {args.key!r} is not a comma list of exponents >= 0") from None
     if len(exponents) != args.dim:
         raise _UsageError("--key length must equal --dim")
     key = quad.SphereMomentKey(exponents, field="complex" if args.complex else "real")
@@ -498,8 +488,7 @@ def _cmd_heat(args) -> ResultTable:
 def _cmd_flux(args) -> ResultTable:
     from . import dynamics
 
-    with open(args.charges, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    raw = [row for row in _read_csv(args.charges, "--charges") if not row[0].startswith("#")]
     if raw and raw[0][0].strip().lower() == "q":
         raw = raw[1:]
     try:
@@ -590,7 +579,7 @@ def _build_parser() -> _Parser:
 
     p = add_parser("constants", help="classical constants with error bounds")
     p.add_argument("--which", required=True, choices=["e", "pi", "basel"])
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_positive_int, required=True)
     p.set_defaults(fn_impl=_cmd_constants)
 
     p = add_parser("roots", help="all roots of a complex polynomial")
@@ -621,7 +610,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--name", required=True, choices=["bernoulli", "binomial", "poisson", "gauss", "cgauss", "semicircle", "mp", "arcsine", "marcsine"])
     p.add_argument("--moments", type=int, required=True)
     p.add_argument("--x", type=_finite_float, default=0.5, help="coin bias for bernoulli/binomial")
-    p.add_argument("--count", type=int, default=10, help="binomial trial count")
+    p.add_argument("--count", type=_positive_int, default=10, help="binomial trial count")
     p.add_argument("--t", type=_finite_float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
     p.set_defaults(fn_impl=_cmd_law)
 
@@ -632,7 +621,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn_impl=_cmd_stieltjes)
 
     p = add_parser("snchi", help="fixed-point law of random permutations")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn_impl=_cmd_snchi)
@@ -683,7 +672,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--charges", required=True, help="CSV file with rows q,x,y,z")
     p.add_argument("--center", required=True, help="x,y,z")
     p.add_argument("--radius", type=_finite_float, required=True)
-    p.add_argument("--order", type=int, default=64)
+    p.add_argument("--order", type=_positive_int, default=64)
     p.add_argument("--k", type=_finite_float, default=1.0, help="Coulomb constant")
     p.set_defaults(fn_impl=_cmd_flux)
 
@@ -694,7 +683,7 @@ def _build_parser() -> _Parser:
     ph.add_argument("--upto", type=int, required=True)
     ph.set_defaults(fn_impl=_cmd_hydrogen)
     ph = hsub.add_parser("energy", parents=[common])
-    ph.add_argument("--n", type=int, required=True)
+    ph.add_argument("--n", type=_positive_int, required=True)
     ph.set_defaults(fn_impl=_cmd_hydrogen)
     ph = hsub.add_parser("wavefunction", parents=[common])
     ph.add_argument("--n", type=int, required=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -335,7 +335,9 @@ def classify_conic(
     dX = d * ct + e * st
     dY = -d * st + e * ct
     if abs(dY) > tol:
-        return "parabola"  # shouldn't happen: det3 would be nonzero
+        # a parabola whose det3 = -lam dY^2/4 fell inside the tolerance band,
+        # e.g. x^2 + 1e-5 y = 0, where |det3| = 2.5e-11
+        return "parabola"
     # lam X^2 + dX X + f = 0: a quadratic in X only
     disc = dX * dX - 4.0 * lam * f
     if abs(disc) <= tol:
@@ -461,58 +463,23 @@ def heat_lattice_step(u: Grid1D, alpha: float, dt: float) -> Grid1D:
     return Grid1D(new, u.a, u.b, u.time + dt)
 
 
-def _leapfrog(
-    g: Callable[[float], float],
-    h: Callable[[float], float],
-    v: float,
-    a: float,
-    b: float,
-    dx: float,
-    dt: float,
-) -> Iterator[Grid1D]:
-    """Leapfrog wave states after 1, 2, 3, ... steps of dt, from displacement g and velocity h.
+def _lattice(g: Callable[[float], float], a: float, b: float, dx: float) -> np.ndarray:
+    """g sampled at the round((b-a)/dx) + 1 points of the lattice on [a, b]."""
+    return _samples(g, np.linspace(a, b, int(round((b - a) / dx)) + 1))
 
-    The first step is the standard Taylor start using the initial velocity
-    and the spatial second difference.
+
+def _frames(state, advance, dt: float, times: Sequence[float]) -> list:
+    """The states at max(1, round(t/dt)) steps for each of the nondecreasing times, from one run.
+
+    ``state`` is the state after one step of dt, and ``advance`` maps a
+    state to the next one.
     """
-    n = int(round((b - a) / dx))
-    xs = np.linspace(a, b, n + 1)
-    u0 = _samples(g, xs)
-    hv = _samples(h, xs)
-    lam2 = (v * dt / dx) ** 2
-    u1 = np.copy(u0)
-    u1[1:-1] = (
-        u0[1:-1]
-        + dt * hv[1:-1]
-        + 0.5 * lam2 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])
-    )
-    prev = Grid1D(u0, a, b, 0.0)
-    curr = Grid1D(u1, a, b, dt)
-    while True:
-        yield curr
-        prev, curr = curr, wave_lattice_step(prev, curr, v, dt)
-
-
-def _forward_euler(
-    g: Callable[[float], float], alpha: float, a: float, b: float, dx: float, dt: float
-) -> Iterator[Grid1D]:
-    """Forward-Euler heat states after 1, 2, 3, ... steps of dt, from the profile g."""
-    n = int(round((b - a) / dx))
-    xs = np.linspace(a, b, n + 1)
-    grid = Grid1D(_samples(g, xs), a, b, 0.0)
-    while True:
-        grid = heat_lattice_step(grid, alpha, dt)
-        yield grid
-
-
-def _snapshots(states: Iterator[Grid1D], dt: float, times: Sequence[float]) -> list[Grid1D]:
-    """The states at max(1, round(t/dt)) steps for each of the nondecreasing times, from one run."""
-    out: list[Grid1D] = []
-    done = 0
+    out = []
+    done = 1
     for t in times:
         target = max(1, int(round(t / dt)))
         for _ in range(target - done):
-            state = next(states)
+            state = advance(state)
         done = target
         out.append(state)
     return out
@@ -521,12 +488,21 @@ def _snapshots(states: Iterator[Grid1D], dt: float, times: Sequence[float]) -> l
 def _wave_frames(g, h, v, a, b, dx, cfl, times) -> list[Grid1D]:
     """Leapfrog states at each of the nondecreasing times, from one run.
 
-    Frame by frame the same as :func:`simulate_wave`.
+    Frame by frame the same as :func:`simulate_wave`.  The first step is
+    the standard Taylor start using the initial velocity h and the spatial
+    second difference of the displacement g.
     """
     if not 0 < cfl <= 1:
         raise ValueError("need 0 < cfl <= 1")
     dt = cfl * dx / v
-    return _snapshots(_leapfrog(g, h, v, a, b, dx, dt), dt, times)
+    u0, hv = _lattice(g, a, b, dx), _lattice(h, a, b, dx)
+    lam2 = (v * dt / dx) ** 2
+    u1 = np.copy(u0)
+    u1[1:-1] = u0[1:-1] + dt * hv[1:-1] + 0.5 * lam2 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])
+    # a state is the pair (previous, current) of grids
+    start = (Grid1D(u0, a, b, 0.0), Grid1D(u1, a, b, dt))
+    advance = lambda s: (s[1], wave_lattice_step(s[0], s[1], v, dt))
+    return [curr for _, curr in _frames(start, advance, dt, times)]
 
 
 def _heat_frames(g, alpha, a, b, dx, cfl, times) -> list[Grid1D]:
@@ -537,7 +513,8 @@ def _heat_frames(g, alpha, a, b, dx, cfl, times) -> list[Grid1D]:
     if not 0 < cfl <= 0.5:
         raise ValueError("need 0 < cfl <= 1/2")
     dt = cfl * dx * dx / alpha
-    return _snapshots(_forward_euler(g, alpha, a, b, dx, dt), dt, times)
+    start = heat_lattice_step(Grid1D(_lattice(g, a, b, dx), a, b, 0.0), alpha, dt)
+    return _frames(start, lambda u: heat_lattice_step(u, alpha, dt), dt, times)
 
 
 def simulate_wave(

@@ -181,8 +181,6 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     det = determinant(A)
     if abs(det) <= tol * scale**n:
         raise ValueError("matrix is singular to the working tolerance")
-    if n == 1:
-        return np.array([[1.0 / A[0, 0]]])
     if n <= 3:
         return _adjugate_small(A) / det
     return np.linalg.inv(A)

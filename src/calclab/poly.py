@@ -139,7 +139,7 @@ def all_roots(P: Polynomial, tol: float = 1e-12, max_iter: int = 1000) -> list[c
             out = out * x + c
         return out
 
-    radius = 1.0 + max(abs(c) for c in monic[:-1]) if n >= 1 else 1.0
+    radius = 1.0 + max(abs(c) for c in monic[:-1])
     xs = [
         radius * cmath.exp(1j * (0.4 + 2 * math.pi * k / n)) for k in range(n)
     ]

@@ -85,8 +85,10 @@ class Law:
     The density lives on the compact interval ``support``; total mass
     (atoms + density integral) must be 1, which :meth:`total_mass` checks by
     quadrature.  Densities with inverse-square-root endpoint singularities
-    are fine: all density quadrature goes through the substitution
-    x = a + (b - a) sin^2(u/2), whose Jacobian absorbs them.
+    are fine: density quadrature goes through the substitution
+    x = a + (b - a) sin^2(u/2), whose Jacobian absorbs them.  The density of
+    a :func:`convolve` result is one object that brings its own rule: the
+    shifted copies of its input densities, then a grid part.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -105,70 +107,52 @@ class Law:
         return moments(self, 0, nodes)[0]
 
 
-class _GridDensity:
-    """Masses c_k at the points of a uniform grid, as a density: the linear interpolant of c_k/dx.
+class _ConvolvedDensity:
+    """The density of a convolution: shifted copies of densities plus a grid part.
 
-    Grid convolution produces it with zero masses at both ends, so the grid
-    points and the masses are an exact quadrature rule for its mass.
+    Each shifted part (law, atoms) is the mixture sum_i m_i f(x - l_i) of the
+    law's density f shifted by the atoms (l_i, m_i).  The optional grid part
+    (x, masses) holds masses c_k at the points of a uniform grid, read as the
+    linear interpolant of c_k/dx; grid convolution gives it zero masses at
+    both ends, so the grid points and the masses are an exact quadrature
+    rule for its mass.
     """
 
-    def __init__(self, x: np.ndarray, masses: np.ndarray):
-        self.x = x
-        self.masses = masses
+    def __init__(self, shifted: list[tuple[Law, list[tuple[float, float]]]], grid: tuple | None = None):
+        self.shifted = shifted
+        self.grid = grid
 
     def __call__(self, t: float) -> float:
-        import numpy as np
+        values = []
+        for law, atoms in self.shifted:
+            a0, a1 = law.support
+            values.append(sum(mass * law.density(t - loc) for loc, mass in atoms if a0 <= t - loc <= a1))
+        if self.grid is not None:
+            import numpy as np
 
-        dx = float(self.x[1] - self.x[0])
-        return float(np.interp(t, self.x, self.masses, left=0.0, right=0.0)) / dx
-
-    def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.x, self.masses
-
-
-class _ShiftedDensity:
-    """The mixture sum_i m_i f(x - l_i) of a law's density f shifted by atoms (l_i, m_i)."""
-
-    def __init__(self, law: Law, atoms: Sequence[tuple[float, float]]):
-        self.law = law
-        self.atoms = [(loc, mass) for loc, mass in atoms if mass != 0.0]
-
-    def __call__(self, x: float) -> float:
-        a0, a1 = self.law.support
-        return sum(
-            mass * self.law.density(x - loc) for loc, mass in self.atoms if a0 <= x - loc <= a1
-        )
+            x, masses = self.grid
+            values.append(float(np.interp(t, x, masses, left=0.0, right=0.0)) / float(x[1] - x[0]))
+        return values[0] if len(values) == 1 else sum(values)
 
     def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each shifted law's rule, sampled once and moved to every atom, then the grid points and masses."""
         import numpy as np
 
-        # one sampling of f, reused by every shifted copy
-        x, w = _density_rule(self.law, nodes)
-        loc, mass = np.array(self.atoms, dtype=float).reshape(-1, 2).T
-        return (loc[:, None] + x).ravel(), (mass[:, None] * w).ravel()
-
-
-class _DensitySum:
-    """The sum of the density parts of a convolution."""
-
-    def __init__(self, parts: list):
-        self.parts = parts
-
-    def __call__(self, x: float) -> float:
-        return sum(p(x) for p in self.parts)
-
-    def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        import numpy as np
-
-        rules = [p.rule(nodes) for p in self.parts]
+        rules = []
+        for law, atoms in self.shifted:
+            x, w = _density_rule(law, nodes)
+            loc, mass = np.array(atoms, dtype=float).reshape(-1, 2).T
+            rules.append(((loc[:, None] + x).ravel(), (mass[:, None] * w).ravel()))
+        if self.grid is not None:
+            rules.append(self.grid)
         return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with sum w f(x) the integral of f against the density.
 
-    The parts of a convolved law bring their own rules (grid masses, or the
-    rule of the shifted law).  Everything else goes through the substitution
+    A convolved law's density brings its own rule (the rules of its shifted
+    laws, then its grid masses).  Everything else goes through the substitution
     x = a + L sin^2(u/2) on the support [a, b], L = b - a, written
     b - L cos^2(u/2) past u = pi/2 so that neither end cancels.  Its
     Jacobian (L/2) sin(u) cancels inverse-square-root singularities at
@@ -176,7 +160,7 @@ def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     Gauss-Legendre: ceil(nodes/8) panels of 8 nodes.  The density is
     sampled once per node.
     """
-    if isinstance(law.density, (_GridDensity, _ShiftedDensity, _DensitySum)):
+    if isinstance(law.density, _ConvolvedDensity):
         return law.density.rule(nodes)
     import numpy as np
 
@@ -467,16 +451,16 @@ def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
 
     # the density of the sum: shifted copies of each density by the other
     # law's atoms, plus the grid convolution of the two densities
-    parts: list = []
+    shifted = []
     supports: list[tuple[float, float]] = []
     for law_d, atom_law in ((a, b), (b, a)):
-        if law_d.density is not None and atom_law.atoms:
-            part = _ShiftedDensity(law_d, atom_law.atoms)
-            if part.atoms:
-                parts.append(part)
-                d0, d1 = law_d.support
-                supports.extend((d0 + loc, d1 + loc) for loc, _ in part.atoms)
+        atoms = [(loc, mass) for loc, mass in atom_law.atoms if mass != 0.0]
+        if law_d.density is not None and atoms:
+            shifted.append((law_d, atoms))
+            d0, d1 = law_d.support
+            supports.extend((d0 + loc, d1 + loc) for loc, _ in atoms)
 
+    grid_part = None
     if a.density is not None and b.density is not None:
         import numpy as np
 
@@ -492,12 +476,12 @@ def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
             _grid_masses(a, a0 - 3 * dx, dx, na), _grid_masses(b, b0 - 3 * dx, dx, nb)
         )
         xc = a0 + b0 - 6 * dx + dx * np.arange(len(conv))
-        parts.append(_GridDensity(xc, conv))
+        grid_part = (xc, conv)
         supports.append((float(xc[0]), float(xc[-1])))
 
     lo = min(s[0] for s in supports)
     hi = max(s[1] for s in supports)
-    density = parts[0] if len(parts) == 1 else _DensitySum(parts)
+    density = _ConvolvedDensity(shifted, grid_part)
     return Law(atoms=_merge_atoms(new_atoms, tol), density=density, support=(lo, hi))
 
 

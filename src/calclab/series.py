@@ -163,7 +163,6 @@ def babylonian_sqrt(a: float, tol: float) -> float:
             return x
         if x == 0.5 * (x + a / x):  # fixed point at float precision
             return x
-    raise AssertionError("unreachable")
 
 
 def coth_series_coeff(k: int) -> Fraction:

@@ -4,12 +4,14 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from calclab.cli import ResultTable, emit, main, run
 from calclab.combinat import bell
+from calclab.quad import sphere_volume
 
 
 def invoke(argv, capsys):
@@ -178,6 +180,22 @@ def test_law_cli(capsys):
     assert [float(r[1]) for r in rows] == pytest.approx([1, 1, 2, 5])
 
 
+@pytest.mark.parametrize("name, x, count", [("bernoulli", 0.3, 1), ("binomial", 0.3, 7), ("binomial", 0.85, 12)])
+def test_law_cli_discrete_moments_are_the_exact_sums(name, x, count):
+    argv = ["law", "--name", name, "--moments", "8", "--x", str(x)]
+    table = run(argv + (["--count", str(count)] if name == "binomial" else []))
+    p = Fraction(x)
+    for k, moment in table.rows:
+        exact = sum(math.comb(count, j) * p**j * (1 - p) ** (count - j) * j**k for j in range(count + 1))
+        assert moment == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_sphere_area_cli_is_n_times_the_volume():
+    for n in range(1, 151):
+        area = run(["sphere", "--what", "area", "--dim", str(n)]).rows[0][1]
+        assert abs(area - n * sphere_volume(n)) <= 1e-15 * n * sphere_volume(n)
+
+
 def test_stieltjes_cli(capsys):
     code, out, _ = invoke(
         ["stieltjes", "--law", "semicircle", "--x=-2:2:5", "--t", "0.001"], capsys
@@ -343,6 +361,8 @@ def test_emit_digits_zero_is_not_full_precision():
         ["integrate", "--method", "trapezoid", "--fn", "exp", "--a=-inf", "--b", "0", "--n", "10"],
         ["integrate", "--method", "mc", "--fn", "exp", "--a", "nan", "--b", "1", "--n", "10", "--seed", "1"],
         ["hydrogen", "wavefunction", "--n", "1", "--l", "0", "--m", "0", "--grid", "inf,3"],
+        ["sphere", "--what", "moment", "--dim", "2", "--key", "1,x"],
+        ["sphere", "--what", "moment", "--dim", "2", "--key", "1,-1"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):
@@ -382,8 +402,27 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
         ["wave", "--profile", "gaussian", "--frames", "0"],
         ["heat", "--profile", "step", "--frames", "0"],
         ["harmonic", "--fn", "re_z3", "--samples", "0", "--seed", "1"],
+        ["flux", "--charges", "q.csv", "--center", "0,0,0", "--radius", "1", "--order", "0"],
+        ["constants", "--which", "basel", "--terms", "0"],
+        ["constants", "--which", "e", "--terms", "0"],
+        ["constants", "--which", "pi", "--terms", "0"],
+        ["law", "--name", "binomial", "--moments", "3", "--count", "0"],
+        ["snchi", "--n", "0"],
+        ["hydrogen", "energy", "--n", "0"],
     ],
-    ids=["sequence-n", "wave-frames", "heat-frames", "harmonic-samples"],
+    ids=[
+        "sequence-n",
+        "wave-frames",
+        "heat-frames",
+        "harmonic-samples",
+        "flux-order",
+        "basel-terms",
+        "e-terms",
+        "pi-terms",
+        "binomial-count",
+        "snchi-n",
+        "energy-n",
+    ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     code, out, err = invoke(argv, capsys)
@@ -399,3 +438,23 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("calclab: usage error:") and err.count("\n") == 1
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["eig", "--matrix", "DIR"], "--matrix"),
+        (["flux", "--charges", "MISSING", "--center", "0,0,0", "--radius", "1"], "--charges"),
+    ],
+    ids=["matrix-is-a-directory", "missing-charges"],
+)
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, argv, option):
+    paths = {"DIR": str(tmp_path), "MISSING": str(tmp_path / "missing.csv")}
+    code, out, err = invoke([paths.get(a, a) for a in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"calclab: usage error: cannot read {option} ") and err.count("\n") == 1
+
+
+def test_emit_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="yaml"):
+        emit(ResultTable(["a"], [(1,)]), "yaml", io.StringIO())

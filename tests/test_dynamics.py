@@ -217,6 +217,8 @@ def test_classify_conic():
     assert classify_conic(0, 0, 0, 0, 0, 0) == "plane"
     # rotated/scaled ellipse stays an ellipse
     assert classify_conic(5, 4, 5, -2, 1, -10) == "ellipse"
+    # x^2 + 1e-5 y = 0 has |det3| = 2.5e-11, inside the tolerance band
+    assert classify_conic(1, 0, 0, 0, 1e-5, 0) == "parabola"
 
 
 def test_ellipse():

@@ -291,6 +291,13 @@ def test_inverse():
         inverse(np.ones((2, 2)))
 
 
+def test_inverse_of_1x1():
+    for a in (4.0, -3.0, 1e-3, 1 + 2j, 0.1 - 0.7j):
+        got = inverse(np.array([[a]]))
+        assert got.shape == (1, 1) and got.dtype == np.array([[a]]).dtype
+        assert abs(got[0, 0] * a - 1.0) <= 2e-16
+
+
 def test_symmetric_eigen():
     U, d = symmetric_eigen(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(d, [3.0, 2.0, 1.0])

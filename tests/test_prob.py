@@ -325,6 +325,41 @@ def test_convolve_mixed_atom_density():
     assert m[2] - m[1] ** 2 == pytest.approx(1.25, abs=1e-8)
 
 
+def _normal_density(x, var=1.0):
+    return math.exp(-x * x / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
+
+def test_convolve_two_laws_with_atoms_and_densities():
+    # X = 1/2 delta_2 + 1/2 N(0,1): X + X' = 1/4 delta_4 + 1/2 (2 + N(0,1)) + 1/4 N(0,2),
+    # so the sum has both shifted copies and the grid convolution of the densities
+    g = gaussian_law(1.0)
+    X = Law(atoms=((2.0, 0.5),), density=lambda x: 0.5 * g.density(x), support=g.support)
+    c = convolve(X, X)
+    assert c.atoms == ((4.0, 0.25),)
+    mx = [0.5 * 2.0**k + 0.5 * gaussian_moment(1.0, k) for k in range(5)]
+    exact = [sum(math.comb(k, j) * mx[j] * mx[k - j] for j in range(k + 1)) for k in range(5)]
+    assert moments(c, 4) == pytest.approx(exact, abs=1e-6)
+    assert abs(c.total_mass() - 1.0) <= 1e-9
+    # the grid masses ripple from point to point (up to 6.2e-5 of N(0,2) at x = 0),
+    # and the grid part carries weight 1/4 here
+    for x in np.linspace(-6.0, 10.0, 81):
+        closed = 0.5 * _normal_density(x - 2.0) + 0.25 * _normal_density(x, 2.0)
+        assert abs(c.density(float(x)) - closed) <= 2e-5
+
+
+def test_convolve_pointwise_density_of_one_part():
+    def semicircle(x):
+        return math.sqrt(max(0.0, 4.0 - x * x)) / (2.0 * math.pi)
+
+    shifted = convolve(bernoulli_law(0.3), semicircle_law())  # shifted copies only
+    for x in np.linspace(-3.0, 4.0, 71):
+        closed = 0.7 * semicircle(x) + 0.3 * semicircle(x - 1.0)
+        assert abs(shifted.density(float(x)) - closed) <= 1e-15
+    gridded = convolve(gaussian_law(1.0), gaussian_law(1.0))  # grid convolution only
+    for x in np.linspace(-8.0, 8.0, 81):
+        assert abs(gridded.density(float(x)) - _normal_density(x, 2.0)) <= 1e-4
+
+
 _BUILTIN_LAWS = st.one_of(
     st.floats(0.0, 1.0).map(bernoulli_law),
     st.builds(binomial_law, st.floats(0.0, 1.0), st.integers(1, 8)),
