@@ -165,20 +165,22 @@ def _parse_complex(text: str) -> complex:
         raise _UsageError(f"{text!r} is not a number like 1+2i") from None
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Comma list of values, or start:stop:count with count >= 1."""
+def _parse_grid(text: str, option: str) -> list[float]:
+    """Comma list of values, or start:stop:count with count >= 1 and a finite span."""
     if ":" not in text:
         return _parse_floats(text)
     try:
         a, b, n = text.split(":")
         a, b, n = _finite_float(a), _finite_float(b), int(n)
     except (ValueError, argparse.ArgumentTypeError):
-        raise _UsageError(f"grid {text!r} is not start:stop:count with finite ends") from None
+        raise _UsageError(f"{option} grid {text!r} is not start:stop:count with finite ends") from None
     if n < 1:
-        raise _UsageError("grid count must be at least 1")
-    import numpy as np
+        raise _UsageError(f"{option} grid count must be at least 1")
+    if not math.isfinite(b - a):
+        raise _UsageError(f"{option} grid {text!r} spans more than the largest float")
+    from .quad import _linspace
 
-    return list(np.linspace(a, b, n))
+    return _linspace(a, b, n)
 
 
 def _positive_int(text: str) -> int:
@@ -195,6 +197,8 @@ def _read_csv(path: str, option: str) -> list[list[str]]:
             return [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise _UsageError(f"cannot read {option} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {option} {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 # ---------------------------------------------------------------- builtins
@@ -385,7 +389,7 @@ def _cmd_law(args) -> ResultTable:
 def _cmd_stieltjes(args) -> ResultTable:
     from . import prob
 
-    xs = _parse_grid(args.x)
+    xs = _parse_grid(args.x, "--x")
     rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in xs]
     return ResultTable(
         ["x", "density"], rows, note=f"pointwise inversion at height t={args.t}"
@@ -516,6 +520,9 @@ def _cmd_hydrogen(args) -> ResultTable:
     from . import hydrogen
 
     if args.hydrogen_cmd == "lines":
+        base = hydrogen.SPECTRAL_SERIES_NAMES[args.series]
+        if args.upto <= base:
+            raise _UsageError(f"need --upto > {base}, the {args.series} series base level")
         rows = hydrogen.spectral_series(args.series, args.upto)
         return ResultTable(
             ["n1", "n2", "lambda_nm"],
@@ -686,7 +693,7 @@ def _build_parser() -> _Parser:
     ph.add_argument("--n", type=_positive_int, required=True)
     ph.set_defaults(fn_impl=_cmd_hydrogen)
     ph = hsub.add_parser("wavefunction", parents=[common])
-    ph.add_argument("--n", type=int, required=True)
+    ph.add_argument("--n", type=_positive_int, required=True)
     ph.add_argument("--l", type=int, required=True)
     ph.add_argument("--m", type=int, required=True)
     ph.add_argument("--grid", required=True, help="rmax,steps")

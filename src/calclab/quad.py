@@ -11,15 +11,18 @@ coordinates.
 Closed forms are evaluated in exact rational arithmetic and converted to
 float at the end; factorial-type factors switch to log-domain once the
 integers would exceed ~150!.  numpy is imported inside the functions that
-use it, so the closed forms run without loading it.  Every route of the
-package that calls a user function on a block of nodes does so through
-``_samples``.
+use it, so the closed forms, ``riemann`` and ``trapezoid`` run without
+loading it: their grids come from ``_linspace`` and their sums from
+``_pairwise_sum``, which copy ``numpy.linspace`` and ``numpy.sum`` bit for
+bit.  Every route of the package that calls a user function on a block of
+nodes does so through ``_samples``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -67,10 +70,8 @@ def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     if N < 1:
         raise ValueError("need N >= 1")
     _finite_interval(a, b)
-    import numpy as np
-
-    x = a + (b - a) * np.arange(1, N + 1) / N
-    return float((b - a) / N * _samples(f, x).sum())
+    x = [a + (b - a) * k / N for k in range(1, N + 1)]
+    return (b - a) / N * _pairwise_sum(_samples(f, x))
 
 
 def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -78,10 +79,9 @@ def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     if N < 1:
         raise ValueError("need N >= 1")
     _finite_interval(a, b)
-    import numpy as np
-
-    x = np.linspace(a, b, N + 1)
-    return float(np.trapezoid(_samples(f, x), x))
+    x = _linspace(a, b, N + 1)
+    y = _samples(f, x)
+    return _pairwise_sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])])
 
 
 def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -97,6 +97,52 @@ def _finite_interval(a: float, b: float) -> None:
     """Raise ValueError unless both ends of the integration interval are finite."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("the integration interval must be finite")
+
+
+def _linspace(a: float, b: float, num: int) -> list[float]:
+    """``numpy.linspace(a, b, num)`` (num >= 1) as a list of Python floats, bit for bit.
+
+    The points are i*step + a with step = (b - a)/(num - 1), or
+    (i/(num - 1))*(b - a) + a when the step rounds to 0; the last is b.
+    A single point is 0*(b - a) + a.
+    """
+    div = num - 1
+    delta = b - a
+    if div == 0:
+        return [0.0 * delta + a]
+    step = delta / div
+    if step == 0:
+        x = [i / div * delta + a for i in range(num)]
+    else:
+        x = [i * step + a for i in range(num)]
+    x[-1] = b
+    return x
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """``numpy.sum`` of a list of floats, bit for bit: 0.0 plus numpy's pairwise sum.
+
+    Blocks of fewer than 8 values are summed left to right from -0.0, blocks
+    of up to 128 by 8 strided accumulators, larger ones split in two at a
+    multiple of 8 (Higham, SIAM J. Sci. Comput. 14 (1993) 783-799).  Its
+    rounding error grows as O(log n), not O(n).  The builtin ``sum`` is not
+    used: from Python 3.12 on it compensates, which changes the bits.
+    """
+    add, reduce = operator.add, functools.reduce
+
+    def pairwise(lo: int, n: int) -> float:
+        if n < 8:
+            return reduce(add, values[lo : lo + n], -0.0)
+        if n <= 128:
+            end = lo + n - n % 8
+            r = [reduce(add, values[lo + j : end : 8]) for j in range(8)]
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            return reduce(add, values[end : lo + n], res)
+        n2 = n // 2
+        n2 -= n2 % 8
+        return pairwise(lo, n2) + pairwise(lo + n2, n - n2)
+
+    return 0.0 + pairwise(0, len(values))
 
 
 def _simpson_rule(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,35 +196,40 @@ def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.reshape(-1, 3), np.repeat(w * dt, len(ts))
 
 
-def _samples(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """f at each node, one call per node, as one float array.
+def _samples(f: Callable, nodes: list[float] | np.ndarray) -> list[float] | np.ndarray:
+    """f at each node, one call per node: a list of floats for a list, else one float array.
 
-    f gets each node of a 1-D array as a Python float, and each row of a
-    2-D array as a 1-D float array, in which case it may return a number or
-    a sequence of k numbers (a row of the result); every row must have the
-    same length k, and numbers and sequences do not mix.  Raises
-    ValueError if any value is NaN or infinite, and for rows of different
-    lengths.
+    f gets each node of a list or of a 1-D array as a Python float, and
+    each row of a 2-D array as a 1-D float array, in which case it may
+    return a number or a sequence of k numbers (a row of the result); every
+    row must have the same length k, and numbers and sequences do not mix.
+    Raises ValueError if any value is NaN or infinite, and for rows of
+    different lengths.
     """
-    import numpy as np
-
-    if nodes.ndim == 1:
-        values = np.fromiter(map(f, nodes.tolist()), float, count=len(nodes))
+    if isinstance(nodes, list):
+        values = list(map(float, map(f, nodes)))
+        finite = all(map(math.isfinite, values))
     else:
-        rows = list(map(f, nodes))
-        try:
-            lengths = set(map(len, rows))
-        except TypeError:  # numbers; np.array rejects numbers mixed with sequences
-            lengths = set()
-        if len(lengths) > 1:
-            raise ValueError("the function returned rows of different lengths")
-        if lengths:
-            k = lengths.pop()
-            values = np.fromiter(chain.from_iterable(rows), float, count=k * len(rows))
-            values = values.reshape(len(rows), k)
+        import numpy as np
+
+        if nodes.ndim == 1:
+            values = np.fromiter(map(f, nodes.tolist()), float, count=len(nodes))
         else:
-            values = np.array(rows, dtype=float)
-    if not np.isfinite(values).all():
+            rows = list(map(f, nodes))
+            try:
+                lengths = set(map(len, rows))
+            except TypeError:  # numbers; np.array rejects numbers mixed with sequences
+                lengths = set()
+            if len(lengths) > 1:
+                raise ValueError("the function returned rows of different lengths")
+            if lengths:
+                k = lengths.pop()
+                values = np.fromiter(chain.from_iterable(rows), float, count=k * len(rows))
+                values = values.reshape(len(rows), k)
+            else:
+                values = np.array(rows, dtype=float)
+        finite = np.isfinite(values).all()
+    if not finite:
         raise ValueError("the function produced NaN or infinite values")
     return values
 

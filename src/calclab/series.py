@@ -1,17 +1,21 @@
 """Power-series evaluation with honest truncation bounds, plus the classical
 constants (e, pi via the odd-reciprocal alternating series, the Basel sum)
-and fixed-point square roots.  Only the pi and Basel sums use numpy (its
-pairwise summation), and they import it themselves.
+and fixed-point square roots.  Nothing here loads numpy: the pi and Basel
+partial sums take ``quad._pairwise_sum``, numpy's pairwise summation
+written out in Python, so they keep the bits that ``numpy.sum`` gives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 from typing import Callable, Iterator, Sequence
 
 from .combinat import bernoulli, catalan, central_binomial, factorial
+from .quad import _pairwise_sum
 
 __all__ = [
     "PowerSeries",
@@ -112,11 +116,7 @@ def pi_leibnitz(terms: int) -> tuple[float, float]:
     """pi from 4(1 - 1/3 + 1/5 - ...); the bound is 4/(2*terms+1)."""
     if terms < 1:
         raise ValueError("need terms >= 1")
-    import numpy as np
-
-    signs = np.ones(terms)
-    signs[1::2] = -1.0
-    value = 4.0 * float(np.sum(signs / np.arange(1, 2 * terms, 2)))
+    value = 4.0 * _pairwise_sum(list(map(operator.truediv, cycle((1.0, -1.0)), range(1, 2 * terms, 2))))
     return value, 4.0 / (2 * terms + 1)
 
 
@@ -124,10 +124,8 @@ def basel_sum(terms: int) -> float:
     """Partial sum of sum 1/k^2; the tail lies in (1/(terms+1), 1/terms)."""
     if terms < 1:
         raise ValueError("need terms >= 1")
-    import numpy as np
-
-    k = np.arange(terms, 0, -1, dtype=np.float64)
-    return float(np.sum(1.0 / (k * k)))
+    # smallest terms first, k = terms down to 1
+    return _pairwise_sum([1.0 / (k * k) for k in map(float, range(terms, 0, -1))])
 
 
 def basel_sum_corrected(terms: int) -> tuple[float, float]:

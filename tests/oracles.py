@@ -29,6 +29,10 @@
   ``sample_complex_sphere`` at once, |z_i|^2 as ``abs()**2`` of the
   normalized complex points, and each power by ``**``.  It returns the
   per-sample values; the tests compare their mean and standard error.
+- ``pi_leibnitz``, ``basel_sum``, ``riemann`` and ``trapezoid`` are the
+  ``series`` and ``quad`` routes as they were on numpy: the terms as an
+  array, ``np.sum``, ``np.linspace`` and ``np.trapezoid``.  The tests hold
+  the Python routes, with their pairwise sum and linspace, to these bits.
 """
 
 import csv
@@ -269,3 +273,28 @@ def sphere_moment_values(key, samples, rng):
         col = np.abs(points[:, i]) ** 2 if key.field == "complex" else points[:, i]
         values = values * col**k
     return values
+
+
+def pi_leibnitz(terms):
+    signs = np.ones(terms)
+    signs[1::2] = -1.0
+    return 4.0 * float(np.sum(signs / np.arange(1, 2 * terms, 2))), 4.0 / (2 * terms + 1)
+
+
+def basel_sum(terms):
+    k = np.arange(terms, 0, -1, dtype=np.float64)
+    return float(np.sum(1.0 / (k * k)))
+
+
+def _values(f, x):
+    return np.fromiter(map(f, x.tolist()), float, count=len(x))
+
+
+def riemann(f, a, b, N):
+    x = a + (b - a) * np.arange(1, N + 1) / N
+    return float((b - a) / N * _values(f, x).sum())
+
+
+def trapezoid(f, a, b, N):
+    x = np.linspace(a, b, N + 1)
+    return float(np.trapezoid(_values(f, x), x))

@@ -349,6 +349,7 @@ def test_emit_digits_zero_is_not_full_precision():
     [
         ["stieltjes", "--law", "semicircle", "--t", "0.1", "--x=1:2:0"],
         ["stieltjes", "--law", "semicircle", "--t", "0.1", "--x=1:2"],
+        ["stieltjes", "--law", "semicircle", "--x=1e308:-1e308:4", "--t", "0.001"],
         ["sphere", "--what", "area", "--dim", "0"],
         ["sphere", "--what", "volume", "--dim", "-1"],
         ["law", "--name", "semicircle", "--moments", "-1"],
@@ -369,6 +370,13 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     code, out, err = invoke(argv, capsys)
     assert code == 1 and out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("grid", ["1e308:-1e308:4", "-1e308:1e308:1", "-1.7e308:1.7e308:2"])
+def test_overflowing_grid_span_names_the_option(capsys, grid):
+    code, out, err = invoke(["stieltjes", "--law", "semicircle", f"--x={grid}", "--t", "0.001"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("calclab: usage error: --x ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -396,19 +404,21 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, option",
     [
-        ["sequence", "--kind", "catalan", "--n", "-1"],
-        ["wave", "--profile", "gaussian", "--frames", "0"],
-        ["heat", "--profile", "step", "--frames", "0"],
-        ["harmonic", "--fn", "re_z3", "--samples", "0", "--seed", "1"],
-        ["flux", "--charges", "q.csv", "--center", "0,0,0", "--radius", "1", "--order", "0"],
-        ["constants", "--which", "basel", "--terms", "0"],
-        ["constants", "--which", "e", "--terms", "0"],
-        ["constants", "--which", "pi", "--terms", "0"],
-        ["law", "--name", "binomial", "--moments", "3", "--count", "0"],
-        ["snchi", "--n", "0"],
-        ["hydrogen", "energy", "--n", "0"],
+        (["sequence", "--kind", "catalan", "--n", "-1"], "--n"),
+        (["wave", "--profile", "gaussian", "--frames", "0"], "--frames"),
+        (["heat", "--profile", "step", "--frames", "0"], "--frames"),
+        (["harmonic", "--fn", "re_z3", "--samples", "0", "--seed", "1"], "--samples"),
+        (["flux", "--charges", "q.csv", "--center", "0,0,0", "--radius", "1", "--order", "0"], "--order"),
+        (["constants", "--which", "basel", "--terms", "0"], "--terms"),
+        (["constants", "--which", "e", "--terms", "0"], "--terms"),
+        (["constants", "--which", "pi", "--terms", "0"], "--terms"),
+        (["law", "--name", "binomial", "--moments", "3", "--count", "0"], "--count"),
+        (["snchi", "--n", "0"], "--n"),
+        (["hydrogen", "energy", "--n", "0"], "--n"),
+        (["hydrogen", "wavefunction", "--n", "0", "--l", "0", "--m", "0", "--grid", "5,3"], "--n"),
+        (["hydrogen", "lines", "--series", "balmer", "--upto", "2"], "--upto"),
     ],
     ids=[
         "sequence-n",
@@ -422,12 +432,14 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
         "binomial-count",
         "snchi-n",
         "energy-n",
+        "wavefunction-n",
+        "lines-upto",
     ],
 )
-def test_out_of_range_counts_are_usage_errors(capsys, argv):
+def test_out_of_range_counts_are_usage_errors(capsys, argv, option):
     code, out, err = invoke(argv, capsys)
     assert code == 1 and out == ""
-    assert err.startswith("calclab: usage error:")
+    assert err.startswith("calclab: usage error:") and option in err
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
@@ -445,11 +457,15 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     [
         (["eig", "--matrix", "DIR"], "--matrix"),
         (["flux", "--charges", "MISSING", "--center", "0,0,0", "--radius", "1"], "--charges"),
+        (["eig", "--matrix", "BINARY"], "--matrix"),
+        (["flux", "--charges", "BINARY", "--center", "0,0,0", "--radius", "1"], "--charges"),
     ],
-    ids=["matrix-is-a-directory", "missing-charges"],
+    ids=["matrix-is-a-directory", "missing-charges", "matrix-not-utf8", "charges-not-utf8"],
 )
 def test_unreadable_input_is_a_usage_error(tmp_path, capsys, argv, option):
-    paths = {"DIR": str(tmp_path), "MISSING": str(tmp_path / "missing.csv")}
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x01]))
+    paths = {"DIR": str(tmp_path), "MISSING": str(tmp_path / "missing.csv"), "BINARY": str(binary)}
     code, out, err = invoke([paths.get(a, a) for a in argv], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"calclab: usage error: cannot read {option} ") and err.count("\n") == 1

@@ -27,6 +27,11 @@ NUMPY_FREE = [
     ["sequence", "--kind", "bernoulli", "--n", "12"],
     ["sequence", "--kind", "bell", "--n", "15"],
     ["constants", "--which", "e", "--terms", "18"],
+    ["constants", "--which", "pi", "--terms", "1234"],
+    ["constants", "--which", "basel", "--terms", "12345"],
+    ["integrate", "--method", "trapezoid", "--fn", "runge", "--a", "-0.5", "--b", "1.25", "--n", "2000"],
+    ["integrate", "--method", "riemann", "--fn", "sin", "--a", "0", "--b", "1", "--n", "2000"],
+    ["stieltjes", "--law", "mp", "--x=0.7:3.2:5", "--t", "0.001"],
     ["roots", "--coeffs=-6,11,-6,1"],
     ["roots", "--coeffs=1,-4,6,-4,1"],
     ["sphere", "--what", "volume", "--dim", "7"],

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -90,11 +91,38 @@ def test_cardano_three_real_roots():
         assert abs(complex(r) ** 3 - 3 * complex(r)) < 1e-9
 
 
+def _sylvester_det(P, Q):
+    """det of the Sylvester matrix of P and Q in Fractions, by the Leibniz sum."""
+    m, n = P.degree, Q.degree
+    p, q = P.coefficients[::-1], Q.coefficients[::-1]
+    rows = [[0] * i + p + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + q + [0] * (m - 1 - i) for i in range(m)]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(m + n)):
+        inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
 def test_resultant_worked_example():
     a, b, c, d, e = 2, 3, 5, 7, 11
     P = Polynomial([c, b, a])
     Q = Polynomial([e, d])
     assert resultant(P, Q) == c * d * d - b * d * e + a * e * e
+    assert _sylvester_det(P, Q) == resultant(P, Q)
+
+
+@pytest.mark.parametrize("c", [1, -1, 3, -2, 7])
+@pytest.mark.parametrize("coeffs", [[5, 1], [2, -3, 1], [-1, 0, 4, 2], [1, 1, 1, 1, 3]])
+def test_resultant_with_a_constant_polynomial(c, coeffs):
+    # Res(c, Q) = Res(Q, c) = c^deg(Q): the Sylvester matrix is c times the identity
+    C, Q = Polynomial([c]), Polynomial(coeffs)
+    for got in (resultant(C, Q), resultant(Q, C)):
+        assert type(got) is int and got == c**Q.degree
+        assert got == _sylvester_det(C, Q) == _sylvester_det(Q, C)
 
 
 def test_resultant_shared_root():

@@ -5,11 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+import oracles
 from oracles import sphere_moment_values
 
+from calclab.cli import _INTEGRANDS
 from calclab.quad import (
     _SPHERE_BLOCK,
     _gauss_rule,
+    _linspace,
+    _pairwise_sum,
     _samples,
     SphereMomentKey,
     fresnel,
@@ -458,3 +462,92 @@ def test_samples_rejects_non_finite_rows(bad):
         _samples(lambda v: (1.0, bad if v[0] == 6.0 else 2.0), _NODES)
     with pytest.raises(ValueError, match="NaN or infinite"):
         _samples(lambda v: bad if v[0] == 6.0 else 2.0, _NODES)
+
+
+def test_samples_takes_and_returns_a_list_for_list_nodes():
+    seen = []
+    got = _samples(lambda t: seen.append(t) or int(t) * 2, [0.5, 1.5, 2.5])
+    assert got == [0.0, 2.0, 4.0] and type(got) is list
+    assert all(type(v) is float for v in got) and seen == [0.5, 1.5, 2.5]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            _samples(lambda t: bad if t > 1.0 else t, [0.5, 1.5])
+
+
+# --- numpy's sum and linspace in Python, bit for bit ------------------------
+
+_MIXED = np.random.default_rng(20261018)
+
+
+def _mixed_magnitudes(n):
+    """n values with random signs and magnitudes spread over 1e-8 .. 1e8."""
+    return _MIXED.standard_normal(n) * 10.0 ** _MIXED.uniform(-8.0, 8.0, n)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [range(0, 301), sorted(int(n) for n in np.random.default_rng(7).integers(301, 200_001, 24))],
+    ids=["0-300", "random-to-2e5"],
+)
+def test_pairwise_sum_is_numpy_sum(sizes):
+    for n in sizes:
+        a = _mixed_magnitudes(n)
+        assert _pairwise_sum(a.tolist()).hex() == float(np.sum(a)).hex(), n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 128, 129, 300])
+def test_pairwise_sum_of_zeros_is_numpy_sum(n):
+    # numpy's reduction starts from the identity +0.0, so all -0.0 sums to +0.0
+    for zero in (0.0, -0.0):
+        a = np.full(n, zero)
+        assert _pairwise_sum(a.tolist()).hex() == float(np.sum(a)).hex()
+    a = np.where(np.arange(n) % 2, 1e-300, -1e-300)
+    assert _pairwise_sum(a.tolist()).hex() == float(np.sum(a)).hex()
+
+
+_ENDS = [
+    (0.7, 3.2),
+    (3.2, 0.7),
+    (-0.5, 1.25),
+    (1.0, 1.0),
+    (-0.0, 0.0),
+    (0.0, -0.0),
+    (0.0, 5e-324),  # a step that rounds to 0
+    (1e-310, 3e-310),
+    (-1e308, 1e308),  # a span that overflows
+    (1e300, 1e301),
+]
+
+
+@pytest.mark.parametrize("ends", _ENDS, ids=str)
+def test_linspace_is_numpy_linspace(ends):
+    a, b = ends
+    for num in [1, 2, 3, 5, 8, 9, 100, 1001]:
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = [float(v).hex() for v in np.linspace(a, b, num)]
+        assert [v.hex() for v in _linspace(a, b, num)] == want, num
+
+
+def test_linspace_is_numpy_linspace_on_random_grids():
+    for _ in range(300):
+        a, b = (_MIXED.standard_normal(2) * 10.0 ** _MIXED.uniform(-300.0, 300.0, 2)).tolist()
+        num = int(_MIXED.integers(1, 3000))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = [float(v).hex() for v in np.linspace(a, b, num)]
+        assert [v.hex() for v in _linspace(a, b, num)] == want, (a, b, num)
+
+
+_SIZES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1000, 2000, 4097, 10_001]
+
+
+@pytest.mark.parametrize(
+    "ours, numpy_route",
+    [(riemann, oracles.riemann), (trapezoid, oracles.trapezoid)],
+    ids=["riemann", "trapezoid"],
+)
+@pytest.mark.parametrize("fn", sorted(_INTEGRANDS))
+def test_rules_give_the_numpy_routes_bits(ours, numpy_route, fn):
+    f = _INTEGRANDS[fn]
+    for a, b in [(0.0, 1.0), (-0.5, 1.25), (-3.0, 2.0), (1.0, 1.0), (-0.0, -0.0), (2.0, -1.0)]:
+        for N in _SIZES:
+            assert ours(f, a, b, N).hex() == numpy_route(f, a, b, N).hex(), (a, b, N)

@@ -6,6 +6,8 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from calclab.series import (
     babylonian_iterates,
     babylonian_sqrt,
@@ -83,6 +85,20 @@ def test_convergence_radius():
     assert convergence_radius(inv_fact, 400) == math.inf
     with pytest.raises(ValueError):
         convergence_radius(ones, 4)
+
+
+_TERMS = list(range(1, 300)) + [511, 1000, 1234, 4096, 4999, 10_000, 12_345, 99_999, 100_001, 250_000]
+
+
+def test_pi_and_basel_give_the_numpy_routes_bits():
+    for n in _TERMS:
+        (value, bound), (want, want_bound) = pi_leibnitz(n), oracles.pi_leibnitz(n)
+        assert (value.hex(), bound) == (want.hex(), want_bound), n
+        want = oracles.basel_sum(n)
+        assert basel_sum(n).hex() == want.hex(), n
+        lo, hi = 1.0 / (n + 1), 1.0 / n
+        estimate, err = basel_sum_corrected(n)
+        assert (estimate.hex(), err) == ((want + 0.5 * (lo + hi)).hex(), 0.5 * (hi - lo)), n
 
 
 def test_pi_leibnitz():
