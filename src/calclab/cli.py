@@ -307,6 +307,8 @@ def _cmd_integrate(args) -> ResultTable:
     from . import quad
     from .rng import RandomSource
 
+    if not math.isfinite(args.b - args.a):
+        raise _UsageError(f"--a {args.a!r} to --b {args.b!r} spans more than the largest float")
     f = _INTEGRANDS[args.fn]
     if args.method == "riemann":
         value, err = quad.riemann(f, args.a, args.b, args.n), None

@@ -298,8 +298,10 @@ def classify_conic(
     Returns ellipse/parabola/hyperbola for the non-degenerate cases, and
     empty/point/line/parallel_lines/crossing_lines/plane for the rest.
     Classification uses the eigenvalue signs of the quadratic part plus the
-    3x3 degeneracy determinant, with a relative tolerance band.
+    3x3 degeneracy determinant, with a relative tolerance band 0 <= tol < 1.
     """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError("need 0 <= tol < 1")
     scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
     if scale == 0.0:
         return "plane"
@@ -323,9 +325,9 @@ def classify_conic(
     if detQ < -tol:
         return "crossing_lines"
     if max(abs(a), abs(b), abs(c)) <= tol:
-        if max(abs(d), abs(e)) > tol:
-            return "line"
-        return "plane" if abs(f) <= tol else "empty"
+        # after scaling some coefficient has modulus 1 > tol; with a..e inside
+        # the band it is f, a nonzero constant, so "plane" cannot occur here
+        return "line" if max(abs(d), abs(e)) > tol else "empty"
     # rank-one quadratic part: (alpha x + beta y)^2 + linear = 0
     # rotate so the quadratic part is lambda X^2
     lam = trQ  # the nonzero eigenvalue (the other is ~0)

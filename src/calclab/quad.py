@@ -94,9 +94,11 @@ def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
 
 
 def _finite_interval(a: float, b: float) -> None:
-    """Raise ValueError unless both ends of the integration interval are finite."""
+    """Raise ValueError unless both ends of the integration interval and its length are finite."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("the integration interval must be finite")
+    if not math.isfinite(b - a):
+        raise ValueError("the integration interval's length b - a overflows")
 
 
 def _linspace(a: float, b: float, num: int) -> list[float]:

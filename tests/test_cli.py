@@ -379,6 +379,15 @@ def test_overflowing_grid_span_names_the_option(capsys, grid):
     assert err.startswith("calclab: usage error: --x ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["riemann", "trapezoid", "mc"])
+@pytest.mark.parametrize("interval", [["--a=-1e308", "--b", "1e308"], ["--a", "1.7e308", "--b=-1e308"]])
+def test_overflowing_integration_interval_names_the_options(capsys, method, interval):
+    argv = ["integrate", "--method", method, "--fn", "square", *interval, "--n", "4", "--seed", "1"]
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("calclab: usage error: --a ") and "--b" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -215,6 +215,13 @@ def test_classify_conic():
     assert classify_conic(1, 0, 0, 0, 0, 0) == "line"
     assert classify_conic(0, 0, 0, 1, 1, 0) == "line"
     assert classify_conic(0, 0, 0, 0, 0, 0) == "plane"
+    # a quadratic part inside the tolerance band counts as zero:
+    # 1e-12 x^2 + 1 = 0 is empty, 1e-12 x^2 + x = 0 the line x = 0
+    assert classify_conic(1e-12, 0, 0, 0, 0, 1) == "empty"
+    assert classify_conic(1e-12, 0, 0, 1, 0, 0) == "line"
+    for tol in (-1e-9, 1.0, math.nan):
+        with pytest.raises(ValueError, match="need 0 <= tol < 1"):
+            classify_conic(1, 0, 1, 0, 0, -1, tol=tol)
     # rotated/scaled ellipse stays an ellipse
     assert classify_conic(5, 4, 5, -2, 1, -10) == "ellipse"
     # x^2 + 1e-5 y = 0 has |det3| = 2.5e-11, inside the tolerance band

@@ -1,10 +1,14 @@
+import inspect
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from calclab import hydrogen
 from calclab.diffcalc import spherical_laplacian
 from calclab.hydrogen import (
     BOOK_CONSTANTS,
@@ -93,12 +97,23 @@ def test_assoc_legendre():
         assoc_legendre(1, 2)
 
 
+def _bits(f, x):
+    """f(x) as hex; where exp or pow overflows, the exception type, which both routes must share."""
+    try:
+        return f(x).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
 def test_assoc_legendre_matches_the_polynomial_route():
-    xs = [-0.0, *np.linspace(-1.0, 1.0, 801).tolist()]
-    for l in range(9):
+    outside = [1.0000001, 1.5, 3.0, 1e3, 1e200]
+    xs = [-0.0, *np.linspace(-1.0, 1.0, 801).tolist(), *outside, *(-x for x in outside)]
+    for l in range(13):
         for m in range(-l, l + 1):
             plm, old = assoc_legendre(l, m), oracles.assoc_legendre(l, m)
             assert [plm(x).hex() for x in xs] == [old(x).hex() for x in xs], (l, m)
+            # the factor (1 - x^2)^(m/2) keeps a NaN x, also where P_l^m has degree 0
+            assert m == 0 or math.isnan(plm(math.nan)), (l, m)
 
 
 def test_general_legendre_equation_residual():
@@ -298,16 +313,86 @@ def test_radial_wavefunction():
 
 
 def test_radial_wavefunction_matches_the_polynomial_route():
-    for n in range(1, 11):
-        grid = np.linspace(0.0, 40.0 * n + 4.0 * n * n, 801).tolist()
-        rs = [0.0, 1e-300, 5e-324, 700.0, 1e5, -1.0, *grid]
-        for l in range(n):
-            rho, old = radial_wavefunction(n, l), oracles.radial_wavefunction(n, l)
-            assert [rho(r).hex() for r in rs] == [old(r).hex() for r in rs], (n, l)
-    c = BOOK_CONSTANTS
-    rs = np.linspace(0.0, 60.0 * bohr_radius(c), 201).tolist()
-    rho, old = radial_wavefunction(3, 1, c), oracles.radial_wavefunction(3, 1, c)
-    assert [rho(r).hex() for r in rs] == [old(r).hex() for r in rs]
+    for constants in (DIMENSIONLESS_CONSTANTS, BOOK_CONSTANTS):
+        a = bohr_radius(constants)
+        for n in range(1, 17):
+            grid = np.linspace(0.0, 40.0 * n + 4.0 * n * n, 801).tolist()
+            extra = [0.0, -0.0, 1e-300, 5e-324, 700.0, 1e5, -1.0, -50.0]
+            rs = [r * a for r in extra + grid]
+            for l in range(n):
+                rho, old = radial_wavefunction(n, l, constants), oracles.radial_wavefunction(n, l, constants)
+                assert [rho(r).hex() for r in rs] == [old(r).hex() for r in rs], (n, l, constants)
+    # constants whose Bohr radius overflows: n*a is written as the name inf
+    huge = PhysicalConstants(k=1e-200, e=1e-50, h=1e10, m=1e-10, c=1.0, h0=2e10 * math.pi)
+    assert bohr_radius(huge) == math.inf
+    rho, old = radial_wavefunction(2, 1, huge), oracles.radial_wavefunction(2, 1, huge)
+    assert [rho(r).hex() for r in (0.0, 3.0, 1e300)] == [old(r).hex() for r in (0.0, 3.0, 1e300)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    data=st.data(),
+    r=st.floats(allow_nan=False, allow_infinity=False),
+    x=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_generated_code_matches_the_polynomial_route_on_any_finite_input(n, data, r, x):
+    l = data.draw(st.integers(0, n - 1))
+    m = data.draw(st.integers(-l, l))
+    constants = data.draw(st.sampled_from([DIMENSIONLESS_CONSTANTS, BOOK_CONSTANTS]))
+    # where 2r/(na) overflows the Polynomial route's first step is 0 * inf
+    assume(math.isfinite(2.0 * r / (n * bohr_radius(constants))))
+    rho, old_rho = radial_wavefunction(n, l, constants), oracles.radial_wavefunction(n, l, constants)
+    assert _bits(rho, r) == _bits(old_rho, r)
+    assert _bits(assoc_legendre(l, m), x) == _bits(oracles.assoc_legendre(l, m), x)
+
+
+def test_generated_functions_are_named_plain_functions():
+    rho, plm = radial_wavefunction(3, 1), assoc_legendre(4, -2)
+    assert (rho.__name__, rho.__qualname__) == ("rho_3_1", "radial_wavefunction.<locals>.rho_3_1")
+    assert (plm.__name__, plm.__qualname__) == ("plm_4_2", "assoc_legendre.<locals>.plm_4_2")
+    assert rho.__module__ == plm.__module__ == "calclab.hydrogen"
+    assert "n = 3, l = 1" in rho.__doc__ and "l = 4, m = 2" in plm.__doc__
+    # a degree past the parser's nesting limit of 200 parentheses still compiles
+    assert _bits(assoc_legendre(250, 3), 0.3) == _bits(oracles.assoc_legendre(250, 3), 0.3)
+    for f in (rho, plm):
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(f)
+        with pytest.raises(OSError):
+            inspect.getsource(f)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: PhysicalConstants(1, 1, -1, 1, 1, 1), "constant h must be positive", id="constant"),
+        pytest.param(lambda: PhysicalConstants(1, 1, 1, 1, 1, 1), "h and h0 disagree", id="h-h0"),
+        pytest.param(lambda: QuantumNumbers(0, 0, 0), "need n >= 1", id="qn-n"),
+        pytest.param(lambda: QuantumNumbers(2, 2, 0), "need 0 <= l <= n-1", id="qn-l"),
+        pytest.param(lambda: QuantumNumbers(3, 1, -2), r"need \|m\| <= l", id="qn-m"),
+        pytest.param(lambda: legendre(-1), "need l >= 0", id="legendre"),
+        pytest.param(lambda: assoc_legendre(-1, 0), "need l >= 0", id="assoc_legendre-l"),
+        pytest.param(lambda: assoc_legendre(2, -3), r"need \|m\| <= l", id="assoc_legendre-m"),
+        pytest.param(lambda: laguerre(-1), "need q >= 0", id="laguerre"),
+        pytest.param(lambda: assoc_laguerre(1, -1), "need p, q >= 0", id="assoc_laguerre"),
+        pytest.param(lambda: bohr_energy(0), "need n >= 1", id="bohr_energy"),
+        pytest.param(lambda: line_wavelength(2, 2), "need 1 <= n1 < n2", id="line-levels"),
+        pytest.param(lambda: line_wavelength(2, 3, medium="water"), "medium must be 'air' or 'vacuum'", id="line-medium"),
+        pytest.param(lambda: ritz_combination_gap(1, 3, 2), "need n1 < n2 < n3", id="ritz"),
+        pytest.param(lambda: spectral_series("nope", 5), "unknown series 'nope'", id="series-name"),
+        pytest.param(lambda: spectral_series("balmer", 2), "need upto > the series base level", id="series-upto"),
+        pytest.param(lambda: radial_wavefunction(0, 0), "need n >= 1", id="radial-n"),
+        pytest.param(lambda: radial_wavefunction(2, 2), "need 0 <= l <= n-1", id="radial-l"),
+        pytest.param(lambda: radial_wavefunction(3, -1), "need 0 <= l <= n-1", id="radial-negative-l"),
+    ],
+)
+def test_every_rejection_says_what_it_needs(monkeypatch, call, message):
+    def no_code(*args):
+        raise AssertionError("code was generated for rejected quantum numbers")
+
+    monkeypatch.setattr(hydrogen, "_compile", no_code)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_modified_radial_equation_residual():

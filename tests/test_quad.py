@@ -66,7 +66,15 @@ def test_riemann_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
-    "interval", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)], ids=["b=inf", "a=-inf", "a=nan"]
+    "interval, message",
+    [
+        ((0.0, math.inf), "interval must be finite"),
+        ((-math.inf, 0.0), "interval must be finite"),
+        ((math.nan, 1.0), "interval must be finite"),
+        ((-1e308, 1e308), "length b - a overflows"),
+        ((1e308, -1e308), "length b - a overflows"),
+    ],
+    ids=["b=inf", "a=-inf", "a=nan", "b-a=inf", "b-a=-inf"],
 )
 @pytest.mark.parametrize(
     "rule",
@@ -78,8 +86,8 @@ def test_riemann_rejects_bad_input():
     ],
     ids=["riemann", "trapezoid", "simpson", "monte_carlo"],
 )
-def test_rules_reject_non_finite_intervals(rule, interval):
-    with pytest.raises(ValueError, match="interval must be finite"):
+def test_rules_reject_non_finite_intervals(rule, interval, message):
+    with pytest.raises(ValueError, match=message):
         rule(math.exp, *interval, 10)
 
 
