@@ -31,6 +31,7 @@ reference lines (e.g. the 656.279 nm red line) use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,13 +105,18 @@ RYDBERG_HYDROGEN_MEASURED = 1.0967758e7  # m^-1
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Principal, azimuthal and magnetic quantum numbers with 0 <= l < n, |m| <= l."""
+    """Principal, azimuthal and magnetic quantum numbers: integers with 0 <= l < n, |m| <= l."""
 
     n: int
     l: int
     m: int
 
     def __post_init__(self):
+        for name in ("n", "l", "m"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"need integer n, l and m, got {name} = {getattr(self, name)!r}") from None
         if self.n < 1:
             raise ValueError("need n >= 1")
         if not 0 <= self.l <= self.n - 1:

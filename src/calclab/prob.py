@@ -88,7 +88,8 @@ class Law:
     are fine: density quadrature goes through the substitution
     x = a + (b - a) sin^2(u/2), whose Jacobian absorbs them.  The density of
     a :func:`convolve` result is one object that brings its own rule: the
-    shifted copies of its input densities, then a grid part.
+    outer product of the two factors' rules of each part, where an explicit
+    ``nodes`` means min(nodes, 256) per density factor of a product part.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -107,52 +108,57 @@ class Law:
         return moments(self, 0, nodes)[0]
 
 
-class _ConvolvedDensity:
-    """The density of a convolution: shifted copies of densities plus a grid part.
+_PRODUCT_NODES = 256  # the most nodes per density factor of a density-density part
 
-    Each shifted part (law, atoms) is the mixture sum_i m_i f(x - l_i) of the
-    law's density f shifted by the atoms (l_i, m_i).  The optional grid part
-    (x, masses) holds masses c_k at the points of a uniform grid, read as the
-    linear interpolant of c_k/dx; grid convolution gives it zero masses at
-    both ends, so the grid points and the masses are an exact quadrature
-    rule for its mass.
+
+class _ConvolvedDensity:
+    """The density of a convolution: a sum of product parts (law, other).
+
+    ``other`` is either atoms (l_i, m_i), and the part is the mixture
+    sum_i m_i f(x - l_i) of the law's density f shifted by the atoms, or a
+    second law with density g, and the part is the convolution
+    (f * g)(t) = int f(t - y) g(y) dy over the overlap
+    [max(b0, t - a1), min(b1, t - a0)] of the two supports.
     """
 
-    def __init__(self, shifted: list[tuple[Law, list[tuple[float, float]]]], grid: tuple | None = None):
-        self.shifted = shifted
-        self.grid = grid
+    def __init__(self, parts: list[tuple[Law, list[tuple[float, float]] | Law]]):
+        self.parts = parts
 
     def __call__(self, t: float) -> float:
-        values = []
-        for law, atoms in self.shifted:
+        total = 0.0
+        for law, other in self.parts:
             a0, a1 = law.support
-            values.append(sum(mass * law.density(t - loc) for loc, mass in atoms if a0 <= t - loc <= a1))
-        if self.grid is not None:
-            import numpy as np
-
-            x, masses = self.grid
-            values.append(float(np.interp(t, x, masses, left=0.0, right=0.0)) / float(x[1] - x[0]))
-        return values[0] if len(values) == 1 else sum(values)
+            if isinstance(other, Law):
+                lo, hi = max(other.support[0], t - a1), min(other.support[1], t - a0)
+                if lo < hi:
+                    overlap = Law(density=lambda y: law.density(t - y) * other.density(y), support=(lo, hi))
+                    total += overlap.total_mass()
+            else:
+                total += sum(mass * law.density(t - loc) for loc, mass in other if a0 <= t - loc <= a1)
+        return total
 
     def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each shifted law's rule, sampled once and moved to every atom, then the grid points and masses."""
+        """Each part's outer product of two rules: the law's at every atom, or both densities' at min(nodes, 256)."""
         import numpy as np
 
         rules = []
-        for law, atoms in self.shifted:
-            x, w = _density_rule(law, nodes)
-            loc, mass = np.array(atoms, dtype=float).reshape(-1, 2).T
-            rules.append(((loc[:, None] + x).ravel(), (mass[:, None] * w).ravel()))
-        if self.grid is not None:
-            rules.append(self.grid)
+        for law, other in self.parts:
+            if isinstance(other, Law):
+                n = min(nodes, _PRODUCT_NODES)
+                y, v = _density_rule(other, n)
+            else:
+                n, (y, v) = nodes, np.array(other, dtype=float).reshape(-1, 2).T
+            x, w = _density_rule(law, n)
+            rules.append(((y[:, None] + x).ravel(), (v[:, None] * w).ravel()))
         return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w with sum w f(x) the integral of f against the density.
 
-    A convolved law's density brings its own rule (the rules of its shifted
-    laws, then its grid masses).  Everything else goes through the substitution
+    A convolved law's density brings its own rule, the outer product of the
+    rules of each of its parts (a density factor of a density-density part
+    takes min(nodes, 256) nodes).  Everything else goes through the substitution
     x = a + L sin^2(u/2) on the support [a, b], L = b - a, written
     b - L cos^2(u/2) past u = pi/2 so that neither end cancels.  Its
     Jacobian (L/2) sin(u) cancels inverse-square-root singularities at
@@ -191,39 +197,14 @@ def _density_sums(law: Law, g: Callable[[np.ndarray], np.ndarray], nodes: int | 
     return v
 
 
-def _grid_masses(law: Law, x0: float, dx: float, n: int, nodes: int = 8000) -> np.ndarray:
-    """The density part of a law as masses at the grid points x0 + i dx, i < n.
-
-    Each node of the law's quadrature rule hands its weight to the four
-    nearest grid points by the transpose of cubic Lagrange interpolation, so
-    the masses keep the rule's total mass and its first three moments (next
-    to a singular end a few masses can come out slightly negative).  The
-    grid must reach two points beyond each end of the support.
-    """
-    import numpy as np
-
-    x, w = _density_rule(law, nodes)
-    s = (x - x0) / dx
-    i = np.floor(s).astype(int)
-    f = s - i
-    shares = (
-        -f * (f - 1.0) * (f - 2.0) / 6.0,
-        (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0,
-        -(f + 1.0) * f * (f - 2.0) / 2.0,
-        (f + 1.0) * f * (f - 1.0) / 6.0,
-    )
-    return sum(
-        np.bincount(i + k - 1, weights=w * share, minlength=n)
-        for k, share in enumerate(shares)
-    )
-
-
 def moments(law: Law, upto: int, nodes: int | None = None) -> list[float]:
     """The moment sequence M_0..M_upto of a law (atom sums + quadrature).
 
     The density takes composite Gauss-Legendre in u, x = a + (b-a) sin^2(u/2),
     doubled until every moment settles to 1e-12 relative (at most 240
-    density calls for the builtin laws to order 10); ``nodes`` fixes it.
+    density calls for the builtin laws to order 10); ``nodes`` fixes it.  A
+    convolution of two densities takes the outer product of their rules,
+    min(nodes, 256) per factor, so the doubling stops once both are capped.
     """
     if upto < 0:
         raise ValueError("need upto >= 0")
@@ -426,15 +407,18 @@ def _merge_atoms(atoms: list[tuple[float, float]], tol: float) -> tuple[tuple[fl
     return tuple((loc, mass) for loc, mass in merged)
 
 
-def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
+def convolve(a: Law, b: Law) -> Law:
     """The law of the sum of independent variables with laws a and b.
 
-    Atom pairs convolve exactly, and a density convolves with atoms as a
-    mixture of shifted copies that keeps the density's own quadrature rule.
-    Two densities are handed to a uniform grid of about ``grid`` points,
-    keeping each one's mass and first three moments, and their masses are
-    convolved there; the result is interpolated linearly.  So the total mass
-    is 1 up to the quadrature error of the input laws.
+    Atom pairs convolve exactly.  A density convolves with atoms as a
+    mixture of shifted copies, and two densities as the integral
+    int f(t - y) g(y) dy; either part's rule is the outer product of its
+    two factors' rules, each density factor of a density-density part
+    capped at 256 nodes (so n^2 <= 65,536 nodes).  A factor that itself
+    holds a density-density part enters a new one through its pointwise
+    density and the sin^2 rule, so nested rules do not multiply; each of
+    its pointwise values is an integral that settles like :func:`moments`.
+    So the total mass is 1 up to the quadrature error of the input laws.
     """
     scale = max(
         [abs(loc) for loc, _ in a.atoms + b.atoms]
@@ -450,39 +434,26 @@ def convolve(a: Law, b: Law, grid: int = 4096) -> Law:
         return Law(atoms=_merge_atoms(new_atoms, tol))
 
     # the density of the sum: shifted copies of each density by the other
-    # law's atoms, plus the grid convolution of the two densities
-    shifted = []
+    # law's atoms, plus the convolution of the two densities
+    parts: list[tuple[Law, list[tuple[float, float]] | Law]] = []
     supports: list[tuple[float, float]] = []
     for law_d, atom_law in ((a, b), (b, a)):
         atoms = [(loc, mass) for loc, mass in atom_law.atoms if mass != 0.0]
         if law_d.density is not None and atoms:
-            shifted.append((law_d, atoms))
+            parts.append((law_d, atoms))
             d0, d1 = law_d.support
             supports.extend((d0 + loc, d1 + loc) for loc, _ in atoms)
-
-    grid_part = None
     if a.density is not None and b.density is not None:
-        import numpy as np
-
-        a0, a1 = a.support
-        b0, b1 = b.support
-        dx = (a1 - a0 + b1 - b0) / grid
-        # three grid points beyond each end of each support: the cubic
-        # hand-out reaches two, so the first and last points stay empty and
-        # the convolved masses start and end with zero
-        na = int(math.ceil((a1 - a0) / dx)) + 7
-        nb = int(math.ceil((b1 - b0) / dx)) + 7
-        conv = np.convolve(
-            _grid_masses(a, a0 - 3 * dx, dx, na), _grid_masses(b, b0 - 3 * dx, dx, nb)
+        # a factor that holds a density-density part enters by its pointwise density
+        nested = lambda law: isinstance(law.density, _ConvolvedDensity) and any(
+            isinstance(other, Law) for _, other in law.density.parts
         )
-        xc = a0 + b0 - 6 * dx + dx * np.arange(len(conv))
-        grid_part = (xc, conv)
-        supports.append((float(xc[0]), float(xc[-1])))
+        parts.append(tuple(Law(density=f.density.__call__, support=f.support) if nested(f) else f for f in (a, b)))
+        supports.append((a.support[0] + b.support[0], a.support[1] + b.support[1]))
 
     lo = min(s[0] for s in supports)
     hi = max(s[1] for s in supports)
-    density = _ConvolvedDensity(shifted, grid_part)
-    return Law(atoms=_merge_atoms(new_atoms, tol), density=density, support=(lo, hi))
+    return Law(atoms=_merge_atoms(new_atoms, tol), density=_ConvolvedDensity(parts), support=(lo, hi))
 
 
 def plt_distance(t: float, n: int, upto: int = 4) -> float:

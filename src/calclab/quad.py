@@ -321,9 +321,7 @@ def wallis2(p: int, q: int) -> float:
 
 
 def _log_semi_factorial(m: int) -> float:
-    """log of the double factorial (m-1)(m-3)..., for the log-domain path."""
-    if m <= 1:
-        return 0.0
+    """log of the double factorial (m-1)(m-3)..., for the log-domain path (m >= 2)."""
     n = m - 1  # standard double factorial of n
     if n % 2 == 0:
         k = n // 2

@@ -370,6 +370,11 @@ def test_generated_functions_are_named_plain_functions():
         pytest.param(lambda: QuantumNumbers(0, 0, 0), "need n >= 1", id="qn-n"),
         pytest.param(lambda: QuantumNumbers(2, 2, 0), "need 0 <= l <= n-1", id="qn-l"),
         pytest.param(lambda: QuantumNumbers(3, 1, -2), r"need \|m\| <= l", id="qn-m"),
+        pytest.param(lambda: QuantumNumbers(2.5, 0.5, 0), "need integer n, l and m, got n = 2.5", id="qn-float-n"),
+        pytest.param(lambda: QuantumNumbers(2.0, 1, 0), "need integer n, l and m, got n = 2.0", id="qn-integral-float-n"),
+        pytest.param(lambda: QuantumNumbers(3, 1.0, 0), "need integer n, l and m, got l = 1.0", id="qn-float-l"),
+        pytest.param(lambda: QuantumNumbers(3, 1, 0.5), "need integer n, l and m, got m = 0.5", id="qn-float-m"),
+        pytest.param(lambda: radial_wavefunction(2.0, 1.0), "need integer n, l and m", id="qn-radial-float"),
         pytest.param(lambda: legendre(-1), "need l >= 0", id="legendre"),
         pytest.param(lambda: assoc_legendre(-1, 0), "need l >= 0", id="assoc_legendre-l"),
         pytest.param(lambda: assoc_legendre(2, -3), r"need \|m\| <= l", id="assoc_legendre-m"),

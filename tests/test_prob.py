@@ -331,7 +331,7 @@ def _normal_density(x, var=1.0):
 
 def test_convolve_two_laws_with_atoms_and_densities():
     # X = 1/2 delta_2 + 1/2 N(0,1): X + X' = 1/4 delta_4 + 1/2 (2 + N(0,1)) + 1/4 N(0,2),
-    # so the sum has both shifted copies and the grid convolution of the densities
+    # so the sum has both shifted copies and the convolution of the densities
     g = gaussian_law(1.0)
     X = Law(atoms=((2.0, 0.5),), density=lambda x: 0.5 * g.density(x), support=g.support)
     c = convolve(X, X)
@@ -340,8 +340,8 @@ def test_convolve_two_laws_with_atoms_and_densities():
     exact = [sum(math.comb(k, j) * mx[j] * mx[k - j] for j in range(k + 1)) for k in range(5)]
     assert moments(c, 4) == pytest.approx(exact, abs=1e-6)
     assert abs(c.total_mass() - 1.0) <= 1e-9
-    # the grid masses ripple from point to point (up to 6.2e-5 of N(0,2) at x = 0),
-    # and the grid part carries weight 1/4 here
+    # the density-density part carries weight 1/4 here; the bound dates from a
+    # grid convolution whose masses rippled by up to 6.2e-5 of N(0,2) at x = 0
     for x in np.linspace(-6.0, 10.0, 81):
         closed = 0.5 * _normal_density(x - 2.0) + 0.25 * _normal_density(x, 2.0)
         assert abs(c.density(float(x)) - closed) <= 2e-5
@@ -355,9 +355,62 @@ def test_convolve_pointwise_density_of_one_part():
     for x in np.linspace(-3.0, 4.0, 71):
         closed = 0.7 * semicircle(x) + 0.3 * semicircle(x - 1.0)
         assert abs(shifted.density(float(x)) - closed) <= 1e-15
-    gridded = convolve(gaussian_law(1.0), gaussian_law(1.0))  # grid convolution only
+    # outside every part's support the density is the float 0.0
+    assert type(shifted.density(10.0)) is float and shifted.density(10.0) == 0.0
+    gridded = convolve(gaussian_law(1.0), gaussian_law(1.0))  # density-density part only
     for x in np.linspace(-8.0, 8.0, 81):
         assert abs(gridded.density(float(x)) - _normal_density(x, 2.0)) <= 1e-4
+
+
+_CONVOLUTION_FACTORS = {
+    **{name: (BUILTIN_CONTINUOUS_LAWS[name], _EXACT_MOMENTS[name]) for name in BUILTIN_CONTINUOUS_LAWS},
+    "gauss": (lambda: gaussian_law(1.0), lambda k: gaussian_moment(1.0, k)),
+}
+
+
+@pytest.mark.parametrize(
+    "a, b", list(itertools.combinations_with_replacement(sorted(_CONVOLUTION_FACTORS), 2))
+)
+def test_convolved_density_moments_are_the_binomial_convolution(a, b):
+    # M_k(X + Y) = sum_j C(k, j) M_j(X) M_{k-j}(Y), from the exact moments of each factor
+    (law_a, exact_a), (law_b, exact_b) = _CONVOLUTION_FACTORS[a], _CONVOLUTION_FACTORS[b]
+    got = moments(convolve(law_a(), law_b()), 10)
+    for k, m in enumerate(got):
+        want = sum(math.comb(k, j) * exact_a(j) * exact_b(k - j) for j in range(k + 1))
+        assert abs(m - want) <= 1e-11 * max(1, abs(want))
+
+
+def test_convolved_gaussians_have_the_pointwise_gaussian_density():
+    c = convolve(gaussian_law(1.0), gaussian_law(1.0))
+    for x in np.linspace(-6.0, 6.0, 81):
+        assert abs(c.density(float(x)) - _normal_density(x, 2.0)) <= 1e-12
+
+
+def test_nested_density_convolution_is_the_gaussian_of_the_summed_variance():
+    # N(0,1) * N(0,1) enters the second product through its pointwise density
+    c = convolve(convolve(gaussian_law(1.0), gaussian_law(1.0)), gaussian_law(1.0))
+    for k, m in enumerate(moments(c, 4)):
+        want = gaussian_moment(3.0, k)
+        assert abs(m - want) <= 1e-10 * max(1, want)
+    for x in (-3.0, 0.0, 2.0):
+        assert abs(c.density(x) - _normal_density(x, 3.0)) <= 1e-10
+
+
+def test_density_convolution_samples_each_factor_at_most_1024_times():
+    # each factor of the product rule is capped at 256 nodes, so the doubling
+    # loop samples 16 + 32 + ... + 256 + 256 = 752 times before the sums repeat
+    g = gaussian_law(1.0)
+    calls = {"a": 0, "b": 0}
+
+    def counted(name):
+        def density(x):
+            calls[name] += 1
+            return g.density(x)
+
+        return Law(density=density, support=g.support)
+
+    moments(convolve(counted("a"), counted("b")), 10)
+    assert 0 < calls["a"] <= 1024 and 0 < calls["b"] <= 1024
 
 
 _BUILTIN_LAWS = st.one_of(

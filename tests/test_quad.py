@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from oracles import sphere_moment_values
 
 from calclab.cli import _INTEGRANDS
+from calclab.combinat import semi_factorial
 from calclab.quad import (
     _SPHERE_BLOCK,
     _gauss_rule,
@@ -183,6 +185,16 @@ def test_sphere_volume_and_area():
     assert sphere_volume(151) == pytest.approx(
         sphere_volume(150) * sphere_volume(152) / sphere_volume(151), rel=1e-6
     )
+
+
+def test_sphere_log_domain_branch_matches_the_exact_route():
+    # past N = 150 both take logs; the exact Fraction route underflows from N = 453
+    def exact(N, m):
+        return float(Fraction(2**N, semi_factorial(m)) * Fraction(math.pi / 2) ** (N // 2))
+
+    for N in range(151, 453):
+        for got, want in ((sphere_volume(N), exact(N, N + 1)), (sphere_area(N), exact(N, N - 1))):
+            assert abs(got - want) <= 1e-12 * want
 
 
 def test_sphere_volume_by_spherical_quadrature():
