@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffcalc import _central_differences
-from .quad import _gauss_rule, _samples, _simpson_rule, _sphere_quadrature, simpson
+from .quad import _gauss_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, simpson, trapezoid
 
 __all__ = [
     "cross",
@@ -354,16 +354,12 @@ def ellipse_area(a: float, b: float) -> float:
     return math.pi * a * b
 
 
-def ellipse_length(a: float, b: float, nodes: int = 2048) -> float:
-    """Perimeter 4 int_0^{pi/2} sqrt(a^2 sin^2 t + b^2 cos^2 t) dt, by quadrature."""
+def ellipse_length(a: float, b: float) -> float:
+    """Perimeter 4 int_0^{pi/2} sqrt(a^2 sin^2 t + b^2 cos^2 t) dt, trapezoid rule settled 8 ... 2048 to 1e-12."""
     if a <= 0 or b <= 0:
         raise ValueError("need a, b > 0")
-    return 4.0 * simpson(
-        lambda t: math.sqrt(a * a * math.sin(t) ** 2 + b * b * math.cos(t) ** 2),
-        0.0,
-        math.pi / 2.0,
-        nodes,
-    )
+    f = lambda t: math.sqrt(a * a * math.sin(t) ** 2 + b * b * math.cos(t) ** 2)
+    return 4.0 * _settle(lambda n: trapezoid(f, 0.0, math.pi / 2.0, n), None, 8, 2048, 1e-12)
 
 
 def stereographic_to_sphere(v: Sequence[float]) -> np.ndarray:
@@ -569,25 +565,16 @@ def heat_kernel(alpha: float, t: float, x: Sequence[float] | float) -> float:
     )
 
 
-def heat_solve(
-    g: Callable[[float], float],
-    alpha: float,
-    t: float,
-    x: float,
-    half_width: float | None = None,
-    nodes: int = 4000,
-) -> float:
+def heat_solve(g: Callable[[float], float], alpha: float, t: float, x: float) -> float:
     """1D heat solution at (x, t) by truncated kernel convolution.
 
-    The window half-width defaults to 14 standard deviations of the kernel,
-    which leaves a tail below 1e-40 for bounded initial data.
+    The window x - w .. x + w, w = 14 kernel standard deviations, leaves a tail below 1e-40 for
+    bounded g; Simpson's rule takes a fixed 4000 intervals, since g's scale is the caller's.
     """
     if t <= 0 or alpha <= 0:
         raise ValueError("need alpha, t > 0")
-    w = half_width or 14.0 * math.sqrt(2.0 * alpha * t)
-    return simpson(
-        lambda y: heat_kernel(alpha, t, x - y) * g(y), x - w, x + w, nodes
-    )
+    w = 14.0 * math.sqrt(2.0 * alpha * t)
+    return simpson(lambda y: heat_kernel(alpha, t, x - y) * g(y), x - w, x + w, 4000)
 
 
 def ode2_solve(
@@ -745,7 +732,7 @@ def green_check(
     P: Callable[[float, float], float],
     Q: Callable[[float, float], float],
     region,
-    n: int = 256,
+    n: int | None = None,
 ) -> tuple[float, float, float]:
     """Both sides of the plane circulation identity, and their gap.
 
@@ -756,7 +743,8 @@ def green_check(
     Returns (line integral of P dx + Q dy, area integral of dQ/dx - dP/dy,
     |difference|).  Derivatives are central differences: step 1e-5 for
     P and Q, 1e-6 for the chart, and 1e-6 times the longer span along the
-    boundary.
+    boundary.  Both sides take Simpson's rule, n intervals per side and per
+    edge; n None settles (:func:`quad._settle`) both over 8, 16, ... 256 to 1e-9.
     """
     mapping, u_span, v_span = region
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
@@ -766,25 +754,24 @@ def green_check(
         x, y = p.tolist()
         return P(x, y), Q(x, y)
 
-    lhs = sum(
-        _line_integral(field, *edge, n, h)
-        for edge in _boundary_edges(mapping, u_span, v_span)
-    )
-
     def curl_z(uv: np.ndarray) -> np.ndarray:
         J = _central_differences(chart, uv, 1e-6)
         D = _central_differences(field, _samples(chart, uv), 1e-5)
         jac = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         return (D[:, 0, 1] - D[:, 1, 0]) * jac
 
-    rhs = _tensor_simpson(curl_z, u_span, v_span, n)
+    def sides(n: int) -> tuple[float, float]:
+        lhs = sum(_line_integral(field, *edge, n, h) for edge in _boundary_edges(mapping, u_span, v_span))
+        return lhs, _tensor_simpson(curl_z, u_span, v_span, n)
+
+    lhs, rhs = _settle(sides, n, 8, 256, 1e-9)
     return lhs, rhs, abs(lhs - rhs)
 
 
 def stokes_check(
     F: Callable[[np.ndarray], Sequence[float]],
     surface,
-    n: int = 128,
+    n: int | None = None,
 ) -> tuple[float, float, float]:
     """Surface integral of <curl F, n> vs the boundary line integral of F.
 
@@ -792,7 +779,8 @@ def stokes_check(
     the normal is S_u x S_v and the boundary is the mapped rectangle edge
     loop, so the orientations match automatically.  The curl is taken by
     central differences of step 1e-5, the chart derivatives with step 1e-6
-    times the longer span.
+    times the longer span.  Simpson's rule takes n intervals per side, 2n per
+    edge; n None settles (:func:`quad._settle`) both over 8, 16, ... 128 to 1e-9.
     """
     mapping, u_span, v_span = surface
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
@@ -806,11 +794,11 @@ def stokes_check(
         )
         return np.einsum("ij,ij->i", curl, cross(J[:, 0], J[:, 1]))
 
-    lhs = _tensor_simpson(surf_integrand, u_span, v_span, n)
-    rhs = sum(
-        _line_integral(F, *edge, 2 * n, h)
-        for edge in _boundary_edges(mapping, u_span, v_span)
-    )
+    def sides(n: int) -> tuple[float, float]:
+        lhs = _tensor_simpson(surf_integrand, u_span, v_span, n)
+        return lhs, sum(_line_integral(F, *edge, 2 * n, h) for edge in _boundary_edges(mapping, u_span, v_span))
+
+    lhs, rhs = _settle(sides, n, 8, 128, 1e-9)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -818,7 +806,7 @@ def divergence_check(
     F: Callable[[np.ndarray], Sequence[float]],
     center: Sequence[float] = (0.0, 0.0, 0.0),
     radius: float = 1.0,
-    order: int = 32,
+    order: int | None = None,
     radial_nodes: int = 16,
 ) -> tuple[float, float, float]:
     """Ball integral of div F vs the outward flux of F through the sphere.
@@ -830,7 +818,8 @@ def divergence_check(
     F receives each point as a 1-D float array of shape (3,), and a NaN or
     infinite value raises ValueError, as does a radius that is not finite
     and positive or a NaN or infinite center, before F is called.  Returns
-    (ball integral, flux, |difference|).
+    (ball integral, flux, |difference|).  ``order`` None settles it
+    (:func:`quad._settle`): 8, 16, 32, to 1e-9 relative on both sides.
     """
     if radial_nodes < 1:
         raise ValueError("need radial_nodes >= 1")
@@ -839,14 +828,14 @@ def divergence_check(
     center = np.asarray(center, dtype=float)
     if not np.isfinite(center).all():
         raise ValueError(f"the center {center.tolist()} has a NaN or infinite coordinate")
-    nodes, weights = _sphere_quadrature(order)
     r, wr = _gauss_rule(0.0, radius, radial_nodes)
 
-    def shell(ri: float) -> float:
-        D = _central_differences(F, center + ri * nodes, 1e-5)
-        return ri * ri * (weights @ (D[:, 0, 0] + D[:, 1, 1] + D[:, 2, 2]))
+    def sides(order: int) -> tuple[float, float]:
+        nodes, weights = _sphere_quadrature(order)
+        shell = lambda ri, D: ri * ri * (weights @ (D[:, 0, 0] + D[:, 1, 1] + D[:, 2, 2]))
+        lhs = float(wr @ np.array([shell(ri, _central_differences(F, center + ri * nodes, 1e-5)) for ri in r]))
+        flux = np.einsum("ij,ij->i", _samples(F, center + radius * nodes), nodes)
+        return lhs, radius * radius * float(weights @ flux)
 
-    lhs = float(wr @ np.array([shell(ri) for ri in r]))
-    flux = np.einsum("ij,ij->i", _samples(F, center + radius * nodes), nodes)
-    rhs = radius * radius * float(weights @ flux)
+    lhs, rhs = _settle(sides, order, 8, 32, 1e-9)
     return lhs, rhs, abs(lhs - rhs)

@@ -168,7 +168,7 @@ def _compile(name: str, qualname: str, doc: str, arg: str, body: str) -> Callabl
     never text a caller supplied.  ``inf`` is there because a constants
     object can make n*a overflow.
     """
-    namespace = {"__name__": __name__, "exp": math.exp, "inf": math.inf}
+    namespace = {"__name__": __name__, "copysign": math.copysign, "exp": math.exp, "inf": math.inf}
     source = f"def {name}({arg}):\n{body}"
     exec(compile(source, f"<{__name__}.{name}>", "exec"), namespace)
     fn = namespace[name]
@@ -335,7 +335,8 @@ def radial_wavefunction(
 
     rho_nl(r) = sqrt((2/(na))^3 (n-l-1)!/(2n (n+l)!)) e^(-r/(na))
     (2r/(na))^l L_{n-l-1}^{2l+1}(2r/(na)), normalized so that the radial
-    density rho^2 r^2 integrates to 1.
+    density rho^2 r^2 integrates to 1.  Where e^(-r/(na)) underflows it is 0 signed as the Laguerre
+    factor; before that, 2r/(na) < 1490, (2r/(na))^l is finite for every l <= 84 that n + l <= 170 allows.
     """
     QuantumNumbers(n, l, 0)
     a = bohr_radius(constants)
@@ -351,9 +352,9 @@ def radial_wavefunction(
         f"radial_wavefunction.<locals>.{name}",
         f"rho_nl(r) for n = {n:d}, l = {l:d}, a = {a!r}; generated by radial_wavefunction.",
         "r",
-        f"    p = 2.0 * r / {na!r}\n"
+        f"    p = 2.0 * r / {na!r}\n    e = exp(-p / 2.0)\n"
         + _horner(assoc_laguerre(2 * l + 1, n - l - 1).coefficients, "p")
-        + f"    return {norm!r} * exp(-p / 2.0){power} * acc\n",
+        + f"    return {norm!r} * e{power} * acc if e else copysign(0.0, acc)\n",
     )
 
 

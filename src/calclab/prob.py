@@ -31,7 +31,7 @@ from .combinat import (
     set_partitions,
 )
 from .poly import Polynomial
-from .quad import SphereMomentKey, _gauss_rule, _samples, sphere_moment, sphere_moment_mc
+from .quad import SphereMomentKey, _gauss_rule, _samples, _settle, sphere_moment, sphere_moment_mc
 from .rng import RandomSource
 
 if TYPE_CHECKING:
@@ -118,7 +118,8 @@ class _ConvolvedDensity:
     sum_i m_i f(x - l_i) of the law's density f shifted by the atoms, or a
     second law with density g, and the part is the convolution
     (f * g)(t) = int f(t - y) g(y) dy over the overlap
-    [max(b0, t - a1), min(b1, t - a0)] of the two supports.
+    [max(b0, t - a1), min(b1, t - a0)] of the two supports, cut at the
+    factors' :func:`_kinks` so that the sin^2 rule sees a smooth piece.
     """
 
     def __init__(self, parts: list[tuple[Law, list[tuple[float, float]] | Law]]):
@@ -131,8 +132,10 @@ class _ConvolvedDensity:
             if isinstance(other, Law):
                 lo, hi = max(other.support[0], t - a1), min(other.support[1], t - a0)
                 if lo < hi:
-                    overlap = Law(density=lambda y: law.density(t - y) * other.density(y), support=(lo, hi))
-                    total += overlap.total_mass()
+                    cuts = [lo, *sorted(y for y in {t - x for x in _kinks(law)} | _kinks(other) if lo < y < hi), hi]
+                    for y0, y1 in zip(cuts, cuts[1:]):
+                        overlap = Law(density=lambda y: law.density(t - y) * other.density(y), support=(y0, y1))
+                        total += overlap.total_mass()
             else:
                 total += sum(mass * law.density(t - loc) for loc, mass in other if a0 <= t - loc <= a1)
         return total
@@ -151,6 +154,14 @@ class _ConvolvedDensity:
             x, w = _density_rule(law, n)
             rules.append(((y[:, None] + x).ravel(), (v[:, None] * w).ravel()))
         return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def _kinks(law: Law) -> set[float]:
+    """Where the law's density may fail to be smooth: its support's ends, or each convolved part's."""
+    if not isinstance(law.density, _ConvolvedDensity):
+        return set(law.support)
+    shifts = lambda other: _kinks(other) if isinstance(other, Law) else [loc for loc, _ in other]
+    return {x + y for f, other in law.density.parts for x in _kinks(f) for y in shifts(other)}
 
 
 def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,20 +192,15 @@ def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _density_sums(law: Law, g: Callable[[np.ndarray], np.ndarray], nodes: int | None):
     """sum_i w_i g(x_i) over the density rule, g mapping the nodes to one row per node.
 
-    An explicit ``nodes`` fixes the rule.  Otherwise it starts at 16 nodes
-    and doubles until two successive sums agree within 1e-12 max(1, |v|) in
-    every component, up to 8192 nodes, and returns the last sum.
+    An explicit ``nodes`` fixes the rule; else it is settled (:func:`quad._settle`)
+    over 16, 32, ... 8192 nodes to 1e-12 relative in every component.
     """
-    import numpy as np
 
-    last = None
-    for n in [nodes] if nodes is not None else [16 << k for k in range(10)]:
+    def value(n: int):
         x, w = _density_rule(law, n)
-        v = w @ g(x)
-        if last is not None and np.all(np.abs(v - last) <= 1e-12 * np.maximum(1.0, np.abs(v))):
-            break
-        last = v
-    return v
+        return w @ g(x)
+
+    return _settle(value, nodes, 16, 8192, 1e-12)
 
 
 def moments(law: Law, upto: int, nodes: int | None = None) -> list[float]:

@@ -316,6 +316,12 @@ def test_hydrogen_cli(capsys):
         capsys,
     )
     assert code == 2  # invalid quantum numbers
+    code, out, _ = invoke(
+        ["hydrogen", "wavefunction", "--n", "3", "--l", "2", "--m", "0", "--grid", "1e200,2"],
+        capsys,
+    )
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert code == 0 and [float(row[5]) for row in rows] == [0.0, 0.0]
 
 
 def test_digits_flag(capsys):

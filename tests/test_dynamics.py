@@ -233,6 +233,13 @@ def test_ellipse():
     assert ellipse_area(1.0, 1.0) == pytest.approx(math.pi)
     assert ellipse_length(1.0, 1.0) == pytest.approx(2.0 * math.pi, abs=1e-10)
     assert ellipse_length(2.0, 1.0) == pytest.approx(9.6884, abs=1e-3)
+    # the perimeter by the arithmetic-geometric mean: 2 pi (a^2 - sum 2^(k-1) c_k^2) / AGM(a, b)
+    for a, b in ((2.0, 1.0), (1.0, 0.1), (3.0, 2.5)):
+        x, y, c2, s = a, b, a * a - b * b, 0.5 * (a * a - b * b)
+        for k in range(1, 8):
+            x, y, c2 = 0.5 * (x + y), math.sqrt(x * y), 0.25 * (x - y) ** 2
+            s += 2.0 ** (k - 1) * c2
+        assert ellipse_length(a, b) == pytest.approx(2.0 * math.pi * (a * a - s) / x, rel=1e-13)
 
 
 def test_stereographic():
@@ -322,6 +329,13 @@ def test_heat():
         got = heat_solve(lambda y: math.exp(-y * y / (2 * sig2)), alpha, t, x)
         var = sig2 + 2 * alpha * t
         assert got == pytest.approx(math.sqrt(sig2 / var) * math.exp(-x * x / (2 * var)), abs=1e-10)
+    # a bump much narrower than the window, off the window's centre node x: grids of 16 and
+    # 32 intervals both see only its zero tail there, so agreeing coarse sums prove nothing
+    for s, rel in ((0.03, 1e-10), (0.01, 2e-3)):
+        got = heat_solve(lambda y: math.exp(-((y / s) ** 2)), 1.0, 1.0, 0.5)
+        var = 2.0 + 0.5 * s * s
+        want = math.sqrt(math.pi) * s * math.exp(-0.25 / (2 * var)) / math.sqrt(2 * math.pi * var)
+        assert got == pytest.approx(want, rel=rel)
 
 
 def test_lattice_solvers_take_int_valued_profiles():
@@ -633,6 +647,37 @@ def test_theorem_checks_match_per_point_oracles(c, radius, shift):
     got = green_check(P, Q, region, n=12)
     want = _green_oracle(P, Q, region, 12)
     assert _close(got[0], want[0]) and _close(got[1], want[1])
+
+
+def test_default_theorem_checks_settle_within_a_few_thousand_calls():
+    # the acceptance fields: unit disks, F = (-y, x, 0), F = identity
+    calls = {"P": 0, "F": 0}
+
+    def P(x, y):
+        calls["P"] += 1
+        return -y
+
+    lhs, rhs, gap = green_check(P, lambda x, y: x, disk_map())
+    assert abs(lhs - 2 * math.pi) < 1e-6 and abs(rhs - 2 * math.pi) < 1e-6 and gap <= 1e-4
+    assert calls["P"] <= 4_000
+
+    def F(p):
+        calls["F"] += 1
+        return (-p[1], p[0], 0.0)
+
+    flat_disk = (lambda u, v: (u * math.cos(v), u * math.sin(v), 0.0), (0.0, 1.0), (0.0, 2 * math.pi))
+    lhs, rhs, gap = stokes_check(F, flat_disk)
+    assert abs(lhs - 2 * math.pi) < 1e-4 and abs(rhs - 2 * math.pi) < 1e-4 and gap <= 1e-4
+    assert calls["F"] <= 4_000
+
+    def identity(p):
+        calls["F"] += 1
+        return (p[0], p[1], p[2])
+
+    calls["F"] = 0
+    lhs, rhs, gap = divergence_check(identity)
+    assert abs(lhs - 4 * math.pi) < 1e-4 and abs(rhs - 4 * math.pi) < 1e-4 and gap <= 1e-4
+    assert calls["F"] <= 70_000
 
 
 def test_divergence_check_calls_per_node():

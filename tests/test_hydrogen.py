@@ -306,6 +306,16 @@ def test_radial_wavefunction():
             rho = radial_wavefunction(n, l)
             norm = simpson(lambda r: rho(r) ** 2 * r * r, 0.0, 40.0 * n, 4000)
             assert norm == pytest.approx(1.0, abs=1e-5)
+    # past the underflow of e^(-r/(na)) rho is a zero with the sign of the
+    # Laguerre factor, whose leading coefficient has the sign (-1)^(n-l-1)
+    for n, l in [(1, 0), (3, 0), (3, 1), (3, 2), (16, 3)]:
+        for r in (1e200, 1e300, math.inf):
+            got = radial_wavefunction(n, l)(r)
+            assert got == 0.0 and math.copysign(1.0, got) == (-1.0) ** (n - l - 1), (n, l, r)
+    # n + l <= 170 caps l at 84, and 1490**84 is finite: before e^(-r/(na)) underflows near
+    # 2r/(na) = 1490, (2r/(na))^l does not overflow
+    rho = radial_wavefunction(85, 84)
+    assert all(math.isfinite(rho(p * 85 / 2.0)) for p in (137.0, 1000.0, 1489.0, 1491.0, 1e6, 1e300))
     # the radial density r^2 rho_10^2 peaks at r = a
     rs = np.linspace(0.5, 1.5, 401)
     dens = [r * r * rho10(r) ** 2 for r in rs]

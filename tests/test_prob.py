@@ -396,6 +396,16 @@ def test_nested_density_convolution_is_the_gaussian_of_the_summed_variance():
         assert abs(c.density(x) - _normal_density(x, 3.0)) <= 1e-10
 
 
+def test_density_of_a_convolution_with_a_shifted_factor_splits_at_its_kinks():
+    # (0.7 s(.) + 0.3 s(. - 1)) * s = 0.7 (s*s)(.) + 0.3 (s*s)(. - 1); the factor
+    # has square-root ends at -2, -1, 2 and 3 inside the overlap window
+    s = semicircle_law()
+    ss = convolve(s, s)
+    c = convolve(convolve(bernoulli_law(0.3), s), s)
+    for t in (0.0, 0.5, 2.0):
+        assert abs(c.density(t) - (0.7 * ss.density(t) + 0.3 * ss.density(t - 1.0))) <= 1e-12
+
+
 def test_density_convolution_samples_each_factor_at_most_1024_times():
     # each factor of the product rule is capped at 256 nodes, so the doubling
     # loop samples 16 + 32 + ... + 256 + 256 = 752 times before the sums repeat

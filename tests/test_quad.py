@@ -17,6 +17,7 @@ from calclab.quad import (
     _linspace,
     _pairwise_sum,
     _samples,
+    _settle,
     SphereMomentKey,
     fresnel,
     gauss_integral,
@@ -143,6 +144,41 @@ def test_gauss():
     assert scaled == pytest.approx(math.sqrt(2 * math.pi * t), abs=1e-7)
     with pytest.raises(ValueError):
         verify_gauss(3.0)
+
+
+def test_settle_contract():
+    calls = []
+
+    def counted(value):
+        def f(n):
+            calls.append(n)
+            return value(n)
+
+        return f
+
+    # an explicit n is one call
+    assert _settle(counted(float), 7, 4, 64, 1e-9) == 7.0 and calls == [7]
+    # None doubles from start and stops at the first value that agrees with the one before
+    calls.clear()
+    assert _settle(counted(lambda n: 1.0 if n >= 16 else float(n)), None, 2, 1024, 1e-9) == 1.0
+    assert calls == [2, 4, 8, 16, 32]
+    # the tolerance is relative to max(1, |v|): absolute below 1, relative above
+    calls.clear()
+    assert _settle(counted(lambda n: 1e-3 / n), None, 1, 1024, 1e-4) == 1e-3 / 16 and calls == [1, 2, 4, 8, 16]
+    calls.clear()
+    assert _settle(counted(lambda n: 1e9 + n), None, 1, 1024, 1e-8) == 1e9 + 2 and calls == [1, 2]
+    # nothing agrees: every size up to the cap, whose value is returned
+    calls.clear()
+    assert _settle(counted(float), None, 3, 20, 1e-9) == 20.0 and calls == [3, 6, 12, 20]
+    # a vector agrees only when every component does
+    calls.clear()
+    got = _settle(counted(lambda n: (1.0, 0.0 if n >= 8 else float(n))), None, 1, 1024, 1e-9)
+    assert got == (1.0, 0.0) and calls == [1, 2, 4, 8, 16]
+    calls.clear()
+    got = _settle(counted(lambda n: np.array([1.0, 0.5 if n >= 4 else float(n)])), None, 1, 1024, 1e-9)
+    assert got.tolist() == [1.0, 0.5] and calls == [1, 2, 4, 8]
+    # verify_gauss at its default settles onto sqrt(pi)
+    assert verify_gauss() < 1e-14
 
 
 def test_fresnel():
