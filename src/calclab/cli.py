@@ -375,7 +375,7 @@ def _cmd_law(args) -> ResultTable:
         law = prob.binomial_law(args.x, args.count)
         ms = prob.moments(law, K)
     elif name == "poisson":
-        ms = [prob.poisson_moment(args.t, k) if k <= 12 else None for k in range(K + 1)]
+        ms = prob.poisson_moments(args.t, K)
     elif name == "gauss":
         ms = [prob.gaussian_moment(args.t, k) for k in range(K + 1)]
     elif name == "cgauss":

@@ -33,6 +33,10 @@
   ``series`` and ``quad`` routes as they were on numpy: the terms as an
   array, ``np.sum``, ``np.linspace`` and ``np.trapezoid``.  The tests hold
   the Python routes, with their pairwise sum and linspace, to these bits.
+- ``poisson_moment`` is ``prob.poisson_moment`` before the Touchard
+  recurrence: the sum of t^(number of blocks) over all Bell(k) set
+  partitions of k, enumerated (4.2M partitions at k = 12).  The tests hold
+  the recurrence to it.
 """
 
 import csv
@@ -43,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from calclab import hydrogen
-from calclab.combinat import factorial, pairings
+from calclab.combinat import factorial, pairings, set_partitions
 from calclab.diffcalc import CriticalReport
 from calclab.linalg import symmetric_eigen
 from calclab.poly import Polynomial
@@ -272,6 +276,10 @@ def simpson_density_rule(law, nodes=8000):
     x = mid - half * np.cos(u[1:-1])
     density = np.array([law.density(t) for t in x.tolist()])
     return x, c * half * np.sin(u[1:-1]) * density
+
+
+def poisson_moment(t, k):
+    return float(sum(t ** len(p) for p in set_partitions(k)))
 
 
 def sphere_moment_values(key, samples, rng):

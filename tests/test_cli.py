@@ -180,6 +180,24 @@ def test_law_cli(capsys):
     assert [float(r[1]) for r in rows] == pytest.approx([1, 1, 2, 5])
 
 
+def test_law_cli_poisson_prints_every_order(capsys):
+    # the partition sum stopped at order 12 and left the cells above it empty
+    code, out, _ = invoke(["law", "--name", "poisson", "--moments", "14", "--t", "2"], capsys)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert code == 0 and len(rows) == 15 and all(r[1] for r in rows)
+    assert float(rows[14][1]) == pytest.approx(float(sum(s * 2**b for b, s in enumerate(_stirling_row(14)))), rel=1e-14)
+    # an order past the float range is a numerical failure naming the order
+    code, _, err = invoke(["law", "--name", "poisson", "--moments", "300", "--t", "1"], capsys)
+    assert code == 2 and "order 219" in err
+
+
+def _stirling_row(k):
+    row = [1]  # S(j, 0..j), from S(j + 1, b) = b S(j, b) + S(j, b - 1)
+    for _ in range(k):
+        row = [b * s + p for b, (s, p) in enumerate(zip(row + [0], [0] + row))]
+    return row
+
+
 @pytest.mark.parametrize("name, x, count", [("bernoulli", 0.3, 1), ("binomial", 0.3, 7), ("binomial", 0.85, 12)])
 def test_law_cli_discrete_moments_are_the_exact_sums(name, x, count):
     argv = ["law", "--name", name, "--moments", "8", "--x", str(x)]

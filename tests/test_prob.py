@@ -46,6 +46,7 @@ from calclab.prob import (
     poisson_fourier,
     poisson_law,
     poisson_moment,
+    poisson_moments,
     semicircle_law,
     semicircle_transform,
     sn_fixed_point_counts,
@@ -57,7 +58,7 @@ from calclab.prob import (
 )
 from calclab.rng import RandomSource
 
-from oracles import matching_pairings, simpson_density_rule
+from oracles import matching_pairings, poisson_moment as partition_poisson_moment, simpson_density_rule
 
 
 def test_law_validation():
@@ -66,6 +67,44 @@ def test_law_validation():
     with pytest.raises(ValueError):
         Law(density=lambda x: 1.0)  # support missing
     assert abs(gaussian_law(1.0).total_mass() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"atoms": ((math.nan, 1.0),)},
+        {"atoms": ((math.inf, 1.0),)},
+        {"atoms": ((0.0, math.nan),)},
+        {"atoms": ((0.0, math.inf),)},
+        {"density": lambda x: 1.0, "support": (0.0, math.inf)},
+        {"density": lambda x: 1.0, "support": (-1e308, 1e308)},  # b - a overflows
+        {"density": lambda x: 1.0, "support": (0.0, 2.0, 1.0)},  # breakpoints out of order
+        {"density": lambda x: 1.0, "support": (1.0,)},
+    ],
+    ids=["nan-loc", "inf-loc", "nan-mass", "inf-mass", "inf-end", "long", "unsorted", "one-point"],
+)
+def test_law_rejects_non_finite_atoms_and_bad_breakpoints(kwargs):
+    with pytest.raises(ValueError):
+        Law(**kwargs)
+
+
+def test_moments_split_the_density_at_its_breakpoints():
+    # |x - 1/4| on [-1, 1] has a kink at 1/4; as a breakpoint it is a piece end of the rule
+    calls = []
+
+    def density(x):
+        calls.append(x)
+        return abs(x - 0.25)
+
+    c = Fraction(1, 4)
+
+    def exact(k):
+        F = lambda a, b: (b ** (k + 2) - a ** (k + 2)) / (k + 2) - c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        return float(F(c, Fraction(1)) - F(Fraction(-1), c))
+
+    got = moments(Law(density=density, support=(-1.0, 0.25, 1.0)), 8)
+    assert all(abs(m - exact(k)) <= 1e-14 for k, m in enumerate(got))
+    assert len(calls) <= 256
 
 
 def test_moments_dirac():
@@ -227,6 +266,34 @@ def test_poisson_partition_vs_atom_moments(t):
         assert abs(pm - atom[k]) <= 1e-8 * max(1.0, pm)
     default_atom = moments(poisson_law(t), 8)
     assert abs(poisson_moment(t, 8) - default_atom[8]) <= 1e-6 * poisson_moment(t, 8)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.0, 7.5])
+def test_poisson_moment_recurrence_is_the_partition_sum(t):
+    for k in range(11):
+        want = partition_poisson_moment(t, k)
+        assert abs(poisson_moment(t, k) - want) <= 1e-13 * want
+
+
+def test_poisson_moment_is_within_an_ulp_of_the_exact_partition_sum():
+    # at t = 0.3 the float partition sum drifts (3.8e-13 relative at k = 9); the recurrence does not
+    from calclab.combinat import set_partitions
+
+    for k in range(11):
+        exact = sum(n * Fraction(0.3) ** b for b, n in Counter(map(len, set_partitions(k))).items())
+        assert abs(Fraction(poisson_moment(0.3, k)) - exact) <= Fraction(math.ulp(float(exact)))
+
+
+def test_poisson_moments_past_the_partition_cap_and_the_float_range():
+    # orders past 12 were refused; at t = 1 they are the Bell numbers up to the float range
+    from calclab.combinat import bell
+
+    got = poisson_moments(1.0, 218)
+    assert all(abs(m - bell(k)) <= 1e-13 * bell(k) for k, m in enumerate(got))
+    with pytest.raises(ValueError, match="order 219"):
+        poisson_moment(1.0, 300)
+    with pytest.raises(ValueError):
+        poisson_moment(1.0, -1)
 
 
 def test_poisson_moments_are_bell_numbers_at_t1():
@@ -404,6 +471,37 @@ def test_density_of_a_convolution_with_a_shifted_factor_splits_at_its_kinks():
     c = convolve(convolve(bernoulli_law(0.3), s), s)
     for t in (0.0, 0.5, 2.0):
         assert abs(c.density(t) - (0.7 * ss.density(t) + 0.3 * ss.density(t - 1.0))) <= 1e-12
+
+
+def _binomial_convolution(upto, *factors):
+    out = [factors[0](k) for k in range(upto + 1)]
+    for f in factors[1:]:
+        out = [sum(math.comb(k, j) * out[j] * f(k - j) for j in range(k + 1)) for k in range(upto + 1)]
+    return out
+
+
+@pytest.mark.parametrize("coin", [False, True], ids=["s*s*s", "((b*s)*s)*s"])
+def test_nested_convolutions_keep_their_breakpoints(coin):
+    # each level enters the next by its pointwise density, split at its breakpoints
+    # (the sums of its factors'), so the square-root kinks inside are piece ends
+    s, semicircle = semicircle_law(), _EXACT_MOMENTS["semicircle"]
+    law, factors = s, [semicircle] * 3
+    if coin:
+        law, factors = convolve(bernoulli_law(0.3), s), [lambda k: 1.0 if k == 0 else 0.3, *factors]
+    law = convolve(convolve(law, s), s)
+    want = _binomial_convolution(6, *factors)
+    for m, w in zip(moments(law, 6), want):
+        assert abs(m - w) <= 1e-12 * max(1, abs(w))
+
+
+def test_a_density_product_nested_below_atoms_enters_by_its_pointwise_density():
+    # ((N * N) * B(1/2)) * N = N(0, 3) + B(1/2); the inner product part sits below atoms
+    n = lambda: gaussian_law(1.0)
+    law = convolve(convolve(convolve(n(), n()), bernoulli_law(0.5)), n())
+    assert len(prob._density_rule(law, 64)[0]) <= 32_768
+    want = _binomial_convolution(4, lambda k: gaussian_moment(3.0, k), lambda k: 1.0 if k == 0 else 0.5)
+    for m, w in zip(moments(law, 4), want):
+        assert abs(m - w) <= 1e-11 * max(1, abs(w))
 
 
 def test_density_convolution_samples_each_factor_at_most_1024_times():
