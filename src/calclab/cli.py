@@ -12,16 +12,15 @@ variable sets the default output format.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from ._record import Record
 
 # Each subcommand imports the modules it uses inside its _cmd_* function, so a
 # process pays only for its own command: the exact ones never load numpy.
@@ -29,16 +28,13 @@ from typing import Sequence
 __all__ = ["main", "ResultTable", "run"]
 
 
-@dataclass
-class ResultTable:
-    columns: list[str]
-    rows: list[tuple]
-    note: str = ""
+class ResultTable(Record):
+    __slots__ = ("columns", "rows", "note")
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("rows must match the column count")
+    def __init__(self, columns: list[str], rows: list[tuple], note: str = ""):
+        if set(map(len, rows)) - {len(columns)}:
+            raise ValueError("rows must match the column count")
+        self._set(columns, rows, note)
 
 
 class _UsageError(Exception):
@@ -59,6 +55,11 @@ def _csv_text(text: str) -> str:
     """A text cell, quoted as the csv module quotes it."""
     if _CSV_SPECIAL.isdisjoint(text):
         return text
+    if "\r" not in text and "\x00" not in text:
+        # ',', '"' and "\n" make every version quote the field and double its quotes
+        return '"' + text.replace('"', '""') + '"'
+    import csv  # versions differ on "\r" and NUL
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow([text])
     return buffer.getvalue()[:-1]
@@ -120,14 +121,17 @@ def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "csv":
-            csv.writer(sink, lineterminator="\n").writerow(table.columns)
             lone = len(table.columns) == 1
             write = sink.write
+            # the csv module quotes a lone empty field, so that the row is not blank
+            header = ",".join(map(_csv_text, table.columns))
+            write('""\n' if lone and not header else header + "\n")
             for row in table.rows:
                 line = ",".join([get(type(v), other)(v) for v in row])
-                # the csv module quotes a lone empty field, so that the row is not blank
                 write('""\n' if lone and not line else line + "\n")
         else:
+            import json
+
             payload = {
                 "columns": table.columns,
                 "rows": [[get(type(v), other)(v) for v in row] for row in table.rows],
@@ -192,6 +196,8 @@ def _positive_int(text: str) -> int:
 
 def _read_csv(path: str, option: str) -> list[list[str]]:
     """The nonblank rows of a CSV file; a file that cannot be read is a usage error naming the option."""
+    import csv
+
     try:
         with open(path, newline="") as fh:
             return [row for row in csv.reader(fh) if row]
@@ -570,7 +576,10 @@ def _cmd_hydrogen(args) -> ResultTable:
 _SPECTRAL_SERIES = ["balmer", "brackett", "humphreys", "lyman", "paschen", "pfund"]
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The parser of the subcommand argv[0] names, or, when it names none (--help,
+    a typo, nothing), of all of them, so top-level help and errors list every one."""
+    command = argv[0] if argv else None
     parser = _Parser(prog="calclab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["csv", "json"], default=None)
@@ -579,142 +588,142 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        if command in (None, name):
+            return sub.add_parser(name, parents=[common], **kwargs)
 
-    p = add_parser("sequence", help="exact combinatorial sequences")
-    p.add_argument("--kind", required=True, choices=["factorial", "catalan", "central", "middle", "bell", "bernoulli"])
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn_impl=_cmd_sequence)
+    if p := add_parser("sequence", help="exact combinatorial sequences"):
+        p.add_argument("--kind", required=True, choices=["factorial", "catalan", "central", "middle", "bell", "bernoulli"])
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(fn_impl=_cmd_sequence)
 
-    p = add_parser("constants", help="classical constants with error bounds")
-    p.add_argument("--which", required=True, choices=["e", "pi", "basel"])
-    p.add_argument("--terms", type=_positive_int, required=True)
-    p.set_defaults(fn_impl=_cmd_constants)
+    if p := add_parser("constants", help="classical constants with error bounds"):
+        p.add_argument("--which", required=True, choices=["e", "pi", "basel"])
+        p.add_argument("--terms", type=_positive_int, required=True)
+        p.set_defaults(fn_impl=_cmd_constants)
 
-    p = add_parser("roots", help="all roots of a complex polynomial")
-    p.add_argument("--coeffs", required=True, help="c0,c1,... ascending, entries like 1+2i")
-    p.set_defaults(fn_impl=_cmd_roots)
+    if p := add_parser("roots", help="all roots of a complex polynomial"):
+        p.add_argument("--coeffs", required=True, help="c0,c1,... ascending, entries like 1+2i")
+        p.set_defaults(fn_impl=_cmd_roots)
 
-    p = add_parser("eig", help="symmetric eigendecomposition from a CSV matrix")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn_impl=_cmd_eig)
+    if p := add_parser("eig", help="symmetric eigendecomposition from a CSV matrix"):
+        p.add_argument("--matrix", required=True)
+        p.set_defaults(fn_impl=_cmd_eig)
 
-    p = add_parser("integrate", help="one-dimensional quadrature")
-    p.add_argument("--method", required=True, choices=["riemann", "trapezoid", "mc"])
-    p.add_argument("--fn", required=True, choices=sorted(_INTEGRANDS))
-    p.add_argument("--a", type=_finite_float, required=True)
-    p.add_argument("--b", type=_finite_float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn_impl=_cmd_integrate)
+    if p := add_parser("integrate", help="one-dimensional quadrature"):
+        p.add_argument("--method", required=True, choices=["riemann", "trapezoid", "mc"])
+        p.add_argument("--fn", required=True, choices=sorted(_INTEGRANDS))
+        p.add_argument("--a", type=_finite_float, required=True)
+        p.add_argument("--b", type=_finite_float, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(fn_impl=_cmd_integrate)
 
-    p = add_parser("sphere", help="sphere volumes, areas and moments")
-    p.add_argument("--what", required=True, choices=["volume", "area", "moment"])
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--key", default=None, help="k1,k2,... exponents")
-    p.add_argument("--complex", action="store_true")
-    p.set_defaults(fn_impl=_cmd_sphere)
+    if p := add_parser("sphere", help="sphere volumes, areas and moments"):
+        p.add_argument("--what", required=True, choices=["volume", "area", "moment"])
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--key", default=None, help="k1,k2,... exponents")
+        p.add_argument("--complex", action="store_true")
+        p.set_defaults(fn_impl=_cmd_sphere)
 
-    p = add_parser("law", help="moment sequences of the builtin laws")
-    p.add_argument("--name", required=True, choices=["bernoulli", "binomial", "poisson", "gauss", "cgauss", "semicircle", "mp", "arcsine", "marcsine"])
-    p.add_argument("--moments", type=int, required=True)
-    p.add_argument("--x", type=_finite_float, default=0.5, help="coin bias for bernoulli/binomial")
-    p.add_argument("--count", type=_positive_int, default=10, help="binomial trial count")
-    p.add_argument("--t", type=_finite_float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
-    p.set_defaults(fn_impl=_cmd_law)
+    if p := add_parser("law", help="moment sequences of the builtin laws"):
+        p.add_argument("--name", required=True, choices=["bernoulli", "binomial", "poisson", "gauss", "cgauss", "semicircle", "mp", "arcsine", "marcsine"])
+        p.add_argument("--moments", type=int, required=True)
+        p.add_argument("--x", type=_finite_float, default=0.5, help="coin bias for bernoulli/binomial")
+        p.add_argument("--count", type=_positive_int, default=10, help="binomial trial count")
+        p.add_argument("--t", type=_finite_float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
+        p.set_defaults(fn_impl=_cmd_law)
 
-    p = add_parser("stieltjes", help="pointwise density recovery")
-    p.add_argument("--law", required=True, choices=["semicircle", "mp", "arcsine", "marcsine"])
-    p.add_argument("--x", required=True, help="comma list or start:stop:count")
-    p.add_argument("--t", type=_finite_float, required=True)
-    p.set_defaults(fn_impl=_cmd_stieltjes)
+    if p := add_parser("stieltjes", help="pointwise density recovery"):
+        p.add_argument("--law", required=True, choices=["semicircle", "mp", "arcsine", "marcsine"])
+        p.add_argument("--x", required=True, help="comma list or start:stop:count")
+        p.add_argument("--t", type=_finite_float, required=True)
+        p.set_defaults(fn_impl=_cmd_stieltjes)
 
-    p = add_parser("snchi", help="fixed-point law of random permutations")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--t", type=_finite_float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn_impl=_cmd_snchi)
+    if p := add_parser("snchi", help="fixed-point law of random permutations"):
+        p.add_argument("--n", type=_positive_int, required=True)
+        p.add_argument("--t", type=_finite_float, default=1.0)
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(fn_impl=_cmd_snchi)
 
-    p = add_parser("critical", help="critical-point classification")
-    p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
-    p.add_argument("--x", required=True, help="x1,...,xN")
-    p.set_defaults(fn_impl=_cmd_critical)
+    if p := add_parser("critical", help="critical-point classification"):
+        p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
+        p.add_argument("--x", required=True, help="x1,...,xN")
+        p.set_defaults(fn_impl=_cmd_critical)
 
-    p = add_parser("harmonic", help="laplacian residual samples")
-    p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn_impl=_cmd_harmonic)
+    if p := add_parser("harmonic", help="laplacian residual samples"):
+        p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
+        p.add_argument("--samples", type=_positive_int, required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(fn_impl=_cmd_harmonic)
 
-    p = add_parser("orbit", help="two-body trajectory with conservation columns")
-    p.add_argument("--r0", type=_finite_float, required=True)
-    p.add_argument("--vt0", type=_finite_float, required=True)
-    p.add_argument("--vr0", type=_finite_float, default=0.0)
-    p.add_argument("--K", type=_finite_float, required=True)
-    p.add_argument("--T", type=_finite_float, required=True)
-    p.add_argument("--dt", type=_finite_float, required=True)
-    p.set_defaults(fn_impl=_cmd_orbit)
+    if p := add_parser("orbit", help="two-body trajectory with conservation columns"):
+        p.add_argument("--r0", type=_finite_float, required=True)
+        p.add_argument("--vt0", type=_finite_float, required=True)
+        p.add_argument("--vr0", type=_finite_float, default=0.0)
+        p.add_argument("--K", type=_finite_float, required=True)
+        p.add_argument("--T", type=_finite_float, required=True)
+        p.add_argument("--dt", type=_finite_float, required=True)
+        p.set_defaults(fn_impl=_cmd_orbit)
 
-    p = add_parser("wave", help="leapfrog wave lattice frames")
-    p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
-    p.add_argument("--a", type=_finite_float, default=0.0)
-    p.add_argument("--b", type=_finite_float, default=20.0)
-    p.add_argument("--dx", type=_finite_float, default=0.05)
-    p.add_argument("--cfl", type=_finite_float, default=0.5)
-    p.add_argument("--v", type=_finite_float, default=1.0)
-    p.add_argument("--t", type=_finite_float, default=5.0)
-    p.add_argument("--frames", type=_positive_int, default=5)
-    p.set_defaults(fn_impl=_cmd_wave)
+    if p := add_parser("wave", help="leapfrog wave lattice frames"):
+        p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
+        p.add_argument("--a", type=_finite_float, default=0.0)
+        p.add_argument("--b", type=_finite_float, default=20.0)
+        p.add_argument("--dx", type=_finite_float, default=0.05)
+        p.add_argument("--cfl", type=_finite_float, default=0.5)
+        p.add_argument("--v", type=_finite_float, default=1.0)
+        p.add_argument("--t", type=_finite_float, default=5.0)
+        p.add_argument("--frames", type=_positive_int, default=5)
+        p.set_defaults(fn_impl=_cmd_wave)
 
-    p = add_parser("heat", help="forward-Euler heat lattice frames")
-    p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
-    p.add_argument("--a", type=_finite_float, default=0.0)
-    p.add_argument("--b", type=_finite_float, default=10.0)
-    p.add_argument("--dx", type=_finite_float, default=0.05)
-    p.add_argument("--cfl", type=_finite_float, default=0.25)
-    p.add_argument("--alpha", type=_finite_float, default=1.0)
-    p.add_argument("--t", type=_finite_float, default=0.5)
-    p.add_argument("--frames", type=_positive_int, default=5)
-    p.set_defaults(fn_impl=_cmd_heat)
+    if p := add_parser("heat", help="forward-Euler heat lattice frames"):
+        p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
+        p.add_argument("--a", type=_finite_float, default=0.0)
+        p.add_argument("--b", type=_finite_float, default=10.0)
+        p.add_argument("--dx", type=_finite_float, default=0.05)
+        p.add_argument("--cfl", type=_finite_float, default=0.25)
+        p.add_argument("--alpha", type=_finite_float, default=1.0)
+        p.add_argument("--t", type=_finite_float, default=0.5)
+        p.add_argument("--frames", type=_positive_int, default=5)
+        p.set_defaults(fn_impl=_cmd_heat)
 
-    p = add_parser("flux", help="electric flux through a sphere")
-    p.add_argument("--charges", required=True, help="CSV file with rows q,x,y,z")
-    p.add_argument("--center", required=True, help="x,y,z")
-    p.add_argument("--radius", type=_finite_float, required=True)
-    p.add_argument("--order", type=_positive_int, default=64)
-    p.add_argument("--k", type=_finite_float, default=1.0, help="Coulomb constant")
-    p.set_defaults(fn_impl=_cmd_flux)
+    if p := add_parser("flux", help="electric flux through a sphere"):
+        p.add_argument("--charges", required=True, help="CSV file with rows q,x,y,z")
+        p.add_argument("--center", required=True, help="x,y,z")
+        p.add_argument("--radius", type=_finite_float, required=True)
+        p.add_argument("--order", type=_positive_int, default=64)
+        p.add_argument("--k", type=_finite_float, default=1.0, help="Coulomb constant")
+        p.set_defaults(fn_impl=_cmd_flux)
 
-    p = add_parser("hydrogen", help="spectral lines, energies, wavefunctions")
-    hsub = p.add_subparsers(dest="hydrogen_cmd", required=True, parser_class=_Parser)
-    ph = hsub.add_parser("lines", parents=[common])
-    ph.add_argument("--series", required=True, choices=_SPECTRAL_SERIES)
-    ph.add_argument("--upto", type=int, required=True)
-    ph.set_defaults(fn_impl=_cmd_hydrogen)
-    ph = hsub.add_parser("energy", parents=[common])
-    ph.add_argument("--n", type=_positive_int, required=True)
-    ph.set_defaults(fn_impl=_cmd_hydrogen)
-    ph = hsub.add_parser("wavefunction", parents=[common])
-    ph.add_argument("--n", type=_positive_int, required=True)
-    ph.add_argument("--l", type=int, required=True)
-    ph.add_argument("--m", type=int, required=True)
-    ph.add_argument("--grid", required=True, help="rmax,steps")
-    ph.set_defaults(fn_impl=_cmd_hydrogen)
+    if p := add_parser("hydrogen", help="spectral lines, energies, wavefunctions"):
+        hsub = p.add_subparsers(dest="hydrogen_cmd", required=True, parser_class=_Parser)
+        ph = hsub.add_parser("lines", parents=[common])
+        ph.add_argument("--series", required=True, choices=_SPECTRAL_SERIES)
+        ph.add_argument("--upto", type=int, required=True)
+        ph.set_defaults(fn_impl=_cmd_hydrogen)
+        ph = hsub.add_parser("energy", parents=[common])
+        ph.add_argument("--n", type=_positive_int, required=True)
+        ph.set_defaults(fn_impl=_cmd_hydrogen)
+        ph = hsub.add_parser("wavefunction", parents=[common])
+        ph.add_argument("--n", type=_positive_int, required=True)
+        ph.add_argument("--l", type=int, required=True)
+        ph.add_argument("--m", type=int, required=True)
+        ph.add_argument("--grid", required=True, help="rmax,steps")
+        ph.set_defaults(fn_impl=_cmd_hydrogen)
 
-    return parser
+    return parser if sub.choices else _build_parser()
 
 
 def run(argv: Sequence[str]) -> ResultTable:
     """Parse argv and execute the subcommand, returning the result table."""
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     return args.fn_impl(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         table = args.fn_impl(args)
     except _UsageError as exc:
         print(f"calclab: usage error: {exc}", file=sys.stderr)

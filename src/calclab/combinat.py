@@ -9,10 +9,11 @@ These sequences feed the closed-form formulas used across the package
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
+
+from ._record import Record
 
 __all__ = [
     "factorial",
@@ -166,16 +167,15 @@ def power_sum(p: int, N: int) -> int:
     return int(total)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A permutation of {1..N}, stored as its image tuple (sigma(1), ..., sigma(N))."""
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
 
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
+    def __init__(self, image: tuple[int, ...]):
+        if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError("image is not a bijection of {1..N}")
+        self._set(image)
 
     @property
     def size(self) -> int:

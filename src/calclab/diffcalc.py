@@ -14,11 +14,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .linalg import symmetric_eigen
 from .quad import _gauss_rule, _samples, _sphere_quadrature
 
@@ -225,12 +225,11 @@ def _gradient_and_hessian(
     return (lead[:d] - lead[d:]) / (2.0 * h1), fx, H
 
 
-@dataclass(frozen=True)
-class CriticalReport:
-    point: tuple[float, ...]
-    gradient_norm: float
-    eigenvalues: tuple[float, ...]
-    classification: str
+class CriticalReport(Record):
+    __slots__ = ("point", "gradient_norm", "eigenvalues", "classification")
+
+    def __init__(self, point: tuple[float, ...], gradient_norm: float, eigenvalues: tuple[float, ...], classification: str):
+        self._set(point, gradient_norm, eigenvalues, classification)
 
 
 def classify_critical(

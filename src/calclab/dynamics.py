@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .diffcalc import _central_differences
 from .quad import _gauss_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, simpson, trapezoid
 
@@ -133,16 +133,13 @@ def gravity1d_stop_time(x0: float, k: float) -> float:
     return math.pi * math.sqrt(x0**3 / (8.0 * k))
 
 
-@dataclass(frozen=True)
-class OrbitState:
+class OrbitState(Record):
     """Planar two-body state: position, velocity, attraction constant, time."""
 
-    x: float
-    y: float
-    vx: float
-    vy: float
-    K: float
-    time: float = 0.0
+    __slots__ = ("x", "y", "vx", "vy", "K", "time")
+
+    def __init__(self, x: float, y: float, vx: float, vy: float, K: float, time: float = 0.0):
+        self._set(x, y, vx, vy, K, time)
 
     @property
     def r(self) -> float:
@@ -220,7 +217,8 @@ def kepler_integrate(
         s = kepler_step(s, dt, r_min=r_min)
         out.append(s)
     if clipped:
-        out.append(replace(kepler_step(s, end - s.time, r_min=r_min), time=end))
+        last = kepler_step(s, end - s.time, r_min=r_min)
+        out.append(OrbitState(last.x, last.y, last.vx, last.vy, last.K, end))
     return out
 
 
@@ -399,20 +397,17 @@ def dalembert(
     return out
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(Record):
     """Uniform samples of a field on [a, b] with a time stamp."""
 
-    values: np.ndarray
-    a: float
-    b: float
-    time: float = 0.0
+    __slots__ = ("values", "a", "b", "time")
 
-    def __post_init__(self):
-        if len(self.values) < 3:
+    def __init__(self, values: np.ndarray, a: float, b: float, time: float = 0.0):
+        if len(values) < 3:
             raise ValueError("need at least 3 samples")
-        if not self.a < self.b:
+        if not a < b:
             raise ValueError("need a < b")
+        self._set(values, a, b, time)
 
     @property
     def dx(self) -> float:
@@ -608,23 +603,22 @@ def ode2_solve(
     return solution
 
 
-@dataclass(frozen=True)
-class ChargeConfig:
+class ChargeConfig(Record):
     """Point charges (q_i, position_i) with a Coulomb constant.
 
     The vacuum permittivity used by the flux laws is 1/(4 pi k); the
     dimensionless test mode is k = 1.
     """
 
-    charges: tuple[tuple[float, tuple[float, float, float]], ...]
-    k: float = 1.0
+    __slots__ = ("charges", "k")
 
-    def __post_init__(self):
-        pts = [p for _, p in self.charges]
+    def __init__(self, charges: tuple[tuple[float, tuple[float, float, float]], ...], k: float = 1.0):
+        pts = [p for _, p in charges]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if np.allclose(pts[i], pts[j]):
                     raise ValueError("charge positions must be distinct")
+        self._set(charges, k)
 
     @property
     def epsilon0(self) -> float:

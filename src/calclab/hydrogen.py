@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
+from ._record import Record
 from .combinat import factorial
 from .poly import Polynomial
 
@@ -65,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """Coulomb constant, electron charge/mass, Planck constants, light speed.
 
     ``h`` is the reduced Planck constant and ``h0`` the unreduced one.  The
@@ -76,19 +75,15 @@ class PhysicalConstants:
     formulas do.
     """
 
-    k: float
-    e: float
-    h: float
-    m: float
-    c: float
-    h0: float
+    __slots__ = ("k", "e", "h", "m", "c", "h0")
 
-    def __post_init__(self):
-        for name in ("k", "e", "h", "m", "c", "h0"):
-            if getattr(self, name) <= 0:
+    def __init__(self, k: float, e: float, h: float, m: float, c: float, h0: float):
+        for name, value in zip(self.__slots__, (k, e, h, m, c, h0)):
+            if value <= 0:
                 raise ValueError(f"constant {name} must be positive")
-        if abs(self.h - self.h0 / (2.0 * math.pi)) > 1e-3 * self.h:
+        if abs(h - h0 / (2.0 * math.pi)) > 1e-3 * h:
             raise ValueError("h and h0 disagree beyond tabulation accuracy")
+        self._set(k, e, h, m, c, h0)
 
 
 BOOK_CONSTANTS = PhysicalConstants(
@@ -103,26 +98,24 @@ DIMENSIONLESS_CONSTANTS = PhysicalConstants(
 RYDBERG_HYDROGEN_MEASURED = 1.0967758e7  # m^-1
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(Record):
     """Principal, azimuthal and magnetic quantum numbers: integers with 0 <= l < n, |m| <= l."""
 
-    n: int
-    l: int
-    m: int
+    __slots__ = ("n", "l", "m")
 
-    def __post_init__(self):
-        for name in ("n", "l", "m"):
+    def __init__(self, n: int, l: int, m: int):
+        for name, value in zip(self.__slots__, (n, l, m)):
             try:
-                operator.index(getattr(self, name))
+                operator.index(value)
             except TypeError:
-                raise ValueError(f"need integer n, l and m, got {name} = {getattr(self, name)!r}") from None
-        if self.n < 1:
+                raise ValueError(f"need integer n, l and m, got {name} = {value!r}") from None
+        if n < 1:
             raise ValueError("need n >= 1")
-        if not 0 <= self.l <= self.n - 1:
+        if not 0 <= l <= n - 1:
             raise ValueError("need 0 <= l <= n-1")
-        if abs(self.m) > self.l:
+        if abs(m) > l:
             raise ValueError("need |m| <= l")
+        self._set(n, l, m)
 
 
 @lru_cache(maxsize=None)
@@ -251,10 +244,11 @@ def assoc_laguerre(p: int, q: int) -> Polynomial:
     return out.scale(Fraction((-1) ** p))
 
 
-@dataclass(frozen=True)
-class BohrEnergy:
-    joules: float
-    ev: float
+class BohrEnergy(Record):
+    __slots__ = ("joules", "ev")
+
+    def __init__(self, joules: float, ev: float):
+        self._set(joules, ev)
 
 
 def bohr_energy(n: int, constants: PhysicalConstants = BOOK_CONSTANTS) -> BohrEnergy:

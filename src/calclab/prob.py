@@ -19,10 +19,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from ._record import Record
 from .combinat import (
     binomial as binom,
     count_matching_pairings,
@@ -78,8 +78,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(Record):
     """A probability law: atoms (location, mass) plus an optional density.
 
     The density lives on [a, b] and is smooth between neighbours of the
@@ -92,18 +91,22 @@ class Law:
     min(nodes, 256) per piece of each density factor of a product part.
     """
 
-    atoms: tuple[tuple[float, float], ...] = ()
-    density: Callable[[float], float] | None = None
-    support: tuple[float, ...] | None = None
+    __slots__ = ("atoms", "density", "support")
 
-    def __post_init__(self):
-        if not all(math.isfinite(loc) and math.isfinite(mass) and mass >= -1e-12 for loc, mass in self.atoms):
+    def __init__(
+        self,
+        atoms: tuple[tuple[float, float], ...] = (),
+        density: Callable[[float], float] | None = None,
+        support: tuple[float, ...] | None = None,
+    ):
+        if not all(math.isfinite(loc) and math.isfinite(mass) and mass >= -1e-12 for loc, mass in atoms):
             raise ValueError("atoms need finite locations and finite nonnegative masses")
-        if (self.density is None) != (self.support is None):
+        if (density is None) != (support is None):
             raise ValueError("density and support come together")
-        s = self.support  # increasing with a finite length b - a, so every breakpoint is finite
+        s = support  # increasing with a finite length b - a, so every breakpoint is finite
         if s is not None and not (len(s) > 1 and all(x < y for x, y in zip(s, s[1:])) and math.isfinite(s[-1] - s[0])):
             raise ValueError("support must be two or more increasing breakpoints with a finite length b - a")
+        self._set(atoms, density, support)
 
     def total_mass(self, nodes: int | None = None) -> float:
         return moments(self, 0, nodes)[0]
@@ -311,19 +314,28 @@ def poisson_moments(t: float, upto: int) -> list[float]:
     """Poisson moments M_0..M_upto, the Touchard polynomials sum_b S(k, b) t^b.
 
     M_0 = 1, M_{j+1} = t fsum_i C(j, i) M_i: about 1 ulp from exact at t = 0.3.
-    ValueError names the first order whose moment or sum M_{j+1}/t (or, past
-    j = 1,030, a binomial C(j, i)) leaves the float range.
+    An order whose float step overflows (the sum M_{j+1}/t, a term, or past
+    j = 1,030 a binomial C(j, i) leaves the float range) is summed exactly
+    from the float M_i and rounded once; ValueError names the first order
+    whose moment itself leaves the float range.
     """
     if t <= 0 or upto < 0:
         raise ValueError("need t > 0 and upto >= 0")
     ms, row = [1.0], [1]  # row j of Pascal's triangle
     for j in range(upto):
         try:
-            ms.append(t * math.fsum(c * m for c, m in zip(row, ms)))
+            m = t * math.fsum(c * x for c, x in zip(row, ms))
         except OverflowError:
-            ms.append(math.inf)
-        if ms[-1] == math.inf:
-            raise ValueError(f"the Poisson moment of order {j + 1} leaves the float range")
+            m = math.inf
+        if m == math.inf:  # t sum_i C(j, i) M_i in integers over one power of two
+            tn, td = t.as_integer_ratio()
+            pairs = [x.as_integer_ratio() for x in ms]
+            den = max(d for _, d in pairs)  # every float's denominator is a power of two, so d divides it
+            try:  # int true division rounds correctly, or raises past the float range
+                m = tn * sum(c * n * (den // d) for c, (n, d) in zip(row, pairs)) / (td * den)
+            except OverflowError:
+                raise ValueError(f"the Poisson moment of order {j + 1} leaves the float range") from None
+        ms.append(m)
         row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
     return ms
 
@@ -669,11 +681,11 @@ def orthopoly_from_moments(moment_seq: Sequence[float], k: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class SnFixedPointResult:
-    law: Law
-    exact: bool
-    samples: int
+class SnFixedPointResult(Record):
+    __slots__ = ("law", "exact", "samples")
+
+    def __init__(self, law: Law, exact: bool, samples: int):
+        self._set(law, exact, samples)
 
 
 def sn_fixed_point_counts(N: int, t: float = 1.0) -> dict[int, int]:

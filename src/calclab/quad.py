@@ -23,11 +23,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
+from ._record import Record
 from .combinat import factorial, semi_factorial
 
 if TYPE_CHECKING:
@@ -389,8 +389,7 @@ def sphere_volume_estimate(N: int) -> float:
     return math.exp(log_v)
 
 
-@dataclass(frozen=True)
-class SphereMomentKey:
+class SphereMomentKey(Record):
     """Exponent tuple for a sphere moment, over the real or complex sphere.
 
     Real field: the moment of x_1^k_1 ... x_N^k_N over the unit sphere of
@@ -398,14 +397,14 @@ class SphereMomentKey:
     the unit sphere of C^N.
     """
 
-    exponents: tuple[int, ...]
-    field: str = "real"
+    __slots__ = ("exponents", "field")
 
-    def __post_init__(self):
-        if self.field not in ("real", "complex"):
+    def __init__(self, exponents: tuple[int, ...], field: str = "real"):
+        if field not in ("real", "complex"):
             raise ValueError("field must be 'real' or 'complex'")
-        if len(self.exponents) < 1 or any(k < 0 for k in self.exponents):
+        if len(exponents) < 1 or any(k < 0 for k in exponents):
             raise ValueError("exponents must be a nonempty tuple of naturals")
+        self._set(exponents, field)
 
     @property
     def dimension(self) -> int:

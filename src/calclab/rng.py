@@ -5,8 +5,9 @@ numpy is imported when a generator is made, not with this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from ._record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -14,8 +15,7 @@ if TYPE_CHECKING:
 __all__ = ["RandomSource"]
 
 
-@dataclass(frozen=True)
-class RandomSource:
+class RandomSource(Record):
     """A 64-bit seed for a counter-based (Philox) generator.
 
     Every call to :meth:`generator` restarts the stream, so an operation
@@ -23,7 +23,10 @@ class RandomSource:
     seeds give independent streams safe to use in parallel.
     """
 
-    seed: int
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int):
+        self._set(seed)
 
     def generator(self) -> np.random.Generator:
         import numpy as np

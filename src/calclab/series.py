@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 from typing import Callable, Iterator, Sequence
 
+from ._record import Record
 from .combinat import bernoulli, catalan, central_binomial, factorial
 from .quad import _pairwise_sum
 
@@ -35,16 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """A power series sum c_k x^k given by its coefficient callback.
 
     ``radius`` is the known convergence radius when there is one;
     evaluation refuses |x| >= radius.
     """
 
-    coefficient: Callable[[int], float]
-    radius: float = math.inf
+    __slots__ = ("coefficient", "radius")
+
+    def __init__(self, coefficient: Callable[[int], float], radius: float = math.inf):
+        self._set(coefficient, radius)
 
 
 def eval_series(s: PowerSeries, x: float, terms: int) -> tuple[float, float]:
@@ -184,15 +185,23 @@ def recip_sqrt_one_minus_4t() -> PowerSeries:
     return PowerSeries(lambda k: float(central_binomial(k)), radius=0.25)
 
 
+def _reciprocal_factorial(k: int) -> float:
+    # 1.0/k! while k! is a float (k <= 170), then 1/k! rounded once: subnormal
+    # to k = 177, and 0.0 from 178 on, where k! is not computed
+    if k <= 170:
+        return 1.0 / factorial(k)
+    return 1 / factorial(k) if k < 178 else 0.0
+
+
 def exp_series() -> PowerSeries:
-    return PowerSeries(lambda k: 1.0 / factorial(k))
+    return PowerSeries(_reciprocal_factorial)
 
 
 def sin_series() -> PowerSeries:
     def coeff(k: int) -> float:
         if k % 2 == 0:
             return 0.0
-        return (-1.0) ** ((k - 1) // 2) / factorial(k)
+        return (-1.0) ** ((k - 1) // 2) * _reciprocal_factorial(k)
 
     return PowerSeries(coeff)
 
@@ -201,6 +210,6 @@ def cos_series() -> PowerSeries:
     def coeff(k: int) -> float:
         if k % 2 == 1:
             return 0.0
-        return (-1.0) ** (k // 2) / factorial(k)
+        return (-1.0) ** (k // 2) * _reciprocal_factorial(k)
 
     return PowerSeries(coeff)

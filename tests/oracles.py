@@ -37,6 +37,11 @@
   recurrence: the sum of t^(number of blocks) over all Bell(k) set
   partitions of k, enumerated (4.2M partitions at k = 12).  The tests hold
   the recurrence to it.
+- ``touchard_moments`` is the exact Poisson moment sum_b S(k, b) t^b in
+  integers: the Stirling numbers from their own recurrence and t as its exact
+  binary fraction, rounded to a float once.  It shares no step with
+  ``prob.poisson_moments``' binomial recurrence, and holds it to 1e-13
+  where its float route overflows.
 """
 
 import csv
@@ -280,6 +285,19 @@ def simpson_density_rule(law, nodes=8000):
 
 def poisson_moment(t, k):
     return float(sum(t ** len(p) for p in set_partitions(k)))
+
+
+def touchard_moments(t, orders):
+    """{k: sum_b S(k, b) t^b rounded once} for each k in orders."""
+    p, q = t.as_integer_ratio()  # q = 2^e
+    e = q.bit_length() - 1
+    row, out = [1], {}  # S(j, 0..j), from S(j + 1, b) = b S(j, b) + S(j, b - 1)
+    for k in range(max(orders) + 1):
+        if k in orders:  # t^b = p^b / 2^(e b), over the common denominator 2^(e k)
+            total = sum((s * p**b) << (e * (k - b)) for b, s in enumerate(row))
+            out[k] = total / (1 << (e * k))
+        row = [b * s + prev for b, (s, prev) in enumerate(zip(row + [0], [0] + row))]
+    return out
 
 
 def sphere_moment_values(key, samples, rng):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,24 @@ def test_law_cli_poisson_prints_every_order(capsys):
     # an order past the float range is a numerical failure naming the order
     code, _, err = invoke(["law", "--name", "poisson", "--moments", "300", "--t", "1"], capsys)
     assert code == 2 and "order 219" in err
+
+
+def test_constants_e_past_170_terms_prints_the_converged_value(capsys):
+    # 1.0/k! overflowed on k! from k = 171, which --terms 170 already reaches in the tail bound
+    _, want, _ = invoke(["constants", "--which", "e", "--terms", "30"], capsys)
+    for terms in ("170", "200", "100000"):
+        start = time.perf_counter()
+        code, out, err = invoke(["constants", "--which", "e", "--terms", terms], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",")[1] == want.splitlines()[1].split(",")[1]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_law_cli_poisson_moment_just_below_the_float_max(capsys):
+    # the sum M_234/0.3 overflows although M_234 is about 1.0157e308
+    code, out, err = invoke(["law", "--name", "poisson", "--moments", "234", "--t", "0.3"], capsys)
+    assert code == 0 and err == ""
+    assert float(out.splitlines()[-1].split(",")[1]) == pytest.approx(1.0156569278224272e308, rel=1e-13)
 
 
 def _stirling_row(k):

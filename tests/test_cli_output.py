@@ -43,7 +43,8 @@ NUMPY_FREE = [
     ["hydrogen", "energy", "--n", "3"],
 ]
 
-# runs calclab.cli as `python -m` does, then lists the numpy modules loaded
+# runs calclab.cli as `python -m` does, then lists which of the stdlib modules
+# that only some commands or formats need are loaded, and last the numpy modules
 _RUN_AND_LIST_NUMPY = """
 import runpy, sys
 sys.argv = ["calclab", *sys.argv[1:]]
@@ -51,23 +52,36 @@ try:
     runpy.run_module("calclab.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
+print(sorted(m for m in ("csv", "dataclasses", "inspect", "json") if m in sys.modules), file=sys.stderr)
 print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")), file=sys.stderr)
 sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda a: "-".join(a[:3]).lstrip("-"))
-def test_exact_commands_never_import_numpy(argv):
-    proc = subprocess.run(
+def _probe(argv):
+    return subprocess.run(
         [sys.executable, "-c", _RUN_AND_LIST_NUMPY, *argv],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda a: "-".join(a[:3]).lstrip("-"))
+def test_exact_commands_never_import_numpy(argv):
+    proc = _probe(argv)
     # the repeated quartic root is a known numerical failure (exit 2)
     assert proc.returncode == (2 if argv[1] == "--coeffs=1,-4,6,-4,1" else 0)
     assert proc.stderr.splitlines()[-1] == "[]", proc.stderr
+    # CSV output, a quoted cell included, needs neither the csv nor the json module
+    assert proc.stderr.splitlines()[-2] == "[]", proc.stderr
+
+
+def test_json_output_imports_json_and_only_then():
+    proc = _probe(["sequence", "--kind", "catalan", "--n", "10", "--format", "json"])
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-2:] == ["['json']", "[]"], proc.stderr
 
 
 def test_spectral_series_choices_match_hydrogen():
@@ -135,6 +149,31 @@ def test_every_command_prints_the_old_bytes(tmp_path, argv):
             assert _written(emit, table, fmt, digits) == _written(oracles.emit, table, fmt, digits)
 
 
+def _subcommands(parser):
+    (choices,) = [action.choices for action in parser._actions if action.dest == "command"]
+    return choices
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE + COMMANDS, ids=lambda a: "-".join(a[:3]).lstrip("-"))
+def test_the_one_subcommand_parser_parses_as_the_full_parser(argv):
+    argv = [a.format(matrix="m.csv", charges="q.csv") for a in argv]
+    one, full = cli._build_parser(argv), cli._build_parser()
+    assert list(_subcommands(one)) == [argv[0]]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    assert _subcommands(one)[argv[0]].format_help() == _subcommands(full)[argv[0]].format_help()
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    names = out[out.index("{") + 1 : out.index("}")].split(",")
+    assert len(names) == 16 and list(_subcommands(cli._build_parser())) == names
+    # an argv[0] that names no subcommand builds them all
+    assert cli._build_parser(["no-such-command"]).format_help() == cli._build_parser().format_help()
+
+
 @pytest.mark.parametrize("n, l, m, rmax, steps", [(1, 0, 0, 5, 10), (3, 1, -1, 30, 400), (4, 3, 2, 30, 2000)])
 def test_wavefunction_table_is_the_wavefunction(n, l, m, rmax, steps):
     argv = ["hydrogen", "wavefunction", "--n", n, "--l", l, "--m", m, "--grid", f"{rmax},{steps}"]
@@ -185,6 +224,13 @@ def test_mixed_types_print_the_old_bytes(fmt, digits):
 def test_table_edges_print_the_old_bytes(table):
     for fmt in ("csv", "json"):
         assert _written(emit, table, fmt, None) == _written(oracles.emit, table, fmt, None)
+
+
+@pytest.mark.parametrize("columns", [[""], ['say "hi"'], ["a\rb", "c\nd", ""], ["x, y", "z"]])
+def test_header_cells_print_the_old_bytes(columns):
+    # the header goes through the cell quoting, not the csv module
+    table = ResultTable(columns, [("",) * len(columns)])
+    assert _written(emit, table, "csv", None) == _written(oracles.emit, table, "csv", None)
 
 
 _cells = st.one_of(

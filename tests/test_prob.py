@@ -58,7 +58,7 @@ from calclab.prob import (
 )
 from calclab.rng import RandomSource
 
-from oracles import matching_pairings, poisson_moment as partition_poisson_moment, simpson_density_rule
+from oracles import matching_pairings, poisson_moment as partition_poisson_moment, simpson_density_rule, touchard_moments
 
 
 def test_law_validation():
@@ -294,6 +294,23 @@ def test_poisson_moments_past_the_partition_cap_and_the_float_range():
         poisson_moment(1.0, 300)
     with pytest.raises(ValueError):
         poisson_moment(1.0, -1)
+
+
+@pytest.mark.parametrize(
+    "t, upto, orders",
+    [(0.3, 234, range(235)), (0.01, 270, range(271)), (1e-300, 1100, [1030, 1031, 1032, 1100])],
+)
+def test_poisson_moments_whose_float_step_overflows_are_summed_exactly(t, upto, orders):
+    # the float step overflows on the sum M_{j+1}/t (t < 1) or, past j = 1,030, on a binomial C(j, i)
+    got = poisson_moments(t, upto)
+    want = touchard_moments(t, set(orders))
+    assert all(abs(got[k] - want[k]) <= 1e-13 * want[k] for k in orders)
+
+
+@pytest.mark.parametrize("t, order", [(0.3, 235), (0.01, 271)])
+def test_poisson_moments_raise_at_the_first_order_past_the_float_range(t, order):
+    with pytest.raises(ValueError, match=f"order {order} leaves"):
+        poisson_moments(t, order)
 
 
 def test_poisson_moments_are_bell_numbers_at_t1():

@@ -50,6 +50,19 @@ def test_eval_series_exp():
     assert value_neg == pytest.approx(1.0 / math.e, abs=1e-14)
 
 
+def test_factorial_series_coefficients_past_the_float_range_of_k_factorial():
+    # up to k = 170 the coefficient is 1.0/k! with k! a float, as before; past it
+    # 1/k! is rounded once (subnormal through k = 177) and then 0.0
+    for k in range(200):
+        want = 1.0 / math.factorial(k) if k <= 170 else float(Fraction(1, math.factorial(k)))
+        assert exp_series().coefficient(k) == want
+        assert sin_series().coefficient(k) == (0.0 if k % 2 == 0 else (-1) ** ((k - 1) // 2) * want)
+        assert cos_series().coefficient(k) == (0.0 if k % 2 else (-1) ** (k // 2) * want)
+    assert exp_series().coefficient(177) > 0.0 == exp_series().coefficient(178)
+    for series, x in ((exp_series(), 1.0), (sin_series(), 2.0), (cos_series(), -3.0)):
+        assert eval_series(series, x, 500)[0] == eval_series(series, x, 60)[0]
+
+
 def test_eval_series_at_zero_gives_constant_term():
     s = PowerSeries(lambda k: float(k + 7))
     value, bound = eval_series(s, 0.0, 5)
