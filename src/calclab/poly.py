@@ -118,13 +118,13 @@ def _real_cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def all_roots(P: Polynomial, tol: float = 1e-12, max_iter: int = 1000) -> list[complex]:
+def all_roots(P: Polynomial, tol: float = 1e-12) -> list[complex]:
     """All deg(P) roots, by simultaneous Durand-Kerner iteration.
 
     Start points are roots of unity scaled to 1 + max |c_k/c_n| and rotated
     by 0.4 radians to break symmetric stagnation.  Roots closer than
     1e3 * tol * scale are merged (reported with multiplicity, as copies of
-    their cluster mean).
+    their cluster mean).  Raises ArithmeticError after 1000 sweeps.
     """
     n = P.degree
     if n < 1:
@@ -144,7 +144,7 @@ def all_roots(P: Polynomial, tol: float = 1e-12, max_iter: int = 1000) -> list[c
         radius * cmath.exp(1j * (0.4 + 2 * math.pi * k / n)) for k in range(n)
     ]
     scale = max(1.0, radius)
-    for _ in range(max_iter):
+    for _ in range(1000):
         shift = 0.0
         for i in range(n):
             denom = 1.0 + 0j

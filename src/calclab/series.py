@@ -63,7 +63,8 @@ def eval_series(s: PowerSeries, x: float, terms: int) -> tuple[float, float]:
     value = 0.0
     computed = []
     for k in range(terms):
-        t = s.coefficient(k) * x**k
+        # x**k can overflow long after c reached 0.0, and a +-0.0 term changes no sum
+        t = c * x**k if (c := s.coefficient(k)) else 0.0
         value += t
         computed.append(t)
     return value, _tail_bound(s, x, terms, computed)
@@ -74,7 +75,7 @@ def _tail_bound(s: PowerSeries, x: float, terms: int, computed: list[float]) -> 
     recent = [t for t in computed if t != 0.0][-4:]
     omitted = []
     for k in range(terms, terms + 8):
-        t = s.coefficient(k) * x**k
+        t = c * x**k if (c := s.coefficient(k)) else 0.0
         if t != 0.0:
             omitted.append(t)
         if len(omitted) == 2:

@@ -322,6 +322,40 @@ def test_radial_wavefunction():
     assert rs[int(np.argmax(dens))] == pytest.approx(1.0, abs=5e-3)
 
 
+@pytest.mark.parametrize(
+    "n, l, constants, rs",
+    [
+        (160, 10, DIMENSIONLESS_CONSTANTS, (0.5, 2.0, 5.0)),
+        (170, 0, DIMENSIONLESS_CONSTANTS, (0.5, 2.0, 5.0)),
+        (200, 3, DIMENSIONLESS_CONSTANTS, (0.5, 2.0, 5.0)),
+        (300, 2, DIMENSIONLESS_CONSTANTS, (0.5, 2.0, 5.0)),
+        (90, 84, DIMENSIONLESS_CONSTANTS, (4.5, 22.5, 90.0)),
+        (150, 96, DIMENSIONLESS_CONSTANTS, (7.5, 37.5, 150.0)),
+        (150, 97, DIMENSIONLESS_CONSTANTS, (7.5, 37.5, 150.0)),
+        (170, 0, BOOK_CONSTANTS, (0.5, 2.0, 5.0)),
+    ],
+)
+def test_radial_wavefunction_normalization_past_the_float_range_of_factorials(n, l, constants, rs):
+    # the float square of the normalization is inf, nan (inf/inf with the book's Bohr radius),
+    # subnormal (90, 84) or 0 (150, 96): its root is still an ordinary float.  The radii, in
+    # units of a, keep 2r/(na) small enough that the Laguerre factor has no cancellation.
+    mpmath = pytest.importorskip("mpmath")
+    a = bohr_radius(constants)
+    rho = radial_wavefunction(n, l, constants)
+    with mpmath.workdps(50):
+        norm = mpmath.sqrt((2 / mpmath.mpf(n * a)) ** 3 * mpmath.factorial(n - l - 1) / (2 * n * mpmath.factorial(n + l)))
+        for r in (x * a for x in rs):
+            p = 2 * mpmath.mpf(r) / (n * a)
+            want = norm * mpmath.exp(-p / 2) * p**l * mpmath.laguerre(n - l - 1, 2 * l + 1, p)
+            assert abs(rho(r) - want) <= 1e-14 * abs(want), (n, l, r)
+
+
+def test_radial_wavefunction_normalization_below_the_float_range_raises():
+    # sqrt((2/n)^3 / (2n perm(n + l, 2l + 1))) is about 1e-494 here
+    with pytest.raises(ValueError, match="normalization of rho_300_200 is below the float range"):
+        radial_wavefunction(300, 200)
+
+
 def test_radial_wavefunction_matches_the_polynomial_route():
     for constants in (DIMENSIONLESS_CONSTANTS, BOOK_CONSTANTS):
         a = bohr_radius(constants)

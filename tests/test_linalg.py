@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calclab import linalg
+from calclab.combinat import signature
 from calclab.linalg import (
     Polynomial,
     all_roots,
@@ -324,6 +326,69 @@ def test_inverse_of_1x1():
         got = inverse(np.array([[a]]))
         assert got.shape == (1, 1) and got.dtype == np.array([[a]]).dtype
         assert abs(got[0, 0] * a - 1.0) <= 2e-16
+
+
+def test_determinant_of_integers_is_exact_where_int64_overflows():
+    A = np.array([[10**4 * (i == j) + i + j for j in range(6)] for i in range(6)], dtype=np.int64)
+    got = determinant(A)
+    assert type(got) is int and got == 1002998950000000000000000
+    assert type(determinant(np.eye(7, dtype=int) + np.arange(49).reshape(7, 7))) is int
+    # numpy integers held in an object array are rational entries too
+    held = np.array([[np.int64(v) for v in row] for row in A.tolist()], dtype=object)
+    assert type(held[0, 0]) is np.int64 and determinant(held) == 1002998950000000000000000
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_determinant_of_a_permuted_integer_lu_product(n):
+    # A = P L U with unit lower L and upper U over the integers: det A = sign(P) prod diag(U),
+    # and P leaves zero pivots that the elimination must swap past (at n = 40 at least)
+    rng = np.random.default_rng(n)
+    L = np.tril(rng.integers(-9, 10, (n, n)), -1).astype(object) + np.eye(n, dtype=int).astype(object)
+    diag = [int(v) for v in rng.integers(1, 6, n) * rng.choice([-1, 1], n)]
+    U = np.triu(rng.integers(-9, 10, (n, n)), 1).astype(object) + np.diag(diag).astype(object)
+    perm = rng.permutation(n)
+    A = (L @ U)[perm]
+    want = signature(tuple(int(i) + 1 for i in perm)) * math.prod(diag)
+    assert determinant(A) == want
+    assert determinant([[Fraction(v, 3) for v in row] for row in A.tolist()]) == Fraction(want, 3**n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(-(10**6), 10**6), min_size=n * n, max_size=n * n)))
+def test_determinant_of_int64_matches_the_exact_permutation_sum(entries):
+    n = math.isqrt(len(entries))
+    A = np.array(entries, dtype=np.int64).reshape(n, n)
+    got = determinant(A)
+    assert type(got) is int and got == det_permutation_sum(A.astype(object))
+
+
+def test_determinant_of_a_fraction_hilbert_matrix():
+    H = [[Fraction(1, i + j + 1) for j in range(7)] for i in range(7)]
+    assert determinant(H) == Fraction(1, 2067909047925770649600000)
+    assert determinant(np.array(H, dtype=object)) == Fraction(1, 2067909047925770649600000)
+
+
+def test_mixed_fraction_and_float_entries_take_lu():
+    assert resultant(Polynomial([Fraction(1, 2), 0.5, 1.0]), Polynomial([1, 2])) == 2 + 0j
+    A = np.array([[Fraction(1, 2), 0.5], [1, 2.0]], dtype=object)
+    assert determinant(A) == 0.5
+
+
+@pytest.mark.parametrize("d, n", [(0.1, 400), (10.0, 400), (1e-3, 120)])
+def test_inverse_where_the_determinant_leaves_the_float_range(d, n):
+    # d^n underflows or overflows; the singularity test is taken on logarithms
+    assert np.array_equal(inverse(d * np.eye(n)), np.diag(np.full(n, 1.0 / d)))
+
+
+def test_determinant_and_inverse_never_sum_permutations(monkeypatch):
+    def refuse(A):
+        raise AssertionError("the n! permutation sum ran")
+
+    monkeypatch.setattr(linalg, "det_permutation_sum", refuse)
+    M = np.random.default_rng(43).standard_normal((6, 6)) + 6.0 * np.eye(6)
+    assert np.abs(M @ inverse(M) - np.eye(6)).max() < 1e-12
+    assert determinant(M) == pytest.approx(np.linalg.det(M), rel=1e-12)
+    assert determinant(np.eye(6, dtype=int)) == 1
 
 
 def test_symmetric_eigen():

@@ -61,6 +61,9 @@ def test_factorial_series_coefficients_past_the_float_range_of_k_factorial():
     assert exp_series().coefficient(177) > 0.0 == exp_series().coefficient(178)
     for series, x in ((exp_series(), 1.0), (sin_series(), 2.0), (cos_series(), -3.0)):
         assert eval_series(series, x, 500)[0] == eval_series(series, x, 60)[0]
+    # |x|^k leaves the float range here, long after the coefficients reached 0.0
+    for series, x, terms in ((exp_series(), 2.0, 1017), (exp_series(), -3.0, 700), (sin_series(), 3.0, 700)):
+        assert eval_series(series, x, terms) == eval_series(series, x, 200)
 
 
 def test_eval_series_at_zero_gives_constant_term():
