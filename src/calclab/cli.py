@@ -467,14 +467,13 @@ def _cmd_orbit(args) -> ResultTable:
 
 
 def _cmd_wave(args) -> ResultTable:
-    import numpy as np
-
     from . import dynamics
+    from .quad import _linspace
 
     g = _PROFILES[args.profile](args.a, args.b)
     zero = lambda x: 0.0
     rows = []
-    times = np.linspace(0.0, args.t, args.frames + 1)[1:].tolist()
+    times = _linspace(0.0, args.t, args.frames + 1)[1:]
     grids = dynamics._wave_frames(g, zero, args.v, args.a, args.b, args.dx, args.cfl, times)
     for frame, grid in enumerate(grids):
         for x, u in zip(grid.x, grid.values):
@@ -483,13 +482,12 @@ def _cmd_wave(args) -> ResultTable:
 
 
 def _cmd_heat(args) -> ResultTable:
-    import numpy as np
-
     from . import dynamics
+    from .quad import _linspace
 
     g = _PROFILES[args.profile](args.a, args.b)
     rows = []
-    times = np.linspace(0.0, args.t, args.frames + 1)[1:].tolist()
+    times = _linspace(0.0, args.t, args.frames + 1)[1:]
     grids = dynamics._heat_frames(g, args.alpha, args.a, args.b, args.dx, args.cfl, times)
     for frame, grid in enumerate(grids):
         for x, u in zip(grid.x, grid.values):
@@ -551,7 +549,7 @@ def _cmd_hydrogen(args) -> ResultTable:
         raise _UsageError(f"--grid {args.grid!r} is not rmax,steps") from None
     if not (0 < rmax < math.inf) or steps < 1:
         raise _UsageError("--grid needs a finite rmax > 0 and steps >= 1")
-    import numpy as np
+    from .quad import _linspace
 
     qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
     rho = hydrogen.radial_wavefunction(qn.n, qn.l)
@@ -559,7 +557,7 @@ def _cmd_hydrogen(args) -> ResultTable:
     # the angles are fixed, so Y is one number; rho(r) * y is wavefunction(qn)'s product
     y = hydrogen.spherical_harmonic(qn.l, qn.m)(s_fixed, t_fixed)
     rows = []
-    for r in np.linspace(rmax / steps, rmax, steps).tolist():
+    for r in _linspace(rmax / steps, rmax, steps):
         v = rho(r) * y
         rows.append((r, s_fixed, t_fixed, v.real, v.imag, abs(v) ** 2))
     return ResultTable(

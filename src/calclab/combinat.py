@@ -130,23 +130,56 @@ def bell_numbers(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+def _grow_bernoulli(
+    column: list[int], table: tuple[Fraction, ...], m: int
+) -> tuple[list[int], tuple[Fraction, ...]]:
+    """Extend table = (B_0, B_2, ..., B_2j) to B_2m, with column the passes of T_j.
+
+    The tangent numbers T_j = tan^(2j-1)(0) come from Brent and Harvey's
+    recurrence ("Fast computation of Bernoulli, tangent and secant numbers",
+    2013) one index at a time: T_j starts at (j-1)!, and its value after
+    pass k = 2 ... j is (j-k) [T_(j-1) after pass k] + (j-k+2) [T_j after
+    pass k-1].  column holds T_j after passes 1 ... j, and the column of
+    T_(j+1) follows from it by O(j) products of an integer by a small one,
+    without a gcd.  Then B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
+    Returns the new column and table.
+    """
+    table = list(table)
+    for j in range(len(column) + 1, m + 1):
+        new = [(j - 1) * column[0]]
+        for k in range(2, j):
+            new.append((j - k) * column[k - 1] + (j - k + 2) * new[-1])
+        new.append(2 * new[-1])
+        column = new
+        four = 4**j
+        b = Fraction(2 * j * column[-1], four * (four - 1))
+        table.append(b if j % 2 else -b)
+    return column, tuple(table)
+
+
+# the column of T_j and (B_0, B_2, ..., B_2j): replaced whole, never mutated, so a
+# thread always reads a consistent pair (two racing calls may both extend it)
+_BERNOULLI = ([1], (Fraction(1), Fraction(1, 6)))
+
+
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, exactly (B_1 = -1/2 convention).
 
-    Computed from the recurrence sum_{k<=m} binom(m+1, k) B_k = [m == 0].
-    Memoized; the cache is observably pure.
+    The even ones come from one memoized table that grows on demand from
+    the tangent numbers, so B_0 ... B_N cost O(N^2) integer operations in
+    all (:func:`_grow_bernoulli`).
     """
+    global _BERNOULLI
     if n < 0:
         raise ValueError("bernoulli needs n >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n >= 3 and n % 2 == 1:
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
         return Fraction(0)
-    total = Fraction(0)
-    for k in range(n):
-        total += math.comb(n + 1, k) * bernoulli(k)
-    return -total / (n + 1)
+    column, table = _BERNOULLI
+    if n // 2 >= len(table):
+        column, table = _BERNOULLI = _grow_bernoulli(column, table, n // 2)
+    return table[n // 2]
 
 
 def power_sum(p: int, N: int) -> int:

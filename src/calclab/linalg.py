@@ -6,6 +6,9 @@ numpy arrays.  A determinant is exact (Bareiss elimination) when every
 entry is rational and numpy's LU otherwise; the permutation sum is the
 definition, kept as the reference.  The Jacobi eigensolver is implemented
 directly, and ``inverse`` delegates to numpy.
+
+numpy is imported inside the functions that use it, so that importing this
+module (and the polynomial roots it re-exports) does not load it.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .combinat import signature
 from .poly import Polynomial, all_roots, cardano, solve_quadratic
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Polynomial",
@@ -86,6 +90,8 @@ def resultant(P: Polynomial, Q: Polynomial) -> int | Fraction | complex:
     matrix c I, so Res(c, Q) = c^deg(Q), and two constants have the empty
     matrix, whose determinant is 1.
     """
+    import numpy as np
+
     if P.is_zero() or Q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
     rows, n = _sylvester(P, Q)
@@ -126,6 +132,8 @@ def equilateral_test(I: complex, J: complex, K: complex, tol: float = 1e-9) -> b
 
 def det_permutation_sum(A: np.ndarray) -> complex:
     """The definition: the signed sum over all n! permutations (the tests' reference)."""
+    import numpy as np
+
     A = np.asarray(A)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -147,6 +155,8 @@ def determinant(A: np.ndarray) -> int | Fraction | complex:
     where LU takes 0.05-0.2 ms.  Anything else goes to numpy's LU with
     partial pivoting, in complex arithmetic when an entry is complex.
     """
+    import numpy as np
+
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -164,6 +174,8 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     Raises ValueError when |det A| <= tol * (max |a_ij|)^n, compared as
     logarithms (``numpy.linalg.slogdet``) so that neither side can overflow.
     """
+    import numpy as np
+
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -198,13 +210,19 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     Sweeps stop once the squared entries above the diagonal sum to at most
     (tol ||A||_F)^2 / 2, that is, once the off-diagonal Frobenius norm is at
     most tol ||A||_F; the sum is taken directly, not as a difference of
-    norms.  Raises ValueError for non-square, non-finite or non-symmetric
-    input, and ArithmeticError if 100 sweeps do not meet the test.
+    norms.  A 0 x 0 matrix gives an empty U (0 x 0) and d.  Raises
+    ValueError for non-square, non-finite or non-symmetric input, and
+    ArithmeticError if 100 sweeps do not meet the test or an eigenvalue
+    lies past the float range.
     """
+    import numpy as np
+
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
+    if n == 0:
+        return np.empty((0, 0)), np.empty(0)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     # an exact power-of-two scaling to max |a_ij| in [1/2, 1), so that no
@@ -217,11 +235,17 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     sweeps = _scalar_sweeps if n <= _SCALAR_SWEEP_MAX_N else _batched_sweeps
     d, V = sweeps(0.5 * (A + A.T), 0.5 * (tol * norm) ** 2)
     order = np.argsort(-d)
-    return V[order].T, np.ldexp(d[order], exponent)
+    with np.errstate(over="ignore"):
+        d = np.ldexp(d[order], exponent)
+    if not np.isfinite(d).all():
+        raise ArithmeticError("an eigenvalue overflows the float range")
+    return V[order].T, d
 
 
 def _scalar_sweeps(work: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi on Python lists; returns the diagonal and V = U^T."""
+    import numpy as np
+
     n = work.shape[0]
     a = work.tolist()
     v = np.eye(n).tolist()
@@ -265,6 +289,8 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
     i < k and the same pair with p and q swapped for i >= k, whose tangent,
     and so whose sine, is the negative of the first; signs is +1 then -1.
     """
+    import numpy as np
+
     m = n + n % 2
     ring = list(range(m))
     steps = []
@@ -279,6 +305,8 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
 def _batched_sweeps(work: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin Jacobi, one numpy step per set of disjoint pairs; returns
     the diagonal and V = U^T (rows of V are the columns of U)."""
+    import numpy as np
+
     n = work.shape[0]
     steps = _round_robin(n)
     upper = np.triu_indices(n, 1)
@@ -315,8 +343,8 @@ def _rotate(X, axis, PQ, QP, c, s, a, b) -> None:
     in anew at every step (at n = 160 that more than doubled the solve), so
     the gathers go to buffers allocated once per solve.
     """
-    np.take(X, PQ, axis=axis, out=a, mode="clip")  # the indices are valid; "raise" would buffer out
-    np.take(X, QP, axis=axis, out=b, mode="clip")
+    X.take(PQ, axis=axis, out=a, mode="clip")  # the indices are valid; "raise" would buffer out
+    X.take(QP, axis=axis, out=b, mode="clip")
     a *= c
     b *= s
     a -= b
@@ -330,8 +358,11 @@ def classify_definiteness(A: np.ndarray, tol: float = 1e-10) -> str:
     """Sign pattern of the eigenvalues of a symmetric matrix.
 
     Eigenvalues within +/- tol * ||A|| of zero count as zero.  Returns one
-    of: pos_def, pos_semi, neg_def, neg_semi, indefinite, zero.
+    of: pos_def, pos_semi, neg_def, neg_semi, indefinite, zero (also for
+    the 0 x 0 matrix, which has no eigenvalues).
     """
+    import numpy as np
+
     A = np.asarray(A, dtype=float)
     _, d = symmetric_eigen(A, tol=max(tol, 1e-12))
     band = tol * (float(np.linalg.norm(A)) or 1.0)
@@ -349,6 +380,8 @@ def classify_definiteness(A: np.ndarray, tol: float = 1e-10) -> str:
 
 def fourier_matrix(N: int) -> np.ndarray:
     """The N x N matrix (w^{ij}) with w = exp(2 pi i/N), indices from 0."""
+    import numpy as np
+
     if N < 1:
         raise ValueError("need N >= 1")
     idx = np.arange(N)
@@ -357,6 +390,8 @@ def fourier_matrix(N: int) -> np.ndarray:
 
 def circulant(xi: Sequence[complex]) -> np.ndarray:
     """The circulant matrix A_ij = xi_{j-i mod N}."""
+    import numpy as np
+
     xi = np.asarray(xi, dtype=complex)
     N = len(xi)
     i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
@@ -369,6 +404,8 @@ def circulant_diag(xi: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     The eigenvalues are F xi, and the reconstruction F diag(eig) F^*/N
     should reproduce the circulant matrix.
     """
+    import numpy as np
+
     xi = np.asarray(xi, dtype=complex)
     N = len(xi)
     F = fourier_matrix(N)
@@ -379,6 +416,8 @@ def circulant_diag(xi: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
 
 def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(A t) by scaling-and-squaring of the Taylor series."""
+    import numpy as np
+
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[0]
     if A.shape != (n, n):

@@ -2,6 +2,10 @@
 
 - ``matching_pairings`` enumerates the pairings that the closed-form counts
   of ``combinat.count_matching_pairings`` and ``prob.wick`` count.
+- ``bernoulli`` is ``combinat.bernoulli`` before its tangent numbers: the
+  memoized recurrence sum_{k<=m} binom(m+1, k) B_k = [m == 0] in
+  ``Fraction`` arithmetic, a gcd at every step.  The tests hold the tangent
+  route to it.
 - ``format_value``, ``json_value`` and ``emit`` are the CLI table writer as
   it was before the typed writer: one isinstance chain per value, with
   numpy's scalar types named, and every CSV row through ``csv.writer``.
@@ -48,6 +52,7 @@ import csv
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +69,18 @@ def matching_pairings(word: str):
     for pairing in pairings(len(word)):
         if all(word[a - 1] != word[b - 1] for a, b in pairing):
             yield tuple((a - 1, b - 1) for a, b in pairing)
+
+
+@lru_cache(maxsize=None)
+def bernoulli(n):
+    if n == 0:
+        return Fraction(1)
+    if n >= 3 and n % 2 == 1:
+        return Fraction(0)
+    total = Fraction(0)
+    for k in range(n):
+        total += math.comb(n + 1, k) * bernoulli(k)
+    return -total / (n + 1)
 
 
 def format_value(v, digits):

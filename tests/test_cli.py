@@ -151,6 +151,14 @@ def test_eig_cli(tmp_path, capsys):
     assert [float(r[1]) for r in rows] == pytest.approx([3.0, 1.0])
 
 
+def test_eig_cli_exits_2_on_an_eigenvalue_past_the_float_range(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("1.7e308,1e308\n1e308,1.7e308\n")
+    code, out, err = invoke(["eig", "--matrix", str(matrix)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "calclab: an eigenvalue overflows the float range\n"
+
+
 def test_integrate_riemann(capsys):
     code, out, _ = invoke(
         ["integrate", "--method", "riemann", "--fn", "square", "--a", "0", "--b", "1", "--n", "2000"],

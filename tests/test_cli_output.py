@@ -41,6 +41,10 @@ NUMPY_FREE = [
     ["snchi", "--n", "9"],
     ["hydrogen", "lines", "--series", "balmer", "--upto", "8"],
     ["hydrogen", "energy", "--n", "3"],
+    # --grid first: the test ids of COMMANDS' wavefunction argv stay as they were
+    ["hydrogen", "wavefunction", "--grid", "20,200", "--n", "2", "--l", "1", "--m", "0"],
+    ["hydrogen", "wavefunction", "--grid", "1e200,2", "--n", "3", "--l", "2", "--m", "0"],
+    ["hydrogen", "wavefunction", "--grid", "7,1", "--n", "2", "--l", "0", "--m", "0"],
 ]
 
 # runs calclab.cli as `python -m` does, then lists which of the stdlib modules
@@ -76,6 +80,22 @@ def test_exact_commands_never_import_numpy(argv):
     assert proc.stderr.splitlines()[-1] == "[]", proc.stderr
     # CSV output, a quoted cell included, needs neither the csv nor the json module
     assert proc.stderr.splitlines()[-2] == "[]", proc.stderr
+
+
+def test_importing_every_module_loads_no_numpy():
+    code = (
+        "import importlib, pkgutil, sys, calclab\n"
+        "names = [m.name for m in pkgutil.iter_modules(calclab.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('calclab.' + name)\n"
+        "print(len(names), sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, loaded = proc.stdout.split(" ", 1)
+    assert int(count) >= 12 and loaded.strip() == "[]", proc.stdout
 
 
 def test_json_output_imports_json_and_only_then():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calclab import combinat
 from calclab.combinat import (
     Permutation,
     bell,
@@ -24,6 +25,7 @@ from calclab.combinat import (
     signature,
 )
 
+import oracles
 from oracles import matching_pairings
 
 
@@ -132,6 +134,20 @@ def test_bernoulli_defining_recurrence():
     for m in range(0, 20):
         total = sum(comb(m + 1, k) * bernoulli(k) for k in range(m + 1))
         assert total == (1 if m == 0 else 0)
+
+
+def test_bernoulli_equals_the_recurrence_through_600():
+    for n in range(601):
+        assert bernoulli(n) == oracles.bernoulli(n), n
+
+
+def test_bernoulli_out_of_order_calls_grow_one_table(monkeypatch):
+    # from the initial table: a high index first, then lower ones, then past the end
+    monkeypatch.setattr(combinat, "_BERNOULLI", ([1], (Fraction(1), Fraction(1, 6))))
+    for n in (300, 2, 1, 0, 7, 150, 302, 304):
+        assert bernoulli(n) == oracles.bernoulli(n), n
+    with pytest.raises(ValueError):
+        bernoulli(-2)
 
 
 def test_power_sum():

@@ -449,3 +449,22 @@ def test_point_routes_reject_a_non_finite_point_before_calling_f(route, x):
     with pytest.raises(ValueError, match=r"point \[.*\] has a NaN or infinite coordinate"):
         route(f, x)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda f, x: gradient(f, x),
+        lambda f, x: jacobian(lambda v: [f(v)], x),
+        lambda f, x: hessian(f, x),
+        lambda f, x: laplacian(f, x),
+        lambda f, x: taylor2_multi(f, x, []),
+        lambda f, x: classify_critical(f, x),
+    ],
+    ids=["gradient", "jacobian", "hessian", "laplacian", "taylor2_multi", "classify_critical"],
+)
+def test_point_routes_reject_a_point_without_coordinates(route):
+    f, calls = _counting(lambda v: float(v @ v))
+    with pytest.raises(ValueError, match="the point has no coordinates"):
+        route(f, [])
+    assert calls == []

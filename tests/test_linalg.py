@@ -468,6 +468,26 @@ def test_symmetric_eigen_rejects_bad_input():
         symmetric_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_symmetric_eigen_of_the_empty_matrix_is_empty():
+    U, d = symmetric_eigen(np.zeros((0, 0)))
+    assert U.shape == (0, 0) and d.shape == (0,)
+    assert classify_definiteness(np.zeros((0, 0))) == "zero"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "A",
+    [np.array([[1.7e308, 1e308], [1e308, 1.7e308]]), np.full((20, 20), 1e308)],
+    ids=["scalar-sweeps", "batched-sweeps"],
+)
+def test_symmetric_eigen_raises_on_an_eigenvalue_past_the_float_range(A):
+    with pytest.raises(ArithmeticError, match="an eigenvalue overflows the float range"):
+        symmetric_eigen(A)
+    # divided by their size, the same matrices have finite eigenvalues
+    _, d = symmetric_eigen(A / len(A))
+    assert np.isfinite(d).all()
+
+
 @st.composite
 def _symmetric_matrices(draw):
     n = draw(st.integers(1, 40))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import sphere_moment_values
 
@@ -591,6 +592,25 @@ def test_linspace_is_numpy_linspace_on_random_grids():
         with np.errstate(invalid="ignore", over="ignore"):
             want = [float(v).hex() for v in np.linspace(a, b, num)]
         assert [v.hex() for v in _linspace(a, b, num)] == want, (a, b, num)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_finite, _finite),
+        # subnormal spans, where the step (b - a)/(num - 1) can round to 0
+        st.tuples(st.floats(-1e-300, 1e-300), st.integers(-50, 50)).map(lambda p: (p[0], p[0] + p[1] * 5e-324)),
+    ),
+    st.integers(1, 500),
+)
+def test_linspace_is_numpy_linspace_bit_for_bit(ends, num):
+    a, b = ends
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = [float(v).hex() for v in np.linspace(a, b, num)]
+    assert [v.hex() for v in _linspace(a, b, num)] == want
 
 
 _SIZES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1000, 2000, 4097, 10_001]
