@@ -296,17 +296,16 @@ def _cmd_roots(args) -> ResultTable:
 
 
 def _cmd_eig(args) -> ResultTable:
-    import numpy as np
-
     from . import linalg
 
     rows = [[_parse_complex(v) for v in line] for line in _read_csv(args.matrix, "--matrix")]
-    A = np.array(rows)
-    if np.abs(A.imag).max() > 0:
+    if len({len(row) for row in rows}) != 1:
+        problem = "its rows differ in length" if rows else "it has no rows"
+        raise _UsageError(f"cannot read --matrix {args.matrix}: {problem}")
+    if any(v.imag for row in rows for v in row):
         raise ValueError("eig handles real symmetric matrices only")
-    U, d = linalg.symmetric_eigen(A.real, tol=1e-10)
-    out = [(i, float(v)) for i, v in enumerate(d)]
-    return ResultTable(["index", "eigenvalue"], out, note="cyclic Jacobi diagonalization")
+    d = linalg._jacobi([[v.real for v in row] for row in rows], 1e-10, vectors=False)[0]
+    return ResultTable(["index", "eigenvalue"], list(enumerate(d)), note="cyclic Jacobi diagonalization")
 
 
 def _cmd_integrate(args) -> ResultTable:

@@ -21,7 +21,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._record import Record
-from .linalg import symmetric_eigen
+from .linalg import _jacobi
 from .quad import _gauss_rule, _samples, _sphere_quadrature
 
 if TYPE_CHECKING:
@@ -82,9 +82,8 @@ def _central_differences(
 
 
 @functools.lru_cache(maxsize=16)  # an entry holds O(d^3) floats
-def _unit_stencil(d: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit offsets U of the second-order stencil in d dimensions, for steps of sign s,
-    and the layout of the Hessian in its differences.
+def _unit_stencil(d: int, s: float) -> np.ndarray:
+    """Unit offsets U of the second-order stencil in d dimensions, for steps of sign s.
 
     The rows of U are 0, then +e_i and -e_i for each axis i, then the
     corners +e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j of each pair i < j.
@@ -92,9 +91,6 @@ def _unit_stencil(d: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     (x + h e_i) + h e_j, ... written out, signed zeros included: an axis
     that does not move keeps the -0.0 of x only where every zero added to it
     is -0.0, so U is those sums evaluated at x = -0.0 with h = s, times s.
-    ``layout`` is the (d, d) index of each Hessian entry in the d pure
-    second differences followed by the mixed ones (pair order, both
-    triangles).
     """
     import numpy as np
 
@@ -105,10 +101,8 @@ def _unit_stencil(d: int, s: float) -> tuple[np.ndarray, np.ndarray]:
     ei, ej = s * eye[i], s * eye[j]
     block = [x[None, :], x + s * eye, x - s * eye, x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
     units = s * np.concatenate(block)
-    layout = np.diag(np.arange(d))
-    layout[i, j] = layout[j, i] = np.arange(d, d + len(i))
-    units.flags.writeable = layout.flags.writeable = False
-    return units, layout
+    units.flags.writeable = False
+    return units
 
 
 def _axis_differences(
@@ -121,7 +115,7 @@ def _axis_differences(
     (f(x + h e_i) - 2 f(x) + f(x - h e_i))/h^2.
     """
     d = len(x)
-    vals = _samples(f, x + h * _unit_stencil(d, math.copysign(1.0, h))[0][: 2 * d + 1])
+    vals = _samples(f, x + h * _unit_stencil(d, math.copysign(1.0, h))[: 2 * d + 1])
     fx, up, down = vals[0], vals[1 : d + 1], vals[d + 1 :]
     return float(fx), (up - down) / (2.0 * h), (up - 2.0 * fx + down) / (h * h)
 
@@ -164,13 +158,15 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     symmetric by construction: 1 + 2d + 2d(d - 1) calls of f, sampled in
     one block.
     """
-    return _hessian(f, _point(x), h)[2]
+    import numpy as np
+
+    return np.array(_hessian(f, _point(x), h)[2])
 
 
 def _hessian(
     f: ScalarField, x: np.ndarray, h: float | None, lead: np.ndarray | None = None
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """f at the rows of ``lead``, f(x) and the Hessian of :func:`hessian`.
+) -> tuple[list[float], float, list[list[float]]]:
+    """f at the rows of ``lead``, f(x) and the Hessian of :func:`hessian`, as Python floats.
 
     The rows of ``lead`` (none by default) go in front of the Hessian's
     stencil, so that f is sampled once, in one block, for both.
@@ -179,15 +175,17 @@ def _hessian(
 
     h = h or _step2(x)
     d = len(x)
-    units, layout = _unit_stencil(d, math.copysign(1.0, h))
-    rows = x + h * units
+    rows = x + h * _unit_stencil(d, math.copysign(1.0, h))
     n = 0 if lead is None else len(lead)
-    vals = _samples(f, rows if lead is None else np.concatenate([lead, rows]))
+    vals = _samples(f, rows if lead is None else np.concatenate([lead, rows])).tolist()
     fx, up, down = vals[n], vals[n + 1 : n + d + 1], vals[n + d + 1 : n + 2 * d + 1]
-    second = (up - 2.0 * fx + down) / (h * h)
-    pp, pm, mp, mm = vals[n + 2 * d + 1 :].reshape(4, -1)
-    mixed = (pp - pm - mp + mm) / (4.0 * h * h)
-    return vals[:n], float(fx), np.concatenate([second, mixed])[layout]
+    H = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        H[i][i] = (up[i] - 2.0 * fx + down[i]) / (h * h)
+    c, m = vals[n + 2 * d + 1 :], d * (d - 1) // 2  # the corners pp, pm, mp, mm of each pair
+    for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(i + 1, d)):
+        H[i][j] = H[j][i] = (c[k] - c[m + k] - c[2 * m + k] + c[3 * m + k]) / (4.0 * h * h)
+    return vals[:n], fx, H
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
@@ -227,12 +225,12 @@ def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> flo
     x = _point(x)
     t = np.asarray(t, dtype=float)
     g, fx, H = _gradient_and_hessian(f, x, None)
-    return float(fx + g @ t + 0.5 * t @ H @ t)
+    return float(fx + np.array(g) @ t + 0.5 * t @ np.array(H) @ t)
 
 
 def _gradient_and_hessian(
     f: ScalarField, x: np.ndarray, h: float | None
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[list[float], float, list[list[float]]]:
     """The gradient of :func:`gradient`, f(x) and the Hessian of :func:`hessian`.
 
     The gradient's 2d rows go in front of the Hessian's stencil, and f is
@@ -240,9 +238,9 @@ def _gradient_and_hessian(
     """
     d = len(x)
     h1 = h or _step1(x)
-    axes = _unit_stencil(d, math.copysign(1.0, h1))[0][1 : 2 * d + 1]
+    axes = _unit_stencil(d, math.copysign(1.0, h1))[1 : 2 * d + 1]
     lead, fx, H = _hessian(f, x, h, lead=x + h1 * axes)
-    return (lead[:d] - lead[d:]) / (2.0 * h1), fx, H
+    return [(up - down) / (2.0 * h1) for up, down in zip(lead[:d], lead[d:])], fx, H
 
 
 class CriticalReport(Record):
@@ -268,10 +266,12 @@ def classify_critical(
     one block: 1 + 4d + 2d(d - 1) calls of f, 25 in 3-D.  A NaN or infinite
     coordinate of x raises ValueError before f is called.
     """
+    import numpy as np
+
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
-    gnorm = math.sqrt(g.dot(g))  # np.linalg.norm's sum, without its dispatch
-    eig = symmetric_eigen(H, tol=1e-12)[1].tolist()
+    gnorm = math.sqrt(np.dot(g, g))  # np.linalg.norm's sum, without its dispatch
+    eig = _jacobi(H, 1e-12, vectors=False)[0]
     if gnorm > grad_tol * (1.0 + abs(fx)):
         label = "not critical"
     else:

@@ -187,8 +187,9 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.linalg.inv(A)
 
 
-# Up to this size the scalar sweep beats the batched numpy step, whose per-call
-# overhead dominates small matrices; both took about 6 ms at n = 19 (2-vCPU x86).
+# Up to this size the list sweep beats the batched numpy step, whose per-call
+# overhead dominates small matrices: with eigenvectors it took 0.96 of the batched
+# time at n = 18, 1.13 at n = 19 (2-vCPU x86); for eigenvalues alone, up to n ~ 21.
 _SCALAR_SWEEP_MAX_N = 18
 _MAX_SWEEPS = 100
 
@@ -197,16 +198,22 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     """Diagonalize a real symmetric matrix by Jacobi rotations.
 
     Returns (U, d) with A = U diag(d) U^T, U orthogonal, and d sorted in
-    descending order.  Each rotation zeroes one off-diagonal pair (p, q),
-    with the stable tangent t = 2 a_pq / (e + sign(e) hypot(e, 2 a_pq)),
-    e = a_qq - a_pp (t = 0 when a_pq = 0).  A sweep rotates every pair once:
+    descending order (equal eigenvalues in index order).  A is read into
+    lists of Python floats, checked, scaled by an exact power of two and
+    sorted in Python; only the sweeps above n = 18 use numpy.  Each rotation
+    zeroes one off-diagonal pair (p, q), with the stable tangent
+    t = 2 a_pq / (e + sign(e) hypot(e, 2 a_pq)), e = a_qq - a_pp (t = 0 when
+    a_pq = 0).  A sweep rotates every pair once:
 
-    - up to n = 18, cyclically row by row on Python lists, each rotation an
-      O(n) update of two rows, two columns and two columns of U;
+    - up to n = 18, cyclically row by row on the lists, each rotation an
+      O(n) update of two rows and two columns (and two columns of U);
     - above that, in the Brent-Luk round-robin order: n - 1 steps (n for odd
       n) of floor(n/2) disjoint pairs, each step applied to all its pairs
       by a few numpy operations, so a sweep costs O(n^3).
 
+    U is rotated alongside only when the eigenvectors are asked for:
+    ``classify_definiteness``, ``diffcalc.classify_critical`` and
+    ``calclab eig`` take the eigenvalues alone, from the same kernel.
     Sweeps stop once the squared entries above the diagonal sum to at most
     (tol ||A||_F)^2 / 2, that is, once the off-diagonal Frobenius norm is at
     most tol ||A||_F; the sum is taken directly, not as a difference of
@@ -217,67 +224,77 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     """
     import numpy as np
 
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    d, V = _jacobi(_square_rows(np.asarray(A, dtype=float)), tol, vectors=True)
+    return np.array(V).reshape(len(d), len(d)).T, np.array(d)
+
+
+def _square_rows(A: np.ndarray) -> list[list[float]]:
+    """The rows of a float array as lists; ValueError unless it is a square matrix."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if n == 0:
-        return np.empty((0, 0)), np.empty(0)
-    if not np.isfinite(A).all():
+    return A.tolist()
+
+
+def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[float], list[list[float]] | None]:
+    """The eigenvalues of :func:`symmetric_eigen` from a list of rows of floats, and in
+    their order the rows of V = U^T when ``vectors`` (None otherwise); numpy only above n = 18."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    flat = [v for row in rows for v in row]
+    if not all(map(math.isfinite, flat)):
         raise ValueError("matrix has non-finite entries")
     # an exact power-of-two scaling to max |a_ij| in [1/2, 1), so that no
     # square in the norms overflows or underflows to zero
-    exponent = math.frexp(float(np.abs(A).max()))[1]
-    A = np.ldexp(A, -exponent)
-    norm = float(np.linalg.norm(A)) or 1.0
-    if float(np.abs(A - A.T).max()) > tol * norm:
+    exponent = math.frexp(max(map(abs, flat), default=0.0))[1]
+    a = [[math.ldexp(v, -exponent) for v in row] for row in rows]
+    norm = math.hypot(*(v for row in a for v in row)) or 1.0
+    if any(abs(a[p][q] - a[q][p]) > tol * norm for p in range(n) for q in range(p)):
         raise ValueError("matrix is not symmetric to the working tolerance")
-    sweeps = _scalar_sweeps if n <= _SCALAR_SWEEP_MAX_N else _batched_sweeps
-    d, V = sweeps(0.5 * (A + A.T), 0.5 * (tol * norm) ** 2)
-    order = np.argsort(-d)
-    with np.errstate(over="ignore"):
-        d = np.ldexp(d[order], exponent)
-    if not np.isfinite(d).all():
-        raise ArithmeticError("an eigenvalue overflows the float range")
-    return V[order].T, d
-
-
-def _scalar_sweeps(work: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi on Python lists; returns the diagonal and V = U^T."""
-    import numpy as np
-
-    n = work.shape[0]
-    a = work.tolist()
-    v = np.eye(n).tolist()
-    for _ in range(_MAX_SWEEPS):
-        if sum(x * x for p in range(n - 1) for x in a[p][p + 1 :]) <= bound:
-            break
-        for p in range(n - 1):
-            ap, vp = a[p], v[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if apq == 0.0:
-                    continue
-                aq, vq = a[q], v[q]
-                app, aqq = ap[p], aq[q]
-                e = aqq - app
-                t = 2.0 * apq / (e + math.copysign(math.hypot(e, 2.0 * apq), e))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    ak = a[k]
-                    akp, akq = ak[p], ak[q]
-                    ak[p] = ap[k] = c * akp - s * akq
-                    ak[q] = aq[k] = s * akp + c * akq
-                    vkp, vkq = vp[k], vq[k]
-                    vp[k] = c * vkp - s * vkq
-                    vq[k] = s * vkp + c * vkq
-                # k = p and k = q wrote the 2x2 block; set its exact rotated value
-                ap[p], aq[q] = app - t * apq, aqq + t * apq
-                ap[q] = aq[p] = 0.0
+    a = [[0.5 * (a[p][q] + a[q][p]) for q in range(n)] for p in range(n)]
+    bound = 0.5 * (tol * norm) ** 2
+    if n > _SCALAR_SWEEP_MAX_N:
+        d, v = _batched_sweeps(a, bound, vectors)
     else:
-        raise ArithmeticError("Jacobi sweeps did not converge")
-    return np.array([a[i][i] for i in range(n)]), np.array(v)
+        v = [[float(p == q) for q in range(n)] for p in range(n)] if vectors else None
+        for _ in range(_MAX_SWEEPS):
+            if sum(x * x for p in range(n - 1) for x in a[p][p + 1 :]) <= bound:
+                break
+            for p in range(n - 1):
+                ap = a[p]
+                for q in range(p + 1, n):
+                    apq = ap[q]
+                    if apq == 0.0:
+                        continue
+                    aq = a[q]
+                    app, aqq = ap[p], aq[q]
+                    e = aqq - app
+                    t = 2.0 * apq / (e + math.copysign(math.hypot(e, 2.0 * apq), e))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    s = t * c
+                    for k in range(n):
+                        ak = a[k]
+                        akp, akq = ak[p], ak[q]
+                        ak[p] = ap[k] = c * akp - s * akq
+                        ak[q] = aq[k] = s * akp + c * akq
+                    if vectors:
+                        vp, vq = v[p], v[q]
+                        for k in range(n):
+                            vkp, vkq = vp[k], vq[k]
+                            vp[k] = c * vkp - s * vkq
+                            vq[k] = s * vkp + c * vkq
+                    # k = p and k = q wrote the 2x2 block; set its exact rotated value
+                    ap[p], aq[q] = app - t * apq, aqq + t * apq
+                    ap[q] = aq[p] = 0.0
+        else:
+            raise ArithmeticError("Jacobi sweeps did not converge")
+        d = [a[i][i] for i in range(n)]
+    order = sorted(range(n), key=d.__getitem__, reverse=True)
+    try:
+        d = [math.ldexp(d[i], exponent) for i in order]
+    except OverflowError:
+        raise ArithmeticError("an eigenvalue overflows the float range") from None
+    return d, [v[i] for i in order] if vectors else None
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
@@ -302,16 +319,17 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
     return steps
 
 
-def _batched_sweeps(work: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+def _batched_sweeps(a: list[list[float]], bound: float, vectors: bool) -> tuple[list[float], list[list[float]] | None]:
     """Round-robin Jacobi, one numpy step per set of disjoint pairs; returns
-    the diagonal and V = U^T (rows of V are the columns of U)."""
+    the diagonal and, when ``vectors``, V = U^T (rows of V are the columns of U)."""
     import numpy as np
 
+    work = np.array(a)
     n = work.shape[0]
     steps = _round_robin(n)
     upper = np.triu_indices(n, 1)
     diag = work.diagonal()  # a view: follows the in-place updates
-    V = np.eye(n)
+    V = np.eye(n) if vectors else None
     k = len(steps[0][0])
     rows, cols = (np.empty((k, n)), np.empty((k, n))), (np.empty((n, k)), np.empty((n, k)))
     for _ in range(_MAX_SWEEPS):
@@ -330,10 +348,11 @@ def _batched_sweeps(work: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndar
             s = t * c
             _rotate(work, 0, PQ, QP, c[:, None], s[:, None], *rows)
             _rotate(work, 1, PQ, QP, c, s, *cols)
-            _rotate(V, 0, PQ, QP, c[:, None], s[:, None], *rows)
+            if vectors:
+                _rotate(V, 0, PQ, QP, c[:, None], s[:, None], *rows)
     else:
         raise ArithmeticError("Jacobi sweeps did not converge")
-    return diag.copy(), V
+    return diag.tolist(), V.tolist() if vectors else None
 
 
 def _rotate(X, axis, PQ, QP, c, s, a, b) -> None:
@@ -364,10 +383,10 @@ def classify_definiteness(A: np.ndarray, tol: float = 1e-10) -> str:
     import numpy as np
 
     A = np.asarray(A, dtype=float)
-    _, d = symmetric_eigen(A, tol=max(tol, 1e-12))
+    d = _jacobi(_square_rows(A), max(tol, 1e-12), vectors=False)[0]
     band = tol * (float(np.linalg.norm(A)) or 1.0)
-    pos = int(np.sum(d > band))
-    neg = int(np.sum(d < -band))
+    pos = sum(v > band for v in d)
+    neg = sum(v < -band for v in d)
     zero = len(d) - pos - neg
     if pos == 0 and neg == 0:
         return "zero"

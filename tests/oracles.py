@@ -20,6 +20,16 @@
   first-difference kernel, then the Hessian from the axis stencil and the
   corners, three separate sampling passes built with ``np.eye``.  The tests
   hold the current route to these bits, signed zeros included.
+- ``symmetric_eigen`` is ``linalg.symmetric_eigen`` as it was before its
+  list kernel: the checks, the power-of-two scaling, the norm and the sort
+  on numpy arrays, and both sweeps with U^T rotated always: the scalar
+  sweeps on lists up to n = 18, the batched sweeps on arrays above (their
+  pair order and rotation step are the library's ``_round_robin`` and
+  ``_rotate``).
+  It sorts by numpy's stable argsort, where it used the default kind,
+  whose order among equal eigenvalues depends on the sort kernel numpy
+  picks for the CPU.  The tests hold the list kernel to its bits, and
+  ``classify_critical`` here takes its eigenvalues from it.
 - ``assoc_legendre`` and ``radial_wavefunction`` are the ``hydrogen`` float
   functions as they were before their inlined Horner loops: the rounded
   coefficients wrapped in a ``Polynomial`` and evaluated by its
@@ -59,7 +69,7 @@ import numpy as np
 from calclab import hydrogen
 from calclab.combinat import factorial, pairings, set_partitions
 from calclab.diffcalc import CriticalReport
-from calclab.linalg import symmetric_eigen
+from calclab.linalg import _rotate, _round_robin
 from calclab.poly import Polynomial
 from calclab.quad import sample_complex_sphere, sample_real_sphere
 
@@ -239,6 +249,91 @@ def classify_critical(f, x, h=None, grad_tol=1e-5, zero_band=1e-4):
         else:
             label = "saddle"
     return CriticalReport(tuple(x), gnorm, tuple(float(v) for v in eig), label)
+
+
+def symmetric_eigen(A, tol=1e-12):
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return np.empty((0, 0)), np.empty(0)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
+    exponent = math.frexp(float(np.abs(A).max()))[1]
+    A = np.ldexp(A, -exponent)
+    norm = float(np.linalg.norm(A)) or 1.0
+    if float(np.abs(A - A.T).max()) > tol * norm:
+        raise ValueError("matrix is not symmetric to the working tolerance")
+    sweeps = _scalar_sweeps if n <= 18 else _batched_sweeps
+    d, V = sweeps(0.5 * (A + A.T), 0.5 * (tol * norm) ** 2)
+    order = np.argsort(-d, kind="stable")
+    with np.errstate(over="ignore"):
+        d = np.ldexp(d[order], exponent)
+    if not np.isfinite(d).all():
+        raise ArithmeticError("an eigenvalue overflows the float range")
+    return V[order].T, d
+
+
+def _scalar_sweeps(work, bound):
+    n = work.shape[0]
+    a = work.tolist()
+    v = np.eye(n).tolist()
+    for _ in range(100):
+        if sum(x * x for p in range(n - 1) for x in a[p][p + 1 :]) <= bound:
+            break
+        for p in range(n - 1):
+            ap, vp = a[p], v[p]
+            for q in range(p + 1, n):
+                apq = ap[q]
+                if apq == 0.0:
+                    continue
+                aq, vq = a[q], v[q]
+                app, aqq = ap[p], aq[q]
+                e = aqq - app
+                t = 2.0 * apq / (e + math.copysign(math.hypot(e, 2.0 * apq), e))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                for k in range(n):
+                    ak = a[k]
+                    akp, akq = ak[p], ak[q]
+                    ak[p] = ap[k] = c * akp - s * akq
+                    ak[q] = aq[k] = s * akp + c * akq
+                    vkp, vkq = vp[k], vq[k]
+                    vp[k] = c * vkp - s * vkq
+                    vq[k] = s * vkp + c * vkq
+                ap[p], aq[q] = app - t * apq, aqq + t * apq
+                ap[q] = aq[p] = 0.0
+    else:
+        raise ArithmeticError("Jacobi sweeps did not converge")
+    return np.array([a[i][i] for i in range(n)]), np.array(v)
+
+
+def _batched_sweeps(work, bound):
+    n = work.shape[0]
+    steps = _round_robin(n)
+    upper = np.triu_indices(n, 1)
+    diag = work.diagonal()
+    V = np.eye(n)
+    k = len(steps[0][0])
+    rows, cols = (np.empty((k, n)), np.empty((k, n))), (np.empty((n, k)), np.empty((n, k)))
+    for _ in range(100):
+        off = work[upper]
+        if off @ off <= bound:
+            break
+        for PQ, QP, PP, QQ, signs in steps:
+            apq = work[PP, QQ]
+            e = signs * (diag[QQ] - diag[PP])
+            den = e + np.copysign(np.hypot(e, 2.0 * apq), e)
+            t = np.divide(2.0 * apq, den, out=np.zeros_like(apq), where=apq != 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            _rotate(work, 0, PQ, QP, c[:, None], s[:, None], *rows)
+            _rotate(work, 1, PQ, QP, c, s, *cols)
+            _rotate(V, 0, PQ, QP, c[:, None], s[:, None], *rows)
+    else:
+        raise ArithmeticError("Jacobi sweeps did not converge")
+    return diag.copy(), V
 
 
 def assoc_legendre(l, m):

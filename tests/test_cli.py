@@ -519,13 +519,18 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
         (["flux", "--charges", "MISSING", "--center", "0,0,0", "--radius", "1"], "--charges"),
         (["eig", "--matrix", "BINARY"], "--matrix"),
         (["flux", "--charges", "BINARY", "--center", "0,0,0", "--radius", "1"], "--charges"),
+        (["eig", "--matrix", "EMPTY"], "--matrix"),
+        (["eig", "--matrix", "RAGGED"], "--matrix"),
     ],
-    ids=["matrix-is-a-directory", "missing-charges", "matrix-not-utf8", "charges-not-utf8"],
+    ids=["matrix-is-a-directory", "missing-charges", "matrix-not-utf8", "charges-not-utf8", "matrix-empty", "matrix-ragged"],
 )
 def test_unreadable_input_is_a_usage_error(tmp_path, capsys, argv, option):
     binary = tmp_path / "binary.csv"
     binary.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x01]))
+    (tmp_path / "empty.csv").write_text("\n")
+    (tmp_path / "ragged.csv").write_text("2,1\n1\n")
     paths = {"DIR": str(tmp_path), "MISSING": str(tmp_path / "missing.csv"), "BINARY": str(binary)}
+    paths.update(EMPTY=str(tmp_path / "empty.csv"), RAGGED=str(tmp_path / "ragged.csv"))
     code, out, err = invoke([paths.get(a, a) for a in argv], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"calclab: usage error: cannot read {option} ") and err.count("\n") == 1

@@ -117,6 +117,21 @@ def test_linalg_reexports_the_polynomial_module():
 
 # ---------------------------------------------------------- byte oracle
 
+@pytest.mark.parametrize("n", [3, 18, 19])
+def test_eig_loads_numpy_only_past_18_by_18(tmp_path, n):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    A = A + A.T
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("".join(",".join(map(repr, row)) + "\n" for row in A.tolist()))
+    proc = _probe(["eig", "--matrix", str(matrix)])
+    assert proc.returncode == 0
+    assert (proc.stderr.splitlines()[-1] == "[]") == (n <= 18), proc.stderr
+    # the bytes of the eigensolver as it was on numpy arrays
+    _, d = oracles.symmetric_eigen(A, tol=1e-10)
+    table = ResultTable(["index", "eigenvalue"], [(i, float(v)) for i, v in enumerate(d)])
+    assert proc.stdout == _written(oracles.emit, table, "csv", None)
+
+
 _MATRIX = "2,1,0\n1,3,1\n0,1,4\n"
 _CHARGES = "q,x,y,z\n1.5,0.1,0,0\n-2.0,2,0,0\n"
 

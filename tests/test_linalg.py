@@ -29,6 +29,8 @@ from calclab.linalg import (
     symmetric_eigen,
 )
 
+import oracles
+
 RNG = np.random.default_rng(20240817)
 
 
@@ -512,6 +514,54 @@ def _symmetric_matrices(draw):
 def test_symmetric_eigen_properties(A):
     U, d = symmetric_eigen(A)
     _check_eigen(A, U, d)
+
+
+@st.composite
+def _eigen_inputs(draw):
+    """Matrices of order 0-24 (both sweep routes) scaled by 2^k, |k| <= 1000,
+    some of them broken: not square, not finite, not symmetric, or with an
+    eigenvalue past the float range."""
+    n = draw(st.one_of(st.integers(0, 18), st.integers(19, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "diagonal", "signed_zeros", "rank_one"]))
+    if kind == "random":
+        A = rng.standard_normal((n, n))
+        A = 0.5 * (A + A.T)
+    elif kind == "diagonal":  # repeated eigenvalues, no rotation
+        A = np.diag(rng.integers(-2, 3, n).astype(float))
+    elif kind == "signed_zeros":
+        A = np.diag(rng.choice([0.0, -0.0, 1.0], n))
+    else:
+        v = rng.standard_normal(n)
+        A = np.outer(v, v)
+    A = np.ldexp(A, draw(st.integers(-1000, 1000)))
+    defect = draw(st.sampled_from([None] * 5 + ["shape", "flat", "nan", "inf", "asymmetric", "overflow"]))
+    if defect == "shape":
+        return np.ones((n, n + 1))
+    if defect == "flat":
+        return A.ravel()
+    if n and defect in ("nan", "inf", "asymmetric"):
+        i, j = rng.permutation(n)[:2] if n > 1 else (0, 0)
+        A[i, j] = {"nan": math.nan, "inf": -math.inf}.get(defect, A[i, j] + 1.0 + abs(A).max())
+    if n > 1 and defect == "overflow":
+        A = np.full((n, n), 1e308)
+    return A
+
+
+def _outcome(route, *args):
+    try:
+        return [[float(v).hex() for v in np.ravel(x)] for x in route(*args)]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eigen_inputs(), st.sampled_from([1e-12, 1e-10]))
+def test_symmetric_eigen_is_the_numpy_prologue_bit_for_bit(A, tol):
+    expected = _outcome(oracles.symmetric_eigen, A, tol)
+    assert _outcome(symmetric_eigen, A, tol) == expected
+    values = _outcome(lambda: linalg._jacobi(linalg._square_rows(A), tol, vectors=False)[:1])
+    assert values == (expected if isinstance(expected, tuple) else expected[1:])
 
 
 def test_classify_definiteness():
