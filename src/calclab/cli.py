@@ -423,7 +423,10 @@ def _cmd_critical(args) -> ResultTable:
     x = _parse_floats(args.x)
     if len(x) != dim:
         raise _UsageError(f"--x needs {dim} coordinates for {args.fn}")
-    report = diffcalc.classify_critical(f, x)
+    try:
+        report = diffcalc.classify_critical(f, x)
+    except (ValueError, ArithmeticError) as exc:  # e.g. log_r or inv_r sampled at its singularity
+        raise ValueError(f"the field {args.fn} cannot be classified at x = {args.x}: {exc}") from None
     rows = [
         ("classification", report.classification),
         ("gradient_norm", report.gradient_norm),

@@ -71,14 +71,35 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _rounded(q: int | Fraction, what: str, base: float = 1.0, power: int = 0) -> float:
+    """q base^power for an exact q: float(q) * base**power where both factors and the product
+    are normal floats, else the exact value rounded once (int true division rounds correctly).
+    Past the float range ValueError says that ``what`` leaves it."""
+    try:
+        x, y = float(q), base**power
+        if min(abs(x), abs(y), abs(x * y)) >= 2.0**-1022 and abs(x * y) < math.inf:
+            return x * y
+    except OverflowError:
+        pass
+    try:
+        return float(Fraction(q) * Fraction(base) ** power)
+    except OverflowError:
+        raise ValueError(f"{what} leaves the float range") from None
+
+
 def generalized_binomial(a: float, k: int) -> float:
-    """a(a-1)...(a-k+1)/k! for real a and integer k >= 0."""
+    """a(a-1)...(a-k+1)/k! for finite real a and integer k >= 0.
+
+    The exact product over k!, a ratio of integers since a float is one,
+    rounded once; ValueError where the value leaves the float range.
+    """
     if k < 0:
         raise ValueError("generalized_binomial needs k >= 0")
-    num = 1.0
-    for j in range(k):
-        num *= a - j
-    return num / math.factorial(k)
+    if not math.isfinite(a):
+        raise ValueError("generalized_binomial needs a finite a")
+    n, d = a.as_integer_ratio()
+    exact = Fraction(math.prod(n - j * d for j in range(k)), d**k * math.factorial(k))
+    return _rounded(exact, f"the binomial coefficient C({a}, {k})")
 
 
 def catalan(k: int) -> int:

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from ._record import Record
 from .combinat import (
+    _rounded,
     binomial as binom,
     count_matching_pairings,
     factorial,
@@ -265,7 +266,7 @@ def poisson_law(t: float, residual: float = 1e-12) -> Law:
     low; the default residual 1e-12 keeps moments up to order ~10 accurate
     for moderate t.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("need t > 0")
     if residual <= 0:
         raise ValueError("need residual > 0")
@@ -305,7 +306,7 @@ def _poisson_log_mode_mass(t: float, mode: int) -> float:
 
 def poisson_fourier(t: float, y: float) -> complex:
     """exp((e^{iy} - 1) t)."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("need t > 0")
     return cmath.exp((cmath.exp(1j * y) - 1.0) * t)
 
@@ -316,10 +317,10 @@ def poisson_moments(t: float, upto: int) -> list[float]:
     M_0 = 1, M_{j+1} = t fsum_i C(j, i) M_i: about 1 ulp from exact at t = 0.3.
     An order whose float step overflows (the sum M_{j+1}/t, a term, or past
     j = 1,030 a binomial C(j, i) leaves the float range) is summed exactly
-    from the float M_i and rounded once; ValueError names the first order
-    whose moment itself leaves the float range.
+    from the float M_i and rounded once (``combinat._rounded``); ValueError
+    names the first order whose moment itself leaves the float range.
     """
-    if t <= 0 or upto < 0:
+    if not t > 0 or upto < 0:
         raise ValueError("need t > 0 and upto >= 0")
     ms, row = [1.0], [1]  # row j of Pascal's triangle
     for j in range(upto):
@@ -331,10 +332,8 @@ def poisson_moments(t: float, upto: int) -> list[float]:
             tn, td = t.as_integer_ratio()
             pairs = [x.as_integer_ratio() for x in ms]
             den = max(d for _, d in pairs)  # every float's denominator is a power of two, so d divides it
-            try:  # int true division rounds correctly, or raises past the float range
-                m = tn * sum(c * n * (den // d) for c, (n, d) in zip(row, pairs)) / (td * den)
-            except OverflowError:
-                raise ValueError(f"the Poisson moment of order {j + 1} leaves the float range") from None
+            total = tn * sum(c * n * (den // d) for c, (n, d) in zip(row, pairs))
+            m = _rounded(Fraction(total, td * den), f"the Poisson moment of order {j + 1}")
         ms.append(m)
         row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
     return ms
@@ -350,7 +349,7 @@ def gaussian_law(t: float) -> Law:
 
     The truncated mass is below 1e-30 and is not renormalized.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("need t > 0")
     s = math.sqrt(t)
     norm = 1.0 / math.sqrt(2.0 * math.pi * t)
@@ -362,17 +361,21 @@ def gaussian_law(t: float) -> Law:
 
 
 def gaussian_moment(t: float, k: int) -> float:
-    """t^(k/2) k!! for even k (shifted double factorial), 0 for odd k."""
-    if t <= 0:
+    """t^(k/2) k!! for even k (shifted double factorial), 0 for odd k.
+
+    The exact value rounded once where a float factor is not normal
+    (``combinat._rounded``); ValueError names an order past the float range.
+    """
+    if not t > 0:
         raise ValueError("need t > 0")
     if k % 2:
         return 0.0
-    return t ** (k // 2) * semi_factorial(k)
+    return _rounded(semi_factorial(k), f"the Gaussian moment of order {k}", t, k // 2)
 
 
 def gaussian_fourier(t: float, x: float) -> float:
     """exp(-t x^2/2)."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("need t > 0")
     return math.exp(-t * x * x / 2.0)
 
@@ -381,12 +384,14 @@ def complex_gaussian_moment(t: float, word: str) -> float:
     """Moment of the complex Gaussian for a colored word over {'o', 'b'}.
 
     Equals t^(|word|/2) times the number of matching pairings: t^p p! for a
-    uniform word of length 2p, and 0 otherwise (Isserlis/Wick).
+    uniform word of length 2p, and 0 otherwise (Isserlis/Wick), rounded as
+    :func:`gaussian_moment` is; past the float range ValueError names p.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("need t > 0")
     count = count_matching_pairings(word)
-    return t ** (len(word) // 2) * count if count else 0.0
+    p = len(word) // 2
+    return _rounded(count, f"the complex Gaussian moment of order {p}", t, p) if count else 0.0
 
 
 def wick(t: float, factors: Sequence[tuple[int, str]]) -> float:
@@ -397,9 +402,10 @@ def wick(t: float, factors: Sequence[tuple[int, str]]) -> float:
     pairings whose blocks respect the index kernel (odd length gives 0).
     Such a pairing matches, for each index i, its p_i plain factors to its
     conjugate ones, so the count is prod_i p_i! when every index has as
-    many 'o' as 'b' factors, and 0 otherwise.
+    many 'o' as 'b' factors, and 0 otherwise; rounded as in
+    :func:`gaussian_moment`, and past the float range ValueError names s.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("need t > 0")
     bad = {color for _, color in factors} - {"o", "b"}
     if bad:
@@ -412,7 +418,8 @@ def wick(t: float, factors: Sequence[tuple[int, str]]) -> float:
     plain = Counter(i for i, color in factors if color == "o")
     if plain != Counter(i for i, color in factors if color == "b"):
         return 0.0
-    return t ** (s // 2) * math.prod(math.factorial(p) for p in plain.values())
+    count = math.prod(math.factorial(p) for p in plain.values())
+    return _rounded(count, f"the Wick moment of {s} factors", t, s // 2)
 
 
 def _merge_atoms(atoms: list[tuple[float, float]], tol: float) -> tuple[tuple[float, float], ...]:
@@ -616,7 +623,7 @@ def stieltjes_density(
     biased O(t) near smooth density points; the t -> 0 limit is the exact
     density, realized in tests as a convergence check, never automatically.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("need t > 0")
     xi = complex(x, t)
     if isinstance(law, str):

@@ -9,12 +9,12 @@ quadrature rule on the unit 2-sphere, and the Jacobians of polar/spherical
 coordinates.
 
 Closed forms are evaluated in exact rational arithmetic and converted to
-float at the end; factorial-type factors switch to log-domain once the
-integers would exceed ~150!.  numpy is imported inside the functions that
-use it, so the closed forms, ``riemann`` and ``trapezoid`` run without
-loading it: their grids come from ``_linspace`` and their sums from
-``_pairwise_sum``, which copy ``numpy.linspace`` and ``numpy.sum`` bit for
-bit.  Every route of the package that calls a user function on a block of
+float at the end by ``combinat._rounded``, which rounds the exact value
+once where a factor leaves the normal floats.  numpy is imported inside the
+functions that use it, so the closed forms, ``riemann`` and ``trapezoid``
+run without loading it: their grids come from ``_linspace`` and their sums
+from ``_pairwise_sum``, which copy ``numpy.linspace`` and ``numpy.sum`` bit
+for bit.  Every route of the package that calls a user function on a block of
 nodes does so through ``_samples``.
 """
 
@@ -28,7 +28,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 from ._record import Record
-from .combinat import factorial, semi_factorial
+from .combinat import _rounded, factorial, semi_factorial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,7 +61,7 @@ __all__ = [
     "jacobian_spherical",
 ]
 
-_LOG_DOMAIN_CUTOFF = 150
+_SPHERE_ZERO_N = 456  # sphere volumes round to 0.0 from N = 453 on, and areas from N = 456
 _SPHERE_BLOCK = 16_384  # rows of Gaussians that sphere_moment_mc draws at a time
 
 
@@ -323,7 +323,7 @@ def wallis(p: int) -> float:
     if p < 0:
         raise ValueError("need p >= 0")
     ratio = Fraction(semi_factorial(p), semi_factorial(p + 1))
-    return float(ratio) * (math.pi / 2.0) ** _epsilon(p)
+    return _rounded(ratio, "a Wallis integral", math.pi / 2.0, _epsilon(p))
 
 
 def wallis2(p: int, q: int) -> float:
@@ -331,37 +331,25 @@ def wallis2(p: int, q: int) -> float:
     if p < 0 or q < 0:
         raise ValueError("need p, q >= 0")
     ratio = Fraction(semi_factorial(p) * semi_factorial(q), semi_factorial(p + q + 1))
-    return float(ratio) * (math.pi / 2.0) ** (_epsilon(p) * _epsilon(q))
-
-
-def _log_semi_factorial(m: int) -> float:
-    """log of the double factorial (m-1)(m-3)..., for the log-domain path (m >= 2)."""
-    n = m - 1  # standard double factorial of n
-    if n % 2 == 0:
-        k = n // 2
-        return k * math.log(2.0) + math.lgamma(k + 1)
-    k = (n + 1) // 2
-    return math.lgamma(n + 2) - k * math.log(2.0) - math.lgamma(k + 1)
+    return _rounded(ratio, "a Wallis integral", math.pi / 2.0, _epsilon(p) * _epsilon(q))
 
 
 def sphere_volume(N: int) -> float:
-    """Volume of the unit ball in R^N: (pi/2)^floor(N/2) 2^N/(N+1)!!."""
+    """Volume of the unit ball in R^N: (pi/2)^floor(N/2) 2^N/(N+1)!!, by ``_rounded``: 0.0 from N = 453."""
     if N < 1:
         raise ValueError("need N >= 1")
-    if N <= _LOG_DOMAIN_CUTOFF:
-        return float(Fraction(2**N, semi_factorial(N + 1))) * (math.pi / 2.0) ** (N // 2)
-    log_v = N * math.log(2.0) - _log_semi_factorial(N + 1) + (N // 2) * math.log(math.pi / 2.0)
-    return math.exp(log_v)
+    if N >= _SPHERE_ZERO_N:
+        return 0.0
+    return _rounded(Fraction(2**N, semi_factorial(N + 1)), "a ball volume", math.pi / 2.0, N // 2)
 
 
 def sphere_area(N: int) -> float:
-    """Area of the unit sphere in R^N: N times the ball volume."""
+    """Area of the unit sphere in R^N, N times the ball volume: 0.0 from N = 456."""
     if N < 1:
         raise ValueError("need N >= 1")
-    if N <= _LOG_DOMAIN_CUTOFF:
-        return float(Fraction(2**N, semi_factorial(N - 1))) * (math.pi / 2.0) ** (N // 2)
-    log_a = N * math.log(2.0) - _log_semi_factorial(N - 1) + (N // 2) * math.log(math.pi / 2.0)
-    return math.exp(log_a)
+    if N >= _SPHERE_ZERO_N:
+        return 0.0
+    return _rounded(Fraction(2**N, semi_factorial(N - 1)), "a sphere area", math.pi / 2.0, N // 2)
 
 
 def stirling(N: int) -> float:
@@ -437,7 +425,7 @@ def sphere_moment_abs(key: SphereMomentKey) -> float:
     """Moment of |x_1|^k_1 ... |x_N|^k_N over the real unit sphere.
 
     Multiplies the double-factorial ratio by (2/pi)^S, where S counts half
-    the odd exponents, rounded down for odd N and up for even N.
+    the odd exponents, rounded down for odd N and up for even N (``_rounded``).
     """
     if key.field != "real":
         raise ValueError("absolute moments are for the real sphere")
@@ -448,7 +436,7 @@ def sphere_moment_abs(key: SphereMomentKey) -> float:
     num = semi_factorial(N - 1)
     for k in ks:
         num *= semi_factorial(k)
-    return float(Fraction(num, semi_factorial(N + total - 1))) * (2.0 / math.pi) ** S
+    return _rounded(Fraction(num, semi_factorial(N + total - 1)), "an absolute sphere moment", 2.0 / math.pi, S)
 
 
 def sample_real_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:

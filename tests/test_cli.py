@@ -269,6 +269,22 @@ def test_critical_cli(capsys):
     assert rows["classification"] == "minimum"
 
 
+@pytest.mark.parametrize(
+    "fn, x, cause", [("log_r", "0,0", "math domain error"), ("inv_r", "0,0,0", "float division by zero")]
+)
+def test_critical_at_a_singularity_names_the_field_and_the_point(capsys, fn, x, cause):
+    code, out, err = invoke(["critical", "--fn", fn, "--x", x], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"calclab: the field {fn} cannot be classified at x = {x}: {cause}\n"
+
+
+@pytest.mark.parametrize("name, order", [("gauss", "order 302"), ("cgauss", "order 171")])
+def test_law_moments_past_the_float_range_name_the_order(capsys, name, order):
+    code, out, err = invoke(["law", "--name", name, "--moments", "400", "--t", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"calclab: the {'complex ' * (name == 'cgauss')}Gaussian moment of {order} leaves the float range\n"
+
+
 def test_harmonic_cli(capsys):
     code, out, _ = invoke(["harmonic", "--fn", "re_z3", "--samples", "5", "--seed", "1"], capsys)
     rows = list(csv.reader(io.StringIO(out)))[1:]

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from calclab import combinat
 from calclab.combinat import (
@@ -73,6 +75,64 @@ def test_generalized_binomial():
     for k in range(8):
         expected = (-0.25) ** k * central_binomial(k)
         assert generalized_binomial(-0.5, k) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "a, k",
+    [(0.5, 3), (-0.5, 40), (0.1, 170), (1e3, 160), (0.5, 171), (-0.5, 400), (1e3, 200), (200.0, 201), (-2.75, 600), (0.5, 3000)],
+)
+def test_generalized_binomial_is_the_exact_ratio_rounded_once(a, k):
+    exact = math.prod(Fraction(a) - j for j in range(k)) / math.factorial(k)
+    assert generalized_binomial(a, k) == float(exact)
+
+
+def test_generalized_binomial_range_errors():
+    assert generalized_binomial(0.5, 171) == 1.2643146293890545e-04
+    with pytest.raises(ValueError, match=r"C\(1000000.0, 5000\) leaves the float range"):
+        generalized_binomial(1e6, 5000)
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite a"):
+            generalized_binomial(a, 3)
+
+
+def _nearest(got: float, exact: Fraction) -> bool:
+    """got is a float nearest to exact, and on a tie the one with an even last bit."""
+    err = abs(Fraction(got) - exact)
+    for n in (math.nextafter(got, math.inf), math.nextafter(got, -math.inf)):
+        if math.isfinite(n) and abs(Fraction(n) - exact) < err:
+            return False
+        if math.isfinite(n) and abs(Fraction(n) - exact) == err and (Fraction(got) / Fraction(math.ulp(got))) % 2:
+            return False
+    return True
+
+
+_EXACT = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.builds(lambda m, e: m * Fraction(2) ** e, st.integers(-(2**60), 2**60), st.integers(-1300, 1300)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**340)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EXACT, st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=0, max_value=400))
+@example(10**200, 10.0, 150)  # normal factors whose product overflows
+@example(Fraction(2531459847840006503, 5 * 10**154), 0.006967145696488241, 80)  # ... or is subnormal
+def test_rounded_is_the_float_product_where_normal_and_one_rounding_elsewhere(q, base, power):
+    exact = Fraction(q) * Fraction(base) ** power
+    if abs(exact) >= 2**1024 - 2**970:  # rounds to an infinity
+        with pytest.raises(ValueError, match="the test quantity leaves the float range"):
+            combinat._rounded(q, "the test quantity", base, power)
+        return
+    got = combinat._rounded(q, "the test quantity", base, power)
+    try:
+        x, y = float(q), base**power
+        normal = min(abs(x), abs(y), abs(x * y)) >= sys.float_info.min and abs(x * y) < math.inf
+    except OverflowError:
+        normal = False
+    if normal:
+        assert got.hex() == (x * y).hex()
+    else:
+        assert _nearest(got, exact)
 
 
 def test_catalan_and_binomial_sequences():

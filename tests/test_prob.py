@@ -16,6 +16,7 @@ from calclab.combinat import (
     count_matching_pairings,
     factorial,
     middle_binomial,
+    semi_factorial,
 )
 from calclab.prob import (
     BUILTIN_CONTINUOUS_LAWS,
@@ -363,6 +364,43 @@ def test_wick():
         assert wick(t, factors) == pytest.approx(complex_gaussian_moment(t, word))
     with pytest.raises(ValueError):
         wick(t, [(1, "o"), (1, "x")])
+
+
+def test_tiny_t_moments_are_the_exact_value_rounded_once():
+    # the float factors overflow (799!! and 170! past 1e308) or underflow (1e-3^170)
+    want = Fraction(semi_factorial(800)) * Fraction(0.01) ** 400
+    assert gaussian_moment(0.01, 800) == float(want) == 4.663068490054487e187
+    want = Fraction(math.factorial(170)) * Fraction(1e-3) ** 170
+    assert complex_gaussian_moment(1e-3, "ob" * 170) == float(want) == 7.257415615308024e-204
+    assert wick(1e-3, [(0, "o"), (0, "b")] * 170) == float(want)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: gaussian_moment(t, 2),
+        lambda t: complex_gaussian_moment(t, "ob"),
+        lambda t: wick(t, [(0, "o"), (0, "b")]),
+        lambda t: poisson_moments(t, 3),
+        lambda t: gaussian_fourier(t, 1.0),
+        lambda t: poisson_fourier(t, 1.0),
+    ],
+    ids=["gaussian_moment", "complex_gaussian_moment", "wick", "poisson_moments", "gaussian_fourier", "poisson_fourier"],
+)
+def test_a_nan_t_is_rejected(call):
+    with pytest.raises(ValueError, match=r"need t > 0"):
+        call(math.nan)
+
+
+def test_the_first_moment_past_the_float_range_names_its_order():
+    assert math.isfinite(gaussian_moment(1.0, 300))
+    with pytest.raises(ValueError, match="the Gaussian moment of order 302 leaves the float range"):
+        gaussian_moment(1.0, 302)
+    assert math.isfinite(complex_gaussian_moment(1.0, "ob" * 170))
+    with pytest.raises(ValueError, match="the complex Gaussian moment of order 171 leaves the float range"):
+        complex_gaussian_moment(1.0, "ob" * 171)
+    with pytest.raises(ValueError, match="the Wick moment of 342 factors leaves the float range"):
+        wick(1.0, [(0, "o"), (0, "b")] * 171)
 
 
 @given(

@@ -234,6 +234,21 @@ def test_sphere_log_domain_branch_matches_the_exact_route():
             assert abs(got - want) <= 1e-12 * want
 
 
+def test_sphere_volume_and_area_past_150_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for N in range(151, 436):
+            volume = mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2 + 1)
+            for got, want in ((sphere_volume(N), volume), (sphere_area(N), N * volume)):
+                assert abs(got - want) <= 1e-14 * want
+
+
+def test_sphere_values_are_zero_from_where_they_round_to_zero():
+    assert sphere_volume(452) > 0 and sphere_area(455) > 0
+    assert sphere_volume(453) == sphere_area(456) == 0.0
+    assert sphere_volume(10**8) == sphere_area(10**8) == 0.0  # without forming (10^8 + 1)!!
+
+
 def test_sphere_volume_by_spherical_quadrature():
     # iterated spherical-coordinate integral of 1 for N = 3
     def integrand(s):
@@ -301,6 +316,12 @@ def test_sphere_moment_abs():
     # |x| over the 2-sphere (N=3): S = [1/2] = 0, value 1/2
     got3 = sphere_moment_abs(SphereMomentKey((1, 0, 0)))
     assert got3 == pytest.approx(0.5)
+
+
+def test_sphere_moment_abs_is_rounded_once_where_it_is_subnormal():
+    key = SphereMomentKey((1, 1) + (2,) * 133)  # float(ratio) * (2/pi) rounds to 1.5e-323
+    exact = Fraction(semi_factorial(134) * Fraction(2.0 / math.pi), semi_factorial(402))
+    assert sphere_moment_abs(key) == float(exact) == 1e-323
 
 
 def test_sphere_moment_abs_mc():
