@@ -194,6 +194,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
+    return value
+
+
 def _read_csv(path: str, option: str) -> list[list[str]]:
     """The nonblank rows of a CSV file; a file that cannot be read is a usage error naming the option."""
     import csv
@@ -221,14 +228,8 @@ _INTEGRANDS = {
 }
 
 
-def _bowl(v) -> float:
-    import numpy as np
-
-    return float(np.sum(np.asarray(v) ** 2))
-
-
 _FIELDS = {
-    "bowl": (_bowl, 2),
+    "bowl": (lambda v: v[0] * v[0] + v[1] * v[1], 2),
     "saddle": (lambda v: v[0] ** 2 - v[1] ** 2, 2),
     "cubic": (lambda v: v[0] ** 3, 1),
     "xy": (lambda v: v[0] * v[1], 2),
@@ -500,6 +501,9 @@ def _cmd_heat(args) -> ResultTable:
 def _cmd_flux(args) -> ResultTable:
     from . import dynamics
 
+    center = tuple(_parse_floats(args.center))
+    if len(center) != 3:
+        raise _UsageError("--center needs 3 coordinates x,y,z")
     raw = [row for row in _read_csv(args.charges, "--charges") if not row[0].startswith("#")]
     if raw and raw[0][0].strip().lower() == "q":
         raw = raw[1:]
@@ -513,7 +517,6 @@ def _cmd_flux(args) -> ResultTable:
             f"--charges {args.charges}: every row must be four finite numbers q,x,y,z"
         ) from None
     cfg = dynamics.ChargeConfig(charges=charges, k=args.k)
-    center = tuple(_parse_floats(args.center))
     flux = dynamics.flux_through_sphere(cfg, center, args.radius, order=args.order)
     enclosed = cfg.enclosed(center, args.radius)
     rows = [
@@ -615,7 +618,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         p.add_argument("--a", type=_finite_float, required=True)
         p.add_argument("--b", type=_finite_float, required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.set_defaults(fn_impl=_cmd_integrate)
 
     if p := add_parser("sphere", help="sphere volumes, areas and moments"):
@@ -642,7 +645,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     if p := add_parser("snchi", help="fixed-point law of random permutations"):
         p.add_argument("--n", type=_positive_int, required=True)
         p.add_argument("--t", type=_finite_float, default=1.0)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.set_defaults(fn_impl=_cmd_snchi)
 
     if p := add_parser("critical", help="critical-point classification"):
@@ -653,7 +656,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     if p := add_parser("harmonic", help="laplacian residual samples"):
         p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
         p.add_argument("--samples", type=_positive_int, required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.set_defaults(fn_impl=_cmd_harmonic)
 
     if p := add_parser("orbit", help="two-body trajectory with conservation columns"):

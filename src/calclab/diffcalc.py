@@ -8,8 +8,8 @@ Laplacian, root-of-unity derivative averaging, and the constrained-extremum
 verifiers (p-norm sphere maximizer, 1-norm criticality on the orthogonal
 group).
 
-numpy is imported inside the functions that use it, so that importing this
-module does not load it.
+``np`` is the deferred binding of ``calclab._numpy``, so importing this module
+does not load numpy.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ import cmath
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
+from ._numpy import np
 from ._record import Record
 from .linalg import _jacobi
 from .quad import _gauss_rule, _samples, _sphere_quadrature
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "gradient",
@@ -71,8 +69,6 @@ def _central_differences(
     F returns a number or a sequence of k numbers; the result has shape
     (M, d) or (M, d, k), with [m, i] the difference along axis i at row m.
     """
-    import numpy as np
-
     points = np.asarray(points, dtype=float)
     M, d = points.shape
     step = h * np.eye(d)[:, None, :]
@@ -92,8 +88,6 @@ def _unit_stencil(d: int, s: float) -> np.ndarray:
     that does not move keeps the -0.0 of x only where every zero added to it
     is -0.0, so U is those sums evaluated at x = -0.0 with h = s, times s.
     """
-    import numpy as np
-
     eye = np.eye(d)
     i = [a for a in range(d) for b in range(a + 1, d)]
     j = [b for a in range(d) for b in range(a + 1, d)]
@@ -123,8 +117,6 @@ def _axis_differences(
 def _point(x: Sequence[float]) -> np.ndarray:
     """x as a float array; ValueError, before any call of f, if it has no coordinates or one is NaN
     or infinite."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("the point has no coordinates")
@@ -158,8 +150,6 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     symmetric by construction: 1 + 2d + 2d(d - 1) calls of f, sampled in
     one block.
     """
-    import numpy as np
-
     return np.array(_hessian(f, _point(x), h)[2])
 
 
@@ -171,8 +161,6 @@ def _hessian(
     The rows of ``lead`` (none by default) go in front of the Hessian's
     stencil, so that f is sampled once, in one block, for both.
     """
-    import numpy as np
-
     h = h or _step2(x)
     d = len(x)
     rows = x + h * _unit_stencil(d, math.copysign(1.0, h))
@@ -193,8 +181,6 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
 
     Raises ValueError if x, or f at a stencil point, is NaN or infinite.
     """
-    import numpy as np
-
     if k < 0:
         raise ValueError("need k >= 0")
     x = _point([x]).item()
@@ -220,8 +206,6 @@ def taylor1d(f: Callable[[float], float], x: float, order: int, t: float) -> flo
 
 def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> float:
     """Second-order multivariable Taylor value f(x) + <grad, t> + <Ht, t>/2."""
-    import numpy as np
-
     x = _point(x)
     t = np.asarray(t, dtype=float)
     g, fx, H = _gradient_and_hessian(f, x, None)
@@ -266,8 +250,6 @@ def classify_critical(
     one block: 1 + 4d + 2d(d - 1) calls of f, 25 in 3-D.  A NaN or infinite
     coordinate of x raises ValueError before f is called.
     """
-    import numpy as np
-
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
     gnorm = math.sqrt(np.dot(g, g))  # np.linalg.norm's sum, without its dispatch
@@ -323,8 +305,6 @@ def mean_value_gap(
     costs 16 sphere averages and f(center).  A NaN or infinite coordinate
     of center or radius raises ValueError before f is called.
     """
-    import numpy as np
-
     center = _point(center)
     dim = len(center)
     if not 0 < radius < math.inf:
@@ -368,8 +348,6 @@ def spherical_laplacian(
     from the 7 values of f at (r, s, t) and its axis neighbours; the polar
     axis (sin s = 0) and a NaN or infinite coordinate are rejected.
     """
-    import numpy as np
-
     r, s, t = _point([r, s, t]).tolist()
     if r <= 0:
         raise ValueError("need r > 0")
@@ -412,8 +390,6 @@ def holder_critical_check(y: Sequence[float], p: float) -> tuple[np.ndarray, flo
     y_i^(1/(p-1)), and the maximum is the q-norm of y (1/p + 1/q = 1).
     Verifies that y has no component tangential to the sphere at x.
     """
-    import numpy as np
-
     y = np.asarray(y, dtype=float)
     if p <= 1:
         raise ValueError("need p > 1")
@@ -440,8 +416,6 @@ def onorm_criticality(U: np.ndarray, tol: float = 1e-9) -> bool:
     Nonzero entries within tol of zero make the sign pattern ambiguous and
     are rejected; exact zeros (permutation-like patterns) get sign 0.
     """
-    import numpy as np
-
     U = np.asarray(U, dtype=float)
     n = U.shape[0]
     if U.shape != (n, n):

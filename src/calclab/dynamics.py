@@ -8,22 +8,20 @@ lattice counterpart, forward-Euler heat stepping with the Gaussian kernel,
 second-order linear ODEs, and numerical verification of the flux/Green/
 Stokes/divergence theorems by product quadrature.
 
-numpy is imported inside the functions that use it, so that importing this
-module (and the Kepler orbits, which need no arrays) does not load it.
+``np`` is the deferred binding of ``calclab._numpy``, so importing this module
+(and the Kepler orbits, which need no arrays) does not load numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
+from ._numpy import np
 from ._record import Record
 from .diffcalc import _central_differences
 from .quad import _gauss_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, simpson, trapezoid
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "cross",
@@ -65,8 +63,6 @@ __all__ = [
 
 def cross(u: Sequence[float], v: Sequence[float]) -> np.ndarray:
     """Vector product in R^3 by the 2x2-determinant rule (row by row for stacks of vectors)."""
-    import numpy as np
-
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return np.stack(
@@ -96,8 +92,6 @@ def einstein_add_3d(u: Sequence[float], v: Sequence[float]) -> np.ndarray:
     inputs reduce to the 1D formula; |u| = 1 absorbs v; the result never
     exceeds the light cone.  Not commutative.
     """
-    import numpy as np
-
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
@@ -117,8 +111,6 @@ def rotating_acceleration(
     x: Sequence[float],
 ) -> np.ndarray:
     """Inertial-frame acceleration a + 2 omega x v + omega x (omega x x)."""
-    import numpy as np
-
     a = np.asarray(a, dtype=float)
     omega = np.asarray(omega, dtype=float)
     return a + 2.0 * cross(omega, v) + cross(omega, cross(omega, x))
@@ -174,6 +166,8 @@ def kepler_step(s: OrbitState, dt: float, r_min: float = 1e-12) -> OrbitState:
     """
     if dt <= 0:
         raise ValueError("need dt > 0")
+    if s.r < r_min:
+        raise ArithmeticError("collision: the start radius is below the threshold")
     K = s.K
     half = 0.5 * dt
 
@@ -288,8 +282,6 @@ def conic_fit(traj: Sequence[OrbitState]) -> tuple[float, float, float, float]:
     Fits eps*x + delta*y - c = -r linearly over the trajectory and reports
     the worst value of |x^2 + y^2 - (eps x + delta y - c)^2|.
     """
-    import numpy as np
-
     xs = np.array([p.x for p in traj])
     ys = np.array([p.y for p in traj])
     rs = np.hypot(xs, ys)
@@ -310,8 +302,6 @@ def classify_conic(
     Classification uses the eigenvalue signs of the quadratic part plus the
     3x3 degeneracy determinant, with a relative tolerance band 0 <= tol < 1.
     """
-    import numpy as np
-
     if not 0.0 <= tol < 1.0:
         raise ValueError("need 0 <= tol < 1")
     scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
@@ -376,8 +366,6 @@ def ellipse_length(a: float, b: float) -> float:
 
 def stereographic_to_sphere(v: Sequence[float]) -> np.ndarray:
     """Map R^N to the unit sphere of R^(N+1) minus the pole (1, 0, ..., 0)."""
-    import numpy as np
-
     v = np.asarray(v, dtype=float)
     t = 2.0 / (1.0 + float(v @ v))
     return np.concatenate([[1.0 - t], t * v])
@@ -385,8 +373,6 @@ def stereographic_to_sphere(v: Sequence[float]) -> np.ndarray:
 
 def stereographic_to_plane(p: Sequence[float]) -> np.ndarray:
     """Inverse map (c, x) -> x/(1 - c); the pole c = 1 is excluded."""
-    import numpy as np
-
     p = np.asarray(p, dtype=float)
     c = p[0]
     if abs(1.0 - c) < 1e-15:
@@ -406,8 +392,6 @@ def dalembert(
 
     Raises ValueError if g or h gives a NaN or infinite value.
     """
-    import numpy as np
-
     if v <= 0:
         raise ValueError("need v > 0")
     g_left, g_right = _samples(g, np.array([x - v * t, x + v * t])).tolist()
@@ -435,8 +419,6 @@ class Grid1D(Record):
 
     @property
     def x(self) -> np.ndarray:
-        import numpy as np
-
         return np.linspace(self.a, self.b, len(self.values))
 
 
@@ -479,9 +461,11 @@ def heat_lattice_step(u: Grid1D, alpha: float, dt: float) -> Grid1D:
 
 
 def _lattice(g: Callable[[float], float], a: float, b: float, dx: float) -> np.ndarray:
-    """g sampled at the round((b-a)/dx) + 1 points of the lattice on [a, b]."""
-    import numpy as np
-
+    """g sampled at the round((b-a)/dx) + 1 points of the lattice on [a, b]; needs dx > 0 and a < b."""
+    if not dx > 0:
+        raise ValueError("need dx > 0")
+    if not a < b:
+        raise ValueError("need a < b")
     return _samples(g, np.linspace(a, b, int(round((b - a) / dx)) + 1))
 
 
@@ -509,10 +493,10 @@ def _wave_frames(g, h, v, a, b, dx, cfl, times) -> list[Grid1D]:
     the standard Taylor start using the initial velocity h and the spatial
     second difference of the displacement g.
     """
-    import numpy as np
-
     if not 0 < cfl <= 1:
         raise ValueError("need 0 < cfl <= 1")
+    if not v > 0:
+        raise ValueError("need v > 0")
     dt = cfl * dx / v
     u0, hv = _lattice(g, a, b, dx), _lattice(h, a, b, dx)
     lam2 = (v * dt / dx) ** 2
@@ -531,6 +515,8 @@ def _heat_frames(g, alpha, a, b, dx, cfl, times) -> list[Grid1D]:
     """
     if not 0 < cfl <= 0.5:
         raise ValueError("need 0 < cfl <= 1/2")
+    if not alpha > 0:
+        raise ValueError("need alpha > 0")
     dt = cfl * dx * dx / alpha
     start = heat_lattice_step(Grid1D(_lattice(g, a, b, dx), a, b, 0.0), alpha, dt)
     return _frames(start, lambda u: heat_lattice_step(u, alpha, dt), dt, times)
@@ -576,8 +562,6 @@ def simulate_heat(
 
 def heat_kernel(alpha: float, t: float, x: Sequence[float] | float) -> float:
     """Gaussian fundamental solution (4 pi alpha t)^(-N/2) exp(-|x|^2/(4 alpha t))."""
-    import numpy as np
-
     if t <= 0 or alpha <= 0:
         raise ValueError("need alpha, t > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -640,8 +624,6 @@ class ChargeConfig(Record):
     __slots__ = ("charges", "k")
 
     def __init__(self, charges: tuple[tuple[float, tuple[float, float, float]], ...], k: float = 1.0):
-        import numpy as np
-
         pts = [p for _, p in charges]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -654,8 +636,6 @@ class ChargeConfig(Record):
         return 1.0 / (4.0 * math.pi * self.k)
 
     def enclosed(self, center: Sequence[float], radius: float) -> float:
-        import numpy as np
-
         center = np.asarray(center, dtype=float)
         return sum(
             q
@@ -666,8 +646,6 @@ class ChargeConfig(Record):
 
 def electric_field(cfg: ChargeConfig, x: Sequence[float]) -> np.ndarray:
     """k sum q_i (x - p_i)/|x - p_i|^3."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     out = np.zeros(3)
     for q, p in cfg.charges:
@@ -692,8 +670,6 @@ def flux_through_sphere(
     (the sum that :func:`electric_field` forms one point at a time).  A
     charge on the surface is rejected; no charges give exactly 0.
     """
-    import numpy as np
-
     center = np.asarray(center, dtype=float)
     if radius <= 0:
         raise ValueError("need radius > 0")
@@ -736,8 +712,6 @@ def _boundary_edges(mapping, u_span, v_span):
 
 def _line_integral(G, curve, t0: float, t1: float, n: int, h: float) -> float:
     """Simpson integral of <G(x), dx/dt> along x = curve(t), dx/dt by central differences."""
-    import numpy as np
-
     if n < 2:
         raise ValueError("need N >= 2")
     t, w = _simpson_rule(t0, t1, n)
@@ -753,8 +727,6 @@ def _tensor_simpson(g: Callable[[np.ndarray], np.ndarray], u_span, v_span, n: in
     g maps an (M, 2) block of (u, v) nodes to M values; it is called once
     per u node, on the block of that node's row.
     """
-    import numpy as np
-
     u, wu = _simpson_rule(*u_span, n)
     v, wv = _simpson_rule(*v_span, n)
     rows = [g(np.column_stack((np.full_like(v, a), v))) for a in u]
@@ -815,8 +787,6 @@ def stokes_check(
     times the longer span.  Simpson's rule takes n intervals per side, 2n per
     edge; n None settles (:func:`quad._settle`) both over 8, 16, ... 128 to 1e-9.
     """
-    import numpy as np
-
     mapping, u_span, v_span = surface
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
     chart = lambda p: mapping(*p.tolist())
@@ -856,8 +826,6 @@ def divergence_check(
     (ball integral, flux, |difference|).  ``order`` None settles it
     (:func:`quad._settle`): 8, 16, 32, to 1e-9 relative on both sides.
     """
-    import numpy as np
-
     if radial_nodes < 1:
         raise ValueError("need radial_nodes >= 1")
     if not 0 < radius < math.inf:

@@ -7,8 +7,8 @@ entry is rational and numpy's LU otherwise; the permutation sum is the
 definition, kept as the reference.  The Jacobi eigensolver is implemented
 directly, and ``inverse`` delegates to numpy.
 
-numpy is imported inside the functions that use it, so that importing this
-module (and the polynomial roots it re-exports) does not load it.
+``np`` is the deferred binding of ``calclab._numpy``, so importing this module
+(and the polynomial roots it re-exports) does not load numpy.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from ._numpy import np
 from .combinat import signature
 from .poly import Polynomial, all_roots, cardano, solve_quadratic
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Polynomial",
@@ -90,8 +88,6 @@ def resultant(P: Polynomial, Q: Polynomial) -> int | Fraction | complex:
     matrix c I, so Res(c, Q) = c^deg(Q), and two constants have the empty
     matrix, whose determinant is 1.
     """
-    import numpy as np
-
     if P.is_zero() or Q.is_zero():
         raise ValueError("resultant of the zero polynomial is undefined")
     rows, n = _sylvester(P, Q)
@@ -132,8 +128,6 @@ def equilateral_test(I: complex, J: complex, K: complex, tol: float = 1e-9) -> b
 
 def det_permutation_sum(A: np.ndarray) -> complex:
     """The definition: the signed sum over all n! permutations (the tests' reference)."""
-    import numpy as np
-
     A = np.asarray(A)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -155,8 +149,6 @@ def determinant(A: np.ndarray) -> int | Fraction | complex:
     where LU takes 0.05-0.2 ms.  Anything else goes to numpy's LU with
     partial pivoting, in complex arithmetic when an entry is complex.
     """
-    import numpy as np
-
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -174,8 +166,6 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     Raises ValueError when |det A| <= tol * (max |a_ij|)^n, compared as
     logarithms (``numpy.linalg.slogdet``) so that neither side can overflow.
     """
-    import numpy as np
-
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -222,8 +212,6 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     ArithmeticError if 100 sweeps do not meet the test or an eigenvalue
     lies past the float range.
     """
-    import numpy as np
-
     d, V = _jacobi(_square_rows(np.asarray(A, dtype=float)), tol, vectors=True)
     return np.array(V).reshape(len(d), len(d)).T, np.array(d)
 
@@ -306,8 +294,6 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
     i < k and the same pair with p and q swapped for i >= k, whose tangent,
     and so whose sine, is the negative of the first; signs is +1 then -1.
     """
-    import numpy as np
-
     m = n + n % 2
     ring = list(range(m))
     steps = []
@@ -322,8 +308,6 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
 def _batched_sweeps(a: list[list[float]], bound: float, vectors: bool) -> tuple[list[float], list[list[float]] | None]:
     """Round-robin Jacobi, one numpy step per set of disjoint pairs; returns
     the diagonal and, when ``vectors``, V = U^T (rows of V are the columns of U)."""
-    import numpy as np
-
     work = np.array(a)
     n = work.shape[0]
     steps = _round_robin(n)
@@ -380,8 +364,6 @@ def classify_definiteness(A: np.ndarray, tol: float = 1e-10) -> str:
     of: pos_def, pos_semi, neg_def, neg_semi, indefinite, zero (also for
     the 0 x 0 matrix, which has no eigenvalues).
     """
-    import numpy as np
-
     A = np.asarray(A, dtype=float)
     d = _jacobi(_square_rows(A), max(tol, 1e-12), vectors=False)[0]
     band = tol * (float(np.linalg.norm(A)) or 1.0)
@@ -399,8 +381,6 @@ def classify_definiteness(A: np.ndarray, tol: float = 1e-10) -> str:
 
 def fourier_matrix(N: int) -> np.ndarray:
     """The N x N matrix (w^{ij}) with w = exp(2 pi i/N), indices from 0."""
-    import numpy as np
-
     if N < 1:
         raise ValueError("need N >= 1")
     idx = np.arange(N)
@@ -409,8 +389,6 @@ def fourier_matrix(N: int) -> np.ndarray:
 
 def circulant(xi: Sequence[complex]) -> np.ndarray:
     """The circulant matrix A_ij = xi_{j-i mod N}."""
-    import numpy as np
-
     xi = np.asarray(xi, dtype=complex)
     N = len(xi)
     i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
@@ -423,8 +401,6 @@ def circulant_diag(xi: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     The eigenvalues are F xi, and the reconstruction F diag(eig) F^*/N
     should reproduce the circulant matrix.
     """
-    import numpy as np
-
     xi = np.asarray(xi, dtype=complex)
     N = len(xi)
     F = fourier_matrix(N)
@@ -435,8 +411,6 @@ def circulant_diag(xi: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
 
 def matrix_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(A t) by scaling-and-squaring of the Taylor series."""
-    import numpy as np
-
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     n = A.shape[0]
     if A.shape != (n, n):

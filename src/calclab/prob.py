@@ -9,9 +9,9 @@ the four combinatorial laws (semicircle, Marchenko-Pastur, arcsine, modified
 arcsine), Hankel positivity, orthogonal polynomials from moments, and the
 fixed-point statistics of random permutations.
 
-numpy is imported inside the functions that use it, so that the closed-form
+``np`` is the deferred binding of ``calclab._numpy``, so the closed-form
 moments and the exact permutation law (and the CLI commands built on them)
-run without loading it.
+run without loading numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import cmath
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
+from ._numpy import np
 from ._record import Record
 from .combinat import (
     _rounded,
@@ -33,9 +34,6 @@ from .combinat import (
 from .poly import Polynomial
 from .quad import SphereMomentKey, _gauss_rule, _samples, _settle, sphere_moment, sphere_moment_mc
 from .rng import RandomSource
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Law",
@@ -145,8 +143,6 @@ class _ConvolvedDensity:
 
     def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Each part's outer product of two rules: the law's at every atom, or both densities' at min(nodes, 256)."""
-        import numpy as np
-
         rules = []
         for law, other in self.parts:
             if isinstance(other, Law):
@@ -174,8 +170,6 @@ def _density_rule(law: Law, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if isinstance(law.density, _ConvolvedDensity):
         return law.density.rule(nodes)
-    import numpy as np
-
     a, b = np.array(law.support[:-1], dtype=float)[:, None], np.array(law.support[1:], dtype=float)[:, None]
     L = b - a
     u, wu = _gauss_rule(0.0, math.pi, 8, -(-max(nodes, 1) // 8))
@@ -211,8 +205,6 @@ def moments(law: Law, upto: int, nodes: int | None = None) -> list[float]:
         raise ValueError("need upto >= 0")
     out = [sum(mass * loc**k for loc, mass in law.atoms) for k in range(upto + 1)]
     if law.density is not None:
-        import numpy as np
-
         powers = lambda x: np.power.outer(x, np.arange(upto + 1))
         out = np.add(out, _density_sums(law, powers, nodes))
     return [float(m) for m in out]
@@ -224,8 +216,6 @@ def law_fourier(law: Law, y: float, nodes: int | None = None) -> complex:
         raise ValueError("need a finite y")
     out = sum(mass * cmath.exp(1j * y * loc) for loc, mass in law.atoms)
     if law.density is not None:
-        import numpy as np
-
         out += complex(_density_sums(law, lambda x: np.exp(1j * y * x), nodes))
     return out
 
@@ -647,8 +637,6 @@ def hankel_check(moment_seq: Sequence[float], depth: int) -> list[float]:
         raise ValueError("need depth >= 1")
     if len(moment_seq) < 2 * depth - 1:
         raise ValueError("need moments up to order 2*(depth-1)")
-    import numpy as np
-
     out = []
     for d in range(depth):
         H = np.array(
@@ -672,8 +660,6 @@ def orthopoly_from_moments(moment_seq: Sequence[float], k: int) -> Polynomial:
         raise ValueError("need moments up to order 2k - 1")
     if k == 0:
         return Polynomial([1.0])
-    import numpy as np
-
     rows = [[float(moment_seq[i + j]) for j in range(k + 1)] for i in range(k)]
     lead_minor = np.array([row[:k] for row in rows], dtype=float)
     delta = float(np.linalg.det(lead_minor))
@@ -750,8 +736,6 @@ def sn_fixed_point_law(
         return SnFixedPointResult(Law(atoms=atoms), exact=True, samples=0)
     if rng is None:
         raise ValueError("sampling mode needs an explicit RandomSource")
-    import numpy as np
-
     m = int(t * N)
     gen = rng.generator()
     rows = max(1, _SAMPLE_BLOCK_ENTRIES // N)
@@ -795,8 +779,6 @@ def graph_loop_moment(adjacency: Sequence[Sequence[int]], base: int, k: int) -> 
         raise ValueError("base vertex out of range")
     if k < 0:
         raise ValueError("need k >= 0")
-    import numpy as np
-
     M = np.array(A, dtype=object)
     out = np.eye(n, dtype=int).astype(object)
     for _ in range(k):

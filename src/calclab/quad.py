@@ -10,12 +10,13 @@ coordinates.
 
 Closed forms are evaluated in exact rational arithmetic and converted to
 float at the end by ``combinat._rounded``, which rounds the exact value
-once where a factor leaves the normal floats.  numpy is imported inside the
-functions that use it, so the closed forms, ``riemann`` and ``trapezoid``
-run without loading it: their grids come from ``_linspace`` and their sums
-from ``_pairwise_sum``, which copy ``numpy.linspace`` and ``numpy.sum`` bit
-for bit.  Every route of the package that calls a user function on a block of
-nodes does so through ``_samples``.
+once where a factor leaves the normal floats.  ``np`` is the deferred
+binding of ``calclab._numpy``, so the closed forms, ``riemann`` and
+``trapezoid`` run without loading numpy: their grids come from
+``_linspace`` and their sums from ``_pairwise_sum``, which copy
+``numpy.linspace`` and ``numpy.sum`` bit for bit.  Every route of the
+package that calls a user function on a block of nodes does so through
+``_samples``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ import math
 import operator
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from ._numpy import np
 from ._record import Record
 from .combinat import _rounded, factorial, semi_factorial
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .rng import RandomSource
+from .rng import RandomSource
 
 __all__ = [
     "riemann",
@@ -97,8 +95,6 @@ def _settle(value: Callable[[int], object], n: int | None, start: int, cap: int,
     """``value(n)``; for n None the first of value(start), value(2 start), ... value(cap) that agrees
     with the one before within rtol max(1, |v|) in every component (of a number, sequence or array),
     else value(cap)."""
-    import numpy as np
-
     n, cap, last = (start, cap, None) if n is None else (n, n, None)
     while True:
         v = value(n)
@@ -163,8 +159,6 @@ def _pairwise_sum(values: list[float]) -> float:
 
 def _simpson_rule(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Simpson rule on [a, b] (N made even if needed)."""
-    import numpy as np
-
     N += N % 2
     w = np.full(N + 1, 2.0)
     w[1::2] = 4.0
@@ -175,8 +169,6 @@ def _simpson_rule(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=32)  # an entry holds 2n floats
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on [-1, 1], nodes ascending, as read-only arrays."""
-    import numpy as np
-
     t, w = np.polynomial.legendre.leggauss(n)
     t.flags.writeable = w.flags.writeable = False
     return t, w
@@ -189,8 +181,6 @@ def _gauss_rule(a: float, b: float, n: int, panels: int = 1) -> tuple[np.ndarray
     exponentially on analytic integrands; no node lies on a panel edge.
     Large rules take panels, as each unit rule is an O(n^3) eigenproblem.
     """
-    import numpy as np
-
     t, w = _legendre_rule(n)
     h = (b - a) / panels
     left = a + h * np.arange(panels)
@@ -200,8 +190,6 @@ def _gauss_rule(a: float, b: float, n: int, panels: int = 1) -> tuple[np.ndarray
 def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Product nodes/weights on the unit sphere: Gauss-Legendre in cos(polar),
     uniform in azimuth, polar-major order.  Weights sum to the sphere area 4 pi."""
-    import numpy as np
-
     u, w = _legendre_rule(order)
     ts = np.linspace(0.0, 2.0 * math.pi, 2 * order, endpoint=False)
     dt = 2.0 * math.pi / (2 * order)
@@ -226,8 +214,6 @@ def _samples(f: Callable, nodes: list[float] | np.ndarray) -> list[float] | np.n
         values = list(map(float, map(f, nodes)))
         finite = all(map(math.isfinite, values))
     else:
-        import numpy as np
-
         if nodes.ndim == 1:
             values = np.fromiter(map(f, nodes.tolist()), float, count=len(nodes))
         else:
@@ -306,8 +292,6 @@ def verify_fresnel(T: float = 20.0, averaging: int = 8) -> float:
     # fine composite Simpson from 0 to the first zero, then per half-period
     f = lambda t: math.sin(t * t)
     n0 = max(2, int(zeros[0] * 2000))
-    import numpy as np
-
     partials = [simpson(f, 0.0, zeros[0], n0)]
     for left, right in zip(zeros, zeros[1:]):
         partials.append(partials[-1] + simpson(f, left, right, 200))
@@ -442,8 +426,6 @@ def sphere_moment_abs(key: SphereMomentKey) -> float:
 def sample_real_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
     """Uniform points on the unit sphere of R^N via normalized Gaussians."""
     _check_sphere_sampling(N, samples)
-    import numpy as np
-
     g = rng.generator().standard_normal((samples, N))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
@@ -451,8 +433,6 @@ def sample_real_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
 def sample_complex_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
     """Uniform points on the unit sphere of C^N via normalized complex Gaussians."""
     _check_sphere_sampling(N, samples)
-    import numpy as np
-
     g = rng.generator().standard_normal((samples, 2 * N))
     z = g[:, :N] + 1j * g[:, N:]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -481,8 +461,6 @@ def sphere_moment_mc(
     used = [(i, k) for i, k in enumerate(key.exponents) if k]
     if not used:
         return 1.0, 0.0
-    import numpy as np
-
     N, complex_field = key.dimension, key.field == "complex"
     gen = rng.generator()
     values = np.ones(samples)

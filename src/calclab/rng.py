@@ -1,16 +1,13 @@
 """Reproducible randomness: a seed-keyed, counter-based generator.
 
-numpy is imported when a generator is made, not with this module.
+numpy is loaded (through ``calclab._numpy``) when a generator is made, not
+with this module.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from ._numpy import np
 from ._record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["RandomSource"]
 
@@ -26,9 +23,9 @@ class RandomSource(Record):
     __slots__ = ("seed",)
 
     def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError("need seed >= 0")
         self._set(seed)
 
     def generator(self) -> np.random.Generator:
-        import numpy as np
-
         return np.random.Generator(np.random.Philox(self.seed))

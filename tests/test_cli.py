@@ -495,6 +495,11 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
         (["hydrogen", "energy", "--n", "0"], "--n"),
         (["hydrogen", "wavefunction", "--n", "0", "--l", "0", "--m", "0", "--grid", "5,3"], "--n"),
         (["hydrogen", "lines", "--series", "balmer", "--upto", "2"], "--upto"),
+        (["flux", "--charges", "q.csv", "--center", "0,0", "--radius", "1"], "--center"),
+        (["flux", "--charges", "q.csv", "--center", "0,0,0,0", "--radius", "1"], "--center"),
+        (["harmonic", "--fn", "bowl", "--samples", "2", "--seed=-1"], "--seed"),
+        (["integrate", "--method", "mc", "--fn", "sin", "--a", "0", "--b", "1", "--n", "10", "--seed=-1"], "--seed"),
+        (["snchi", "--n", "12", "--seed=-1"], "--seed"),
     ],
     ids=[
         "sequence-n",
@@ -510,12 +515,37 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
         "energy-n",
         "wavefunction-n",
         "lines-upto",
+        "flux-center-2",
+        "flux-center-4",
+        "harmonic-seed",
+        "mc-seed",
+        "snchi-seed",
     ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv, option):
     code, out, err = invoke(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("calclab: usage error:") and option in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wave", "--profile", "sine", "--v=-1"], "need v > 0"),
+        (["wave", "--profile", "sine", "--v", "0"], "need v > 0"),
+        (["wave", "--profile", "sine", "--dx", "0"], "need dx > 0"),
+        (["wave", "--profile", "sine", "--dx=-0.05"], "need dx > 0"),
+        (["wave", "--profile", "sine", "--a", "1", "--b", "0"], "need a < b"),
+        (["heat", "--profile", "sine", "--dx", "0"], "need dx > 0"),
+        (["heat", "--profile", "sine", "--alpha", "0"], "need alpha > 0"),
+        (["orbit", "--r0", "0", "--vt0", "1", "--K", "1", "--T", "1", "--dt", "0.1"], "collision"),
+    ],
+    ids=["wave-v-negative", "wave-v-0", "wave-dx-0", "wave-dx-negative", "wave-b-below-a", "heat-dx-0", "heat-alpha-0", "orbit-at-center"],
+)
+def test_bad_lattice_and_orbit_parameters_are_numerical_failures(capsys, argv, message):
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("calclab: ") and message in err and err.count("\n") == 1
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The CLI's start-up and table writer: exact commands load no numpy, and
 every table prints the bytes of the writer it replaced (``oracles.emit``)."""
 
+import ast
 import io
 import math
 import os
@@ -96,6 +97,46 @@ def test_importing_every_module_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
     count, loaded = proc.stdout.split(" ", 1)
     assert int(count) >= 12 and loaded.strip() == "[]", proc.stdout
+
+
+def test_one_array_call_binds_numpy_in_every_calclab_module():
+    code = (
+        "import math, sys, calclab.quad\n"
+        "assert 'numpy' not in sys.modules\n"
+        "calclab.quad.simpson(math.sin, 0.0, 1.0, 8)\n"
+        "import numpy, calclab.diffcalc, calclab.dynamics, calclab.prob\n"
+        "holders = sorted(n for n, m in sys.modules.items() if n.startswith('calclab') and 'np' in vars(m))\n"
+        "print(holders, all(vars(sys.modules[n])['np'] is numpy for n in holders))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = ["_numpy", "diffcalc", "dynamics", "linalg", "prob", "quad", "rng"]
+    assert proc.stdout == f"{['calclab.' + m for m in modules]} True\n"
+
+
+def _numpy_imports(node, where="module"):
+    """Where each import of numpy below node sits: its function's name, TYPE_CHECKING, or module."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _numpy_imports(child, child.name)
+        elif isinstance(child, ast.If) and "TYPE_CHECKING" in ast.unparse(child.test):
+            found += _numpy_imports(child, "TYPE_CHECKING")
+        else:
+            if isinstance(child, ast.Import):
+                found += [where for alias in child.names if alias.name.split(".")[0] == "numpy"]
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "numpy":
+                found.append(where)
+            found += _numpy_imports(child, where)
+    return found
+
+
+def test_numpy_is_imported_in_one_place():
+    package = Path(calclab.__file__).parent
+    found = {path.name: _numpy_imports(ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {"_numpy.py": ["__getattr__"]}
 
 
 def test_json_output_imports_json_and_only_then():

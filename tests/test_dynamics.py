@@ -302,6 +302,45 @@ def test_lattice_stability_refusal():
     assert np.all(stepped.values == 0.0)
 
 
+_LATTICE = {"wave": dict(v=1.0, a=0.0, b=1.0, dx=0.05, cfl=0.5), "heat": dict(alpha=1.0, a=0.0, b=1.0, dx=0.05, cfl=0.25)}
+
+
+@pytest.mark.parametrize(
+    "kind, bad, message",
+    [
+        ("wave", {"v": -1.0}, "need v > 0"),
+        ("wave", {"v": 0.0}, "need v > 0"),
+        ("wave", {"dx": 0.0}, "need dx > 0"),
+        ("wave", {"dx": -0.05}, "need dx > 0"),
+        ("wave", {"a": 1.0, "b": 0.0}, "need a < b"),
+        ("heat", {"alpha": 0.0}, "need alpha > 0"),
+        ("heat", {"dx": 0.0}, "need dx > 0"),
+        ("heat", {"dx": -0.05}, "need dx > 0"),
+        ("heat", {"a": 1.0, "b": 0.0}, "need a < b"),
+    ],
+    ids=["wave-v-negative", "wave-v-0", "wave-dx-0", "wave-dx-negative", "wave-b-below-a",
+         "heat-alpha-0", "heat-dx-0", "heat-dx-negative", "heat-b-below-a"],
+)
+def test_lattice_parameters_are_checked_before_sampling(kind, bad, message):
+    calls = []
+    g = lambda x: calls.append(x) or 0.0
+    params = dict(_LATTICE[kind], **bad)
+    with pytest.raises(ValueError, match=message):
+        if kind == "wave":
+            simulate_wave(g, g, t_final=0.1, **params)
+        else:
+            simulate_heat(g, t_final=0.1, **params)
+    assert calls == []
+
+
+def test_kepler_start_at_the_center_is_a_collision():
+    s0 = OrbitState(0.0, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ArithmeticError, match="collision"):
+        kepler_step(s0, 0.1)
+    with pytest.raises(ArithmeticError, match="collision"):
+        kepler_integrate(s0, 1.0, 0.1)
+
+
 def test_zero_field_stays_zero():
     grid = Grid1D(np.zeros(51), 0.0, 1.0)
     out = wave_lattice_step(grid, grid, v=1.0, dt=0.005)

@@ -69,3 +69,9 @@ def test_records_keep_the_frozen_data_class_contract(cls, values, defaults):
     restored = pickle.loads(pickle.dumps(record))
     assert type(restored) is cls and restored == record
 
+
+
+def test_random_source_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed >= 0"):
+        RandomSource(-1)
+    assert RandomSource(0).seed == 0
