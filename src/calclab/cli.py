@@ -201,6 +201,12 @@ def _seed(text: str) -> int:
     return value
 
 
+def _check_span(args) -> None:
+    """Usage error naming --a and --b where the interval's length b - a overflows."""
+    if not math.isfinite(args.b - args.a):
+        raise _UsageError(f"--a {args.a!r} to --b {args.b!r} spans more than the largest float")
+
+
 def _read_csv(path: str, option: str) -> list[list[str]]:
     """The nonblank rows of a CSV file; a file that cannot be read is a usage error naming the option."""
     import csv
@@ -313,8 +319,7 @@ def _cmd_integrate(args) -> ResultTable:
     from . import quad
     from .rng import RandomSource
 
-    if not math.isfinite(args.b - args.a):
-        raise _UsageError(f"--a {args.a!r} to --b {args.b!r} spans more than the largest float")
+    _check_span(args)
     f = _INTEGRANDS[args.fn]
     if args.method == "riemann":
         value, err = quad.riemann(f, args.a, args.b, args.n), None
@@ -473,6 +478,7 @@ def _cmd_wave(args) -> ResultTable:
     from . import dynamics
     from .quad import _linspace
 
+    _check_span(args)
     g = _PROFILES[args.profile](args.a, args.b)
     zero = lambda x: 0.0
     rows = []
@@ -488,6 +494,7 @@ def _cmd_heat(args) -> ResultTable:
     from . import dynamics
     from .quad import _linspace
 
+    _check_span(args)
     g = _PROFILES[args.profile](args.a, args.b)
     rows = []
     times = _linspace(0.0, args.t, args.frames + 1)[1:]
@@ -617,7 +624,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         p.add_argument("--fn", required=True, choices=sorted(_INTEGRANDS))
         p.add_argument("--a", type=_finite_float, required=True)
         p.add_argument("--b", type=_finite_float, required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_positive_int, required=True)
         p.add_argument("--seed", type=_seed, default=None)
         p.set_defaults(fn_impl=_cmd_integrate)
 

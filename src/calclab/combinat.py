@@ -87,6 +87,21 @@ def _rounded(q: int | Fraction, what: str, base: float = 1.0, power: int = 0) ->
         raise ValueError(f"{what} leaves the float range") from None
 
 
+def _fsum(terms: list[float], what: str) -> float:
+    """The exact sum of the float terms rounded once, as ``math.fsum`` gives it, also where
+    fsum's partial sums overflow: then the sum of the inf and NaN terms if there are any, else
+    ``_rounded`` of the exact sum.  ValueError where ``what`` adds inf to -inf or leaves the
+    float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        pass
+    except ValueError:
+        raise ValueError(f"{what} adds inf to -inf") from None
+    special = [t for t in terms if not math.isfinite(t)]
+    return _fsum(special, what) if special else _rounded(sum(map(Fraction, terms)), what)
+
+
 def generalized_binomial(a: float, k: int) -> float:
     """a(a-1)...(a-k+1)/k! for finite real a and integer k >= 0.
 

@@ -6,7 +6,8 @@ construction), Taylor approximation, critical-point classification by Hessian
 eigenvalue signs, Laplacians and harmonicity checks, spherical-coordinate
 Laplacian, root-of-unity derivative averaging, and the constrained-extremum
 verifiers (p-norm sphere maximizer, 1-norm criticality on the orthogonal
-group).
+group).  The stencil sums (a k-th difference, a Taylor polynomial, a
+Laplacian) are ``math.fsum``: the exact sum of the float terms, rounded once.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
 does not load numpy.
@@ -188,20 +189,14 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
         return _samples(f, np.array([x], dtype=float)).item()
     h = h or _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x))
     values = _samples(f, np.array([x + (k / 2.0 - j) * h for j in range(k + 1)]))
-    total = 0.0
-    for j, v in enumerate(values.tolist()):
-        total += (-1.0) ** j * math.comb(k, j) * v
-    return total / h**k
+    return math.fsum((-1.0) ** j * math.comb(k, j) * v for j, v in enumerate(values.tolist())) / h**k
 
 
 def taylor1d(f: Callable[[float], float], x: float, order: int, t: float) -> float:
     """Truncated Taylor value using finite-difference derivatives."""
     if order < 0:
         raise ValueError("need order >= 0")
-    out = 0.0
-    for k in range(order + 1):
-        out += derivative_1d(f, x, k) / math.factorial(k) * t**k
-    return out
+    return math.fsum(derivative_1d(f, x, k) / math.factorial(k) * t**k for k in range(order + 1))
 
 
 def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> float:
@@ -272,14 +267,10 @@ def classify_critical(
 
 
 def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> float:
-    """Sum of second central differences along the axes."""
+    """Sum of second central differences along the axes, rounded once."""
     x = _point(x)
     h = h or _step2(x)
-    _, _, second = _axis_differences(f, x, h)
-    out = 0.0
-    for v in second.tolist():  # in axis order: sum() compensates from Python 3.12 on
-        out += v
-    return out
+    return math.fsum(_axis_differences(f, x, h)[2].tolist())
 
 
 def is_harmonic(

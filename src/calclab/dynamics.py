@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 from ._numpy import np
 from ._record import Record
+from .combinat import _fsum
 from .diffcalc import _central_differences
 from .quad import _gauss_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, simpson, trapezoid
 
@@ -461,11 +462,14 @@ def heat_lattice_step(u: Grid1D, alpha: float, dt: float) -> Grid1D:
 
 
 def _lattice(g: Callable[[float], float], a: float, b: float, dx: float) -> np.ndarray:
-    """g sampled at the round((b-a)/dx) + 1 points of the lattice on [a, b]; needs dx > 0 and a < b."""
+    """g sampled at the round((b-a)/dx) + 1 points of the lattice on [a, b]; needs dx > 0, a < b
+    and a finite (b-a)/dx."""
     if not dx > 0:
         raise ValueError("need dx > 0")
     if not a < b:
         raise ValueError("need a < b")
+    if not math.isfinite((b - a) / dx):
+        raise ValueError("the lattice's (b - a)/dx overflows")
     return _samples(g, np.linspace(a, b, int(round((b - a) / dx)) + 1))
 
 
@@ -637,11 +641,8 @@ class ChargeConfig(Record):
 
     def enclosed(self, center: Sequence[float], radius: float) -> float:
         center = np.asarray(center, dtype=float)
-        return sum(
-            q
-            for q, p in self.charges
-            if np.linalg.norm(np.asarray(p) - center) < radius
-        )
+        inside = [q for q, p in self.charges if np.linalg.norm(np.asarray(p) - center) < radius]
+        return _fsum(inside, "the enclosed charge")
 
 
 def electric_field(cfg: ChargeConfig, x: Sequence[float]) -> np.ndarray:
@@ -766,7 +767,7 @@ def green_check(
         return (D[:, 0, 1] - D[:, 1, 0]) * jac
 
     def sides(n: int) -> tuple[float, float]:
-        lhs = sum(_line_integral(field, *edge, n, h) for edge in _boundary_edges(mapping, u_span, v_span))
+        lhs = math.fsum(_line_integral(field, *edge, n, h) for edge in _boundary_edges(mapping, u_span, v_span))
         return lhs, _tensor_simpson(curl_z, u_span, v_span, n)
 
     lhs, rhs = _settle(sides, n, 8, 256, 1e-9)
@@ -801,7 +802,8 @@ def stokes_check(
 
     def sides(n: int) -> tuple[float, float]:
         lhs = _tensor_simpson(surf_integrand, u_span, v_span, n)
-        return lhs, sum(_line_integral(F, *edge, 2 * n, h) for edge in _boundary_edges(mapping, u_span, v_span))
+        rhs = math.fsum(_line_integral(F, *edge, 2 * n, h) for edge in _boundary_edges(mapping, u_span, v_span))
+        return lhs, rhs
 
     lhs, rhs = _settle(sides, n, 8, 128, 1e-9)
     return lhs, rhs, abs(lhs - rhs)

@@ -246,7 +246,7 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     else:
         v = [[float(p == q) for q in range(n)] for p in range(n)] if vectors else None
         for _ in range(_MAX_SWEEPS):
-            if sum(x * x for p in range(n - 1) for x in a[p][p + 1 :]) <= bound:
+            if math.fsum(x * x for p in range(n - 1) for x in a[p][p + 1 :]) <= bound:
                 break
             for p in range(n - 1):
                 ap = a[p]

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 from ._numpy import np
 from ._record import Record
 from .combinat import (
+    _fsum,
     _rounded,
     binomial as binom,
     count_matching_pairings,
@@ -128,7 +129,7 @@ class _ConvolvedDensity:
         self.parts = parts
 
     def __call__(self, t: float) -> float:
-        total = 0.0
+        terms = []
         for law, other in self.parts:
             a0, a1 = law.support[0], law.support[-1]
             if isinstance(other, Law):
@@ -136,10 +137,10 @@ class _ConvolvedDensity:
                 if lo < hi:
                     cuts = sorted(y for y in {*other.support, *(t - x for x in law.support)} if lo < y < hi)
                     product = lambda y: law.density(t - y) * other.density(y)
-                    total += Law(density=product, support=(lo, *cuts, hi)).total_mass()
+                    terms.append(Law(density=product, support=(lo, *cuts, hi)).total_mass())
             else:
-                total += sum(mass * law.density(t - loc) for loc, mass in other if a0 <= t - loc <= a1)
-        return total
+                terms += [mass * law.density(t - loc) for loc, mass in other if a0 <= t - loc <= a1]
+        return math.fsum(terms)
 
     def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """Each part's outer product of two rules: the law's at every atom, or both densities' at min(nodes, 256)."""
@@ -203,11 +204,21 @@ def moments(law: Law, upto: int, nodes: int | None = None) -> list[float]:
     """
     if upto < 0:
         raise ValueError("need upto >= 0")
-    out = [sum(mass * loc**k for loc, mass in law.atoms) for k in range(upto + 1)]
+    out = [_atom_moment(law.atoms, k) for k in range(upto + 1)]
     if law.density is not None:
         powers = lambda x: np.power.outer(x, np.arange(upto + 1))
         out = np.add(out, _density_sums(law, powers, nodes))
     return [float(m) for m in out]
+
+
+def _atom_moment(atoms: tuple[tuple[float, float], ...], k: int) -> float:
+    """sum m l^k over the atoms (l, m), rounded once; exact where l^k overflows, and ValueError
+    naming the order past the float range."""
+    what = f"the atom moment of order {k}"
+    try:
+        return _fsum([mass * loc**k for loc, mass in atoms], what)
+    except OverflowError:
+        return _rounded(sum(Fraction(mass) * Fraction(loc) ** k for loc, mass in atoms), what)
 
 
 def law_fourier(law: Law, y: float, nodes: int | None = None) -> complex:
@@ -500,10 +511,10 @@ def clt_moment_gap(base: Law, n: int, upto: int = 4) -> float:
         raise ValueError("clt_moment_gap needs an atomic base law")
     if n < 1:
         raise ValueError("need n >= 1")
-    mean = sum(mass * loc for loc, mass in base.atoms)
+    mean = math.fsum(mass * loc for loc, mass in base.atoms)
     if abs(mean) > 1e-9:
         raise ValueError("base law must be centered")
-    var = sum(mass * loc**2 for loc, mass in base.atoms)
+    var = math.fsum(mass * loc**2 for loc, mass in base.atoms)
     law = base
     for _ in range(n - 1):
         law = convolve(law, base)

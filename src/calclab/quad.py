@@ -13,24 +13,23 @@ float at the end by ``combinat._rounded``, which rounds the exact value
 once where a factor leaves the normal floats.  ``np`` is the deferred
 binding of ``calclab._numpy``, so the closed forms, ``riemann`` and
 ``trapezoid`` run without loading numpy: their grids come from
-``_linspace`` and their sums from ``_pairwise_sum``, which copy
-``numpy.linspace`` and ``numpy.sum`` bit for bit.  Every route of the
-package that calls a user function on a block of nodes does so through
-``_samples``.
+``_linspace``, which copies ``numpy.linspace`` bit for bit, and their sums
+from ``combinat._fsum``, the exact sum of the float terms rounded once.
+Every route of the package that calls a user function on a block of nodes
+does so through ``_samples``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 from itertools import chain
 from typing import Callable
 
 from ._numpy import np
 from ._record import Record
-from .combinat import _rounded, factorial, semi_factorial
+from .combinat import _fsum, _rounded, factorial, semi_factorial
 from .rng import RandomSource
 
 __all__ = [
@@ -64,22 +63,32 @@ _SPHERE_BLOCK = 16_384  # rows of Gaussians that sphere_moment_mc draws at a tim
 
 
 def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
-    """Right-endpoint Riemann sum (b-a)/N * sum f(a + (b-a)k/N), k = 1..N."""
+    """Right-endpoint Riemann sum (b-a)/N * sum f(a + (b-a)k/N), k = 1..N; ValueError where it
+    leaves the float range."""
     if N < 1:
         raise ValueError("need N >= 1")
     _finite_interval(a, b)
     x = [a + (b - a) * k / N for k in range(1, N + 1)]
-    return (b - a) / N * _pairwise_sum(_samples(f, x))
+    return _finite_sum(_samples(f, x), "the riemann sum", (b - a) / N)
 
 
 def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
-    """Composite trapezoid rule with N subintervals."""
+    """Composite trapezoid rule with N subintervals; ValueError past the float range."""
     if N < 1:
         raise ValueError("need N >= 1")
     _finite_interval(a, b)
     x = _linspace(a, b, N + 1)
     y = _samples(f, x)
-    return _pairwise_sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])])
+    terms = [(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1 in zip(x, x[1:], y, y[1:])]
+    return _finite_sum(terms, "the trapezoid sum")
+
+
+def _finite_sum(terms: list[float], what: str, scale: float = 1.0) -> float:
+    """scale times the exact sum of the terms rounded once, or ValueError where it is not finite."""
+    value = scale * _fsum(terms, what)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} leaves the float range")
+    return value
 
 
 def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -129,32 +138,6 @@ def _linspace(a: float, b: float, num: int) -> list[float]:
         x = [i * step + a for i in range(num)]
     x[-1] = b
     return x
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """``numpy.sum`` of a list of floats, bit for bit: 0.0 plus numpy's pairwise sum.
-
-    Blocks of fewer than 8 values are summed left to right from -0.0, blocks
-    of up to 128 by 8 strided accumulators, larger ones split in two at a
-    multiple of 8 (Higham, SIAM J. Sci. Comput. 14 (1993) 783-799).  Its
-    rounding error grows as O(log n), not O(n).  The builtin ``sum`` is not
-    used: from Python 3.12 on it compensates, which changes the bits.
-    """
-    add, reduce = operator.add, functools.reduce
-
-    def pairwise(lo: int, n: int) -> float:
-        if n < 8:
-            return reduce(add, values[lo : lo + n], -0.0)
-        if n <= 128:
-            end = lo + n - n % 8
-            r = [reduce(add, values[lo + j : end : 8]) for j in range(8)]
-            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            return reduce(add, values[end : lo + n], res)
-        n2 = n // 2
-        n2 -= n2 % 8
-        return pairwise(lo, n2) + pairwise(lo + n2, n - n2)
-
-    return 0.0 + pairwise(0, len(values))
 
 
 def _simpson_rule(a: float, b: float, N: int) -> tuple[np.ndarray, np.ndarray]:

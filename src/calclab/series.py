@@ -1,21 +1,18 @@
 """Power-series evaluation with honest truncation bounds, plus the classical
 constants (e, pi via the odd-reciprocal alternating series, the Basel sum)
-and fixed-point square roots.  Nothing here loads numpy: the pi and Basel
-partial sums take ``quad._pairwise_sum``, numpy's pairwise summation
-written out in Python, so they keep the bits that ``numpy.sum`` gives.
+and fixed-point square roots.  Nothing here loads numpy.  Every partial sum
+is ``math.fsum``: the exact sum of its float terms, rounded once.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import cycle
 from typing import Callable, Iterator, Sequence
 
 from ._record import Record
-from .combinat import bernoulli, catalan, central_binomial, factorial
-from .quad import _pairwise_sum
+from .combinat import _fsum, bernoulli, catalan, central_binomial, factorial
 
 __all__ = [
     "PowerSeries",
@@ -54,20 +51,16 @@ def eval_series(s: PowerSeries, x: float, terms: int) -> tuple[float, float]:
     The bound is the first omitted term for series that are (eventually)
     alternating with decreasing magnitude, a geometric bound when the recent
     term ratios stay below 1/2, and +inf when neither criterion applies.
-    It bounds the truncation error only, not float roundoff in the sum.
+    It bounds the truncation error only; the partial sum is the exact sum
+    of the float terms, rounded once.
     """
     if abs(x) >= s.radius:
         raise ValueError(f"|x|={abs(x)} is outside the convergence radius {s.radius}")
     if terms < 1:
         raise ValueError("need at least one term")
-    value = 0.0
-    computed = []
-    for k in range(terms):
-        # x**k can overflow long after c reached 0.0, and a +-0.0 term changes no sum
-        t = c * x**k if (c := s.coefficient(k)) else 0.0
-        value += t
-        computed.append(t)
-    return value, _tail_bound(s, x, terms, computed)
+    # x**k can overflow long after c reached 0.0, and a +-0.0 term changes no sum
+    computed = [c * x**k if (c := s.coefficient(k)) else 0.0 for k in range(terms)]
+    return _fsum(computed, "the partial sum"), _tail_bound(s, x, terms, computed)
 
 
 def _tail_bound(s: PowerSeries, x: float, terms: int, computed: list[float]) -> float:
@@ -118,7 +111,7 @@ def pi_leibnitz(terms: int) -> tuple[float, float]:
     """pi from 4(1 - 1/3 + 1/5 - ...); the bound is 4/(2*terms+1)."""
     if terms < 1:
         raise ValueError("need terms >= 1")
-    value = 4.0 * _pairwise_sum(list(map(operator.truediv, cycle((1.0, -1.0)), range(1, 2 * terms, 2))))
+    value = 4.0 * math.fsum(s / d for s, d in zip(cycle((1.0, -1.0)), range(1, 2 * terms, 2)))
     return value, 4.0 / (2 * terms + 1)
 
 
@@ -126,8 +119,7 @@ def basel_sum(terms: int) -> float:
     """Partial sum of sum 1/k^2; the tail lies in (1/(terms+1), 1/terms)."""
     if terms < 1:
         raise ValueError("need terms >= 1")
-    # smallest terms first, k = terms down to 1
-    return _pairwise_sum([1.0 / (k * k) for k in map(float, range(terms, 0, -1))])
+    return math.fsum(1.0 / (k * k) for k in map(float, range(1, terms + 1)))
 
 
 def basel_sum_corrected(terms: int) -> tuple[float, float]:
@@ -187,10 +179,8 @@ def recip_sqrt_one_minus_4t() -> PowerSeries:
 
 
 def _reciprocal_factorial(k: int) -> float:
-    # 1.0/k! while k! is a float (k <= 170), then 1/k! rounded once: subnormal
-    # to k = 177, and 0.0 from 178 on, where k! is not computed
-    if k <= 170:
-        return 1.0 / factorial(k)
+    # 1/k! rounded once (int true division): subnormal from k = 171 to 177, and
+    # 0.0 from 178 on, where k! is not computed
     return 1 / factorial(k) if k < 178 else 0.0
 
 

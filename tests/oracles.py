@@ -43,10 +43,12 @@
   ``sample_complex_sphere`` at once, |z_i|^2 as ``abs()**2`` of the
   normalized complex points, and each power by ``**``.  It returns the
   per-sample values; the tests compare their mean and standard error.
-- ``pi_leibnitz``, ``basel_sum``, ``riemann`` and ``trapezoid`` are the
-  ``series`` and ``quad`` routes as they were on numpy: the terms as an
-  array, ``np.sum``, ``np.linspace`` and ``np.trapezoid``.  The tests hold
-  the Python routes, with their pairwise sum and linspace, to these bits.
+- ``exact_sum`` is the exact sum of float terms rounded once, in integer
+  arithmetic.  ``pi_leibnitz``, ``basel_sum``, ``riemann`` and ``trapezoid``
+  build the terms of the ``series`` and ``quad`` routes on their own (the
+  grids by ``np.linspace`` and numpy's array arithmetic, the series terms
+  from integers) and sum them with it.  The tests hold the routes' sums,
+  and ``combinat._fsum``, to these bits.
 - ``poisson_moment`` is ``prob.poisson_moment`` before the Touchard
   recurrence: the sum of t^(number of blocks) over all Bell(k) set
   partitions of k, enumerated (4.2M partitions at k = 12).  The tests hold
@@ -426,15 +428,18 @@ def sphere_moment_values(key, samples, rng):
     return values
 
 
+def exact_sum(terms):
+    """The exact sum of finite float terms, rounded once: a float n/d has d = 2^j with j <= 1074,
+    so it is n 2^(1074 - j) / 2^1074, and the sum is one Fraction over 2^1074."""
+    return float(Fraction(sum(n << 1075 - d.bit_length() for n, d in map(float.as_integer_ratio, terms)), 1 << 1074))
+
+
 def pi_leibnitz(terms):
-    signs = np.ones(terms)
-    signs[1::2] = -1.0
-    return 4.0 * float(np.sum(signs / np.arange(1, 2 * terms, 2))), 4.0 / (2 * terms + 1)
+    return 4.0 * exact_sum([(-1) ** k / (2 * k + 1) for k in range(terms)]), 4.0 / (2 * terms + 1)
 
 
 def basel_sum(terms):
-    k = np.arange(terms, 0, -1, dtype=np.float64)
-    return float(np.sum(1.0 / (k * k)))
+    return exact_sum([1 / k**2 for k in range(1, terms + 1)])
 
 
 def _values(f, x):
@@ -443,9 +448,10 @@ def _values(f, x):
 
 def riemann(f, a, b, N):
     x = a + (b - a) * np.arange(1, N + 1) / N
-    return float((b - a) / N * _values(f, x).sum())
+    return (b - a) / N * exact_sum(_values(f, x).tolist())
 
 
 def trapezoid(f, a, b, N):
     x = np.linspace(a, b, N + 1)
-    return float(np.trapezoid(_values(f, x), x))
+    y = _values(f, x)
+    return exact_sum((np.diff(x) * (y[1:] + y[:-1]) / 2.0).tolist())

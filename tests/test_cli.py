@@ -79,7 +79,7 @@ def test_mc_requires_seed(capsys):
 
 
 def test_numerical_failure_exit_2(capsys):
-    code, _, err = invoke(["integrate", "--method", "riemann", "--fn", "exp", "--a", "0", "--b", "1", "--n", "0"], capsys)
+    code, _, err = invoke(["law", "--name", "gauss", "--moments", "400", "--t", "1"], capsys)
     assert code == 2
     assert err.startswith("calclab:")
     assert err.count("\n") == 1  # single-line diagnostic
@@ -500,6 +500,7 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
         (["harmonic", "--fn", "bowl", "--samples", "2", "--seed=-1"], "--seed"),
         (["integrate", "--method", "mc", "--fn", "sin", "--a", "0", "--b", "1", "--n", "10", "--seed=-1"], "--seed"),
         (["snchi", "--n", "12", "--seed=-1"], "--seed"),
+        (["integrate", "--method", "riemann", "--fn", "exp", "--a", "0", "--b", "1", "--n", "0"], "--n"),
     ],
     ids=[
         "sequence-n",
@@ -520,6 +521,7 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
         "harmonic-seed",
         "mc-seed",
         "snchi-seed",
+        "integrate-n",
     ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv, option):
@@ -585,3 +587,40 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys, argv, option):
 def test_emit_rejects_an_unknown_format():
     with pytest.raises(ValueError, match="yaml"):
         emit(ResultTable(["a"], [(1,)]), "yaml", io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--method", "trapezoid", "--fn", "square", "--a=-1e308", "--b", "1e308", "--n", "4"],
+        ["wave", "--profile", "sine", "--a=-1e308", "--b", "1e308"],
+        ["heat", "--profile", "gaussian", "--a=-1e308", "--b", "1e308"],
+    ],
+    ids=["integrate", "wave", "heat"],
+)
+def test_an_overflowing_span_is_a_usage_error(capsys, argv):
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "calclab: usage error: --a -1e+308 to --b 1e+308 spans more than the largest float\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integrate", "--method", "riemann", "--fn", "exp", "--a", "709", "--b", "709.7", "--n", "8"], "the riemann sum"),
+        (["integrate", "--method", "trapezoid", "--fn", "exp", "--a", "700", "--b", "709", "--n", "4"], "the trapezoid sum"),
+        (["law", "--name", "binomial", "--count", "10", "--moments", "320"], "the atom moment of order 312"),
+    ],
+    ids=["riemann", "trapezoid", "binomial"],
+)
+def test_sums_past_the_float_range_are_numerical_failures(capsys, argv, message):
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"calclab: {message} leaves the float range\n"
+
+
+def test_binomial_atom_moments_print_past_the_float_range_of_the_powers(capsys):
+    code, out, _ = invoke(["law", "--name", "binomial", "--count", "10", "--moments", "311"], capsys)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and [r[0] for r in rows[-3:]] == ["309", "310", "311"]
+    assert float(rows[-1][1]) == 9.765625000000574e307

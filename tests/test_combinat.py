@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from calclab import combinat
 from calclab.combinat import (
+    _fsum,
     Permutation,
     bell,
     bernoulli,
@@ -280,3 +282,74 @@ def test_binomial_symmetry(n, k):
 def test_signature_squares_to_identity_sign(image):
     sigma = Permutation(tuple(image))
     assert signature(sigma.compose(sigma)) == 1
+
+
+# --- one summation rule -------------------------------------------------------
+
+_huge = st.builds(lambda m, s: s * m, st.floats(1e306, sys.float_info.max), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+        # partial sums that overflow, with an exact sum in the float range or past it
+        st.lists(st.one_of(_huge, st.floats(-1e300, 1e300)), max_size=12),
+    )
+)
+@example([1e308, 1e308, -1e308])
+@example([sys.float_info.max, sys.float_info.max, -sys.float_info.max, 1e292])
+@example([1e308, 1e308])
+def test_fsum_is_the_exact_sum_rounded_once(terms):
+    exact = sum(map(Fraction, terms), Fraction(0))
+    try:
+        want = float(exact)
+    except OverflowError:
+        with pytest.raises(ValueError, match="^the sum leaves the float range$"):
+            _fsum(terms, "the sum")
+    else:
+        assert _fsum(terms, "the sum").hex() == want.hex()
+
+
+def test_fsum_past_an_intermediate_overflow_and_at_infinities():
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    assert _fsum([1e308, 1e308, -1e308], "the sum") == 1e308
+    assert _fsum([1e308, 1e308, math.inf], "the sum") == math.inf
+    assert _fsum([1.0, -math.inf], "the sum") == -math.inf
+    assert math.isnan(_fsum([1e308, 1e308, math.nan], "the sum"))
+    for terms in ([math.inf, -math.inf], [1e308, 1e308, math.inf, -math.inf]):
+        with pytest.raises(ValueError, match="^the sum adds inf to -inf$"):
+            _fsum(terms, "the sum")
+
+
+def test_no_float_goes_through_the_builtin_sum(monkeypatch):
+    from calclab import diffcalc, dynamics, linalg, prob, quad, series
+
+    real_sum, float_sums = builtins.sum, []
+
+    def guarded_sum(iterable, /, start=0):
+        terms, caller = list(iterable), sys._getframe(1)
+        if caller.f_globals["__name__"].startswith("calclab") and any(isinstance(t, float) for t in [start, *terms]):
+            float_sums.append(f"{caller.f_globals['__name__']}:{caller.f_lineno}")
+        return real_sum(terms, start)
+
+    monkeypatch.setattr(builtins, "sum", guarded_sum)
+    quad.riemann(math.exp, 0.0, 1.0, 10)
+    quad.trapezoid(math.sin, 0.0, 1.0, 10)
+    series.pi_leibnitz(10)
+    series.basel_sum(10)
+    series.eval_series(series.exp_series(), 1.0, 20)
+    bowl = lambda v: v[0] * v[0] + v[1] * v[1]
+    diffcalc.laplacian(bowl, (0.3, 0.4))
+    diffcalc.derivative_1d(math.exp, 0.5, 3)
+    diffcalc.taylor1d(math.exp, 0.0, 3, 0.1)
+    prob.moments(prob.binomial_law(0.3, 10), 6)
+    prob.clt_moment_gap(prob.Law(atoms=((-1.0, 0.5), (1.0, 0.5))), 3)
+    prob.convolve(prob.semicircle_law(), prob.bernoulli_law(0.3)).density(0.5)
+    dynamics.ChargeConfig(((1.5, (0.0, 0.0, 0.0)), (-0.5, (3.0, 0.0, 0.0)))).enclosed((0.0, 0.0, 0.0), 1.0)
+    dynamics.green_check(lambda x, y: -y, lambda x, y: x, dynamics.disk_map(), n=8)
+    disk = (lambda u, v: (u * math.cos(v), u * math.sin(v), 0.0), (0.0, 1.0), (0.0, 2 * math.pi))
+    dynamics.stokes_check(lambda p: (-p[1], p[0], 0.0), disk, n=8)
+    linalg.symmetric_eigen([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    assert float_sums == []

@@ -938,3 +938,12 @@ def test_cli_lattice_frames_from_one_run(profile, monkeypatch):
     cli.run(argv("heat", heat))
     assert counts["wave"] + 1 == round(3.0 / (0.5 * 0.1))  # plus the Taylor start step
     assert counts["heat"] == round(0.3 / (0.25 * 0.1 * 0.1))
+
+
+@pytest.mark.parametrize("a, b, dx", [(-1e308, 1e308, 0.05), (0.0, 1e308, 1e-10)], ids=["span", "count"])
+def test_a_lattice_whose_point_count_overflows_is_refused(a, b, dx):
+    calls = []
+    g = lambda x: calls.append(x) or 0.0
+    with pytest.raises(ValueError, match="overflows"):
+        dynamics._lattice(g, a, b, dx)
+    assert calls == []

@@ -862,3 +862,15 @@ def test_su2_character_moment_mc():
     for k in (1, 2):
         est, se = su2_character_moment_mc(k, 200_000, RandomSource(31))
         assert abs(est - catalan(k)) <= 4 * se
+
+
+def test_atom_moments_past_the_float_range_of_the_powers():
+    # 10.0**k overflows from k = 309 on; the atom sum is then exact, rounded once
+    law = binomial_law(0.5, 10)
+    got = moments(law, 311)
+    for k in range(300, 312):
+        want = float(sum(Fraction(m) * Fraction(loc) ** k for loc, m in law.atoms))
+        assert got[k] == want if k >= 309 else got[k] == pytest.approx(want, rel=1e-15), k
+    assert got[311] == 9.765625000000574e307
+    with pytest.raises(ValueError, match="^the atom moment of order 312 leaves the float range$"):
+        moments(law, 312)

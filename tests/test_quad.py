@@ -11,12 +11,11 @@ import oracles
 from oracles import sphere_moment_values
 
 from calclab.cli import _INTEGRANDS
-from calclab.combinat import semi_factorial
+from calclab.combinat import _fsum, semi_factorial
 from calclab.quad import (
     _SPHERE_BLOCK,
     _gauss_rule,
     _linspace,
-    _pairwise_sum,
     _samples,
     _settle,
     SphereMomentKey,
@@ -552,7 +551,7 @@ def test_samples_takes_and_returns_a_list_for_list_nodes():
             _samples(lambda t: bad if t > 1.0 else t, [0.5, 1.5])
 
 
-# --- numpy's sum and linspace in Python, bit for bit ------------------------
+# --- the exact sum rounded once, and numpy's linspace in Python, bit for bit ---
 
 _MIXED = np.random.default_rng(20261018)
 
@@ -568,19 +567,19 @@ def _mixed_magnitudes(n):
     ids=["0-300", "random-to-2e5"],
 )
 def test_pairwise_sum_is_numpy_sum(sizes):
+    # the sum that replaced numpy's pairwise one: the exact sum rounded once
     for n in sizes:
-        a = _mixed_magnitudes(n)
-        assert _pairwise_sum(a.tolist()).hex() == float(np.sum(a)).hex(), n
+        a = _mixed_magnitudes(n).tolist()
+        assert _fsum(a, "the sum").hex() == oracles.exact_sum(a).hex(), n
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 128, 129, 300])
 def test_pairwise_sum_of_zeros_is_numpy_sum(n):
-    # numpy's reduction starts from the identity +0.0, so all -0.0 sums to +0.0
+    # as numpy's reduction from the identity +0.0 did, all -0.0 sums to +0.0
     for zero in (0.0, -0.0):
-        a = np.full(n, zero)
-        assert _pairwise_sum(a.tolist()).hex() == float(np.sum(a)).hex()
-    a = np.where(np.arange(n) % 2, 1e-300, -1e-300)
-    assert _pairwise_sum(a.tolist()).hex() == float(np.sum(a)).hex()
+        assert _fsum([zero] * n, "the sum").hex() == oracles.exact_sum([zero] * n).hex() == "0x0.0p+0"
+    a = [1e-300 if k % 2 else -1e-300 for k in range(n)]
+    assert _fsum(a, "the sum").hex() == oracles.exact_sum(a).hex()
 
 
 _ENDS = [
@@ -644,7 +643,23 @@ _SIZES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1000, 2000
 )
 @pytest.mark.parametrize("fn", sorted(_INTEGRANDS))
 def test_rules_give_the_numpy_routes_bits(ours, numpy_route, fn):
+    # numpy's grids, and the exact sum of the same float terms rounded once
     f = _INTEGRANDS[fn]
     for a, b in [(0.0, 1.0), (-0.5, 1.25), (-3.0, 2.0), (1.0, 1.0), (-0.0, -0.0), (2.0, -1.0)]:
         for N in _SIZES:
             assert ours(f, a, b, N).hex() == numpy_route(f, a, b, N).hex(), (a, b, N)
+
+
+@pytest.mark.parametrize(
+    "rule, f, a, b, N",
+    [
+        (riemann, math.exp, 709.0, 709.7, 8),  # the sum of the samples overflows
+        (riemann, lambda x: 1e308, 0.0, 10.0, 4),  # the sum is finite, (b - a)/N times it is not
+        (trapezoid, math.exp, 700.0, 709.0, 4),  # a term overflows
+        (trapezoid, lambda x: 1e308, 0.0, 1.0, 3),  # the terms are finite, their sum is not
+    ],
+    ids=["riemann-sum", "riemann-scaled", "trapezoid-term", "trapezoid-sum"],
+)
+def test_rules_past_the_float_range_name_the_rule(rule, f, a, b, N):
+    with pytest.raises(ValueError, match=f"^the {rule.__name__} sum leaves the float range$"):
+        rule(f, a, b, N)

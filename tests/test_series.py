@@ -51,10 +51,9 @@ def test_eval_series_exp():
 
 
 def test_factorial_series_coefficients_past_the_float_range_of_k_factorial():
-    # up to k = 170 the coefficient is 1.0/k! with k! a float, as before; past it
-    # 1/k! is rounded once (subnormal through k = 177) and then 0.0
+    # 1/k! rounded once: subnormal from k = 171 through 177, and then 0.0
     for k in range(200):
-        want = 1.0 / math.factorial(k) if k <= 170 else float(Fraction(1, math.factorial(k)))
+        want = float(Fraction(1, math.factorial(k)))
         assert exp_series().coefficient(k) == want
         assert sin_series().coefficient(k) == (0.0 if k % 2 == 0 else (-1) ** ((k - 1) // 2) * want)
         assert cos_series().coefficient(k) == (0.0 if k % 2 else (-1) ** (k // 2) * want)
@@ -107,6 +106,7 @@ _TERMS = list(range(1, 300)) + [511, 1000, 1234, 4096, 4999, 10_000, 12_345, 99_
 
 
 def test_pi_and_basel_give_the_numpy_routes_bits():
+    # the exact sum of the same float terms, rounded once
     for n in _TERMS:
         (value, bound), (want, want_bound) = pi_leibnitz(n), oracles.pi_leibnitz(n)
         assert (value.hex(), bound) == (want.hex(), want_bound), n
@@ -227,3 +227,18 @@ def test_eval_series_tail_bound_covers_the_error(name, x, terms):
     magnitude = max(sum(abs(s.coefficient(k) * x**k) for k in range(terms)), abs(want))
     allowance = (terms + 4) * sys.float_info.epsilon * magnitude
     assert bound >= abs(value - want) - allowance
+
+
+def test_pi_and_basel_are_within_an_ulp_of_the_exact_partial_sums():
+    pi_exact = basel_exact = Fraction(0)
+    for n in range(1, 1001):
+        pi_exact += Fraction((-1) ** (n - 1), 2 * n - 1)
+        basel_exact += Fraction(1, n * n)
+        if n in _TERMS:
+            value, basel = pi_leibnitz(n)[0], basel_sum(n)
+            assert abs(Fraction(value) - 4 * pi_exact) <= math.ulp(value), n
+            assert abs(Fraction(basel) - basel_exact) <= math.ulp(basel), n
+
+
+def test_e_from_twenty_terms_is_math_e():
+    assert eval_series(exp_series(), 1.0, 20)[0] == math.e
