@@ -72,8 +72,7 @@ def _central_differences(
     """
     points = np.asarray(points, dtype=float)
     M, d = points.shape
-    step = h * np.eye(d)[:, None, :]
-    vals = _samples(F, np.concatenate([points + step, points - step]).reshape(-1, d))
+    vals = _samples(F, (points + h * _unit_stencil(d, math.copysign(1.0, h))[1 : 2 * d + 1, None, :]).reshape(-1, d))
     vals = vals.reshape((2, d, M) + vals.shape[1:])
     return ((vals[0] - vals[1]) / (2.0 * h)).swapaxes(0, 1)
 

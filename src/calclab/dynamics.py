@@ -5,8 +5,8 @@ addition, the one-dimensional free-fall closed form, a fourth-order two-body
 integrator with conic-fit verification, conic classification, ellipse
 area/length, stereographic projection, the d'Alembert wave solution and its
 lattice counterpart, forward-Euler heat stepping with the Gaussian kernel,
-second-order linear ODEs, and numerical verification of the flux/Green/
-Stokes/divergence theorems by product quadrature.
+second-order linear ODEs, and numerical verification of the flux, divergence
+and Stokes (Green in the plane) theorems by product quadrature.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
 (and the Kepler orbits, which need no arrays) does not load numpy.
@@ -212,6 +212,8 @@ def kepler_integrate(
     if dt <= 0:
         raise ValueError("need dt > 0")
     ratio = T / dt
+    if not math.isfinite(ratio):
+        raise ValueError("the step count T/dt overflows")
     steps = round(ratio)
     clipped = abs(ratio - steps) > 1e-9 * ratio
     if clipped:
@@ -477,8 +479,11 @@ def _frames(state, advance, dt: float, times: Sequence[float]) -> list:
     """The states at max(1, round(t/dt)) steps for each of the nondecreasing times, from one run.
 
     ``state`` is the state after one step of dt, and ``advance`` maps a
-    state to the next one.
+    state to the next one.  A last time whose t/dt overflows raises
+    ValueError before any further step.
     """
+    if times and not math.isfinite(times[-1] / dt):
+        raise ValueError("the step count t/dt overflows")
     out = []
     done = 1
     for t in times:
@@ -628,11 +633,9 @@ class ChargeConfig(Record):
     __slots__ = ("charges", "k")
 
     def __init__(self, charges: tuple[tuple[float, tuple[float, float, float]], ...], k: float = 1.0):
-        pts = [p for _, p in charges]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.allclose(pts[i], pts[j]):
-                    raise ValueError("charge positions must be distinct")
+        pts = [tuple(map(float, p)) for _, p in charges]
+        if len(set(pts)) < len(pts):
+            raise ValueError("charge positions must be distinct")
         self._set(charges, k)
 
     @property
@@ -640,8 +643,7 @@ class ChargeConfig(Record):
         return 1.0 / (4.0 * math.pi * self.k)
 
     def enclosed(self, center: Sequence[float], radius: float) -> float:
-        center = np.asarray(center, dtype=float)
-        inside = [q for q, p in self.charges if np.linalg.norm(np.asarray(p) - center) < radius]
+        inside = [q for q, p in self.charges if math.dist(p, center) < radius]
         return _fsum(inside, "the enclosed charge")
 
 
@@ -668,23 +670,24 @@ def flux_through_sphere(
 
     Integrates <E, n> over the 2 order^2 product nodes of the sphere, with
     the Coulomb field of every charge at every node in one array operation
-    (the sum that :func:`electric_field` forms one point at a time).  A
+    (the sum that :func:`electric_field` forms one point at a time).  It
+    works in units of the radius, sum w k q <d, n>/|d|^3 over d = node +
+    (center - p)/radius, where the radius^2 of the area element cancels, so
+    no radius overflows; a charge whose d leaves the float range adds 0.  A
     charge on the surface is rejected; no charges give exactly 0.
     """
-    center = np.asarray(center, dtype=float)
+    center = list(map(float, center))
     if radius <= 0:
         raise ValueError("need radius > 0")
-    for q, p in cfg.charges:
-        if abs(np.linalg.norm(np.asarray(p) - center) - radius) < 1e-9 * radius:
-            raise ValueError("a charge lies on the sphere surface")
+    if any(abs(math.dist(p, center) - radius) < 1e-9 * radius for _, p in cfg.charges):
+        raise ValueError("a charge lies on the sphere surface")
+    offsets = [(q, [(c - x) / radius for c, x in zip(center, p)]) for q, p in cfg.charges]
+    offsets = [(q, o) for q, o in offsets if all(map(math.isfinite, o))]
     nodes, weights = _sphere_quadrature(order)
-    q = cfg.k * np.array([q for q, _ in cfg.charges], dtype=float)
-    d = (center + radius * nodes)[:, None, :] - np.array(
-        [p for _, p in cfg.charges], dtype=float
-    ).reshape(1, -1, 3)
-    r = np.sqrt(np.einsum("ncj,ncj->nc", d, d))
-    normal = np.einsum("ncj,nj->nc", d, nodes) / r**3
-    return float(weights @ (normal @ q)) * radius * radius
+    d = nodes[:, None, :] + np.array([o for _, o in offsets], dtype=float).reshape(1, -1, 3)
+    r = np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
+    normal = np.einsum("ncj,nj->nc", d / r[..., None], nodes) / r / r
+    return float(weights @ (normal @ (cfg.k * np.array([q for q, _ in offsets], dtype=float))))
 
 
 def disk_map(radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)):
@@ -740,38 +743,23 @@ def green_check(
     region,
     n: int | None = None,
 ) -> tuple[float, float, float]:
-    """Both sides of the plane circulation identity, and their gap.
+    """Both sides of the plane circulation identity, and their gap: Stokes in the plane.
 
     ``region`` is (mapping, u_span, v_span) with mapping an
     orientation-preserving chart of the region (see :func:`disk_map`); the
     boundary curve is the mapped rectangle boundary, traversed
     counterclockwise, so degenerate or cancelling edges contribute nothing.
-    Returns (line integral of P dx + Q dy, area integral of dQ/dx - dP/dy,
-    |difference|).  Derivatives are central differences: step 1e-5 for
-    P and Q, 1e-6 for the chart, and 1e-6 times the longer span along the
-    boundary.  Both sides take Simpson's rule, n intervals per side and per
-    edge; n None settles (:func:`quad._settle`) both over 8, 16, ... 256 to 1e-9.
+    P and Q get Python floats.  Returns (line integral of P dx + Q dy, area
+    integral of (dQ/dx - dP/dy) det J, |difference|), with the steps, rules
+    and settling of :func:`stokes_check`.
     """
-    mapping, u_span, v_span = region
-    h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
-    chart = lambda p: mapping(*p.tolist())
 
     def field(p: np.ndarray) -> tuple[float, float]:
         x, y = p.tolist()
         return P(x, y), Q(x, y)
 
-    def curl_z(uv: np.ndarray) -> np.ndarray:
-        J = _central_differences(chart, uv, 1e-6)
-        D = _central_differences(field, _samples(chart, uv), 1e-5)
-        jac = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        return (D[:, 0, 1] - D[:, 1, 0]) * jac
-
-    def sides(n: int) -> tuple[float, float]:
-        lhs = math.fsum(_line_integral(field, *edge, n, h) for edge in _boundary_edges(mapping, u_span, v_span))
-        return lhs, _tensor_simpson(curl_z, u_span, v_span, n)
-
-    lhs, rhs = _settle(sides, n, 8, 256, 1e-9)
-    return lhs, rhs, abs(lhs - rhs)
+    area, line, gap = stokes_check(field, region, n)
+    return line, area, gap
 
 
 def stokes_check(
@@ -779,14 +767,16 @@ def stokes_check(
     surface,
     n: int | None = None,
 ) -> tuple[float, float, float]:
-    """Surface integral of <curl F, n> vs the boundary line integral of F.
+    """Surface integral of the curl 2-form of F vs the boundary line integral of F, and their gap.
 
-    ``surface`` is (mapping, u_span, v_span) with mapping: (u, v) -> R^3;
-    the normal is S_u x S_v and the boundary is the mapped rectangle edge
-    loop, so the orientations match automatically.  The curl is taken by
-    central differences of step 1e-5, the chart derivatives with step 1e-6
-    times the longer span.  Simpson's rule takes n intervals per side, 2n per
-    edge; n None settles (:func:`quad._settle`) both over 8, 16, ... 128 to 1e-9.
+    ``surface`` is (mapping, u_span, v_span) with mapping: (u, v) -> R^d for
+    some d >= 2, and F: R^d -> R^d.  The integrand is sum_{i<j} (d_i F_j -
+    d_j F_i)(S_u,i S_v,j - S_u,j S_v,i): <curl F, S_u x S_v> in R^3, (dQ/dx -
+    dP/dy) det J in the plane.  The boundary is the mapped rectangle edge
+    loop, so the orientations match.  F is differenced with step 1e-5, the
+    chart and the edges with 1e-6 times the longer span.  Simpson's rule
+    takes n intervals per side, 2n per edge; n None settles
+    (:func:`quad._settle`) both over 8, 16, ... 256 to 1e-9.
     """
     mapping, u_span, v_span = surface
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
@@ -795,17 +785,14 @@ def stokes_check(
     def surf_integrand(uv: np.ndarray) -> np.ndarray:
         J = _central_differences(chart, uv, h)
         D = _central_differences(F, _samples(chart, uv), 1e-5)
-        curl = np.stack(
-            [D[:, 1, 2] - D[:, 2, 1], D[:, 2, 0] - D[:, 0, 2], D[:, 0, 1] - D[:, 1, 0]], axis=1
-        )
-        return np.einsum("ij,ij->i", curl, cross(J[:, 0], J[:, 1]))
+        return np.einsum("mi,mij,mj->m", J[:, 0], D - D.swapaxes(1, 2), J[:, 1])
 
     def sides(n: int) -> tuple[float, float]:
         lhs = _tensor_simpson(surf_integrand, u_span, v_span, n)
         rhs = math.fsum(_line_integral(F, *edge, 2 * n, h) for edge in _boundary_edges(mapping, u_span, v_span))
         return lhs, rhs
 
-    lhs, rhs = _settle(sides, n, 8, 128, 1e-9)
+    lhs, rhs = _settle(sides, n, 8, 256, 1e-9)
     return lhs, rhs, abs(lhs - rhs)
 
 

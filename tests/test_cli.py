@@ -541,8 +541,15 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, option):
         (["heat", "--profile", "sine", "--dx", "0"], "need dx > 0"),
         (["heat", "--profile", "sine", "--alpha", "0"], "need alpha > 0"),
         (["orbit", "--r0", "0", "--vt0", "1", "--K", "1", "--T", "1", "--dt", "0.1"], "collision"),
+        (["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "1e308", "--dt", "0.1"], "T/dt overflows"),
+        (["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "1", "--dt", "1e-320"], "T/dt overflows"),
+        (["wave", "--profile", "sine", "--t", "1e308"], "t/dt overflows"),
+        (["heat", "--profile", "sine", "--t", "1e308"], "t/dt overflows"),
     ],
-    ids=["wave-v-negative", "wave-v-0", "wave-dx-0", "wave-dx-negative", "wave-b-below-a", "heat-dx-0", "heat-alpha-0", "orbit-at-center"],
+    ids=[
+        "wave-v-negative", "wave-v-0", "wave-dx-0", "wave-dx-negative", "wave-b-below-a", "heat-dx-0", "heat-alpha-0",
+        "orbit-at-center", "orbit-T-over-dt", "orbit-tiny-dt", "wave-t-over-dt", "heat-t-over-dt",
+    ],
 )
 def test_bad_lattice_and_orbit_parameters_are_numerical_failures(capsys, argv, message):
     code, out, err = invoke(argv, capsys)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from calclab.diffcalc import (
     _EPS,
+    _central_differences,
     _step1,
     _step2,
     classify_critical,
@@ -401,6 +402,35 @@ def test_classify_critical_matches_three_pass_oracle(coords, h):
         assert gradient(_signed_field, x).tobytes() == g.tobytes()
         t = np.linspace(-0.01, 0.02, d)
         assert taylor2_multi(_signed_field, x, t) == float(fx + g @ t + 0.5 * t @ H @ t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(_coordinate, min_size=d, max_size=d), min_size=1, max_size=4)
+    ),
+    st.one_of(st.floats(1e-4, 1e-2), st.floats(-1e-2, -1e-4)),
+    st.booleans(),
+)
+def test_central_differences_match_the_identity_matrix_stencil(points, h, vector):
+    # the (2d, M) block x + h e_i, then x - h e_i, that _central_differences built from h * eye(d)
+    x = np.array(points)
+    M, d = x.shape
+    step = h * np.eye(d)[:, None, :]
+    block = np.concatenate([x + step, x - step]).reshape(-1, d)
+    field = (lambda v: (_signed_field(v), math.atan(v[0]) * v[-1])) if vector else _signed_field
+    rows = []
+
+    def F(v):
+        rows.append(v.tobytes())
+        return field(v)
+
+    got = _central_differences(F, x, h)
+    assert rows == [r.tobytes() for r in block]
+    vals = np.array([field(r) for r in block])
+    vals = vals.reshape((2, d, M) + vals.shape[1:])
+    want = ((vals[0] - vals[1]) / (2.0 * h)).swapaxes(0, 1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_classify_critical_census_matches_three_pass_oracle():

@@ -453,6 +453,28 @@ def test_flux_no_enclosed_charge():
         flux_through_sphere(cfg, (2.0, 0.0, 0.0), 1.0)  # charge on the surface
 
 
+@pytest.mark.parametrize("R", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_gauss_law_at_every_scale_of_the_radius(R):
+    # one charge at the center, one inside off it, one outside; all in units of R
+    center = (0.5 * R, -0.25 * R, 0.125 * R)
+    at = lambda v: tuple(c + x * R for c, x in zip(center, v))
+    cfg = ChargeConfig(((2.0, at((0, 0, 0))), (-0.5, at((0.25, 0.1, -0.2))), (1.5, at((2.5, 0.3, 0.0)))), k=1.3)
+    assert cfg.enclosed(center, R) == 1.5
+    want = 1.5 / cfg.epsilon0
+    assert abs(flux_through_sphere(cfg, center, R) - want) <= 1e-12 * want
+
+
+def test_a_charge_whose_offset_in_radii_overflows_adds_no_flux():
+    cfg = ChargeConfig(((3.0, (0.0, 0.0, 0.0)), (1.0, (1e10, 0.0, 0.0))))
+    assert flux_through_sphere(cfg, (0.0, 0.0, 0.0), 1e-300) == pytest.approx(3.0 / cfg.epsilon0, rel=1e-12)
+
+
+def test_charge_positions_are_distinct_unless_equal():
+    ChargeConfig(((1.0, (0.0, 0.0, 0.0)), (1.0, (1e-9, 0.0, 0.0))))
+    with pytest.raises(ValueError, match="distinct"):
+        ChargeConfig(((1.0, (0.0, 0.0, 0.0)), (1.0, (-0.0, 0, 0.0))))
+
+
 def test_green():
     lhs, rhs, gap = green_check(lambda x, y: -y, lambda x, y: x, disk_map(), n=64)
     assert lhs == pytest.approx(2 * math.pi, abs=1e-6)
@@ -592,7 +614,7 @@ def _green_oracle(P, Q, region, n):
     mapping, u_span, v_span = region
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
     lhs = sum(
-        _line_oracle(lambda x: (P(*x), Q(*x)), *edge, n, h)
+        _line_oracle(lambda x: (P(*x), Q(*x)), *edge, 2 * n, h)
         for edge in _edges(mapping, u_span, v_span)
     )
 
@@ -601,7 +623,7 @@ def _green_oracle(P, Q, region, n):
         hh = 1e-5
         dQdx = (Q(x + hh, y) - Q(x - hh, y)) / (2 * hh)
         dPdy = (P(x, y + hh) - P(x, y - hh)) / (2 * hh)
-        xu, xv = _chart_oracle(mapping, u, v)
+        xu, xv = _chart_oracle(mapping, u, v, h)
         return (dQdx - dPdy) * (xu[0] * xv[1] - xu[1] * xv[0])
 
     return lhs, _tensor_oracle(curl_z, u_span, v_span, n)
@@ -686,6 +708,17 @@ def test_theorem_checks_match_per_point_oracles(c, radius, shift):
     got = green_check(P, Q, region, n=12)
     want = _green_oracle(P, Q, region, 12)
     assert _close(got[0], want[0]) and _close(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", [12, None])
+def test_green_is_stokes_on_the_lifted_chart(n):
+    P = lambda x, y: x * x * y - 0.3 * y**3 + x
+    Q = lambda x, y: x * y + 2.0 * x * x - y
+    mapping, u_span, v_span = disk_map(1.3, (0.2, -0.1))
+    lifted = (lambda u, v: (*mapping(u, v), 0.0), u_span, v_span)
+    line, area, gap = green_check(P, Q, (mapping, u_span, v_span), n)
+    surface, circulation, _ = stokes_check(lambda p: (P(p[0], p[1]), Q(p[0], p[1]), 0.0), lifted, n)
+    assert _close(line, circulation) and _close(area, surface) and gap == abs(line - area)
 
 
 def test_default_theorem_checks_settle_within_a_few_thousand_calls():
