@@ -393,8 +393,7 @@ def _cmd_law(args) -> ResultTable:
         ms = [prob.complex_gaussian_moment(args.t, "ob" * k) for k in range(K + 1)]
         note = "complex normal moments of the uniform word (ob)^k"
     else:
-        law = prob.BUILTIN_CONTINUOUS_LAWS[name]()
-        ms = prob.moments(law, K)
+        ms = [prob.BUILTIN_MOMENTS[name](k) for k in range(K + 1)]
     rows = [(k, m) for k, m in enumerate(ms)]
     return ResultTable(["order", "moment"], rows, note=note)
 

@@ -10,7 +10,12 @@ group).  The stencil sums (a k-th difference, a Taylor polynomial, a
 Laplacian) are ``math.fsum``: the exact sum of the float terms, rounded once.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
-does not load numpy.
+does not load numpy.  The single-point routes that return numbers
+(``laplacian``, ``classify_critical``, ``spherical_laplacian``,
+``derivative_1d``, and ``hessian`` and ``taylor2_multi`` up to their result)
+build their stencil as tuples of Python floats and pass f a tuple, so the
+first four run without it; ``gradient`` and ``jacobian`` return arrays and
+sample the block route ``_central_differences`` at one point.
 """
 
 from __future__ import annotations
@@ -46,15 +51,27 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 
-ScalarField = Callable[["np.ndarray"], float]
+ScalarField = Callable[[tuple], float]
 
 
-def _step1(x: np.ndarray) -> float:
-    return _EPS ** (1.0 / 3.0) * (1.0 + max(map(abs, x.ravel().tolist())))
+class _Point(tuple):
+    """A point of a single-point stencil as f gets it: a tuple of Python floats, on which
+    ``v @ w`` is also the dot product, as on a 1-D array."""
+
+    __slots__ = ()
+
+    def __matmul__(self, other: Sequence[float]) -> float:
+        return math.fsum(a * b for a, b in zip(self, other, strict=True))
+
+    __rmatmul__ = __matmul__
 
 
-def _step2(x: np.ndarray) -> float:
-    return _EPS ** 0.25 * (1.0 + max(map(abs, x.ravel().tolist())))
+def _step1(x: Sequence[float]) -> float:
+    return _EPS ** (1.0 / 3.0) * (1.0 + max(map(abs, x)))
+
+
+def _step2(x: Sequence[float]) -> float:
+    return _EPS ** 0.25 * (1.0 + max(map(abs, x)))
 
 
 def _central_differences(
@@ -62,8 +79,9 @@ def _central_differences(
 ) -> np.ndarray:
     """Central differences (F(x + h e_i) - F(x - h e_i))/(2h) at every row x of points.
 
-    The first-difference stencil kernel (``_axis_differences`` adds the
-    second differences at one point).  ``points`` is an (M, d)
+    The block route of the first differences (``gradient`` and ``jacobian``
+    take it at one point; the other single-point routes sample
+    ``_stencil``).  ``points`` is an (M, d)
     block; its 2dM stencil points are built with numpy and sampled by
     ``quad._samples``: F is called once per stencil point on a 1-D float
     row of a fresh array, and a NaN or infinite value raises ValueError.
@@ -72,13 +90,14 @@ def _central_differences(
     """
     points = np.asarray(points, dtype=float)
     M, d = points.shape
-    vals = _samples(F, (points + h * _unit_stencil(d, math.copysign(1.0, h))[1 : 2 * d + 1, None, :]).reshape(-1, d))
+    units = np.array(_unit_stencil(d, math.copysign(1.0, h))[1 : 2 * d + 1])
+    vals = _samples(F, (points + h * units[:, None, :]).reshape(-1, d))
     vals = vals.reshape((2, d, M) + vals.shape[1:])
     return ((vals[0] - vals[1]) / (2.0 * h)).swapaxes(0, 1)
 
 
 @functools.lru_cache(maxsize=16)  # an entry holds O(d^3) floats
-def _unit_stencil(d: int, s: float) -> np.ndarray:
+def _unit_stencil(d: int, s: float) -> tuple[tuple[float, ...], ...]:
     """Unit offsets U of the second-order stencil in d dimensions, for steps of sign s.
 
     The rows of U are 0, then +e_i and -e_i for each axis i, then the
@@ -88,20 +107,27 @@ def _unit_stencil(d: int, s: float) -> np.ndarray:
     that does not move keeps the -0.0 of x only where every zero added to it
     is -0.0, so U is those sums evaluated at x = -0.0 with h = s, times s.
     """
-    eye = np.eye(d)
-    i = [a for a in range(d) for b in range(a + 1, d)]
-    j = [b for a in range(d) for b in range(a + 1, d)]
-    x = np.full(d, -0.0)
-    ei, ej = s * eye[i], s * eye[j]
-    block = [x[None, :], x + s * eye, x - s * eye, x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
-    units = s * np.concatenate(block)
-    units.flags.writeable = False
-    return units
+
+    def unit(*steps: tuple[float, int]) -> tuple[float, ...]:
+        row = [-0.0] * d
+        for sign, axis in steps:  # x + s e_axis, or x - s e_axis, one axis after the other
+            row = [v + sign * s * (k == axis) for k, v in enumerate(row)]
+        return tuple(s * v for v in row)
+
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    rows = [unit()] + [unit((1.0, i)) for i in range(d)] + [unit((-1.0, i)) for i in range(d)]
+    for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        rows += [unit((a, i), (b, j)) for i, j in pairs]
+    return tuple(rows)
 
 
-def _axis_differences(
-    f: Callable[[np.ndarray], object], x: np.ndarray, h: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _stencil(x: tuple[float, ...], h: float, rows: slice) -> list[_Point]:
+    """The points x + h*U of ``rows`` of the unit stencil, in Python floats (built axis by axis)."""
+    units = zip(*_unit_stencil(len(x), math.copysign(1.0, h))[rows])
+    return list(map(_Point, zip(*[[a + h * u for u in axis] for a, axis in zip(x, units)])))
+
+
+def _axis_differences(f: Callable, x: tuple[float, ...], h: float) -> tuple[float, list[float], list[float]]:
     """f(x) and the first and pure second central differences of f at x along each axis.
 
     f is called once at x and once at each x +/- h e_i (2d + 1 calls); the
@@ -109,27 +135,27 @@ def _axis_differences(
     (f(x + h e_i) - 2 f(x) + f(x - h e_i))/h^2.
     """
     d = len(x)
-    vals = _samples(f, x + h * _unit_stencil(d, math.copysign(1.0, h))[: 2 * d + 1])
-    fx, up, down = vals[0], vals[1 : d + 1], vals[d + 1 :]
-    return float(fx), (up - down) / (2.0 * h), (up - 2.0 * fx + down) / (h * h)
+    fx, *vals = _samples(f, _stencil(x, h, slice(2 * d + 1)))
+    up, down = vals[:d], vals[d:]
+    first = [(u - v) / (2.0 * h) for u, v in zip(up, down)]
+    return fx, first, [(u - 2.0 * fx + v) / (h * h) for u, v in zip(up, down)]
 
 
-def _point(x: Sequence[float]) -> np.ndarray:
-    """x as a float array; ValueError, before any call of f, if it has no coordinates or one is NaN
-    or infinite."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
+def _point(x: Sequence[float]) -> tuple[float, ...]:
+    """x as a tuple of Python floats; ValueError, before any call of f, if it has no coordinates or
+    one is NaN or infinite."""
+    x = tuple(map(float, x))
+    if not x:
         raise ValueError("the point has no coordinates")
-    if not all(map(math.isfinite, x.ravel().tolist())):
-        raise ValueError(f"the point {x.tolist()} has a NaN or infinite coordinate")
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"the point {list(x)} has a NaN or infinite coordinate")
     return x
 
 
-def gradient(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
+def gradient(f: Callable[[np.ndarray], float], x: Sequence[float], h: float | None = None) -> np.ndarray:
     """Central-difference gradient, O(h^2) on C^3 fields."""
     x = _point(x)
-    h = h or _step1(x)
-    return _central_differences(f, x[None, :], h)[0]
+    return _central_differences(f, np.array([x]), h or _step1(x))[0]
 
 
 def jacobian(
@@ -137,8 +163,7 @@ def jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian matrix (dF_i/dx_j)."""
     x = _point(x)
-    h = h or _step1(x)
-    return _central_differences(F, x[None, :], h)[0].T
+    return _central_differences(F, np.array([x]), h or _step1(x))[0].T
 
 
 def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
@@ -154,18 +179,16 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
 
 
 def _hessian(
-    f: ScalarField, x: np.ndarray, h: float | None, lead: np.ndarray | None = None
+    f: ScalarField, x: tuple[float, ...], h: float | None, lead: Sequence[_Point] = ()
 ) -> tuple[list[float], float, list[list[float]]]:
-    """f at the rows of ``lead``, f(x) and the Hessian of :func:`hessian`, as Python floats.
+    """f at the points of ``lead``, f(x) and the Hessian of :func:`hessian`, as Python floats.
 
-    The rows of ``lead`` (none by default) go in front of the Hessian's
+    The points of ``lead`` (none by default) go in front of the Hessian's
     stencil, so that f is sampled once, in one block, for both.
     """
     h = h or _step2(x)
-    d = len(x)
-    rows = x + h * _unit_stencil(d, math.copysign(1.0, h))
-    n = 0 if lead is None else len(lead)
-    vals = _samples(f, rows if lead is None else np.concatenate([lead, rows])).tolist()
+    d, n = len(x), len(lead)
+    vals = _samples(f, [*lead, *_stencil(x, h, slice(None))])
     fx, up, down = vals[n], vals[n + 1 : n + d + 1], vals[n + d + 1 : n + 2 * d + 1]
     H = [[0.0] * d for _ in range(d)]
     for i in range(d):
@@ -183,12 +206,12 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
     """
     if k < 0:
         raise ValueError("need k >= 0")
-    x = _point([x]).item()
+    (x,) = _point([x])
     if k == 0:
-        return _samples(f, np.array([x], dtype=float)).item()
+        return _samples(f, [x])[0]
     h = h or _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x))
-    values = _samples(f, np.array([x + (k / 2.0 - j) * h for j in range(k + 1)]))
-    return math.fsum((-1.0) ** j * math.comb(k, j) * v for j, v in enumerate(values.tolist())) / h**k
+    values = _samples(f, [x + (k / 2.0 - j) * h for j in range(k + 1)])
+    return math.fsum((-1.0) ** j * math.comb(k, j) * v for j, v in enumerate(values)) / h**k
 
 
 def taylor1d(f: Callable[[float], float], x: float, order: int, t: float) -> float:
@@ -207,17 +230,16 @@ def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> flo
 
 
 def _gradient_and_hessian(
-    f: ScalarField, x: np.ndarray, h: float | None
+    f: ScalarField, x: tuple[float, ...], h: float | None
 ) -> tuple[list[float], float, list[list[float]]]:
     """The gradient of :func:`gradient`, f(x) and the Hessian of :func:`hessian`.
 
-    The gradient's 2d rows go in front of the Hessian's stencil, and f is
+    The gradient's 2d points go in front of the Hessian's stencil, and f is
     sampled once, in one block of 1 + 4d + 2d(d - 1) points.
     """
     d = len(x)
     h1 = h or _step1(x)
-    axes = _unit_stencil(d, math.copysign(1.0, h1))[1 : 2 * d + 1]
-    lead, fx, H = _hessian(f, x, h, lead=x + h1 * axes)
+    lead, fx, H = _hessian(f, x, h, lead=_stencil(x, h1, slice(1, 2 * d + 1)))
     return [(up - down) / (2.0 * h1) for up, down in zip(lead[:d], lead[d:])], fx, H
 
 
@@ -246,7 +268,7 @@ def classify_critical(
     """
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
-    gnorm = math.sqrt(np.dot(g, g))  # np.linalg.norm's sum, without its dispatch
+    gnorm = math.sqrt(math.fsum(v * v for v in g))
     eig = _jacobi(H, 1e-12, vectors=False)[0]
     if gnorm > grad_tol * (1.0 + abs(fx)):
         label = "not critical"
@@ -262,14 +284,14 @@ def classify_critical(
             label = "maximum"
         else:
             label = "saddle"
-    return CriticalReport(tuple(x.tolist()), gnorm, tuple(eig), label)
+    return CriticalReport(x, gnorm, tuple(eig), label)
 
 
 def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> float:
     """Sum of second central differences along the axes, rounded once."""
     x = _point(x)
     h = h or _step2(x)
-    return math.fsum(_axis_differences(f, x, h)[2].tolist())
+    return math.fsum(_axis_differences(f, x, h)[2])
 
 
 def is_harmonic(
@@ -295,7 +317,7 @@ def mean_value_gap(
     costs 16 sphere averages and f(center).  A NaN or infinite coordinate
     of center or radius raises ValueError before f is called.
     """
-    center = _point(center)
+    center = np.array(_point(center))
     dim = len(center)
     if not 0 < radius < math.inf:
         raise ValueError("need a finite radius > 0")
@@ -338,7 +360,7 @@ def spherical_laplacian(
     from the 7 values of f at (r, s, t) and its axis neighbours; the polar
     axis (sin s = 0) and a NaN or infinite coordinate are rejected.
     """
-    r, s, t = _point([r, s, t]).tolist()
+    r, s, t = _point([r, s, t])
     if r <= 0:
         raise ValueError("need r > 0")
     sin_s = math.sin(s)
@@ -346,8 +368,7 @@ def spherical_laplacian(
         raise ValueError("polar axis: the spherical form is singular there")
     h = h or _EPS ** 0.25 * (1.0 + abs(r) + abs(s) + abs(t))
     h = min(h, 0.45 * r)  # keep the radial stencil away from the origin
-    _, first, second = _axis_differences(lambda p: f(*p.tolist()), np.array([r, s, t]), h)
-    (f_r, f_s, _), (f_rr, f_ss, f_tt) = first.tolist(), second.tolist()
+    _, (f_r, f_s, _), (f_rr, f_ss, f_tt) = _axis_differences(lambda p: f(*p), (r, s, t), h)
     radial = f_rr + 2.0 * f_r / r
     polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)
     azimuthal = f_tt / (r * r * sin_s * sin_s)

@@ -9,7 +9,8 @@ second-order linear ODEs, and numerical verification of the flux, divergence
 and Stokes (Green in the plane) theorems by product quadrature.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
-(and the Kepler orbits, which need no arrays) does not load numpy.
+(and the Kepler orbits and ``flux_through_sphere``, which need no arrays)
+does not load numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ._numpy import np
 from ._record import Record
 from .combinat import _fsum
 from .diffcalc import _central_differences
-from .quad import _gauss_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, simpson, trapezoid
+from .quad import _gauss_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, _sphere_rule, simpson, trapezoid
 
 __all__ = [
     "cross",
@@ -648,16 +649,18 @@ class ChargeConfig(Record):
 
 
 def electric_field(cfg: ChargeConfig, x: Sequence[float]) -> np.ndarray:
-    """k sum q_i (x - p_i)/|x - p_i|^3."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(3)
+    """k sum q_i (x - p_i)/|x - p_i|^3, each term the unit vector d/r times k q/r/r with
+    r = |d| by ``math.hypot``, so no power of r leaves the float range before the field does."""
+    x = tuple(map(float, x))
+    terms = []
     for q, p in cfg.charges:
-        d = x - np.asarray(p, dtype=float)
-        r = float(np.linalg.norm(d))
+        d = [a - float(b) for a, b in zip(x, p)]
+        r = math.hypot(*d)
         if r == 0.0:
             raise ZeroDivisionError("field evaluated at a charge location")
-        out += cfg.k * q * d / r**3
-    return out
+        scale = cfg.k * q / r / r
+        terms.append([c / r * scale for c in d])
+    return np.array([math.fsum(term[i] for term in terms) for i in range(3)])
 
 
 def flux_through_sphere(
@@ -668,26 +671,34 @@ def flux_through_sphere(
 ) -> float:
     """Outward flux of the electric field through the given sphere.
 
-    Integrates <E, n> over the 2 order^2 product nodes of the sphere, with
-    the Coulomb field of every charge at every node in one array operation
-    (the sum that :func:`electric_field` forms one point at a time).  It
-    works in units of the radius, sum w k q <d, n>/|d|^3 over d = node +
-    (center - p)/radius, where the radius^2 of the area element cancels, so
-    no radius overflows; a charge whose d leaves the float range adds 0.  A
-    charge on the surface is rejected; no charges give exactly 0.
+    Integrates <E, n> over the 2 order^2 product nodes of the sphere
+    (``quad._sphere_rule``), ring by ring of its polar rows, in Python
+    floats.  It works in units of the radius, sum w k q <d/r, n>/r/r
+    over d = node + (center - p)/radius with r = |d| by ``math.hypot``,
+    where the radius^2 of the area element cancels, so no radius
+    overflows; a charge whose d leaves the float range adds 0.  A charge on
+    the surface is rejected; no charges give exactly 0.
     """
     center = list(map(float, center))
     if radius <= 0:
         raise ValueError("need radius > 0")
     if any(abs(math.dist(p, center) - radius) < 1e-9 * radius for _, p in cfg.charges):
         raise ValueError("a charge lies on the sphere surface")
-    offsets = [(q, [(c - x) / radius for c, x in zip(center, p)]) for q, p in cfg.charges]
-    offsets = [(q, o) for q, o in offsets if all(map(math.isfinite, o))]
-    nodes, weights = _sphere_quadrature(order)
-    d = nodes[:, None, :] + np.array([o for _, o in offsets], dtype=float).reshape(1, -1, 3)
-    r = np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
-    normal = np.einsum("ncj,nj->nc", d / r[..., None], nodes) / r / r
-    return float(weights @ (normal @ (cfg.k * np.array([q for q, _ in offsets], dtype=float))))
+    offsets = [(cfg.k * q, [(c - x) / radius for c, x in zip(center, p)]) for q, p in cfg.charges]
+    offsets = [(kq, *o) for kq, o in offsets if all(map(math.isfinite, o))]
+    rings, columns = _sphere_rule(order)
+    total = []
+    for nz, sin_s, weight in rings:
+        row = [(sin_s * c, sin_s * t) for c, t in columns]  # the ring's nodes (nx, ny, nz)
+        terms = []
+        for kq, ox, oy, oz in offsets:
+            dz = nz + oz
+            for nx, ny in row:
+                dx, dy = nx + ox, ny + oy
+                u = 1.0 / math.hypot(dx, dy, dz)
+                terms.append(kq * ((dx * u) * nx + (dy * u) * ny + (dz * u) * nz) * u * u)
+        total.append(weight * math.fsum(terms))
+    return math.fsum(total)
 
 
 def disk_map(radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)):

@@ -28,8 +28,11 @@ from .combinat import (
     _fsum,
     _rounded,
     binomial as binom,
+    catalan,
+    central_binomial,
     count_matching_pairings,
     factorial,
+    middle_binomial,
     semi_factorial,
 )
 from .poly import Polynomial
@@ -73,6 +76,7 @@ __all__ = [
     "derangement_probability_exact",
     "su2_character_moment_mc",
     "BUILTIN_CONTINUOUS_LAWS",
+    "BUILTIN_MOMENTS",
     "graph_loop_moment",
     "su2_character_moment",
 ]
@@ -604,6 +608,15 @@ _BUILTIN_TRANSFORMS = {
     "mp": mp_transform,
     "arcsine": arcsine_transform,
     "marcsine": marcsine_transform,
+}
+
+# the k-th moments of the builtin laws, exact: the integer sequences that
+# ``moments`` approximates by quadrature of the densities
+BUILTIN_MOMENTS = {
+    "semicircle": lambda k: 0 if k % 2 else catalan(k // 2),
+    "mp": catalan,
+    "arcsine": central_binomial,
+    "marcsine": middle_binomial,
 }
 
 BUILTIN_CONTINUOUS_LAWS = {

@@ -3,8 +3,11 @@ import decimal
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,10 @@ import pytest
 from calclab.cli import ResultTable, emit, main, run
 from calclab.combinat import bell
 from calclab.quad import sphere_volume
+
+import calclab
+
+SRC = str(Path(calclab.__file__).resolve().parent.parent)
 
 
 def invoke(argv, capsys):
@@ -276,6 +283,41 @@ def test_critical_at_a_singularity_names_the_field_and_the_point(capsys, fn, x, 
     code, out, err = invoke(["critical", "--fn", fn, "--x", x], capsys)
     assert (code, out) == (2, "")
     assert err == f"calclab: the field {fn} cannot be classified at x = {x}: {cause}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["integrate", "--method", "trapezoid", "--fn", "exp", "--a", "709", "--b", "711", "--n", "4"],
+            "the function produced NaN or infinite values",
+        ),
+        (["critical", "--fn", "cubic", "--x", "1e200"], "the field cubic cannot be classified at x = 1e200"),
+        (["critical", "--fn", "saddle", "--x", "1e308,1e308"], "the field saddle cannot be classified at x = 1e308,1e308"),
+    ],
+    ids=["exp-past-709", "cubic-1e200", "saddle-1e308"],
+)
+def test_a_function_past_the_float_range_is_one_clear_message(argv, message):
+    # an OverflowError of the sampled function is a non-finite value: one line on stderr, no
+    # bare "math range error" or "(34, 'Numerical result out of range')", and no numpy warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "calclab.cli", *argv], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"calclab: {message}") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "NaN or infinite" in proc.stderr
+
+
+def test_law_prints_the_exact_moments_of_the_builtin_laws(capsys):
+    code, out, _ = invoke(["law", "--name", "semicircle", "--moments", "60"], capsys)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert code == 0 and len(rows) == 61
+    assert all(r[1] == "0" for r in rows[1::2]) and rows[60] == ["60", "3814986502092304"]
+    code, out, _ = invoke(["law", "--name", "arcsine", "--moments", "8"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "8,12870"
+    for name, want in (("mp", ["1", "1", "2", "5", "14"]), ("marcsine", ["1", "1", "2", "3", "6"])):
+        code, out, _ = invoke(["law", "--name", name, "--moments", "4"], capsys)
+        assert code == 0 and [r[1] for r in list(csv.reader(io.StringIO(out)))[1:]] == want
 
 
 @pytest.mark.parametrize("name, order", [("gauss", "order 302"), ("cgauss", "order 171")])

@@ -46,6 +46,19 @@ NUMPY_FREE = [
     ["hydrogen", "wavefunction", "--grid", "20,200", "--n", "2", "--l", "1", "--m", "0"],
     ["hydrogen", "wavefunction", "--grid", "1e200,2", "--n", "3", "--l", "2", "--m", "0"],
     ["hydrogen", "wavefunction", "--grid", "7,1", "--n", "2", "--l", "0", "--m", "0"],
+    # the first three words differ from COMMANDS' law and critical argvs, so that their ids stay
+    # as they were
+    ["law", "--moments", "60", "--name", "semicircle"],
+    ["law", "--name", "mp", "--moments", "12"],
+    ["law", "--name", "arcsine", "--moments", "8"],
+    ["law", "--name", "marcsine", "--moments", "12"],
+    ["critical", "--fn", "bowl", "--x", "0.5,-0.25"],
+    ["critical", "--x", "0,0", "--fn", "saddle"],
+    ["critical", "--fn", "xy", "--x", "0,0"],
+    ["critical", "--fn", "cubic", "--x", "0"],
+    ["critical", "--fn", "re_z3", "--x", "0.3,0.2"],
+    ["critical", "--fn", "log_r", "--x", "1,1"],
+    ["critical", "--fn", "inv_r", "--x", "1,1,1"],
 ]
 
 # runs calclab.cli as `python -m` does, then lists which of the stdlib modules
@@ -81,6 +94,14 @@ def test_exact_commands_never_import_numpy(argv):
     assert proc.stderr.splitlines()[-1] == "[]", proc.stderr
     # CSV output, a quoted cell included, needs neither the csv nor the json module
     assert proc.stderr.splitlines()[-2] == "[]", proc.stderr
+
+
+def test_flux_of_a_charges_file_loads_no_numpy(tmp_path):
+    (tmp_path / "q.csv").write_text(_CHARGES)
+    proc = _probe(["flux", "--charges", str(tmp_path / "q.csv"), "--center", "0,0,0", "--radius", "1"])
+    assert proc.returncode == 0 and proc.stdout.startswith("quantity,value\nflux,")
+    # the charges file is read with the csv module; the table is written without it
+    assert proc.stderr.splitlines()[-2:] == ["['csv']", "[]"], proc.stderr
 
 
 def test_importing_every_module_loads_no_numpy():

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -469,6 +470,20 @@ def test_a_charge_whose_offset_in_radii_overflows_adds_no_flux():
     assert flux_through_sphere(cfg, (0.0, 0.0, 0.0), 1e-300) == pytest.approx(3.0 / cfg.epsilon0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "x, want",
+    [((1e200, 0.0, 0.0), 0.0), ((1e-110, 0.0, 0.0), 1.3e220), ((1e120, 0.0, 0.0), 1.3e-240)],
+    ids=["underflow", "1e220", "1e-240"],
+)
+def test_electric_field_of_a_unit_charge_at_far_and_near_points(x, want):
+    # k q/r/r times the unit vector: no r**3 or |d|^2 leaves the float range before the field does
+    cfg = ChargeConfig(((1.0, (0.0, 0.0, 0.0)),), k=1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = electric_field(cfg, x)
+    assert type(E) is np.ndarray and E.tolist() == [pytest.approx(want, rel=1e-15, abs=0.0), 0.0, 0.0]
+
+
 def test_charge_positions_are_distinct_unless_equal():
     ChargeConfig(((1.0, (0.0, 0.0, 0.0)), (1.0, (1e-9, 0.0, 0.0))))
     with pytest.raises(ValueError, match="distinct"):
@@ -551,6 +566,7 @@ from hypothesis import given, settings, strategies as st
 
 from calclab import cli, dynamics
 from calclab.dynamics import _sphere_quadrature
+from calclab.quad import _legendre_rule
 
 
 def _partial(F, x, i, h):
@@ -598,7 +614,7 @@ def _tensor_oracle(g, u_span, v_span, n):
 
 
 def _sphere_oracle(order):
-    u, w = np.polynomial.legendre.leggauss(order)
+    u, w = _legendre_rule(order)
     ts = np.linspace(0.0, 2.0 * math.pi, 2 * order, endpoint=False)
     dt = 2.0 * math.pi / (2 * order)
     nodes, weights = [], []
@@ -651,7 +667,7 @@ def _divergence_check_oracle(F, center, radius, order, radial_nodes):
             w * _divergence_oracle(F, center + r * p) for p, w in zip(nodes, weights)
         )
 
-    t, wt = np.polynomial.legendre.leggauss(radial_nodes)
+    t, wt = _legendre_rule(radial_nodes)
     lhs = sum(0.5 * radius * wi * shell(0.5 * radius * (ti + 1.0)) for ti, wi in zip(t, wt))
     rhs = radius * radius * sum(
         w * float(np.asarray(F(center + radius * p), dtype=float) @ p)

@@ -1,7 +1,9 @@
+import decimal
 import itertools
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from calclab.combinat import _fsum, semi_factorial
 from calclab.quad import (
     _SPHERE_BLOCK,
     _gauss_rule,
+    _legendre_rule,
     _linspace,
     _samples,
     _settle,
@@ -103,6 +106,34 @@ def test_gauss_rule_is_exact_to_degree_2n_minus_1(n, panels):
     for k in range(2 * n):
         want = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
         assert abs(w @ x**k - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_legendre_rule_against_40_digits():
+    # Newton on the same recurrence in 45-digit decimals from each float node: 1e-16, 1e-32, 1e-64
+    with decimal.localcontext() as ctx:
+        ctx.prec = 45
+        for n in range(1, 101):
+            for node, weight in zip(*_legendre_rule(n)):
+                z = Decimal(node)
+                for _ in range(3):
+                    p, prev = z, Decimal(1)
+                    for j in range(2, n + 1):
+                        p, prev = ((2 * j - 1) * z * p - (j - 1) * prev) / j, p
+                    dp = n * (prev - z * p) / (1 - z * z)
+                    z -= p / dp
+                assert abs(z - Decimal(node)) <= Decimal("1e-16"), (n, node)
+                assert abs(Decimal(weight) * (1 - z * z) * dp * dp / 2 - 1) <= Decimal("2e-13"), (n, node)
+
+
+def test_legendre_rule_against_numpy():
+    for n in range(1, 101):
+        t, w = _legendre_rule(n)
+        want_t, want_w = np.polynomial.legendre.leggauss(n)
+        assert type(t) is tuple and type(w) is tuple and all(type(v) is float for v in t + w)
+        assert np.abs(np.array(t) - want_t).max() <= 1e-15 and np.abs(np.array(w) - want_w).max() <= 1e-12
+        # ascending, symmetric about 0 bit for bit, and the odd rule's middle node exactly 0
+        assert list(t) == sorted(t) and t == tuple(-v for v in reversed(t)) and w == w[::-1]
+        assert n % 2 == 0 or math.copysign(1.0, t[n // 2]) == 1.0 and t[n // 2] == 0.0
 
 
 def test_monte_carlo():
@@ -549,6 +580,15 @@ def test_samples_takes_and_returns_a_list_for_list_nodes():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="NaN or infinite"):
             _samples(lambda t: bad if t > 1.0 else t, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("nodes", [[709.0, 711.0], np.array([709.0, 711.0]), np.array([[709.0], [711.0]])], ids=["list", "array", "rows"])
+def test_samples_reads_an_overflow_of_f_as_a_non_finite_value(nodes):
+    f = lambda t: math.exp(t if type(t) is float else t[0])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        _samples(f, nodes)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        trapezoid(math.exp, 709.0, 711.0, 4)
 
 
 # --- the exact sum rounded once, and numpy's linspace in Python, bit for bit ---

@@ -131,17 +131,34 @@ def test_one_dimensional_rules_pass_python_floats(route):
     assert seen and all(type(t) is float for t in seen)
 
 
+# the routes on a block of points (gradient and jacobian take it at one point)
+# pass each as a row of one float array; the other single-point stencils pass
+# tuples of Python floats
+_BLOCK_ROUTES = {
+    "gradient",
+    "jacobian",
+    "mean_value_gap",
+    "mean_value_gap_ball",
+    "stokes_check",
+    "divergence_check",
+}
+
+
+def _float_points(route, seen, d=None):
+    if route in _BLOCK_ROUTES:
+        return all(type(p) is np.ndarray and p.ndim == 1 and p.dtype == float and len(p) == (d or len(p)) for p in seen)
+    return all(isinstance(p, tuple) and len(p) == (d or len(p)) and all(type(v) is float for v in p) for p in seen)
+
+
 @pytest.mark.parametrize("route", sorted(_FIELD_ROUTES))
 def test_multidimensional_routes_pass_float_rows(route):
     seen = []
     _FIELD_ROUTES[route](_recording(seen))
-    assert seen
-    assert all(type(p) is np.ndarray and p.ndim == 1 and p.dtype == float for p in seen)
+    assert seen and _float_points(route, seen)
 
 
 @pytest.mark.parametrize("route", sorted(_VECTOR_FIELD_ROUTES))
 def test_vector_field_routes_pass_float_rows(route):
     seen = []
     _VECTOR_FIELD_ROUTES[route](_recording(seen, (1.0, 2.0, 3.0)))
-    assert seen
-    assert all(type(p) is np.ndarray and p.shape == (3,) and p.dtype == float for p in seen)
+    assert seen and _float_points(route, seen, 3)
