@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Callable, Sequence
 
 from ._numpy import np
@@ -174,7 +175,10 @@ def kepler_step(s: OrbitState, dt: float, r_min: float = 1e-12) -> OrbitState:
     half = 0.5 * dt
 
     def accel(x: float, y: float) -> tuple[float, float]:
-        r3 = (x * x + y * y) ** 1.5
+        try:
+            r3 = (x * x + y * y) ** 1.5
+        except OverflowError:
+            raise ValueError("the orbit leaves the float range (|z|^3 overflows)") from None
         return -K * x / r3, -K * y / r3
 
     x1, y1, vx1, vy1 = s.x, s.y, s.vx, s.vy
@@ -284,11 +288,14 @@ def conic_fit(traj: Sequence[OrbitState]) -> tuple[float, float, float, float]:
     """Least-squares (c, eps, delta) for the orbit conic, plus sup residual.
 
     Fits eps*x + delta*y - c = -r linearly over the trajectory and reports
-    the worst value of |x^2 + y^2 - (eps x + delta y - c)^2|.
+    the worst value of |x^2 + y^2 - (eps x + delta y - c)^2|.  A trajectory
+    with a non-finite point, or one whose x^2 + y^2 overflows, is refused.
     """
     xs = np.array([p.x for p in traj])
     ys = np.array([p.y for p in traj])
     rs = np.hypot(xs, ys)
+    if not rs.max() <= math.sqrt(sys.float_info.max):  # NaN fails too
+        raise ValueError("the orbit leaves the float range (x^2 + y^2 overflows)")
     design = np.stack([xs, ys, -np.ones_like(xs)], axis=1)
     sol, *_ = np.linalg.lstsq(design, -rs, rcond=None)
     eps, delta, c = float(sol[0]), float(sol[1]), float(sol[2])

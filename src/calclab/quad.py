@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 _SPHERE_ZERO_N = 456  # sphere volumes round to 0.0 from N = 453 on, and areas from N = 456
-_SPHERE_BLOCK = 16_384  # rows of Gaussians that sphere_moment_mc draws at a time
+_SPHERE_BLOCK = 16_384  # rows that sphere_moment_mc draws at a time
 
 
 def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -277,7 +277,8 @@ def monte_carlo(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the integral over [a, b], with standard error.
 
-    Deterministic for a fixed RandomSource.
+    Deterministic for a fixed RandomSource.  One sample (N = 1) gives a
+    finite estimate and a standard error of inf, with no warning.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -486,10 +487,15 @@ def sphere_moment_mc(
 ) -> tuple[float, float]:
     """Monte Carlo sphere moment with standard error, seeded and reproducible.
 
-    The points are those of ``sample_real_sphere(N, samples, rng)`` (or
-    ``sample_complex_sphere``), drawn in blocks of 16,384 rows; only the
-    coordinates with a nonzero exponent are normalized, and integer powers
-    are taken by multiplication (repeated squaring), never by ``**``.
+    Real keys take the points of ``sample_real_sphere(N, samples, rng)``.
+    Complex keys read only |z_j|^2, and for a Gaussian point of C^N those
+    are independent, each twice a standard exponential, so they take
+    (|z_1|^2, ..., |z_N|^2) as E/sum(E) for N standard exponentials E_j, a
+    uniform point of the simplex (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. V): N draws per point, not 2N normals.  Draws
+    come in blocks of 16,384 rows, in the row order of one whole draw; only
+    the coordinates with a nonzero exponent are normalized, and integer
+    powers are taken by multiplication (repeated squaring), never by ``**``.
     An all-zero key returns (1.0, 0.0) without drawing.
     """
     if samples < 1000:
@@ -501,15 +507,18 @@ def sphere_moment_mc(
     gen = rng.generator()
     values = np.ones(samples)
     for start in range(0, samples, _SPHERE_BLOCK):
-        g = gen.standard_normal((min(_SPHERE_BLOCK, samples - start), 2 * N if complex_field else N))
-        sq = [g[:, j] * g[:, j] for j in range(g.shape[1])]
-        if complex_field:  # |z_j|^2
-            sq = [a + b for a, b in zip(sq[:N], sq[N:])]
-        s = sum(sq[1:], sq[0])  # left to right, as np.linalg.norm sums
-        denom = s if complex_field else np.sqrt(s)  # |z_i|^2 / s, or x_i / sqrt(s)
-        block = values[start : start + len(g)]
+        rows = min(_SPHERE_BLOCK, samples - start)
+        if complex_field:  # |z_j|^2 / |z|^2 as E_j / sum(E)
+            g = gen.standard_exponential((rows, N))
+            cols = [g[:, j] for j in range(N)]
+        else:
+            g = gen.standard_normal((rows, N))
+            cols = [g[:, j] * g[:, j] for j in range(N)]
+        s = sum(cols[1:], cols[0])  # left to right, as np.linalg.norm sums
+        denom = s if complex_field else np.sqrt(s)  # E_i / s, or x_i / sqrt(s)
+        block = values[start : start + rows]
         for i, k in used:
-            x = (sq[i] if complex_field else g[:, i]) / denom
+            x = (cols[i] if complex_field else g[:, i]) / denom
             while k:  # block *= x**k by repeated squaring
                 if k & 1:
                     block *= x

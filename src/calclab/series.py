@@ -52,15 +52,26 @@ def eval_series(s: PowerSeries, x: float, terms: int) -> tuple[float, float]:
     alternating with decreasing magnitude, a geometric bound when the recent
     term ratios stay below 1/2, and +inf when neither criterion applies.
     It bounds the truncation error only; the partial sum is the exact sum
-    of the float terms, rounded once.
+    of the float terms, rounded once.  A term whose x^k leaves the float
+    range is a ValueError naming its order: the float coefficients cannot
+    give its value, and those that underflow to 0.0 would drop it silently.
     """
     if abs(x) >= s.radius:
         raise ValueError(f"|x|={abs(x)} is outside the convergence radius {s.radius}")
     if terms < 1:
         raise ValueError("need at least one term")
-    # x**k can overflow long after c reached 0.0, and a +-0.0 term changes no sum
-    computed = [c * x**k if (c := s.coefficient(k)) else 0.0 for k in range(terms)]
+    computed = [_term(s, x, k) for k in range(terms)]
     return _fsum(computed, "the partial sum"), _tail_bound(s, x, terms, computed)
+
+
+def _term(s: PowerSeries, x: float, k: int) -> float:
+    # x**k can overflow long after c reached 0.0, and a +-0.0 term changes no sum
+    if not (c := s.coefficient(k)):
+        return 0.0
+    try:
+        return c * x**k
+    except OverflowError:
+        raise ValueError(f"the term of order {k} cannot be formed: {x!r}**{k} leaves the float range") from None
 
 
 def _tail_bound(s: PowerSeries, x: float, terms: int, computed: list[float]) -> float:
@@ -68,7 +79,7 @@ def _tail_bound(s: PowerSeries, x: float, terms: int, computed: list[float]) -> 
     recent = [t for t in computed if t != 0.0][-4:]
     omitted = []
     for k in range(terms, terms + 8):
-        t = c * x**k if (c := s.coefficient(k)) else 0.0
+        t = _term(s, x, k)
         if t != 0.0:
             omitted.append(t)
         if len(omitted) == 2:

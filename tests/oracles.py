@@ -39,10 +39,11 @@
   sampled on the interior nodes and its endpoint values extrapolated
   quadratically.  The tests hold the current moments to it.
 - ``sphere_moment_values`` is ``quad.sphere_moment_mc`` before its blocked
-  draws: the whole sample of ``sample_real_sphere`` or
-  ``sample_complex_sphere`` at once, |z_i|^2 as ``abs()**2`` of the
-  normalized complex points, and each power by ``**``.  It returns the
-  per-sample values; the tests compare their mean and standard error.
+  draws, with each power by ``**``: real keys take the whole sample of
+  ``sample_real_sphere`` at once, and complex keys the whole draw of
+  ``standard_exponential((samples, N))``, with |z_i|^2 as E_i/E.sum().
+  It returns the per-sample values; the tests compare their mean and
+  standard error.
 - ``exact_sum`` is the exact sum of float terms rounded once, in integer
   arithmetic.  ``pi_leibnitz``, ``basel_sum``, ``riemann`` and ``trapezoid``
   build the terms of the ``series`` and ``quad`` routes on their own (the
@@ -73,7 +74,7 @@ from calclab.combinat import factorial, pairings, set_partitions
 from calclab.diffcalc import CriticalReport
 from calclab.linalg import _rotate, _round_robin
 from calclab.poly import Polynomial
-from calclab.quad import sample_complex_sphere, sample_real_sphere
+from calclab.quad import sample_real_sphere
 
 
 def matching_pairings(word: str):
@@ -418,13 +419,12 @@ def sphere_moment_values(key, samples, rng):
     if key.field == "real":
         points = sample_real_sphere(key.dimension, samples, rng)
     else:
-        points = sample_complex_sphere(key.dimension, samples, rng)
-    values = np.ones(points.shape[0])
+        e = rng.generator().standard_exponential((samples, key.dimension))
+        points = e / e.sum(axis=1, keepdims=True)
+    values = np.ones(samples)
     for i, k in enumerate(key.exponents):
-        if k == 0:
-            continue
-        col = np.abs(points[:, i]) ** 2 if key.field == "complex" else points[:, i]
-        values = values * col**k
+        if k:
+            values = values * points[:, i] ** k
     return values
 
 

@@ -587,10 +587,15 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, option):
         (["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "1", "--dt", "1e-320"], "T/dt overflows"),
         (["wave", "--profile", "sine", "--t", "1e308"], "t/dt overflows"),
         (["heat", "--profile", "sine", "--t", "1e308"], "t/dt overflows"),
+        (["orbit", "--r0", "1", "--vt0", "1e308", "--K", "1", "--T", "1", "--dt", "0.01"], "orbit leaves the float range"),
+        (["orbit", "--r0", "1", "--vt0", "1", "--K", "1e308", "--T", "1", "--dt", "0.01"], "orbit leaves the float range"),
+        (["orbit", "--r0", "1e308", "--vt0", "1", "--K", "1", "--T", "1", "--dt", "0.01"], "orbit leaves the float range"),
+        (["orbit", "--r0", "1e120", "--vt0", "1", "--K", "1", "--T", "1", "--dt", "0.01"], "orbit leaves the float range"),
     ],
     ids=[
         "wave-v-negative", "wave-v-0", "wave-dx-0", "wave-dx-negative", "wave-b-below-a", "heat-dx-0", "heat-alpha-0",
         "orbit-at-center", "orbit-T-over-dt", "orbit-tiny-dt", "wave-t-over-dt", "heat-t-over-dt",
+        "orbit-vt0-huge", "orbit-K-huge", "orbit-r0-huge", "orbit-r0-cubed-overflows",
     ],
 )
 def test_bad_lattice_and_orbit_parameters_are_numerical_failures(capsys, argv, message):

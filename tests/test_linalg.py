@@ -340,6 +340,20 @@ def test_determinant_of_integers_is_exact_where_int64_overflows():
     assert type(held[0, 0]) is np.int64 and determinant(held) == 1002998950000000000000000
 
 
+@pytest.mark.parametrize(
+    "A",
+    [
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # the first column has no pivot
+        [[1, 2, 3], [2, 4, 5], [3, 6, 7]],  # the second has none once the first is cleared
+        [[Fraction(1, 3), 1, 0], [Fraction(2, 3), 2, 0], [0, 0, 1]],  # likewise, with denominators
+    ],
+)
+def test_determinant_of_a_matrix_without_a_pivot_column_is_exactly_0(A):
+    got = determinant(np.array(A, dtype=object))
+    assert type(got) is int and got == 0
+    assert det_permutation_sum(np.array(A, dtype=float)) == pytest.approx(0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [9, 40])
 def test_determinant_of_a_permuted_integer_lu_product(n):
     # A = P L U with unit lower L and upper U over the integers: det A = sign(P) prod diag(U),

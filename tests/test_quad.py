@@ -147,6 +147,14 @@ def test_monte_carlo():
     assert again == (est, se)
 
 
+def test_monte_carlo_of_one_sample_has_an_infinite_stderr():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = monte_carlo(lambda x: x * x, 1.0, 3.0, 1, RandomSource(4))
+    x = RandomSource(4).generator().uniform(1.0, 3.0, size=1)[0]
+    assert (est, se) == (2.0 * (x * x), math.inf)
+
+
 def test_monte_carlo_sees_what_riemann_misses():
     # |sin(120 x)| on [0, pi]: the uniform grid of the right-endpoint rule
     # can alias the oscillation; Monte Carlo cannot
@@ -400,9 +408,8 @@ def _assert_matches_whole_sample_route(key, samples, seed):
     want_se = float(values.std(ddof=1) / math.sqrt(samples))
     scale = float(np.abs(values).mean())
     assert abs(est - want_est) <= 1e-12 * scale
-    # values constant on the sphere (complex N = 1) have se 0 here and rounding noise there
-    assert se == pytest.approx(want_se, rel=1e-12, abs=1e-15 * scale / math.sqrt(samples))
-    if key.field == "real" and max(key.exponents) <= 2:
+    assert se == pytest.approx(want_se, rel=1e-12)
+    if max(key.exponents) <= 2:
         # the same normalization and the same multiplications: the same bits
         assert (est, se) == (want_est, want_se)
 
@@ -439,7 +446,7 @@ def test_sphere_moment_mc_high_exponents_stay_finite(key):
 
 
 def test_sphere_moment_mc_draws_in_blocks():
-    # the whole-sample route holds all 200k x 4 complex points at once (a 42 MB traced peak)
+    # the whole draw of oracles.sphere_moment_values peaks near 16 MB traced, the blocks near 4 MB
     key = SphereMomentKey((1, 1, 1, 0), field="complex")
     tracemalloc.start()
     try:
@@ -447,7 +454,50 @@ def test_sphere_moment_mc_draws_in_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 8 * 2**20
+
+
+class _CountingSource:
+    """A RandomSource that is its own generator and counts the variates each method draws."""
+
+    def __init__(self, seed):
+        self.gen, self.counts = RandomSource(seed).generator(), {}
+
+    def generator(self):
+        return self
+
+    def __getattr__(self, name):
+        def draw(size):
+            self.counts[name] = self.counts.get(name, 0) + math.prod(size)
+            return getattr(self.gen, name)(size)
+
+        return draw
+
+
+@pytest.mark.parametrize(
+    "key, method",
+    [
+        (SphereMomentKey((2, 1, 0), field="complex"), "standard_exponential"),
+        (SphereMomentKey((1, 0, 0, 0), field="complex"), "standard_exponential"),
+        (SphereMomentKey((2, 1, 0)), "standard_normal"),
+    ],
+)
+def test_sphere_moment_mc_draws_N_variates_per_point(key, method):
+    # complex keys draw N exponentials per point, not 2N normals
+    samples = 2 * _SPHERE_BLOCK + 5
+    rng = _CountingSource(40)
+    sphere_moment_mc(key, samples, rng)
+    assert rng.counts == {method: samples * key.dimension}
+
+
+def test_sphere_moment_mc_complex_keys_match_closed_form_at_200k():
+    for j, key in enumerate(k for k in _criterion06_keys() if k.field == "complex"):
+        est, se = sphere_moment_mc(key, 200_000, RandomSource(700 + j))
+        want = sphere_moment(key)
+        if se > 0:
+            assert abs(est - want) <= 5 * se, key
+        else:  # the all-zero keys, and N = 1, where every point has |z_1|^2 = 1
+            assert est == want == 1.0, key
 
 
 def test_sphere_moment_mc_all_zero_key_draws_nothing():

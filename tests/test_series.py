@@ -242,3 +242,19 @@ def test_pi_and_basel_are_within_an_ulp_of_the_exact_partial_sums():
 
 def test_e_from_twenty_terms_is_math_e():
     assert eval_series(exp_series(), 1.0, 20)[0] == math.e
+
+
+@pytest.mark.parametrize("x, terms, order", [(800.0, 200, 107), (1e10, 40, 31), (-800.0, 200, 107), (800.0, 106, 107)])
+def test_eval_series_names_the_order_whose_power_overflows(x, terms, order):
+    # the term itself is finite (800^107/107! is about 3e138), only x**k is not
+    term = Fraction(x) ** order / math.factorial(order)
+    assert abs(term) < sys.float_info.max
+    with pytest.raises(ValueError, match=f"term of order {order} cannot be formed"):
+        eval_series(exp_series(), x, terms)
+
+
+def test_eval_series_keeps_powers_that_stay_in_range():
+    # 50**k stays finite for every k whose 1/k! is nonzero, so nothing is refused or dropped
+    value, _ = eval_series(exp_series(), 50.0, 200)
+    exact = sum(Fraction(50) ** k / math.factorial(k) for k in range(200))
+    assert abs(Fraction(value) - exact) <= 4 * math.ulp(value)
