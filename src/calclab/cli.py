@@ -155,11 +155,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_floats(text: str) -> list[float]:
+def _floats(text: str) -> list[float]:
+    """A comma list of finite numbers (also parsed by _cmd_critical, where the count depends on --fn)."""
     try:
         return [_finite_float(v) for v in text.split(",") if v.strip() != ""]
     except argparse.ArgumentTypeError:
-        raise _UsageError(f"{text!r} is not a comma list of finite numbers") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of finite numbers") from None
 
 
 def _parse_complex(text: str) -> complex:
@@ -169,22 +170,43 @@ def _parse_complex(text: str) -> complex:
         raise _UsageError(f"{text!r} is not a number like 1+2i") from None
 
 
-def _parse_grid(text: str, option: str) -> list[float]:
-    """Comma list of values, or start:stop:count with count >= 1 and a finite span."""
+def _point(text: str) -> tuple[float, ...]:
+    """The parse type of --center: three finite coordinates x,y,z."""
+    point = tuple(_floats(text))
+    if len(point) != 3:
+        raise argparse.ArgumentTypeError("needs 3 coordinates x,y,z")
+    return point
+
+
+def _grid(text: str) -> list[float]:
+    """The parse type of stieltjes --x: a comma list, or start:stop:count with count >= 1 and a
+    finite span (a _UsageError, which argparse passes on as it is, names the option)."""
     if ":" not in text:
-        return _parse_floats(text)
+        return _floats(text)
     try:
         a, b, n = text.split(":")
         a, b, n = _finite_float(a), _finite_float(b), int(n)
     except (ValueError, argparse.ArgumentTypeError):
-        raise _UsageError(f"{option} grid {text!r} is not start:stop:count with finite ends") from None
+        raise _UsageError(f"--x grid {text!r} is not start:stop:count with finite ends") from None
     if n < 1:
-        raise _UsageError(f"{option} grid count must be at least 1")
+        raise _UsageError("--x grid count must be at least 1")
     if not math.isfinite(b - a):
-        raise _UsageError(f"{option} grid {text!r} spans more than the largest float")
+        raise _UsageError(f"--x grid {text!r} spans more than the largest float")
     from .quad import _linspace
 
     return _linspace(a, b, n)
+
+
+def _radial_grid(text: str) -> tuple[float, int]:
+    """The parse type of --grid: rmax,steps with a finite rmax > 0 and steps >= 1."""
+    try:
+        rmax, steps = text.split(",")
+        rmax, steps = float(rmax), int(steps)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not rmax,steps") from None
+    if not (0 < rmax < math.inf) or steps < 1:
+        raise argparse.ArgumentTypeError("needs a finite rmax > 0 and steps >= 1")
+    return rmax, steps
 
 
 def _positive_int(text: str) -> int:
@@ -194,11 +216,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
+def _natural(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is below 0")
     return value
+
+
+def _exponents(text: str) -> tuple[int, ...]:
+    """The parse type of sphere --key: a comma list of exponents >= 0."""
+    try:
+        return tuple(map(_natural, text.split(",")))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of exponents >= 0") from None
 
 
 def _check_span(args) -> None:
@@ -259,9 +289,6 @@ _PROFILES = {
 def _cmd_sequence(args) -> ResultTable:
     from . import combinat
 
-    n = args.n
-    if n < 0:
-        raise _UsageError("need --n >= 0")
     makers = {
         "factorial": combinat.factorial,
         "catalan": combinat.catalan,
@@ -270,9 +297,9 @@ def _cmd_sequence(args) -> ResultTable:
         "bernoulli": combinat.bernoulli,
     }
     if args.kind == "bell":
-        rows = list(enumerate(combinat.bell_numbers(n)))
+        rows = list(enumerate(combinat.bell_numbers(args.n)))
     else:
-        rows = [(k, makers[args.kind](k)) for k in range(n + 1)]
+        rows = [(k, makers[args.kind](k)) for k in range(args.n + 1)]
     return ResultTable(["index", "value"], rows, note=f"{args.kind} sequence")
 
 
@@ -321,13 +348,11 @@ def _cmd_integrate(args) -> ResultTable:
 
     _check_span(args)
     f = _INTEGRANDS[args.fn]
-    if args.method == "riemann":
-        value, err = quad.riemann(f, args.a, args.b, args.n), None
-    elif args.method == "trapezoid":
-        value, err = quad.trapezoid(f, args.a, args.b, args.n), None
+    if args.method != "mc":
+        value, err = getattr(quad, args.method)(f, args.a, args.b, args.n), None
+    elif args.seed is None:
+        raise _UsageError("--seed is required for Monte Carlo integration")
     else:
-        if args.seed is None:
-            raise _UsageError("--seed is required for Monte Carlo integration")
         value, err = quad.monte_carlo(f, args.a, args.b, args.n, RandomSource(args.seed))
     return ResultTable(
         ["quantity", "value", "error"],
@@ -339,36 +364,21 @@ def _cmd_integrate(args) -> ResultTable:
 def _cmd_sphere(args) -> ResultTable:
     from . import quad
 
-    if args.dim < 1:
-        raise _UsageError("need --dim >= 1")
-    if args.what == "volume":
-        return ResultTable(
-            ["quantity", "value", "error"],
-            [(f"volume[{args.dim}]", quad.sphere_volume(args.dim), None)],
-            note="unit-ball volume closed form",
-        )
-    if args.what == "area":
-        return ResultTable(
-            ["quantity", "value", "error"],
-            [(f"area[{args.dim}]", quad.sphere_area(args.dim), None)],
-            note="unit-sphere area closed form",
-        )
-    if not args.key:
+    if args.what != "moment":
+        closed_form, note = {
+            "volume": (quad.sphere_volume, "unit-ball volume closed form"),
+            "area": (quad.sphere_area, "unit-sphere area closed form"),
+        }[args.what]
+        row = (f"{args.what}[{args.dim}]", closed_form(args.dim), None)
+    elif args.key is None:
         raise _UsageError("--key is required for sphere moments")
-    try:
-        exponents = tuple(int(v) for v in args.key.split(","))
-        if min(exponents) < 0:
-            raise ValueError
-    except ValueError:
-        raise _UsageError(f"--key {args.key!r} is not a comma list of exponents >= 0") from None
-    if len(exponents) != args.dim:
+    elif len(args.key) != args.dim:
         raise _UsageError("--key length must equal --dim")
-    key = quad.SphereMomentKey(exponents, field="complex" if args.complex else "real")
-    return ResultTable(
-        ["quantity", "value", "error"],
-        [(f"moment{exponents}", quad.sphere_moment(key), None)],
-        note="polynomial sphere moment closed form",
-    )
+    else:
+        key = quad.SphereMomentKey(args.key, field="complex" if args.complex else "real")
+        row = (f"moment{args.key}", quad.sphere_moment(key), None)
+        note = "polynomial sphere moment closed form"
+    return ResultTable(["quantity", "value", "error"], [row], note=note)
 
 
 def _cmd_law(args) -> ResultTable:
@@ -376,14 +386,9 @@ def _cmd_law(args) -> ResultTable:
 
     name = args.name
     K = args.moments
-    if K < 0:
-        raise _UsageError("need --moments >= 0")
     note = f"moments of the {name} law"
-    if name == "bernoulli":
-        law = prob.bernoulli_law(args.x)
-        ms = prob.moments(law, K)
-    elif name == "binomial":
-        law = prob.binomial_law(args.x, args.count)
+    if name in ("bernoulli", "binomial"):
+        law = prob.bernoulli_law(args.x) if name == "bernoulli" else prob.binomial_law(args.x, args.count)
         ms = prob.moments(law, K)
     elif name == "poisson":
         ms = prob.poisson_moments(args.t, K)
@@ -401,11 +406,8 @@ def _cmd_law(args) -> ResultTable:
 def _cmd_stieltjes(args) -> ResultTable:
     from . import prob
 
-    xs = _parse_grid(args.x, "--x")
-    rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in xs]
-    return ResultTable(
-        ["x", "density"], rows, note=f"pointwise inversion at height t={args.t}"
-    )
+    rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in args.x]
+    return ResultTable(["x", "density"], rows, note=f"pointwise inversion at height t={args.t}")
 
 
 def _cmd_snchi(args) -> ResultTable:
@@ -425,7 +427,7 @@ def _cmd_critical(args) -> ResultTable:
     from . import diffcalc
 
     f, dim = _FIELDS[args.fn]
-    x = _parse_floats(args.x)
+    x = _floats(args.x)
     if len(x) != dim:
         raise _UsageError(f"--x needs {dim} coordinates for {args.fn}")
     try:
@@ -445,8 +447,6 @@ def _cmd_harmonic(args) -> ResultTable:
     from .rng import RandomSource
 
     f, dim = _FIELDS[args.fn]
-    if args.seed is None:
-        raise _UsageError("--seed is required for sampled harmonic checks")
     rng = RandomSource(args.seed).generator()
     pts = 0.4 + rng.uniform(0.0, 1.0, size=(args.samples, dim))
     rows = []
@@ -473,43 +473,30 @@ def _cmd_orbit(args) -> ResultTable:
     )
 
 
-def _cmd_wave(args) -> ResultTable:
+def _cmd_lattice(args) -> ResultTable:
     from . import dynamics
     from .quad import _linspace
 
     _check_span(args)
     g = _PROFILES[args.profile](args.a, args.b)
-    zero = lambda x: 0.0
-    rows = []
     times = _linspace(0.0, args.t, args.frames + 1)[1:]
-    grids = dynamics._wave_frames(g, zero, args.v, args.a, args.b, args.dx, args.cfl, times)
-    for frame, grid in enumerate(grids):
-        for x, u in zip(grid.x, grid.values):
-            rows.append((frame, grid.time, float(x), float(u)))
-    return ResultTable(["frame", "t", "x", "u"], rows, note=f"{args.profile} pulse, leapfrog lattice")
-
-
-def _cmd_heat(args) -> ResultTable:
-    from . import dynamics
-    from .quad import _linspace
-
-    _check_span(args)
-    g = _PROFILES[args.profile](args.a, args.b)
-    rows = []
-    times = _linspace(0.0, args.t, args.frames + 1)[1:]
-    grids = dynamics._heat_frames(g, args.alpha, args.a, args.b, args.dx, args.cfl, times)
-    for frame, grid in enumerate(grids):
-        for x, u in zip(grid.x, grid.values):
-            rows.append((frame, grid.time, float(x), float(u)))
-    return ResultTable(["frame", "t", "x", "u"], rows, note=f"{args.profile} profile, forward-Euler lattice")
+    if args.command == "wave":
+        grids = dynamics._wave_frames(g, lambda x: 0.0, args.v, args.a, args.b, args.dx, args.cfl, times)
+        note = f"{args.profile} pulse, leapfrog lattice"
+    else:
+        grids = dynamics._heat_frames(g, args.alpha, args.a, args.b, args.dx, args.cfl, times)
+        note = f"{args.profile} profile, forward-Euler lattice"
+    rows = [
+        (frame, grid.time, x, u)
+        for frame, grid in enumerate(grids)
+        for x, u in zip(grid.x.tolist(), grid.values.tolist())
+    ]
+    return ResultTable(["frame", "t", "x", "u"], rows, note=note)
 
 
 def _cmd_flux(args) -> ResultTable:
     from . import dynamics
 
-    center = tuple(_parse_floats(args.center))
-    if len(center) != 3:
-        raise _UsageError("--center needs 3 coordinates x,y,z")
     raw = [row for row in _read_csv(args.charges, "--charges") if not row[0].startswith("#")]
     if raw and raw[0][0].strip().lower() == "q":
         raw = raw[1:]
@@ -523,8 +510,8 @@ def _cmd_flux(args) -> ResultTable:
             f"--charges {args.charges}: every row must be four finite numbers q,x,y,z"
         ) from None
     cfg = dynamics.ChargeConfig(charges=charges, k=args.k)
-    flux = dynamics.flux_through_sphere(cfg, center, args.radius, order=args.order)
-    enclosed = cfg.enclosed(center, args.radius)
+    flux = dynamics.flux_through_sphere(cfg, args.center, args.radius, order=args.order)
+    enclosed = cfg.enclosed(args.center, args.radius)
     rows = [
         ("flux", flux),
         ("enclosed_charge", enclosed),
@@ -553,13 +540,7 @@ def _cmd_hydrogen(args) -> ResultTable:
             [(args.n, e.joules, e.ev)],
             note="bound-state energy",
         )
-    try:
-        rmax, steps = args.grid.split(",")
-        rmax, steps = float(rmax), int(steps)
-    except ValueError:
-        raise _UsageError(f"--grid {args.grid!r} is not rmax,steps") from None
-    if not (0 < rmax < math.inf) or steps < 1:
-        raise _UsageError("--grid needs a finite rmax > 0 and steps >= 1")
+    rmax, steps = args.grid
     from .quad import _linspace
 
     qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
@@ -596,129 +577,107 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     common.add_argument("--output", default=None, help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name, **kwargs):
+    def add_parser(name, fn_impl, help):
         if command in (None, name):
-            return sub.add_parser(name, parents=[common], **kwargs)
+            p = sub.add_parser(name, parents=[common], help=help)
+            p.set_defaults(fn_impl=fn_impl)
+            return p
 
-    if p := add_parser("sequence", help="exact combinatorial sequences"):
+    if p := add_parser("sequence", _cmd_sequence, "exact combinatorial sequences"):
         p.add_argument("--kind", required=True, choices=["factorial", "catalan", "central", "middle", "bell", "bernoulli"])
-        p.add_argument("--n", type=int, required=True)
-        p.set_defaults(fn_impl=_cmd_sequence)
+        p.add_argument("--n", type=_natural, required=True)
 
-    if p := add_parser("constants", help="classical constants with error bounds"):
+    if p := add_parser("constants", _cmd_constants, "classical constants with error bounds"):
         p.add_argument("--which", required=True, choices=["e", "pi", "basel"])
         p.add_argument("--terms", type=_positive_int, required=True)
-        p.set_defaults(fn_impl=_cmd_constants)
 
-    if p := add_parser("roots", help="all roots of a complex polynomial"):
+    if p := add_parser("roots", _cmd_roots, "all roots of a complex polynomial"):
         p.add_argument("--coeffs", required=True, help="c0,c1,... ascending, entries like 1+2i")
-        p.set_defaults(fn_impl=_cmd_roots)
 
-    if p := add_parser("eig", help="symmetric eigendecomposition from a CSV matrix"):
+    if p := add_parser("eig", _cmd_eig, "symmetric eigendecomposition from a CSV matrix"):
         p.add_argument("--matrix", required=True)
-        p.set_defaults(fn_impl=_cmd_eig)
 
-    if p := add_parser("integrate", help="one-dimensional quadrature"):
+    if p := add_parser("integrate", _cmd_integrate, "one-dimensional quadrature"):
         p.add_argument("--method", required=True, choices=["riemann", "trapezoid", "mc"])
         p.add_argument("--fn", required=True, choices=sorted(_INTEGRANDS))
         p.add_argument("--a", type=_finite_float, required=True)
         p.add_argument("--b", type=_finite_float, required=True)
         p.add_argument("--n", type=_positive_int, required=True)
-        p.add_argument("--seed", type=_seed, default=None)
-        p.set_defaults(fn_impl=_cmd_integrate)
+        p.add_argument("--seed", type=_natural, default=None)
 
-    if p := add_parser("sphere", help="sphere volumes, areas and moments"):
+    if p := add_parser("sphere", _cmd_sphere, "sphere volumes, areas and moments"):
         p.add_argument("--what", required=True, choices=["volume", "area", "moment"])
-        p.add_argument("--dim", type=int, required=True)
-        p.add_argument("--key", default=None, help="k1,k2,... exponents")
+        p.add_argument("--dim", type=_positive_int, required=True)
+        p.add_argument("--key", type=_exponents, default=None, help="k1,k2,... exponents")
         p.add_argument("--complex", action="store_true")
-        p.set_defaults(fn_impl=_cmd_sphere)
 
-    if p := add_parser("law", help="moment sequences of the builtin laws"):
+    if p := add_parser("law", _cmd_law, "moment sequences of the builtin laws"):
         p.add_argument("--name", required=True, choices=["bernoulli", "binomial", "poisson", "gauss", "cgauss", "semicircle", "mp", "arcsine", "marcsine"])
-        p.add_argument("--moments", type=int, required=True)
+        p.add_argument("--moments", type=_natural, required=True)
         p.add_argument("--x", type=_finite_float, default=0.5, help="coin bias for bernoulli/binomial")
         p.add_argument("--count", type=_positive_int, default=10, help="binomial trial count")
         p.add_argument("--t", type=_finite_float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
-        p.set_defaults(fn_impl=_cmd_law)
 
-    if p := add_parser("stieltjes", help="pointwise density recovery"):
+    if p := add_parser("stieltjes", _cmd_stieltjes, "pointwise density recovery"):
         p.add_argument("--law", required=True, choices=["semicircle", "mp", "arcsine", "marcsine"])
-        p.add_argument("--x", required=True, help="comma list or start:stop:count")
+        p.add_argument("--x", type=_grid, required=True, help="comma list or start:stop:count")
         p.add_argument("--t", type=_finite_float, required=True)
-        p.set_defaults(fn_impl=_cmd_stieltjes)
 
-    if p := add_parser("snchi", help="fixed-point law of random permutations"):
+    if p := add_parser("snchi", _cmd_snchi, "fixed-point law of random permutations"):
         p.add_argument("--n", type=_positive_int, required=True)
         p.add_argument("--t", type=_finite_float, default=1.0)
-        p.add_argument("--seed", type=_seed, default=None)
-        p.set_defaults(fn_impl=_cmd_snchi)
+        p.add_argument("--seed", type=_natural, default=None)
 
-    if p := add_parser("critical", help="critical-point classification"):
+    if p := add_parser("critical", _cmd_critical, "critical-point classification"):
         p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
         p.add_argument("--x", required=True, help="x1,...,xN")
-        p.set_defaults(fn_impl=_cmd_critical)
 
-    if p := add_parser("harmonic", help="laplacian residual samples"):
+    if p := add_parser("harmonic", _cmd_harmonic, "laplacian residual samples"):
         p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
         p.add_argument("--samples", type=_positive_int, required=True)
-        p.add_argument("--seed", type=_seed, default=None)
-        p.set_defaults(fn_impl=_cmd_harmonic)
+        p.add_argument("--seed", type=_natural, required=True)
 
-    if p := add_parser("orbit", help="two-body trajectory with conservation columns"):
+    if p := add_parser("orbit", _cmd_orbit, "two-body trajectory with conservation columns"):
         p.add_argument("--r0", type=_finite_float, required=True)
         p.add_argument("--vt0", type=_finite_float, required=True)
         p.add_argument("--vr0", type=_finite_float, default=0.0)
         p.add_argument("--K", type=_finite_float, required=True)
         p.add_argument("--T", type=_finite_float, required=True)
         p.add_argument("--dt", type=_finite_float, required=True)
-        p.set_defaults(fn_impl=_cmd_orbit)
 
-    if p := add_parser("wave", help="leapfrog wave lattice frames"):
-        p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
-        p.add_argument("--a", type=_finite_float, default=0.0)
-        p.add_argument("--b", type=_finite_float, default=20.0)
-        p.add_argument("--dx", type=_finite_float, default=0.05)
-        p.add_argument("--cfl", type=_finite_float, default=0.5)
-        p.add_argument("--v", type=_finite_float, default=1.0)
-        p.add_argument("--t", type=_finite_float, default=5.0)
-        p.add_argument("--frames", type=_positive_int, default=5)
-        p.set_defaults(fn_impl=_cmd_wave)
+    for name, summary, b, cfl, rate, t in (
+        ("wave", "leapfrog wave lattice frames", 20.0, 0.5, "--v", 5.0),
+        ("heat", "forward-Euler heat lattice frames", 10.0, 0.25, "--alpha", 0.5),
+    ):
+        if p := add_parser(name, _cmd_lattice, summary):
+            p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
+            p.add_argument("--a", type=_finite_float, default=0.0)
+            p.add_argument("--b", type=_finite_float, default=b)
+            p.add_argument("--dx", type=_finite_float, default=0.05)
+            p.add_argument("--cfl", type=_finite_float, default=cfl)
+            p.add_argument(rate, type=_finite_float, default=1.0)
+            p.add_argument("--t", type=_finite_float, default=t)
+            p.add_argument("--frames", type=_positive_int, default=5)
 
-    if p := add_parser("heat", help="forward-Euler heat lattice frames"):
-        p.add_argument("--profile", required=True, choices=sorted(_PROFILES))
-        p.add_argument("--a", type=_finite_float, default=0.0)
-        p.add_argument("--b", type=_finite_float, default=10.0)
-        p.add_argument("--dx", type=_finite_float, default=0.05)
-        p.add_argument("--cfl", type=_finite_float, default=0.25)
-        p.add_argument("--alpha", type=_finite_float, default=1.0)
-        p.add_argument("--t", type=_finite_float, default=0.5)
-        p.add_argument("--frames", type=_positive_int, default=5)
-        p.set_defaults(fn_impl=_cmd_heat)
-
-    if p := add_parser("flux", help="electric flux through a sphere"):
+    if p := add_parser("flux", _cmd_flux, "electric flux through a sphere"):
         p.add_argument("--charges", required=True, help="CSV file with rows q,x,y,z")
-        p.add_argument("--center", required=True, help="x,y,z")
+        p.add_argument("--center", type=_point, required=True, help="x,y,z")
         p.add_argument("--radius", type=_finite_float, required=True)
         p.add_argument("--order", type=_positive_int, default=64)
         p.add_argument("--k", type=_finite_float, default=1.0, help="Coulomb constant")
-        p.set_defaults(fn_impl=_cmd_flux)
 
-    if p := add_parser("hydrogen", help="spectral lines, energies, wavefunctions"):
+    if p := add_parser("hydrogen", _cmd_hydrogen, "spectral lines, energies, wavefunctions"):
         hsub = p.add_subparsers(dest="hydrogen_cmd", required=True, parser_class=_Parser)
         ph = hsub.add_parser("lines", parents=[common])
         ph.add_argument("--series", required=True, choices=_SPECTRAL_SERIES)
         ph.add_argument("--upto", type=int, required=True)
-        ph.set_defaults(fn_impl=_cmd_hydrogen)
         ph = hsub.add_parser("energy", parents=[common])
         ph.add_argument("--n", type=_positive_int, required=True)
-        ph.set_defaults(fn_impl=_cmd_hydrogen)
         ph = hsub.add_parser("wavefunction", parents=[common])
         ph.add_argument("--n", type=_positive_int, required=True)
         ph.add_argument("--l", type=int, required=True)
         ph.add_argument("--m", type=int, required=True)
-        ph.add_argument("--grid", required=True, help="rmax,steps")
-        ph.set_defaults(fn_impl=_cmd_hydrogen)
+        ph.add_argument("--grid", type=_radial_grid, required=True, help="rmax,steps")
 
     return parser if sub.choices else _build_parser()
 
@@ -734,7 +693,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
         table = args.fn_impl(args)
-    except _UsageError as exc:
+    except (_UsageError, argparse.ArgumentTypeError) as exc:  # the latter from a parse type a command applies
         print(f"calclab: usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, OSError) as exc:

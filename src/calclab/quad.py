@@ -343,8 +343,7 @@ def wallis(p: int) -> float:
     """Quarter-period integral of cos^p (or sin^p): (pi/2)^eps(p) p!!/(p+1)!!."""
     if p < 0:
         raise ValueError("need p >= 0")
-    ratio = Fraction(semi_factorial(p), semi_factorial(p + 1))
-    return _rounded(ratio, "a Wallis integral", math.pi / 2.0, _epsilon(p))
+    return wallis2(p, 0)
 
 
 def wallis2(p: int, q: int) -> float:
@@ -428,14 +427,10 @@ def sphere_moment(key: SphereMomentKey) -> float:
     factorial convention.  Complex keys give (N-1)! k_1!...k_N!/(N + sum k - 1)!.
     """
     ks, N = key.exponents, key.dimension
-    total = sum(ks)
     if key.field == "real":
-        if any(k % 2 for k in ks):
-            return 0.0
-        num = semi_factorial(N - 1)
-        for k in ks:
-            num *= semi_factorial(k)
-        return float(Fraction(num, semi_factorial(N + total - 1)))
+        # an even key's moment is its absolute moment, whose (2/pi)^S has S = 0
+        return 0.0 if any(k % 2 for k in ks) else sphere_moment_abs(key)
+    total = sum(ks)
     num = factorial(N - 1)
     for k in ks:
         num *= factorial(k)

@@ -50,6 +50,13 @@ def test_polynomial_basics():
     assert Polynomial([0, 0, 0]).is_zero()
 
 
+def test_the_empty_polynomial_is_the_zero_polynomial():
+    empty = Polynomial([])
+    assert empty == Polynomial([0]) == Polynomial([0, 0]) and empty.coefficients == [0]
+    assert repr(empty) == "Polynomial([0])" and empty.is_zero() and empty(7) == 0
+    assert empty != Polynomial([1]) and empty != [0]
+
+
 def test_solve_quadratic():
     r1, r2 = solve_quadratic(1, 0, 1)
     assert sorted([r1.imag, r2.imag]) == [-1.0, 1.0]

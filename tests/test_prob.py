@@ -654,6 +654,18 @@ def test_stieltjes_density_semicircle():
     assert stieltjes_density("semicircle", 3.0, 1e-4) == pytest.approx(0.0, abs=1e-3)
 
 
+def test_mp_and_marcsine_densities_vanish_off_their_supports():
+    # where the density formula divides by zero or takes a negative root, the density is 0.0, and
+    # the Stieltjes inversion of the law's transform (an independent route) is ~0 at height 1e-9
+    mp, marc = mp_law().density, marcsine_law().density
+    for x in (0.0, -1e-300, -0.5, -1.0, -math.inf):
+        assert mp(x) == 0.0
+    for x in (-2.0, 2.0, -3.0, 2.5, 3.0, math.inf):
+        assert marc(x) == 0.0
+    for law, x in [("mp", -0.5), ("mp", -1.0), ("marcsine", -3.0), ("marcsine", 2.5), ("marcsine", 3.0)]:
+        assert 0.0 <= stieltjes_density(law, x, 1e-9) < 1e-9
+
+
 def test_stieltjes_density_other_laws():
     assert stieltjes_density("mp", 1.0, 1e-3) == pytest.approx(
         math.sqrt(3.0) / (2.0 * math.pi), abs=1e-2

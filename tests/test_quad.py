@@ -13,7 +13,7 @@ import oracles
 from oracles import sphere_moment_values
 
 from calclab.cli import _INTEGRANDS
-from calclab.combinat import _fsum, semi_factorial
+from calclab.combinat import _fsum, _rounded, semi_factorial
 from calclab.quad import (
     _SPHERE_BLOCK,
     _gauss_rule,
@@ -325,6 +325,19 @@ def test_sphere_moment_closed_forms():
     assert sphere_moment(SphereMomentKey((4, 2, 0))) == sphere_moment(
         SphereMomentKey((0, 4, 2))
     )
+
+
+def test_one_closed_form_per_quantity_keeps_every_bit():
+    # an even real key's moment is its absolute moment at (2/pi)^0, and wallis(p) is wallis2(p, 0):
+    # each gives the bits of the double-factorial ratio it formed on its own
+    for N in range(1, 6):
+        for ks in itertools.product(range(0, 9, 2), repeat=N):
+            num = semi_factorial(N - 1) * math.prod(map(semi_factorial, ks))
+            want = float(Fraction(num, semi_factorial(N + sum(ks) - 1)))
+            assert sphere_moment(SphereMomentKey(ks)).hex() == want.hex(), ks
+    for p in range(300):
+        want = _rounded(Fraction(semi_factorial(p), semi_factorial(p + 1)), "", math.pi / 2.0, 1 - p % 2)
+        assert wallis(p).hex() == want.hex(), p
 
 
 def test_complex_moment_beta_integral_oracle():

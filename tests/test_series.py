@@ -146,6 +146,13 @@ def test_babylonian_sqrt():
         babylonian_sqrt(-1.0, 1e-6)
 
 
+def test_babylonian_sqrt_returns_at_its_float_fixed_point():
+    # no float x has |x^2 - 2| <= 1e-300, so the iteration stops where (x + 2/x)/2 == x
+    x = babylonian_sqrt(2.0, 1e-300)
+    assert abs(x * x - 2.0) > 1e-300 and x == 0.5 * (x + 2.0 / x)
+    assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+
 def test_babylonian_contraction():
     its = list(islice(babylonian_iterates(3.0), 12))
     # monotone decreasing once above sqrt(a)
