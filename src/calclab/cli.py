@@ -209,15 +209,23 @@ def _radial_grid(text: str) -> tuple[float, int]:
     return rmax, steps
 
 
+def _int(text: str) -> int:
+    """int(text), refused in argparse's words for int, which would name this type's function."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is below 1")
     return value
 
 
 def _natural(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is below 0")
     return value
@@ -543,7 +551,10 @@ def _cmd_hydrogen(args) -> ResultTable:
     rmax, steps = args.grid
     from .quad import _linspace
 
-    qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
+    try:  # l and m out of range for n are malformed arguments
+        qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
+    except ValueError as exc:
+        raise _UsageError(f"{exc} (--n {args.n}, --l {args.l}, --m {args.m})") from None
     rho = hydrogen.radial_wavefunction(qn.n, qn.l)
     s_fixed, t_fixed = math.pi / 2.0, 0.0
     # the angles are fixed, so Y is one number; rho(r) * y is wavefunction(qn)'s product

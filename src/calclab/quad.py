@@ -482,16 +482,23 @@ def sphere_moment_mc(
 ) -> tuple[float, float]:
     """Monte Carlo sphere moment with standard error, seeded and reproducible.
 
-    Real keys take the points of ``sample_real_sphere(N, samples, rng)``.
+    A real key reads only its used coordinates x_i (nonzero exponent) and
+    |x|^2, and for a Gaussian point of R^N the m unused coordinates'
+    squares sum to one chi-square variate with m degrees of freedom
+    (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. IX).  So it
+    draws one normal per used coordinate, in key order, then that variate:
+    nothing for m = 0, a squared normal for m = 1, 2 Gamma(m/2) for m >= 2.
+    A key that uses every coordinate takes the points of
+    ``sample_real_sphere(N, samples, rng)``.
     Complex keys read only |z_j|^2, and for a Gaussian point of C^N those
     are independent, each twice a standard exponential, so they take
     (|z_1|^2, ..., |z_N|^2) as E/sum(E) for N standard exponentials E_j, a
-    uniform point of the simplex (Devroye, *Non-Uniform Random Variate
-    Generation*, 1986, ch. V): N draws per point, not 2N normals.  Draws
-    come in blocks of 16,384 rows, in the row order of one whole draw; only
-    the coordinates with a nonzero exponent are normalized, and integer
-    powers are taken by multiplication (repeated squaring), never by ``**``.
-    An all-zero key returns (1.0, 0.0) without drawing.
+    uniform point of the simplex (Devroye, ch. V): N draws per point, not
+    2N normals.  Draws come in blocks of 16,384 rows, each block drawn as
+    above; the squares are summed left to right, the chi-square variate
+    last, and integer powers are taken by multiplication (repeated
+    squaring), never by ``**``.  An all-zero key returns (1.0, 0.0) without
+    drawing.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -499,6 +506,7 @@ def sphere_moment_mc(
     if not used:
         return 1.0, 0.0
     N, complex_field = key.dimension, key.field == "complex"
+    rest = N - len(used)  # real keys: the unused coordinates, one chi-square variate
     gen = rng.generator()
     values = np.ones(samples)
     for start in range(0, samples, _SPHERE_BLOCK):
@@ -506,14 +514,21 @@ def sphere_moment_mc(
         if complex_field:  # |z_j|^2 / |z|^2 as E_j / sum(E)
             g = gen.standard_exponential((rows, N))
             cols = [g[:, j] for j in range(N)]
-        else:
-            g = gen.standard_normal((rows, N))
-            cols = [g[:, j] * g[:, j] for j in range(N)]
+            tops = [cols[i] for i, _ in used]
+        else:  # x_i / |x| for the used x_i
+            g = gen.standard_normal((rows, len(used)))
+            tops = [g[:, j] for j in range(len(used))]
+            cols = [x * x for x in tops]
+            if rest == 1:
+                x = gen.standard_normal(rows)
+                cols.append(x * x)
+            elif rest:
+                cols.append(2.0 * gen.standard_gamma(rest / 2, rows))
         s = sum(cols[1:], cols[0])  # left to right, as np.linalg.norm sums
         denom = s if complex_field else np.sqrt(s)  # E_i / s, or x_i / sqrt(s)
         block = values[start : start + rows]
-        for i, k in used:
-            x = (cols[i] if complex_field else g[:, i]) / denom
+        for x, (_, k) in zip(tops, used):
+            x = x / denom
             while k:  # block *= x**k by repeated squaring
                 if k & 1:
                     block *= x

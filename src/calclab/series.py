@@ -144,9 +144,9 @@ def basel_sum_corrected(terms: int) -> tuple[float, float]:
 
 
 def babylonian_iterates(a: float) -> Iterator[float]:
-    """Iterates of x -> (x + a/x)/2 from x0 = max(a, 1)."""
-    if a <= 0:
-        raise ValueError("need a > 0")
+    """Iterates of x -> (x + a/x)/2 from x0 = max(a, 1), for a finite a > 0."""
+    if not 0 < a < math.inf:  # an infinite a iterates to nan, and a nan a is nan throughout
+        raise ValueError("need a finite a > 0")
     x = max(a, 1.0)
     while True:
         yield x
@@ -156,11 +156,12 @@ def babylonian_iterates(a: float) -> Iterator[float]:
 def babylonian_sqrt(a: float, tol: float) -> float:
     """Square root by the fixed-point iteration x -> (x + a/x)/2.
 
-    Stops once |x^2 - a| <= tol; the iteration is monotone decreasing after
-    the first step, so it cannot stall.
+    Stops once |x^2 - a| <= tol, or at the iteration's float fixed point;
+    the iteration is monotone decreasing after the first step, so it cannot
+    stall.  Needs a finite a > 0 and tol > 0 (not nan).
     """
-    if a <= 0 or tol <= 0:
-        raise ValueError("need a > 0 and tol > 0")
+    if not (0 < a < math.inf and tol > 0):
+        raise ValueError("need a finite a > 0 and tol > 0")
     for x in babylonian_iterates(a):
         if abs(x * x - a) <= tol:
             return x

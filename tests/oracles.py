@@ -38,12 +38,13 @@
   rule: x = mid - half cos(u) with composite Simpson in u, the density
   sampled on the interior nodes and its endpoint values extrapolated
   quadratically.  The tests hold the current moments to it.
-- ``sphere_moment_values`` is ``quad.sphere_moment_mc`` before its blocked
-  draws, with each power by ``**``: real keys take the whole sample of
-  ``sample_real_sphere`` at once, and complex keys the whole draw of
-  ``standard_exponential((samples, N))``, with |z_i|^2 as E_i/E.sum().
-  It returns the per-sample values; the tests compare their mean and
-  standard error.
+- ``sphere_moment_values`` is ``quad.sphere_moment_mc`` with each power by
+  ``**`` on whole arrays: complex keys take the whole draw of
+  ``standard_exponential((samples, N))``, with |z_i|^2 as E_i/E.sum(), and
+  real keys make each block's draws with the library's calls (the used
+  coordinates' normals, then the unused ones' chi-square variate) but
+  normalize all of them at once.  It returns the per-sample values; the
+  tests compare their mean and standard error.
 - ``exact_sum`` is the exact sum of float terms rounded once, in integer
   arithmetic.  ``pi_leibnitz``, ``basel_sum``, ``riemann`` and ``trapezoid``
   build the terms of the ``series`` and ``quad`` routes on their own (the
@@ -74,7 +75,7 @@ from calclab.combinat import factorial, pairings, set_partitions
 from calclab.diffcalc import CriticalReport
 from calclab.linalg import _rotate, _round_robin
 from calclab.poly import Polynomial
-from calclab.quad import sample_real_sphere
+from calclab.quad import _SPHERE_BLOCK
 
 
 def matching_pairings(word: str):
@@ -416,11 +417,27 @@ def touchard_moments(t, orders):
 
 
 def sphere_moment_values(key, samples, rng):
-    if key.field == "real":
-        points = sample_real_sphere(key.dimension, samples, rng)
-    else:
-        e = rng.generator().standard_exponential((samples, key.dimension))
+    used = [i for i, k in enumerate(key.exponents) if k]
+    gen = rng.generator()
+    if key.field == "complex":
+        e = gen.standard_exponential((samples, key.dimension))
         points = e / e.sum(axis=1, keepdims=True)
+    else:
+        rest = key.dimension - len(used)
+        normals, chi2 = [], []
+        for start in range(0, samples, _SPHERE_BLOCK):
+            rows = min(_SPHERE_BLOCK, samples - start)
+            normals.append(gen.standard_normal((rows, len(used))))
+            if rest == 1:
+                chi2.append(gen.standard_normal(rows) ** 2)
+            elif rest:
+                chi2.append(2.0 * gen.standard_gamma(rest / 2, rows))
+        g = np.concatenate(normals)
+        s = (g**2).sum(axis=1)
+        if rest:
+            s = s + np.concatenate(chi2)
+        points = np.zeros((samples, key.dimension))
+        points[:, used] = g / np.sqrt(s)[:, None]
     values = np.ones(samples)
     for i, k in enumerate(key.exponents):
         if k:

@@ -418,7 +418,7 @@ def test_hydrogen_cli(capsys):
         ["hydrogen", "wavefunction", "--n", "1", "--l", "1", "--m", "0", "--grid", "5,10"],
         capsys,
     )
-    assert code == 2  # invalid quantum numbers
+    assert code == 1 and err == "calclab: usage error: need 0 <= l <= n-1 (--n 1, --l 1, --m 0)\n"
     code, out, _ = invoke(
         ["hydrogen", "wavefunction", "--n", "3", "--l", "2", "--m", "0", "--grid", "1e200,2"],
         capsys,
@@ -537,6 +537,8 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
         (["hydrogen", "energy", "--n", "0"], "--n"),
         (["hydrogen", "wavefunction", "--n", "0", "--l", "0", "--m", "0", "--grid", "5,3"], "--n"),
         (["hydrogen", "lines", "--series", "balmer", "--upto", "2"], "--upto"),
+        (["hydrogen", "wavefunction", "--n", "1", "--l", "5", "--m", "0", "--grid", "5,2"], "--l 5"),
+        (["hydrogen", "wavefunction", "--n", "2", "--l", "1", "--m", "9", "--grid", "5,2"], "--m 9"),
         (["flux", "--charges", "q.csv", "--center", "0,0", "--radius", "1"], "--center"),
         (["flux", "--charges", "q.csv", "--center", "0,0,0,0", "--radius", "1"], "--center"),
         (["harmonic", "--fn", "bowl", "--samples", "2", "--seed=-1"], "--seed"),
@@ -558,6 +560,8 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, capsys, argv):
         "energy-n",
         "wavefunction-n",
         "lines-upto",
+        "wavefunction-l",
+        "wavefunction-m",
         "flux-center-2",
         "flux-center-4",
         "harmonic-seed",

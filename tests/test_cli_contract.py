@@ -38,15 +38,20 @@ def _splice(argv, option, text):
     return kept + [f"{option}={text}"]
 
 
-def test_every_typed_option_refuses_what_its_type_refuses(tmp_path, capsys):
+def _baselines(tmp_path):
+    """(subcommand path, its parser, its COMMANDS argv) of the 18 subcommands that run a command."""
     files = {"matrix": tmp_path / "m.csv", "charges": tmp_path / "q.csv"}
     files["matrix"].write_text(_MATRIX)
     files["charges"].write_text(_CHARGES)
-    leaves = dict(_leaves(cli._build_parser()))
+    leaves = list(_leaves(cli._build_parser()))
     assert len(leaves) == 18
+    for path, parser in leaves:
+        yield path, parser, [a.format(**files) for a in next(a for a in COMMANDS if tuple(a[: len(path)]) == path)]
+
+
+def test_every_typed_option_refuses_what_its_type_refuses(tmp_path, capsys):
     wrong, types, plain = [], set(), set()
-    for path, parser in leaves.items():
-        base = [a.format(**files) for a in next(a for a in COMMANDS if tuple(a[: len(path)]) == path)]
+    for path, parser, base in _baselines(tmp_path):
         cli._build_parser(base).parse_args(base)  # the baseline parses
         for action in parser._actions:
             if action.type in (int, float):
@@ -72,3 +77,20 @@ def test_sphere_key_is_checked_for_every_what(capsys, what):
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == "calclab: usage error: argument --key: '-1' is not a comma list of exponents >= 0\n"
+
+
+def test_every_int_option_refuses_a_non_integer_in_argparse_words(tmp_path, capsys):
+    # the parse types _positive_int and _natural say what argparse says for int, not their own names
+    wrong, seen = [], set()
+    for _, parser, base in _baselines(tmp_path):
+        for action in parser._actions:
+            if action.type in (int, cli._positive_int, cli._natural):
+                (option,) = action.option_strings
+                seen.add(action.type)
+                argv = _splice(base, option, "1.5")
+                code = cli.main(argv)
+                out, err = capsys.readouterr()
+                if (code, out, err) != (1, "", f"calclab: usage error: argument {option}: invalid int value: '1.5'\n"):
+                    wrong.append((argv, code, err))
+    assert seen == {int, cli._positive_int, cli._natural}
+    assert not wrong

@@ -480,9 +480,9 @@ class _CountingSource:
         return self
 
     def __getattr__(self, name):
-        def draw(size):
-            self.counts[name] = self.counts.get(name, 0) + math.prod(size)
-            return getattr(self.gen, name)(size)
+        def draw(*args):  # (size) or (shape, size), size an int or a tuple
+            self.counts[name] = self.counts.get(name, 0) + int(np.prod(args[-1]))
+            return getattr(self.gen, name)(*args)
 
         return draw
 
@@ -501,6 +501,50 @@ def test_sphere_moment_mc_draws_N_variates_per_point(key, method):
     rng = _CountingSource(40)
     sphere_moment_mc(key, samples, rng)
     assert rng.counts == {method: samples * key.dimension}
+
+
+@pytest.mark.parametrize(
+    "key, normals",
+    [
+        (SphereMomentKey((4, 0, 0, 0)), 1),  # the su2 key for k = 2
+        (SphereMomentKey((2, 2, 0, 0, 0)), 2),
+    ],
+)
+def test_sphere_moment_mc_real_keys_draw_the_used_coordinates_and_one_chi_square(key, normals):
+    samples = 2 * _SPHERE_BLOCK + 5
+    rng = _CountingSource(41)
+    sphere_moment_mc(key, samples, rng)
+    assert rng.counts == {"standard_normal": samples * normals, "standard_gamma": samples}
+
+
+def test_sphere_moment_mc_real_keys_match_closed_form_at_200k():
+    keys = [k for k in _criterion06_keys() if k.field == "real"] + _SU2_KEYS
+    for j, key in enumerate(keys):
+        est, se = sphere_moment_mc(key, 200_000, RandomSource(800 + j))
+        want = sphere_moment(key)
+        if se > 0:
+            assert abs(est - want) <= 5 * se, key
+        else:  # the all-zero keys, and even keys at N = 1, where every x_1 is +-1
+            assert est == want == 1.0, key
+
+
+def test_sphere_moment_mc_keys_using_every_coordinate_take_sample_real_sphere():
+    samples = _SPHERE_BLOCK + 1
+    keys = [k for k in _SPHERE_MC_KEYS if k.field == "real" and all(k.exponents)]
+    assert len(keys) == 28
+    for j, key in enumerate(keys):
+        points = sample_real_sphere(key.dimension, samples, RandomSource(900 + j))
+        values = np.ones(samples)
+        for i, k in enumerate(key.exponents):
+            x = points[:, i]
+            while k:  # the library's repeated squaring, on the whole sample at once
+                if k & 1:
+                    values *= x
+                k >>= 1
+                if k:
+                    x = x * x
+        want = float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
+        assert sphere_moment_mc(key, samples, RandomSource(900 + j)) == want, key
 
 
 def test_sphere_moment_mc_complex_keys_match_closed_form_at_200k():

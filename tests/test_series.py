@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 
+import calclab
 from calclab.series import (
     babylonian_iterates,
     babylonian_sqrt,
@@ -151,6 +155,35 @@ def test_babylonian_sqrt_returns_at_its_float_fixed_point():
     x = babylonian_sqrt(2.0, 1e-300)
     assert abs(x * x - 2.0) > 1e-300 and x == 0.5 * (x + 2.0 / x)
     assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+
+_BABYLONIAN_REFUSALS = """
+import math
+from calclab.series import babylonian_iterates, babylonian_sqrt
+
+calls = [(babylonian_sqrt, a, tol) for a, tol in
+         [(math.nan, 1e-12), (math.inf, 1e-12), (-math.inf, 1e-12), (2.0, math.nan), (2.0, 0.0), (2.0, -1.0)]]
+calls += [(lambda a: next(babylonian_iterates(a)), a) for a in (math.nan, math.inf)]
+for f, *args in calls:
+    try:
+        print("returned", f(*args))
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_babylonian_refuses_a_non_finite_a_and_a_tol_that_is_not_positive():
+    # a child process with a timeout: a nan or infinite a once iterated nan forever
+    proc = subprocess.run(
+        [sys.executable, "-c", _BABYLONIAN_REFUSALS],
+        env=dict(os.environ, PYTHONPATH=str(Path(calclab.__file__).resolve().parent.parent)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sqrt_message, iterates_message = "need a finite a > 0 and tol > 0", "need a finite a > 0"
+    assert proc.stdout.splitlines() == [sqrt_message] * 6 + [iterates_message] * 2
 
 
 def test_babylonian_contraction():
