@@ -523,9 +523,9 @@ def _cmd_flux(args) -> ResultTable:
     rows = [
         ("flux", flux),
         ("enclosed_charge", enclosed),
-        ("enclosed_over_eps0", enclosed / cfg.epsilon0),
+        ("enclosed_over_eps0", 4.0 * math.pi * cfg.k * enclosed),
     ]
-    return ResultTable(["quantity", "value"], rows, note="product-quadrature flux through a sphere")
+    return ResultTable(["quantity", "value"], rows, note="flux through a sphere, one polar rule per charge")
 
 
 def _cmd_hydrogen(args) -> ResultTable:
@@ -674,7 +674,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         p.add_argument("--charges", required=True, help="CSV file with rows q,x,y,z")
         p.add_argument("--center", type=_point, required=True, help="x,y,z")
         p.add_argument("--radius", type=_finite_float, required=True)
-        p.add_argument("--order", type=_positive_int, default=64)
+        p.add_argument("--order", type=_positive_int, default=128)
         p.add_argument("--k", type=_finite_float, default=1.0, help="Coulomb constant")
 
     if p := add_parser("hydrogen", _cmd_hydrogen, "spectral lines, energies, wavefunctions"):

@@ -5,8 +5,9 @@ addition, the one-dimensional free-fall closed form, a fourth-order two-body
 integrator with conic-fit verification, conic classification, ellipse
 area/length, stereographic projection, the d'Alembert wave solution and its
 lattice counterpart, forward-Euler heat stepping with the Gaussian kernel,
-second-order linear ODEs, and numerical verification of the flux, divergence
-and Stokes (Green in the plane) theorems by product quadrature.
+second-order linear ODEs, and numerical verification of Gauss's law (one
+polar Gauss-Legendre rule per charge) and of the divergence and Stokes
+(Green in the plane) theorems by product quadrature.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
 (and the Kepler orbits and ``flux_through_sphere``, which need no arrays)
@@ -18,13 +19,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._numpy import np
 from ._record import Record
-from .combinat import _fsum
+from .combinat import _fsum, _rounded
 from .diffcalc import _central_differences
-from .quad import _gauss_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, _sphere_rule, simpson, trapezoid
+from .quad import _gauss_rule, _legendre_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, simpson, trapezoid
 
 __all__ = [
     "cross",
@@ -635,15 +637,23 @@ class ChargeConfig(Record):
     """Point charges (q_i, position_i) with a Coulomb constant.
 
     The vacuum permittivity used by the flux laws is 1/(4 pi k); the
-    dimensionless test mode is k = 1.
+    dimensionless test mode is k = 1.  ValueError for a charge that is not
+    finite, a position that is not 3 finite coordinates, two charges at one
+    position, or a k that is not finite and > 0.
     """
 
     __slots__ = ("charges", "k")
 
     def __init__(self, charges: tuple[tuple[float, tuple[float, float, float]], ...], k: float = 1.0):
         pts = [tuple(map(float, p)) for _, p in charges]
+        if not all(math.isfinite(q) for q, _ in charges):
+            raise ValueError(f"every charge must be finite, not {[q for q, _ in charges]}")
+        if not all(len(p) == 3 and all(map(math.isfinite, p)) for p in pts):
+            raise ValueError(f"every position must be 3 finite coordinates, not {pts}")
         if len(set(pts)) < len(pts):
             raise ValueError("charge positions must be distinct")
+        if not 0 < k < math.inf:
+            raise ValueError(f"need a finite Coulomb constant k > 0, not {k}")
         self._set(charges, k)
 
     @property
@@ -670,42 +680,49 @@ def electric_field(cfg: ChargeConfig, x: Sequence[float]) -> np.ndarray:
     return np.array([math.fsum(term[i] for term in terms) for i in range(3)])
 
 
+def _ball(center: Sequence[float], radius: float) -> list[float]:
+    """center as a list of floats; ValueError for a radius that is not finite and > 0 or a NaN
+    or infinite coordinate of center."""
+    if not 0 < radius < math.inf:
+        raise ValueError("need a finite radius > 0")
+    center = list(map(float, center))
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"the center {center} has a NaN or infinite coordinate")
+    return center
+
+
 def flux_through_sphere(
     cfg: ChargeConfig,
     center: Sequence[float],
     radius: float,
-    order: int = 64,
+    order: int = 128,
 ) -> float:
     """Outward flux of the electric field through the given sphere.
 
-    Integrates <E, n> over the 2 order^2 product nodes of the sphere
-    (``quad._sphere_rule``), ring by ring of its polar rows, in Python
-    floats.  It works in units of the radius, sum w k q <d/r, n>/r/r
-    over d = node + (center - p)/radius with r = |d| by ``math.hypot``,
-    where the radius^2 of the area element cancels, so no radius
-    overflows; a charge whose d leaves the float range adds 0.  A charge on
-    the surface is rejected; no charges give exactly 0.
+    With the polar axis through a charge the azimuthal integral is exact
+    (Jackson, *Classical Electrodynamics*, 3rd ed., section 1.3), so each
+    charge takes one ``order``-node Gauss-Legendre rule in mu on [-1, 1]:
+    2 pi k q int (1 + c mu)/r^3 dmu, 4 pi k q for c < 1 and 0 for c > 1.  In
+    units of the radius, c is the charge's distance from the center and
+    r = sqrt((1 - c)^2 + 2c(1 + mu)) its distance from the node, a form that
+    does not cancel near the surface; each term divides by r three times,
+    so r^3 never overflows.  A charge whose offset in radii leaves the float
+    range adds 0, and no charges give exactly 0.  ValueError for a charge on
+    the surface, a radius that is not finite and > 0, a NaN or infinite
+    center, or a flux past the float range.
     """
-    center = list(map(float, center))
-    if radius <= 0:
-        raise ValueError("need radius > 0")
-    if any(abs(math.dist(p, center) - radius) < 1e-9 * radius for _, p in cfg.charges):
-        raise ValueError("a charge lies on the sphere surface")
-    offsets = [(cfg.k * q, [(c - x) / radius for c, x in zip(center, p)]) for q, p in cfg.charges]
-    offsets = [(kq, *o) for kq, o in offsets if all(map(math.isfinite, o))]
-    rings, columns = _sphere_rule(order)
-    total = []
-    for nz, sin_s, weight in rings:
-        row = [(sin_s * c, sin_s * t) for c, t in columns]  # the ring's nodes (nx, ny, nz)
-        terms = []
-        for kq, ox, oy, oz in offsets:
-            dz = nz + oz
-            for nx, ny in row:
-                dx, dy = nx + ox, ny + oy
-                u = 1.0 / math.hypot(dx, dy, dz)
-                terms.append(kq * ((dx * u) * nx + (dy * u) * ny + (dz * u) * nz) * u * u)
-        total.append(weight * math.fsum(terms))
-    return math.fsum(total)
+    center = _ball(center, radius)
+    mu, w = _legendre_rule(order)
+    total = Fraction(0)  # the exact sum of q s over the charges
+    for q, p in cfg.charges:
+        c = math.hypot(*[(a - b) / radius for a, b in zip(center, p)])
+        if abs(c - 1.0) < 1e-9:
+            raise ValueError("a charge lies on the sphere surface")
+        if c < math.inf:
+            r = [math.sqrt((1.0 - c) * (1.0 - c) + 2.0 * c * (1.0 + m)) for m in mu]
+            s = math.fsum([wi * (1.0 + c * m) / ri / ri / ri for m, wi, ri in zip(mu, w, r)])
+            total += Fraction(q) * Fraction(s)
+    return _rounded(Fraction(cfg.k) * total, "the flux", 2.0 * math.pi, 1)
 
 
 def disk_map(radius: float = 1.0, center: tuple[float, float] = (0.0, 0.0)):
@@ -835,11 +852,7 @@ def divergence_check(
     """
     if radial_nodes < 1:
         raise ValueError("need radial_nodes >= 1")
-    if not 0 < radius < math.inf:
-        raise ValueError("need a finite radius > 0")
-    center = np.asarray(center, dtype=float)
-    if not np.isfinite(center).all():
-        raise ValueError(f"the center {center.tolist()} has a NaN or infinite coordinate")
+    center = np.array(_ball(center, radius))
     r, wr = _gauss_rule(0.0, radius, radial_nodes)
 
     def sides(order: int) -> tuple[float, float]:

@@ -5,8 +5,8 @@ and the composite Gauss-Legendre that the package's smooth integrands take)
 and seeded Monte Carlo, the Gauss and Fresnel improper integrals with their
 quadrature verifiers, Wallis trigonometric integrals, sphere volumes/areas
 and polynomial moments over real and complex unit spheres, the product
-quadrature rule on the unit 2-sphere, and the Jacobians of polar/spherical
-coordinates.
+rule on the unit 2-sphere of the divergence and mean-value checks, and the
+Jacobians of polar/spherical coordinates.
 
 Closed forms are evaluated in exact rational arithmetic and converted to
 float at the end by ``combinat._rounded``, which rounds the exact value
@@ -15,8 +15,9 @@ binding of ``calclab._numpy``, so the closed forms, ``riemann`` and
 ``trapezoid`` run without loading numpy: their grids come from
 ``_linspace``, which copies ``numpy.linspace`` bit for bit, and their sums
 from ``combinat._fsum``, the exact sum of the float terms rounded once.
-The Gauss-Legendre rule and the sphere's product rule are Python floats
-too; ``_gauss_rule`` and ``_sphere_quadrature`` are their array forms.
+The Gauss-Legendre rule is Python floats too; ``_gauss_rule`` and
+``_sphere_quadrature`` (its product with the uniform rule in the azimuth)
+are its array forms.
 Every route of the package that calls a user function on a block of nodes
 does so through ``_samples``.
 """
@@ -162,8 +163,9 @@ def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     distance from z to the root, which the weight's error at the nodes
     near 1 is most sensitive to.  The roots in (-1, 0) are the
     negatives, and odd n adds the root 0.  Nodes agree with 40-digit
-    values to 1e-16, and weights to 2e-13 relative, up to n = 100; each
-    root costs a few O(n) recurrences, so large rules take panels.
+    values to 1e-16, and weights to 2e-13 relative, up to n = 100 and at
+    n = 128 (2.2e-13 at n = 192); each root costs a few O(n) recurrences,
+    so large rules take panels.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -208,27 +210,20 @@ def _gauss_rule(a: float, b: float, n: int, panels: int = 1) -> tuple[np.ndarray
     return (left[:, None] + 0.5 * h * (t + 1.0)).ravel(), np.tile(0.5 * h * w, panels)
 
 
-def _sphere_rule(order: int) -> tuple[tuple[tuple[float, float, float], ...], tuple[tuple[float, float], ...]]:
-    """The product rule on the unit sphere in Python floats, as its order rings and 2 order columns.
-
-    A ring is (cos, sin, weight) of a polar angle of the Gauss-Legendre rule
-    in cos(polar), ascending; a column is (cos, sin) of an azimuth of the
-    uniform rule.  The node of ring (u, s, w) and column (c, t) is
-    (s c, s t, u), of weight w; the weights sum to the sphere area 4 pi.
-    """
-    u, w = _legendre_rule(order)
-    dt = 2.0 * math.pi / (2 * order)
-    rings = tuple((ui, math.sqrt(max(0.0, 1.0 - ui * ui)), wi * dt) for ui, wi in zip(u, w))
-    return rings, tuple((math.cos(i * dt), math.sin(i * dt)) for i in range(2 * order))
-
-
 def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes and weights of ``_sphere_rule`` as arrays, polar-major: 2 order^2 rows."""
-    rings, columns = _sphere_rule(order)
-    u, sin_s, w = np.array(rings).T
-    cos_t, sin_t = np.array(columns).T
-    nodes = np.stack(np.broadcast_arrays(sin_s[:, None] * cos_t, sin_s[:, None] * sin_t, u[:, None]), axis=-1)
-    return nodes.reshape(-1, 3), np.repeat(w, len(columns))
+    """The product rule on the unit sphere, polar-major: 2 order^2 nodes and weights.
+
+    The rows are the ``order`` Gauss-Legendre nodes u in cos(polar),
+    ascending, and the columns the 2 order azimuths i dt, dt = 2 pi/(2 order),
+    of the uniform rule: node (s cos(i dt), s sin(i dt), u) with
+    s = sqrt(1 - u^2), of weight w dt; the weights sum to the sphere area 4 pi.
+    """
+    u, w = map(np.array, _legendre_rule(order))
+    dt = 2.0 * math.pi / (2 * order)
+    cos_t, sin_t = np.array([(math.cos(i * dt), math.sin(i * dt)) for i in range(2 * order)]).T
+    s = np.sqrt(1.0 - u * u)[:, None]
+    nodes = np.stack(np.broadcast_arrays(s * cos_t, s * sin_t, u[:, None]), axis=-1)
+    return nodes.reshape(-1, 3), np.repeat(w * dt, 2 * order)
 
 
 def _samples(f: Callable, nodes: list | np.ndarray) -> list[float] | np.ndarray:

@@ -385,6 +385,37 @@ def test_flux_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "k, message",
+    [
+        ("0", "need a finite Coulomb constant k > 0, not 0.0"),
+        ("-1", "need a finite Coulomb constant k > 0, not -1.0"),
+        ("-0.0", "need a finite Coulomb constant k > 0, not -0.0"),
+        ("1e308", "the flux leaves the float range"),
+    ],
+)
+def test_flux_cli_numerical_failures_name_the_cause(tmp_path, capsys, k, message):
+    charges = tmp_path / "charges.csv"
+    charges.write_text("1.0,0,0,0\n")
+    argv = ["flux", "--charges", str(charges), "--center", "0,0,0", "--radius", "1", f"--k={k}"]
+    code, out, err = invoke(argv, capsys)
+    assert (code, out, err) == (2, "", f"calclab: {message}\n")
+
+
+@pytest.mark.parametrize("k", ["1e307", "1e-320", "1e-300"])
+def test_flux_cli_at_the_ends_of_the_float_range(tmp_path, capsys, k):
+    # 4 pi k Q is finite here, though 1/(4 pi k) overflows at 1e-320
+    charges = tmp_path / "charges.csv"
+    charges.write_text("1.0,0,0,0\n")
+    argv = ["flux", "--charges", str(charges), "--center", "0,0,0", "--radius", "1", "--k", k]
+    code, out, err = invoke(argv, capsys)
+    assert (code, err) == (0, "")
+    rows = dict((r[0], float(r[1])) for r in list(csv.reader(io.StringIO(out)))[1:])
+    want = 4.0 * math.pi * float(k)
+    assert rows["enclosed_over_eps0"] == want
+    assert abs(rows["flux"] - want) <= 1e-12 * want + 2.0 * 5e-324
+
+
+@pytest.mark.parametrize(
     "text",
     ["q,x,y,z\n1.0,0,abc,0\n", "q,x,y,z\n1.0,0,0\n", "q,x,y,z\n1.0,inf,0,0\n", "nan,0,0,0\n"],
     ids=["non-numeric", "short-row", "infinite-coordinate", "nan-charge"],

@@ -454,6 +454,58 @@ def test_flux_no_enclosed_charge():
         flux_through_sphere(cfg, (2.0, 0.0, 0.0), 1.0)  # charge on the surface
 
 
+@pytest.mark.parametrize(
+    "center, radius, name",
+    [
+        ((0, 0, 0), math.nan, "radius"),
+        ((0, 0, 0), math.inf, "radius"),
+        ((0, 0, 0), 0.0, "radius"),
+        ((0, 0, 0), -1.0, "radius"),
+        ((math.nan, 0, 0), 1.0, "center"),
+        ((0, -math.inf, 0), 1.0, "center"),
+    ],
+)
+def test_flux_refuses_a_sphere_that_is_not_finite(center, radius, name):
+    cfg = ChargeConfig(((1.0, (0.0, 0.0, 0.0)),))
+    with pytest.raises(ValueError, match=name):
+        flux_through_sphere(cfg, center, radius)
+
+
+@pytest.mark.parametrize(
+    "charges, k, name",
+    [
+        (((math.nan, (0, 0, 0)),), 1.0, "charge"),
+        (((-math.inf, (0, 0, 0)),), 1.0, "charge"),
+        (((1.0, (math.nan, 0, 0)),), 1.0, "position"),
+        (((1.0, (0, 0, math.inf)),), 1.0, "position"),
+        (((1.0, (0, 0)),), 1.0, "position"),
+        (((1.0, (0, 0, 0, 0)),), 1.0, "position"),
+        ((), 0.0, "Coulomb constant"),
+        ((), -1.0, "Coulomb constant"),
+        ((), math.nan, "Coulomb constant"),
+        ((), math.inf, "Coulomb constant"),
+    ],
+)
+def test_charge_config_refuses_what_is_not_finite(charges, k, name):
+    with pytest.raises(ValueError, match=name):
+        ChargeConfig(charges, k)
+
+
+def test_flux_past_the_float_range_is_named():
+    cfg = ChargeConfig(((1e308, (0.0, 0.0, 0.0)), (1e308, (0.1, 0.0, 0.0))))
+    with pytest.raises(ValueError, match="the flux leaves the float range"):
+        flux_through_sphere(cfg, (0, 0, 0), 1.0)
+    # 1e307 + 1e307 inside: each charge's flux is finite, their sum is not
+    cfg = ChargeConfig(((1e307, (0.0, 0.0, 0.0)), (1e307, (0.1, 0.0, 0.0))))
+    with pytest.raises(ValueError, match="the flux leaves the float range"):
+        flux_through_sphere(cfg, (0, 0, 0), 1.0)
+    # k q = 1e308 twice, cancelling; and q s past the float range with k small enough
+    cfg = ChargeConfig(((1e307, (0.0, 0.0, 0.0)), (-1e307, (0.1, 0.0, 0.0))), k=10.0)
+    assert abs(flux_through_sphere(cfg, (0, 0, 0), 1.0)) <= 1e-12 * 4.0 * math.pi * 1e308
+    cfg = ChargeConfig(((1e308, (0.0, 0.0, 0.0)),), k=0.01)
+    assert flux_through_sphere(cfg, (0, 0, 0), 1.0) == pytest.approx(4.0 * math.pi * 1e306, rel=1e-12)
+
+
 @pytest.mark.parametrize("R", [1e-300, 1e-150, 1.0, 1e150, 1e300])
 def test_gauss_law_at_every_scale_of_the_radius(R):
     # one charge at the center, one inside off it, one outside; all in units of R
@@ -562,7 +614,7 @@ def test_canonicalize_orbit():
 
 # --- the batched routes against the per-point routes they replaced --------
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from calclab import cli, dynamics
 from calclab.dynamics import _sphere_quadrature
@@ -816,8 +868,45 @@ def test_sphere_quadrature_matches_loop_order():
         assert np.array_equal(weights, want_weights)
 
 
+def _polar_oracle(axis, order, azimuths=5):
+    """The order-node Gauss-Legendre rule in mu about the unit axis, times equal azimuths."""
+    a = np.asarray(axis, dtype=float)
+    e1 = np.cross(a, [1.0, 0.0, 0.0] if abs(a[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(a, e1)
+    u, w = _legendre_rule(order)
+    dt = 2.0 * math.pi / azimuths
+    return [
+        (m * a + math.sqrt(1.0 - m * m) * (math.cos(j * dt) * e1 + math.sin(j * dt) * e2), wi * dt)
+        for m, wi in zip(u, w)
+        for j in range(azimuths)
+    ]
+
+
 @pytest.mark.parametrize("order", [8, 33])
 def test_batched_flux_equals_summed_electric_field(order):
+    # each charge's field summed over nodes whose polar axis runs through it: the same
+    # order-node rule in mu that flux_through_sphere takes in closed form
+    charges = (
+        (1.0, (0.2, 0.1, -0.3)),
+        (-0.5, (-0.4, 0.2, 0.1)),
+        (2.0, (1.8, 0.5, 0.2)),
+        (0.7, (0.1, -1.6, 0.3)),
+    )
+    k, center, radius = 1.3, np.array([0.1, 0.0, -0.2]), 1.2
+    want = 0.0
+    for q, p in charges:
+        one = ChargeConfig(((q, p),), k)
+        axis = (np.array(p) - center) / np.linalg.norm(np.array(p) - center)
+        want += radius * radius * sum(
+            w * float(electric_field(one, center + radius * n) @ n) for n, w in _polar_oracle(axis, order)
+        )
+    got = flux_through_sphere(ChargeConfig(charges, k), center, radius, order=order)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_flux_equals_summed_electric_field():
+    # the product rule's sum of electric_field over the sphere is the independent route
     cfg = ChargeConfig(
         charges=(
             (1.0, (0.2, 0.1, -0.3)),
@@ -828,12 +917,34 @@ def test_batched_flux_equals_summed_electric_field(order):
         k=1.3,
     )
     center, radius = np.array([0.1, 0.0, -0.2]), 1.2
-    nodes, weights = _sphere_oracle(order)
+    nodes, weights = _sphere_oracle(64)
     want = radius * radius * sum(
         w * float(electric_field(cfg, center + radius * p) @ p) for p, w in zip(nodes, weights)
     )
-    got = flux_through_sphere(cfg, center, radius, order=order)
-    assert abs(got - want) <= 1e-12 * abs(want)
+    got = flux_through_sphere(cfg, center, radius, order=64)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+_direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+# a charge's distance from the center in radii, at least 0.15 radii from the surface
+_distance = st.one_of(st.floats(0.0, 0.85), st.floats(1.15, 4.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), _distance, _direction), min_size=1, max_size=4),
+    st.floats(0.5, 2.0),
+    st.floats(1e-3, 1e3),
+)
+def test_gauss_law_for_charges_away_from_the_surface(charges, k, radius):
+    center = (0.3, -0.2, 0.1)
+    at = lambda c, v: tuple(x + radius * c * a / math.hypot(*v) for x, a in zip(center, v))
+    charges = tuple((q, at(c, v)) for q, c, v in charges)
+    assume(len({p for _, p in charges}) == len(charges))
+    cfg = ChargeConfig(charges, k)
+    want = 4.0 * math.pi * k * cfg.enclosed(center, radius)
+    scale = 4.0 * math.pi * sum(abs(k * q) for q, _ in charges)
+    assert abs(flux_through_sphere(cfg, center, radius) - want) <= 1e-13 * scale
 
 
 def _kepler_step_numpy(s, dt):

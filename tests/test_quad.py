@@ -109,10 +109,11 @@ def test_gauss_rule_is_exact_to_degree_2n_minus_1(n, panels):
 
 
 def test_legendre_rule_against_40_digits():
-    # Newton on the same recurrence in 45-digit decimals from each float node: 1e-16, 1e-32, 1e-64
+    # Newton on the same recurrence in 45-digit decimals from each float node: 1e-16, 1e-32, 1e-64;
+    # n = 128 is flux_through_sphere's default order
     with decimal.localcontext() as ctx:
         ctx.prec = 45
-        for n in range(1, 101):
+        for n in (*range(1, 101), 128):
             for node, weight in zip(*_legendre_rule(n)):
                 z = Decimal(node)
                 for _ in range(3):
