@@ -455,11 +455,11 @@ def _cmd_harmonic(args) -> ResultTable:
     from .rng import RandomSource
 
     f, dim = _FIELDS[args.fn]
-    rng = RandomSource(args.seed).generator()
-    pts = 0.4 + rng.uniform(0.0, 1.0, size=(args.samples, dim))
+    coords = [0.4 + u for u in RandomSource(args.seed).uniforms(args.samples * dim, 0.0, 1.0)]
     rows = []
-    for p in pts:
-        rows.append(tuple(float(v) for v in p) + (diffcalc.laplacian(f, p),))
+    for i in range(0, len(coords), dim):
+        p = tuple(coords[i : i + dim])
+        rows.append(p + (diffcalc.laplacian(f, p),))
     cols = [f"x{i+1}" for i in range(dim)] + ["laplacian"]
     return ResultTable(cols, rows, note=f"laplacian residuals of {args.fn}")
 

@@ -658,6 +658,10 @@ class ChargeConfig(Record):
 
     @property
     def epsilon0(self) -> float:
+        """1/(4 pi k): inf for k below about 4.4e-310, where 4 pi k is below 1/max float.
+
+        No calclab route reads it; ``flux`` prints 4 pi k Q, finite wherever the flux is.
+        """
         return 1.0 / (4.0 * math.pi * self.k)
 
     def enclosed(self, center: Sequence[float], radius: float) -> float:

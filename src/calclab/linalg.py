@@ -14,6 +14,7 @@ directly, and ``inverse`` delegates to numpy.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import numbers
@@ -285,8 +286,9 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     return d, [v[i] for i in order] if vectors else None
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
-    """Index arrays for the steps of one Brent-Luk sweep.
+@functools.lru_cache(maxsize=16)  # an entry holds about 5 n^2 numbers
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Index arrays for the steps of one Brent-Luk sweep, read-only.
 
     Each step pairs all indices disjointly (for odd n, one sits out), and a
     sweep meets every pair p < q exactly once.  Per step it returns
@@ -300,9 +302,12 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
     for _ in range(m - 1):
         pairs = sorted(tuple(sorted((ring[i], ring[m - 1 - i]))) for i in range(m // 2))
         P, Q = np.array([pq for pq in pairs if pq[1] < n]).T
-        steps.append((np.r_[P, Q], np.r_[Q, P], np.r_[P, P], np.r_[Q, Q], np.repeat([1.0, -1.0], len(P))))
+        step = (np.r_[P, Q], np.r_[Q, P], np.r_[P, P], np.r_[Q, Q], np.repeat([1.0, -1.0], len(P)))
+        for a in step:
+            a.setflags(write=False)
+        steps.append(step)
         ring.insert(1, ring.pop())
-    return steps
+    return tuple(steps)
 
 
 def _batched_sweeps(a: list[list[float]], bound: float, vectors: bool) -> tuple[list[float], list[list[float]] | None]:

@@ -1,31 +1,136 @@
 """Reproducible randomness: a seed-keyed, counter-based generator.
 
-numpy is loaded (through ``calclab._numpy``) when a generator is made, not
-with this module.
+A seed names one stream of 64-bit words, defined here:
+
+- **Key.** numpy's ``SeedSequence`` hash of the seed: its 32-bit words,
+  least significant first (0 gives [0]), are mixed into a pool of four
+  words, and ``generate_state(2, uint64)`` reads the 128-bit key (k0, k1)
+  off the pool.
+- **Blocks.** Block b of the stream is Philox4x64-10 (Salmon, Moraes, Dror
+  & Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC '11) of the
+  256-bit counter b + 1 under that key; its four words are used in order.
+- **Doubles.** A draw on [low, high) from the word u is
+  low + (high - low)·((u >> 11)·2⁻⁵³), in that order of operations.
+
+NEP 19 fixes numpy's bit generators, not the methods of its ``Generator``.
+:meth:`RandomSource.uniforms` computes the stream in Python integers, and
+:meth:`RandomSource.generator` hands the same stream to numpy, as
+``Generator(Philox(seed))``, for the array routes; the tests hold the
+first to ``generator().uniform`` bit for bit.  numpy is loaded (through
+``calclab._numpy``) when a generator is made, not with this module.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+import struct
 
 from ._numpy import np
 from ._record import Record
 
 __all__ = ["RandomSource"]
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_PHILOX_MULTIPLIERS = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_KEY_BUMPS = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+def _philox_key(seed: int) -> tuple[int, int]:
+    """(k0, k1) = ``SeedSequence(seed).generate_state(2, uint64)``, in uint32 arithmetic."""
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_const = 0x8B51F9DD
+    state = []
+    for value in pool:
+        value ^= hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _philox_words(key: tuple[int, int], blocks: int) -> list[int]:
+    """The first 4·blocks words of the stream under key, in order.
+
+    Word j of block b sits in 128-bit lane b of the Python int x_j, so each
+    of the ten rounds is a dozen big-int operations whatever the block
+    count: a lane's 64 × 64-bit product fits in the lane, and masks against
+    the low 64 bits of every lane split it into its high and low words.
+    """
+    ones = int.from_bytes((b"\x01" + bytes(15)) * blocks, "little")
+    mask = _MASK64 * ones
+    counters = [0] * (2 * blocks)
+    counters[::2] = range(1, blocks + 1)
+    x0, x1, x2, x3 = int.from_bytes(struct.pack(f"<{2 * blocks}Q", *counters), "little"), 0, 0, 0
+    (m0, m1), (w0, w1), (k0, k1) = _PHILOX_MULTIPLIERS, _PHILOX_KEY_BUMPS, key
+    for _ in range(10):
+        p0, p1 = m0 * x0, m1 * x2
+        x0, x1, x2, x3 = (
+            (p1 >> 64 & mask) ^ x1 ^ k0 * ones,
+            p1 & mask,
+            (p0 >> 64 & mask) ^ x3 ^ k1 * ones,
+            p0 & mask,
+        )
+        k0, k1 = (k0 + w0) & _MASK64, (k1 + w1) & _MASK64
+    words = [0] * (4 * blocks)
+    for j, x in enumerate((x0, x1, x2, x3)):
+        words[j::4] = struct.unpack(f"<{2 * blocks}Q", x.to_bytes(16 * blocks, "little"))[::2]
+    return words
+
 
 class RandomSource(Record):
-    """A 64-bit seed for a counter-based (Philox) generator.
+    """A seed for a counter-based (Philox) generator: any integer >= 0.
 
-    Every call to :meth:`generator` restarts the stream, so an operation
-    given the same RandomSource always sees the same numbers, and distinct
-    seeds give independent streams safe to use in parallel.
+    Every draw restarts the stream, so an operation given the same
+    RandomSource always sees the same numbers, and distinct seeds give
+    independent streams safe to use in parallel.
     """
 
     __slots__ = ("seed",)
 
     def __init__(self, seed: int):
+        seed = operator.index(seed)  # TypeError for a float or a string, here rather than at the first draw
         if seed < 0:
             raise ValueError("need seed >= 0")
         self._set(seed)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(self.seed))
+
+    def uniforms(self, n: int, low: float, high: float) -> list[float]:
+        """n draws on [low, high) as Python floats, without numpy: the bits of
+        ``generator().uniform(low, high, n).tolist()``."""
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError("need n >= 0")
+        low, span = float(low), float(high) - float(low)
+        if not math.isfinite(span):
+            raise OverflowError("high - low is not finite")
+        if span < 0.0:
+            raise ValueError("need low <= high")
+        words = _philox_words(_philox_key(self.seed), -(-n // 4))[:n]
+        return [low + span * ((u >> 11) * 2.0**-53) for u in words]

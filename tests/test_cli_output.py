@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 import calclab
 from calclab import cli, hydrogen, linalg, poly
 from calclab.cli import ResultTable, emit, run
+from calclab.diffcalc import laplacian
+from calclab.rng import RandomSource
 
 import oracles
 
@@ -59,6 +61,14 @@ NUMPY_FREE = [
     ["critical", "--fn", "re_z3", "--x", "0.3,0.2"],
     ["critical", "--fn", "log_r", "--x", "1,1"],
     ["critical", "--fn", "inv_r", "--x", "1,1,1"],
+    ["harmonic", "--fn", "bowl", "--samples", "10", "--seed", "1"],
+    ["harmonic", "--fn", "saddle", "--samples", "10", "--seed", "2"],
+    ["harmonic", "--fn", "cubic", "--samples", "10", "--seed", "3"],
+    ["harmonic", "--fn", "xy", "--samples", "10", "--seed", "4"],
+    ["harmonic", "--fn", "re_z3", "--samples", "10", "--seed", "5"],
+    # --samples first: the test ids of COMMANDS' log_r argv stay as they were
+    ["harmonic", "--samples", "10", "--fn", "log_r", "--seed", "6"],
+    ["harmonic", "--fn", "inv_r", "--samples", "10", "--seed", "1180591620717411303424"],
 ]
 
 # runs calclab.cli as `python -m` does, then lists which of the stdlib modules
@@ -283,6 +293,19 @@ def test_wavefunction_table_is_the_wavefunction(n, l, m, rmax, steps):
     expected = ResultTable(["r", "s", "t", "re", "im", "density"], rows, note=table.note)
     for fmt in ("csv", "json"):
         assert _written(emit, table, fmt, None) == _written(emit, expected, fmt, None)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**64 + 5])
+@pytest.mark.parametrize("fn", sorted(cli._FIELDS))
+def test_harmonic_table_is_numpys_seeded_stream(fn, seed):
+    f, dim = cli._FIELDS[fn]
+    table = run(["harmonic", "--fn", fn, "--samples", "7", "--seed", str(seed)])
+    pts = 0.4 + RandomSource(seed).generator().uniform(0.0, 1.0, (7, dim))
+    rows = [tuple(p.tolist()) + (laplacian(f, p),) for p in pts]
+    expected = ResultTable([f"x{i + 1}" for i in range(dim)] + ["laplacian"], rows, note=table.note)
+    for fmt in ("csv", "json"):
+        for digits in (None, 4):
+            assert _written(emit, table, fmt, digits) == _written(emit, expected, fmt, digits)
 
 
 MIXED = ResultTable(

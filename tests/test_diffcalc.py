@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from calclab.diffcalc import (
     _EPS,
+    _Point,
     _central_differences,
     _step1,
     _step2,
@@ -322,6 +324,19 @@ def _sin_cubic(v):
 
 def _close(got, want):
     return np.abs(np.asarray(got) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)), max_size=8))
+def test_stencil_point_matmul_is_the_dot_product_rounded_once(pairs):
+    a, b = (tuple(v) for v in zip(*pairs)) if pairs else ((), ())
+    # the products as floats, summed exactly and rounded once
+    exact = float(sum(Fraction(x * y) for x, y in pairs))
+    assert _Point(a) @ b == exact and a @ _Point(b) == exact and _Point(a) @ _Point(b) == exact
+    with pytest.raises(ValueError):
+        _Point(a) @ (b + (1.0,))
+    with pytest.raises(ValueError):
+        (a + (1.0,)) @ _Point(b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -457,6 +457,20 @@ def test_symmetric_eigen_stops_at_tolerance(seed):
     _check_eigen(A, U, d)
 
 
+@pytest.mark.parametrize("n", [19, 32, 33])
+def test_round_robin_schedule_is_cached_and_read_only(n):
+    steps = linalg._round_robin(n)
+    assert linalg._round_robin(n) is steps and len(steps) == n - 1 + n % 2
+    for step in steps:
+        for a in step:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+    # each sweep still meets every pair p < q exactly once
+    pairs = [(p, q) for PQ, QP, PP, QQ, signs in steps for p, q in zip(PP[: len(PP) // 2], QQ[: len(QQ) // 2])]
+    assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+
+
 @pytest.mark.filterwarnings("error")
 def test_symmetric_eigen_tiny_pivot_no_overflow():
     A = np.array([[1.0, 1e-160, 0.5], [1e-160, 2.0, 0.0], [0.5, 0.0, 3.0]])

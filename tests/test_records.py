@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from calclab.cli import ResultTable
@@ -75,3 +76,13 @@ def test_random_source_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed >= 0"):
         RandomSource(-1)
     assert RandomSource(0).seed == 0
+
+
+def test_random_source_takes_integers_only_and_checks_them_when_built():
+    for seed in (1.5, "3", None, 2.0):
+        with pytest.raises(TypeError):
+            RandomSource(seed)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        RandomSource(np.int64(-4))
+    assert RandomSource(np.int64(4)) == RandomSource(4) and type(RandomSource(np.int64(4)).seed) is int
+    assert RandomSource(True) == RandomSource(1)
