@@ -742,10 +742,12 @@ def sn_fixed_point_law(
     """Law of the number of fixed points among 1..floor(tN) of a random permutation.
 
     Exact for N <= 9, from :func:`sn_fixed_point_counts`.  Beyond that, the
-    law is estimated from ``samples`` uniform permutations drawn from an
-    explicit RandomSource (then required), shuffled in blocks of at most
-    2**16 entries; the same source gives the same atoms.  The result reports
-    which mode was used.
+    law is estimated from ``samples`` >= 1 uniform permutations drawn from an
+    explicit RandomSource (then required), shuffled in row blocks of at most
+    2**16 entries, row block b from substream b of the source; the blocks
+    run on every CPU, and their fixed-point counts are summed as integers,
+    so the same source gives the same atoms on any CPU count.  Both modes
+    give Python float masses.  The result reports which mode was used.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -760,17 +762,21 @@ def sn_fixed_point_law(
         return SnFixedPointResult(Law(atoms=atoms), exact=True, samples=0)
     if rng is None:
         raise ValueError("sampling mode needs an explicit RandomSource")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     m = int(t * N)
-    gen = rng.generator()
-    rows = max(1, _SAMPLE_BLOCK_ENTRIES // N)
-    identity = np.tile(np.arange(N), (rows, 1))
-    hits = np.zeros(m + 1, dtype=np.int64)
-    for start in range(0, samples, rows):
-        perms = gen.permuted(identity[: min(rows, samples - start)], axis=1)
+    identity = np.tile(np.arange(N), (max(1, _SAMPLE_BLOCK_ENTRIES // N), 1))
+
+    def block(rows: slice, gen: np.random.Generator) -> np.ndarray:
+        perms = gen.permuted(identity[: rows.stop - rows.start], axis=1)
         fixed = np.count_nonzero(perms[:, :m] == identity[0, :m], axis=1)
-        hits += np.bincount(fixed, minlength=m + 1)
+        return np.bincount(fixed, minlength=m + 1)
+
+    hits = np.zeros(m + 1, dtype=np.int64)
+    for counts in rng.map_blocks(samples, len(identity), block):
+        hits += counts
     atoms = tuple(
-        (float(r), hits[r] / samples) for r in range(m + 1) if hits[r] > 0
+        (float(r), int(hits[r]) / samples) for r in range(m + 1) if hits[r] > 0
     )
     return SnFixedPointResult(Law(atoms=atoms), exact=False, samples=samples)
 

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _SPHERE_ZERO_N = 456  # sphere volumes round to 0.0 from N = 453 on, and areas from N = 456
-_SPHERE_BLOCK = 16_384  # rows that sphere_moment_mc draws at a time
+_SPHERE_BLOCK = 16_384  # rows that the sphere samplers and sphere_moment_mc draw per substream
 
 
 def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
@@ -451,18 +451,39 @@ def sphere_moment_abs(key: SphereMomentKey) -> float:
 
 
 def sample_real_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
-    """Uniform points on the unit sphere of R^N via normalized Gaussians."""
+    """Uniform points on the unit sphere of R^N via normalized Gaussians.
+
+    Row block b (16,384 rows) takes its normals from substream b of rng.
+    """
     _check_sphere_sampling(N, samples)
-    g = rng.generator().standard_normal((samples, N))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    points = np.empty((samples, N))
+
+    def block(rows: slice, gen: np.random.Generator) -> None:
+        g = points[rows]
+        gen.standard_normal(g.shape, out=g)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+
+    rng.map_blocks(samples, _SPHERE_BLOCK, block)
+    return points
 
 
 def sample_complex_sphere(N: int, samples: int, rng: RandomSource) -> np.ndarray:
-    """Uniform points on the unit sphere of C^N via normalized complex Gaussians."""
+    """Uniform points on the unit sphere of C^N via normalized complex Gaussians.
+
+    Row block b (16,384 rows) takes its 2N normals per row from substream b
+    of rng: the real parts, then the imaginary parts.
+    """
     _check_sphere_sampling(N, samples)
-    g = rng.generator().standard_normal((samples, 2 * N))
-    z = g[:, :N] + 1j * g[:, N:]
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    points = np.empty((samples, N), dtype=complex)
+
+    def block(rows: slice, gen: np.random.Generator) -> None:
+        out = points[rows]
+        g = gen.standard_normal((len(out), 2 * N))
+        z = g[:, :N] + 1j * g[:, N:]
+        np.divide(z, np.linalg.norm(z, axis=1, keepdims=True), out=out)
+
+    rng.map_blocks(samples, _SPHERE_BLOCK, block)
+    return points
 
 
 def _check_sphere_sampling(N: int, samples: int) -> None:
@@ -489,11 +510,12 @@ def sphere_moment_mc(
     are independent, each twice a standard exponential, so they take
     (|z_1|^2, ..., |z_N|^2) as E/sum(E) for N standard exponentials E_j, a
     uniform point of the simplex (Devroye, ch. V): N draws per point, not
-    2N normals.  Draws come in blocks of 16,384 rows, each block drawn as
-    above; the squares are summed left to right, the chi-square variate
-    last, and integer powers are taken by multiplication (repeated
-    squaring), never by ``**``.  An all-zero key returns (1.0, 0.0) without
-    drawing.
+    2N normals.  Row block b (16,384 rows) draws from substream b of rng,
+    as above; the blocks run on every CPU and write disjoint slices, so
+    the bits do not depend on the CPU count.  The squares are summed left
+    to right, the chi-square variate last, and integer powers are taken by
+    multiplication (repeated squaring), never by ``**``.  An all-zero key
+    returns (1.0, 0.0) without drawing.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -502,34 +524,36 @@ def sphere_moment_mc(
         return 1.0, 0.0
     N, complex_field = key.dimension, key.field == "complex"
     rest = N - len(used)  # real keys: the unused coordinates, one chi-square variate
-    gen = rng.generator()
     values = np.ones(samples)
-    for start in range(0, samples, _SPHERE_BLOCK):
-        rows = min(_SPHERE_BLOCK, samples - start)
+
+    def block(rows: slice, gen: np.random.Generator) -> None:
+        out = values[rows]
+        n = len(out)
         if complex_field:  # |z_j|^2 / |z|^2 as E_j / sum(E)
-            g = gen.standard_exponential((rows, N))
+            g = gen.standard_exponential((n, N))
             cols = [g[:, j] for j in range(N)]
             tops = [cols[i] for i, _ in used]
         else:  # x_i / |x| for the used x_i
-            g = gen.standard_normal((rows, len(used)))
+            g = gen.standard_normal((n, len(used)))
             tops = [g[:, j] for j in range(len(used))]
             cols = [x * x for x in tops]
             if rest == 1:
-                x = gen.standard_normal(rows)
+                x = gen.standard_normal(n)
                 cols.append(x * x)
             elif rest:
-                cols.append(2.0 * gen.standard_gamma(rest / 2, rows))
+                cols.append(2.0 * gen.standard_gamma(rest / 2, n))
         s = sum(cols[1:], cols[0])  # left to right, as np.linalg.norm sums
         denom = s if complex_field else np.sqrt(s)  # E_i / s, or x_i / sqrt(s)
-        block = values[start : start + rows]
         for x, (_, k) in zip(tops, used):
             x = x / denom
-            while k:  # block *= x**k by repeated squaring
+            while k:  # out *= x**k by repeated squaring
                 if k & 1:
-                    block *= x
+                    out *= x
                 k >>= 1
                 if k:
                     x = x * x
+
+    rng.map_blocks(samples, _SPHERE_BLOCK, block)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
 
 

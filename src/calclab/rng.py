@@ -11,20 +11,32 @@ A seed names one stream of 64-bit words, defined here:
   256-bit counter b + 1 under that key; its four words are used in order.
 - **Doubles.** A draw on [low, high) from the word u is
   low + (high - low)·((u >> 11)·2⁻⁵³), in that order of operations.
+- **Substreams.** Substream b of a seed (b >= 0) is the stream under the
+  same key whose counter starts with word 2 set to b, so that its blocks
+  take the counters b·2¹²⁸ + 1, b·2¹²⁸ + 2, ...: numpy's
+  ``Philox(seed).jumped(b)``.  The substreams share no counter, so they are
+  independent streams (Salmon et al.), and substream 0 is the seed's
+  stream itself.
 
 NEP 19 fixes numpy's bit generators, not the methods of its ``Generator``.
 :meth:`RandomSource.uniforms` computes the stream in Python integers, and
 :meth:`RandomSource.generator` hands the same stream to numpy, as
 ``Generator(Philox(seed))``, for the array routes; the tests hold the
-first to ``generator().uniform`` bit for bit.  numpy is loaded (through
-``calclab._numpy``) when a generator is made, not with this module.
+first to ``generator().uniform`` bit for bit.  :meth:`RandomSource.map_blocks`
+runs the row blocks of a sampled kernel, row block b on substream b, on
+every CPU the process may use; as each row block writes only its own
+output, the results are the same bits on one CPU or many.  numpy is loaded
+(through ``calclab._numpy``) when a generator is made, not with this module.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import struct
+import threading
+from typing import Callable
 
 from ._numpy import np
 from ._record import Record
@@ -102,12 +114,24 @@ def _philox_words(key: tuple[int, int], blocks: int) -> list[int]:
     return words
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 class RandomSource(Record):
     """A seed for a counter-based (Philox) generator: any integer >= 0.
 
     Every draw restarts the stream, so an operation given the same
     RandomSource always sees the same numbers, and distinct seeds give
-    independent streams safe to use in parallel.
+    independent streams safe to use in parallel.  A kernel that draws in
+    row blocks draws row block b from substream b, the seed's key with
+    counter word 2 set to b (:meth:`map_blocks`).  Substream 0 is the
+    stream of :meth:`generator`, so a call that fits in one row block draws
+    what one stream gives, and no result depends on the CPU count.
     """
 
     __slots__ = ("seed",)
@@ -120,6 +144,47 @@ class RandomSource(Record):
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(self.seed))
+
+    def map_blocks(self, rows: int, block_rows: int, work: Callable[[slice, np.random.Generator], object]) -> list:
+        """[work(rows of block b, a Generator on substream b) for each block b], the
+        blocks being range(rows) cut every block_rows rows.
+
+        The calling thread and min(blocks, CPUs) - 1 helper threads take the
+        blocks in turn; numpy's draws and array loops release the GIL, so
+        they run at once.  The helpers are started here and joined before
+        this returns or raises; the exception of the lowest failed block
+        reaches the caller.  work writes only its own rows' output.
+        """
+        key = np.array(_philox_key(self.seed), dtype=np.uint64)
+        count = -(-operator.index(rows) // block_rows)
+        results: list = [None] * count
+        claim, lock, failed = iter(range(count)), threading.Lock(), {}
+
+        def drain() -> None:
+            while not failed:
+                with lock:
+                    b = next(claim, None)
+                if b is None:
+                    return
+                try:
+                    gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, b, 0]))
+                    results[b] = work(slice(b * block_rows, min(rows, (b + 1) * block_rows)), gen)
+                except BaseException as exc:
+                    failed[b] = exc
+
+        helpers = []
+        try:
+            for _ in range(min(count, _cpus()) - 1):
+                helper = threading.Thread(target=drain)
+                helper.start()
+                helpers.append(helper)
+            drain()
+        finally:
+            for helper in helpers:
+                helper.join()
+        if failed:
+            raise failed[min(failed)]
+        return results
 
     def uniforms(self, n: int, low: float, high: float) -> list[float]:
         """n draws on [low, high) as Python floats, without numpy: the bits of

@@ -39,12 +39,14 @@
   sampled on the interior nodes and its endpoint values extrapolated
   quadratically.  The tests hold the current moments to it.
 - ``sphere_moment_values`` is ``quad.sphere_moment_mc`` with each power by
-  ``**`` on whole arrays: complex keys take the whole draw of
-  ``standard_exponential((samples, N))``, with |z_i|^2 as E_i/E.sum(), and
-  real keys make each block's draws with the library's calls (the used
-  coordinates' normals, then the unused ones' chi-square variate) but
-  normalize all of them at once.  It returns the per-sample values; the
-  tests compare their mean and standard error.
+  ``**`` on whole arrays.  It draws each block of 16,384 rows on one thread,
+  block b from numpy's own ``Generator(Philox(seed).jumped(b))``: complex
+  keys take ``standard_exponential((rows, N))``, with |z_i|^2 as
+  E_i/E.sum() over the whole sample at once, and real keys make each
+  block's draws with the library's calls (the used coordinates' normals,
+  then the unused ones' chi-square variate) but normalize all of them at
+  once.  It returns the per-sample values; the tests compare their mean and
+  standard error.
 - ``exact_sum`` is the exact sum of float terms rounded once, in integer
   arithmetic.  ``pi_leibnitz``, ``basel_sum``, ``riemann`` and ``trapezoid``
   build the terms of the ``series`` and ``quad`` routes on their own (the
@@ -418,20 +420,23 @@ def touchard_moments(t, orders):
 
 def sphere_moment_values(key, samples, rng):
     used = [i for i, k in enumerate(key.exponents) if k]
-    gen = rng.generator()
+    rest = key.dimension - len(used)
+    draws, normals, chi2 = [], [], []
+    for b, start in enumerate(range(0, samples, _SPHERE_BLOCK)):
+        rows = min(_SPHERE_BLOCK, samples - start)
+        gen = np.random.Generator(np.random.Philox(rng.seed).jumped(b))
+        if key.field == "complex":
+            draws.append(gen.standard_exponential((rows, key.dimension)))
+            continue
+        normals.append(gen.standard_normal((rows, len(used))))
+        if rest == 1:
+            chi2.append(gen.standard_normal(rows) ** 2)
+        elif rest:
+            chi2.append(2.0 * gen.standard_gamma(rest / 2, rows))
     if key.field == "complex":
-        e = gen.standard_exponential((samples, key.dimension))
+        e = np.concatenate(draws)
         points = e / e.sum(axis=1, keepdims=True)
     else:
-        rest = key.dimension - len(used)
-        normals, chi2 = [], []
-        for start in range(0, samples, _SPHERE_BLOCK):
-            rows = min(_SPHERE_BLOCK, samples - start)
-            normals.append(gen.standard_normal((rows, len(used))))
-            if rest == 1:
-                chi2.append(gen.standard_normal(rows) ** 2)
-            elif rest:
-                chi2.append(2.0 * gen.standard_gamma(rest / 2, rows))
         g = np.concatenate(normals)
         s = (g**2).sum(axis=1)
         if rest:

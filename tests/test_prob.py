@@ -786,6 +786,19 @@ def test_sn_fixed_points_sampled():
         sn_fixed_point_law(12, 1.0)  # sampling needs a seed
 
 
+def test_sn_fixed_point_masses_are_python_floats_in_both_modes():
+    for res in (sn_fixed_point_law(9, 1.0), sn_fixed_point_law(12, 1.0, rng=RandomSource(5), samples=20000)):
+        assert all(type(loc) is float and type(mass) is float for loc, mass in res.law.atoms)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sn_fixed_point_law_refuses_no_samples(samples):
+    with pytest.raises(ValueError, match="samples >= 1"):
+        sn_fixed_point_law(12, 1.0, rng=RandomSource(1), samples=samples)
+    with pytest.raises(TypeError):
+        sn_fixed_point_law(12, 1.0, rng=RandomSource(1), samples=1.5)
+
+
 def _fixed_point_counts_by_enumeration(N):
     """counts[m]: permutations of range(N) tallied by fixed points among the first m."""
     counts = [Counter() for _ in range(N + 1)]

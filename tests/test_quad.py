@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import threading
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -472,17 +473,25 @@ def test_sphere_moment_mc_draws_in_blocks():
 
 
 class _CountingSource:
-    """A RandomSource that is its own generator and counts the variates each method draws."""
+    """A RandomSource whose block generators count the variates each method draws."""
 
     def __init__(self, seed):
-        self.gen, self.counts = RandomSource(seed).generator(), {}
+        self.source, self.counts, self.lock = RandomSource(seed), {}, threading.Lock()
 
-    def generator(self):
-        return self
+    def map_blocks(self, rows, block_rows, work):
+        return self.source.map_blocks(rows, block_rows, lambda part, gen: work(part, _Counting(gen, self)))
+
+
+class _Counting:
+    """A generator that adds the variates each method draws to its source's counts."""
+
+    def __init__(self, gen, source):
+        self.gen, self.source = gen, source
 
     def __getattr__(self, name):
         def draw(*args):  # (size) or (shape, size), size an int or a tuple
-            self.counts[name] = self.counts.get(name, 0) + int(np.prod(args[-1]))
+            with self.source.lock:
+                self.source.counts[name] = self.source.counts.get(name, 0) + int(np.prod(args[-1]))
             return getattr(self.gen, name)(*args)
 
         return draw
