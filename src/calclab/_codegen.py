@@ -1,0 +1,29 @@
+"""The one code generator of calclab: straight-line functions compiled from generated source.
+
+Three kinds of fixed-size kernel are generated, each cached by its caller:
+``hydrogen``'s unrolled Horner polynomials, ``diffcalc``'s finite-difference
+stencils and ``linalg``'s Jacobi sweep on a matrix of order n <= 3.  The
+source a caller builds holds only float ``repr`` literals (which read back as
+the same floats, signed zeros included), ints, local names and the globals it
+passes, never text a user supplied.  A kernel is a plain function: it cannot
+be pickled, and ``inspect.getsource`` finds no source for it.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+
+def compile_function(module: str, qualname: str, doc: str, args: str, body: str, **names: object) -> Callable:
+    """The function ``def <name>(args): body`` of ``module``, its name the last part of qualname.
+
+    ``names`` are its globals besides ``__name__``.  Compiling costs about
+    0.1 ms for a small body and grows with the length of the source.
+    """
+    name = qualname.rpartition(".")[2]
+    namespace = {"__name__": module, **names}
+    exec(compile(f"def {name}({args}):\n{body}", f"<{module}.{name}>", "exec"), namespace)
+    fn = namespace[name]
+    fn.__qualname__ = qualname
+    fn.__doc__ = doc
+    return fn

@@ -9,17 +9,18 @@ The float functions ``assoc_legendre`` and ``radial_wavefunction`` round
 the exact coefficients to float once per (l, m) or (n, l) and generate one
 straight-line function from them: an unrolled Horner evaluation (Knuth,
 TAOCP vol. 2, 4.6.4) whose coefficients and prefactors are ``repr``
-literals, compiled by ``compile()``.  Building one costs about 0.1 ms where
-a closure over a loop costs 0.01 ms, and pays back after about 500 calls,
-as no call runs a loop.  The Horner steps are ``Polynomial.__call__``'s
-operations in its order and the prefactors are applied in the order of the
-formulas below, so every finite x, and every finite r whose p = 2r/(na) is
-finite, gives the same bits as the Polynomial route on the rounded
-coefficients.  The result is a plain function: it cannot be pickled, and
-``inspect.getsource`` finds no source for it.  The functions stay scalar:
-an array route would evaluate ``exp`` and powers through numpy, whose
-results differ from ``math``'s in the last bit on some inputs, and would
-change the printed tables.
+literals, compiled by ``calclab._codegen``, the generator that also builds
+``diffcalc``'s stencils and ``linalg``'s small Jacobi sweeps.  Building one
+costs about 0.1 ms where a closure over a loop costs 0.01 ms, and pays back
+after about 500 calls, as no call runs a loop.  The Horner steps are
+``Polynomial.__call__``'s operations in its order and the prefactors are
+applied in the order of the formulas below, so every finite x, and every
+finite r whose p = 2r/(na) is finite, gives the same bits as the Polynomial
+route on the rounded coefficients.  The result is a plain function: it
+cannot be pickled, and ``inspect.getsource`` finds no source for it.  The
+functions stay scalar: an array route would evaluate ``exp`` and powers
+through numpy, whose results differ from ``math``'s in the last bit on some
+inputs, and would change the printed tables.
 
 Two Rydberg values coexist deliberately: the one derived from the 4-digit
 constants (~1.0960e7) and the measured hydrogen constant 1.0967758e7 that
@@ -37,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
+from ._codegen import compile_function as _compile
 from ._record import Record
 from .combinat import factorial
 from .poly import Polynomial
@@ -155,22 +157,6 @@ def _horner(coefficients: list[Fraction], x: str) -> str:
     return source
 
 
-def _compile(name: str, qualname: str, doc: str, arg: str, body: str) -> Callable[[float], float]:
-    """The function ``def name(arg): body`` compiled from generated source.
-
-    ``body`` holds only float ``repr`` literals, ints and the names below,
-    never text a caller supplied.  ``inf`` is there because a constants
-    object can make n*a overflow.
-    """
-    namespace = {"__name__": __name__, "copysign": math.copysign, "exp": math.exp, "inf": math.inf}
-    source = f"def {name}({arg}):\n{body}"
-    exec(compile(source, f"<{__name__}.{name}>", "exec"), namespace)
-    fn = namespace[name]
-    fn.__qualname__ = qualname
-    fn.__doc__ = doc
-    return fn
-
-
 def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
     """Legendre function P_l^m(x) = (-1)^m (1-x^2)^(m/2) (d/dx)^m P_l(x).
 
@@ -185,10 +171,9 @@ def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
     dpl = legendre(l)
     for _ in range(m):
         dpl = dpl.deriv()
-    name = f"plm_{l:d}_{m:d}"
     return _compile(
-        name,
-        f"assoc_legendre.<locals>.{name}",
+        __name__,
+        f"assoc_legendre.<locals>.plm_{l:d}_{m:d}",
         f"P_l^m(x) for l = {l:d}, m = {m:d}; generated by assoc_legendre.",
         "x",
         _horner(dpl.coefficients, "x")
@@ -350,15 +335,17 @@ def radial_wavefunction(
             raise ValueError(f"the normalization of rho_{n}_{l} is below the float range")
     # p**0 == 1.0 and y * 1.0 == y, p**1 == p: both folds keep every bit
     power = {0: "", 1: " * p"}.get(l, f" * p**{l:d}")
-    name = f"rho_{n:d}_{l:d}"
     return _compile(
-        name,
-        f"radial_wavefunction.<locals>.{name}",
+        __name__,
+        f"radial_wavefunction.<locals>.rho_{n:d}_{l:d}",
         f"rho_nl(r) for n = {n:d}, l = {l:d}, a = {a!r}; generated by radial_wavefunction.",
         "r",
         f"    p = 2.0 * r / {na!r}\n    e = exp(-p / 2.0)\n"
         + _horner(assoc_laguerre(2 * l + 1, n - l - 1).coefficients, "p")
         + f"    return {norm!r} * e{power} * acc if e else copysign(0.0, acc)\n",
+        copysign=math.copysign,
+        exp=math.exp,
+        inf=math.inf,  # a constants object can make n*a overflow: its repr is inf
     )
 
 

@@ -5,7 +5,8 @@ the numpy-free ``calclab.poly`` and are re-exported here.  Matrices are
 numpy arrays.  A determinant is exact (Bareiss elimination) when every
 entry is rational and numpy's LU otherwise; the permutation sum is the
 definition, kept as the reference.  The Jacobi eigensolver is implemented
-directly, and ``inverse`` delegates to numpy.
+directly, its sweeps for n <= 3 in straight-line kernels generated by
+``calclab._codegen``, and ``inverse`` delegates to numpy.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
 (and the polynomial roots it re-exports) does not load numpy.
@@ -19,8 +20,9 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
+from ._codegen import compile_function as _compile
 from ._numpy import np
 from .combinat import signature
 from .poly import Polynomial, all_roots, cardano, solve_quadratic
@@ -182,6 +184,11 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 # overhead dominates small matrices: with eigenvectors it took 0.96 of the batched
 # time at n = 18, 1.13 at n = 19 (2-vCPU x86); for eigenvalues alone, up to n ~ 21.
 _SCALAR_SWEEP_MAX_N = 18
+# Up to this order the sweeps run in a kernel generated per (n, vectors), whose
+# source grows as n^3: compiling one took 0.4-1.1 ms at n = 3, but 6-17 ms at
+# n = 8 (every `calclab eig` process of an 8 x 8 matrix would pay it) and
+# 50-135 ms at n = 16 (2-vCPU x86)
+_GENERATED_SWEEP_MAX_N = 3
 _MAX_SWEEPS = 100
 
 
@@ -194,8 +201,13 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     sorted in Python; only the sweeps above n = 18 use numpy.  Each rotation
     zeroes one off-diagonal pair (p, q), with the stable tangent
     t = 2 a_pq / (e + sign(e) hypot(e, 2 a_pq)), e = a_qq - a_pp (t = 0 when
-    a_pq = 0).  A sweep rotates every pair once:
+    a_pq = 0).  A sweep rotates every pair once, by one of three routes:
 
+    - up to n = 3, cyclically in a straight-line kernel on local variables,
+      generated once per process for each (n, vectors) with the list
+      route's operations in its order, so with its bits; compiling one
+      takes 0.4-1.1 ms, and its source grows as n^3 (6-17 ms at n = 8,
+      50-135 ms at n = 16), so larger orders take the lists;
     - up to n = 18, cyclically row by row on the lists, each rotation an
       O(n) update of two rows and two columns (and two columns of U);
     - above that, in the Brent-Luk round-robin order: n - 1 steps (n for odd
@@ -244,6 +256,8 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     bound = 0.5 * (tol * norm) ** 2
     if n > _SCALAR_SWEEP_MAX_N:
         d, v = _batched_sweeps(a, bound, vectors)
+    elif n <= _GENERATED_SWEEP_MAX_N:
+        d, v = _sweep_kernel(n, vectors)(a, bound, _MAX_SWEEPS)
     else:
         v = [[float(p == q) for q in range(n)] for p in range(n)] if vectors else None
         for _ in range(_MAX_SWEEPS):
@@ -262,6 +276,8 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
                     c = 1.0 / math.sqrt(1.0 + t * t)
                     s = t * c
                     for k in range(n):
+                        if k == p or k == q:  # they would write only the 2x2 block, set below
+                            continue
                         ak = a[k]
                         akp, akq = ak[p], ak[q]
                         ak[p] = ap[k] = c * akp - s * akq
@@ -272,7 +288,7 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
                             vkp, vkq = vp[k], vq[k]
                             vp[k] = c * vkp - s * vkq
                             vq[k] = s * vkp + c * vkq
-                    # k = p and k = q wrote the 2x2 block; set its exact rotated value
+                    # the exact rotated value of the 2x2 block
                     ap[p], aq[q] = app - t * apq, aqq + t * apq
                     ap[q] = aq[p] = 0.0
         else:
@@ -284,6 +300,61 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     except OverflowError:
         raise ArithmeticError("an eigenvalue overflows the float range") from None
     return d, [v[i] for i in order] if vectors else None
+
+
+@functools.lru_cache(maxsize=None)  # n <= 3: at most eight kernels
+def _sweep_kernel(n: int, vectors: bool) -> Callable:
+    """The cyclic sweeps of :func:`_jacobi` for order n <= 3, unrolled on local variables.
+
+    The generated function (a, bound, max_sweeps) -> (diagonal, rows of V or
+    None) performs the list sweep's operations in its order: the stop test
+    on the exact sum of the squares above the diagonal, the skip of a zero
+    a_pq, the rotation of the entries off the 2x2 block and of rows p and q
+    of V, then the block's exact rotated value.  ``a`` is exactly symmetric,
+    and so stays: a_kp is the local of (min(k, p), max(k, p)).
+    """
+
+    def at(p: int, q: int) -> str:
+        return f"a{min(p, q)}_{max(p, q)}"
+
+    body = "".join(f"    {at(p, q)} = a[{p}][{q}]\n" for p in range(n) for q in range(p, n))
+    if vectors:
+        body += "".join(f"    v{p}_{k} = {float(p == k)!r}\n" for p in range(n) for k in range(n))
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    body += "    for _ in range(max_sweeps):\n"
+    body += "        if fsum([" + ", ".join(f"{at(p, q)} * {at(p, q)}" for p, q in pairs) + "]) <= bound:\n"
+    body += "            break\n"
+    for p, q in pairs:
+        apq, app, aqq = at(p, q), at(p, p), at(q, q)
+        body += (
+            f"        if {apq} != 0.0:\n"
+            f"            e = {aqq} - {app}\n"
+            f"            t = 2.0 * {apq} / (e + copysign(hypot(e, 2.0 * {apq}), e))\n"
+            "            c = 1.0 / sqrt(1.0 + t * t)\n"
+            "            s = t * c\n"
+        )
+        for k in range(n):
+            if k != p and k != q:
+                akp, akq = at(k, p), at(k, q)
+                body += f"            {akp}, {akq} = c * {akp} - s * {akq}, s * {akp} + c * {akq}\n"
+        for k in range(n if vectors else 0):
+            vp, vq = f"v{p}_{k}", f"v{q}_{k}"
+            body += f"            {vp}, {vq} = c * {vp} - s * {vq}, s * {vp} + c * {vq}\n"
+        body += f"            {app}, {aqq}, {apq} = {app} - t * {apq}, {aqq} + t * {apq}, 0.0\n"
+    body += '    else:\n        raise ArithmeticError("Jacobi sweeps did not converge")\n'
+    rows = "[" + ", ".join("[" + ", ".join(f"v{p}_{k}" for k in range(n)) + "]" for p in range(n)) + "]"
+    body += "    return [" + ", ".join(at(i, i) for i in range(n)) + f"], {rows if vectors else None}\n"
+    return _compile(
+        __name__,
+        f"jacobi_sweeps_{n}{'_vectors' * vectors}",
+        f"The cyclic Jacobi sweeps of a symmetric {n} x {n} matrix, generated by _sweep_kernel.",
+        "a, bound, max_sweeps",
+        body,
+        copysign=math.copysign,
+        fsum=math.fsum,
+        hypot=math.hypot,
+        sqrt=math.sqrt,
+    )
 
 
 @functools.lru_cache(maxsize=16)  # an entry holds about 5 n^2 numbers

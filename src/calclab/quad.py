@@ -243,7 +243,9 @@ def _samples(f: Callable, nodes: list | np.ndarray) -> list[float] | np.ndarray:
             values = list(map(float, map(f, nodes)))
             finite = all(map(math.isfinite, values))
         elif nodes.ndim == 1:
-            values = np.fromiter(map(f, nodes.tolist()), float, count=len(nodes))
+            # a memoryview of native doubles yields the Python floats of tolist() without the list
+            items = memoryview(nodes) if nodes.dtype == np.float64 else nodes.tolist()
+            values = np.fromiter(map(f, items), float, count=len(nodes))
             finite = np.isfinite(values).all()
         else:
             rows = list(map(f, nodes))

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from calclab import _codegen, diffcalc, linalg
 from calclab.diffcalc import (
     _EPS,
     _Point,
     _central_differences,
+    _stencil,
     _step1,
     _step2,
+    _unit_stencil,
     classify_critical,
     derivative_1d,
     gradient,
@@ -306,6 +309,38 @@ def test_spherical_laplacian_evaluates_seven_points():
     spherical_laplacian(f, 1.3, 0.9, 0.4)
     assert len(calls) == 7 and len(set(calls)) == 7  # 13 calls before, at the same 7 points
     assert all(type(v) is float for args in calls for v in args)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_stencil_points_are_the_unit_offsets_added_coordinate_by_coordinate(d):
+    x = tuple(np.random.default_rng(d).choice([0.0, -0.0, 0.7, -1.3], d).tolist())
+    for h in (0.25, -0.25, 5e-324):
+        units = _unit_stencil(d, math.copysign(1.0, h))
+        for rows in (slice(None), slice(2 * d + 1), slice(1, 2 * d + 1)):
+            want = [tuple(a + h * u for a, u in zip(x, row)) for row in units[rows]]
+            got = _stencil(x, h, rows)
+            assert all(type(p) is _Point for p in got)
+            assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
+
+
+def test_each_generated_kernel_is_compiled_once(monkeypatch):
+    names = []
+
+    def counted(module, qualname, *args, **kwargs):
+        names.append(qualname)
+        return _codegen.compile_function(module, qualname, *args, **kwargs)
+
+    for module in (diffcalc, linalg):
+        monkeypatch.setattr(module, "_compile", counted)
+    diffcalc._stencil_kernel.cache_clear()
+    linalg._sweep_kernel.cache_clear()
+    rng = np.random.default_rng(35)
+    for x in rng.uniform(-2.0, 2.0, (500, 3)).tolist():
+        classify_critical(lambda v: v[0] * v[1] - v[2] ** 4 + math.sin(v[2]), x)
+    for x in rng.uniform(-2.0, 2.0, (500, 2)).tolist():
+        laplacian(_sin_cubic, x)
+    # the gradient's and the Hessian's stencils, the 3 x 3 sweep, the Laplacian's stencil
+    assert sorted(names) == ["jacobi_sweeps_3", "stencil_2_p_0_5_1", "stencil_3_p_0_19_1", "stencil_3_p_1_7_1"]
 
 
 _Q, _R = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))

@@ -643,3 +643,14 @@ def test_matrix_exp():
     # squaring-and-scaling self-consistency: exp(B) = exp(B/2)^2
     half = matrix_exp(B, 0.5)
     assert np.abs(got - half @ half).max() <= 1e-8 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("n", [3, 8, 20], ids=["generated", "list", "batched"])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_every_sweep_route_raises_past_the_sweep_cap(monkeypatch, n, vectors):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    rows = (0.5 * (A + A.T)).tolist()
+    linalg._jacobi(rows, 1e-12, vectors)  # converges under the real cap; no one sweep meets the stop test
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(ArithmeticError, match="^Jacobi sweeps did not converge$"):
+        linalg._jacobi(rows, 1e-12, vectors)
