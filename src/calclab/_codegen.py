@@ -1,8 +1,9 @@
 """The one code generator of calclab: straight-line functions compiled from generated source.
 
 Three kinds of fixed-size kernel are generated, each cached by its caller:
-``hydrogen``'s unrolled Horner polynomials, ``diffcalc``'s finite-difference
-stencils and ``linalg``'s Jacobi sweep on a matrix of order n <= 3.  The
+``hydrogen``'s unrolled Horner polynomials, ``diffcalc``'s derivatives
+kernels (a stencil's points, the calls of f and the differences) and
+``linalg``'s Jacobi eigensolver of a matrix of order n <= 3.  The
 source a caller builds holds only float ``repr`` literals (which read back as
 the same floats, signed zeros included), ints, local names and the globals it
 passes, never text a user supplied.  A kernel is a plain function: it cannot

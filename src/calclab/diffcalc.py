@@ -13,14 +13,15 @@ Laplacian) are ``math.fsum``: the exact sum of the float terms, rounded once.
 does not load numpy.  The single-point routes that return numbers
 (``laplacian``, ``classify_critical``, ``spherical_laplacian``,
 ``derivative_1d``, and ``hessian`` and ``taylor2_multi`` up to their result)
-build their stencil as tuples of Python floats and pass f a tuple, so the
-first four run without it; ``gradient`` and ``jacobian`` return arrays and
-sample the block route ``_central_differences`` at one point.  A tuple
-stencil comes from a straight-line kernel generated by ``calclab._codegen``
-once per (dimension, step sign, rows), each coordinate ``x_i + h * u`` with
-the unit stencil's literal u; compiling one costs 0.2-2.4 ms up to d = 5,
-and its source grows as d^3.  ``classify_critical`` takes the eigenvalues
-of a Hessian of order d <= 3 from ``linalg``'s generated sweep.
+pass f each point as a tuple of Python floats, so the first four run
+without it; ``gradient`` and ``jacobian`` return arrays and sample the block
+route ``_central_differences`` at one point.  Each multivariable tuple
+stencil is one call of a straight-line kernel generated by
+``calclab._codegen`` per (dimension, step signs, differences), which builds
+the points, samples f and returns the differences; compiling one takes
+0.6-1.6 ms at d = 3, and its source grows as d^3.  ``classify_critical``
+then takes the eigenvalues of a Hessian of order d <= 3 from ``linalg``'s
+generated Jacobi.
 """
 
 from __future__ import annotations
@@ -86,11 +87,11 @@ def _central_differences(
     """Central differences (F(x + h e_i) - F(x - h e_i))/(2h) at every row x of points.
 
     The block route of the first differences (``gradient`` and ``jacobian``
-    take it at one point; the other single-point routes sample
-    ``_stencil``).  ``points`` is an (M, d)
-    block; its 2dM stencil points are built with numpy and sampled by
-    ``quad._samples``: F is called once per stencil point on a 1-D float
-    row of a fresh array, and a NaN or infinite value raises ValueError.
+    take it at one point; the other single-point routes run a kernel of
+    ``_derivatives``).  ``points`` is an (M, d) block; its 2dM stencil
+    points are built with numpy and sampled by ``quad._samples``: F is
+    called once per stencil point on a 1-D float row of a fresh array, and
+    a NaN or infinite value raises ValueError.
     F returns a number or a sequence of k numbers; the result has shape
     (M, d) or (M, d, k), with [m, i] the difference along axis i at row m.
     """
@@ -127,59 +128,73 @@ def _unit_stencil(d: int, s: float) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-def _stencil(x: tuple[float, ...], h: float, rows: slice) -> list[_Point]:
-    """The points x + h*U of ``rows`` of the unit stencil, in Python floats, from a generated kernel."""
-    d = len(x)
-    return _stencil_kernel(d, math.copysign(1.0, h), rows.indices(1 + 2 * d * d))(x, h)
-
-
 @functools.lru_cache(maxsize=64)  # an entry's source holds O(d^3) names
-def _stencil_kernel(d: int, s: float, rows: tuple[int, int, int]) -> Callable:
-    """The straight-line function (x, h) -> the points x + h*U of U[slice(*rows)], U the unit
-    stencil of d dimensions and steps of sign s.
+def _derivatives(d: int, which: str, *signs: float) -> Callable:
+    """The straight-line function (f, x, *steps) -> the differences ``which`` of f at x, d dimensions.
 
-    Each coordinate is ``x_i + h * u``, u the ``repr`` literal of U's entry
-    (signed zeros included), so every point has the bits of the loop over
-    U's entries; the expression is computed once per axis and distinct u
-    (at most four per axis), and a point is one ``_Point`` display.  The
-    source grows as d^3: compiling it took 0.5-0.8 ms at d = 3, 1.5-2.4 ms
-    at d = 5 and 11-15 ms at d = 10 (2-vCPU x86), once per process and key.
+    ``which`` is "critical" (steps h1, h: the gradient's points x +/- h1 e_i
+    in front of the Hessian's; returns the gradient, f(x) and the Hessian),
+    "hessian" (step h: the whole unit stencil U; returns f(x) and the
+    Hessian) or "axes" (step h: x and x +/- h e_i; returns f(x), the first
+    and the pure second differences), in lists; ``signs`` are the signs of
+    the steps.  Each coordinate is ``x_i + h * u``, u the ``repr`` literal
+    of U's entry, once per step, axis and distinct u.  f gets each point as
+    a ``_Point``, in order, as ``quad._samples`` samples a list: each value
+    is read by ``float`` before the next call, an OverflowError stops the
+    calls, and it or a NaN or infinite value raises ValueError.  The
+    differences are those of ``gradient`` and ``hessian``, each mixed entry
+    computed once.  Compiling one took 0.6 ("axes"), 1.0 ("hessian") and
+    1.5 ms ("critical") at d = 3, and its source grows as d^3 (13-18 ms for
+    "critical" at d = 10; 2-vCPU x86).
     """
+    steps = ("h1", "h") if which == "critical" else ("h",)
+    U = _unit_stencil(d, signs[-1])
+    if which == "critical":  # the gradient's points, then the Hessian's
+        blocks = [("h1", _unit_stencil(d, signs[0])[1 : 2 * d + 1]), ("h", U)]
+    else:
+        blocks = [("h", U[: 2 * d + 1] if which == "axes" else U)]
     body = "    " + "".join(f"x{i}, " for i in range(d)) + "= x\n"
-    coords: dict[tuple[int, str], str] = {}  # (axis, the bits of u) -> its local
+    coords: dict[tuple[str, int, str], str] = {}  # (step, axis, the bits of u) -> its local
     points = []
-    for row in _unit_stencil(d, s)[slice(*rows)]:
-        names = []
-        for i, u in enumerate(row):
-            if (i, u.hex()) not in coords:
-                coords[i, u.hex()] = f"c{len(coords)}"
-                body += f"    c{len(coords) - 1} = x{i} + h * {u!r}\n"
-            names.append(coords[i, u.hex()])
-        points.append("_Point((" + "".join(f"{name}, " for name in names) + "))")
-    body += "    return [" + ", ".join(points) + "]\n"
-    start, stop, step = rows
+    for step, rows in blocks:
+        for row in rows:
+            names = []
+            for i, u in enumerate(row):
+                if (step, i, u.hex()) not in coords:
+                    coords[step, i, u.hex()] = f"c{len(coords)}"
+                    body += f"    c{len(coords) - 1} = x{i} + {step} * {u!r}\n"
+                names.append(coords[step, i, u.hex()])
+            points.append("(" + "".join(f"{name}, " for name in names) + ")")
+    body += "    try:\n        " + "".join(f"v{k}, " for k in range(len(points)))
+    body += f"= values = tuple(map(float, map(f, map(_Point, ({', '.join(points)}, )))))\n"
+    body += "        finite = all(map(isfinite, values))\n"
+    body += "    except OverflowError:  # math.exp(711), 1e200 ** 2\n        finite = False\n"
+    body += '    if not finite:\n        raise ValueError("the function produced NaN or infinite values")\n'
+    n = 2 * d if which == "critical" else 0  # the index of f(x)
+    up, down = [f"v{n + 1 + i}" for i in range(d)], [f"v{n + 1 + d + i}" for i in range(d)]
+    second = [f"({u} - 2.0 * v{n} + {v}) / (h * h)" for u, v in zip(up, down)]
+    if which == "axes":
+        first = ", ".join(f"({u} - {v}) / (2.0 * h)" for u, v in zip(up, down))
+        body += f"    return v0, [{first}], [{', '.join(second)}]\n"
+    else:
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        c = n + 2 * d + 1  # the corners pp, pm, mp, mm of each pair
+        for k, (i, j) in enumerate(pairs):
+            pp, pm, mp, mm = (f"v{c + r * len(pairs) + k}" for r in range(4))
+            body += f"    m{i}_{j} = ({pp} - {pm} - {mp} + {mm}) / (4.0 * h * h)\n"
+        entries = [[second[i] if i == j else f"m{min(i, j)}_{max(i, j)}" for j in range(d)] for i in range(d)]
+        H = ", ".join(f"[{', '.join(row)}]" for row in entries)
+        gradient = ", ".join(f"(v{i} - v{d + i}) / (2.0 * h1)" for i in range(d))
+        body += "    return " + f"[{gradient}], " * (which == "critical") + f"v{n}, [{H}]\n"
     return _compile(
         __name__,
-        f"stencil_{d}_{'pm'[s < 0]}_{start}_{stop}_{step}",
-        f"The points x + h*U of rows {start}:{stop}:{step} of the {d}-D unit stencil, steps of sign {s:+.0f}.",
-        "x, h",
+        f"derivatives_{d}_{which}_{''.join('pm'[s < 0] for s in signs)}",
+        f"The {which} differences of f at a point of {d} dimensions, generated by _derivatives.",
+        "f, x, " + ", ".join(steps),
         body,
         _Point=_Point,
+        isfinite=math.isfinite,
     )
-
-
-def _axis_differences(f: Callable, x: tuple[float, ...], h: float) -> tuple[float, list[float], list[float]]:
-    """f(x) and the first and pure second central differences of f at x along each axis.
-
-    f is called once at x and once at each x +/- h e_i (2d + 1 calls); the
-    first differences are (f(x + h e_i) - f(x - h e_i))/(2h) and the second
-    (f(x + h e_i) - 2 f(x) + f(x - h e_i))/h^2.
-    """
-    d = len(x)
-    fx, *vals = _samples(f, _stencil(x, h, slice(2 * d + 1)))
-    up, down = vals[:d], vals[d:]
-    first = [(u - v) / (2.0 * h) for u, v in zip(up, down)]
-    return fx, first, [(u - 2.0 * fx + v) / (h * h) for u, v in zip(up, down)]
 
 
 def _point(x: Sequence[float]) -> tuple[float, ...]:
@@ -216,28 +231,9 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     symmetric by construction: 1 + 2d + 2d(d - 1) calls of f, sampled in
     one block.
     """
-    return np.array(_hessian(f, _point(x), h)[2])
-
-
-def _hessian(
-    f: ScalarField, x: tuple[float, ...], h: float | None, lead: Sequence[_Point] = ()
-) -> tuple[list[float], float, list[list[float]]]:
-    """f at the points of ``lead``, f(x) and the Hessian of :func:`hessian`, as Python floats.
-
-    The points of ``lead`` (none by default) go in front of the Hessian's
-    stencil, so that f is sampled once, in one block, for both.
-    """
+    x = _point(x)
     h = h or _step2(x)
-    d, n = len(x), len(lead)
-    vals = _samples(f, [*lead, *_stencil(x, h, slice(None))])
-    fx, up, down = vals[n], vals[n + 1 : n + d + 1], vals[n + d + 1 : n + 2 * d + 1]
-    H = [[0.0] * d for _ in range(d)]
-    for i in range(d):
-        H[i][i] = (up[i] - 2.0 * fx + down[i]) / (h * h)
-    c, m = vals[n + 2 * d + 1 :], d * (d - 1) // 2  # the corners pp, pm, mp, mm of each pair
-    for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(i + 1, d)):
-        H[i][j] = H[j][i] = (c[k] - c[m + k] - c[2 * m + k] + c[3 * m + k]) / (4.0 * h * h)
-    return vals[:n], fx, H
+    return np.array(_derivatives(len(x), "hessian", math.copysign(1.0, h))(f, x, h)[1])
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
@@ -273,15 +269,13 @@ def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> flo
 def _gradient_and_hessian(
     f: ScalarField, x: tuple[float, ...], h: float | None
 ) -> tuple[list[float], float, list[list[float]]]:
-    """The gradient of :func:`gradient`, f(x) and the Hessian of :func:`hessian`.
+    """The gradient of :func:`gradient`, f(x) and the Hessian of :func:`hessian`, as Python floats.
 
     The gradient's 2d points go in front of the Hessian's stencil, and f is
     sampled once, in one block of 1 + 4d + 2d(d - 1) points.
     """
-    d = len(x)
-    h1 = h or _step1(x)
-    lead, fx, H = _hessian(f, x, h, lead=_stencil(x, h1, slice(1, 2 * d + 1)))
-    return [(up - down) / (2.0 * h1) for up, down in zip(lead[:d], lead[d:])], fx, H
+    h1, h = h or _step1(x), h or _step2(x)
+    return _derivatives(len(x), "critical", math.copysign(1.0, h1), math.copysign(1.0, h))(f, x, h1, h)
 
 
 class CriticalReport(Record):
@@ -304,8 +298,10 @@ def classify_critical(
     the verdict "degenerate" (no higher-order analysis is attempted).  A
     gradient norm above grad_tol * scale reports "not critical", where
     scale = 1 + |f(x)|.  The gradient and Hessian stencils are sampled in
-    one block: 1 + 4d + 2d(d - 1) calls of f, 25 in 3-D.  A NaN or infinite
-    coordinate of x raises ValueError before f is called.
+    one block, 1 + 4d + 2d(d - 1) calls of f (25 in 3-D), by one generated
+    kernel, and up to d = 3 the Hessian's eigenvalues come from one call of
+    the generated Jacobi.  A NaN or infinite coordinate of x raises
+    ValueError before f is called.
     """
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
@@ -332,7 +328,7 @@ def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> flo
     """Sum of second central differences along the axes, rounded once."""
     x = _point(x)
     h = h or _step2(x)
-    return math.fsum(_axis_differences(f, x, h)[2])
+    return math.fsum(_derivatives(len(x), "axes", math.copysign(1.0, h))(f, x, h)[2])
 
 
 def is_harmonic(
@@ -409,7 +405,8 @@ def spherical_laplacian(
         raise ValueError("polar axis: the spherical form is singular there")
     h = h or _EPS ** 0.25 * (1.0 + abs(r) + abs(s) + abs(t))
     h = min(h, 0.45 * r)  # keep the radial stencil away from the origin
-    _, (f_r, f_s, _), (f_rr, f_ss, f_tt) = _axis_differences(lambda p: f(*p), (r, s, t), h)
+    differences = _derivatives(3, "axes", math.copysign(1.0, h))
+    _, (f_r, f_s, _), (f_rr, f_ss, f_tt) = differences(lambda p: f(*p), (r, s, t), h)
     radial = f_rr + 2.0 * f_r / r
     polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)
     azimuthal = f_tt / (r * r * sin_s * sin_s)

@@ -5,7 +5,7 @@ the numpy-free ``calclab.poly`` and are re-exported here.  Matrices are
 numpy arrays.  A determinant is exact (Bareiss elimination) when every
 entry is rational and numpy's LU otherwise; the permutation sum is the
 definition, kept as the reference.  The Jacobi eigensolver is implemented
-directly, its sweeps for n <= 3 in straight-line kernels generated by
+directly, for n <= 3 wholly in straight-line kernels generated by
 ``calclab._codegen``, and ``inverse`` delegates to numpy.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
@@ -184,11 +184,11 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 # overhead dominates small matrices: with eigenvectors it took 0.96 of the batched
 # time at n = 18, 1.13 at n = 19 (2-vCPU x86); for eigenvalues alone, up to n ~ 21.
 _SCALAR_SWEEP_MAX_N = 18
-# Up to this order the sweeps run in a kernel generated per (n, vectors), whose
-# source grows as n^3: compiling one took 0.4-1.1 ms at n = 3, but 6-17 ms at
-# n = 8 (every `calclab eig` process of an 8 x 8 matrix would pay it) and
-# 50-135 ms at n = 16 (2-vCPU x86)
-_GENERATED_SWEEP_MAX_N = 3
+# Up to this order the whole solve runs in a kernel generated per (n, vectors), whose
+# source grows as n^3: compiling one took 0.8-1.1 ms at n = 3, but a generated
+# sweep alone took 6-17 ms at n = 8 (every `calclab eig` process of an 8 x 8
+# matrix would pay it) and 50-135 ms at n = 16 (2-vCPU x86)
+_GENERATED_JACOBI_MAX_N = 3
 _MAX_SWEEPS = 100
 
 
@@ -203,11 +203,11 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     t = 2 a_pq / (e + sign(e) hypot(e, 2 a_pq)), e = a_qq - a_pp (t = 0 when
     a_pq = 0).  A sweep rotates every pair once, by one of three routes:
 
-    - up to n = 3, cyclically in a straight-line kernel on local variables,
-      generated once per process for each (n, vectors) with the list
-      route's operations in its order, so with its bits; compiling one
-      takes 0.4-1.1 ms, and its source grows as n^3 (6-17 ms at n = 8,
-      50-135 ms at n = 16), so larger orders take the lists;
+    - up to n = 3, cyclically in a straight-line kernel on local variables
+      that also runs the checks and the sort, generated once per process
+      for each (n, vectors) with the list route's operations in its order,
+      so with its bits; compiling one takes 0.8-1.1 ms, and a generated
+      sweep alone took 6-17 ms at n = 8, so larger orders take the lists;
     - up to n = 18, cyclically row by row on the lists, each rotation an
       O(n) update of two rows and two columns (and two columns of U);
     - above that, in the Brent-Luk round-robin order: n - 1 steps (n for odd
@@ -240,6 +240,8 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     """The eigenvalues of :func:`symmetric_eigen` from a list of rows of floats, and in
     their order the rows of V = U^T when ``vectors`` (None otherwise); numpy only above n = 18."""
     n = len(rows)
+    if n <= _GENERATED_JACOBI_MAX_N:
+        return _small_jacobi(n, vectors)(rows, tol, _MAX_SWEEPS)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     flat = [v for row in rows for v in row]
@@ -256,8 +258,6 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     bound = 0.5 * (tol * norm) ** 2
     if n > _SCALAR_SWEEP_MAX_N:
         d, v = _batched_sweeps(a, bound, vectors)
-    elif n <= _GENERATED_SWEEP_MAX_N:
-        d, v = _sweep_kernel(n, vectors)(a, bound, _MAX_SWEEPS)
     else:
         v = [[float(p == q) for q in range(n)] for p in range(n)] if vectors else None
         for _ in range(_MAX_SWEEPS):
@@ -303,21 +303,37 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
 
 
 @functools.lru_cache(maxsize=None)  # n <= 3: at most eight kernels
-def _sweep_kernel(n: int, vectors: bool) -> Callable:
-    """The cyclic sweeps of :func:`_jacobi` for order n <= 3, unrolled on local variables.
+def _small_jacobi(n: int, vectors: bool) -> Callable:
+    """:func:`_jacobi` of order n <= 3 unrolled on locals: (rows, tol, max_sweeps) -> (eigenvalues,
+    rows of V or None).
 
-    The generated function (a, bound, max_sweeps) -> (diagonal, rows of V or
-    None) performs the list sweep's operations in its order: the stop test
-    on the exact sum of the squares above the diagonal, the skip of a zero
-    a_pq, the rotation of the entries off the 2x2 block and of rows p and q
-    of V, then the block's exact rotated value.  ``a`` is exactly symmetric,
-    and so stays: a_kp is the local of (min(k, p), max(k, p)).
+    It performs the list route's operations in its order, so with its bits
+    and errors: the checks, the power-of-two scaling, the symmetrization,
+    the sweeps (the stop test, the skip of a zero a_pq, the rotation off the
+    2x2 block and of rows p and q of V, then the block's exact value), the
+    stable descending sort and the scaling back.  The working matrix stays
+    exactly symmetric: a_kp is the local of (min(k, p), max(k, p)).
     """
 
     def at(p: int, q: int) -> str:
         return f"a{min(p, q)}_{max(p, q)}"
 
-    body = "".join(f"    {at(p, q)} = a[{p}][{q}]\n" for p in range(n) for q in range(p, n))
+    rows, entries = [f"row{p}" for p in range(n)], [f"e{p}_{q}" for p in range(n) for q in range(n)]
+    body = f"    [{', '.join(rows)}] = rows\n"
+    if n:
+        body += "    if " + " or ".join(f"len({row}) != {n}" for row in rows) + ":\n"
+        body += '        raise ValueError("matrix must be square")\n'
+    body += "    flat = (" + "".join(f"*{row}, " for row in rows) + ")\n"
+    body += '    if not all(map(isfinite, flat)):\n        raise ValueError("matrix has non-finite entries")\n'
+    body += f"    exponent = frexp({'max(map(abs, flat))' if n else '0.0'})[1]\n"
+    body += f"    [{', '.join(entries)}] = map(ldexp, flat, repeat(-exponent))\n"
+    body += f"    norm = hypot({', '.join(entries)}) or 1.0\n"
+    lower = [(p, q) for p in range(n) for q in range(p)]
+    if lower:
+        body += "    if " + " or ".join(f"abs(e{p}_{q} - e{q}_{p}) > tol * norm" for p, q in lower) + ":\n"
+        body += '        raise ValueError("matrix is not symmetric to the working tolerance")\n'
+    body += "".join(f"    a{p}_{q} = 0.5 * (e{p}_{q} + e{q}_{p})\n" for p in range(n) for q in range(p, n))
+    body += "    bound = 0.5 * (tol * norm) ** 2\n"
     if vectors:
         body += "".join(f"    v{p}_{k} = {float(p == k)!r}\n" for p in range(n) for k in range(n))
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
@@ -342,17 +358,28 @@ def _sweep_kernel(n: int, vectors: bool) -> Callable:
             body += f"            {vp}, {vq} = c * {vp} - s * {vq}, s * {vp} + c * {vq}\n"
         body += f"            {app}, {aqq}, {apq} = {app} - t * {apq}, {aqq} + t * {apq}, 0.0\n"
     body += '    else:\n        raise ArithmeticError("Jacobi sweeps did not converge")\n'
-    rows = "[" + ", ".join("[" + ", ".join(f"v{p}_{k}" for k in range(n)) + "]" for p in range(n)) + "]"
-    body += "    return [" + ", ".join(at(i, i) for i in range(n)) + f"], {rows if vectors else None}\n"
+    diagonal = "".join(f"{at(i, i)}, " for i in range(n))
+    order = [f"i{i}" for i in range(n)]  # equal eigenvalues in index order
+    body += f"    diagonal = ({diagonal})\n"
+    if vectors:
+        body += "    v = (" + "".join("[" + ", ".join(f"v{p}_{k}" for k in range(n)) + "], " for p in range(n)) + ")\n"
+    body += f"    [{', '.join(order)}] = sorted(range({n}), key=diagonal.__getitem__, reverse=True)\n"
+    body += "    try:\n        values = [" + ", ".join(f"ldexp(diagonal[{i}], exponent)" for i in order) + "]\n"
+    body += '    except OverflowError:\n        raise ArithmeticError("an eigenvalue overflows the float range") from None\n'
+    body += f"    return values, {'[' + ', '.join(f'v[{i}]' for i in order) + ']' if vectors else None}\n"
     return _compile(
         __name__,
-        f"jacobi_sweeps_{n}{'_vectors' * vectors}",
-        f"The cyclic Jacobi sweeps of a symmetric {n} x {n} matrix, generated by _sweep_kernel.",
-        "a, bound, max_sweeps",
+        f"jacobi_{n}{'_vectors' * vectors}",
+        f"The Jacobi eigensolver of a symmetric {n} x {n} matrix, generated by _small_jacobi.",
+        "rows, tol, max_sweeps",
         body,
         copysign=math.copysign,
+        frexp=math.frexp,
         fsum=math.fsum,
         hypot=math.hypot,
+        isfinite=math.isfinite,
+        ldexp=math.ldexp,
+        repeat=itertools.repeat,
         sqrt=math.sqrt,
     )
 

@@ -27,6 +27,14 @@ runs the row blocks of a sampled kernel, row block b on substream b, on
 every CPU the process may use; as each row block writes only its own
 output, the results are the same bits on one CPU or many.  numpy is loaded
 (through ``calclab._numpy``) when a generator is made, not with this module.
+
+Seeded outputs still rest on four ``Generator`` methods, whose streams
+NEP 19 does not fix: ``standard_normal`` (``sample_real_sphere``,
+``sample_complex_sphere``, and the used coordinates of real keys in
+``sphere_moment_mc``, with a lone unused one), ``standard_gamma`` (the
+chi-square variate of two or more unused coordinates),
+``standard_exponential`` (complex keys) and ``permuted``
+(``sn_fixed_point_law``).
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from calclab.diffcalc import (
     _EPS,
     _Point,
     _central_differences,
-    _stencil,
     _step1,
     _step2,
     _unit_stencil,
@@ -316,9 +316,18 @@ def test_stencil_points_are_the_unit_offsets_added_coordinate_by_coordinate(d):
     x = tuple(np.random.default_rng(d).choice([0.0, -0.0, 0.7, -1.3], d).tolist())
     for h in (0.25, -0.25, 5e-324):
         units = _unit_stencil(d, math.copysign(1.0, h))
-        for rows in (slice(None), slice(2 * d + 1), slice(1, 2 * d + 1)):
-            want = [tuple(a + h * u for a, u in zip(x, row)) for row in units[rows]]
-            got = _stencil(x, h, rows)
+        # each route's points: the Hessian's whole stencil, the Laplacian's axes, the gradient's
+        # axis points in front of the Hessian's
+        for route, rows in (
+            (hessian, units),
+            (laplacian, units[: 2 * d + 1]),
+            (classify_critical, units[1 : 2 * d + 1] + units),
+        ):
+            got = []
+            # at h = 5e-324, h * h is 0: the second differences divide by zero after every call
+            with contextlib.suppress(ZeroDivisionError):
+                route(lambda v: got.append(v) or 0.0, x, h)
+            want = [tuple(a + h * u for a, u in zip(x, row)) for row in rows]
             assert all(type(p) is _Point for p in got)
             assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
 
@@ -332,15 +341,55 @@ def test_each_generated_kernel_is_compiled_once(monkeypatch):
 
     for module in (diffcalc, linalg):
         monkeypatch.setattr(module, "_compile", counted)
-    diffcalc._stencil_kernel.cache_clear()
-    linalg._sweep_kernel.cache_clear()
+    diffcalc._derivatives.cache_clear()
+    linalg._small_jacobi.cache_clear()
     rng = np.random.default_rng(35)
     for x in rng.uniform(-2.0, 2.0, (500, 3)).tolist():
         classify_critical(lambda v: v[0] * v[1] - v[2] ** 4 + math.sin(v[2]), x)
     for x in rng.uniform(-2.0, 2.0, (500, 2)).tolist():
         laplacian(_sin_cubic, x)
-    # the gradient's and the Hessian's stencils, the 3 x 3 sweep, the Laplacian's stencil
-    assert sorted(names) == ["jacobi_sweeps_3", "stencil_2_p_0_5_1", "stencil_3_p_0_19_1", "stencil_3_p_1_7_1"]
+    # the Laplacian's differences, the gradient's and the Hessian's together, the 3 x 3 Jacobi
+    assert sorted(names) == ["derivatives_2_axes_p", "derivatives_3_critical_pp", "jacobi_3"]
+
+
+def _hessian_calls(d):
+    return 1 + 2 * d + 2 * d * (d - 1)
+
+
+_FAILING_ROUTES = {  # each route and its full call count in d dimensions
+    "classify_critical": (lambda f, x: classify_critical(f, x), lambda d: 2 * d + _hessian_calls(d)),
+    "taylor2_multi": (lambda f, x: taylor2_multi(f, x, [0.1] * len(x)), lambda d: 2 * d + _hessian_calls(d)),
+    "hessian": (lambda f, x: hessian(f, x), _hessian_calls),
+    "laplacian": (lambda f, x: laplacian(f, x), lambda d: 2 * d + 1),
+    "spherical_laplacian": (lambda f, x: spherical_laplacian(lambda *p: f(p), *x), lambda d: 7),
+}
+
+
+@pytest.mark.parametrize(
+    "route, d", [(route, d) for route in _FAILING_ROUTES for d in range(1, 5) if route != "spherical_laplacian"]
+    + [("spherical_laplacian", 3)],
+)
+def test_a_non_finite_or_overflowing_value_fails_as_samples_did(route, d):
+    run, count = _FAILING_ROUTES[route]
+    x = [1.3, 0.9, 0.4] if route == "spherical_laplacian" else np.linspace(0.3, 0.9, d).tolist()
+    n = count(d)
+    for k in range(n):
+        # a NaN or infinite value raises after every call; an OverflowError of f, or of reading
+        # its value as a float, stops the calls
+        for bad, want in ((math.nan, n), (math.inf, n), (-math.inf, n), (OverflowError, k + 1), (10**400, k + 1)):
+            calls = []
+
+            def f(v):
+                calls.append(v)
+                if len(calls) != k + 1:
+                    return 1.0
+                if bad is OverflowError:
+                    raise OverflowError("math range error")
+                return bad
+
+            with pytest.raises(ValueError, match=r"^the function produced NaN or infinite values$"):
+                run(f, x)
+            assert len(calls) == want, (k, bad)
 
 
 _Q, _R = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))

@@ -645,6 +645,48 @@ def test_matrix_exp():
     assert np.abs(got - half @ half).max() <= 1e-8 * np.abs(got).max()
 
 
+_small_entry = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def _small_rows(draw):
+    """Lists of 0-3 rows: square and symmetric, square, or ragged; signed zeros, NaN, +/-inf and
+    entries near +/-1e308 among them."""
+    n = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["symmetric", "symmetric", "nearly symmetric", "square", "ragged"]))
+    if kind == "ragged":
+        return [draw(st.lists(_small_entry, max_size=4)) for _ in range(n)]
+    rows = [[draw(_small_entry) for _ in range(n)] for _ in range(n)]
+    for p in range(n):
+        for q in range(p):
+            if kind == "symmetric":
+                rows[p][q] = rows[q][p]
+            elif kind == "nearly symmetric":
+                rows[p][q] = math.nextafter(rows[q][p], math.inf)
+    return rows
+
+
+def _jacobi_outcome(rows, tol, vectors):
+    try:
+        d, V = linalg._jacobi([list(row) for row in rows], tol, vectors)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in d], V if V is None else [[v.hex() for v in row] for row in V]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_rows(), st.sampled_from([1e-12, 1e-10]), st.booleans())
+def test_generated_small_jacobi_is_the_list_route_bit_for_bit(rows, tol, vectors):
+    generated = _jacobi_outcome(rows, tol, vectors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_GENERATED_JACOBI_MAX_N", -1)  # every order takes the list route
+        assert _jacobi_outcome(rows, tol, vectors) == generated
+
+
 @pytest.mark.parametrize("n", [3, 8, 20], ids=["generated", "list", "batched"])
 @pytest.mark.parametrize("vectors", [False, True])
 def test_every_sweep_route_raises_past_the_sweep_cap(monkeypatch, n, vectors):

@@ -173,3 +173,10 @@ def test_sampled_kernels_give_the_same_bytes_on_many_threads(monkeypatch):
     want = _hex(_sampled_results())
     monkeypatch.setattr(rng_module, "_cpus", lambda: 7)
     assert _hex(_sampled_results()) == want
+
+
+def test_cpus_falls_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert rng_module._cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rng_module._cpus() == 1
