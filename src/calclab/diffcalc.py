@@ -81,6 +81,26 @@ def _step2(x: Sequence[float]) -> float:
     return _EPS ** 0.25 * (1.0 + max(map(abs, x)))
 
 
+def _usable(h: float, x: Sequence[float], divisors: Callable[[float], tuple], offsets=(-1.0, 0.0, 1.0)) -> float:
+    """h, if a stencil can use it as its step; else ValueError naming it, before the first call of f.
+
+    h must be finite, the points c + u h (u in offsets) of each coordinate c
+    of x must be distinct, and each divisor the differences take of h (2h,
+    h^2, 4h^2, h^k) must be a normal, finite float.  The routes check a
+    step the caller gives; their default steps move every coordinate by
+    construction and are not checked, except ``spherical_laplacian``'s,
+    which its 0.45 r cap can shrink.
+    """
+    try:
+        moved = all(len({c + u * h for u in offsets}) == len(offsets) for c in x)
+        if moved and math.isfinite(h) and all(sys.float_info.min <= abs(v) < math.inf for v in divisors(h)):
+            return h
+    except OverflowError:  # h ** k past the float range
+        pass
+    raise ValueError(f"the step h = {h!r} does not fit the stencil: it must be finite, keep the stencil's points "
+                     "apart and keep each divisor of the differences a normal float")
+
+
 def _central_differences(
     F: Callable[[np.ndarray], object], points: Sequence[Sequence[float]], h: float
 ) -> np.ndarray:
@@ -209,17 +229,21 @@ def _point(x: Sequence[float]) -> tuple[float, ...]:
 
 
 def gradient(f: Callable[[np.ndarray], float], x: Sequence[float], h: float | None = None) -> np.ndarray:
-    """Central-difference gradient, O(h^2) on C^3 fields."""
+    """Central-difference gradient, O(h^2) on C^3 fields.
+
+    A given step h that is not finite, does not move every coordinate or
+    makes 2h not a normal float raises ValueError before f is called.
+    """
     x = _point(x)
-    return _central_differences(f, np.array([x]), h or _step1(x))[0]
+    return _central_differences(f, np.array([x]), _usable(h, x, lambda h: (2.0 * h,)) if h else _step1(x))[0]
 
 
 def jacobian(
     F: Callable[[np.ndarray], Sequence[float]], x: Sequence[float], h: float | None = None
 ) -> np.ndarray:
-    """Central-difference Jacobian matrix (dF_i/dx_j)."""
+    """Central-difference Jacobian matrix (dF_i/dx_j); a given step h is checked as in :func:`gradient`."""
     x = _point(x)
-    return _central_differences(F, np.array([x]), h or _step1(x))[0].T
+    return _central_differences(F, np.array([x]), _usable(h, x, lambda h: (2.0 * h,)) if h else _step1(x))[0].T
 
 
 def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
@@ -229,25 +253,35 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     (f(x+ei+ej) - f(x+ei-ej) - f(x-ei+ej) + f(x-ei-ej))/(4h^2) is evaluated
     once per pair i < j and written to both (i, j) and (j, i), so H is
     symmetric by construction: 1 + 2d + 2d(d - 1) calls of f, sampled in
-    one block.
+    one block.  A given step h that is not finite, does not move every
+    coordinate or makes h^2 or 4h^2 not a normal float raises ValueError
+    before f is called.
     """
     x = _point(x)
-    h = h or _step2(x)
+    h = _usable(h, x, lambda h: (h * h, 4.0 * h * h)) if h else _step2(x)
     return np.array(_derivatives(len(x), "hessian", math.copysign(1.0, h))(f, x, h)[1])
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
     """k-th derivative by the central difference stencil of width k.
 
-    Raises ValueError if x, or f at a stencil point, is NaN or infinite.
+    The default step is eps^(1/(k+2)) (1 + |x|), which balances roundoff
+    against the O(h^2) truncation: the error is of order eps^(2/(k+2)),
+    relative, times a constant that grows with k.  Measured for exp at 0 it
+    is 1.3e-11 at k = 1, 3.8e-6 at k = 4 and 1.0e-2 at k = 8.  Raises
+    ValueError if x, or f at a stencil point, is NaN or infinite, and,
+    before f is called, if a given step h is not finite, leaves two of the
+    k + 1 stencil points equal, or makes h^k overflow or leave the normal
+    floats.
     """
     if k < 0:
         raise ValueError("need k >= 0")
     (x,) = _point([x])
     if k == 0:
         return _samples(f, [x])[0]
-    h = h or _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x))
-    values = _samples(f, [x + (k / 2.0 - j) * h for j in range(k + 1)])
+    offsets = [k / 2.0 - j for j in range(k + 1)]
+    h = _usable(h, [x], lambda h: (h**k,), offsets) if h else _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x))
+    values = _samples(f, [x + u * h for u in offsets])
     return math.fsum((-1.0) ** j * math.comb(k, j) * v for j, v in enumerate(values)) / h**k
 
 
@@ -274,7 +308,7 @@ def _gradient_and_hessian(
     The gradient's 2d points go in front of the Hessian's stencil, and f is
     sampled once, in one block of 1 + 4d + 2d(d - 1) points.
     """
-    h1, h = h or _step1(x), h or _step2(x)
+    h1, h = (_usable(h, x, lambda h: (2.0 * h, h * h, 4.0 * h * h)),) * 2 if h else (_step1(x), _step2(x))
     return _derivatives(len(x), "critical", math.copysign(1.0, h1), math.copysign(1.0, h))(f, x, h1, h)
 
 
@@ -300,8 +334,9 @@ def classify_critical(
     scale = 1 + |f(x)|.  The gradient and Hessian stencils are sampled in
     one block, 1 + 4d + 2d(d - 1) calls of f (25 in 3-D), by one generated
     kernel, and up to d = 3 the Hessian's eigenvalues come from one call of
-    the generated Jacobi.  A NaN or infinite coordinate of x raises
-    ValueError before f is called.
+    the generated Jacobi.  A NaN or infinite coordinate of x, or a given
+    step h that is not finite, does not move every coordinate or makes 2h,
+    h^2 or 4h^2 not a normal float, raises ValueError before f is called.
     """
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
@@ -325,9 +360,13 @@ def classify_critical(
 
 
 def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> float:
-    """Sum of second central differences along the axes, rounded once."""
+    """Sum of second central differences along the axes, rounded once.
+
+    A given step h that is not finite, does not move every coordinate or
+    makes 2h or h^2 not a normal float raises ValueError before f is called.
+    """
     x = _point(x)
-    h = h or _step2(x)
+    h = _usable(h, x, lambda h: (2.0 * h, h * h)) if h else _step2(x)
     return math.fsum(_derivatives(len(x), "axes", math.copysign(1.0, h))(f, x, h)[2])
 
 
@@ -395,7 +434,9 @@ def spherical_laplacian(
 
     Evaluates the radial, polar and azimuthal terms by central differences
     from the 7 values of f at (r, s, t) and its axis neighbours; the polar
-    axis (sin s = 0) and a NaN or infinite coordinate are rejected.
+    axis (sin s = 0) and a NaN or infinite coordinate are rejected.  The
+    step, given or default, is capped at 0.45 r and then checked as in
+    :func:`laplacian`.
     """
     r, s, t = _point([r, s, t])
     if r <= 0:
@@ -404,7 +445,8 @@ def spherical_laplacian(
     if abs(sin_s) < 1e-9:
         raise ValueError("polar axis: the spherical form is singular there")
     h = h or _EPS ** 0.25 * (1.0 + abs(r) + abs(s) + abs(t))
-    h = min(h, 0.45 * r)  # keep the radial stencil away from the origin
+    # keep the radial stencil away from the origin
+    h = _usable(min(h, 0.45 * r), (r, s, t), lambda h: (2.0 * h, h * h))
     differences = _derivatives(3, "axes", math.copysign(1.0, h))
     _, (f_r, f_s, _), (f_rr, f_ss, f_tt) = differences(lambda p: f(*p), (r, s, t), h)
     radial = f_rr + 2.0 * f_r / r

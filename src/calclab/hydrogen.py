@@ -1,7 +1,7 @@
 """Orthogonal polynomial families and the hydrogen atom.
 
-Legendre and Laguerre polynomials are built by their differentiation
-formulas in exact rational arithmetic, spherical harmonics carry explicit
+Legendre and Laguerre polynomials are built from their explicit sums (DLMF
+18.5(iv)) in exact rational arithmetic, spherical harmonics carry explicit
 quadrature-validated normalization, and the energy levels, Rydberg lines and
 wavefunctions follow from a pluggable physical-constants object.
 
@@ -10,8 +10,8 @@ the exact coefficients to float once per (l, m) or (n, l) and generate one
 straight-line function from them: an unrolled Horner evaluation (Knuth,
 TAOCP vol. 2, 4.6.4) whose coefficients and prefactors are ``repr``
 literals, compiled by ``calclab._codegen``, the generator that also builds
-``diffcalc``'s stencils and ``linalg``'s small Jacobi sweeps.  Building one
-costs about 0.1 ms where a closure over a loop costs 0.01 ms, and pays back
+``diffcalc``'s derivatives kernels and ``linalg``'s n <= 3 Jacobi.  Building
+one costs about 0.1 ms where a closure over a loop costs 0.01 ms, and pays back
 after about 500 calls, as no call runs a loop.  The Horner steps are
 ``Polynomial.__call__``'s operations in its order and the prefactors are
 applied in the order of the formulas below, so every finite x, and every
@@ -125,20 +125,17 @@ class QuantumNumbers(Record):
 def legendre(l: int) -> Polynomial:
     """Legendre polynomial P_l with exact rational coefficients.
 
-    Differentiation formula: P_l = ((d/dx)^l (x^2 - 1)^l)/(2^l l!), with the
-    standard normalization P_l(1) = 1.  (The unit-L^2-norm normalization is
-    a different convention; spherical harmonics carry their own explicit
+    Explicit sum: P_l = 2^-l sum_k (-1)^k C(l, k) C(2l-2k, l) x^(l-2k), with
+    the standard normalization P_l(1) = 1.  (The unit-L^2-norm normalization
+    is a different convention; spherical harmonics carry their own explicit
     constant.)
     """
     if l < 0:
         raise ValueError("need l >= 0")
-    coeffs = [Fraction(0)] * (2 * l + 1)
-    for j in range(l + 1):
-        coeffs[2 * j] = Fraction((-1) ** (l - j) * math.comb(l, j))
-    p = Polynomial(coeffs)
-    for _ in range(l):
-        p = p.deriv()
-    return p.scale(Fraction(1, 2**l * factorial(l)))
+    coeffs = [Fraction(0)] * (l + 1)
+    for k in range(l // 2 + 1):
+        coeffs[l - 2 * k] = Fraction((-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l), 2**l)
+    return Polynomial(coeffs)
 
 
 def _horner(coefficients: list[Fraction], x: str) -> str:
@@ -160,23 +157,21 @@ def _horner(coefficients: list[Fraction], x: str) -> str:
 def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
     """Legendre function P_l^m(x) = (-1)^m (1-x^2)^(m/2) (d/dx)^m P_l(x).
 
-    Negative m uses |m| with the phase absorbed into the spherical-harmonic
-    normalization.
+    (d/dx)^m takes c_j x^j to c_j j!/(j-m)! x^(j-m).  Negative m uses |m| with
+    the phase absorbed into the spherical-harmonic normalization.
     """
     if l < 0:
         raise ValueError("need l >= 0")
     m = abs(m)
     if m > l:
         raise ValueError("need |m| <= l")
-    dpl = legendre(l)
-    for _ in range(m):
-        dpl = dpl.deriv()
+    dpl = [c * math.perm(j, m) for j, c in enumerate(legendre(l).coefficients)][m:]
     return _compile(
         __name__,
         f"assoc_legendre.<locals>.plm_{l:d}_{m:d}",
         f"P_l^m(x) for l = {l:d}, m = {m:d}; generated by assoc_legendre.",
         "x",
-        _horner(dpl.coefficients, "x")
+        _horner(dpl, "x")
         # max(y, 0.0) keeps a NaN y, which max(0.0, y) would turn into 0.0
         + f"    return {(-1.0) ** m!r} * max(1.0 - x * x, 0.0) ** {m / 2.0!r} * acc\n",
     )
@@ -205,29 +200,19 @@ def spherical_harmonic(l: int, m: int) -> Callable[[float, float], complex]:
 
 @lru_cache(maxsize=None)
 def laguerre(q: int) -> Polynomial:
-    """Laguerre polynomial L_q with exact rational coefficients.
-
-    Differentiation formula: L_q = e^x/q! (d/dx)^q (e^{-x} x^q); the
-    exponential factors cancel through the product rule, realized here as q
-    applications of p -> p' - p to the polynomial factor.
-    """
+    """Laguerre polynomial L_q = L_q^0 with exact rational coefficients (see :func:`assoc_laguerre`)."""
     if q < 0:
         raise ValueError("need q >= 0")
-    p = Polynomial([Fraction(0)] * q + [Fraction(1)])  # x^q
-    for _ in range(q):
-        p = p.deriv() - p  # d/dx (e^-x p) = e^-x (p' - p)
-    return p.scale(Fraction(1, factorial(q)))
+    return assoc_laguerre(0, q)
 
 
 @lru_cache(maxsize=None)
 def assoc_laguerre(p: int, q: int) -> Polynomial:
-    """Associated Laguerre polynomial L_q^p = (-1)^p (d/dx)^p L_{p+q}."""
+    """Associated Laguerre polynomial L_q^p = (-1)^p (d/dx)^p L_{p+q}, with exact rational
+    coefficients from its explicit sum: L_q^p = sum_k (-1)^k C(p+q, q-k) x^k/k!."""
     if p < 0 or q < 0:
         raise ValueError("need p, q >= 0")
-    out = laguerre(p + q)
-    for _ in range(p):
-        out = out.deriv()
-    return out.scale(Fraction((-1) ** p))
+    return Polynomial([Fraction((-1) ** k * math.comb(p + q, q - k), factorial(k)) for k in range(q + 1)])
 
 
 class BohrEnergy(Record):

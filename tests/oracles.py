@@ -30,6 +30,11 @@
   whose order among equal eigenvalues depends on the sort kernel numpy
   picks for the CPU.  The tests hold the list kernel to its bits, and
   ``classify_critical`` here takes its eigenvalues from it.
+- ``legendre``, ``laguerre`` and ``assoc_laguerre`` are the ``hydrogen``
+  families before their explicit sums: Rodrigues' formula by l-fold
+  differentiation of (x^2 - 1)^l, q applications of p -> p' - p to x^q, and
+  the p-fold derivative of L_{p+q}, all on ``Fraction`` polynomials.  The
+  tests hold the explicit sums to these exact coefficients.
 - ``assoc_legendre`` and ``radial_wavefunction`` are the ``hydrogen`` float
   functions as they were before their inlined Horner loops: the rounded
   coefficients wrapped in a ``Polynomial`` and evaluated by its
@@ -340,6 +345,51 @@ def _batched_sweeps(work, bound):
     else:
         raise ArithmeticError("Jacobi sweeps did not converge")
     return diag.copy(), V
+
+
+@lru_cache(maxsize=None)
+def legendre(l: int) -> Polynomial:
+    """Legendre polynomial P_l with exact rational coefficients.
+
+    Differentiation formula: P_l = ((d/dx)^l (x^2 - 1)^l)/(2^l l!), with the
+    standard normalization P_l(1) = 1.
+    """
+    if l < 0:
+        raise ValueError("need l >= 0")
+    coeffs = [Fraction(0)] * (2 * l + 1)
+    for j in range(l + 1):
+        coeffs[2 * j] = Fraction((-1) ** (l - j) * math.comb(l, j))
+    p = Polynomial(coeffs)
+    for _ in range(l):
+        p = p.deriv()
+    return p.scale(Fraction(1, 2**l * factorial(l)))
+
+
+@lru_cache(maxsize=None)
+def laguerre(q: int) -> Polynomial:
+    """Laguerre polynomial L_q with exact rational coefficients.
+
+    Differentiation formula: L_q = e^x/q! (d/dx)^q (e^{-x} x^q); the
+    exponential factors cancel through the product rule, realized here as q
+    applications of p -> p' - p to the polynomial factor.
+    """
+    if q < 0:
+        raise ValueError("need q >= 0")
+    p = Polynomial([Fraction(0)] * q + [Fraction(1)])  # x^q
+    for _ in range(q):
+        p = p.deriv() - p  # d/dx (e^-x p) = e^-x (p' - p)
+    return p.scale(Fraction(1, factorial(q)))
+
+
+@lru_cache(maxsize=None)
+def assoc_laguerre(p: int, q: int) -> Polynomial:
+    """Associated Laguerre polynomial L_q^p = (-1)^p (d/dx)^p L_{p+q}."""
+    if p < 0 or q < 0:
+        raise ValueError("need p, q >= 0")
+    out = laguerre(p + q)
+    for _ in range(p):
+        out = out.deriv()
+    return out.scale(Fraction((-1) ** p))
 
 
 def assoc_legendre(l, m):

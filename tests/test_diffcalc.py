@@ -1,5 +1,5 @@
-import contextlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -324,9 +324,12 @@ def test_stencil_points_are_the_unit_offsets_added_coordinate_by_coordinate(d):
             (classify_critical, units[1 : 2 * d + 1] + units),
         ):
             got = []
-            # at h = 5e-324, h * h is 0: the second differences divide by zero after every call
-            with contextlib.suppress(ZeroDivisionError):
-                route(lambda v: got.append(v) or 0.0, x, h)
+            if h == 5e-324:  # h * h is 0: each route refuses the step before the first call
+                with pytest.raises(ValueError, match="the step h = 5e-324"):
+                    route(lambda v: got.append(v) or 0.0, x, h)
+                assert got == []
+                continue
+            route(lambda v: got.append(v) or 0.0, x, h)
             want = [tuple(a + h * u for a, u in zip(x, row)) for row in rows]
             assert all(type(p) is _Point for p in got)
             assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
@@ -608,3 +611,81 @@ def test_point_routes_reject_a_point_without_coordinates(route):
     with pytest.raises(ValueError, match="the point has no coordinates"):
         route(f, [])
     assert calls == []
+
+
+# --- a caller's step that the stencil cannot use is refused by name --------------------------
+
+
+def _field(v):
+    return v[0] ** 2 + v[1]
+
+
+_X = [0.5, 0.25]
+
+
+def _derivative(f, k, h):
+    """The k-th derivative of t -> f((t, 0)) = t^2 at t = 0.5 with step h."""
+    return derivative_1d(lambda t: f((t, 0.0)), 0.5, k, h)
+
+
+@pytest.mark.parametrize(
+    "route, h",
+    [
+        # h * h (or h^3) underflows to 0: the differences divided by zero after every call of f
+        pytest.param(laplacian, 1e-170, id="laplacian-h2-underflow"),
+        pytest.param(hessian, 1e-170, id="hessian-h2-underflow"),
+        pytest.param(classify_critical, 1e-170, id="classify_critical-h2-underflow"),
+        pytest.param(lambda f, x, h: spherical_laplacian(lambda *p: f(p), 1.3, 0.9, 0.4, h), 1e-170,
+                     id="spherical_laplacian-h2-underflow"),
+        pytest.param(lambda f, x, h: _derivative(f, 3, h), 1e-120, id="derivative_1d-h3-underflow"),
+        # x +/- h == x: the differences were a silent 0
+        pytest.param(gradient, 1e-17, id="gradient-no-move"),
+        pytest.param(gradient, 5e-324, id="gradient-subnormal"),
+        pytest.param(jacobian, 1e-17, id="jacobian-no-move"),
+        pytest.param(laplacian, 1e-17, id="laplacian-no-move"),
+        pytest.param(lambda f, x, h: _derivative(f, 2, h), 1e-17, id="derivative_1d-no-move"),
+        pytest.param(classify_critical, 1e-17, id="classify_critical-no-move"),
+        # a NaN, infinite or overflowing step was blamed on f
+        *(
+            pytest.param(route, h, id=f"{name}-{h}")
+            for name, route in [
+                ("gradient", gradient),
+                ("jacobian", jacobian),
+                ("hessian", hessian),
+                ("laplacian", laplacian),
+                ("classify_critical", classify_critical),
+                ("derivative_1d", lambda f, x, h: _derivative(f, 2, h)),
+                ("derivative_1d_k1", lambda f, x, h: _derivative(f, 1, h)),
+            ]
+            for h in (math.nan, math.inf, -math.inf)
+        ),
+        pytest.param(lambda f, x, h: spherical_laplacian(lambda *p: f(p), 1.3, 0.9, 0.4, h), math.nan,
+                     id="spherical_laplacian-nan"),
+        pytest.param(hessian, 1e300, id="hessian-1e300"),
+        pytest.param(laplacian, 1e300, id="laplacian-1e300"),
+        pytest.param(classify_critical, 1e300, id="classify_critical-1e300"),
+        pytest.param(lambda f, x, h: _derivative(f, 2, h), 1e300, id="derivative_1d-1e300"),
+    ],
+)
+def test_an_unusable_step_is_refused_by_name_before_calling_f(route, h):
+    f, calls = _counting(_field)
+    with pytest.raises(ValueError, match=re.escape(f"the step h = {h!r} does not fit the stencil")):
+        route(f, _X, h)
+    assert calls == []
+
+
+def test_spherical_laplacian_checks_its_capped_default_step():
+    # the default step capped at 0.45 r = 4.5e-301: its square underflows
+    f, calls = _counting(lambda r, s, t: r * r + s)
+    with pytest.raises(ValueError, match="the step h = 4.5e-301"):
+        spherical_laplacian(f, 1e-300, 0.9, 0.4)
+    assert calls == []
+
+
+def test_a_small_step_that_moves_every_coordinate_is_used():
+    # 2h = 2e-170 is normal and 0 +/- h moves: the gradient's divisor needs no h * h
+    assert gradient(_field, [0.0, 0.0], 1e-170).tolist() == [0.0, 1.0]
+    assert jacobian(lambda v: [_field(v)], [0.0, 0.0], -1e-170).tolist() == [[0.0, 1.0]]
+    # h^2 = 1e-300 is normal: the second differences of t^2 at 0 are exact
+    assert laplacian(_field, [0.0, 0.0], 1e-150) == 2.0
+    assert derivative_1d(lambda t: t * t, 0.0, 2, 1e-150) == 2.0

@@ -150,6 +150,33 @@ def test_laguerre_polynomials():
     assert abs(val) < 1e-8
 
 
+def _exact(poly):
+    """The coefficients as (type, value) pairs, so that equal values of other types differ."""
+    return [(type(c), c) for c in poly.coefficients]
+
+
+def test_explicit_sums_are_the_rodrigues_polynomials():
+    # the exact coefficients of Rodrigues' formula, by repeated differentiation
+    cases = [(legendre, (l,), oracles.legendre) for l in [*range(61), 250]]
+    cases += [(laguerre, (q,), oracles.laguerre) for q in range(31)]
+    pq = [(p, q) for p in range(31) for q in range(31)]
+    # the degrees of rho_nl at (n, l) = (150, 96), (200, 3), (200, 98), which the suite and CI print
+    pq += [(2 * l + 1, n - l - 1) for n, l in [(150, 96), (200, 3), (200, 98)]]
+    cases += [(assoc_laguerre, args, oracles.assoc_laguerre) for args in pq]
+    for family, args, oracle in cases:
+        got = family(*args)
+        assert all(type(c) is Fraction for c in got.coefficients), (family.__name__, args)
+        assert _exact(got) == _exact(oracle(*args)), (family.__name__, args)
+
+
+def test_assoc_legendre_has_the_bits_of_the_differentiated_polynomial():
+    xs = [-0.9, -0.3, 0.0, 0.5, 0.99]
+    for l in range(61):
+        for m in range(l + 1):  # both routes take |m| first
+            plm, old = assoc_legendre(l, m), oracles.assoc_legendre(l, m)
+            assert [plm(x).hex() for x in xs] == [old(x).hex() for x in xs], (l, m)
+
+
 def test_assoc_laguerre_termination_recurrence():
     # the bound-state power-series recurrence terminates at j = n - l - 1
     # and reproduces the associated Laguerre coefficients up to a constant
