@@ -1,10 +1,10 @@
 """The one code generator of calclab: straight-line functions compiled from generated source.
 
-Three kinds of fixed-size kernel are generated, each cached by its caller:
-``hydrogen``'s unrolled Horner polynomials, ``diffcalc``'s derivatives
-kernels (a stencil's points, the calls of f and the differences) and
-``linalg``'s Jacobi eigensolver of a matrix of order n <= 3.  The
-source a caller builds holds only float ``repr`` literals (which read back as
+Only kernels that workloads call in loops are generated, three kinds, each
+cached by its caller: ``hydrogen``'s radial functions rho_nl (an unrolled
+Horner), ``diffcalc``'s derivatives kernels (a stencil's points, the calls of
+f and the differences) and ``linalg``'s eigenvalues-only Jacobi for n <= 3.
+The source a caller builds holds only float ``repr`` literals (which read back as
 the same floats, signed zeros included), ints, local names and the globals it
 passes, never text a user supplied.  A kernel is a plain function: it cannot
 be pickled, and ``inspect.getsource`` finds no source for it.

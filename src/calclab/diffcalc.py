@@ -218,9 +218,9 @@ def _derivatives(d: int, which: str, *signs: float) -> Callable:
 
 
 def _point(x: Sequence[float]) -> tuple[float, ...]:
-    """x as a tuple of Python floats; ValueError, before any call of f, if it has no coordinates or
-    one is NaN or infinite."""
-    x = tuple(map(float, x))
+    """x as a tuple of Python floats, an array read by one ``tolist`` (duck-typed: numpy stays unloaded);
+    ValueError, before any call of f, if it has no coordinates or one is NaN or infinite."""
+    x = tuple(map(float, x.tolist() if hasattr(x, "tolist") else x))
     if not x:
         raise ValueError("the point has no coordinates")
     if not all(map(math.isfinite, x)):

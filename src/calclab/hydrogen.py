@@ -1,26 +1,24 @@
 """Orthogonal polynomial families and the hydrogen atom.
 
 Legendre and Laguerre polynomials are built from their explicit sums (DLMF
-18.5(iv)) in exact rational arithmetic, spherical harmonics carry explicit
-quadrature-validated normalization, and the energy levels, Rydberg lines and
-wavefunctions follow from a pluggable physical-constants object.
+18.5(iv)) in exact rational arithmetic; P_l^m comes from its recurrence in l
+(DLMF 14.10.3; Press et al., *Numerical Recipes*, 3rd ed., 6.7), accurate at
+degrees where a polynomial over rounded coefficients of alternating sign
+cancels (past l = 30), and Y_l^m takes its norm as an exact ratio.  The
+energy levels, Rydberg lines and wavefunctions follow from a pluggable
+physical-constants object.
 
-The float functions ``assoc_legendre`` and ``radial_wavefunction`` round
-the exact coefficients to float once per (l, m) or (n, l) and generate one
-straight-line function from them: an unrolled Horner evaluation (Knuth,
-TAOCP vol. 2, 4.6.4) whose coefficients and prefactors are ``repr``
-literals, compiled by ``calclab._codegen``, the generator that also builds
-``diffcalc``'s derivatives kernels and ``linalg``'s n <= 3 Jacobi.  Building
-one costs about 0.1 ms where a closure over a loop costs 0.01 ms, and pays back
-after about 500 calls, as no call runs a loop.  The Horner steps are
-``Polynomial.__call__``'s operations in its order and the prefactors are
-applied in the order of the formulas below, so every finite x, and every
-finite r whose p = 2r/(na) is finite, gives the same bits as the Polynomial
-route on the rounded coefficients.  The result is a plain function: it
-cannot be pickled, and ``inspect.getsource`` finds no source for it.  The
-functions stay scalar: an array route would evaluate ``exp`` and powers
-through numpy, whose results differ from ``math``'s in the last bit on some
-inputs, and would change the printed tables.
+``radial_wavefunction``, which workloads call in loops, rounds the exact
+Laguerre coefficients to float once per (n, l) and generates one
+straight-line function: an unrolled Horner evaluation (Knuth, TAOCP vol. 2,
+4.6.4) on ``repr`` literals, compiled by ``calclab._codegen``.  Building one
+costs about 0.1 ms where a closure costs 0.01 ms, and pays back after about
+500 calls.  Its steps are ``Polynomial.__call__``'s operations in its order,
+so every r whose p = 2r/(na) is finite gives the Polynomial route's bits on
+the rounded coefficients.  The functions stay scalar: an array route would
+evaluate ``exp`` and powers through numpy, whose results differ from
+``math``'s in the last bit on some inputs, and would change the printed
+tables.
 
 Two Rydberg values coexist deliberately: the one derived from the 4-digit
 constants (~1.0960e7) and the measured hydrogen constant 1.0967758e7 that
@@ -40,7 +38,7 @@ from typing import Callable
 
 from ._codegen import compile_function as _compile
 from ._record import Record
-from .combinat import factorial
+from .combinat import _rounded, factorial, semi_factorial
 from .poly import Polynomial
 
 __all__ = [
@@ -155,42 +153,54 @@ def _horner(coefficients: list[Fraction], x: str) -> str:
 
 
 def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
-    """Legendre function P_l^m(x) = (-1)^m (1-x^2)^(m/2) (d/dx)^m P_l(x).
+    """Legendre function P_l^m(x) = (-1)^m (1-x^2)^(m/2) (d/dx)^m P_l(x) by its recurrence in l:
+    P_m^m = (-1)^m (2m-1)!! (1-x^2)^(m/2), (k-m+1) P_{k+1}^m = (2k+1) x P_k^m - (k+m) P_{k-1}^m.
 
-    (d/dx)^m takes c_j x^j to c_j j!/(j-m)! x^(j-m).  Negative m uses |m| with
-    the phase absorbed into the spherical-harmonic normalization.
+    Negative m uses |m|, its phase absorbed into the spherical-harmonic normalization.  Outside
+    [-1, 1] P_l^m is 0 for m > 0 and the polynomial P_l for m = 0; a NaN x gives NaN for m > 0.
+    ValueError names m where (2m-1)!! leaves the float range (m > 150), and l, m and x where a
+    value P_l^m(x) does.
     """
     if l < 0:
         raise ValueError("need l >= 0")
     m = abs(m)
     if m > l:
         raise ValueError("need |m| <= l")
-    dpl = [c * math.perm(j, m) for j, c in enumerate(legendre(l).coefficients)][m:]
-    return _compile(
-        __name__,
-        f"assoc_legendre.<locals>.plm_{l:d}_{m:d}",
-        f"P_l^m(x) for l = {l:d}, m = {m:d}; generated by assoc_legendre.",
-        "x",
-        _horner(dpl, "x")
-        # max(y, 0.0) keeps a NaN y, which max(0.0, y) would turn into 0.0
-        + f"    return {(-1.0) ** m!r} * max(1.0 - x * x, 0.0) ** {m / 2.0!r} * acc\n",
-    )
+    start = (-1) ** m * _rounded(semi_factorial(2 * m), f"(2m-1)!! for m = {m}")
+
+    def plm(x: float) -> float:
+        # max(y, 0.0) keeps a NaN y, which max(0.0, y) would turn into 0.0; x * p first keeps
+        # a zero P_m^m (outside [-1, 1]) zero at every finite x
+        below, p = 0.0, start * max(1.0 - x * x, 0.0) ** (m / 2.0)
+        for k in range(m, l):
+            below, p = p, ((2 * k + 1) * (x * p) - (k + m) * below) / (k - m + 1)
+        if math.isfinite(p) or math.isnan(x):
+            return p
+        raise ValueError(f"P_l^m(x) for l = {l}, m = {m}, x = {x!r} leaves the float range")
+
+    return plm
+
+
+def _root(q: Fraction, what: str) -> float:
+    """sqrt(q) of an exact q >= 0; ValueError naming ``what`` where a nonzero root is not normal."""
+    # sqrt(q 4^k) 2^-k rounds q 4^k, not q
+    k = (q.denominator.bit_length() - q.numerator.bit_length()) // 2
+    norm = math.ldexp(math.sqrt(q * Fraction(4) ** k), -k)
+    if q and norm < sys.float_info.min:
+        raise ValueError(f"the normalization of {what} is below the float range")
+    return norm
 
 
 def spherical_harmonic(l: int, m: int) -> Callable[[float, float], complex]:
     """Unit-normalized separated angular eigenfunction (s, t) -> C.
 
-    Y(s, t) = N P_l^|m|(cos s) e^(imt) with N chosen so that the squared
-    modulus integrates to 1 against sin(s) ds dt over the full sphere.
+    Y(s, t) = N P_l^|m|(cos s) e^(imt), N^2 = (2l+1)/(4 pi perm(l+|m|, 2|m|)) exactly, so that
+    |Y|^2 integrates to 1 against sin(s) ds dt over the full sphere and |Y| <= sqrt((2l+1)/(4 pi)).
+    Raises :func:`assoc_legendre`'s ValueErrors.
     """
-    qn = QuantumNumbers(l + 1, l, m)  # validates the (l, m) pair
-    plm = assoc_legendre(l, abs(m))
-    norm = math.sqrt(
-        (2 * l + 1)
-        / (4.0 * math.pi)
-        * factorial(l - abs(m))
-        / factorial(l + abs(m))
-    )
+    QuantumNumbers(l + 1, l, m)  # validates the (l, m) pair
+    plm = assoc_legendre(l, m)
+    norm = _root(Fraction(2 * l + 1) / (Fraction(4.0 * math.pi) * math.perm(l + abs(m), 2 * abs(m))), f"Y_{l}^{m}")
 
     def Y(s: float, t: float) -> complex:
         return norm * plm(math.cos(s)) * complex(math.cos(m * t), math.sin(m * t))
@@ -312,12 +322,8 @@ def radial_wavefunction(
     norm2 = (2.0 / na) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l)) if n + l <= 170 else 0.0
     if sys.float_info.min <= norm2 < math.inf:
         norm = math.sqrt(norm2)
-    else:  # (n-l-1)!/(n+l)! = 1/perm(n+l, 2l+1); sqrt(q 4^k) 2^-k rounds q 4^k, not q
-        q = Fraction((2.0 / na) ** 3) / (2 * n * math.perm(n + l, 2 * l + 1))
-        k = (q.denominator.bit_length() - q.numerator.bit_length()) // 2
-        norm = math.ldexp(math.sqrt(q * Fraction(4) ** k), -k)
-        if q and norm < sys.float_info.min:
-            raise ValueError(f"the normalization of rho_{n}_{l} is below the float range")
+    else:  # (n-l-1)!/(n+l)! = 1/perm(n+l, 2l+1)
+        norm = _root(Fraction((2.0 / na) ** 3) / (2 * n * math.perm(n + l, 2 * l + 1)), f"rho_{n}_{l}")
     # p**0 == 1.0 and y * 1.0 == y, p**1 == p: both folds keep every bit
     power = {0: "", 1: " * p"}.get(l, f" * p**{l:d}")
     return _compile(

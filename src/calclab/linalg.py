@@ -5,8 +5,8 @@ the numpy-free ``calclab.poly`` and are re-exported here.  Matrices are
 numpy arrays.  A determinant is exact (Bareiss elimination) when every
 entry is rational and numpy's LU otherwise; the permutation sum is the
 definition, kept as the reference.  The Jacobi eigensolver is implemented
-directly, for n <= 3 wholly in straight-line kernels generated by
-``calclab._codegen``, and ``inverse`` delegates to numpy.
+directly, its eigenvalues alone for n <= 3 in straight-line kernels generated
+by ``calclab._codegen``, and ``inverse`` delegates to numpy.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
 (and the polynomial roots it re-exports) does not load numpy.
@@ -184,7 +184,7 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 # overhead dominates small matrices: with eigenvectors it took 0.96 of the batched
 # time at n = 18, 1.13 at n = 19 (2-vCPU x86); for eigenvalues alone, up to n ~ 21.
 _SCALAR_SWEEP_MAX_N = 18
-# Up to this order the whole solve runs in a kernel generated per (n, vectors), whose
+# Up to this order an eigenvalue solve runs wholly in a kernel generated per n, whose
 # source grows as n^3: compiling one took 0.8-1.1 ms at n = 3, but a generated
 # sweep alone took 6-17 ms at n = 8 (every `calclab eig` process of an 8 x 8
 # matrix would pay it) and 50-135 ms at n = 16 (2-vCPU x86)
@@ -203,20 +203,21 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     t = 2 a_pq / (e + sign(e) hypot(e, 2 a_pq)), e = a_qq - a_pp (t = 0 when
     a_pq = 0).  A sweep rotates every pair once, by one of three routes:
 
-    - up to n = 3, cyclically in a straight-line kernel on local variables
-      that also runs the checks and the sort, generated once per process
-      for each (n, vectors) with the list route's operations in its order,
-      so with its bits; compiling one takes 0.8-1.1 ms, and a generated
-      sweep alone took 6-17 ms at n = 8, so larger orders take the lists;
-    - up to n = 18, cyclically row by row on the lists, each rotation an
-      O(n) update of two rows and two columns (and two columns of U);
+    - for the eigenvalues alone up to n = 3, cyclically in a straight-line
+      kernel on local variables that also runs the checks and the sort,
+      generated once per process for each n with the list route's
+      operations in its order, so with its bits; compiling one takes
+      0.8-1.1 ms, and a generated sweep alone took 6-17 ms at n = 8, so
+      larger orders take the lists;
+    - otherwise up to n = 18, cyclically row by row on the lists, each
+      rotation an O(n) update of two rows and two columns (and two columns of U);
     - above that, in the Brent-Luk round-robin order: n - 1 steps (n for odd
       n) of floor(n/2) disjoint pairs, each step applied to all its pairs
       by a few numpy operations, so a sweep costs O(n^3).
 
     U is rotated alongside only when the eigenvectors are asked for:
     ``classify_definiteness``, ``diffcalc.classify_critical`` and
-    ``calclab eig`` take the eigenvalues alone, from the same kernel.
+    ``calclab eig`` take the eigenvalues alone, up to n = 3 from the kernel.
     Sweeps stop once the squared entries above the diagonal sum to at most
     (tol ||A||_F)^2 / 2, that is, once the off-diagonal Frobenius norm is at
     most tol ||A||_F; the sum is taken directly, not as a difference of
@@ -240,8 +241,8 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     """The eigenvalues of :func:`symmetric_eigen` from a list of rows of floats, and in
     their order the rows of V = U^T when ``vectors`` (None otherwise); numpy only above n = 18."""
     n = len(rows)
-    if n <= _GENERATED_JACOBI_MAX_N:
-        return _small_jacobi(n, vectors)(rows, tol, _MAX_SWEEPS)
+    if n <= _GENERATED_JACOBI_MAX_N and not vectors:
+        return _small_jacobi(n)(rows, tol, _MAX_SWEEPS), None
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     flat = [v for row in rows for v in row]
@@ -302,17 +303,17 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     return d, [v[i] for i in order] if vectors else None
 
 
-@functools.lru_cache(maxsize=None)  # n <= 3: at most eight kernels
-def _small_jacobi(n: int, vectors: bool) -> Callable:
-    """:func:`_jacobi` of order n <= 3 unrolled on locals: (rows, tol, max_sweeps) -> (eigenvalues,
-    rows of V or None).
+@functools.lru_cache(maxsize=None)  # n <= 3: at most four kernels
+def _small_jacobi(n: int) -> Callable:
+    """The eigenvalues of :func:`_jacobi` of order n <= 3 unrolled on locals: (rows, tol,
+    max_sweeps) -> eigenvalues.
 
     It performs the list route's operations in its order, so with its bits
     and errors: the checks, the power-of-two scaling, the symmetrization,
     the sweeps (the stop test, the skip of a zero a_pq, the rotation off the
-    2x2 block and of rows p and q of V, then the block's exact value), the
-    stable descending sort and the scaling back.  The working matrix stays
-    exactly symmetric: a_kp is the local of (min(k, p), max(k, p)).
+    2x2 block, then the block's exact value), the stable descending sort and
+    the scaling back.  The working matrix stays exactly symmetric: a_kp is
+    the local of (min(k, p), max(k, p)).
     """
 
     def at(p: int, q: int) -> str:
@@ -334,8 +335,6 @@ def _small_jacobi(n: int, vectors: bool) -> Callable:
         body += '        raise ValueError("matrix is not symmetric to the working tolerance")\n'
     body += "".join(f"    a{p}_{q} = 0.5 * (e{p}_{q} + e{q}_{p})\n" for p in range(n) for q in range(p, n))
     body += "    bound = 0.5 * (tol * norm) ** 2\n"
-    if vectors:
-        body += "".join(f"    v{p}_{k} = {float(p == k)!r}\n" for p in range(n) for k in range(n))
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     body += "    for _ in range(max_sweeps):\n"
     body += "        if fsum([" + ", ".join(f"{at(p, q)} * {at(p, q)}" for p, q in pairs) + "]) <= bound:\n"
@@ -353,23 +352,17 @@ def _small_jacobi(n: int, vectors: bool) -> Callable:
             if k != p and k != q:
                 akp, akq = at(k, p), at(k, q)
                 body += f"            {akp}, {akq} = c * {akp} - s * {akq}, s * {akp} + c * {akq}\n"
-        for k in range(n if vectors else 0):
-            vp, vq = f"v{p}_{k}", f"v{q}_{k}"
-            body += f"            {vp}, {vq} = c * {vp} - s * {vq}, s * {vp} + c * {vq}\n"
         body += f"            {app}, {aqq}, {apq} = {app} - t * {apq}, {aqq} + t * {apq}, 0.0\n"
     body += '    else:\n        raise ArithmeticError("Jacobi sweeps did not converge")\n'
     diagonal = "".join(f"{at(i, i)}, " for i in range(n))
     order = [f"i{i}" for i in range(n)]  # equal eigenvalues in index order
     body += f"    diagonal = ({diagonal})\n"
-    if vectors:
-        body += "    v = (" + "".join("[" + ", ".join(f"v{p}_{k}" for k in range(n)) + "], " for p in range(n)) + ")\n"
     body += f"    [{', '.join(order)}] = sorted(range({n}), key=diagonal.__getitem__, reverse=True)\n"
-    body += "    try:\n        values = [" + ", ".join(f"ldexp(diagonal[{i}], exponent)" for i in order) + "]\n"
+    body += "    try:\n        return [" + ", ".join(f"ldexp(diagonal[{i}], exponent)" for i in order) + "]\n"
     body += '    except OverflowError:\n        raise ArithmeticError("an eigenvalue overflows the float range") from None\n'
-    body += f"    return values, {'[' + ', '.join(f'v[{i}]' for i in order) + ']' if vectors else None}\n"
     return _compile(
         __name__,
-        f"jacobi_{n}{'_vectors' * vectors}",
+        f"jacobi_{n}",
         f"The Jacobi eigensolver of a symmetric {n} x {n} matrix, generated by _small_jacobi.",
         "rows, tol, max_sweeps",
         body,

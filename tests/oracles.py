@@ -35,10 +35,10 @@
   differentiation of (x^2 - 1)^l, q applications of p -> p' - p to x^q, and
   the p-fold derivative of L_{p+q}, all on ``Fraction`` polynomials.  The
   tests hold the explicit sums to these exact coefficients.
-- ``assoc_legendre`` and ``radial_wavefunction`` are the ``hydrogen`` float
-  functions as they were before their inlined Horner loops: the rounded
-  coefficients wrapped in a ``Polynomial`` and evaluated by its
-  ``__call__``.  The tests hold the current closures to these bits.
+- ``radial_wavefunction`` is the ``hydrogen`` float function as it was
+  before its inlined Horner loop: the rounded coefficients wrapped in a
+  ``Polynomial`` and evaluated by its ``__call__``.  The tests hold the
+  generated function to these bits.
 - ``simpson_density_rule`` is ``prob._density_rule`` before its Gauss
   rule: x = mid - half cos(u) with composite Simpson in u, the density
   sampled on the interior nodes and its endpoint values extrapolated
@@ -390,20 +390,6 @@ def assoc_laguerre(p: int, q: int) -> Polynomial:
     for _ in range(p):
         out = out.deriv()
     return out.scale(Fraction((-1) ** p))
-
-
-def assoc_legendre(l, m):
-    m = abs(m)
-    dpl = hydrogen.legendre(l)
-    for _ in range(m):
-        dpl = dpl.deriv()
-    dpl_f = Polynomial([float(c) for c in dpl.coefficients])
-    sign = (-1.0) ** m
-
-    def plm(x):
-        return sign * (max(0.0, 1.0 - x * x)) ** (m / 2.0) * dpl_f(x)
-
-    return plm
 
 
 def radial_wavefunction(n, l, constants=hydrogen.DIMENSIONLESS_CONSTANTS):

@@ -351,6 +351,10 @@ def test_each_generated_kernel_is_compiled_once(monkeypatch):
         classify_critical(lambda v: v[0] * v[1] - v[2] ** 4 + math.sin(v[2]), x)
     for x in rng.uniform(-2.0, 2.0, (500, 2)).tolist():
         laplacian(_sin_cubic, x)
+    # eigenvectors, which no workload asks for in a loop, are no generated kernel
+    for n in (1, 2, 3):
+        linalg.symmetric_eigen(np.eye(n) + 0.25)
+    linalg.classify_definiteness([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
     # the Laplacian's differences, the gradient's and the Hessian's together, the 3 x 3 Jacobi
     assert sorted(names) == ["derivatives_2_axes_p", "derivatives_3_critical_pp", "jacobi_3"]
 
@@ -611,6 +615,18 @@ def test_point_routes_reject_a_point_without_coordinates(route):
     with pytest.raises(ValueError, match="the point has no coordinates"):
         route(f, [])
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [([-0.0, 0.1, -3.0, 1e300], np.float64), ([0, -3, 7, 2**40], np.int64), ([-0.0, 0.375, -3.0, 2.0**-130], np.float32)],
+    ids=["float64", "int64", "float32"],
+)
+def test_an_array_point_reads_as_the_equal_list(values, dtype):
+    # every value is exact in dtype, so the array and the list hold the same numbers
+    got = diffcalc._point(np.array(values, dtype=dtype))
+    assert [type(v) for v in got] == [float] * len(values)
+    assert [v.hex() for v in got] == [v.hex() for v in diffcalc._point(values)]
 
 
 # --- a caller's step that the stencil cannot use is refused by name --------------------------

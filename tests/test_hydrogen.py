@@ -1,6 +1,7 @@
 import inspect
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -105,13 +106,38 @@ def _bits(f, x):
         return "OverflowError"
 
 
+# x at which 1 - x^2 is a rational square, so that P_l^m(x) is rational
+_RATIONAL_ROOT_XS = [Fraction(0), *(s * Fraction(p, q) for p, q in [(3, 5), (5, 13), (8, 17), (20, 29)] for s in (1, -1))]
+
+
+def _assoc_legendre_error(l, m):
+    """max |P_l^m(x) - exact| / max |exact| over _RATIONAL_ROOT_XS, the exact value from legendre(l)'s
+    coefficients differentiated |m| times in Fractions."""
+    m, exact = abs(m), []
+    for x in _RATIONAL_ROOT_XS:
+        y = 1 - x * x
+        root = Fraction(math.isqrt(y.numerator), math.isqrt(y.denominator))
+        assert root * root == y
+        derivative = sum(c * math.perm(j, m) * x ** (j - m) for j, c in enumerate(legendre(l).coefficients) if j >= m)
+        exact.append((-1) ** m * root**m * derivative)
+    plm = assoc_legendre(l, m)
+    return max(abs(Fraction(plm(float(x))) - e) for x, e in zip(_RATIONAL_ROOT_XS, exact)) / max(map(abs, exact))
+
+
 def test_assoc_legendre_matches_the_polynomial_route():
-    outside = [1.0000001, 1.5, 3.0, 1e3, 1e200]
-    xs = [-0.0, *np.linspace(-1.0, 1.0, 801).tolist(), *outside, *(-x for x in outside)]
-    for l in range(13):
+    for l in range(41):
         for m in range(-l, l + 1):
-            plm, old = assoc_legendre(l, m), oracles.assoc_legendre(l, m)
-            assert [plm(x).hex() for x in xs] == [old(x).hex() for x in xs], (l, m)
+            assert _assoc_legendre_error(l, m) <= 1e-13, (l, m)
+            plm = assoc_legendre(l, m)
+            # outside [-1, 1] the factor (1 - x^2)^(m/2) is 0 and P_l^0 is the polynomial P_l
+            for x in (1.0000001, -1.5, 3.0, -1e3, 1e200):
+                try:
+                    want = 0.0 if m else float(legendre(l)(Fraction(x)))
+                except OverflowError:
+                    with pytest.raises(ValueError, match=re.escape(f"P_l^m(x) for l = {l}, m = 0, x = {x!r} leaves")):
+                        plm(x)
+                else:
+                    assert plm(x) == pytest.approx(want, rel=1e-13), (l, m, x)
             # the factor (1 - x^2)^(m/2) keeps a NaN x, also where P_l^m has degree 0
             assert m == 0 or math.isnan(plm(math.nan)), (l, m)
 
@@ -169,12 +195,13 @@ def test_explicit_sums_are_the_rodrigues_polynomials():
         assert _exact(got) == _exact(oracle(*args)), (family.__name__, args)
 
 
-def test_assoc_legendre_has_the_bits_of_the_differentiated_polynomial():
-    xs = [-0.9, -0.3, 0.0, 0.5, 0.99]
-    for l in range(61):
-        for m in range(l + 1):  # both routes take |m| first
-            plm, old = assoc_legendre(l, m), oracles.assoc_legendre(l, m)
-            assert [plm(x).hex() for x in xs] == [old(x).hex() for x in xs], (l, m)
+def test_assoc_legendre_is_the_differentiated_polynomial_to_degree_250():
+    cases = [(l, m) for l in (60, 100, 150) for m in sorted({0, 1, 3, l // 2, l - 1, l})]
+    for l, m in cases + [(250, 0), (250, 1), (250, 3), (250, 60)]:
+        assert _assoc_legendre_error(l, m) <= 1e-13, (l, m)
+    for m in (249, 250):  # (2m-1)!! is about 1e563 and 1e566
+        with pytest.raises(ValueError, match=rf"^\(2m-1\)!! for m = {m} leaves the float range$"):
+            assoc_legendre(250, m)
 
 
 def test_assoc_laguerre_termination_recurrence():
@@ -415,22 +442,52 @@ def test_generated_code_matches_the_polynomial_route_on_any_finite_input(n, data
     assume(math.isfinite(2.0 * r / (n * bohr_radius(constants))))
     rho, old_rho = radial_wavefunction(n, l, constants), oracles.radial_wavefunction(n, l, constants)
     assert _bits(rho, r) == _bits(old_rho, r)
-    assert _bits(assoc_legendre(l, m), x) == _bits(oracles.assoc_legendre(l, m), x)
+    # P_l^m: a finite x gives a finite value or a ValueError naming l, m and x; a NaN x gives NaN for m != 0
+    plm = assoc_legendre(l, m)
+    try:
+        assert math.isfinite(plm(x))
+    except ValueError as exc:
+        assert str(exc) == f"P_l^m(x) for l = {l}, m = {abs(m)}, x = {x!r} leaves the float range"
+    assert m == 0 or math.isnan(plm(math.nan))
 
 
 def test_generated_functions_are_named_plain_functions():
     rho, plm = radial_wavefunction(3, 1), assoc_legendre(4, -2)
     assert (rho.__name__, rho.__qualname__) == ("rho_3_1", "radial_wavefunction.<locals>.rho_3_1")
-    assert (plm.__name__, plm.__qualname__) == ("plm_4_2", "assoc_legendre.<locals>.plm_4_2")
     assert rho.__module__ == plm.__module__ == "calclab.hydrogen"
-    assert "n = 3, l = 1" in rho.__doc__ and "l = 4, m = 2" in plm.__doc__
-    # a degree past the parser's nesting limit of 200 parentheses still compiles
-    assert _bits(assoc_legendre(250, 3), 0.3) == _bits(oracles.assoc_legendre(250, 3), 0.3)
-    for f in (rho, plm):
-        with pytest.raises((AttributeError, pickle.PicklingError)):
-            pickle.dumps(f)
-        with pytest.raises(OSError):
-            inspect.getsource(f)
+    assert "n = 3, l = 1" in rho.__doc__
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(rho)
+    with pytest.raises(OSError):
+        inspect.getsource(rho)
+    # P_l^m is no generated code: a closure on its recurrence, with source
+    assert plm.__qualname__ == "assoc_legendre.<locals>.plm"
+    assert "def plm(x: float) -> float:" in inspect.getsource(plm)
+
+
+def test_legendre_functions_and_harmonics_generate_no_code(monkeypatch):
+    def no_code(*args, **kwargs):
+        raise AssertionError("P_l^m and Y_l^m run on their recurrence")
+
+    monkeypatch.setattr(hydrogen, "_compile", no_code)
+    for l in range(7):
+        for m in range(-l, l + 1):
+            assert math.isfinite(assoc_legendre(l, m)(0.3))
+            assert math.isfinite(abs(spherical_harmonic(l, m)(0.7, 1.1)))
+
+
+@pytest.mark.parametrize(
+    "l, m, s", [(60, 0, 0.3), (100, 71, math.pi / 2.0), (100, 72, math.pi / 2.0), (172, 0, 1.2), (200, 3, 1.2)]
+)
+def test_spherical_harmonic_against_50_digits(l, m, s):
+    # a Horner over rounded coefficients cancelled past l = 30, and float factorials in the norm
+    # overflowed once l + |m| > 170; the bound is 1e-13 of sqrt((2l+1)/(4 pi)), which bounds |Y|
+    mpmath = pytest.importorskip("mpmath")
+    Y = spherical_harmonic(l, m)
+    with mpmath.workdps(50):
+        for t in (0.0, 0.4):
+            want = complex(mpmath.spherharm(l, m, s, t))
+            assert abs(Y(s, t) - want) <= 1e-13 * math.sqrt((2 * l + 1) / (4 * math.pi)), t
 
 
 @pytest.mark.parametrize(
