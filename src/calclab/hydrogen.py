@@ -4,9 +4,9 @@ Legendre and Laguerre polynomials are built from their explicit sums (DLMF
 18.5(iv)) in exact rational arithmetic; P_l^m comes from its recurrence in l
 (DLMF 14.10.3; Press et al., *Numerical Recipes*, 3rd ed., 6.7), accurate at
 degrees where a polynomial over rounded coefficients of alternating sign
-cancels (past l = 30), and Y_l^m takes its norm as an exact ratio.  The
-energy levels, Rydberg lines and wavefunctions follow from a pluggable
-physical-constants object.
+cancels (past l = 30), and Y_l^m and rho_nl take their norms as exact
+ratios, rooted once.  The energy levels, Rydberg lines and wavefunctions
+follow from a pluggable physical-constants object.
 
 ``radial_wavefunction``, which workloads call in loops, rounds the exact
 Laguerre coefficients to float once per (n, l) and generates one
@@ -33,7 +33,6 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from ._codegen import compile_function as _compile
@@ -119,7 +118,6 @@ class QuantumNumbers(Record):
         self._set(n, l, m)
 
 
-@lru_cache(maxsize=None)
 def legendre(l: int) -> Polynomial:
     """Legendre polynomial P_l with exact rational coefficients.
 
@@ -158,8 +156,11 @@ def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
 
     Negative m uses |m|, its phase absorbed into the spherical-harmonic normalization.  Outside
     [-1, 1] P_l^m is 0 for m > 0 and the polynomial P_l for m = 0; a NaN x gives NaN for m > 0.
-    ValueError names m where (2m-1)!! leaves the float range (m > 150), and l, m and x where a
-    value P_l^m(x) does.
+    Toward the poles, 1/2 < |x| < 1, where the float 1 - x*x would lose digits, 1 - x^2 is
+    rounded once from the exact (d-k)(d+k)/d^2 of |x| = k/d; (1-x^2)^(m/2) is taken scaled by a
+    power of two, so that it cannot underflow before (2m-1)!! multiplies it, and P_m^m is 0 or
+    subnormal only where its value is.  ValueError names m where (2m-1)!! leaves the float range
+    (m > 150), and l, m and x where a value P_l^m(x) does.
     """
     if l < 0:
         raise ValueError("need l >= 0")
@@ -172,6 +173,11 @@ def assoc_legendre(l: int, m: int) -> Callable[[float], float]:
         # max(y, 0.0) keeps a NaN y, which max(0.0, y) would turn into 0.0; x * p first keeps
         # a zero P_m^m (outside [-1, 1]) zero at every finite x
         below, p = 0.0, start * max(1.0 - x * x, 0.0) ** (m / 2.0)
+        if 0.5 < abs(x) < 1.0:  # y = 1 - x^2 rounded once, y 4^-j in [1/4, 1)
+            num, den = abs(x).as_integer_ratio()
+            y = (den - num) * (den + num) / (den * den)
+            j = (math.frexp(y)[1] + 1) // 2
+            p = math.ldexp(start * math.ldexp(y, -2 * j) ** (m / 2.0), j * m)
         for k in range(m, l):
             below, p = p, ((2 * k + 1) * (x * p) - (k + m) * below) / (k - m + 1)
         if math.isfinite(p) or math.isnan(x):
@@ -208,7 +214,6 @@ def spherical_harmonic(l: int, m: int) -> Callable[[float, float], complex]:
     return Y
 
 
-@lru_cache(maxsize=None)
 def laguerre(q: int) -> Polynomial:
     """Laguerre polynomial L_q = L_q^0 with exact rational coefficients (see :func:`assoc_laguerre`)."""
     if q < 0:
@@ -216,7 +221,6 @@ def laguerre(q: int) -> Polynomial:
     return assoc_laguerre(0, q)
 
 
-@lru_cache(maxsize=None)
 def assoc_laguerre(p: int, q: int) -> Polynomial:
     """Associated Laguerre polynomial L_q^p = (-1)^p (d/dx)^p L_{p+q}, with exact rational
     coefficients from its explicit sum: L_q^p = sum_k (-1)^k C(p+q, q-k) x^k/k!."""
@@ -308,22 +312,18 @@ def radial_wavefunction(
 ) -> Callable[[float], float]:
     """Normalized radial factor rho_nl(r).
 
-    rho_nl(r) = sqrt((2/(na))^3 (n-l-1)!/(2n (n+l)!)) e^(-r/(na))
-    (2r/(na))^l L_{n-l-1}^{2l+1}(2r/(na)), normalized so that the radial
-    density rho^2 r^2 integrates to 1.  Where the float square of the norm is
-    not normal (n + l >= 170, large l) the square is an exact ratio; a nonzero
-    root below the normal range raises ValueError.  Where e^(-r/(na)) underflows
-    rho is 0 signed as the Laguerre factor; before, 2r/(na) < 1491 and
-    (2r/(na))^l is finite for l <= 97 (OverflowError may come beyond).
+    rho_nl(r) = N e^(-r/(na)) (2r/(na))^l L_{n-l-1}^{2l+1}(2r/(na)), normalized
+    so that the radial density rho^2 r^2 integrates to 1.  For every (n, l),
+    N^2 = (2/(na))^3 (n-l-1)!/(2n (n+l)!) = (2/(na))^3/(2n perm(n+l, 2l+1)) is
+    that exact ratio, rooted once; a nonzero N below the normal range raises
+    ValueError.  Where e^(-r/(na)) underflows rho is 0 signed as the Laguerre
+    factor; before, 2r/(na) < 1491 and (2r/(na))^l is finite for l <= 97
+    (OverflowError may come beyond).
     """
     QuantumNumbers(n, l, 0)
     a = bohr_radius(constants)
     na = n * a
-    norm2 = (2.0 / na) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l)) if n + l <= 170 else 0.0
-    if sys.float_info.min <= norm2 < math.inf:
-        norm = math.sqrt(norm2)
-    else:  # (n-l-1)!/(n+l)! = 1/perm(n+l, 2l+1)
-        norm = _root(Fraction((2.0 / na) ** 3) / (2 * n * math.perm(n + l, 2 * l + 1)), f"rho_{n}_{l}")
+    norm = _root(Fraction((2.0 / na) ** 3) / (2 * n * math.perm(n + l, 2 * l + 1)), f"rho_{n}_{l}")
     # p**0 == 1.0 and y * 1.0 == y, p**1 == p: both folds keep every bit
     power = {0: "", 1: " * p"}.get(l, f" * p**{l:d}")
     return _compile(

@@ -129,17 +129,9 @@ def all_roots(P: Polynomial, tol: float = 1e-12) -> list[complex]:
     n = P.degree
     if n < 1:
         raise ValueError("need degree >= 1")
-    coeffs = [complex(c) for c in P.coefficients]
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-
-    def peval(x: complex) -> complex:
-        out = 0j
-        for c in reversed(monic):
-            out = out * x + c
-        return out
-
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
+    lead = complex(P.coefficients[-1])
+    monic = Polynomial([complex(c) / lead for c in P.coefficients])
+    radius = 1.0 + max(abs(c) for c in monic.coefficients[:-1])
     xs = [
         radius * cmath.exp(1j * (0.4 + 2 * math.pi * k / n)) for k in range(n)
     ]
@@ -153,7 +145,7 @@ def all_roots(P: Polynomial, tol: float = 1e-12) -> list[complex]:
                     denom *= xs[i] - xs[j]
             if denom == 0:
                 denom = 1e-300
-            delta = peval(xs[i]) / denom
+            delta = monic(xs[i]) / denom
             xs[i] -= delta
             shift = max(shift, abs(delta))
         if shift <= tol * scale:

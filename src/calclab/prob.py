@@ -532,16 +532,13 @@ def clt_moment_gap(base: Law, n: int, upto: int = 4) -> float:
 
 
 def cauchy_transform(moment_seq: Sequence[float], xi: complex) -> complex:
-    """Truncated Cauchy transform sum_k M_k xi^-(k+1) of a moment sequence.
+    """Truncated Cauchy transform sum_k M_k xi^-(k+1) = M(1/xi)/xi of a moment sequence.
 
-    The truncation order is len(moment_seq) - 1; the series only makes
-    sense for |xi| beyond the moment growth radius.
+    M is the moment polynomial, of degree len(moment_seq) - 1; the series
+    only makes sense for |xi| beyond the moment growth radius.
     """
     inv = 1.0 / xi
-    out = 0j
-    for m in reversed(moment_seq):
-        out = (out + m) * inv
-    return out
+    return Polynomial(moment_seq)(inv) * inv
 
 
 def semicircle_law() -> Law:
@@ -719,14 +716,12 @@ def sn_fixed_point_counts(N: int, t: float = 1.0) -> dict[int, int]:
     if not 0.0 < t <= 1.0:
         raise ValueError("need t in (0, 1]")
     m = int(t * N)
-    counts = {}
-    for k in range(m + 1):
-        count = binom(m, k) * sum(
-            (-1) ** j * binom(m - k, j) * factorial(N - k - j) for j in range(m - k + 1)
-        )
-        if count:
-            counts[k] = count
-    return counts
+    return {k: count for k in range(m + 1) if (count := _fixed_point_count(N, m, k))}
+
+
+def _fixed_point_count(N: int, m: int, k: int) -> int:
+    """D(N, m, k) of :func:`sn_fixed_point_counts`: the permutations of {1..N} with k fixed points among 1..m."""
+    return binom(m, k) * sum((-1) ** j * binom(m - k, j) * factorial(N - k - j) for j in range(m - k + 1))
 
 
 # entries per block of sampled permutations: at most 512 KiB of int64
@@ -782,15 +777,12 @@ def sn_fixed_point_law(
 
 
 def derangement_probability_exact(N: int, t: float = 1.0) -> Fraction:
-    """Exact inclusion-exclusion value of P(no fixed points among 1..floor(tN))."""
+    """Exact P(no fixed points among 1..floor(tN)): D(N, floor(tN), 0)/N!, D of :func:`sn_fixed_point_counts`."""
     if N < 1:
         raise ValueError("need N >= 1")
-    m = int(t * N)
-    total = Fraction(0)
-    for r in range(m + 1):
-        term = Fraction(binom(m, r) * factorial(N - r), factorial(N))
-        total += -term if r % 2 else term
-    return total
+    if not 0.0 < t <= 1.0:
+        raise ValueError("need t in (0, 1]")
+    return Fraction(_fixed_point_count(N, int(t * N), 0), factorial(N))
 
 
 def graph_loop_moment(adjacency: Sequence[Sequence[int]], base: int, k: int) -> int:
@@ -821,17 +813,18 @@ def su2_character_moment(k: int) -> tuple[float, float]:
 
     Returns (raw, rescaled): the raw moment of a^(2k) over the unit sphere
     of R^4 (which is C_k/4^k) and its 4^k rescaling (the Catalan number,
-    i.e. the even moment of the semicircle law).
+    i.e. the even moment of the semicircle law), exact: past the float range
+    (k >= 520) it is a ValueError naming k.
     """
     if k < 0:
         raise ValueError("need k >= 0")
     raw = sphere_moment(SphereMomentKey((2 * k, 0, 0, 0)))
-    return raw, 4.0**k * raw
+    return raw, _rounded(Fraction(raw), f"the rescaled moment for k = {k}", 4.0, k)
 
 
 def su2_character_moment_mc(
     k: int, samples: int, rng: RandomSource
 ) -> tuple[float, float]:
-    """Monte Carlo version of the rescaled character moment, with stderr."""
+    """Monte Carlo version of the rescaled character moment, with stderr, both rescaled exactly."""
     est, se = sphere_moment_mc(SphereMomentKey((2 * k, 0, 0, 0)), samples, rng)
-    return 4.0**k * est, 4.0**k * se
+    return tuple(_rounded(Fraction(v), f"the rescaled moment for k = {k}", 4.0, k) for v in (est, se))

@@ -37,8 +37,9 @@
   tests hold the explicit sums to these exact coefficients.
 - ``radial_wavefunction`` is the ``hydrogen`` float function as it was
   before its inlined Horner loop: the rounded coefficients wrapped in a
-  ``Polynomial`` and evaluated by its ``__call__``.  The tests hold the
-  generated function to these bits.
+  ``Polynomial`` and evaluated by its ``__call__``, times the library's one
+  normalization (``hydrogen._root`` of the exact ratio).  The tests hold the
+  generated function to these bits; the norm itself is held to 40 digits.
 - ``simpson_density_rule`` is ``prob._density_rule`` before its Gauss
   rule: x = mid - half cos(u) with composite Simpson in u, the density
   sampled on the interior nodes and its endpoint values extrapolated
@@ -395,9 +396,7 @@ def assoc_laguerre(p: int, q: int) -> Polynomial:
 def radial_wavefunction(n, l, constants=hydrogen.DIMENSIONLESS_CONSTANTS):
     a = hydrogen.bohr_radius(constants)
     lag = Polynomial([float(c) for c in hydrogen.assoc_laguerre(2 * l + 1, n - l - 1).coefficients])
-    norm = math.sqrt(
-        (2.0 / (n * a)) ** 3 * factorial(n - l - 1) / (2.0 * n * factorial(n + l))
-    )
+    norm = hydrogen._root(Fraction((2.0 / (n * a)) ** 3) / (2 * n * math.perm(n + l, 2 * l + 1)), "rho")
 
     def rho(r):
         p = 2.0 * r / (n * a)

@@ -1,3 +1,4 @@
+import decimal
 import inspect
 import math
 import pickle
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from calclab import hydrogen
+from calclab.combinat import semi_factorial
 from calclab.diffcalc import spherical_laplacian
 from calclab.hydrogen import (
     BOOK_CONSTANTS,
@@ -202,6 +204,30 @@ def test_assoc_legendre_is_the_differentiated_polynomial_to_degree_250():
     for m in (249, 250):  # (2m-1)!! is about 1e563 and 1e566
         with pytest.raises(ValueError, match=rf"^\(2m-1\)!! for m = {m} leaves the float range$"):
             assoc_legendre(250, m)
+
+
+def test_the_polynomial_families_return_a_new_value_each_call():
+    # a caller's edit of one returned coefficient list reaches no later call, nor rho_nl
+    rho = radial_wavefunction(3, 0)(1.0)
+    for family, args in [(legendre, (4,)), (laguerre, (2,)), (assoc_laguerre, (1, 2))]:
+        want = list(family(*args).coefficients)
+        family(*args).coefficients[0] = 0
+        assert family(*args).coefficients == want, family.__name__
+    assert radial_wavefunction(3, 0)(1.0) == rho == 0.11236012334489626
+
+
+def test_assoc_legendre_sectoral_near_the_poles():
+    # for even m, P_m^m(x) = (2m-1)!! (1-x^2)^(m/2) is rational at the float x.  The float 1 - x*x
+    # cancels near |x| = 1 (P_140^140(0.9999) was 1.8e-11 off), and (1-x^2)^(m/2) underflowed
+    # before (2m-1)!! multiplied it (P_150^150(sqrt(1 - 1e-5)) = 3.8e-69 and P_120^120(0.99999999)
+    # = 5.3e-229 were 0) or was subnormal where P_m^m is not (4.5e-48 at m = 136, x = 0.99999)
+    probes = [(150, math.sqrt(1 - 1e-5)), (120, 0.99999999), (140, 0.9999), (60, 0.999)]
+    xs = (0.51, 0.6, 0.7, 0.8, 0.9, 0.97, 0.99, 0.999, 0.99999, 1 - 2**-20, 1 - 2**-40)
+    for m, x in probes + [(m, x) for m in range(2, 151, 2) for x in xs]:
+        want = semi_factorial(2 * m) * (1 - Fraction(x) ** 2) ** (m // 2)
+        if want >= 2.0**-1022:
+            for y in (x, -x):
+                assert abs(Fraction(assoc_legendre(m, m)(y)) - want) <= 1e-14 * want, (m, y)
 
 
 def test_assoc_laguerre_termination_recurrence():
@@ -408,6 +434,24 @@ def test_radial_wavefunction_normalization_below_the_float_range_raises():
     # sqrt((2/n)^3 / (2n perm(n + l, 2l + 1))) is about 1e-494 here
     with pytest.raises(ValueError, match="normalization of rho_300_200 is below the float range"):
         radial_wavefunction(300, 200)
+
+
+def test_radial_wavefunction_norms_to_40_digits(monkeypatch):
+    # every norm with n + l <= 170, as the generated source writes it, against
+    # sqrt((2/n)^3 (n-l-1)!/(2n (n+l)!)) in 40-digit decimal (a = 1)
+    norms = {}
+
+    def record(module, qualname, doc, args, body, **names):
+        norms[qualname] = float(re.search(r"return (\S+) \* e", body).group(1))
+
+    monkeypatch.setattr(hydrogen, "_compile", record)
+    with decimal.localcontext(prec=40):
+        for n in range(1, 171):
+            for l in range(min(n, 171 - n)):
+                radial_wavefunction(n, l)
+                norm = norms[f"radial_wavefunction.<locals>.rho_{n}_{l}"]
+                want = ((decimal.Decimal(2) / n) ** 3 * math.factorial(n - l - 1) / (2 * n * math.factorial(n + l))).sqrt()
+                assert abs(decimal.Decimal(norm) - want) <= decimal.Decimal(3e-16) * want, (n, l)
 
 
 def test_radial_wavefunction_matches_the_polynomial_route():

@@ -777,6 +777,14 @@ def test_sn_fixed_points_truncated():
     assert p0 == derangement_probability_exact(N, t)
 
 
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.5, math.nan])
+def test_both_exact_permutation_laws_refuse_t_outside_the_unit_interval(t):
+    # t = -1 gave probability 0 and t = 1.5 "factorial needs n >= 0"
+    for call in (derangement_probability_exact, sn_fixed_point_counts):
+        with pytest.raises(ValueError, match=r"^need t in \(0, 1\]$"):
+            call(3, t)
+
+
 def test_sn_fixed_points_sampled():
     res = sn_fixed_point_law(12, 1.0, rng=RandomSource(5), samples=20000)
     assert not res.exact
@@ -887,6 +895,19 @@ def test_su2_character_moment_mc():
     for k in (1, 2):
         est, se = su2_character_moment_mc(k, 200_000, RandomSource(31))
         assert abs(est - catalan(k)) <= 4 * se
+
+
+def test_su2_character_moments_to_the_end_of_the_float_range():
+    # 4.0**k overflowed from k = 512, while the Catalan number is finite up to k = 519
+    for k in range(505, 520):
+        raw, rescaled = su2_character_moment(k)
+        assert rescaled == math.ldexp(raw, 2 * k) == pytest.approx(catalan(k), rel=1e-12), k
+    assert su2_character_moment(519)[1] == 1.4023904365091493e308
+    est, se = su2_character_moment_mc(519, 20_000, RandomSource(7))
+    assert math.isfinite(se) and abs(est - catalan(519)) <= 4 * se
+    for call in (lambda: su2_character_moment(520), lambda: su2_character_moment_mc(600, 20_000, RandomSource(7))):
+        with pytest.raises(ValueError, match=r"^the rescaled moment for k = (520|600) leaves the float range$"):
+            call()
 
 
 def test_atom_moments_past_the_float_range_of_the_powers():
