@@ -707,7 +707,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, argparse.ArgumentTypeError) as exc:  # the latter from a parse type a command applies
         print(f"calclab: usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:  # numpy's allocation error is a MemoryError
         print(f"calclab: {exc}", file=sys.stderr)
         return 2
     fmt = args.format or os.environ.get("CALCLAB_FORMAT", "csv")

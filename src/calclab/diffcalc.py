@@ -482,10 +482,10 @@ def holder_critical_check(y: Sequence[float], p: float) -> tuple[np.ndarray, flo
     Verifies that y has no component tangential to the sphere at x.
     """
     y = np.asarray(y, dtype=float)
-    if p <= 1:
-        raise ValueError("need p > 1")
-    if not np.all(y > 0):
-        raise ValueError("need strictly positive entries")
+    if not 1 < p < math.inf:
+        raise ValueError("need a finite p > 1")
+    if not np.all((y > 0) & (y < math.inf)):
+        raise ValueError("need strictly positive finite entries")
     u = y ** (1.0 / (p - 1.0))
     x = u / (np.sum(u**p)) ** (1.0 / p)
     value = float(x @ y)

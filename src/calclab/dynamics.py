@@ -82,7 +82,7 @@ def cross(u: Sequence[float], v: Sequence[float]) -> np.ndarray:
 
 def einstein_add_1d(u: float, v: float) -> float:
     """Relativistic speed addition (u + v)/(1 + uv), in c = 1 units."""
-    if abs(u) > 1 + 1e-12 or abs(v) > 1 + 1e-12:
+    if not (abs(u) <= 1 + 1e-12 and abs(v) <= 1 + 1e-12):
         raise ValueError("speeds must satisfy |u|, |v| <= 1")
     denom = 1.0 + u * v
     if denom == 0.0:
@@ -100,7 +100,7 @@ def einstein_add_3d(u: Sequence[float], v: Sequence[float]) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu > 1 + 1e-12 or nv > 1 + 1e-12:
+    if not (nu <= 1 + 1e-12 and nv <= 1 + 1e-12):
         raise ValueError("speeds must satisfy |u|, |v| <= 1")
     dot = float(u @ v)
     if 1.0 + dot <= 1e-300:
@@ -123,10 +123,10 @@ def rotating_acceleration(
 
 def gravity1d_time(x: float, x0: float, k: float) -> float:
     """Fall time to height x from rest at x0 under xdd = -k/x^2."""
-    if k <= 0:
+    if not k > 0:
         raise ValueError("need k > 0")
-    if not 0.0 <= x <= x0:
-        raise ValueError("need 0 <= x <= x0")
+    if not (0.0 <= x <= x0 and x0 > 0):
+        raise ValueError("need 0 <= x <= x0 and x0 > 0")
     y = x / x0
     return math.sqrt(x0**3 / (2.0 * k)) * (
         math.sqrt(max(0.0, y * (1.0 - y))) + math.acos(math.sqrt(y))
@@ -135,7 +135,7 @@ def gravity1d_time(x: float, x0: float, k: float) -> float:
 
 def gravity1d_stop_time(x0: float, k: float) -> float:
     """Total fall time pi sqrt(x0^3/(8k))."""
-    if k <= 0 or x0 <= 0:
+    if not (k > 0 and x0 > 0):
         raise ValueError("need x0, k > 0")
     return math.pi * math.sqrt(x0**3 / (8.0 * k))
 
@@ -317,6 +317,8 @@ def classify_conic(
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError("need 0 <= tol < 1")
+    if not all(map(math.isfinite, (a, b, c, d, e, f))):
+        raise ValueError("need finite coefficients")
     scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
     if scale == 0.0:
         return "plane"
@@ -363,10 +365,13 @@ def classify_conic(
 
 
 def ellipse_area(a: float, b: float) -> float:
-    """pi a b."""
-    if a <= 0 or b <= 0:
+    """pi a b; ValueError where it leaves the float range."""
+    if not (a > 0 and b > 0):
         raise ValueError("need a, b > 0")
-    return math.pi * a * b
+    area = math.pi * a * b
+    if area == math.inf:
+        raise ValueError("the area pi a b leaves the float range")
+    return area
 
 
 def ellipse_length(a: float, b: float) -> float:
@@ -581,7 +586,7 @@ def simulate_heat(
 
 def heat_kernel(alpha: float, t: float, x: Sequence[float] | float) -> float:
     """Gaussian fundamental solution (4 pi alpha t)^(-N/2) exp(-|x|^2/(4 alpha t))."""
-    if t <= 0 or alpha <= 0:
+    if not (t > 0 and alpha > 0):
         raise ValueError("need alpha, t > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     N = len(x)

@@ -5,8 +5,9 @@ the numpy-free ``calclab.poly`` and are re-exported here.  Matrices are
 numpy arrays.  A determinant is exact (Bareiss elimination) when every
 entry is rational and numpy's LU otherwise; the permutation sum is the
 definition, kept as the reference.  The Jacobi eigensolver is implemented
-directly, its eigenvalues alone for n <= 3 in straight-line kernels generated
-by ``calclab._codegen``, and ``inverse`` delegates to numpy.
+directly, one route per question: the eigenvalues alone on Python lists (for
+n <= 3 in straight-line kernels generated by ``calclab._codegen``), with the
+eigenvectors in numpy round-robin sweeps.  ``inverse`` delegates to numpy.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
 (and the polynomial roots it re-exports) does not load numpy.
@@ -180,10 +181,6 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.linalg.inv(A)
 
 
-# Up to this size the list sweep beats the batched numpy step, whose per-call
-# overhead dominates small matrices: with eigenvectors it took 0.96 of the batched
-# time at n = 18, 1.13 at n = 19 (2-vCPU x86); for eigenvalues alone, up to n ~ 21.
-_SCALAR_SWEEP_MAX_N = 18
 # Up to this order an eigenvalue solve runs wholly in a kernel generated per n, whose
 # source grows as n^3: compiling one took 0.8-1.1 ms at n = 3, but a generated
 # sweep alone took 6-17 ms at n = 8 (every `calclab eig` process of an 8 x 8
@@ -198,30 +195,28 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     Returns (U, d) with A = U diag(d) U^T, U orthogonal, and d sorted in
     descending order (equal eigenvalues in index order).  A is read into
     lists of Python floats, checked, scaled by an exact power of two and
-    sorted in Python; only the sweeps above n = 18 use numpy.  Each rotation
-    zeroes one off-diagonal pair (p, q), with the stable tangent
-    t = 2 a_pq / (e + sign(e) hypot(e, 2 a_pq)), e = a_qq - a_pp (t = 0 when
-    a_pq = 0).  A sweep rotates every pair once, by one of three routes:
+    sorted in Python.  Each rotation zeroes one off-diagonal pair (p, q),
+    with the stable tangent t = 2 a_pq / (e + sign(e) hypot(e, 2 a_pq)),
+    e = a_qq - a_pp (t = 0 when a_pq = 0).  A sweep rotates every pair once,
+    by the route of the question asked:
 
-    - for the eigenvalues alone up to n = 3, cyclically in a straight-line
+    - the eigenvalues with U (this function) in the Brent-Luk round-robin
+      order: n - 1 steps (n for odd n) of floor(n/2) disjoint pairs, each
+      step applied to all its pairs, and to U, by a few numpy operations,
+      so a sweep costs O(n^3); n <= 1 needs no rotation and takes U = I;
+    - the eigenvalues alone (``classify_definiteness``,
+      ``diffcalc.classify_critical`` and ``calclab eig``) cyclically row by
+      row on the lists, each rotation an O(n) update of two rows and two
+      columns, so they load no numpy at any order; up to n = 3 the same
+      operations in their order, so with their bits, run in a straight-line
       kernel on local variables that also runs the checks and the sort,
-      generated once per process for each n with the list route's
-      operations in its order, so with its bits; compiling one takes
-      0.8-1.1 ms, and a generated sweep alone took 6-17 ms at n = 8, so
-      larger orders take the lists;
-    - otherwise up to n = 18, cyclically row by row on the lists, each
-      rotation an O(n) update of two rows and two columns (and two columns of U);
-    - above that, in the Brent-Luk round-robin order: n - 1 steps (n for odd
-      n) of floor(n/2) disjoint pairs, each step applied to all its pairs
-      by a few numpy operations, so a sweep costs O(n^3).
+      generated once per process for each n.
 
-    U is rotated alongside only when the eigenvectors are asked for:
-    ``classify_definiteness``, ``diffcalc.classify_critical`` and
-    ``calclab eig`` take the eigenvalues alone, up to n = 3 from the kernel.
-    Sweeps stop once the squared entries above the diagonal sum to at most
-    (tol ||A||_F)^2 / 2, that is, once the off-diagonal Frobenius norm is at
-    most tol ||A||_F; the sum is taken directly, not as a difference of
-    norms.  A 0 x 0 matrix gives an empty U (0 x 0) and d.  Raises
+    The eigenvalues of the two questions may therefore differ in their last
+    bits.  Sweeps stop once the squared entries above the diagonal sum to at
+    most (tol ||A||_F)^2 / 2, that is, once the off-diagonal Frobenius norm
+    is at most tol ||A||_F; the sum is taken directly, not as a difference
+    of norms.  A 0 x 0 matrix gives an empty U (0 x 0) and d.  Raises
     ValueError for non-square, non-finite or non-symmetric input, and
     ArithmeticError if 100 sweeps do not meet the test or an eigenvalue
     lies past the float range.
@@ -238,8 +233,9 @@ def _square_rows(A: np.ndarray) -> list[list[float]]:
 
 
 def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[float], list[list[float]] | None]:
-    """The eigenvalues of :func:`symmetric_eigen` from a list of rows of floats, and in
-    their order the rows of V = U^T when ``vectors`` (None otherwise); numpy only above n = 18."""
+    """The eigenvalues of :func:`symmetric_eigen` from a list of rows of floats, swept on the
+    lists without numpy (n <= 3 in the generated kernel); when ``vectors`` asks for the rows
+    of V = U^T too, in their order, both from the round-robin sweeps in numpy (else None)."""
     n = len(rows)
     if n <= _GENERATED_JACOBI_MAX_N and not vectors:
         return _small_jacobi(n)(rows, tol, _MAX_SWEEPS), None
@@ -257,10 +253,9 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
         raise ValueError("matrix is not symmetric to the working tolerance")
     a = [[0.5 * (a[p][q] + a[q][p]) for q in range(n)] for p in range(n)]
     bound = 0.5 * (tol * norm) ** 2
-    if n > _SCALAR_SWEEP_MAX_N:
-        d, v = _batched_sweeps(a, bound, vectors)
+    if vectors:
+        d, v = _batched_sweeps(a, bound) if n > 1 else ([row[0] for row in a], [[1.0]] * n)
     else:
-        v = [[float(p == q) for q in range(n)] for p in range(n)] if vectors else None
         for _ in range(_MAX_SWEEPS):
             if math.fsum(x * x for p in range(n - 1) for x in a[p][p + 1 :]) <= bound:
                 break
@@ -283,12 +278,6 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
                         akp, akq = ak[p], ak[q]
                         ak[p] = ap[k] = c * akp - s * akq
                         ak[q] = aq[k] = s * akp + c * akq
-                    if vectors:
-                        vp, vq = v[p], v[q]
-                        for k in range(n):
-                            vkp, vkq = vp[k], vq[k]
-                            vp[k] = c * vkp - s * vkq
-                            vq[k] = s * vkp + c * vkq
                     # the exact rotated value of the 2x2 block
                     ap[p], aq[q] = app - t * apq, aqq + t * apq
                     ap[q] = aq[p] = 0.0
@@ -401,15 +390,15 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(steps)
 
 
-def _batched_sweeps(a: list[list[float]], bound: float, vectors: bool) -> tuple[list[float], list[list[float]] | None]:
-    """Round-robin Jacobi, one numpy step per set of disjoint pairs; returns
-    the diagonal and, when ``vectors``, V = U^T (rows of V are the columns of U)."""
+def _batched_sweeps(a: list[list[float]], bound: float) -> tuple[list[float], list[list[float]]]:
+    """Round-robin Jacobi of order n >= 2, one numpy step per set of disjoint pairs;
+    returns the diagonal and V = U^T (rows of V are the columns of U)."""
     work = np.array(a)
     n = work.shape[0]
     steps = _round_robin(n)
     upper = np.triu_indices(n, 1)
     diag = work.diagonal()  # a view: follows the in-place updates
-    V = np.eye(n) if vectors else None
+    V = np.eye(n)
     k = len(steps[0][0])
     rows, cols = (np.empty((k, n)), np.empty((k, n))), (np.empty((n, k)), np.empty((n, k)))
     for _ in range(_MAX_SWEEPS):
@@ -428,11 +417,10 @@ def _batched_sweeps(a: list[list[float]], bound: float, vectors: bool) -> tuple[
             s = t * c
             _rotate(work, 0, PQ, QP, c[:, None], s[:, None], *rows)
             _rotate(work, 1, PQ, QP, c, s, *cols)
-            if vectors:
-                _rotate(V, 0, PQ, QP, c[:, None], s[:, None], *rows)
+            _rotate(V, 0, PQ, QP, c[:, None], s[:, None], *rows)
     else:
         raise ArithmeticError("Jacobi sweeps did not converge")
-    return diag.tolist(), V.tolist() if vectors else None
+    return diag.tolist(), V.tolist()
 
 
 def _rotate(X, axis, PQ, QP, c, s, a, b) -> None:

@@ -258,6 +258,8 @@ def binomial_stats(x: float, n: int) -> tuple[float, float]:
     """(mean, variance) = (nx, nx(1-x))."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("need x in [0, 1]")
+    if n < 1:
+        raise ValueError("need n >= 1")
     return n * x, n * x * (1.0 - x)
 
 

@@ -317,8 +317,8 @@ def verify_fresnel(T: float = 20.0, averaging: int = 8) -> float:
     sin(t^2) past T (the zeros t_k = sqrt(k pi) delimit half-periods) and
     averaged, which cancels the alternating truncation tail.
     """
-    if T < 5:
-        raise ValueError("need T >= 5")
+    if not 5 <= T < math.inf:
+        raise ValueError("need a finite T >= 5")
     if averaging < 2:
         raise ValueError("need at least two half-periods")
     k0 = math.ceil(T * T / math.pi)
@@ -370,10 +370,13 @@ def sphere_area(N: int) -> float:
 
 
 def stirling(N: int) -> float:
-    """The factorial approximation (N/e)^N sqrt(2 pi N)."""
+    """The factorial approximation (N/e)^N sqrt(2 pi N); ValueError past the float range (N > 170)."""
     if N < 1:
         raise ValueError("need N >= 1")
-    return math.exp(N * (math.log(N) - 1.0) + 0.5 * math.log(2.0 * math.pi * N))
+    try:
+        return math.exp(N * (math.log(N) - 1.0) + 0.5 * math.log(2.0 * math.pi * N))
+    except OverflowError:
+        raise ValueError(f"the Stirling approximation at N = {N} leaves the float range") from None
 
 
 def stirling_ratio(N: int) -> float:
@@ -561,7 +564,7 @@ def sphere_moment_mc(
 
 def jacobian_polar(r: float) -> float:
     """Polar-coordinate Jacobian: r."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("need r >= 0")
     return r
 
@@ -574,7 +577,7 @@ def jacobian_spherical(N: int, r: float, *angles: float) -> float:
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("need r >= 0")
     if len(angles) != N - 2:
         raise ValueError(f"expected {N - 2} polar angles, got {len(angles)}")

@@ -139,8 +139,9 @@ def basel_sum_corrected(terms: int) -> tuple[float, float]:
     Returns (estimate, half-width of the bracket), so the true value is
     within the returned error of the estimate.
     """
+    partial = basel_sum(terms)  # refuses terms < 1 before the bracket divides by terms
     lo, hi = 1.0 / (terms + 1), 1.0 / terms
-    return basel_sum(terms) + 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return partial + 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def babylonian_iterates(a: float) -> Iterator[float]:

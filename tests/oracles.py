@@ -22,14 +22,15 @@
   hold the current route to these bits, signed zeros included.
 - ``symmetric_eigen`` is ``linalg.symmetric_eigen`` as it was before its
   list kernel: the checks, the power-of-two scaling, the norm and the sort
-  on numpy arrays, and both sweeps with U^T rotated always: the scalar
-  sweeps on lists up to n = 18, the batched sweeps on arrays above (their
+  on numpy arrays.  With ``vectors`` (the default) it sweeps by the batched
+  round-robin steps on arrays at every n >= 2, U^T rotated alongside (their
   pair order and rotation step are the library's ``_round_robin`` and
-  ``_rotate``).
+  ``_rotate``); without, by the scalar sweeps on lists, with no U, and
+  returns None in its place.
   It sorts by numpy's stable argsort, where it used the default kind,
   whose order among equal eigenvalues depends on the sort kernel numpy
-  picks for the CPU.  The tests hold the list kernel to its bits, and
-  ``classify_critical`` here takes its eigenvalues from it.
+  picks for the CPU.  The tests hold both library routes to its bits, and
+  ``classify_critical`` here takes its eigenvalues alone from it.
 - ``legendre``, ``laguerre`` and ``assoc_laguerre`` are the ``hydrogen``
   families before their explicit sums: Rodrigues' formula by l-fold
   differentiation of (x^2 - 1)^l, q applications of p -> p' - p to x^q, and
@@ -245,7 +246,7 @@ def classify_critical(f, x, h=None, grad_tol=1e-5, zero_band=1e-4):
     x = np.asarray(x, dtype=float)
     g, fx, H = gradient_and_hessian(f, x, h)
     gnorm = float(np.linalg.norm(g))
-    _, eig = symmetric_eigen(H, tol=1e-12)
+    _, eig = symmetric_eigen(H, tol=1e-12, vectors=False)
     if gnorm > grad_tol * (1.0 + abs(fx)):
         label = "not critical"
     else:
@@ -263,13 +264,13 @@ def classify_critical(f, x, h=None, grad_tol=1e-5, zero_band=1e-4):
     return CriticalReport(tuple(x), gnorm, tuple(float(v) for v in eig), label)
 
 
-def symmetric_eigen(A, tol=1e-12):
+def symmetric_eigen(A, tol=1e-12, vectors=True):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
     if n == 0:
-        return np.empty((0, 0)), np.empty(0)
+        return np.empty((0, 0)) if vectors else None, np.empty(0)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     exponent = math.frexp(float(np.abs(A).max()))[1]
@@ -277,30 +278,34 @@ def symmetric_eigen(A, tol=1e-12):
     norm = float(np.linalg.norm(A)) or 1.0
     if float(np.abs(A - A.T).max()) > tol * norm:
         raise ValueError("matrix is not symmetric to the working tolerance")
-    sweeps = _scalar_sweeps if n <= 18 else _batched_sweeps
-    d, V = sweeps(0.5 * (A + A.T), 0.5 * (tol * norm) ** 2)
+    work, bound = 0.5 * (A + A.T), 0.5 * (tol * norm) ** 2
+    if not vectors:
+        d, V = _scalar_sweeps(work, bound), None
+    elif n > 1:
+        d, V = _batched_sweeps(work, bound)
+    else:
+        d, V = work.diagonal().copy(), np.eye(n)
     order = np.argsort(-d, kind="stable")
     with np.errstate(over="ignore"):
         d = np.ldexp(d[order], exponent)
     if not np.isfinite(d).all():
         raise ArithmeticError("an eigenvalue overflows the float range")
-    return V[order].T, d
+    return V[order].T if vectors else None, d
 
 
 def _scalar_sweeps(work, bound):
     n = work.shape[0]
     a = work.tolist()
-    v = np.eye(n).tolist()
     for _ in range(100):
         if sum(x * x for p in range(n - 1) for x in a[p][p + 1 :]) <= bound:
             break
         for p in range(n - 1):
-            ap, vp = a[p], v[p]
+            ap = a[p]
             for q in range(p + 1, n):
                 apq = ap[q]
                 if apq == 0.0:
                     continue
-                aq, vq = a[q], v[q]
+                aq = a[q]
                 app, aqq = ap[p], aq[q]
                 e = aqq - app
                 t = 2.0 * apq / (e + math.copysign(math.hypot(e, 2.0 * apq), e))
@@ -311,14 +316,11 @@ def _scalar_sweeps(work, bound):
                     akp, akq = ak[p], ak[q]
                     ak[p] = ap[k] = c * akp - s * akq
                     ak[q] = aq[k] = s * akp + c * akq
-                    vkp, vkq = vp[k], vq[k]
-                    vp[k] = c * vkp - s * vkq
-                    vq[k] = s * vkp + c * vkq
                 ap[p], aq[q] = app - t * apq, aqq + t * apq
                 ap[q] = aq[p] = 0.0
     else:
         raise ArithmeticError("Jacobi sweeps did not converge")
-    return np.array([a[i][i] for i in range(n)]), np.array(v)
+    return np.array([a[i][i] for i in range(n)])
 
 
 def _batched_sweeps(work, bound):

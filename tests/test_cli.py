@@ -92,6 +92,13 @@ def test_numerical_failure_exit_2(capsys):
     assert err.count("\n") == 1  # single-line diagnostic
 
 
+def test_an_allocation_numpy_refuses_is_one_line_and_exit_2(capsys):
+    # np.linspace refuses 146 TiB before it allocates anything
+    code, out, err = invoke(["wave", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-12"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("calclab: Unable to allocate") and err.count("\n") == 1, err
+
+
 def test_mc_determinism(capsys):
     argv = ["integrate", "--method", "mc", "--fn", "square", "--a", "0", "--b", "1", "--n", "5000", "--seed", "42"]
     code1, out1, _ = invoke(argv, capsys)

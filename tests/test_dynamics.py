@@ -618,7 +618,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from calclab import cli, dynamics
 from calclab.dynamics import _sphere_quadrature
-from calclab.quad import _legendre_rule
+from calclab.diffcalc import holder_critical_check
+from calclab.prob import binomial_stats
+from calclab.quad import _legendre_rule, jacobian_polar, jacobian_spherical, verify_fresnel
 
 
 def _partial(F, x, i, h):
@@ -1107,3 +1109,31 @@ def test_a_lattice_whose_point_count_overflows_is_refused(a, b, dx):
     with pytest.raises(ValueError, match="overflows"):
         dynamics._lattice(g, a, b, dx)
     assert calls == []
+
+
+_NAN = math.nan
+# each call returned NaN or a wrong answer instead of refusing its input
+_REFUSED = [
+    (dynamics.einstein_add_1d, (_NAN, 0.5), "speeds must satisfy"),
+    (dynamics.einstein_add_3d, ([_NAN, 0.0, 0.0], [0.0, 0.0, 0.0]), "speeds must satisfy"),
+    (dynamics.gravity1d_stop_time, (_NAN, 1.0), "need x0, k > 0"),
+    (dynamics.gravity1d_time, (0.5, 1.0, _NAN), "need k > 0"),
+    (dynamics.gravity1d_time, (0.0, 0.0, 1.0), "x0 > 0"),  # a bare ZeroDivisionError
+    (dynamics.ellipse_area, (_NAN, 1.0), "need a, b > 0"),
+    (dynamics.ellipse_area, (1e200, 1e200), "leaves the float range"),  # inf
+    (dynamics.heat_kernel, (1.0, _NAN, 0.0), "need alpha, t > 0"),
+    (dynamics.heat_kernel, (_NAN, 1.0, 0.0), "need alpha, t > 0"),
+    (dynamics.classify_conic, (_NAN, 0.0, 1.0, 0.0, 0.0, -1.0), "need finite coefficients"),  # "empty"
+    (jacobian_polar, (_NAN,), "need r >= 0"),
+    (jacobian_spherical, (3, _NAN, 1.0), "need r >= 0"),
+    (holder_critical_check, ([1.0, 2.0], _NAN), "need a finite p > 1"),
+    (verify_fresnel, (_NAN,), "need a finite T >= 5"),  # not "cannot convert float NaN to integer"
+    (binomial_stats, (0.5, -3), "need n >= 1"),  # (-1.5, -0.75), although binomial_law refuses n < 1
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f, args, message", _REFUSED, ids=[f"{f.__name__}{args}" for f, args, _ in _REFUSED])
+def test_guards_refuse_nan_and_results_past_the_float_range(f, args, message):
+    with pytest.raises(ValueError, match=message):
+        f(*args)

@@ -309,6 +309,13 @@ def test_stirling():
     assert all(a > b > 1.0 for a, b in zip(ratios, ratios[1:]))
 
 
+def test_stirling_past_the_float_range_is_a_value_error():
+    assert stirling(170) == pytest.approx(7.25e306, rel=1e-3)
+    for N in (171, 10**6):
+        with pytest.raises(ValueError, match=f"N = {N} leaves the float range"):
+            stirling(N)
+
+
 def test_sphere_volume_estimate():
     assert sphere_volume_estimate(50) / sphere_volume(50) == pytest.approx(1.0, abs=0.01)
     vals = [sphere_volume_estimate(n) for n in range(6, 30)]

@@ -141,6 +141,12 @@ def test_basel():
     assert abs(estimate - math.pi**2 / 6) < 1e-6
 
 
+@pytest.mark.parametrize("terms", [0, -1])
+def test_basel_sum_corrected_refuses_what_basel_sum_refuses(terms):
+    with pytest.raises(ValueError, match="^need terms >= 1$"):
+        basel_sum_corrected(terms)
+
+
 def test_babylonian_sqrt():
     assert babylonian_sqrt(4.0, 1e-12) == pytest.approx(2.0)
     assert babylonian_sqrt(3.0, 1e-12) == pytest.approx(1.7320508075688772)
