@@ -1,9 +1,10 @@
 """The one code generator of calclab: straight-line functions compiled from generated source.
 
-Only kernels that workloads call in loops are generated, three kinds, each
-cached by its caller: ``hydrogen``'s radial functions rho_nl (an unrolled
-Horner), ``diffcalc``'s derivatives kernels (a stencil's points, the calls of
-f and the differences) and ``linalg``'s eigenvalues-only Jacobi for n <= 3.
+Only kernels that workloads call in loops, and whose shape follows the
+input, are generated, two kinds, each cached by its caller: ``hydrogen``'s
+radial functions rho_nl per (n, l) (an unrolled Horner) and ``diffcalc``'s
+derivatives kernels per dimension, differences and step signs (a stencil's
+points, the calls of f and the differences).
 The source a caller builds holds only float ``repr`` literals (which read back as
 the same floats, signed zeros included), ints, local names and the globals it
 passes, never text a user supplied.  A kernel is a plain function: it cannot

@@ -20,8 +20,8 @@ stencil is one call of a straight-line kernel generated by
 ``calclab._codegen`` per (dimension, step signs, differences), which builds
 the points, samples f and returns the differences; compiling one takes
 0.6-1.6 ms at d = 3, and its source grows as d^3.  ``classify_critical``
-then takes the eigenvalues of a Hessian of order d <= 3 from ``linalg``'s
-generated Jacobi.
+then takes the Hessian's eigenvalues from ``linalg``'s numpy-free list
+sweeps, written out for d = 3.
 """
 
 from __future__ import annotations
@@ -333,10 +333,11 @@ def classify_critical(
     gradient norm above grad_tol * scale reports "not critical", where
     scale = 1 + |f(x)|.  The gradient and Hessian stencils are sampled in
     one block, 1 + 4d + 2d(d - 1) calls of f (25 in 3-D), by one generated
-    kernel, and up to d = 3 the Hessian's eigenvalues come from one call of
-    the generated Jacobi.  A NaN or infinite coordinate of x, or a given
-    step h that is not finite, does not move every coordinate or makes 2h,
-    h^2 or 4h^2 not a normal float, raises ValueError before f is called.
+    kernel, and the Hessian's eigenvalues come from the numpy-free Jacobi
+    sweeps on lists (at d = 3 written out on locals).  A NaN or infinite
+    coordinate of x, or a given step h that is not finite, does not move
+    every coordinate or makes 2h, h^2 or 4h^2 not a normal float, raises
+    ValueError before f is called.
     """
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
@@ -463,12 +464,15 @@ def unity_root_average(
     For f analytic near x the gap to f(x) estimates f^(n)(x) t^n / n!.  The
     imaginary part of the average is discarded (it vanishes for
     real-coefficient f up to roundoff).  Raises ValueError if f is NaN or
-    infinite at a rotated point.
+    infinite at a rotated point, or leaves the float range (an OverflowError).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     w = cmath.exp(2j * math.pi / n)
-    values = [f(x + t * w**s) for s in range(n)]
+    try:
+        values = [f(x + t * w**s) for s in range(n)]
+    except OverflowError:  # cmath.exp(801): a value past the float range
+        values = [math.inf]
     if not all(map(cmath.isfinite, values)):
         raise ValueError("the function produced NaN or infinite values")
     return (sum(values) / n).real
@@ -479,13 +483,34 @@ def holder_critical_check(y: Sequence[float], p: float) -> tuple[np.ndarray, flo
 
     For strictly positive y the maximizer is x_i proportional to
     y_i^(1/(p-1)), and the maximum is the q-norm of y (1/p + 1/q = 1).
-    Verifies that y has no component tangential to the sphere at x.
+    Verifies that y has no component tangential to the sphere at x.  Where
+    a power leaves the float range, the same steps run on y / max(y), which
+    has the same maximizer, and the maximum and the q-norm scale back;
+    ValueError where the maximum itself leaves the float range.
     """
     y = np.asarray(y, dtype=float)
     if not 1 < p < math.inf:
         raise ValueError("need a finite p > 1")
     if not np.all((y > 0) & (y < math.inf)):
         raise ValueError("need strictly positive finite entries")
+    scale = 1.0
+    with np.errstate(all="ignore"):  # an overflow or underflow shows as a non-finite x or value
+        x, value, expected, critical = _holder_steps(y, p)
+        if not (np.isfinite(x).all() and math.isfinite(value) and math.isfinite(expected)):
+            scale = float(y.max())
+            x, value, expected, critical = _holder_steps(y / scale, p)
+    if not critical:
+        raise ArithmeticError("maximizer is not critical to tolerance")
+    value, expected = value * scale, expected * scale
+    if not max(value, expected) < math.inf:
+        raise ValueError("the maximum leaves the float range")
+    if not abs(value - expected) <= 1e-8 * max(1.0, expected):
+        raise ArithmeticError("maximum does not match the dual norm")
+    return x, value
+
+
+def _holder_steps(y: np.ndarray, p: float) -> tuple[np.ndarray, float, float, bool]:
+    """The maximizer x, <x, y>, the q-norm of y, and whether y is normal to the sphere at x."""
     u = y ** (1.0 / (p - 1.0))
     x = u / (np.sum(u**p)) ** (1.0 / p)
     value = float(x @ y)
@@ -493,12 +518,7 @@ def holder_critical_check(y: Sequence[float], p: float) -> tuple[np.ndarray, flo
     expected = float(np.sum(y**q) ** (1.0 / q))
     normal = x ** (p - 1.0)
     tangential = y - (y @ normal) / (normal @ normal) * normal
-    scale = float(np.linalg.norm(y))
-    if np.linalg.norm(tangential) > 1e-8 * scale:
-        raise ArithmeticError("maximizer is not critical to tolerance")
-    if abs(value - expected) > 1e-8 * max(1.0, expected):
-        raise ArithmeticError("maximum does not match the dual norm")
-    return x, value
+    return x, value, expected, bool(np.linalg.norm(tangential) <= 1e-8 * float(np.linalg.norm(y)))
 
 
 def onorm_criticality(U: np.ndarray, tol: float = 1e-9) -> bool:

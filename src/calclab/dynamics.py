@@ -122,22 +122,37 @@ def rotating_acceleration(
 
 
 def gravity1d_time(x: float, x0: float, k: float) -> float:
-    """Fall time to height x from rest at x0 under xdd = -k/x^2."""
-    if not k > 0:
-        raise ValueError("need k > 0")
-    if not (0.0 <= x <= x0 and x0 > 0):
-        raise ValueError("need 0 <= x <= x0 and x0 > 0")
+    """Fall time to height x from rest at x0 under xdd = -k/x^2 (see :func:`_fall_time`)."""
+    if not 0 < k < math.inf:
+        raise ValueError("need k > 0 and finite")
+    if not (0.0 <= x <= x0 and 0 < x0 < math.inf):
+        raise ValueError("need 0 <= x <= x0 and a finite x0 > 0")
     y = x / x0
-    return math.sqrt(x0**3 / (2.0 * k)) * (
-        math.sqrt(max(0.0, y * (1.0 - y))) + math.acos(math.sqrt(y))
-    )
+    return _fall_time(x0, 2.0, k, math.sqrt(max(0.0, y * (1.0 - y))) + math.acos(math.sqrt(y)))
 
 
 def gravity1d_stop_time(x0: float, k: float) -> float:
-    """Total fall time pi sqrt(x0^3/(8k))."""
-    if not (k > 0 and x0 > 0):
-        raise ValueError("need x0, k > 0")
-    return math.pi * math.sqrt(x0**3 / (8.0 * k))
+    """Total fall time pi sqrt(x0^3/(8k)) (see :func:`_fall_time`)."""
+    if not (0 < k < math.inf and 0 < x0 < math.inf):
+        raise ValueError("need x0, k > 0 and finite")
+    return _fall_time(x0, 8.0, k, math.pi)
+
+
+def _fall_time(x0: float, c: float, k: float, factor: float) -> float:
+    """sqrt(x0^3/(c k)) factor, by logarithms where x0^3/(c k) is not a normal float;
+    ValueError where the fall time leaves the float range."""
+    try:
+        q = x0**3 / (c * k)
+        if 2.0**-1022 <= q < math.inf:
+            return math.sqrt(q) * factor
+    except OverflowError:  # x0^3
+        pass
+    if not factor:
+        return 0.0
+    try:
+        return math.exp(0.5 * (3.0 * math.log(x0) - math.log(c) - math.log(k)) + math.log(factor))
+    except OverflowError:
+        raise ValueError("the fall time leaves the float range") from None
 
 
 class OrbitState(Record):
@@ -376,10 +391,17 @@ def ellipse_area(a: float, b: float) -> float:
 
 def ellipse_length(a: float, b: float) -> float:
     """Perimeter 4 int_0^{pi/2} sqrt(a^2 sin^2 t + b^2 cos^2 t) dt, trapezoid rule settled 8 ... 2048 to 1e-12."""
-    if a <= 0 or b <= 0:
-        raise ValueError("need a, b > 0")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("need a, b > 0 and finite")
+    # where max(a, b)^2 is not a normal float, a and b scaled by an exact power of two to
+    # max(a, b) in [1/2, 1), and the perimeter by its inverse
+    e = 0 if 2.0**-511 <= max(a, b) < 2.0**512 else math.frexp(max(a, b))[1]
+    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
     f = lambda t: math.sqrt(a * a * math.sin(t) ** 2 + b * b * math.cos(t) ** 2)
-    return 4.0 * _settle(lambda n: trapezoid(f, 0.0, math.pi / 2.0, n), None, 8, 2048, 1e-12)
+    try:
+        return math.ldexp(4.0 * _settle(lambda n: trapezoid(f, 0.0, math.pi / 2.0, n), None, 8, 2048, 1e-12), e)
+    except OverflowError:
+        raise ValueError("the perimeter leaves the float range") from None
 
 
 def stereographic_to_sphere(v: Sequence[float]) -> np.ndarray:
@@ -585,15 +607,31 @@ def simulate_heat(
 
 
 def heat_kernel(alpha: float, t: float, x: Sequence[float] | float) -> float:
-    """Gaussian fundamental solution (4 pi alpha t)^(-N/2) exp(-|x|^2/(4 alpha t))."""
-    if not (t > 0 and alpha > 0):
-        raise ValueError("need alpha, t > 0")
+    """Gaussian fundamental solution (4 pi alpha t)^(-N/2) exp(-|x|^2/(4 alpha t)).
+
+    Where a factor or |x|^2 leaves the normal floats, the kernel is taken by
+    its logarithm, -(N/2) log(4 pi alpha t) - (|x| / (2 sqrt(alpha t)))^2;
+    ValueError where the kernel itself leaves the float range.
+    """
+    if not (0 < t < math.inf and 0 < alpha < math.inf):
+        raise ValueError("need alpha, t > 0 and finite")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    N = len(x)
-    return float(
-        (4.0 * math.pi * alpha * t) ** (-N / 2.0)
-        * math.exp(-float(x @ x) / (4.0 * alpha * t))
-    )
+    xs = x.tolist()
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("need a finite x")
+    N = len(xs)
+    try:
+        if max(map(abs, xs), default=0.0) < 2.0**500:  # else x @ x may overflow
+            value = float((4.0 * math.pi * alpha * t) ** (-N / 2.0) * math.exp(-float(x @ x) / (4.0 * alpha * t)))
+            if value >= 2.0**-1022:
+                return value
+    except OverflowError:  # (4 pi alpha t)^(-N/2)
+        pass
+    ratio = math.hypot(*xs) / (2.0 * math.sqrt(alpha) * math.sqrt(t))
+    try:
+        return math.exp(-N / 2.0 * (math.log(4.0 * math.pi) + math.log(alpha) + math.log(t)) - ratio * ratio)
+    except OverflowError:
+        raise ValueError("the heat kernel leaves the float range") from None
 
 
 def heat_solve(g: Callable[[float], float], alpha: float, t: float, x: float) -> float:
@@ -614,8 +652,11 @@ def ode2_solve(a: float, b: float, f0: float, f0p: float) -> Callable[[float], f
     Uses the roots r, s of x^2 = a + bx: combinations of e^(rx), e^(sx) when
     they differ, (l x + m) e^(rx) for a double root, taken as one when
     |r - s| <= 1e-9 max(1, |r|, |s|).  Complex roots are handled in complex
-    arithmetic; the returned callback is real.
+    arithmetic; the returned callback is real.  ValueError unless a, b, f(0)
+    and f'(0) are finite.
     """
+    if not all(map(math.isfinite, (a, b, f0, f0p))):
+        raise ValueError("need finite a, b, f(0) and f'(0)")
     disc = complex(b * b + 4.0 * a)
     sq = cmath.sqrt(disc)
     r = (b + sq) / 2.0

@@ -6,8 +6,8 @@ numpy arrays.  A determinant is exact (Bareiss elimination) when every
 entry is rational and numpy's LU otherwise; the permutation sum is the
 definition, kept as the reference.  The Jacobi eigensolver is implemented
 directly, one route per question: the eigenvalues alone on Python lists (for
-n <= 3 in straight-line kernels generated by ``calclab._codegen``), with the
-eigenvectors in numpy round-robin sweeps.  ``inverse`` delegates to numpy.
+n = 3 the same sweeps written out on locals), with the eigenvectors in numpy
+round-robin sweeps.  ``inverse`` delegates to numpy.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
 (and the polynomial roots it re-exports) does not load numpy.
@@ -21,9 +21,8 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from ._codegen import compile_function as _compile
 from ._numpy import np
 from .combinat import signature
 from .poly import Polynomial, all_roots, cardano, solve_quadratic
@@ -181,11 +180,6 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.linalg.inv(A)
 
 
-# Up to this order an eigenvalue solve runs wholly in a kernel generated per n, whose
-# source grows as n^3: compiling one took 0.8-1.1 ms at n = 3, but a generated
-# sweep alone took 6-17 ms at n = 8 (every `calclab eig` process of an 8 x 8
-# matrix would pay it) and 50-135 ms at n = 16 (2-vCPU x86)
-_GENERATED_JACOBI_MAX_N = 3
 _MAX_SWEEPS = 100
 
 
@@ -207,10 +201,9 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
     - the eigenvalues alone (``classify_definiteness``,
       ``diffcalc.classify_critical`` and ``calclab eig``) cyclically row by
       row on the lists, each rotation an O(n) update of two rows and two
-      columns, so they load no numpy at any order; up to n = 3 the same
-      operations in their order, so with their bits, run in a straight-line
-      kernel on local variables that also runs the checks and the sort,
-      generated once per process for each n.
+      columns, so they load no numpy at any order; at n = 3, the census
+      of ``calclab critical`` in three dimensions, the same operations in
+      their order, so with their bits, are written out on local variables.
 
     The eigenvalues of the two questions may therefore differ in their last
     bits.  Sweeps stop once the squared entries above the diagonal sum to at
@@ -234,11 +227,11 @@ def _square_rows(A: np.ndarray) -> list[list[float]]:
 
 def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[float], list[list[float]] | None]:
     """The eigenvalues of :func:`symmetric_eigen` from a list of rows of floats, swept on the
-    lists without numpy (n <= 3 in the generated kernel); when ``vectors`` asks for the rows
+    lists without numpy (n = 3 in :func:`_jacobi3`); when ``vectors`` asks for the rows
     of V = U^T too, in their order, both from the round-robin sweeps in numpy (else None)."""
     n = len(rows)
-    if n <= _GENERATED_JACOBI_MAX_N and not vectors:
-        return _small_jacobi(n)(rows, tol, _MAX_SWEEPS), None
+    if n == 3 and not vectors:
+        return _jacobi3(rows, tol), None
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     flat = [v for row in rows for v in row]
@@ -292,78 +285,61 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
     return d, [v[i] for i in order] if vectors else None
 
 
-@functools.lru_cache(maxsize=None)  # n <= 3: at most four kernels
-def _small_jacobi(n: int) -> Callable:
-    """The eigenvalues of :func:`_jacobi` of order n <= 3 unrolled on locals: (rows, tol,
-    max_sweeps) -> eigenvalues.
+def _jacobi3(rows: list[list[float]], tol: float) -> list[float]:
+    """The eigenvalues of :func:`_jacobi` of order 3: the list route written out on locals.
 
     It performs the list route's operations in its order, so with its bits
     and errors: the checks, the power-of-two scaling, the symmetrization,
     the sweeps (the stop test, the skip of a zero a_pq, the rotation off the
     2x2 block, then the block's exact value), the stable descending sort and
-    the scaling back.  The working matrix stays exactly symmetric: a_kp is
-    the local of (min(k, p), max(k, p)).
+    the scaling back.  The working matrix stays exactly symmetric: a_pq for
+    p <= q is the only copy of entries (p, q) and (q, p).
     """
-
-    def at(p: int, q: int) -> str:
-        return f"a{min(p, q)}_{max(p, q)}"
-
-    rows, entries = [f"row{p}" for p in range(n)], [f"e{p}_{q}" for p in range(n) for q in range(n)]
-    body = f"    [{', '.join(rows)}] = rows\n"
-    if n:
-        body += "    if " + " or ".join(f"len({row}) != {n}" for row in rows) + ":\n"
-        body += '        raise ValueError("matrix must be square")\n'
-    body += "    flat = (" + "".join(f"*{row}, " for row in rows) + ")\n"
-    body += '    if not all(map(isfinite, flat)):\n        raise ValueError("matrix has non-finite entries")\n'
-    body += f"    exponent = frexp({'max(map(abs, flat))' if n else '0.0'})[1]\n"
-    body += f"    [{', '.join(entries)}] = map(ldexp, flat, repeat(-exponent))\n"
-    body += f"    norm = hypot({', '.join(entries)}) or 1.0\n"
-    lower = [(p, q) for p in range(n) for q in range(p)]
-    if lower:
-        body += "    if " + " or ".join(f"abs(e{p}_{q} - e{q}_{p}) > tol * norm" for p, q in lower) + ":\n"
-        body += '        raise ValueError("matrix is not symmetric to the working tolerance")\n'
-    body += "".join(f"    a{p}_{q} = 0.5 * (e{p}_{q} + e{q}_{p})\n" for p in range(n) for q in range(p, n))
-    body += "    bound = 0.5 * (tol * norm) ** 2\n"
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    body += "    for _ in range(max_sweeps):\n"
-    body += "        if fsum([" + ", ".join(f"{at(p, q)} * {at(p, q)}" for p, q in pairs) + "]) <= bound:\n"
-    body += "            break\n"
-    for p, q in pairs:
-        apq, app, aqq = at(p, q), at(p, p), at(q, q)
-        body += (
-            f"        if {apq} != 0.0:\n"
-            f"            e = {aqq} - {app}\n"
-            f"            t = 2.0 * {apq} / (e + copysign(hypot(e, 2.0 * {apq}), e))\n"
-            "            c = 1.0 / sqrt(1.0 + t * t)\n"
-            "            s = t * c\n"
-        )
-        for k in range(n):
-            if k != p and k != q:
-                akp, akq = at(k, p), at(k, q)
-                body += f"            {akp}, {akq} = c * {akp} - s * {akq}, s * {akp} + c * {akq}\n"
-        body += f"            {app}, {aqq}, {apq} = {app} - t * {apq}, {aqq} + t * {apq}, 0.0\n"
-    body += '    else:\n        raise ArithmeticError("Jacobi sweeps did not converge")\n'
-    diagonal = "".join(f"{at(i, i)}, " for i in range(n))
-    order = [f"i{i}" for i in range(n)]  # equal eigenvalues in index order
-    body += f"    diagonal = ({diagonal})\n"
-    body += f"    [{', '.join(order)}] = sorted(range({n}), key=diagonal.__getitem__, reverse=True)\n"
-    body += "    try:\n        return [" + ", ".join(f"ldexp(diagonal[{i}], exponent)" for i in order) + "]\n"
-    body += '    except OverflowError:\n        raise ArithmeticError("an eigenvalue overflows the float range") from None\n'
-    return _compile(
-        __name__,
-        f"jacobi_{n}",
-        f"The Jacobi eigensolver of a symmetric {n} x {n} matrix, generated by _small_jacobi.",
-        "rows, tol, max_sweeps",
-        body,
-        copysign=math.copysign,
-        frexp=math.frexp,
-        fsum=math.fsum,
-        hypot=math.hypot,
-        isfinite=math.isfinite,
-        ldexp=math.ldexp,
-        repeat=itertools.repeat,
-        sqrt=math.sqrt,
-    )
+    row0, row1, row2 = rows
+    if len(row0) != 3 or len(row1) != 3 or len(row2) != 3:
+        raise ValueError("matrix must be square")
+    flat = (*row0, *row1, *row2)
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("matrix has non-finite entries")
+    exponent = math.frexp(max(map(abs, flat)))[1]
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = [math.ldexp(v, -exponent) for v in flat]
+    norm = math.hypot(e00, e01, e02, e10, e11, e12, e20, e21, e22) or 1.0
+    if abs(e10 - e01) > tol * norm or abs(e20 - e02) > tol * norm or abs(e21 - e12) > tol * norm:
+        raise ValueError("matrix is not symmetric to the working tolerance")
+    a00, a01, a02 = 0.5 * (e00 + e00), 0.5 * (e01 + e10), 0.5 * (e02 + e20)
+    a11, a12, a22 = 0.5 * (e11 + e11), 0.5 * (e12 + e21), 0.5 * (e22 + e22)
+    bound = 0.5 * (tol * norm) ** 2
+    for _ in range(_MAX_SWEEPS):
+        if math.fsum((a01 * a01, a02 * a02, a12 * a12)) <= bound:
+            break
+        if a01 != 0.0:
+            e = a11 - a00
+            t = 2.0 * a01 / (e + math.copysign(math.hypot(e, 2.0 * a01), e))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
+            a00, a11, a01 = a00 - t * a01, a11 + t * a01, 0.0
+        if a02 != 0.0:
+            e = a22 - a00
+            t = 2.0 * a02 / (e + math.copysign(math.hypot(e, 2.0 * a02), e))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
+            a00, a22, a02 = a00 - t * a02, a22 + t * a02, 0.0
+        if a12 != 0.0:
+            e = a22 - a11
+            t = 2.0 * a12 / (e + math.copysign(math.hypot(e, 2.0 * a12), e))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
+            a11, a22, a12 = a11 - t * a12, a22 + t * a12, 0.0
+    else:
+        raise ArithmeticError("Jacobi sweeps did not converge")
+    d = (a00, a11, a22)
+    try:
+        return [math.ldexp(d[i], exponent) for i in sorted(range(3), key=d.__getitem__, reverse=True)]
+    except OverflowError:
+        raise ArithmeticError("an eigenvalue overflows the float range") from None
 
 
 @functools.lru_cache(maxsize=16)  # an entry holds about 5 n^2 numbers

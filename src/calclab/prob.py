@@ -143,7 +143,9 @@ class _ConvolvedDensity:
                     product = lambda y: law.density(t - y) * other.density(y)
                     terms.append(Law(density=product, support=(lo, *cuts, hi)).total_mass())
             else:
-                terms += [mass * law.density(t - loc) for loc, mass in other if a0 <= t - loc <= a1]
+                shifted = [(t - loc, mass) for loc, mass in other if a0 <= t - loc <= a1]
+                values = _samples(law.density, [x for x, _ in shifted])
+                terms += [mass * v for (_, mass), v in zip(shifted, values)]
         return math.fsum(terms)
 
     def rule(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,15 +245,37 @@ def bernoulli_law(x: float) -> Law:
 
 
 def binomial_law(x: float, n: int) -> Law:
-    """Atoms binom(n, k) x^k (1-x)^(n-k) at k = 0..n."""
+    """Atoms binom(n, k) x^k (1-x)^(n-k) at k = 0..n.
+
+    Each mass is that product of floats while binom(n, k) is a float, that
+    is up to n = 1,029.  Past it the atoms are built outward from the mode
+    min(n, floor((n+1)x)), whose mass is the exact product (with 1 - x
+    exact) rounded once, by the ratios of neighbouring masses,
+    (n-k)x / ((k+1)(1-x)) upward, each exact and rounded once; each side
+    stops where a mass falls below the float range.
+    """
     if not 0.0 <= x <= 1.0:
         raise ValueError("need x in [0, 1]")
     if n < 1:
         raise ValueError("need n >= 1")
-    atoms = tuple(
-        (float(k), binom(n, k) * x**k * (1.0 - x) ** (n - k)) for k in range(n + 1)
-    )
-    return Law(atoms=atoms)
+    try:
+        return Law(atoms=tuple((float(k), binom(n, k) * x**k * (1.0 - x) ** (n - k)) for k in range(n + 1)))
+    except OverflowError:  # int too large to convert to float
+        pass
+    # x = p/q and 1 - x = r/q exactly, q a power of two
+    (p, q), mode = x.as_integer_ratio(), min(n, math.floor((n + 1) * x))
+    r = q - p
+    peak = binom(n, mode) * p**mode * r ** (n - mode) / (1 << (n * (q.bit_length() - 1)))
+    upper, k, mass = [peak], mode, peak
+    while k < n and (mass := mass * ((n - k) * p / ((k + 1) * r))) > 0.0:
+        upper.append(mass)
+        k += 1
+    lower, k, mass = [], mode, peak
+    while k > 0 and (mass := mass * (k * r / ((n - k + 1) * p))) > 0.0:
+        lower.append(mass)
+        k -= 1
+    start = mode - len(lower)
+    return Law(atoms=tuple((float(start + i), m) for i, m in enumerate(lower[::-1] + upper)))
 
 
 def binomial_stats(x: float, n: int) -> tuple[float, float]:

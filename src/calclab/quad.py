@@ -573,15 +573,31 @@ def jacobian_spherical(N: int, r: float, *angles: float) -> float:
     """Spherical Jacobian r^(N-1) sin^(N-2) t_1 ... sin t_(N-2).
 
     Takes the N-2 polar angles (the azimuth does not enter); at N = 2 this
-    reduces to the polar Jacobian.
+    reduces to the polar Jacobian.  Where r^(N-1) leaves the float range the
+    mantissas and the powers of two are multiplied apart; ValueError where
+    the Jacobian leaves it too.
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    if not r >= 0:
-        raise ValueError("need r >= 0")
+    if not 0 <= r < math.inf:
+        raise ValueError("need r >= 0 and finite")
     if len(angles) != N - 2:
         raise ValueError(f"expected {N - 2} polar angles, got {len(angles)}")
-    out = r ** (N - 1)
+    if not all(map(math.isfinite, angles)):
+        raise ValueError("need finite angles")
+    try:
+        out = r ** (N - 1)
+    except OverflowError:  # the sines may bring the product back: mantissas and powers of two apart
+        m, e = math.frexp(r)
+        m, e = m ** (N - 1), e * (N - 1)
+        for i, t in enumerate(angles):
+            s, k = math.frexp(math.sin(t))
+            m, j = math.frexp(m * s ** (N - 2 - i))
+            e += j + k * (N - 2 - i)
+        try:
+            return math.ldexp(m, e)
+        except OverflowError:
+            raise ValueError("the spherical Jacobian leaves the float range") from None
     for i, t in enumerate(angles):
         out *= math.sin(t) ** (N - 2 - i)
     return out

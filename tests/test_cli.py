@@ -715,6 +715,12 @@ def test_sums_past_the_float_range_are_numerical_failures(capsys, argv, message)
     assert err == f"calclab: {message} leaves the float range\n"
 
 
+def test_binomial_law_prints_past_the_float_range_of_the_binomials(capsys):
+    code, out, err = invoke(["law", "--name", "binomial", "--count", "2000", "--x", "0.0005", "--moments", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["order", "0", "1", "2", "3"]
+
+
 def test_binomial_atom_moments_print_past_the_float_range_of_the_powers(capsys):
     code, out, _ = invoke(["law", "--name", "binomial", "--count", "10", "--moments", "311"], capsys)
     rows = list(csv.reader(io.StringIO(out)))

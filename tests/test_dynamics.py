@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -1137,3 +1138,46 @@ _REFUSED = [
 def test_guards_refuse_nan_and_results_past_the_float_range(f, args, message):
     with pytest.raises(ValueError, match=message):
         f(*args)
+
+
+# finite values past an intermediate power (references from 30-digit mpmath), values that
+# leave the float range, and non-finite inputs
+@pytest.mark.parametrize(
+    "route, expected",
+    [
+        (lambda: gravity1d_stop_time(1e103, 1e10), 3.51240736552036320667113424322e149),
+        (lambda: gravity1d_time(1e102, 1e103, 1e10), 3.46377164734116434041424258078e149),
+        (lambda: jacobian_spherical(3, 1e200, 1e-150), 9.99999999999999945761602657194e249),
+        (lambda: heat_kernel(1e-310, 1.0, [5.29e-154, 0.0, 0.0]), 3.29366881801503383876729484999e159),
+        (lambda: heat_kernel(1e-320, 1.0, [0.0, 0.0, 0.0]), "the heat kernel leaves the float range"),
+        (lambda: holder_critical_check([1e200, 1.0], 1.5)[1], 1e200),
+        (lambda: holder_critical_check([1e200, 1.0], 1.5)[0].tolist(), [1.0, 0.0]),
+        (lambda: ellipse_length(1e-200, 1e-200), 6.28318530717958636445791847011e-200),
+        (lambda: ellipse_length(1e200, 1e200), 6.283185307179586286752884958e200),
+        (lambda: ellipse_length(math.nan, 1.0), "need a, b > 0 and finite"),
+        (lambda: ode2_solve(math.nan, 0.0, 1.0, 0.0), "need finite a, b, f(0) and f'(0)"),
+        (lambda: ode2_solve(1.0, -math.inf, 1.0, 0.0), "need finite a, b, f(0) and f'(0)"),
+    ],
+    ids=[
+        "stop-time",
+        "fall-time",
+        "jacobian",
+        "heat-kernel",
+        "heat-kernel-range",
+        "holder-maximum",
+        "holder-maximizer",
+        "ellipse-small",
+        "ellipse-large",
+        "ellipse-nan",
+        "ode2-nan",
+        "ode2-inf",
+    ],
+)
+def test_values_past_an_intermediate_power(route, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            route()
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert route() == pytest.approx(expected, rel=1e-12, abs=0.0)

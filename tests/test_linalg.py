@@ -670,21 +670,59 @@ def _small_rows(draw):
     return rows
 
 
-def _jacobi_outcome(rows, tol, vectors):
+def _list_eigenvalues(rows, tol):
+    """The eigenvalues alone by the cyclic sweeps on lists, kept here as the reference for
+    linalg's written-out n = 3 solve: the same checks, scaling, stop test and sort."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ValueError("matrix has non-finite entries")
+    exponent = math.frexp(max((abs(v) for row in rows for v in row), default=0.0))[1]
+    a = [[math.ldexp(v, -exponent) for v in row] for row in rows]
+    norm = math.hypot(*(v for row in a for v in row)) or 1.0
+    if any(abs(a[p][q] - a[q][p]) > tol * norm for p in range(n) for q in range(p)):
+        raise ValueError("matrix is not symmetric to the working tolerance")
+    a = [[0.5 * (a[p][q] + a[q][p]) for q in range(n)] for p in range(n)]
+    bound = 0.5 * (tol * norm) ** 2
+    for _ in range(linalg._MAX_SWEEPS):
+        if math.fsum(a[p][q] * a[p][q] for p in range(n) for q in range(p + 1, n)) <= bound:
+            break
+        for p, q in itertools.combinations(range(n), 2):
+            if a[p][q] == 0.0:
+                continue
+            app, aqq, apq = a[p][p], a[q][q], a[p][q]
+            e = aqq - app
+            t = 2.0 * apq / (e + math.copysign(math.hypot(e, 2.0 * apq), e))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            for k in set(range(n)) - {p, q}:
+                akp, akq = a[k][p], a[k][q]
+                a[k][p] = a[p][k] = c * akp - s * akq
+                a[k][q] = a[q][k] = s * akp + c * akq
+            a[p][p], a[q][q], a[p][q], a[q][p] = app - t * apq, aqq + t * apq, 0.0, 0.0
+    else:
+        raise ArithmeticError("Jacobi sweeps did not converge")
+    d = sorted((a[i][i] for i in range(n)), reverse=True)  # stable: equal values in index order
     try:
-        d, V = linalg._jacobi([list(row) for row in rows], tol, vectors)
+        return [math.ldexp(v, exponent) for v in d]
+    except OverflowError:
+        raise ArithmeticError("an eigenvalue overflows the float range") from None
+
+
+def _eigenvalues_outcome(route, rows, tol):
+    try:
+        d = route([list(row) for row in rows], tol)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
-    return [v.hex() for v in d], V if V is None else [[v.hex() for v in row] for row in V]
+    return [v.hex() for v in d]
 
 
 @settings(max_examples=400, deadline=None)
-@given(_small_rows(), st.sampled_from([1e-12, 1e-10]), st.booleans())
-def test_generated_small_jacobi_is_the_list_route_bit_for_bit(rows, tol, vectors):
-    generated = _jacobi_outcome(rows, tol, vectors)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_GENERATED_JACOBI_MAX_N", -1)  # every order takes the list route
-        assert _jacobi_outcome(rows, tol, vectors) == generated
+@given(_small_rows(), st.sampled_from([1e-12, 1e-10]))
+def test_small_eigenvalues_are_the_list_reference_bit_for_bit(rows, tol):
+    expected = _eigenvalues_outcome(_list_eigenvalues, rows, tol)
+    assert _eigenvalues_outcome(lambda r, t: linalg._jacobi(r, t, False)[0], rows, tol) == expected
 
 
 @pytest.mark.parametrize("n", [3, 8, 20], ids=["generated", "list", "batched"])

@@ -233,6 +233,15 @@ def test_bernoulli_binomial():
         binomial_law(1.5, 3)
 
 
+@pytest.mark.parametrize("x, n", [(0.0005, 2000), (0.3, 2000), (0.3, 10**5)])
+def test_binomial_law_past_the_float_range_of_the_binomials(x, n):
+    law = binomial_law(x, n)
+    assert abs(math.fsum(m for _, m in law.atoms) - 1.0) <= 1e-12
+    m = moments(law, 2)
+    assert m[1] == pytest.approx(n * x, rel=1e-12)
+    assert m[2] == pytest.approx(n * x * (1.0 - x) + (n * x) ** 2, rel=1e-12)
+
+
 def test_poisson_law_and_moments():
     t = 1.5
     law = poisson_law(t)

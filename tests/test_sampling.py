@@ -31,47 +31,58 @@ from calclab.dynamics import (
     simulate_wave,
     stokes_check,
 )
-from calclab.prob import Law, moments
+from calclab.prob import Law, bernoulli_law, convolve, moments
 from calclab.quad import monte_carlo, riemann, simpson, trapezoid
 from calclab.rng import RandomSource
 
 _DISK = (lambda u, v: (u * math.cos(v), u * math.sin(v), 0.0), (0.0, 1.0), (0.0, 2 * math.pi))
 _ZERO = lambda x: 0.0
 
+
+def _value(c):
+    """c, or c raised when it is an exception: what a user function returns or raises."""
+    if isinstance(c, Exception):
+        raise c
+    return c
+
+
 # each entry runs one public route with a user function built from a value c:
-# c = 1.0 is a valid run, a non-finite c must be rejected
+# c = 1.0 is a valid run, a non-finite c (or an f that overflows) must be rejected
 _ROUTES = {
-    "riemann": lambda c: riemann(lambda x: c, 0.0, 1.0, 8),
-    "trapezoid": lambda c: trapezoid(lambda x: c, 0.0, 1.0, 8),
-    "simpson": lambda c: simpson(lambda x: c, 0.0, 1.0, 8),
-    "monte_carlo": lambda c: monte_carlo(lambda x: c, 0.0, 1.0, 8, RandomSource(1)),
-    "moments": lambda c: moments(Law(density=lambda x: c / 2, support=(-1.0, 1.0)), 2, 16),
-    "derivative_1d": lambda c: derivative_1d(lambda x: c, 0.5, 2),
-    "derivative_1d_k0": lambda c: derivative_1d(lambda x: c, 0.5, 0),
-    "taylor1d": lambda c: taylor1d(lambda x: c, 0.5, 2, 0.1),
-    "unity_root_average": lambda c: unity_root_average(lambda z: complex(c, 0.0), 0.5, 0.1, 4),
-    "dalembert": lambda c: dalembert(lambda x: c, _ZERO, 1.0, 0.3, 0.2),
-    "dalembert_velocity": lambda c: dalembert(_ZERO, lambda x: c, 1.0, 0.3, 0.2),
-    "gradient": lambda c: gradient(lambda p: c, [0.3, 0.4]),
-    "jacobian": lambda c: jacobian(lambda p: (c, 1.0), [0.3, 0.4]),
-    "hessian": lambda c: hessian(lambda p: c, [0.3, 0.4]),
-    "laplacian": lambda c: laplacian(lambda p: c, [0.3, 0.4]),
-    "classify_critical": lambda c: classify_critical(lambda p: c, [0.3, 0.4]),
-    "spherical_laplacian": lambda c: spherical_laplacian(lambda r, s, t: c, 1.0, 1.0, 1.0),
-    "taylor2_multi": lambda c: taylor2_multi(lambda p: c, [0.3, 0.4], [0.1, 0.1]),
-    "mean_value_gap": lambda c: mean_value_gap(lambda p: c, [0.1, 0.2], 0.5, samples=8),
+    "riemann": lambda c: riemann(lambda x: _value(c), 0.0, 1.0, 8),
+    "trapezoid": lambda c: trapezoid(lambda x: _value(c), 0.0, 1.0, 8),
+    "simpson": lambda c: simpson(lambda x: _value(c), 0.0, 1.0, 8),
+    "monte_carlo": lambda c: monte_carlo(lambda x: _value(c), 0.0, 1.0, 8, RandomSource(1)),
+    "moments": lambda c: moments(Law(density=lambda x: _value(c) / 2, support=(-1.0, 1.0)), 2, 16),
+    "derivative_1d": lambda c: derivative_1d(lambda x: _value(c), 0.5, 2),
+    "derivative_1d_k0": lambda c: derivative_1d(lambda x: _value(c), 0.5, 0),
+    "taylor1d": lambda c: taylor1d(lambda x: _value(c), 0.5, 2, 0.1),
+    "unity_root_average": lambda c: unity_root_average(lambda z: complex(_value(c), 0.0), 0.5, 0.1, 4),
+    "dalembert": lambda c: dalembert(lambda x: _value(c), _ZERO, 1.0, 0.3, 0.2),
+    "dalembert_velocity": lambda c: dalembert(_ZERO, lambda x: _value(c), 1.0, 0.3, 0.2),
+    "gradient": lambda c: gradient(lambda p: _value(c), [0.3, 0.4]),
+    "jacobian": lambda c: jacobian(lambda p: (_value(c), 1.0), [0.3, 0.4]),
+    "hessian": lambda c: hessian(lambda p: _value(c), [0.3, 0.4]),
+    "laplacian": lambda c: laplacian(lambda p: _value(c), [0.3, 0.4]),
+    "classify_critical": lambda c: classify_critical(lambda p: _value(c), [0.3, 0.4]),
+    "spherical_laplacian": lambda c: spherical_laplacian(lambda r, s, t: _value(c), 1.0, 1.0, 1.0),
+    "taylor2_multi": lambda c: taylor2_multi(lambda p: _value(c), [0.3, 0.4], [0.1, 0.1]),
+    "mean_value_gap": lambda c: mean_value_gap(lambda p: _value(c), [0.1, 0.2], 0.5, samples=8),
     "mean_value_gap_ball": lambda c: mean_value_gap(
-        lambda p: c, [0.1, 0.2, 0.3], 0.5, samples=4, surface=False
+        lambda p: _value(c), [0.1, 0.2, 0.3], 0.5, samples=4, surface=False
     ),
-    "simulate_wave": lambda c: simulate_wave(lambda x: c, _ZERO, 1.0, 0.0, 1.0, 0.1, 0.5, 0.2),
+    "simulate_wave": lambda c: simulate_wave(lambda x: _value(c), _ZERO, 1.0, 0.0, 1.0, 0.1, 0.5, 0.2),
     "simulate_wave_velocity": lambda c: simulate_wave(
-        _ZERO, lambda x: c, 1.0, 0.0, 1.0, 0.1, 0.5, 0.2
+        _ZERO, lambda x: _value(c), 1.0, 0.0, 1.0, 0.1, 0.5, 0.2
     ),
-    "simulate_heat": lambda c: simulate_heat(lambda x: c, 1.0, 0.0, 1.0, 0.1, 0.25, 0.02),
-    "green_check": lambda c: green_check(lambda x, y: c, lambda x, y: x, disk_map(), n=4),
-    "stokes_check": lambda c: stokes_check(lambda p: (c, p[0], 0.0), _DISK, n=4),
+    "simulate_heat": lambda c: simulate_heat(lambda x: _value(c), 1.0, 0.0, 1.0, 0.1, 0.25, 0.02),
+    "green_check": lambda c: green_check(lambda x, y: _value(c), lambda x, y: x, disk_map(), n=4),
+    "stokes_check": lambda c: stokes_check(lambda p: (_value(c), p[0], 0.0), _DISK, n=4),
+    "convolved_density": lambda c: convolve(
+        Law(density=lambda x: _value(c) / 2, support=(-1.0, 1.0)), bernoulli_law(0.5)
+    ).density(0.3),
     "divergence_check": lambda c: divergence_check(
-        lambda p: (c, p[1], p[2]), order=2, radial_nodes=2
+        lambda p: (_value(c), p[1], p[2]), order=2, radial_nodes=2
     ),
 }
 
@@ -82,6 +93,12 @@ def test_non_finite_values_raise(route, value):
     _ROUTES[route](1.0)
     with pytest.raises(ValueError):
         _ROUTES[route](value)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_an_overflow_of_f_raises_value_error(route):
+    with pytest.raises(ValueError, match="^the function produced NaN or infinite values$"):
+        _ROUTES[route](OverflowError("math range error"))
 
 
 def _recording(seen, value=1.0):
