@@ -3,8 +3,8 @@
 Only kernels that workloads call in loops, and whose shape follows the
 input, are generated, two kinds, each cached by its caller: ``hydrogen``'s
 radial functions rho_nl per (n, l) (an unrolled Horner) and ``diffcalc``'s
-derivatives kernels per dimension, differences and step signs (a stencil's
-points, the calls of f and the differences).
+derivatives kernels per dimension and differences (a stencil's points, the
+calls of f and the differences).
 The source a caller builds holds only float ``repr`` literals (which read back as
 the same floats, signed zeros included), ints, local names and the globals it
 passes, never text a user supplied.  A kernel is a plain function: it cannot

@@ -17,11 +17,11 @@ pass f each point as a tuple of Python floats, so the first four run
 without it; ``gradient`` and ``jacobian`` return arrays and sample the block
 route ``_central_differences`` at one point.  Each multivariable tuple
 stencil is one call of a straight-line kernel generated by
-``calclab._codegen`` per (dimension, step signs, differences), which builds
-the points, samples f and returns the differences; compiling one takes
-0.6-1.6 ms at d = 3, and its source grows as d^3.  ``classify_critical``
-then takes the Hessian's eigenvalues from ``linalg``'s numpy-free list
-sweeps, written out for d = 3.
+``calclab._codegen`` per (dimension, differences), which builds the
+points, samples f through ``quad._samples`` and returns the differences;
+compiling one takes 0.6-1.6 ms at d = 3, and its source grows as d^3.
+``classify_critical`` then takes the Hessian's eigenvalues from
+``linalg``'s numpy-free list sweeps, written out for d = 3.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import cmath
 import functools
 import math
 import sys
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._codegen import compile_function as _compile
@@ -87,9 +88,9 @@ def _usable(h: float, x: Sequence[float], divisors: Callable[[float], tuple], of
     h must be finite, the points c + u h (u in offsets) of each coordinate c
     of x must be distinct, and each divisor the differences take of h (2h,
     h^2, 4h^2, h^k) must be a normal, finite float.  The routes check a
-    step the caller gives; their default steps move every coordinate by
-    construction and are not checked, except ``spherical_laplacian``'s,
-    which its 0.45 r cap can shrink.
+    step the caller gives and their default steps alike, whose h^2 overflows
+    past |x_i| ~ 1e150; ``_step`` passes a smaller default second-difference
+    step by one comparison.
     """
     try:
         moved = all(len({c + u * h for u in offsets}) == len(offsets) for c in x)
@@ -101,6 +102,18 @@ def _usable(h: float, x: Sequence[float], divisors: Callable[[float], tuple], of
                      "apart and keep each divisor of the differences a normal float")
 
 
+def _step(h: float | None, x: Sequence[float], divisors: Callable[[float], tuple]) -> float:
+    """The step h of a second-difference stencil at x, checked by ``_usable``; ``_step2(x)`` if h is None or 0.
+
+    The default needs no check below 1e150: it moves each coordinate (it is
+    over eps^(1/4) |x_i|), and 2h, h^2 and 4h^2 are then normal floats.
+    """
+    if h:
+        return _usable(h, x, divisors)
+    h = _step2(x)
+    return h if h < 1e150 else _usable(h, x, divisors)
+
+
 def _central_differences(
     F: Callable[[np.ndarray], object], points: Sequence[Sequence[float]], h: float
 ) -> np.ndarray:
@@ -109,87 +122,61 @@ def _central_differences(
     The block route of the first differences (``gradient`` and ``jacobian``
     take it at one point; the other single-point routes run a kernel of
     ``_derivatives``).  ``points`` is an (M, d) block; its 2dM stencil
-    points are built with numpy and sampled by ``quad._samples``: F is
-    called once per stencil point on a 1-D float row of a fresh array, and
-    a NaN or infinite value raises ValueError.
+    points are copies of the rows with coordinate i stepped to x_i + h, then
+    to x_i - h, and are sampled by ``quad._samples``: F is called once per
+    stencil point on a 1-D float row of a fresh array, and a NaN or
+    infinite value raises ValueError.
     F returns a number or a sequence of k numbers; the result has shape
     (M, d) or (M, d, k), with [m, i] the difference along axis i at row m.
     """
     points = np.asarray(points, dtype=float)
     M, d = points.shape
-    units = np.array(_unit_stencil(d, math.copysign(1.0, h))[1 : 2 * d + 1])
-    vals = _samples(F, (points + h * units[:, None, :]).reshape(-1, d))
+    block = np.tile(points, (2 * d, 1, 1))
+    for i in range(d):
+        block[i, :, i] += h
+        block[d + i, :, i] -= h
+    vals = _samples(F, block.reshape(-1, d))
     vals = vals.reshape((2, d, M) + vals.shape[1:])
     return ((vals[0] - vals[1]) / (2.0 * h)).swapaxes(0, 1)
 
 
-@functools.lru_cache(maxsize=16)  # an entry holds O(d^3) floats
-def _unit_stencil(d: int, s: float) -> tuple[tuple[float, ...], ...]:
-    """Unit offsets U of the second-order stencil in d dimensions, for steps of sign s.
-
-    The rows of U are 0, then +e_i and -e_i for each axis i, then the
-    corners +e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j of each pair i < j.
-    x + h*U is, bit for bit, the block x, x + h e_i, x - h e_i,
-    (x + h e_i) + h e_j, ... written out, signed zeros included: an axis
-    that does not move keeps the -0.0 of x only where every zero added to it
-    is -0.0, so U is those sums evaluated at x = -0.0 with h = s, times s.
-    """
-
-    def unit(*steps: tuple[float, int]) -> tuple[float, ...]:
-        row = [-0.0] * d
-        for sign, axis in steps:  # x + s e_axis, or x - s e_axis, one axis after the other
-            row = [v + sign * s * (k == axis) for k, v in enumerate(row)]
-        return tuple(s * v for v in row)
-
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    rows = [unit()] + [unit((1.0, i)) for i in range(d)] + [unit((-1.0, i)) for i in range(d)]
-    for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-        rows += [unit((a, i), (b, j)) for i, j in pairs]
-    return tuple(rows)
-
-
 @functools.lru_cache(maxsize=64)  # an entry's source holds O(d^3) names
-def _derivatives(d: int, which: str, *signs: float) -> Callable:
+def _derivatives(d: int, which: str) -> Callable:
     """The straight-line function (f, x, *steps) -> the differences ``which`` of f at x, d dimensions.
 
     ``which`` is "critical" (steps h1, h: the gradient's points x +/- h1 e_i
     in front of the Hessian's; returns the gradient, f(x) and the Hessian),
-    "hessian" (step h: the whole unit stencil U; returns f(x) and the
-    Hessian) or "axes" (step h: x and x +/- h e_i; returns f(x), the first
-    and the pure second differences), in lists; ``signs`` are the signs of
-    the steps.  Each coordinate is ``x_i + h * u``, u the ``repr`` literal
-    of U's entry, once per step, axis and distinct u.  f gets each point as
-    a ``_Point``, in order, as ``quad._samples`` samples a list: each value
-    is read by ``float`` before the next call, an OverflowError stops the
-    calls, and it or a NaN or infinite value raises ValueError.  The
-    differences are those of ``gradient`` and ``hessian``, each mixed entry
-    computed once.  Compiling one took 0.6 ("axes"), 1.0 ("hessian") and
-    1.5 ms ("critical") at d = 3, and its source grows as d^3 (13-18 ms for
-    "critical" at d = 10; 2-vCPU x86).
+    "hessian" (step h: x, x + h e_i, x - h e_i, then the corners
+    x + h e_i + h e_j, x + h e_i - h e_j, x - h e_i + h e_j, x - h e_i - h e_j
+    of each pair i < j; returns f(x) and the Hessian) or "axes" (step h: x
+    and x +/- h e_i; returns f(x), the first and the pure second
+    differences), in lists.  A point is x with the coordinates it steps
+    along at ``x_i + h`` or ``x_i - h``, each computed once per step, axis
+    and sign, and every other coordinate x's own float, its sign of zero
+    included.  f gets each point as a ``_Point``, in order, through
+    ``quad._samples``.  The differences are those of ``gradient`` and
+    ``hessian``, each mixed entry computed once.  Compiling one took 0.6
+    ("axes"), 1.0 ("hessian") and 1.5 ms ("critical") at d = 3, and its
+    source grows as d^3 (13-18 ms for "critical" at d = 10; 2-vCPU x86).
     """
-    steps = ("h1", "h") if which == "critical" else ("h",)
-    U = _unit_stencil(d, signs[-1])
-    if which == "critical":  # the gradient's points, then the Hessian's
-        blocks = [("h1", _unit_stencil(d, signs[0])[1 : 2 * d + 1]), ("h", U)]
-    else:
-        blocks = [("h", U[: 2 * d + 1] if which == "axes" else U)]
+    axes = [((i, sign),) for sign in "+-" for i in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    corners = [((i, a), (j, b)) for a, b in ("++", "+-", "-+", "--") for i, j in pairs]
+    stencil = [()] + axes + (corners if which != "axes" else [])
+    blocks = [("h1", axes), ("h", stencil)] if which == "critical" else [("h", stencil)]
     body = "    " + "".join(f"x{i}, " for i in range(d)) + "= x\n"
-    coords: dict[tuple[str, int, str], str] = {}  # (step, axis, the bits of u) -> its local
+    coords: dict[tuple[str, int, str], str] = {}  # (step, axis, sign) -> its local
     points = []
     for step, rows in blocks:
-        for row in rows:
-            names = []
-            for i, u in enumerate(row):
-                if (step, i, u.hex()) not in coords:
-                    coords[step, i, u.hex()] = f"c{len(coords)}"
-                    body += f"    c{len(coords) - 1} = x{i} + {step} * {u!r}\n"
-                names.append(coords[step, i, u.hex()])
-            points.append("(" + "".join(f"{name}, " for name in names) + ")")
-    body += "    try:\n        " + "".join(f"v{k}, " for k in range(len(points)))
-    body += f"= values = tuple(map(float, map(f, map(_Point, ({', '.join(points)}, )))))\n"
-    body += "        finite = all(map(isfinite, values))\n"
-    body += "    except OverflowError:  # math.exp(711), 1e200 ** 2\n        finite = False\n"
-    body += '    if not finite:\n        raise ValueError("the function produced NaN or infinite values")\n'
+        for moves in rows:
+            names = [f"x{i}" for i in range(d)]
+            for i, sign in moves:
+                if (step, i, sign) not in coords:
+                    coords[step, i, sign] = f"c{len(coords)}"
+                    body += f"    c{len(coords) - 1} = x{i} {sign} {step}\n"
+                names[i] = coords[step, i, sign]
+            points.append("_Point((" + "".join(f"{name}, " for name in names) + "))")
+    body += "    " + "".join(f"v{k}, " for k in range(len(points))) + f"= _samples(f, [{', '.join(points)}])\n"
     n = 2 * d if which == "critical" else 0  # the index of f(x)
     up, down = [f"v{n + 1 + i}" for i in range(d)], [f"v{n + 1 + d + i}" for i in range(d)]
     second = [f"({u} - 2.0 * v{n} + {v}) / (h * h)" for u, v in zip(up, down)]
@@ -197,7 +184,6 @@ def _derivatives(d: int, which: str, *signs: float) -> Callable:
         first = ", ".join(f"({u} - {v}) / (2.0 * h)" for u, v in zip(up, down))
         body += f"    return v0, [{first}], [{', '.join(second)}]\n"
     else:
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         c = n + 2 * d + 1  # the corners pp, pm, mp, mm of each pair
         for k, (i, j) in enumerate(pairs):
             pp, pm, mp, mm = (f"v{c + r * len(pairs) + k}" for r in range(4))
@@ -208,12 +194,12 @@ def _derivatives(d: int, which: str, *signs: float) -> Callable:
         body += "    return " + f"[{gradient}], " * (which == "critical") + f"v{n}, [{H}]\n"
     return _compile(
         __name__,
-        f"derivatives_{d}_{which}_{''.join('pm'[s < 0] for s in signs)}",
+        f"derivatives_{d}_{which}",
         f"The {which} differences of f at a point of {d} dimensions, generated by _derivatives.",
-        "f, x, " + ", ".join(steps),
+        "f, x, h1, h" if which == "critical" else "f, x, h",
         body,
         _Point=_Point,
-        isfinite=math.isfinite,
+        _samples=_samples,
     )
 
 
@@ -253,13 +239,13 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     (f(x+ei+ej) - f(x+ei-ej) - f(x-ei+ej) + f(x-ei-ej))/(4h^2) is evaluated
     once per pair i < j and written to both (i, j) and (j, i), so H is
     symmetric by construction: 1 + 2d + 2d(d - 1) calls of f, sampled in
-    one block.  A given step h that is not finite, does not move every
-    coordinate or makes h^2 or 4h^2 not a normal float raises ValueError
-    before f is called.
+    one block.  A step h, given or default, that is not finite, does not
+    move every coordinate or makes h^2 or 4h^2 not a normal float raises
+    ValueError before f is called; the default does past |x_i| ~ 1e150.
     """
     x = _point(x)
-    h = _usable(h, x, lambda h: (h * h, 4.0 * h * h)) if h else _step2(x)
-    return np.array(_derivatives(len(x), "hessian", math.copysign(1.0, h))(f, x, h)[1])
+    h = _step(h, x, lambda h: (h * h, 4.0 * h * h))
+    return np.array(_derivatives(len(x), "hessian")(f, x, h)[1])
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
@@ -270,9 +256,9 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
     relative, times a constant that grows with k.  Measured for exp at 0 it
     is 1.3e-11 at k = 1, 3.8e-6 at k = 4 and 1.0e-2 at k = 8.  Raises
     ValueError if x, or f at a stencil point, is NaN or infinite, and,
-    before f is called, if a given step h is not finite, leaves two of the
-    k + 1 stencil points equal, or makes h^k overflow or leave the normal
-    floats.
+    before f is called, if the step h, given or default, is not finite,
+    leaves two of the k + 1 stencil points equal, or makes h^k overflow or
+    leave the normal floats (the default does from |x| ~ 1e150 at k = 2).
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -280,16 +266,20 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
     if k == 0:
         return _samples(f, [x])[0]
     offsets = [k / 2.0 - j for j in range(k + 1)]
-    h = _usable(h, [x], lambda h: (h**k,), offsets) if h else _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x))
+    h = _usable(h or _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x)), [x], lambda h: (h**k,), offsets)
     values = _samples(f, [x + u * h for u in offsets])
     return math.fsum((-1.0) ** j * math.comb(k, j) * v for j, v in enumerate(values)) / h**k
 
 
 def taylor1d(f: Callable[[float], float], x: float, order: int, t: float) -> float:
-    """Truncated Taylor value using finite-difference derivatives."""
+    """Truncated Taylor value using finite-difference derivatives.
+
+    The highest derivative is taken first: its default step is the largest
+    power, so a step that does not fit is refused before f is called.
+    """
     if order < 0:
         raise ValueError("need order >= 0")
-    return math.fsum(derivative_1d(f, x, k) / math.factorial(k) * t**k for k in range(order + 1))
+    return math.fsum(derivative_1d(f, x, k) / math.factorial(k) * t**k for k in range(order, -1, -1))
 
 
 def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> float:
@@ -308,8 +298,8 @@ def _gradient_and_hessian(
     The gradient's 2d points go in front of the Hessian's stencil, and f is
     sampled once, in one block of 1 + 4d + 2d(d - 1) points.
     """
-    h1, h = (_usable(h, x, lambda h: (2.0 * h, h * h, 4.0 * h * h)),) * 2 if h else (_step1(x), _step2(x))
-    return _derivatives(len(x), "critical", math.copysign(1.0, h1), math.copysign(1.0, h))(f, x, h1, h)
+    h1, h = h or _step1(x), _step(h, x, lambda h: (2.0 * h, h * h, 4.0 * h * h))
+    return _derivatives(len(x), "critical")(f, x, h1, h)
 
 
 class CriticalReport(Record):
@@ -335,9 +325,9 @@ def classify_critical(
     one block, 1 + 4d + 2d(d - 1) calls of f (25 in 3-D), by one generated
     kernel, and the Hessian's eigenvalues come from the numpy-free Jacobi
     sweeps on lists (at d = 3 written out on locals).  A NaN or infinite
-    coordinate of x, or a given step h that is not finite, does not move
-    every coordinate or makes 2h, h^2 or 4h^2 not a normal float, raises
-    ValueError before f is called.
+    coordinate of x, or a step h, given or default, that is not finite,
+    does not move every coordinate or makes 2h, h^2 or 4h^2 not a normal
+    float, raises ValueError before f is called.
     """
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
@@ -363,12 +353,13 @@ def classify_critical(
 def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> float:
     """Sum of second central differences along the axes, rounded once.
 
-    A given step h that is not finite, does not move every coordinate or
-    makes 2h or h^2 not a normal float raises ValueError before f is called.
+    A step h, given or default, that is not finite, does not move every
+    coordinate or makes 2h or h^2 not a normal float raises ValueError
+    before f is called.
     """
     x = _point(x)
-    h = _usable(h, x, lambda h: (2.0 * h, h * h)) if h else _step2(x)
-    return math.fsum(_derivatives(len(x), "axes", math.copysign(1.0, h))(f, x, h)[2])
+    h = _step(h, x, lambda h: (2.0 * h, h * h))
+    return math.fsum(_derivatives(len(x), "axes")(f, x, h)[2])
 
 
 def is_harmonic(
@@ -448,7 +439,7 @@ def spherical_laplacian(
     h = h or _EPS ** 0.25 * (1.0 + abs(r) + abs(s) + abs(t))
     # keep the radial stencil away from the origin
     h = _usable(min(h, 0.45 * r), (r, s, t), lambda h: (2.0 * h, h * h))
-    differences = _derivatives(3, "axes", math.copysign(1.0, h))
+    differences = _derivatives(3, "axes")
     _, (f_r, f_s, _), (f_rr, f_ss, f_tt) = differences(lambda p: f(*p), (r, s, t), h)
     radial = f_rr + 2.0 * f_r / r
     polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)
@@ -465,6 +456,8 @@ def unity_root_average(
     imaginary part of the average is discarded (it vanishes for
     real-coefficient f up to roundoff).  Raises ValueError if f is NaN or
     infinite at a rotated point, or leaves the float range (an OverflowError).
+    Where the sum of the values overflows, the average is the exact mean of
+    their real parts, rounded once: the mean of finite floats is finite.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -475,7 +468,10 @@ def unity_root_average(
         values = [math.inf]
     if not all(map(cmath.isfinite, values)):
         raise ValueError("the function produced NaN or infinite values")
-    return (sum(values) / n).real
+    average = sum(values) / n
+    if not cmath.isfinite(average):  # the sum leaves the float range before the division
+        return float(sum(Fraction(v.real) for v in values) / n)
+    return average.real
 
 
 def holder_critical_check(y: Sequence[float], p: float) -> tuple[np.ndarray, float]:

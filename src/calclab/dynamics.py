@@ -652,29 +652,43 @@ def ode2_solve(a: float, b: float, f0: float, f0p: float) -> Callable[[float], f
     Uses the roots r, s of x^2 = a + bx: combinations of e^(rx), e^(sx) when
     they differ, (l x + m) e^(rx) for a double root, taken as one when
     |r - s| <= 1e-9 max(1, |r|, |s|).  Complex roots are handled in complex
-    arithmetic; the returned callback is real.  ValueError unless a, b, f(0)
-    and f'(0) are finite.
+    arithmetic; the returned callback is real.  Where b^2 + 4a overflows,
+    the root of larger modulus comes from the equation scaled by a power of
+    two and the other from r s = -a.  ValueError unless a, b, f(0) and
+    f'(0) are finite, and from the callback where a term of the solution
+    leaves the float range.
     """
     if not all(map(math.isfinite, (a, b, f0, f0p))):
         raise ValueError("need finite a, b, f(0) and f'(0)")
     disc = complex(b * b + 4.0 * a)
-    sq = cmath.sqrt(disc)
-    r = (b + sq) / 2.0
-    s = (b - sq) / 2.0
+    if cmath.isfinite(disc):
+        sq = cmath.sqrt(disc)
+        r = (b + sq) / 2.0
+        s = (b - sq) / 2.0
+    else:  # the roots of y^2 = a/m^2 + (b/m) y, m = 2^e, are those of x^2 = a + bx over m
+        e = max(math.frexp(b)[1], math.frexp(a)[1] // 2 + 1)
+        bm = math.ldexp(b, -e)
+        sq = cmath.sqrt(bm * bm + 4.0 * math.ldexp(a, -2 * e))
+        r = (bm + math.copysign(1.0, bm) * sq) * math.ldexp(1.0, e - 1)
+        s = -a / r
     scale = max(1.0, abs(r), abs(s))
     if abs(r - s) <= 1e-9 * scale:
         mu = complex(f0)
         lam = complex(f0p) - r * f0
-
-        def solution(x: float) -> float:
-            return ((lam * x + mu) * cmath.exp(r * x)).real
-
-        return solution
-    delta = (complex(f0p) - r * f0) / (s - r)
-    gamma = complex(f0) - delta
+        terms = lambda x: ((lam * x + mu) * cmath.exp(r * x)).real
+    else:
+        delta = (complex(f0p) - r * f0) / (s - r)
+        gamma = complex(f0) - delta
+        terms = lambda x: (gamma * cmath.exp(r * x) + delta * cmath.exp(s * x)).real
 
     def solution(x: float) -> float:
-        return (gamma * cmath.exp(r * x) + delta * cmath.exp(s * x)).real
+        try:
+            value = terms(x)
+        except OverflowError:  # cmath.exp(710)
+            value = math.inf
+        if math.isinf(value):
+            raise ValueError(f"the solution leaves the float range at x = {x!r}")
+        return value
 
     return solution
 

@@ -19,8 +19,7 @@ The Gauss-Legendre rule is Python floats too; ``_gauss_rule`` and
 ``_sphere_quadrature`` (its product with the uniform rule in the azimuth)
 are its array forms.
 Every route of the package that calls a user function on a block of nodes
-does so through ``_samples``, or, for a single-point stencil of
-``diffcalc``, through a generated kernel that samples as it does.
+does so through ``_samples``.
 """
 
 from __future__ import annotations
@@ -230,8 +229,9 @@ def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _samples(f: Callable, nodes: list | np.ndarray) -> list[float] | np.ndarray:
     """f at each node, one call per node: a list of floats for a list, else one float array.
 
-    f gets each node of a list or a 1-D array as a Python float, and each
-    row of a 2-D array as a 1-D float array, in which case it may return a
+    f gets each node of a list as it is (a float, or a point of a
+    ``diffcalc`` stencil), each node of a 1-D array as a Python float, and
+    each row of a 2-D array as a 1-D float array, in which case it may return a
     number or a sequence of k numbers (a row of
     the result); every row must have the same length k, and numbers and
     sequences do not mix.  Raises ValueError if any value is NaN or

@@ -18,8 +18,9 @@
 - ``gradient_and_hessian`` and ``classify_critical`` are ``diffcalc``'s
   critical-point route before its one stencil block: the gradient from the
   first-difference kernel, then the Hessian from the axis stencil and the
-  corners, three separate sampling passes built with ``np.eye``.  The tests
-  hold the current route to these bits, signed zeros included.
+  corners, three separate sampling passes, each point x with only its
+  stepped coordinates set to x_i + h or x_i - h.  The tests hold the
+  current route to these bits, signed zeros included.
 - ``symmetric_eigen`` is ``linalg.symmetric_eigen`` as it was before its
   list kernel: the checks, the power-of-two scaling, the norm and the sort
   on numpy arrays.  With ``vectors`` (the default) it sweeps by the batched
@@ -226,17 +227,22 @@ def gradient_and_hessian(f, x, h=None):
     eps = float(np.finfo(float).eps)
     h1 = h or eps ** (1.0 / 3.0) * (1.0 + float(np.abs(x).max()))
     h2 = h or eps**0.25 * (1.0 + float(np.abs(x).max()))
-    step = h1 * np.eye(d)[:, None, :]
-    vals = _sample(f, np.concatenate([x[None, :] + step, x[None, :] - step]).reshape(-1, d))
+
+    def stepped(h, *moves):  # x with coordinate a at x_a + s h for each move (a, s)
+        p = x.copy()
+        for a, s in moves:
+            p[a] = x[a] + h if s > 0 else x[a] - h
+        return p
+
+    vals = _sample(f, [stepped(h1, (a, s)) for s in (1, -1) for a in range(d)])
     g = (vals[:d] - vals[d:]) / (2.0 * h1)
-    step = h2 * np.eye(d)
-    vals = _sample(f, np.concatenate([x[None, :], x + step, x - step]))
+    vals = _sample(f, [x] + [stepped(h2, (a, s)) for s in (1, -1) for a in range(d)])
     fx, up, down = vals[0], vals[1 : d + 1], vals[d + 1 :]
     H = np.diag((up - 2.0 * fx + down) / (h2 * h2))
     i = [a for a in range(d) for b in range(a + 1, d)]
     j = [b for a in range(d) for b in range(a + 1, d)]
-    ei, ej = step[i], step[j]
-    corners = _sample(f, np.concatenate([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]))
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    corners = _sample(f, [stepped(h2, (a, s), (b, t)) for s, t in signs for a, b in zip(i, j)])
     pp, pm, mp, mm = corners.reshape(4, len(i))
     H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h2 * h2)
     return g, float(fx), H

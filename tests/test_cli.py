@@ -293,18 +293,27 @@ def test_critical_at_a_singularity_names_the_field_and_the_point(capsys, fn, x, 
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, cause",
     [
         (
             ["integrate", "--method", "trapezoid", "--fn", "exp", "--a", "709", "--b", "711", "--n", "4"],
             "the function produced NaN or infinite values",
+            "NaN or infinite",
         ),
-        (["critical", "--fn", "cubic", "--x", "1e200"], "the field cubic cannot be classified at x = 1e200"),
-        (["critical", "--fn", "saddle", "--x", "1e308,1e308"], "the field saddle cannot be classified at x = 1e308,1e308"),
+        # past |x| ~ 1e150 the default step's h^2 overflows: it is refused before the field is called
+        (["critical", "--fn", "cubic", "--x", "1e200"], "the field cubic cannot be classified at x = 1e200",
+         "does not fit the stencil"),
+        (["critical", "--fn", "saddle", "--x", "1e308,1e308"], "the field saddle cannot be classified at x = 1e308,1e308",
+         "does not fit the stencil"),
+        # below, the step fits and the field overflows
+        (["critical", "--fn", "cubic", "--x", "1e155"], "the field cubic cannot be classified at x = 1e155",
+         "NaN or infinite"),
+        (["critical", "--fn", "saddle", "--x", "1e155,1e155"], "the field saddle cannot be classified at x = 1e155,1e155",
+         "NaN or infinite"),
     ],
-    ids=["exp-past-709", "cubic-1e200", "saddle-1e308"],
+    ids=["exp-past-709", "cubic-1e200", "saddle-1e308", "cubic-1e155", "saddle-1e155"],
 )
-def test_a_function_past_the_float_range_is_one_clear_message(argv, message):
+def test_a_function_past_the_float_range_is_one_clear_message(argv, message, cause):
     # an OverflowError of the sampled function is a non-finite value: one line on stderr, no
     # bare "math range error" or "(34, 'Numerical result out of range')", and no numpy warning
     proc = subprocess.run(
@@ -312,7 +321,7 @@ def test_a_function_past_the_float_range_is_one_clear_message(argv, message):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"calclab: {message}") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "NaN or infinite" in proc.stderr
+    assert cause in proc.stderr
 
 
 def test_law_prints_the_exact_moments_of_the_builtin_laws(capsys):

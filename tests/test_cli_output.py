@@ -257,6 +257,42 @@ def test_every_command_prints_the_old_bytes(tmp_path, argv):
             assert _written(emit, table, fmt, digits) == _written(oracles.emit, table, fmt, digits)
 
 
+# a -0.0 coordinate: the stencil keeps it on every axis it does not step along, and the tables
+# print the bytes they printed when the stencil turned some of them into +0.0
+NEGATIVE_ZERO = {
+    ("critical", "--fn", "saddle", "--x=-0.0,0"): (
+        "quantity,value\nclassification,saddle\ngradient_norm,0\neigenvalue_0,2\neigenvalue_1,-2\n",
+        '{\n  "columns": [\n    "quantity",\n    "value"\n  ],\n  "rows": [\n    [\n      "classification",\n'
+        '      "saddle"\n    ],\n    [\n      "gradient_norm",\n      0.0\n    ],\n    [\n      "eigenvalue_0",\n'
+        '      2.0\n    ],\n    [\n      "eigenvalue_1",\n      -2.0\n    ]\n  ],\n'
+        '  "note": "critical-point report for saddle"\n}\n',
+    ),
+    ("critical", "--fn", "inv_r", "--x=-0.0,1,-0.0"): (
+        "quantity,value\nclassification,not critical\ngradient_norm,1.0000000001473095\n"
+        "eigenvalue_0,2.0000001192092896\neigenvalue_1,-0.99999995529651642\neigenvalue_2,-0.99999995529651642\n",
+        '{\n  "columns": [\n    "quantity",\n    "value"\n  ],\n  "rows": [\n    [\n      "classification",\n'
+        '      "not critical"\n    ],\n    [\n      "gradient_norm",\n      1.0000000001473095\n    ],\n'
+        '    [\n      "eigenvalue_0",\n      2.0000001192092896\n    ],\n    [\n      "eigenvalue_1",\n'
+        '      -0.9999999552965164\n    ],\n    [\n      "eigenvalue_2",\n      -0.9999999552965164\n    ]\n  ],\n'
+        '  "note": "critical-point report for inv_r"\n}\n',
+    ),
+    ("critical", "--fn", "log_r", "--x=-0.0,1"): (
+        "quantity,value\nclassification,not critical\ngradient_norm,1.0000000000495268\n"
+        "eigenvalue_0,0.99999997019767839\neigenvalue_1,-1.0000000298027771\n",
+        '{\n  "columns": [\n    "quantity",\n    "value"\n  ],\n  "rows": [\n    [\n      "classification",\n'
+        '      "not critical"\n    ],\n    [\n      "gradient_norm",\n      1.0000000000495268\n    ],\n'
+        '    [\n      "eigenvalue_0",\n      0.9999999701976784\n    ],\n    [\n      "eigenvalue_1",\n'
+        '      -1.0000000298027771\n    ]\n  ],\n  "note": "critical-point report for log_r"\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NEGATIVE_ZERO), ids=lambda a: "-".join(a[2:]).lstrip("-"))
+def test_negative_zero_coordinates_print_the_old_bytes(argv):
+    table = run(list(argv))
+    assert [_written(emit, table, fmt, None) for fmt in ("csv", "json")] == list(NEGATIVE_ZERO[argv])
+
+
 def _subcommands(parser):
     (choices,) = [action.choices for action in parser._actions if action.dest == "command"]
     return choices

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -14,7 +15,6 @@ from calclab.diffcalc import (
     _central_differences,
     _step1,
     _step2,
-    _unit_stencil,
     classify_critical,
     derivative_1d,
     gradient,
@@ -210,6 +210,13 @@ def test_unity_root_average():
     assert gap == pytest.approx(1e-3 / 6.0, rel=1e-2)
 
 
+def test_unity_root_average_past_an_overflowing_sum():
+    # every value is finite (the largest e^709.5), but their sum overflows before the division
+    got = unity_root_average(cmath.exp, 709.0, 0.5, 4)
+    want = unity_root_average(cmath.exp, 0.0, 0.5, 4) * math.exp(709.0)
+    assert abs(got - want) <= 1e-14 * want
+
+
 def test_holder_critical_check():
     x, value = holder_critical_check([1.0, 1e-9, 1e-9], 2.0)
     assert value == pytest.approx(1.0, abs=1e-6)
@@ -311,17 +318,36 @@ def test_spherical_laplacian_evaluates_seven_points():
     assert all(type(v) is float for args in calls for v in args)
 
 
+def _stepped(x, h, *moves):
+    """x with coordinate i at x_i + h or x_i - h for each move (i, sign), every other coordinate x's own."""
+    p = list(x)
+    for i, sign in moves:
+        p[i] = x[i] + h if sign > 0 else x[i] - h
+    return tuple(p)
+
+
+def _axes(d):
+    return [((i, sign),) for sign in (1, -1) for i in range(d)]
+
+
+def _corners(d):
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return [((i, a), (j, b)) for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)) for i, j in pairs]
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_stencil_points_are_the_unit_offsets_added_coordinate_by_coordinate(d):
+    # each point is x with only its stepped coordinates at x_i +/- h: every other coordinate is
+    # x's own float, a -0.0 included
     x = tuple(np.random.default_rng(d).choice([0.0, -0.0, 0.7, -1.3], d).tolist())
     for h in (0.25, -0.25, 5e-324):
-        units = _unit_stencil(d, math.copysign(1.0, h))
+        hessian_moves = [()] + _axes(d) + _corners(d)
         # each route's points: the Hessian's whole stencil, the Laplacian's axes, the gradient's
         # axis points in front of the Hessian's
-        for route, rows in (
-            (hessian, units),
-            (laplacian, units[: 2 * d + 1]),
-            (classify_critical, units[1 : 2 * d + 1] + units),
+        for route, moves in (
+            (hessian, hessian_moves),
+            (laplacian, hessian_moves[: 2 * d + 1]),
+            (classify_critical, _axes(d) + hessian_moves),
         ):
             got = []
             if h == 5e-324:  # h * h is 0: each route refuses the step before the first call
@@ -330,9 +356,60 @@ def test_stencil_points_are_the_unit_offsets_added_coordinate_by_coordinate(d):
                 assert got == []
                 continue
             route(lambda v: got.append(v) or 0.0, x, h)
-            want = [tuple(a + h * u for a, u in zip(x, row)) for row in rows]
+            want = [_stepped(x, h, *m) for m in moves]
             assert all(type(p) is _Point for p in got)
             assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
+
+
+@pytest.mark.parametrize(
+    "f, x, dfdx",
+    [
+        (lambda v: math.copysign(1.0, v[1]) * v[0], (2.0, -0.0), -1.0),
+        (lambda v: math.atan2(v[1], v[0]), (-1.0, -0.0), 0.0),
+    ],
+    ids=["copysign", "atan2"],
+)
+def test_an_unmoved_negative_zero_stays_on_its_side(f, x, dfdx):
+    # the x-differences keep y at -0.0: none of their points crosses the sign change or the branch
+    # cut along the x-axis
+    assert abs(gradient(f, x)[0] - dfdx) <= 1e-9
+    assert hessian(f, x)[0][0] == 0.0
+    assert diffcalc._derivatives(2, "axes")(f, x, _step2(x))[2][0] == 0.0  # the Laplacian's x-term
+    assert classify_critical(f, x).gradient_norm > 1e3  # the y-differences cross it, as they must
+
+
+def test_classify_critical_passes_negative_zero_on_every_unmoved_axis():
+    x = (-0.0, 0.5, -0.0)
+    got = []
+    classify_critical(lambda v: got.append(v) or 0.0, x)
+    assert len(got) == 25
+    for i in (0, 2):
+        unmoved = [p[i] for p in got if p[i] == 0.0]
+        # 25 points, of which the gradient's 2, the axes' 2 and the corners' 8 move axis i
+        assert len(unmoved) == 13 and all(math.copysign(1.0, v) == -1.0 for v in unmoved)
+
+
+_HUGE = [1e300, 1.0]
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        pytest.param(lambda f: laplacian(lambda p: f(p) or math.sin(p[0]), _HUGE), id="laplacian"),
+        pytest.param(lambda f: hessian(lambda p: f(p) or math.sin(p[0]) * p[1], _HUGE), id="hessian"),
+        pytest.param(lambda f: classify_critical(lambda p: f(p) or math.sin(p[0]) + math.cos(p[1]), [1e300, 1e300]),
+                     id="classify_critical"),
+        pytest.param(lambda f: taylor2_multi(lambda p: f(p) or math.sin(p[0]), _HUGE, [0.1, 0.1]), id="taylor2_multi"),
+        pytest.param(lambda f: derivative_1d(lambda t: f(t) or t, 1e300, 2), id="derivative_1d"),
+        pytest.param(lambda f: taylor1d(lambda t: f(t) or math.sin(t), 1e300, 3, 0.1), id="taylor1d"),
+    ],
+)
+def test_a_default_step_that_does_not_fit_is_refused_before_calling_f(route):
+    # at |x| = 1e300 the default step's h^2 (or h^k) overflows: the differences read 0 or overflowed
+    f, calls = _counting(lambda p: None)
+    with pytest.raises(ValueError, match="^the step h = .* does not fit the stencil"):
+        route(f)
+    assert calls == []
 
 
 def test_each_generated_kernel_is_compiled_once(monkeypatch):
@@ -349,12 +426,15 @@ def test_each_generated_kernel_is_compiled_once(monkeypatch):
         classify_critical(lambda v: v[0] * v[1] - v[2] ** 4 + math.sin(v[2]), x)
     for x in rng.uniform(-2.0, 2.0, (500, 2)).tolist():
         laplacian(_sin_cubic, x)
+    # one kernel serves both signs of the step
+    classify_critical(lambda v: v[0] * v[1] - v[2] ** 4, [0.1, 0.2, 0.3], -1e-3)
+    laplacian(_sin_cubic, [0.4, -0.2], -1e-3)
     # no Jacobi is generated: not the eigenvectors, nor the eigenvalues at any order
     for n in (1, 2, 3):
         linalg.symmetric_eigen(np.eye(n) + 0.25)
     linalg.classify_definiteness([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
     # the Laplacian's differences, and the gradient's and the Hessian's together
-    assert sorted(names) == ["derivatives_2_axes_p", "derivatives_3_critical_pp"]
+    assert sorted(names) == ["derivatives_2_axes", "derivatives_3_critical"]
 
 
 def _hessian_calls(d):
@@ -527,12 +607,12 @@ def test_classify_critical_matches_three_pass_oracle(coords, h):
     st.one_of(st.floats(1e-4, 1e-2), st.floats(-1e-2, -1e-4)),
     st.booleans(),
 )
-def test_central_differences_match_the_identity_matrix_stencil(points, h, vector):
-    # the (2d, M) block x + h e_i, then x - h e_i, that _central_differences built from h * eye(d)
+def test_central_differences_step_one_coordinate_per_point(points, h, vector):
+    # the (2d, M) block of the rows with coordinate i at x_i + h, then at x_i - h, every other
+    # coordinate the row's own float
     x = np.array(points)
     M, d = x.shape
-    step = h * np.eye(d)[:, None, :]
-    block = np.concatenate([x + step, x - step]).reshape(-1, d)
+    block = np.array([_stepped(row, h, m) for (m,) in _axes(d) for row in points])
     field = (lambda v: (_signed_field(v), math.atan(v[0]) * v[-1])) if vector else _signed_field
     rows = []
 

@@ -1157,6 +1157,9 @@ def test_guards_refuse_nan_and_results_past_the_float_range(f, args, message):
         (lambda: ellipse_length(math.nan, 1.0), "need a, b > 0 and finite"),
         (lambda: ode2_solve(math.nan, 0.0, 1.0, 0.0), "need finite a, b, f(0) and f'(0)"),
         (lambda: ode2_solve(1.0, -math.inf, 1.0, 0.0), "need finite a, b, f(0) and f'(0)"),
+        # b * b + 4a overflows: the roots 1e200 and 0 come from the scaled equation
+        (lambda: ode2_solve(0.0, 1e200, 1.0, 0.0)(0.0), 1.0),
+        (lambda: ode2_solve(1e6, 0.0, 1.0, 0.0)(1.0), "the solution leaves the float range at x = 1.0"),
     ],
     ids=[
         "stop-time",
@@ -1171,6 +1174,8 @@ def test_guards_refuse_nan_and_results_past_the_float_range(f, args, message):
         "ellipse-nan",
         "ode2-nan",
         "ode2-inf",
+        "ode2-roots",
+        "ode2-solution",
     ],
 )
 def test_values_past_an_intermediate_power(route, expected):
