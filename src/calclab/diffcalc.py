@@ -8,6 +8,9 @@ Laplacian, root-of-unity derivative averaging, and the constrained-extremum
 verifiers (p-norm sphere maximizer, 1-norm criticality on the orthogonal
 group).  The stencil sums (a k-th difference, a Taylor polynomial, a
 Laplacian) are ``math.fsum``: the exact sum of the float terms, rounded once.
+Every stencil of k-th differences, the block route included, takes its
+step h, or eps^(1/(k+2)) (1 + max |x_i|) if h is None or 0, by one rule:
+``_step``.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
 does not load numpy.  The single-point routes that return numbers
@@ -74,44 +77,36 @@ class _Point(tuple):
     __rmatmul__ = __matmul__
 
 
-def _step1(x: Sequence[float]) -> float:
-    return _EPS ** (1.0 / 3.0) * (1.0 + max(map(abs, x)))
-
-
-def _step2(x: Sequence[float]) -> float:
-    return _EPS ** 0.25 * (1.0 + max(map(abs, x)))
-
-
-def _usable(h: float, x: Sequence[float], divisors: Callable[[float], tuple], offsets=(-1.0, 0.0, 1.0)) -> float:
-    """h, if a stencil can use it as its step; else ValueError naming it, before the first call of f.
+def _usable(h: float, x: Sequence[float], k: int, offsets: Sequence[float] = (-1.0, 0.0, 1.0)) -> float:
+    """h, if a stencil of k-th differences at x can use it as its step; else ValueError naming it, before f is called.
 
     h must be finite, the points c + u h (u in offsets) of each coordinate c
-    of x must be distinct, and each divisor the differences take of h (2h,
-    h^2, 4h^2, h^k) must be a normal, finite float.  The routes check a
-    step the caller gives and their default steps alike, whose h^2 overflows
-    past |x_i| ~ 1e150; ``_step`` passes a smaller default second-difference
-    step by one comparison.
+    of x must be finite and distinct, and h^k and (2h)^k, which bound every
+    divisor the differences take (2h, h^2, 4h^2, h^k), must be normal floats.
     """
     try:
-        moved = all(len({c + u * h for u in offsets}) == len(offsets) for c in x)
-        if moved and math.isfinite(h) and all(sys.float_info.min <= abs(v) < math.inf for v in divisors(h)):
-            return h
+        if math.isfinite(h) and sys.float_info.min <= abs(h**k) and abs((2.0 * h) ** k) < math.inf:
+            points = [{c + u * h for u in offsets} for c in x]
+            if all(len(p) == len(offsets) and all(map(math.isfinite, p)) for p in points):
+                return h
     except OverflowError:  # h ** k past the float range
         pass
     raise ValueError(f"the step h = {h!r} does not fit the stencil: it must be finite, keep the stencil's points "
-                     "apart and keep each divisor of the differences a normal float")
+                     "finite and apart and keep h^k and (2h)^k normal floats")
 
 
-def _step(h: float | None, x: Sequence[float], divisors: Callable[[float], tuple]) -> float:
-    """The step h of a second-difference stencil at x, checked by ``_usable``; ``_step2(x)`` if h is None or 0.
+def _step(h: float | None, x: Sequence[float], k: int, offsets: Sequence[float] = (-1.0, 0.0, 1.0)) -> float:
+    """The step of a stencil of k-th differences at x: h, or eps^(1/(k+2)) (1 + max |x_i|) if h is None or 0.
 
-    The default needs no check below 1e150: it moves each coordinate (it is
-    over eps^(1/4) |x_i|), and 2h, h^2 and 4h^2 are then normal floats.
+    Every step is checked by ``_usable`` but a default of order k <= 2 below
+    1e150: over eps^(1/3) |x_i|, it moves each coordinate by offsets of at
+    least 1/2 and keeps it finite, and h^k and (2h)^k are normal floats.
     """
-    if h:
-        return _usable(h, x, divisors)
-    h = _step2(x)
-    return h if h < 1e150 else _usable(h, x, divisors)
+    if not h:
+        h = _EPS ** (1.0 / (k + 2)) * (1.0 + max(map(abs, x)))
+        if k <= 2 and h < 1e150:
+            return h
+    return _usable(h, x, k, offsets)
 
 
 def _central_differences(
@@ -125,12 +120,14 @@ def _central_differences(
     points are copies of the rows with coordinate i stepped to x_i + h, then
     to x_i - h, and are sampled by ``quad._samples``: F is called once per
     stencil point on a 1-D float row of a fresh array, and a NaN or
-    infinite value raises ValueError.
+    infinite value raises ValueError.  h is checked first by ``_usable`` at
+    each axis's largest |x_i|, where a step moves a coordinate least.
     F returns a number or a sequence of k numbers; the result has shape
     (M, d) or (M, d, k), with [m, i] the difference along axis i at row m.
     """
     points = np.asarray(points, dtype=float)
     M, d = points.shape
+    _usable(h, np.abs(points).max(axis=0).tolist(), 1)
     block = np.tile(points, (2 * d, 1, 1))
     for i in range(d):
         block[i, :, i] += h
@@ -217,11 +214,11 @@ def _point(x: Sequence[float]) -> tuple[float, ...]:
 def gradient(f: Callable[[np.ndarray], float], x: Sequence[float], h: float | None = None) -> np.ndarray:
     """Central-difference gradient, O(h^2) on C^3 fields.
 
-    A given step h that is not finite, does not move every coordinate or
-    makes 2h not a normal float raises ValueError before f is called.
+    A step h, given or default, that does not fit the stencil (``_step``)
+    raises ValueError before f is called.
     """
     x = _point(x)
-    return _central_differences(f, np.array([x]), _usable(h, x, lambda h: (2.0 * h,)) if h else _step1(x))[0]
+    return _central_differences(f, np.array([x]), h or _step(None, x, 1))[0]
 
 
 def jacobian(
@@ -229,7 +226,7 @@ def jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian matrix (dF_i/dx_j); a given step h is checked as in :func:`gradient`."""
     x = _point(x)
-    return _central_differences(F, np.array([x]), _usable(h, x, lambda h: (2.0 * h,)) if h else _step1(x))[0].T
+    return _central_differences(F, np.array([x]), h or _step(None, x, 1))[0].T
 
 
 def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.ndarray:
@@ -239,12 +236,12 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     (f(x+ei+ej) - f(x+ei-ej) - f(x-ei+ej) + f(x-ei-ej))/(4h^2) is evaluated
     once per pair i < j and written to both (i, j) and (j, i), so H is
     symmetric by construction: 1 + 2d + 2d(d - 1) calls of f, sampled in
-    one block.  A step h, given or default, that is not finite, does not
-    move every coordinate or makes h^2 or 4h^2 not a normal float raises
-    ValueError before f is called; the default does past |x_i| ~ 1e150.
+    one block.  A step h, given or default, that does not fit the stencil
+    (``_step``) raises ValueError before f is called, the default past
+    |x_i| ~ 5e157, where 4h^2 overflows.
     """
     x = _point(x)
-    h = _step(h, x, lambda h: (h * h, 4.0 * h * h))
+    h = _step(h, x, 2)
     return np.array(_derivatives(len(x), "hessian")(f, x, h)[1])
 
 
@@ -256,9 +253,9 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
     relative, times a constant that grows with k.  Measured for exp at 0 it
     is 1.3e-11 at k = 1, 3.8e-6 at k = 4 and 1.0e-2 at k = 8.  Raises
     ValueError if x, or f at a stencil point, is NaN or infinite, and,
-    before f is called, if the step h, given or default, is not finite,
-    leaves two of the k + 1 stencil points equal, or makes h^k overflow or
-    leave the normal floats (the default does from |x| ~ 1e150 at k = 2).
+    before f is called, if the step h, given or default, does not fit the
+    stencil of k + 1 points (``_step``; the default does not from |x| ~
+    5e157 at k = 2).
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -266,7 +263,7 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
     if k == 0:
         return _samples(f, [x])[0]
     offsets = [k / 2.0 - j for j in range(k + 1)]
-    h = _usable(h or _EPS ** (1.0 / (k + 2)) * (1.0 + abs(x)), [x], lambda h: (h**k,), offsets)
+    h = _step(h, [x], k, offsets)
     values = _samples(f, [x + u * h for u in offsets])
     return math.fsum((-1.0) ** j * math.comb(k, j) * v for j, v in enumerate(values)) / h**k
 
@@ -298,8 +295,8 @@ def _gradient_and_hessian(
     The gradient's 2d points go in front of the Hessian's stencil, and f is
     sampled once, in one block of 1 + 4d + 2d(d - 1) points.
     """
-    h1, h = h or _step1(x), _step(h, x, lambda h: (2.0 * h, h * h, 4.0 * h * h))
-    return _derivatives(len(x), "critical")(f, x, h1, h)
+    h2, h1 = _step(h, x, 2), _step(h, x, 1)
+    return _derivatives(len(x), "critical")(f, x, h1, h2)
 
 
 class CriticalReport(Record):
@@ -325,9 +322,8 @@ def classify_critical(
     one block, 1 + 4d + 2d(d - 1) calls of f (25 in 3-D), by one generated
     kernel, and the Hessian's eigenvalues come from the numpy-free Jacobi
     sweeps on lists (at d = 3 written out on locals).  A NaN or infinite
-    coordinate of x, or a step h, given or default, that is not finite,
-    does not move every coordinate or makes 2h, h^2 or 4h^2 not a normal
-    float, raises ValueError before f is called.
+    coordinate of x, or a step h, given or default, that does not fit the
+    gradient's or the Hessian's stencil, raises ValueError before f is called.
     """
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
@@ -353,12 +349,11 @@ def classify_critical(
 def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> float:
     """Sum of second central differences along the axes, rounded once.
 
-    A step h, given or default, that is not finite, does not move every
-    coordinate or makes 2h or h^2 not a normal float raises ValueError
-    before f is called.
+    A step h, given or default, that does not fit the stencil is refused
+    as in :func:`hessian`.
     """
     x = _point(x)
-    h = _step(h, x, lambda h: (2.0 * h, h * h))
+    h = _step(h, x, 2)
     return math.fsum(_derivatives(len(x), "axes")(f, x, h)[2])
 
 
@@ -438,7 +433,7 @@ def spherical_laplacian(
         raise ValueError("polar axis: the spherical form is singular there")
     h = h or _EPS ** 0.25 * (1.0 + abs(r) + abs(s) + abs(t))
     # keep the radial stencil away from the origin
-    h = _usable(min(h, 0.45 * r), (r, s, t), lambda h: (2.0 * h, h * h))
+    h = _usable(min(h, 0.45 * r), (r, s, t), 2)
     differences = _derivatives(3, "axes")
     _, (f_r, f_s, _), (f_rr, f_ss, f_tt) = differences(lambda p: f(*p), (r, s, t), h)
     radial = f_rr + 2.0 * f_r / r

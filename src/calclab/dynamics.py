@@ -65,6 +65,12 @@ __all__ = [
     "divergence_check",
 ]
 
+# Work caps, each with at least 50x margin over every test, benchmark case and README example: a run
+# past one would take minutes or more, or memory the machine does not have.
+_MAX_ORBIT_STEPS = 10**6  # about 5 s and 200 MB of OrbitState on a 2-vCPU x86
+_MAX_LATTICE_POINTS = 10**5
+_MAX_LATTICE_STEPS = 10**5  # about 1 s on a few points, 2 min on 10^5
+
 
 def cross(u: Sequence[float], v: Sequence[float]) -> np.ndarray:
     """Vector product in R^3 by the 2x2-determinant rule (row by row for stacks of vectors)."""
@@ -227,7 +233,8 @@ def kepler_integrate(
     T = 1, dt = 0.3 gives four steps and T < dt gives one step of T.
 
     Pass a physically meaningful r_min when collisions are possible; the
-    default only catches an exact fall onto the center.
+    default only catches an exact fall onto the center.  More than 10^6
+    steps raise ValueError before the first one.
     """
     if T <= 0:
         raise ValueError("need T > 0")
@@ -240,6 +247,8 @@ def kepler_integrate(
     clipped = abs(ratio - steps) > 1e-9 * ratio
     if clipped:
         steps = math.floor(ratio)
+    if steps + clipped > _MAX_ORBIT_STEPS:
+        raise ValueError(f"the orbit needs {steps + clipped:.7g} RK4 steps, past the cap of {_MAX_ORBIT_STEPS:,}")
     end = s.time + T
     out = [s]
     for _ in range(steps):
@@ -502,25 +511,36 @@ def heat_lattice_step(u: Grid1D, alpha: float, dt: float) -> Grid1D:
 
 def _lattice(g: Callable[[float], float], a: float, b: float, dx: float) -> np.ndarray:
     """g sampled at the round((b-a)/dx) + 1 points of the lattice on [a, b]; needs dx > 0, a < b
-    and a finite (b-a)/dx."""
+    and at most 10^5 points, checked before g is called or the lattice allocated."""
     if not dx > 0:
         raise ValueError("need dx > 0")
     if not a < b:
         raise ValueError("need a < b")
     if not math.isfinite((b - a) / dx):
         raise ValueError("the lattice's (b - a)/dx overflows")
-    return _samples(g, np.linspace(a, b, int(round((b - a) / dx)) + 1))
+    n = int(round((b - a) / dx)) + 1
+    if n > _MAX_LATTICE_POINTS:
+        raise ValueError(f"the lattice has {n:.7g} points, past the cap of {_MAX_LATTICE_POINTS:,}")
+    return _samples(g, np.linspace(a, b, n))
+
+
+def _lattice_steps(dt: float, times: Sequence[float]) -> None:
+    """ValueError, before the first step, unless the last of the nondecreasing times is at most
+    10^5 steps of dt."""
+    steps = times[-1] / dt if times else 0.0
+    if not math.isfinite(steps):
+        raise ValueError("the step count t/dt overflows")
+    if round(steps) > _MAX_LATTICE_STEPS:
+        raise ValueError(f"the lattice needs {round(steps):.7g} steps, past the cap of {_MAX_LATTICE_STEPS:,}")
 
 
 def _frames(state, advance, dt: float, times: Sequence[float]) -> list:
     """The states at max(1, round(t/dt)) steps for each of the nondecreasing times, from one run.
 
     ``state`` is the state after one step of dt, and ``advance`` maps a
-    state to the next one.  A last time whose t/dt overflows raises
-    ValueError before any further step.
+    state to the next one; the callers size the run by ``_lattice_steps``
+    first.
     """
-    if times and not math.isfinite(times[-1] / dt):
-        raise ValueError("the step count t/dt overflows")
     out = []
     done = 1
     for t in times:
@@ -545,6 +565,7 @@ def _wave_frames(g, h, v, a, b, dx, cfl, times) -> list[Grid1D]:
         raise ValueError("need v > 0")
     dt = cfl * dx / v
     u0, hv = _lattice(g, a, b, dx), _lattice(h, a, b, dx)
+    _lattice_steps(dt, times)
     lam2 = (v * dt / dx) ** 2
     u1 = np.copy(u0)
     u1[1:-1] = u0[1:-1] + dt * hv[1:-1] + 0.5 * lam2 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])
@@ -564,7 +585,9 @@ def _heat_frames(g, alpha, a, b, dx, cfl, times) -> list[Grid1D]:
     if not alpha > 0:
         raise ValueError("need alpha > 0")
     dt = cfl * dx * dx / alpha
-    start = heat_lattice_step(Grid1D(_lattice(g, a, b, dx), a, b, 0.0), alpha, dt)
+    u0 = Grid1D(_lattice(g, a, b, dx), a, b, 0.0)
+    _lattice_steps(dt, times)
+    start = heat_lattice_step(u0, alpha, dt)
     return _frames(start, lambda u: heat_lattice_step(u, alpha, dt), dt, times)
 
 
@@ -873,7 +896,9 @@ def stokes_check(
     d_j F_i)(S_u,i S_v,j - S_u,j S_v,i): <curl F, S_u x S_v> in R^3, (dQ/dx -
     dP/dy) det J in the plane.  The boundary is the mapped rectangle edge
     loop, so the orientations match.  F is differenced with step 1e-5, the
-    chart and the edges with 1e-6 times the longer span.  Simpson's rule
+    chart and the edges with 1e-6 times the longer span, each refused
+    before F is called where it does not fit its points (as over
+    [0, 1e-320]^2 or [0, 1e300]^2; ``diffcalc._step``).  Simpson's rule
     takes n intervals per side, 2n per edge; n None settles
     (:func:`quad._settle`) both over 8, 16, ... 256 to 1e-9.
     """
@@ -907,7 +932,9 @@ def divergence_check(
     The ball side is a ``radial_nodes``-node Gauss-Legendre rule in the
     radius (no node at r = 0) over shells of the 2 order^2 sphere nodes;
     div F is the sum of central differences of step 1e-5, six F calls per
-    node.  The flux side evaluates F once per node of the outer sphere.
+    node, refused before F is called where it does not move a coordinate
+    (as at center (1e12, 0, 0)).  The flux side evaluates F once per node
+    of the outer sphere.
     F receives each point as a 1-D float array of shape (3,), and a NaN or
     infinite value raises ValueError, as does a radius that is not finite
     and positive or a NaN or infinite center, before F is called.  Returns

@@ -124,7 +124,9 @@ def all_roots(P: Polynomial, tol: float = 1e-12) -> list[complex]:
     Start points are roots of unity scaled to 1 + max |c_k/c_n| and rotated
     by 0.4 radians to break symmetric stagnation.  Roots closer than
     1e3 * tol * scale are merged (reported with multiplicity, as copies of
-    their cluster mean).  Raises ArithmeticError after 1000 sweeps.
+    their cluster mean).  Raises ArithmeticError after 1000 sweeps, and
+    ValueError as soon as an iterate leaves the float range, as it does when
+    P overflows at the start radius (coefficients 1, 1e160, 1).
     """
     n = P.degree
     if n < 1:
@@ -147,6 +149,8 @@ def all_roots(P: Polynomial, tol: float = 1e-12) -> list[complex]:
                 denom = 1e-300
             delta = monic(xs[i]) / denom
             xs[i] -= delta
+            if not cmath.isfinite(xs[i]):  # P or the product overflowed: max(shift, nan) would stop the loop
+                raise ValueError("root iteration left the float range: the coefficients are too far apart in scale")
             shift = max(shift, abs(delta))
         if shift <= tol * scale:
             break

@@ -92,11 +92,43 @@ def test_numerical_failure_exit_2(capsys):
     assert err.count("\n") == 1  # single-line diagnostic
 
 
-def test_an_allocation_numpy_refuses_is_one_line_and_exit_2(capsys):
-    # np.linspace refuses 146 TiB before it allocates anything
+def test_an_allocation_numpy_refuses_is_one_line_and_exit_2(capsys, monkeypatch):
+    # np.linspace refuses 146 TiB before it allocates anything; with the point cap lifted, the
+    # MemoryError backstop in main is what answers
+    from calclab import dynamics
+
+    monkeypatch.setattr(dynamics, "_MAX_LATTICE_POINTS", math.inf, raising=False)
     code, out, err = invoke(["wave", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-12"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("calclab: Unable to allocate") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "1e300", "--dt", "0.1"],
+         "the orbit needs 1e+301 RK4 steps, past the cap of 1,000,000"),
+        (["heat", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-5"],
+         "the lattice has 1000001 points, past the cap of 100,000"),
+        (["wave", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-12"],
+         "the lattice has 2e+13 points, past the cap of 100,000"),
+        (["heat", "--profile", "gaussian", "--t", "1000", "--frames", "2"],
+         "the lattice needs 1600000 steps, past the cap of 100,000"),
+    ],
+    ids=["orbit-T-1e300", "heat-dx-1e-5", "wave-dx-1e-12", "heat-t-1000"],
+)
+def test_work_past_its_cap_is_refused_by_count_before_it_starts(capsys, argv, message):
+    # the first two ran until killed, the third ended in numpy's allocation refusal
+    start = time.perf_counter()
+    code, out, err = invoke(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"calclab: {message}\n")
+
+
+def test_roots_past_the_float_range_exit_2_without_nan(capsys):
+    code, out, err = invoke(["roots", "--coeffs=1,1e160,1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("calclab: root iteration left the float range") and err.count("\n") == 1, err
 
 
 def test_mc_determinism(capsys):

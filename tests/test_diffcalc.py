@@ -13,8 +13,6 @@ from calclab.diffcalc import (
     _EPS,
     _Point,
     _central_differences,
-    _step1,
-    _step2,
     classify_critical,
     derivative_1d,
     gradient,
@@ -374,7 +372,7 @@ def test_an_unmoved_negative_zero_stays_on_its_side(f, x, dfdx):
     # cut along the x-axis
     assert abs(gradient(f, x)[0] - dfdx) <= 1e-9
     assert hessian(f, x)[0][0] == 0.0
-    assert diffcalc._derivatives(2, "axes")(f, x, _step2(x))[2][0] == 0.0  # the Laplacian's x-term
+    assert diffcalc._derivatives(2, "axes")(f, x, diffcalc._step(None, x, 2))[2][0] == 0.0  # the Laplacian's x-term
     assert classify_critical(f, x).gradient_norm > 1e3  # the y-differences cross it, as they must
 
 
@@ -518,9 +516,9 @@ def test_stencil_routes_match_per_point_oracles(field, coords):
     x = np.array(coords[:d])
     H = hessian(f, x)
     assert np.array_equal(H, H.T)
-    assert _close(H, oracles.hessian(f, x, _step2(x)))
-    assert _close(laplacian(f, x), oracles.laplacian(f, x, _step2(x)))
-    assert _close(gradient(f, x), oracles.gradient(f, x, _step1(x)))
+    assert _close(H, oracles.hessian(f, x, diffcalc._step(None, x, 2)))
+    assert _close(laplacian(f, x), oracles.laplacian(f, x, diffcalc._step(None, x, 2)))
+    assert _close(gradient(f, x), oracles.gradient(f, x, diffcalc._step(None, x, 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -783,3 +781,39 @@ def test_a_small_step_that_moves_every_coordinate_is_used():
     # h^2 = 1e-300 is normal: the second differences of t^2 at 0 are exact
     assert laplacian(_field, [0.0, 0.0], 1e-150) == 2.0
     assert derivative_1d(lambda t: t * t, 0.0, 2, 1e-150) == 2.0
+
+
+# --- one step rule for every stencil, the block route included ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "route, x, h",
+    [
+        # x_0 + h overflowed: f was called at inf, and the gradient read [0, 0]
+        (gradient, [1.797e308, 0.0], 1e305),
+        (lambda f, x, h: jacobian(lambda v: [f(v)], x, h), [1.797e308, 0.0], 1e305),
+        # the marginal steps: h subnormal while 2h is normal, and (2h)^2 past the float range while h^2 is not
+        (gradient, [0.0, 0.0], 1.5e-308),
+        (laplacian, _X, 1e154),
+        (lambda f, x, h: _derivative(f, 2, h), _X, 1e154),
+    ],
+    ids=["gradient-point-overflows", "jacobian-point-overflows", "gradient-h-subnormal", "laplacian-4h2-overflows",
+         "derivative_1d-4h2-overflows"],
+)
+def test_a_step_past_the_float_range_is_refused_before_calling_f(route, x, h):
+    f, calls = _counting(_field)
+    with pytest.raises(ValueError, match=re.escape(f"the step h = {h!r} does not fit the stencil")):
+        route(f, x, h)
+    assert calls == []
+
+
+def test_the_block_route_checks_its_step_at_each_axis_largest_coordinate():
+    F, calls = _counting(lambda v: float(v @ v))
+    # 1e12 + 1e-5 == 1e12 on axis 0 of the second row only: the differences there read 0
+    with pytest.raises(ValueError, match=re.escape("the step h = 1e-05 does not fit the stencil")):
+        _central_differences(F, np.array([[0.5, 0.25], [1e12, -0.75], [-3.0, 2.0]]), 1e-5)
+    assert calls == []
+    # at unit scale the check changes no bit
+    block = np.array([[0.5, 0.25], [-0.75, 1.5], [-3.0, 2.0]])
+    want = [[(F(x + 1e-5 * e) - F(x - 1e-5 * e)) / (2.0 * 1e-5) for e in np.eye(2)] for x in block]
+    assert _central_differences(F, block, 1e-5).tolist() == want

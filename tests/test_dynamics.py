@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -593,6 +594,32 @@ def test_divergence():
     assert gap <= 1e-4
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        # the chart step 1e-6 * span rounds to 0.0: the sides read (nan, nan, nan)
+        lambda F: stokes_check(F, (lambda u, v: (u, v, 0.0), (0.0, 1e-320), (0.0, 1e-320))),
+        lambda F: green_check(lambda x, y: F((x, y))[0], lambda x, y: F((x, y))[1],
+                              (lambda u, v: (u, v), (0.0, 1e-320), (0.0, 1e-320))),
+        # F's step 1e-5 does not move 1e300: the sides read (inf, inf, nan)
+        lambda F: stokes_check(F, (lambda u, v: (u, v, 0.0), (0.0, 1e300), (0.0, 1e300))),
+        # nor 1e12, whose half ulp is 6e-5: for F(q) = q the ball side read 8.378 against a flux of 4 pi
+        lambda F: divergence_check(F, (1e12, 0.0, 0.0)),
+    ],
+    ids=["stokes-span-1e-320", "green-span-1e-320", "stokes-span-1e300", "divergence-center-1e12"],
+)
+def test_a_checker_whose_step_does_not_fit_is_refused_before_calling_f(check):
+    calls = []
+
+    def F(q):
+        calls.append(q)
+        return (-q[1], q[0], 0.0) if len(q) == 3 else (-q[1], q[0])
+
+    with pytest.raises(ValueError, match="the step h = .* does not fit the stencil"):
+        check(F)
+    assert calls == []
+
+
 def test_canonicalize_orbit():
     from calclab.dynamics import canonicalize_orbit
 
@@ -1110,6 +1137,30 @@ def test_a_lattice_whose_point_count_overflows_is_refused(a, b, dx):
     with pytest.raises(ValueError, match="overflows"):
         dynamics._lattice(g, a, b, dx)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda g: kepler_integrate(OrbitState(1.0, 0.0, 0.0, 1.0, 1.0), 1e300, 0.1), "1e+301 RK4 steps"),
+        (lambda g: dynamics._heat_frames(g, 1.0, 0.0, 10.0, 1e-5, 0.25, [0.5, 1.0]), "1000001 points"),
+        (lambda g: simulate_wave(g, g, 1.0, 0.0, 20.0, 1e-12, 0.5, 1.0), "2e+13 points"),
+        (lambda g: simulate_heat(g, 1.0, 0.0, 10.0, 0.05, 0.25, 1000.0), "1600000 steps"),
+    ],
+    ids=["kepler-steps", "heat-points", "wave-points", "heat-steps"],
+)
+def test_work_past_its_cap_is_refused_before_the_first_step(monkeypatch, run, message):
+    steps = []
+    for name in ("kepler_step", "heat_lattice_step", "wave_lattice_step"):
+        monkeypatch.setattr(dynamics, name, lambda *args, **kw: steps.append(args))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message) + ", past the cap"):
+            run(lambda x: 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == [] and peak < 10**6  # the 201-point lattice of the step cap is 1.6 kB
 
 
 _NAN = math.nan

@@ -244,6 +244,17 @@ def test_all_roots_multiplicity_clustering():
     assert ones[0] == ones[1]  # merged to the cluster mean
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [[1, 1e160, 1], [1e308, 1e308, 1], [1] * 29 + [1e-300]],
+    ids=["roots-1e160-apart", "coefficients-1e308", "degree-29-lead-1e-300"],
+)
+def test_all_roots_refuses_an_iteration_past_the_float_range(coefficients):
+    # P overflows at the start radius, every step was NaN, and max(shift, nan) stopped the loop on NaN roots
+    with pytest.raises(ValueError, match="float range"):
+        all_roots(Polynomial(coefficients))
+
+
 def test_roots_of_unity():
     w4 = roots_of_unity(4)
     assert np.allclose(w4, [1, 1j, -1, -1j])
