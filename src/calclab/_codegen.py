@@ -6,8 +6,8 @@ radial functions rho_nl per (n, l) (an unrolled Horner) and ``diffcalc``'s
 derivatives kernels per dimension and differences (a stencil's points, the
 calls of f and the differences).
 The source a caller builds holds only float ``repr`` literals (which read back as
-the same floats, signed zeros included), ints, local names and the globals it
-passes, never text a user supplied.  A kernel is a plain function: it cannot
+the same floats, signed zeros included), ints, local names, the globals it
+passes and the text of its own error messages, never text a user supplied.  A kernel is a plain function: it cannot
 be pickled, and ``inspect.getsource`` finds no source for it.
 """
 

@@ -8,13 +8,20 @@ class Record:
     repr (``Name(field=value, ...)``), == and hash follow the field tuple, as
     for a frozen data class; assigning or deleting raises AttributeError; and
     unpickling calls the constructor, so its checks run again.
+
+    ``_set`` calls each field's slot-descriptor setter, taken once per class
+    into ``_setters`` in field order.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -74,8 +74,10 @@ _PLAIN = ((Fraction, Fraction), (numbers.Integral, int), (numbers.Real, float), 
 
 
 def _formatters(fmt: str, digits: int | None):
-    """The format's formatters by exact type, and the fallback for every other type."""
-    real = ("{:.%dg}" % (17 if digits is None else digits)).format
+    """The format's formatters by exact type, the fallback for every other type, and the
+    ``%``-template of one float cell, which is also the float formatter."""
+    cell = "%%.%dg" % (17 if digits is None else digits)
+    real = cell.__mod__
 
     def complex_text(z: complex) -> str:
         return f"{real(z.real)}{'+' if z.imag >= 0 else '-'}{real(abs(z.imag))}i"
@@ -98,22 +100,24 @@ def _formatters(fmt: str, digits: int | None):
         plain = next((plain for kind, plain in _PLAIN if isinstance(v, kind)), str)
         return by_type[plain](plain(v))
 
-    return by_type, other
+    return by_type, other, cell
 
 
 def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
     """Write the table as CSV or JSON; any other format is a ValueError.
 
-    Each value's formatter is looked up by its exact type in one table per
-    format, so a big table of floats pays one dict lookup per value.  A value
-    of any other type (numpy scalars, subclasses) is turned once into the
-    Python number or text it stands for and looked up again.  Exact integers
-    print in full: the interpreter's limit on int-to-string digits is lifted
-    while the table is written.
+    A CSV row whose cells are all exact floats and ints is written by one
+    ``%``-template per type signature (``%.17g``, or ``%.<digits>g``, and
+    ``%d``), built once per table, and the lines go to the sink in chunks
+    of at most 512.  Every other value's formatter is looked up by its exact
+    type in one table per format; a value of any other type (numpy scalars,
+    subclasses) is turned once into the Python number or text it stands for
+    and looked up again.  Exact integers print in full: the interpreter's
+    limit on int-to-string digits is lifted while the table is written.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    formatters, other = _formatters(fmt, digits)
+    formatters, other, real_cell = _formatters(fmt, digits)
     get = formatters.get
     # 0 where the interpreter has no such limit (before 3.10.7) or it is already off
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
@@ -126,9 +130,27 @@ def emit(table: ResultTable, fmt: str, sink, digits: int | None = None) -> None:
             # the csv module quotes a lone empty field, so that the row is not blank
             header = ",".join(map(_csv_text, table.columns))
             write('""\n' if lone and not header else header + "\n")
+            cell = {float: real_cell, int: "%d"}
+            templates = {}  # a row's cell types -> its %-template, or None for the formatters
+            lines = []
             for row in table.rows:
-                line = ",".join([get(type(v), other)(v) for v in row])
-                write('""\n' if lone and not line else line + "\n")
+                # exact-size: tuple(map(...)) shrinks a 10-slot tuple per row, and the shrunk
+                # tuples fill the interpreter's free list (+0.3 MB peak RSS on the benchmark)
+                kinds = (*map(type, row),)
+                try:
+                    template = templates[kinds]
+                except KeyError:
+                    known = cell.keys() >= set(kinds)
+                    template = templates[kinds] = ",".join(map(cell.get, kinds)) + "\n" if known else None
+                if template:
+                    lines.append(template % tuple(row))
+                else:
+                    line = ",".join([get(type(v), other)(v) for v in row])
+                    lines.append('""\n' if lone and not line else line + "\n")
+                if len(lines) == 512:
+                    write("".join(lines))
+                    lines.clear()
+            write("".join(lines))
         else:
             import json
 
@@ -708,7 +730,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"calclab: usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:  # numpy's allocation error is a MemoryError
-        print(f"calclab: {exc}", file=sys.stderr)
+        # Python's own MemoryError carries no text; no error line is left empty
+        text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
+        print(f"calclab: {text}", file=sys.stderr)
         return 2
     fmt = args.format or os.environ.get("CALCLAB_FORMAT", "csv")
     if fmt not in ("csv", "json"):

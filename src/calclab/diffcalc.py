@@ -332,9 +332,12 @@ def classify_critical(
     if gnorm > grad_tol * (1.0 + abs(fx)):
         label = "not critical"
     else:
-        band = zero_band * max(max(map(abs, eig)), 1e-30)
-        pos = sum(v > band for v in eig)
-        neg = sum(v < -band for v in eig)
+        # the eigenvalues come sorted in descending order, so the largest |v| is at an end
+        band = zero_band * max(abs(eig[0]), abs(eig[-1]), 1e-30)
+        pos = neg = 0
+        for v in eig:
+            pos += v > band
+            neg += v < -band
         if pos + neg < len(eig):
             label = "degenerate"
         elif neg == 0:

@@ -184,42 +184,55 @@ class OrbitState(Record):
 
 
 def kepler_step(s: OrbitState, dt: float, r_min: float = 1e-12) -> OrbitState:
-    """One classical fourth-order (RK4) step of zdd = -K z/|z|^3.
+    """One classical fourth-order (RK4) step of zdd = -K z/|z|^3: the loop of
+    :func:`kepler_integrate` run for one step.
 
     Evaluated on Python floats, in the operation order of the vector form
     z + dt/6 (k1 + 2 k2 + 2 k3 + k4) with stages at z + (dt/2) k1,
     z + (dt/2) k2 and z + dt k3.
     """
+    return _rk4_steps(s, dt, 1, r_min, [])[0]
+
+
+def _rk4_steps(s: OrbitState, dt: float, steps: int, r_min: float, out: list) -> list:
+    """out with the states after 1, ..., steps RK4 steps of dt from s appended, their times
+    accumulated as time + dt; the one RK4 body, on local floats.
+
+    ValueError for dt <= 0 or where |z|^3 overflows, ArithmeticError where
+    the radius is below r_min at the start or after a step.
+    """
     if dt <= 0:
         raise ValueError("need dt > 0")
-    if s.r < r_min:
-        raise ArithmeticError("collision: the start radius is below the threshold")
-    K = s.K
-    half = 0.5 * dt
-
-    def accel(x: float, y: float) -> tuple[float, float]:
-        try:
-            r3 = (x * x + y * y) ** 1.5
-        except OverflowError:
-            raise ValueError("the orbit leaves the float range (|z|^3 overflows)") from None
-        return -K * x / r3, -K * y / r3
-
-    x1, y1, vx1, vy1 = s.x, s.y, s.vx, s.vy
-    ax1, ay1 = accel(x1, y1)
-    x2, y2, vx2, vy2 = x1 + half * vx1, y1 + half * vy1, vx1 + half * ax1, vy1 + half * ay1
-    ax2, ay2 = accel(x2, y2)
-    x3, y3, vx3, vy3 = x1 + half * vx2, y1 + half * vy2, vx1 + half * ax2, vy1 + half * ay2
-    ax3, ay3 = accel(x3, y3)
-    x4, y4, vx4, vy4 = x1 + dt * vx3, y1 + dt * vy3, vx1 + dt * ax3, vy1 + dt * ay3
-    ax4, ay4 = accel(x4, y4)
-    c = dt / 6.0
-    x = x1 + c * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
-    y = y1 + c * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4)
-    vx = vx1 + c * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-    vy = vy1 + c * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    x, y, vx, vy, K, time = s.x, s.y, s.vx, s.vy, s.K, s.time
     if math.hypot(x, y) < r_min:
-        raise ArithmeticError("collision: radius fell below the threshold")
-    return OrbitState(x, y, vx, vy, K, s.time + dt)
+        raise ArithmeticError("collision: the start radius is below the threshold")
+    nK = -K
+    half = 0.5 * dt
+    c = dt / 6.0
+    try:
+        for _ in range(steps):
+            r3 = (x * x + y * y) ** 1.5
+            ax1, ay1 = nK * x / r3, nK * y / r3
+            x2, y2, vx2, vy2 = x + half * vx, y + half * vy, vx + half * ax1, vy + half * ay1
+            r3 = (x2 * x2 + y2 * y2) ** 1.5
+            ax2, ay2 = nK * x2 / r3, nK * y2 / r3
+            x3, y3, vx3, vy3 = x + half * vx2, y + half * vy2, vx + half * ax2, vy + half * ay2
+            r3 = (x3 * x3 + y3 * y3) ** 1.5
+            ax3, ay3 = nK * x3 / r3, nK * y3 / r3
+            x4, y4, vx4, vy4 = x + dt * vx3, y + dt * vy3, vx + dt * ax3, vy + dt * ay3
+            r3 = (x4 * x4 + y4 * y4) ** 1.5
+            ax4, ay4 = nK * x4 / r3, nK * y4 / r3
+            x = x + c * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
+            y = y + c * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
+            vx = vx + c * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+            vy = vy + c * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+            if math.hypot(x, y) < r_min:
+                raise ArithmeticError("collision: radius fell below the threshold")
+            time = time + dt
+            out.append(OrbitState(x, y, vx, vy, K, time))
+    except OverflowError:  # the float power |z|^3
+        raise ValueError("the orbit leaves the float range (|z|^3 overflows)") from None
+    return out
 
 
 def kepler_integrate(
@@ -230,7 +243,9 @@ def kepler_integrate(
     When T/dt is a whole number n up to rounding (|T/dt - n| <= 1e-9 T/dt,
     as for dt = T/n) the trajectory is n full steps.  Otherwise it is
     floor(T/dt) full steps plus one shorter step that ends at s.time + T, so
-    T = 1, dt = 0.3 gives four steps and T < dt gives one step of T.
+    T = 1, dt = 0.3 gives four steps and T < dt gives one step of T.  The
+    steps are one loop on local floats, the same as a loop of
+    :func:`kepler_step`, bit for bit.
 
     Pass a physically meaningful r_min when collisions are possible; the
     default only catches an exact fall onto the center.  More than 10^6
@@ -251,11 +266,11 @@ def kepler_integrate(
         raise ValueError(f"the orbit needs {steps + clipped:.7g} RK4 steps, past the cap of {_MAX_ORBIT_STEPS:,}")
     end = s.time + T
     out = [s]
-    for _ in range(steps):
-        s = kepler_step(s, dt, r_min=r_min)
-        out.append(s)
+    if steps:
+        _rk4_steps(s, dt, steps, r_min, out)
     if clipped:
-        last = kepler_step(s, end - s.time, r_min=r_min)
+        s = out[-1]
+        last = _rk4_steps(s, end - s.time, 1, r_min, [])[0]
         out.append(OrbitState(last.x, last.y, last.vx, last.vy, last.K, end))
     return out
 
@@ -472,28 +487,41 @@ class Grid1D(Record):
 
 
 def wave_lattice_step(u_prev: Grid1D, u_curr: Grid1D, v: float, dt: float) -> Grid1D:
-    """One leapfrog step of the wave equation, fixed boundary values.
+    """One leapfrog step of the wave equation, fixed boundary values: one call of the frames' kernel.
 
     Refuses unstable parameters: v dt/dx must not exceed 1.
     """
-    if dt <= 0 or v <= 0:
-        raise ValueError("need v, dt > 0")
-    dx = u_curr.dx
-    lam = v * dt / dx
-    if lam > 1.0 + 1e-12:
-        raise ValueError(f"unstable step: v*dt/dx = {lam:.4f} > 1")
-    u0, u1 = u_prev.values, u_curr.values
-    new = u1.copy()
-    new[1:-1] = (
-        2.0 * u1[1:-1]
-        - u0[1:-1]
-        + lam * lam * (u1[2:] - 2.0 * u1[1:-1] + u1[:-2])
-    )
+    lam = _wave_ratio(v, dt, u_curr.dx)
+    new = u_curr.values.astype(np.result_type(u_curr.values, 1.0))  # a copy; ints step as floats
+    _leapfrog_step(u_prev.values, u_curr.values, new, lam, np.empty(len(new) - 2, new.dtype))
     return Grid1D(new, u_curr.a, u_curr.b, u_curr.time + dt)
 
 
+def _wave_ratio(v: float, dt: float, dx: float) -> float:
+    """The leapfrog's v dt/dx; ValueError unless v, dt > 0 and it is at most 1."""
+    if dt <= 0 or v <= 0:
+        raise ValueError("need v, dt > 0")
+    lam = v * dt / dx
+    if lam > 1.0 + 1e-12:
+        raise ValueError(f"unstable step: v*dt/dx = {lam:.4f} > 1")
+    return lam
+
+
+def _leapfrog_step(u0, u1, out, lam: float, t) -> None:
+    """out[1:-1] = 2 u1[1:-1] - u0[1:-1] + lam lam (u1[2:] - 2 u1[1:-1] + u1[:-2]), in that order,
+    by in-place ufuncs through the scratch row t; out may be u0."""
+    inner = out[1:-1]
+    np.multiply(2.0, u1[1:-1], out=t)
+    np.subtract(t, u0[1:-1], out=inner)
+    np.subtract(u1[2:], t, out=t)
+    np.add(t, u1[:-2], out=t)
+    np.multiply(lam * lam, t, out=t)
+    np.add(inner, t, out=inner)
+
+
 def heat_lattice_step(u: Grid1D, alpha: float, dt: float) -> Grid1D:
-    """One forward-Euler step of the heat equation, fixed boundary values.
+    """One forward-Euler step of the heat equation, fixed boundary values: one call of the
+    frames' kernel.
 
     Refuses unstable parameters: alpha dt/dx^2 must not exceed 1/2.
     """
@@ -503,10 +531,20 @@ def heat_lattice_step(u: Grid1D, alpha: float, dt: float) -> Grid1D:
     mu = alpha * dt / (dx * dx)
     if mu > 0.5 + 1e-12:
         raise ValueError(f"unstable step: alpha*dt/dx^2 = {mu:.4f} > 1/2")
-    vals = u.values
-    new = vals.copy()
-    new[1:-1] = vals[1:-1] + mu * (vals[2:] - 2.0 * vals[1:-1] + vals[:-2])
+    new = u.values.astype(np.result_type(u.values, 1.0))  # a copy; ints step as floats
+    _heat_step(u.values, new, mu)
     return Grid1D(new, u.a, u.b, u.time + dt)
+
+
+def _heat_step(u, out, mu: float) -> None:
+    """out[1:-1] = u[1:-1] + mu (u[2:] - 2 u[1:-1] + u[:-2]), in that order, by in-place ufuncs;
+    out is not u."""
+    inner = out[1:-1]
+    np.multiply(2.0, u[1:-1], out=inner)
+    np.subtract(u[2:], inner, out=inner)
+    np.add(inner, u[:-2], out=inner)
+    np.multiply(mu, inner, out=inner)
+    np.add(u[1:-1], inner, out=inner)
 
 
 def _lattice(g: Callable[[float], float], a: float, b: float, dx: float) -> np.ndarray:
@@ -534,21 +572,25 @@ def _lattice_steps(dt: float, times: Sequence[float]) -> None:
         raise ValueError(f"the lattice needs {round(steps):.7g} steps, past the cap of {_MAX_LATTICE_STEPS:,}")
 
 
-def _frames(state, advance, dt: float, times: Sequence[float]) -> list:
-    """The states at max(1, round(t/dt)) steps for each of the nondecreasing times, from one run.
+def _frames(step, older, current, a: float, b: float, dt: float, times: Sequence[float]) -> list[Grid1D]:
+    """The grids at max(1, round(t/dt)) steps for each of the nondecreasing times, from one run.
 
-    ``state`` is the state after one step of dt, and ``advance`` maps a
-    state to the next one; the callers size the run by ``_lattice_steps``
-    first.
+    ``current`` holds the values after one step of dt, and ``older`` is a
+    buffer of the same shape; ``step(older, current)`` writes the next
+    step's values into ``older``, and the two then swap.  Each frame is a
+    copy, its time accumulated as time + dt per step.  The callers size the
+    run by ``_lattice_steps`` first.
     """
     out = []
-    done = 1
+    done, time = 1, dt
     for t in times:
         target = max(1, int(round(t / dt)))
         for _ in range(target - done):
-            state = advance(state)
+            step(older, current)
+            older, current = current, older
+            time += dt
         done = target
-        out.append(state)
+        out.append(Grid1D(current.copy(), a, b, time))
     return out
 
 
@@ -557,7 +599,8 @@ def _wave_frames(g, h, v, a, b, dx, cfl, times) -> list[Grid1D]:
 
     Frame by frame the same as :func:`simulate_wave`.  The first step is
     the standard Taylor start using the initial velocity h and the spatial
-    second difference of the displacement g.
+    second difference of the displacement g; the others are
+    ``_leapfrog_step`` in place on two buffers and one scratch row.
     """
     if not 0 < cfl <= 1:
         raise ValueError("need 0 < cfl <= 1")
@@ -569,16 +612,20 @@ def _wave_frames(g, h, v, a, b, dx, cfl, times) -> list[Grid1D]:
     lam2 = (v * dt / dx) ** 2
     u1 = np.copy(u0)
     u1[1:-1] = u0[1:-1] + dt * hv[1:-1] + 0.5 * lam2 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])
-    # a state is the pair (previous, current) of grids
-    start = (Grid1D(u0, a, b, 0.0), Grid1D(u1, a, b, dt))
-    advance = lambda s: (s[1], wave_lattice_step(s[0], s[1], v, dt))
-    return [curr for _, curr in _frames(start, advance, dt, times)]
+    grid_dx = Grid1D(u0, a, b, 0.0).dx
+    t = np.empty(len(u0) - 2)
+
+    def step(older, current):  # the ratio of the grid's dx, checked at each step as by wave_lattice_step
+        _leapfrog_step(older, current, older, _wave_ratio(v, dt, grid_dx), t)
+
+    return _frames(step, u0, u1, a, b, dt, times)
 
 
 def _heat_frames(g, alpha, a, b, dx, cfl, times) -> list[Grid1D]:
     """Forward-Euler states at each of the nondecreasing times, from one run.
 
-    Frame by frame the same as :func:`simulate_heat`.
+    Frame by frame the same as :func:`simulate_heat`: the first step is
+    ``heat_lattice_step``, the others ``_heat_step`` on two buffers.
     """
     if not 0 < cfl <= 0.5:
         raise ValueError("need 0 < cfl <= 1/2")
@@ -588,7 +635,8 @@ def _heat_frames(g, alpha, a, b, dx, cfl, times) -> list[Grid1D]:
     u0 = Grid1D(_lattice(g, a, b, dx), a, b, 0.0)
     _lattice_steps(dt, times)
     start = heat_lattice_step(u0, alpha, dt)
-    return _frames(start, lambda u: heat_lattice_step(u, alpha, dt), dt, times)
+    mu = alpha * dt / (u0.dx * u0.dx)  # heat_lattice_step's ratio, checked by it
+    return _frames(lambda older, current: _heat_step(current, older, mu), u0.values, start.values, a, b, dt, times)
 
 
 def simulate_wave(

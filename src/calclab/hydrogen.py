@@ -317,8 +317,10 @@ def radial_wavefunction(
     N^2 = (2/(na))^3 (n-l-1)!/(2n (n+l)!) = (2/(na))^3/(2n perm(n+l, 2l+1)) is
     that exact ratio, rooted once; a nonzero N below the normal range raises
     ValueError.  Where e^(-r/(na)) underflows rho is 0 signed as the Laguerre
-    factor; before, 2r/(na) < 1491 and (2r/(na))^l is finite for l <= 97
-    (OverflowError may come beyond).
+    factor; before, 2r/(na) < 1491 and (2r/(na))^l is finite for l <= 97.
+    Beyond, a power past the float range raises ValueError naming rho_nl,
+    the power and r.  e^(-r/(na)) is taken as exp(p * -0.5) with
+    p = 2r/(na), which rounds the same exact -p/2 once as exp(-p / 2.0).
     """
     QuantumNumbers(n, l, 0)
     a = bohr_radius(constants)
@@ -326,14 +328,19 @@ def radial_wavefunction(
     norm = _root(Fraction((2.0 / na) ** 3) / (2 * n * math.perm(n + l, 2 * l + 1)), f"rho_{n}_{l}")
     # p**0 == 1.0 and y * 1.0 == y, p**1 == p: both folds keep every bit
     power = {0: "", 1: " * p"}.get(l, f" * p**{l:d}")
+    value = f"return {norm!r} * e{power} * acc if e else copysign(0.0, acc)\n"
+    if l > 1:  # only a float power raises OverflowError; a try block costs nothing until it does
+        text = (f"rho_{n:d}_{l:d}: (2r/(na))**{l:d} overflows the float range at r = {{r!r}} "
+                "(the scaled route is ROADMAP item 8)")
+        value = f"try:\n        {value}    except OverflowError:\n        raise ValueError(f{text!r}) from None\n"
     return _compile(
         __name__,
         f"radial_wavefunction.<locals>.rho_{n:d}_{l:d}",
         f"rho_nl(r) for n = {n:d}, l = {l:d}, a = {a!r}; generated by radial_wavefunction.",
         "r",
-        f"    p = 2.0 * r / {na!r}\n    e = exp(-p / 2.0)\n"
+        f"    p = 2.0 * r / {na!r}\n    e = exp(p * -0.5)\n"
         + _horner(assoc_laguerre(2 * l + 1, n - l - 1).coefficients, "p")
-        + f"    return {norm!r} * e{power} * acc if e else copysign(0.0, acc)\n",
+        + f"    {value}",
         copysign=math.copysign,
         exp=math.exp,
         inf=math.inf,  # a constants object can make n*a overflow: its repr is inf

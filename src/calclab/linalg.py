@@ -196,8 +196,9 @@ def symmetric_eigen(A: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.n
 
     - the eigenvalues with U (this function) in the Brent-Luk round-robin
       order: n - 1 steps (n for odd n) of floor(n/2) disjoint pairs, each
-      step applied to all its pairs, and to U, by a few numpy operations,
-      so a sweep costs O(n^3); n <= 1 needs no rotation and takes U = I;
+      step applied to all its pairs by a few numpy operations, the rows of
+      the working matrix and of U^T rotated together, so a sweep costs
+      O(n^3); n <= 1 needs no rotation and takes U = I;
     - the eigenvalues alone (``classify_definiteness``,
       ``diffcalc.classify_critical`` and ``calclab eig``) cyclically row by
       row on the lists, each rotation an O(n) update of two rows and two
@@ -368,15 +369,20 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 def _batched_sweeps(a: list[list[float]], bound: float) -> tuple[list[float], list[list[float]]]:
     """Round-robin Jacobi of order n >= 2, one numpy step per set of disjoint pairs;
-    returns the diagonal and V = U^T (rows of V are the columns of U)."""
-    work = np.array(a)
-    n = work.shape[0]
+    returns the diagonal and V = U^T (rows of V are the columns of U).
+
+    The working matrix and V sit side by side in one n x 2n array [A | V],
+    so a step rotates the rows of both by one ``_rotate``, then the
+    columns of the A half by another.
+    """
+    n = len(a)
+    AV = np.hstack([np.array(a), np.eye(n)])
+    work = AV[:, :n]  # views: they follow the in-place updates
+    diag = work.diagonal()
     steps = _round_robin(n)
     upper = np.triu_indices(n, 1)
-    diag = work.diagonal()  # a view: follows the in-place updates
-    V = np.eye(n)
     k = len(steps[0][0])
-    rows, cols = (np.empty((k, n)), np.empty((k, n))), (np.empty((n, k)), np.empty((n, k)))
+    rows, cols = (np.empty((k, 2 * n)), np.empty((k, 2 * n))), (np.empty((n, k)), np.empty((n, k)))
     for _ in range(_MAX_SWEEPS):
         off = work[upper]
         if off @ off <= bound:
@@ -391,12 +397,11 @@ def _batched_sweeps(a: list[list[float]], bound: float) -> tuple[list[float], li
             t = np.divide(2.0 * apq, den, out=np.zeros_like(apq), where=apq != 0.0)
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            _rotate(work, 0, PQ, QP, c[:, None], s[:, None], *rows)
+            _rotate(AV, 0, PQ, QP, c[:, None], s[:, None], *rows)
             _rotate(work, 1, PQ, QP, c, s, *cols)
-            _rotate(V, 0, PQ, QP, c[:, None], s[:, None], *rows)
     else:
         raise ArithmeticError("Jacobi sweeps did not converge")
-    return diag.tolist(), V.tolist()
+    return diag.tolist(), AV[:, n:].tolist()
 
 
 def _rotate(X, axis, PQ, QP, c, s, a, b) -> None:

@@ -103,6 +103,25 @@ def test_an_allocation_numpy_refuses_is_one_line_and_exit_2(capsys, monkeypatch)
     assert err.startswith("calclab: Unable to allocate") and err.count("\n") == 1, err
 
 
+def test_a_memory_error_without_text_is_one_nonempty_line_and_exit_2(capsys, monkeypatch):
+    # Python's own MemoryError carries no text; main names it
+    from calclab import cli
+
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_sequence", out_of_memory)
+    code, out, err = invoke(["sequence", "--kind", "catalan", "--n", "5"], capsys)
+    assert (code, out, err) == (2, "", "calclab: out of memory\n")
+
+
+def test_a_radial_power_past_the_float_range_is_one_line_naming_rho(capsys):
+    code, out, err = invoke(["hydrogen", "wavefunction", "--n", "200", "--l", "98", "--m", "0", "--grid", "140000,2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("calclab: rho_200_98: (2r/(na))**98 overflows the float range") and err.count("\n") == 1, err
+    assert "Numerical result out of range" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

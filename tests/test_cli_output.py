@@ -253,7 +253,7 @@ def test_every_command_prints_the_old_bytes(tmp_path, argv):
     files["charges"].write_text(_CHARGES)
     table = run([a.format(**files) for a in argv])
     for fmt in ("csv", "json"):
-        for digits in (None, 4):
+        for digits in (None, 1, 4, 17):
             assert _written(emit, table, fmt, digits) == _written(oracles.emit, table, fmt, digits)
 
 
@@ -366,6 +366,43 @@ MIXED = ResultTable(
 @pytest.mark.parametrize("digits", [None, 1, 4])
 def test_mixed_types_print_the_old_bytes(fmt, digits):
     assert _written(emit, MIXED, fmt, digits) == _written(oracles.emit, MIXED, fmt, digits)
+
+
+# rows of exact floats and ints, which take a %-template, among rows that take the
+# formatters, past the 512 lines of one chunk
+TEMPLATED = ResultTable(
+    ["a", "b", "c"],
+    [
+        row
+        for k in range(700)
+        for row in (
+            (k, k / 7.0, -k * 1e-310),
+            (0.1 * k, -(10**4400) - k, math.inf if k % 2 else -0.0),
+            (math.nan, 5e-324, 1.7976931348623157e308),
+            (True, None, k),
+            (np.float64(k / 3.0), 2**70, "x, y"),
+            (Fraction(k, 3), complex(k, -0.5), np.int64(-k)),
+            (k, k, k),
+        )[k % 7 : k % 7 + 2]
+    ],
+    note="templated rows",
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("digits", [None, 1, 4, 17])
+def test_templated_rows_print_the_old_bytes(fmt, digits):
+    got = _written(emit, TEMPLATED, fmt, digits)
+    # the oracle prints the 4401-digit ints only with the interpreter's digit limit lifted
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = _written(oracles.emit, TEMPLATED, fmt, digits)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 @pytest.mark.parametrize(

@@ -1022,6 +1022,25 @@ def test_kepler_integrate_clips_the_last_step():
         kepler_integrate(s0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("dt", [0.001, 0.0137, 0.3])
+def test_kepler_step_is_one_step_of_kepler_integrate(dt):
+    s = OrbitState(0.8, 0.1, -0.2, 1.2, 1.3, time=0.25)
+    assert kepler_step(s, dt) == kepler_integrate(s, dt, dt)[1]
+    traj = kepler_integrate(s, 400 * dt, dt)
+    for got in traj[1:]:
+        s = kepler_step(s, dt)
+        assert got == s
+
+
+def test_a_lattice_step_of_int_samples_is_the_step_of_their_floats():
+    # the in-place kernels write into a float copy: the step is not truncated to ints
+    ints, floats = Grid1D(np.array([0, 5, 9, 5, 0]), 0.0, 1.0), Grid1D(np.array([0.0, 5.0, 9.0, 5.0, 0.0]), 0.0, 1.0)
+    assert heat_lattice_step(ints, 1.0, 0.01).values.tolist() == heat_lattice_step(floats, 1.0, 0.01).values.tolist()
+    assert wave_lattice_step(ints, ints, 1.0, 0.1).values.tolist() == wave_lattice_step(floats, floats, 1.0, 0.1).values.tolist()
+    f32 = Grid1D(np.array([0.0, 5.0, 9.0, 5.0, 0.0], np.float32), 0.0, 1.0)
+    assert heat_lattice_step(f32, 1.0, 0.01).values.dtype == np.float32
+
+
 @pytest.mark.parametrize("T", [1.0, 2.0 * math.pi, 9.7, 51.3])
 def test_kepler_integrate_whole_step_counts(T):
     s0 = OrbitState(1.0, 0.0, 0.0, 1.0, 1.0)
@@ -1122,8 +1141,8 @@ def test_cli_lattice_frames_from_one_run(profile, monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(dynamics, "wave_lattice_step", counting("wave", dynamics.wave_lattice_step))
-    monkeypatch.setattr(dynamics, "heat_lattice_step", counting("heat", dynamics.heat_lattice_step))
+    monkeypatch.setattr(dynamics, "_leapfrog_step", counting("wave", dynamics._leapfrog_step))
+    monkeypatch.setattr(dynamics, "_heat_step", counting("heat", dynamics._heat_step))
     cli.run(argv("wave", wave))
     cli.run(argv("heat", heat))
     assert counts["wave"] + 1 == round(3.0 / (0.5 * 0.1))  # plus the Taylor start step
@@ -1151,7 +1170,7 @@ def test_a_lattice_whose_point_count_overflows_is_refused(a, b, dx):
 )
 def test_work_past_its_cap_is_refused_before_the_first_step(monkeypatch, run, message):
     steps = []
-    for name in ("kepler_step", "heat_lattice_step", "wave_lattice_step"):
+    for name in ("_rk4_steps", "_heat_step", "_leapfrog_step"):
         monkeypatch.setattr(dynamics, name, lambda *args, **kw: steps.append(args))
     tracemalloc.start()
     try:

@@ -430,6 +430,16 @@ def test_radial_wavefunction_normalization_past_the_float_range_of_factorials(n,
             assert abs(rho(r) - want) <= 1e-14 * abs(want), (n, l, r)
 
 
+@pytest.mark.parametrize("n, l, r", [(200, 98, 140000.0), (150, 120, 1e5), (120, 119, 5e4)])
+def test_a_power_past_the_float_range_names_rho_the_power_and_r(n, l, r):
+    # (2r/(na))^l overflows before e^(-r/(na)) underflows: a ValueError, not the bare
+    # OverflowError "(34, 'Numerical result out of range')"
+    rho = radial_wavefunction(n, l)
+    with pytest.raises(ValueError, match=re.escape(f"rho_{n}_{l}: (2r/(na))**{l} overflows the float range at r = {r!r}")):
+        rho(r)
+    assert math.isfinite(rho(5.0))
+
+
 def test_radial_wavefunction_normalization_below_the_float_range_raises():
     # sqrt((2/n)^3 / (2n perm(n + l, 2l + 1))) is about 1e-494 here
     with pytest.raises(ValueError, match="normalization of rho_300_200 is below the float range"):

@@ -610,6 +610,16 @@ def test_symmetric_eigen_is_the_numpy_prologue_bit_for_bit(A, tol):
     assert values == _outcome(lambda: oracles.symmetric_eigen(A, tol, vectors=False)[1:])
 
 
+@pytest.mark.parametrize("n", range(2, 49))
+def test_symmetric_eigen_is_the_three_rotation_step_bit_for_bit(n):
+    # [A | V] rotated by one row rotation per step gives the bits of the oracle's separate
+    # row rotations of A and V
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    for M in (0.5 * (A + A.T), np.ldexp(np.outer(A[0], A[0]), -600), np.diag(rng.integers(-2, 3, n).astype(float)) + 1e-9 * (A + A.T)):
+        assert _outcome(symmetric_eigen, M, 1e-12) == _outcome(oracles.symmetric_eigen, M, 1e-12)
+
+
 def test_classify_definiteness():
     assert classify_definiteness(np.eye(3)) == "pos_def"
     assert classify_definiteness(np.diag([1.0, -1.0])) == "indefinite"
