@@ -37,6 +37,11 @@ class ResultTable(Record):
         self._set(columns, rows, note)
 
 
+# The points of a stieltjes --x or hydrogen wavefunction --grid grid: 50x the largest count of a
+# test, benchmark case or README example (the 2,000 steps of --grid 30,2000)
+_MAX_GRID_POINTS = 10**5
+
+
 class _UsageError(Exception):
     pass
 
@@ -200,9 +205,10 @@ def _point(text: str) -> tuple[float, ...]:
     return point
 
 
-def _grid(text: str) -> list[float]:
+def _grid(text: str) -> list[float] | tuple[float, float, int]:
     """The parse type of stieltjes --x: a comma list, or start:stop:count with count >= 1 and a
-    finite span (a _UsageError, which argparse passes on as it is, names the option)."""
+    finite span, kept as (start, stop, count) for :func:`_grid_points` (a _UsageError, which
+    argparse passes on as it is, names the option)."""
     if ":" not in text:
         return _floats(text)
     try:
@@ -214,6 +220,14 @@ def _grid(text: str) -> list[float]:
         raise _UsageError("--x grid count must be at least 1")
     if not math.isfinite(b - a):
         raise _UsageError(f"--x grid {text!r} spans more than the largest float")
+    return a, b, n
+
+
+def _grid_points(a: float, b: float, n: int, option: str) -> list[float]:
+    """The n evenly spaced points from a to b, or ValueError (exit 2) naming n where it is past
+    the cap, before any point is built."""
+    if n > _MAX_GRID_POINTS:
+        raise ValueError(f"{option} has {n:.7g} points, past the cap of {_MAX_GRID_POINTS:,}")
     from .quad import _linspace
 
     return _linspace(a, b, n)
@@ -436,7 +450,8 @@ def _cmd_law(args) -> ResultTable:
 def _cmd_stieltjes(args) -> ResultTable:
     from . import prob
 
-    rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in args.x]
+    xs = _grid_points(*args.x, "--x") if isinstance(args.x, tuple) else args.x
+    rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in xs]
     return ResultTable(["x", "density"], rows, note=f"pointwise inversion at height t={args.t}")
 
 
@@ -571,8 +586,6 @@ def _cmd_hydrogen(args) -> ResultTable:
             note="bound-state energy",
         )
     rmax, steps = args.grid
-    from .quad import _linspace
-
     try:  # l and m out of range for n are malformed arguments
         qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
     except ValueError as exc:
@@ -582,7 +595,7 @@ def _cmd_hydrogen(args) -> ResultTable:
     # the angles are fixed, so Y is one number; rho(r) * y is wavefunction(qn)'s product
     y = hydrogen.spherical_harmonic(qn.l, qn.m)(s_fixed, t_fixed)
     rows = []
-    for r in _linspace(rmax / steps, rmax, steps):
+    for r in _grid_points(rmax / steps, rmax, steps, "--grid"):
         v = rho(r) * y
         rows.append((r, s_fixed, t_fixed, v.real, v.imag, abs(v) ** 2))
     return ResultTable(

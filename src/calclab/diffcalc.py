@@ -40,6 +40,7 @@ from ._codegen import compile_function as _compile
 from ._numpy import np
 from ._record import Record
 from .linalg import _jacobi
+from .poly import roots_of_unity
 from .quad import _gauss_rule, _samples, _sphere_quadrature
 
 __all__ = [
@@ -377,9 +378,9 @@ def mean_value_gap(
     """|average of f over the sphere (or ball) - f(center)|.
 
     Dimensions 2 and 3 use product quadrature: the trapezoid rule in the
-    angles (spectrally accurate) on ``samples`` circle points, or the sphere
-    rule of ``quad`` with max(8, sqrt(samples)) Gauss-Legendre polar nodes,
-    plus a 16-node Gauss-Legendre rule in the radius for balls.  A ball
+    angles (spectrally accurate) on the (Re, Im) of roots_of_unity(samples),
+    or the sphere rule of ``quad`` with max(8, sqrt(samples)) Gauss-Legendre
+    polar nodes, plus a 16-node Gauss-Legendre rule in the radius for balls.  A ball
     costs 16 sphere averages and f(center).  A NaN or infinite coordinate
     of center or radius raises ValueError before f is called.
     """
@@ -391,8 +392,7 @@ def mean_value_gap(
         raise ValueError("need samples >= 1")
 
     if dim == 2:
-        ts = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        nodes = np.stack([np.cos(ts), np.sin(ts)], axis=1)
+        nodes = np.array([(w.real, w.imag) for w in roots_of_unity(samples)])
         weights = np.full(samples, 1.0 / samples)
     elif dim == 3:
         nodes, weights = _sphere_quadrature(max(8, int(math.sqrt(samples))))
@@ -448,7 +448,7 @@ def spherical_laplacian(
 def unity_root_average(
     f: Callable[[complex], complex], x: float, t: float, n: int
 ) -> float:
-    """Average of f over the n rotated points x + t w^s, w = exp(2 pi i/n).
+    """Average of f over the n points x + t w, w the n-th roots of unity (:func:`poly.roots_of_unity`).
 
     For f analytic near x the gap to f(x) estimates f^(n)(x) t^n / n!.  The
     imaginary part of the average is discarded (it vanishes for
@@ -459,9 +459,8 @@ def unity_root_average(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    w = cmath.exp(2j * math.pi / n)
     try:
-        values = [f(x + t * w**s) for s in range(n)]
+        values = [f(x + t * w) for w in roots_of_unity(n)]
     except OverflowError:  # cmath.exp(801): a value past the float range
         values = [math.inf]
     if not all(map(cmath.isfinite, values)):

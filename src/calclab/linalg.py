@@ -1,10 +1,10 @@
 """Resultants and dense matrix algebra.
 
-``Polynomial``, ``solve_quadratic``, ``cardano`` and ``all_roots`` live in
-the numpy-free ``calclab.poly`` and are re-exported here.  Matrices are
-numpy arrays.  A determinant is exact (Bareiss elimination) when every
-entry is rational and numpy's LU otherwise; the permutation sum is the
-definition, kept as the reference.  The Jacobi eigensolver is implemented
+``Polynomial``, ``solve_quadratic``, ``cardano``, ``all_roots`` and
+``roots_of_unity`` live in the numpy-free ``calclab.poly`` and are
+re-exported here.  Matrices are numpy arrays.  A determinant is exact
+(Bareiss elimination) when every entry is rational and numpy's LU
+otherwise; the permutation sum is the definition, kept as the reference.  The Jacobi eigensolver is implemented
 directly, one route per question: the eigenvalues alone on Python lists (for
 n = 3 the same sweeps written out on locals), with the eigenvectors in numpy
 round-robin sweeps.  ``inverse`` delegates to numpy.
@@ -15,7 +15,6 @@ round-robin sweeps.  ``inverse`` delegates to numpy.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -25,7 +24,7 @@ from typing import Sequence
 
 from ._numpy import np
 from .combinat import signature
-from .poly import Polynomial, all_roots, cardano, solve_quadratic
+from .poly import Polynomial, all_roots, cardano, roots_of_unity, solve_quadratic
 
 __all__ = [
     "Polynomial",
@@ -111,20 +110,13 @@ def discriminant(P: Polynomial) -> complex:
     return int(value) if value.denominator == 1 else value
 
 
-def roots_of_unity(N: int) -> list[complex]:
-    """The N-th roots of unity, counterclockwise from 1."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    return [cmath.exp(2j * math.pi * k / N) for k in range(N)]
-
-
 def equilateral_test(I: complex, J: complex, K: complex, tol: float = 1e-9) -> bool:
     """True when the counterclockwise triangle IJK is equilateral.
 
-    Tests |I + wJ + w^2 K| <= tol * scale with w = exp(2 pi i/3).
+    Tests |I + wJ + w^2 K| <= tol * scale with w, w^2 = roots_of_unity(3)[1:].
     """
-    w = cmath.exp(2j * math.pi / 3)
-    value = I + w * J + w * w * K
+    _, w, w2 = roots_of_unity(3)
+    value = I + w * J + w2 * K
     scale = max(abs(I), abs(J), abs(K), 1.0)
     return abs(value) <= tol * scale
 
@@ -445,11 +437,9 @@ def classify_definiteness(A: np.ndarray, tol: float = 1e-10) -> str:
 
 
 def fourier_matrix(N: int) -> np.ndarray:
-    """The N x N matrix (w^{ij}) with w = exp(2 pi i/N), indices from 0."""
-    if N < 1:
-        raise ValueError("need N >= 1")
+    """The N x N matrix (w^{ij}), w = exp(2 pi i/N), indices from 0: point ij mod N of :func:`roots_of_unity`."""
     idx = np.arange(N)
-    return np.exp(2j * math.pi * np.outer(idx, idx) / N)
+    return np.array(roots_of_unity(N))[np.outer(idx, idx) % N]
 
 
 def circulant(xi: Sequence[complex]) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Polynomials carry their coefficients as plain Python numbers (ascending
 order), so exact types such as ``fractions.Fraction`` survive arithmetic;
-the numeric root finder converts to complex when it needs to.  Nothing here
-needs numpy, so the exact commands and the hydrogen families that build on
-these polynomials start without it.  ``calclab.linalg`` re-exports every
-public name.
+the numeric root finder converts to complex when it needs to.  Every
+point calclab places on a circle comes from ``roots_of_unity``.  Nothing
+here needs numpy, so the exact commands and the hydrogen families that
+build on these polynomials start without it.  ``calclab.linalg``
+re-exports every public name.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import cmath
 import math
 from typing import Sequence
 
-__all__ = ["Polynomial", "solve_quadratic", "cardano", "all_roots"]
+__all__ = ["Polynomial", "solve_quadratic", "cardano", "all_roots", "roots_of_unity"]
 
 
 class Polynomial:
@@ -99,19 +100,40 @@ def cardano(p: float, q: float) -> tuple[float, complex, complex]:
     branch), which keeps their product equal to -p; this is the branch
     convention used for the all-real-roots case.
     """
-    w = cmath.exp(2j * math.pi / 3)
+    _, w, w2 = roots_of_unity(3)
     d = p**3 + q**2
     if d >= 0:
         sq = math.sqrt(d)
         u = _real_cbrt(-q + sq)
         v = _real_cbrt(-q - sq)
-        roots = [u + v, w * u + w * w * v, w * w * u + w * v]
+        roots = [u + v, w * u + w2 * v, w2 * u + w * v]
         return roots[0].real if isinstance(roots[0], complex) else roots[0], roots[1], roots[2]
     sq = math.sqrt(-d)
     u = (complex(-q, sq)) ** (1.0 / 3.0)
     v = u.conjugate()
-    roots = [(u + v).real, w * u + w * w * v, w * w * u + w * v]
+    roots = [(u + v).real, w * u + w2 * v, w2 * u + w * v]
     return roots[0], roots[1], roots[2]
+
+
+def roots_of_unity(N: int) -> list[complex]:
+    """The N-th roots of unity exp(2 pi i k/N), k = 0, ..., N - 1: the circle rule of calclab.
+
+    cos and sin are taken only at angles in [0, pi/4], both sqrt(1/2) at pi/4, and every other
+    point is an exact reflection or quarter turn of one of those: point N - k is the conjugate of
+    point k, point k + N/2 is -(point k) for even N, and i, -1 and -i are exact where they are
+    roots.  Each point is within 2.3e-16 of the exact one.
+    """
+    if N < 1:
+        raise ValueError("need N >= 1")
+    points = []
+    for k in range(N):
+        turns, r = divmod(4 * k, N)  # quarter turns, then the angle (pi/2) r/N
+        x = math.pi * (min(r, N - r) / (2 * N))  # the distance to the nearer of 0 and pi/2
+        # cos(pi/4) and sin(pi/4) differ in the last bit: pi/4 takes one value for both
+        c, s = (math.sqrt(0.5),) * 2 if 2 * r == N else (math.cos(x), math.sin(x))
+        w = complex(c, s) if 2 * r <= N else complex(s, c)
+        points.append(w * (1, 1j, -1, -1j)[turns])  # exact: each part is +-c or +-s
+    return points
 
 
 def _real_cbrt(x: float) -> float:

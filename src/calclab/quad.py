@@ -33,6 +33,7 @@ from typing import Callable
 from ._numpy import np
 from ._record import Record
 from .combinat import _fsum, _rounded, factorial, semi_factorial
+from .poly import roots_of_unity
 from .rng import RandomSource
 
 __all__ = [
@@ -61,6 +62,10 @@ __all__ = [
     "jacobian_spherical",
 ]
 
+# Work caps, each with at least 10x margin over every test, benchmark case and README example,
+# checked before any node is built
+_MAX_INTERVALS = 10**6  # riemann, trapezoid, simpson: a few seconds and about 100 MB of lists
+_MAX_GAUSS_NODES = 8192  # _legendre_rule: O(n^2), about 35 s at the cap on a 2-vCPU x86
 _SPHERE_ZERO_N = 456  # sphere volumes round to 0.0 from N = 453 on, and areas from N = 456
 _SPHERE_BLOCK = 16_384  # rows that the sphere samplers and sphere_moment_mc draw per substream
 
@@ -68,8 +73,7 @@ _SPHERE_BLOCK = 16_384  # rows that the sphere samplers and sphere_moment_mc dra
 def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     """Right-endpoint Riemann sum (b-a)/N * sum f(a + (b-a)k/N), k = 1..N; ValueError where it
     leaves the float range."""
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _intervals(N, 1, "riemann")
     _finite_interval(a, b)
     x = [a + (b - a) * k / N for k in range(1, N + 1)]
     return _finite_sum(_samples(f, x), "the riemann sum", (b - a) / N)
@@ -77,8 +81,7 @@ def riemann(f: Callable[[float], float], a: float, b: float, N: int) -> float:
 
 def trapezoid(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     """Composite trapezoid rule with N subintervals; ValueError past the float range."""
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _intervals(N, 1, "trapezoid")
     _finite_interval(a, b)
     x = _linspace(a, b, N + 1)
     y = _samples(f, x)
@@ -96,8 +99,7 @@ def _finite_sum(terms: list[float], what: str, scale: float = 1.0) -> float:
 
 def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
     """Composite Simpson rule with N subintervals (N made even if needed)."""
-    if N < 2:
-        raise ValueError("need N >= 2")
+    _intervals(N, 2, "simpson")
     _finite_interval(a, b)
     x, w = _simpson_rule(a, b, N)
     return float(w @ _samples(f, x))
@@ -105,14 +107,26 @@ def simpson(f: Callable[[float], float], a: float, b: float, N: int) -> float:
 
 def _settle(value: Callable[[int], object], n: int | None, start: int, cap: int, rtol: float):
     """``value(n)``; for n None the first of value(start), value(2 start), ... value(cap) that agrees
-    with the one before within rtol max(1, |v|) in every component (of a number, sequence or array),
-    else value(cap)."""
-    n, cap, last = (start, cap, None) if n is None else (n, n, None)
-    while True:
-        v = value(n)
-        if n >= cap or last is not None and np.all(np.abs(np.subtract(v, last)) <= rtol * np.maximum(1.0, np.abs(v))):
-            return v
+    with the one before within rtol max(1, |v|) in every component (of a number, sequence or array).
+    Where none agrees by the cap, ValueError names rtol, the cap and the last relative change."""
+    if n is not None:
+        return value(n)
+    n, v, last = start, value(start), math.nan
+    while n < cap:
         n, last = min(2 * n, cap), v
+        v = value(n)
+        if np.all(np.abs(np.subtract(v, last)) <= rtol * np.maximum(1.0, np.abs(v))):
+            return v
+    change = np.max(np.abs(np.subtract(v, last)) / np.maximum(1.0, np.abs(v)))
+    raise ValueError(f"did not settle to {rtol:g} by n = {cap} (last change {change:.2g}); pass n to accept a fixed rule")
+
+
+def _intervals(N: int, least: int, rule: str) -> None:
+    """ValueError unless least <= N <= 10^6, before any node of the rule is built."""
+    if N < least:
+        raise ValueError(f"need N >= {least}")
+    if N > _MAX_INTERVALS:
+        raise ValueError(f"the {rule} rule has {N:.7g} subintervals, past the cap of {_MAX_INTERVALS:,}")
 
 
 def _finite_interval(a: float, b: float) -> None:
@@ -165,10 +179,12 @@ def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     negatives, and odd n adds the root 0.  Nodes agree with 40-digit
     values to 1e-16, and weights to 2e-13 relative, up to n = 100 and at
     n = 128 (2.2e-13 at n = 192); each root costs a few O(n) recurrences,
-    so large rules take panels.
+    so large rules take panels, and n past 8192 is refused.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > _MAX_GAUSS_NODES:
+        raise ValueError(f"the Gauss-Legendre rule has {n:.7g} nodes, past the cap of {_MAX_GAUSS_NODES:,}")
     roots, weights = [], []  # the roots in (0, 1), descending, and their weights
     shrink = 1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)
     for k in range(n // 2):
@@ -215,12 +231,12 @@ def _sphere_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     The rows are the ``order`` Gauss-Legendre nodes u in cos(polar),
     ascending, and the columns the 2 order azimuths i dt, dt = 2 pi/(2 order),
-    of the uniform rule: node (s cos(i dt), s sin(i dt), u) with
-    s = sqrt(1 - u^2), of weight w dt; the weights sum to the sphere area 4 pi.
+    of the uniform rule: node (s cos(i dt), s sin(i dt), u) with s = sqrt(1 - u^2),
+    (cos, sin) from roots_of_unity(2 order), of weight w dt; the weights sum to 4 pi.
     """
     u, w = map(np.array, _legendre_rule(order))
     dt = 2.0 * math.pi / (2 * order)
-    cos_t, sin_t = np.array([(math.cos(i * dt), math.sin(i * dt)) for i in range(2 * order)]).T
+    cos_t, sin_t = np.array([(z.real, z.imag) for z in roots_of_unity(2 * order)]).T
     s = np.sqrt(1.0 - u * u)[:, None]
     nodes = np.stack(np.broadcast_arrays(s * cos_t, s * sin_t, u[:, None]), axis=-1)
     return nodes.reshape(-1, 3), np.repeat(w * dt, 2 * order)

@@ -408,7 +408,10 @@ def radial_wavefunction(n, l, constants=hydrogen.DIMENSIONLESS_CONSTANTS):
 
     def rho(r):
         p = 2.0 * r / (n * a)
-        e = math.exp(-p / 2.0)
+        try:
+            e = math.exp(-p / 2.0)
+        except OverflowError:  # at r < 0 only: the named error of the contract
+            raise ValueError(f"rho_{n}_{l}: e^(-r/(na)) overflows the float range at r = {r!r}") from None
         try:
             value = norm * e * p**l * lag(p)
         except OverflowError:

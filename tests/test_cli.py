@@ -144,6 +144,32 @@ def test_work_past_its_cap_is_refused_by_count_before_it_starts(capsys, argv, me
     assert (code, out, err) == (2, "", f"calclab: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integrate", "--method", "riemann", "--fn", "sin", "--a", "0", "--b", "1", "--n", "1000000000000000"],
+         "the riemann rule has 1e+15 subintervals, past the cap of 1,000,000"),
+        (["integrate", "--method", "trapezoid", "--fn", "sin", "--a", "0", "--b", "1", "--n", "1000001"],
+         "the trapezoid rule has 1000001 subintervals, past the cap of 1,000,000"),
+        (["stieltjes", "--law", "mp", "--x=0.7:3.2:1000000000000000", "--t", "0.1"],
+         "--x has 1e+15 points, past the cap of 100,000"),
+        (["hydrogen", "wavefunction", "--n", "3", "--l", "1", "--m", "1", "--grid", "5,1000000000000000"],
+         "--grid has 1e+15 points, past the cap of 100,000"),
+        (["flux", "--charges", "{charges}", "--center", "0,0,0", "--radius", "1", "--order", "100000000"],
+         "the Gauss-Legendre rule has 1e+08 nodes, past the cap of 8,192"),
+    ],
+    ids=["riemann-n", "trapezoid-n", "stieltjes-x", "hydrogen-grid", "flux-order"],
+)
+def test_node_counts_past_their_cap_are_refused_before_any_node(capsys, tmp_path, argv, message):
+    # the first four ran until killed or out of memory, the last one until killed
+    charges = tmp_path / "charges.csv"
+    charges.write_text("q,x,y,z\n1,0,0,0\n")
+    start = time.perf_counter()
+    code, out, err = invoke([arg.format(charges=charges) for arg in argv], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"calclab: {message}\n")
+
+
 def test_roots_past_the_float_range_exit_2_without_nan(capsys):
     code, out, err = invoke(["roots", "--coeffs=1,1e160,1"], capsys)
     assert (code, out) == (2, "")

@@ -208,6 +208,12 @@ def test_unity_root_average():
     assert gap == pytest.approx(1e-3 / 6.0, rel=1e-2)
 
 
+def test_unity_root_average_of_the_last_power_is_zero_to_1e_15():
+    # z^(n-1) averages to exactly 0 over the n roots; w**s gave 1.7e-14 at n = 100
+    n = 100
+    assert abs(unity_root_average(lambda z: z ** (n - 1), 0.0, 1.0, n)) <= 1e-15
+
+
 def test_unity_root_average_past_an_overflowing_sum():
     # every value is finite (the largest e^709.5), but their sum overflows before the division
     got = unity_root_average(cmath.exp, 709.0, 0.5, 4)

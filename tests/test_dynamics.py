@@ -245,6 +245,15 @@ def test_ellipse():
         assert ellipse_length(a, b) == pytest.approx(2.0 * math.pi * (a * a - s) / x, rel=1e-13)
 
 
+@pytest.mark.parametrize("b", [1e-4, 1e-6])
+def test_ellipse_length_at_high_eccentricity_against_mpmath(b):
+    # the settled trapezoid stopped at its cap 2.4e-8 and 4.9e-8 off
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = float(4 * mpmath.ellipe(1 - mpmath.mpf(b) ** 2))
+    assert abs(ellipse_length(1.0, b) - want) <= 1e-14 * want
+
+
 def test_stereographic():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -695,15 +704,18 @@ def _tensor_oracle(g, u_span, v_span, n):
     return simpson(lambda u: simpson(lambda v: g(u, v), *v_span, n), *u_span, n)
 
 
-def _sphere_oracle(order):
+def _sphere_oracle(order, azimuths=None):
+    """The product rule node by node; the (cos, sin) of the 2 order azimuths pi i/order are given,
+    or math.cos and math.sin of the float angle."""
     u, w = _legendre_rule(order)
-    ts = np.linspace(0.0, 2.0 * math.pi, 2 * order, endpoint=False)
+    if azimuths is None:
+        azimuths = [(math.cos(math.pi * i / order), math.sin(math.pi * i / order)) for i in range(2 * order)]
     dt = 2.0 * math.pi / (2 * order)
     nodes, weights = [], []
     for ui, wi in zip(u, w):
         sin_s = math.sqrt(max(0.0, 1.0 - ui * ui))
-        for t in ts:
-            nodes.append((sin_s * math.cos(t), sin_s * math.sin(t), ui))
+        for c, s in azimuths:
+            nodes.append((sin_s * c, sin_s * s, ui))
             weights.append(wi * dt)
     return np.array(nodes), np.array(weights)
 
@@ -742,7 +754,10 @@ def _stokes_oracle(F, surface, n):
 
 
 def _divergence_check_oracle(F, center, radius, order, radial_nodes):
-    nodes, weights = _sphere_oracle(order)
+    # the library's own nodes: a 1-ulp move of a node moves a step-1e-5 central difference by
+    # about 1e-12, so only the same nodes compare at 1e-12; the nodes are checked by
+    # test_sphere_quadrature_matches_loop_order
+    nodes, weights = _sphere_quadrature(order)
 
     def shell(r):
         return r * r * sum(
@@ -819,6 +834,18 @@ def test_green_is_stokes_on_the_lifted_chart(n):
     assert _close(line, circulation) and _close(area, surface) and gap == abs(line - area)
 
 
+def test_a_green_check_that_does_not_settle_says_so():
+    # dQ/dx is a Gaussian bump of width 0.01 and both sides are pi w^2; the default stopped at
+    # n = 256 with both 7-9% off, and returned them
+    w = 0.01
+    Q = lambda x, y: 0.5 * math.sqrt(math.pi) * w * math.erf((x - 0.37) / w) * math.exp(-(((y - 0.21) / w) ** 2))
+    P = lambda x, y: 0.0
+    with pytest.raises(ValueError, match=r"did not settle to 1e-09 by n = 256 \(last change 8\.1e-05\); pass n"):
+        green_check(P, Q, disk_map())
+    lhs, rhs, _ = green_check(P, Q, disk_map(), 512)
+    assert abs(lhs - math.pi * w * w) <= 1e-7 and abs(rhs - math.pi * w * w) <= 1e-7
+
+
 def test_default_theorem_checks_settle_within_a_few_thousand_calls():
     # the acceptance fields: unit disks, F = (-y, x, 0), F = identity
     calls = {"P": 0, "F": 0}
@@ -891,10 +918,13 @@ def test_divergence_check_rejects_a_bad_ball_before_calling_F(kwargs, name):
 
 
 def test_sphere_quadrature_matches_loop_order():
+    mpmath = pytest.importorskip("mpmath")
     for order in (1, 4, 9):
         nodes, weights = _sphere_quadrature(order)
-        want_nodes, want_weights = _sphere_oracle(order)
-        assert np.array_equal(nodes, want_nodes)
+        with mpmath.workdps(30):
+            azimuths = [(float(mpmath.cospi(mpmath.mpf(i) / order)), float(mpmath.sinpi(mpmath.mpf(i) / order))) for i in range(2 * order)]
+        want_nodes, want_weights = _sphere_oracle(order, azimuths)
+        assert np.all(np.abs(nodes - want_nodes) <= 2 * np.spacing(1.0))  # 2 ulp of 1
         assert np.array_equal(weights, want_weights)
 
 

@@ -101,11 +101,14 @@ def test_assoc_legendre():
 
 
 def _bits(f, x):
-    """f(x) as hex; where exp or pow overflows, the exception type, which both routes must share."""
+    """f(x) as hex; where exp or pow overflows, the exception type, or the named ValueError's text,
+    which both routes must share."""
     try:
         return f(x).hex()
     except OverflowError:
         return "OverflowError"
+    except ValueError as exc:
+        return str(exc)
 
 
 # x at which 1 - x^2 is a rational square, so that P_l^m(x) is rational
@@ -438,6 +441,14 @@ def test_a_power_past_the_float_range_names_rho_the_power_and_r(n, l, r):
     with pytest.raises(ValueError, match=re.escape(f"rho_{n}_{l}: (2r/(na))**{l} overflows the float range at r = {r!r}")):
         rho(r)
     assert math.isfinite(rho(5.0))
+
+
+@pytest.mark.parametrize("n, l", [(100, 99), (3, 2), (3, 1), (1, 0)])
+def test_an_exponential_past_the_float_range_names_rho_and_r(n, l):
+    # at r < 0, e^(-r/(na)) overflows: for every l a ValueError, not the bare "math range error"
+    r = -1e5
+    with pytest.raises(ValueError, match=re.escape(f"rho_{n}_{l}: e^(-r/(na)) overflows the float range at r = {r!r}")):
+        radial_wavefunction(n, l)(r)
 
 
 def test_radial_wavefunction_normalization_below_the_float_range_raises():

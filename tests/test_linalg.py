@@ -263,6 +263,39 @@ def test_roots_of_unity():
         roots_of_unity(0)
 
 
+def test_roots_of_unity_is_the_circle_rule_of_poly():
+    from calclab import poly
+
+    assert linalg.roots_of_unity is poly.roots_of_unity
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.integers(1, 130), st.sampled_from([360, 1000, 1024, 4096]), st.integers(131, 5000)))
+def test_roots_of_unity_are_exactly_symmetric_and_within_2_3e_16(N):
+    mpmath = pytest.importorskip("mpmath")
+    w = roots_of_unity(N)
+    assert len(w) == N and w[0] == 1
+    assert all(w[N - k] == w[k].conjugate() for k in range(1, N))
+    if N % 2 == 0:
+        assert all(w[k + N // 2] == -w[k] for k in range(N // 2))
+    if N % 4 == 0:
+        assert (w[N // 4], w[N // 2], w[3 * N // 4]) == (1j, -1, -1j)
+    with mpmath.workdps(40):
+        for k in range(0, N, max(1, N // 200)):
+            assert abs(mpmath.mpc(w[k]) - mpmath.expjpi(mpmath.mpf(2 * k) / N)) <= 2.3e-16, (N, k)
+
+
+def test_fourier_matrix_entries_are_within_4e_16_at_4096():
+    # exp(2 pi i ij/N) rounded its growing argument: 2.3e-12 off at N = 4096
+    mpmath = pytest.importorskip("mpmath")
+    N = 4096
+    F = fourier_matrix(N)
+    rng = np.random.default_rng(47)
+    with mpmath.workdps(40):
+        for i, j in rng.integers(0, N, (300, 2)).tolist():
+            assert abs(mpmath.mpc(complex(F[i, j])) - mpmath.expjpi(mpmath.mpf(2 * i * j) / N)) <= 4e-16, (i, j)
+
+
 def test_roots_of_unity_power_sums():
     for N in range(1, 13):
         ws = roots_of_unity(N)

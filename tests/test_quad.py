@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 import warnings
@@ -208,9 +209,12 @@ def test_settle_contract():
     assert _settle(counted(lambda n: 1e-3 / n), None, 1, 1024, 1e-4) == 1e-3 / 16 and calls == [1, 2, 4, 8, 16]
     calls.clear()
     assert _settle(counted(lambda n: 1e9 + n), None, 1, 1024, 1e-8) == 1e9 + 2 and calls == [1, 2]
-    # nothing agrees: every size up to the cap, whose value is returned
+    # nothing agrees: every size up to the cap, and then a ValueError that names the tolerance,
+    # the cap and the last relative change
     calls.clear()
-    assert _settle(counted(float), None, 3, 20, 1e-9) == 20.0 and calls == [3, 6, 12, 20]
+    with pytest.raises(ValueError, match=re.escape("did not settle to 1e-09 by n = 20 (last change 0.4)")):
+        _settle(counted(float), None, 3, 20, 1e-9)
+    assert calls == [3, 6, 12, 20]
     # a vector agrees only when every component does
     calls.clear()
     got = _settle(counted(lambda n: (1.0, 0.0 if n >= 8 else float(n))), None, 1, 1024, 1e-9)
@@ -220,6 +224,28 @@ def test_settle_contract():
     assert got.tolist() == [1.0, 0.5] and calls == [1, 2, 4, 8]
     # verify_gauss at its default settles onto sqrt(pi)
     assert verify_gauss() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda f: riemann(f, 0.0, 1.0, 10**15), "the riemann rule has 1e+15 subintervals"),
+        (lambda f: trapezoid(f, 0.0, 1.0, 10**6 + 1), "the trapezoid rule has 1000001 subintervals"),
+        (lambda f: simpson(f, 0.0, 1.0, 10**15), "the simpson rule has 1e+15 subintervals"),
+        (lambda f: _gauss_rule(0.0, 1.0, 8193), "the Gauss-Legendre rule has 8193 nodes"),
+    ],
+    ids=["riemann", "trapezoid", "simpson", "gauss-legendre"],
+)
+def test_node_counts_past_their_cap_are_refused_before_any_node(run, message):
+    calls = []
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message) + ", past the cap of "):
+            run(lambda x: calls.append(x) or 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 10**5
 
 
 def test_fresnel():
