@@ -205,10 +205,9 @@ def _point(text: str) -> tuple[float, ...]:
     return point
 
 
-def _grid(text: str) -> list[float] | tuple[float, float, int]:
+def _grid(text: str) -> list[float]:
     """The parse type of stieltjes --x: a comma list, or start:stop:count with count >= 1 and a
-    finite span, kept as (start, stop, count) for :func:`_grid_points` (a _UsageError, which
-    argparse passes on as it is, names the option)."""
+    finite span (a _UsageError, which argparse passes on as it is, names the option)."""
     if ":" not in text:
         return _floats(text)
     try:
@@ -220,14 +219,7 @@ def _grid(text: str) -> list[float] | tuple[float, float, int]:
         raise _UsageError("--x grid count must be at least 1")
     if not math.isfinite(b - a):
         raise _UsageError(f"--x grid {text!r} spans more than the largest float")
-    return a, b, n
-
-
-def _grid_points(a: float, b: float, n: int, option: str) -> list[float]:
-    """The n evenly spaced points from a to b, or ValueError (exit 2) naming n where it is past
-    the cap, before any point is built."""
-    if n > _MAX_GRID_POINTS:
-        raise ValueError(f"{option} has {n:.7g} points, past the cap of {_MAX_GRID_POINTS:,}")
+    _refuse_past_the_grid_cap(n, "--x")
     from .quad import _linspace
 
     return _linspace(a, b, n)
@@ -242,7 +234,16 @@ def _radial_grid(text: str) -> tuple[float, int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not rmax,steps") from None
     if not (0 < rmax < math.inf) or steps < 1:
         raise argparse.ArgumentTypeError("needs a finite rmax > 0 and steps >= 1")
+    _refuse_past_the_grid_cap(steps, "--grid")
     return rmax, steps
+
+
+def _refuse_past_the_grid_cap(n: int, option: str) -> None:
+    """Refuse a grid of n points past the cap before any point is built: exit 2 with one line, as
+    the library's caps do.  It is a MemoryError, which argparse passes on from a parse type, where
+    a ValueError would become its usage error."""
+    if n > _MAX_GRID_POINTS:
+        raise MemoryError(f"{option} has {n:.7g} points, past the cap of {_MAX_GRID_POINTS:,}")
 
 
 def _int(text: str) -> int:
@@ -450,8 +451,7 @@ def _cmd_law(args) -> ResultTable:
 def _cmd_stieltjes(args) -> ResultTable:
     from . import prob
 
-    xs = _grid_points(*args.x, "--x") if isinstance(args.x, tuple) else args.x
-    rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in xs]
+    rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in args.x]
     return ResultTable(["x", "density"], rows, note=f"pointwise inversion at height t={args.t}")
 
 
@@ -586,6 +586,8 @@ def _cmd_hydrogen(args) -> ResultTable:
             note="bound-state energy",
         )
     rmax, steps = args.grid
+    from .quad import _linspace
+
     try:  # l and m out of range for n are malformed arguments
         qn = hydrogen.QuantumNumbers(args.n, args.l, args.m)
     except ValueError as exc:
@@ -595,7 +597,7 @@ def _cmd_hydrogen(args) -> ResultTable:
     # the angles are fixed, so Y is one number; rho(r) * y is wavefunction(qn)'s product
     y = hydrogen.spherical_harmonic(qn.l, qn.m)(s_fixed, t_fixed)
     rows = []
-    for r in _grid_points(rmax / steps, rmax, steps, "--grid"):
+    for r in _linspace(rmax / steps, rmax, steps):
         v = rho(r) * y
         rows.append((r, s_fixed, t_fixed, v.real, v.imag, abs(v) ** 2))
     return ResultTable(

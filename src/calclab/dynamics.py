@@ -423,19 +423,25 @@ def ellipse_length(a: float, b: float) -> float:
     """
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("need a, b > 0 and finite")
-    # where max(a, b)^2 is not a normal float, a and b scaled by an exact power of two to
-    # max(a, b) in [1/2, 1), and the perimeter by its inverse
-    e = 0 if 2.0**-511 <= max(a, b) < 2.0**512 else math.frexp(max(a, b))[1]
+    # a and b scaled by an exact power of two to max(a, b) in [1/2, 1), and the perimeter by its
+    # inverse
+    e = math.frexp(max(a, b))[1]
     a, b = math.ldexp(a, -e), math.ldexp(b, -e)
-    s, weight = 0.5 * (a * a + b * b), 1.0
-    while True:
-        c, a, b = 0.5 * (a - b), 0.5 * (a + b), math.sqrt(a * b)
-        s -= weight * c * c
-        weight *= 2.0
-        if abs(c) <= sys.float_info.epsilon * a:
-            break
+    if min(a, b) < 2.0**-1000:
+        # 4 max(a, b) to the last bit, the next term being of order (b/a)^2 log(a/b); here the
+        # AGM's first product a b could underflow to 0, and its mean with it
+        perimeter = 4.0 * max(a, b)
+    else:
+        s, weight = 0.5 * (a * a + b * b), 1.0
+        while True:
+            c, a, b = 0.5 * (a - b), 0.5 * (a + b), math.sqrt(a * b)
+            s -= weight * c * c
+            weight *= 2.0
+            if abs(c) <= sys.float_info.epsilon * a:
+                break
+        perimeter = 2.0 * math.pi * s / a
     try:
-        return math.ldexp(2.0 * math.pi * s / a, e)
+        return math.ldexp(perimeter, e)
     except OverflowError:
         raise ValueError("the perimeter leaves the float range") from None
 

@@ -254,6 +254,16 @@ def test_ellipse_length_at_high_eccentricity_against_mpmath(b):
     assert abs(ellipse_length(1.0, b) - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("a, b", [(1.5e-154, 1.5e-170), (0.4, 5e-324), (1e300, 1e-300)])
+def test_ellipse_length_where_a_b_underflows(a, b):
+    # the AGM's product a b underflowed to 0, and the perimeter divided by a zero mean
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        want = float(4 * mpmath.mpf(a) * mpmath.ellipe(1 - (mpmath.mpf(b) / a) ** 2))
+    assert abs(ellipse_length(a, b) - want) <= 1e-14 * want
+    assert abs(ellipse_length(b, a) - want) <= 1e-14 * want
+
+
 def test_stereographic():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -656,6 +666,7 @@ from hypothesis import assume, given, settings, strategies as st
 from calclab import cli, dynamics
 from calclab.dynamics import _sphere_quadrature
 from calclab.diffcalc import holder_critical_check
+from calclab.poly import roots_of_unity
 from calclab.prob import binomial_stats
 from calclab.quad import _legendre_rule, jacobian_polar, jacobian_spherical, verify_fresnel
 
@@ -754,10 +765,9 @@ def _stokes_oracle(F, surface, n):
 
 
 def _divergence_check_oracle(F, center, radius, order, radial_nodes):
-    # the library's own nodes: a 1-ulp move of a node moves a step-1e-5 central difference by
-    # about 1e-12, so only the same nodes compare at 1e-12; the nodes are checked by
-    # test_sphere_quadrature_matches_loop_order
-    nodes, weights = _sphere_quadrature(order)
+    # node by node on the rule's azimuths: a 1-ulp move of a node moves a step-1e-5 central
+    # difference by about 1e-12, so only the same azimuths compare at 1e-12
+    nodes, weights = _sphere_oracle(order, [(z.real, z.imag) for z in roots_of_unity(2 * order)])
 
     def shell(r):
         return r * r * sum(
@@ -919,7 +929,7 @@ def test_divergence_check_rejects_a_bad_ball_before_calling_F(kwargs, name):
 
 def test_sphere_quadrature_matches_loop_order():
     mpmath = pytest.importorskip("mpmath")
-    for order in (1, 4, 9):
+    for order in (1, 4, 5, 9):
         nodes, weights = _sphere_quadrature(order)
         with mpmath.workdps(30):
             azimuths = [(float(mpmath.cospi(mpmath.mpf(i) / order)), float(mpmath.sinpi(mpmath.mpf(i) / order))) for i in range(2 * order)]
