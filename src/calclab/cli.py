@@ -12,13 +12,14 @@ variable sets the default output format.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import numbers
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._record import Record
 
@@ -37,9 +38,16 @@ class ResultTable(Record):
         self._set(columns, rows, note)
 
 
-# The points of a stieltjes --x or hydrogen wavefunction --grid grid: 50x the largest count of a
-# test, benchmark case or README example (the 2,000 steps of --grid 30,2000)
-_MAX_GRID_POINTS = 10**5
+# Counts that their parse type refuses past a cap, before any work (_refuse_past_the_cap).  Each cap is
+# at least 10x the largest count of a test, benchmark case, CI line or README example, except
+# sequence --n, where a test prints the factorials to 1700! and bell at 5,000 takes 19 s; a run at a
+# cap takes at most about 5 s on a 2-vCPU x86.
+_MAX_GRID_POINTS = 10**5  # stieltjes --x, hydrogen wavefunction --grid: the bench's --grid 30,2000
+_MAX_TERMS = 10**7  # constants --terms: README's basel 10^6; e takes 2.6 s at the cap
+_MAX_SEQUENCE_N = 3000  # sequence --n: bell and bernoulli take 3.3 s at the cap
+_MAX_MOMENTS = 4000  # law --moments: CI's 400; poisson leaves the float range by order 2,663, in 5 s
+_MAX_TRIALS = 10**5  # law --count: a test's 2,000; binomial takes 3.7 s at the cap
+_MAX_LEVELS = 10**5  # hydrogen lines --upto: the bench's 9; 0.3 s at the cap
 
 
 class _UsageError(Exception):
@@ -219,7 +227,7 @@ def _grid(text: str) -> list[float]:
         raise _UsageError("--x grid count must be at least 1")
     if not math.isfinite(b - a):
         raise _UsageError(f"--x grid {text!r} spans more than the largest float")
-    _refuse_past_the_grid_cap(n, "--x")
+    _refuse_past_the_cap(n, "--x", _MAX_GRID_POINTS, "points")
     from .quad import _linspace
 
     return _linspace(a, b, n)
@@ -234,16 +242,29 @@ def _radial_grid(text: str) -> tuple[float, int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not rmax,steps") from None
     if not (0 < rmax < math.inf) or steps < 1:
         raise argparse.ArgumentTypeError("needs a finite rmax > 0 and steps >= 1")
-    _refuse_past_the_grid_cap(steps, "--grid")
+    _refuse_past_the_cap(steps, "--grid", _MAX_GRID_POINTS, "points")
     return rmax, steps
 
 
-def _refuse_past_the_grid_cap(n: int, option: str) -> None:
-    """Refuse a grid of n points past the cap before any point is built: exit 2 with one line, as
-    the library's caps do.  It is a MemoryError, which argparse passes on from a parse type, where
-    a ValueError would become its usage error."""
-    if n > _MAX_GRID_POINTS:
-        raise MemoryError(f"{option} has {n:.7g} points, past the cap of {_MAX_GRID_POINTS:,}")
+def _refuse_past_the_cap(n: int, option: str, cap: int, unit: str) -> None:
+    """Refuse a count of n units past its cap before any work: exit 2 with one line, as the
+    library's caps do.  It is a MemoryError, which argparse passes on from a parse type, where a
+    ValueError would become its usage error."""
+    if n > cap:
+        raise MemoryError(f"{option} has {n:.7g} {unit}, past the cap of {cap:,}")
+
+
+def _capped(parse: Callable[[str], int], option: str, cap: int, unit: str) -> Callable[[str], int]:
+    """The parse type ``parse`` of a count, refusing one past cap by :func:`_refuse_past_the_cap`;
+    ``inspect.unwrap`` gives ``parse`` back."""
+
+    @functools.wraps(parse)
+    def count(text: str) -> int:
+        n = parse(text)
+        _refuse_past_the_cap(n, option, cap, unit)
+        return n
+
+    return count
 
 
 def _int(text: str) -> int:
@@ -633,11 +654,11 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
 
     if p := add_parser("sequence", _cmd_sequence, "exact combinatorial sequences"):
         p.add_argument("--kind", required=True, choices=["factorial", "catalan", "central", "middle", "bell", "bernoulli"])
-        p.add_argument("--n", type=_natural, required=True)
+        p.add_argument("--n", type=_capped(_natural, "--n", _MAX_SEQUENCE_N, "terms"), required=True)
 
     if p := add_parser("constants", _cmd_constants, "classical constants with error bounds"):
         p.add_argument("--which", required=True, choices=["e", "pi", "basel"])
-        p.add_argument("--terms", type=_positive_int, required=True)
+        p.add_argument("--terms", type=_capped(_positive_int, "--terms", _MAX_TERMS, "terms"), required=True)
 
     if p := add_parser("roots", _cmd_roots, "all roots of a complex polynomial"):
         p.add_argument("--coeffs", required=True, help="c0,c1,... ascending, entries like 1+2i")
@@ -661,9 +682,9 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
 
     if p := add_parser("law", _cmd_law, "moment sequences of the builtin laws"):
         p.add_argument("--name", required=True, choices=["bernoulli", "binomial", "poisson", "gauss", "cgauss", "semicircle", "mp", "arcsine", "marcsine"])
-        p.add_argument("--moments", type=_natural, required=True)
+        p.add_argument("--moments", type=_capped(_natural, "--moments", _MAX_MOMENTS, "orders"), required=True)
         p.add_argument("--x", type=_finite_float, default=0.5, help="coin bias for bernoulli/binomial")
-        p.add_argument("--count", type=_positive_int, default=10, help="binomial trial count")
+        p.add_argument("--count", type=_capped(_positive_int, "--count", _MAX_TRIALS, "trials"), default=10, help="binomial trial count")
         p.add_argument("--t", type=_finite_float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
 
     if p := add_parser("stieltjes", _cmd_stieltjes, "pointwise density recovery"):
@@ -718,7 +739,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         hsub = p.add_subparsers(dest="hydrogen_cmd", required=True, parser_class=_Parser)
         ph = hsub.add_parser("lines", parents=[common])
         ph.add_argument("--series", required=True, choices=_SPECTRAL_SERIES)
-        ph.add_argument("--upto", type=int, required=True)
+        ph.add_argument("--upto", type=_capped(_int, "--upto", _MAX_LEVELS, "levels"), required=True)
         ph = hsub.add_parser("energy", parents=[common])
         ph.add_argument("--n", type=_positive_int, required=True)
         ph = hsub.add_parser("wavefunction", parents=[common])

@@ -29,9 +29,7 @@ __all__ = [
     "power_sum",
     "Permutation",
     "signature",
-    "set_partitions",
     "pairings",
-    "count_pairings",
     "count_matching_pairings",
 ]
 
@@ -73,7 +71,8 @@ def binomial(n: int, k: int) -> int:
 
 def _rounded(q: int | Fraction, what: str, base: float = 1.0, power: int = 0) -> float:
     """q base^power for an exact q: float(q) * base**power where both factors and the product
-    are normal floats, else the exact value rounded once (int true division rounds correctly).
+    are normal floats, else the exact value rounded once (int true division rounds correctly),
+    decided from the magnitudes alone where it is more than a factor 2 outside the float range.
     Past the float range ValueError says that ``what`` leaves it."""
     try:
         x, y = float(q), base**power
@@ -81,8 +80,15 @@ def _rounded(q: int | Fraction, what: str, base: float = 1.0, power: int = 0) ->
             return x * y
     except OverflowError:
         pass
+    q = Fraction(q)
+    if q and base:  # |q base^power| is within a factor 4 of 2^bits
+        bits = q.numerator.bit_length() - q.denominator.bit_length() + power * math.log2(abs(base))
+        if bits > 1026:
+            raise ValueError(f"{what} leaves the float range")
+        if bits < -1077:  # below half the least subnormal: a zero of the product's sign
+            return -0.0 if (q < 0) != (base < 0 and power % 2 == 1) else 0.0
     try:
-        return float(Fraction(q) * Fraction(base) ** power)
+        return float(q * Fraction(base) ** power)
     except OverflowError:
         raise ValueError(f"{what} leaves the float range") from None
 
@@ -276,21 +282,11 @@ def signature(sigma: Permutation | Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def set_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield all partitions of {1..k} as tuples of sorted blocks."""
-    if k < 0:
-        raise ValueError("set_partitions needs k >= 0")
-    if k == 0:
-        yield ()
-        return
-    for smaller in set_partitions(k - 1):
-        for i, block in enumerate(smaller):
-            yield smaller[:i] + (block + (k,),) + smaller[i + 1 :]
-        yield smaller + ((k,),)
-
-
 def pairings(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield all perfect pairings of {1..k}; nothing is yielded for odd k."""
+    """Yield all perfect pairings of {1..k}; nothing is yielded for odd k.
+
+    For even k there are ``semi_factorial(k)`` = (k-1)(k-3)...1 of them.
+    """
     if k < 0:
         raise ValueError("pairings needs k >= 0")
     if k % 2:
@@ -306,16 +302,6 @@ def _pairings_of(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...
     for i, partner in enumerate(rest):
         for sub in _pairings_of(rest[:i] + rest[i + 1 :]):
             yield ((first, partner),) + sub
-
-
-def count_pairings(k: int) -> int:
-    """|P_2(k)|, the number of pairings of {1..k}; 0 for odd k.
-
-    For even k it is the double factorial (k-1)(k-3)...1, ``semi_factorial(k)``.
-    """
-    if k < 0:
-        raise ValueError("count_pairings needs k >= 0")
-    return 0 if k % 2 else semi_factorial(k)
 
 
 def count_matching_pairings(word: str) -> int:

@@ -3,13 +3,13 @@
 Central differences with roundoff-balanced default steps: gradients,
 Jacobians, Hessians (each mixed pair evaluated once, so symmetric by
 construction), Taylor approximation, critical-point classification by Hessian
-eigenvalue signs, Laplacians and harmonicity checks, spherical-coordinate
-Laplacian, root-of-unity derivative averaging, and the constrained-extremum
-verifiers (p-norm sphere maximizer, 1-norm criticality on the orthogonal
-group).  The stencil sums (a k-th difference, a Taylor polynomial, a
-Laplacian) are ``math.fsum``: the exact sum of the float terms, rounded once.
-Every stencil of k-th differences, the block route included, takes its
-step h, or eps^(1/(k+2)) (1 + max |x_i|) if h is None or 0, by one rule:
+eigenvalue signs, Laplacians, the spherical-coordinate Laplacian,
+root-of-unity derivative averaging, and the constrained-extremum verifiers
+(p-norm sphere maximizer, 1-norm criticality on the orthogonal group).  The
+stencil sums (a k-th difference, a Taylor polynomial, a Laplacian) are
+``math.fsum``: the exact sum of the float terms, rounded once.  Every
+stencil of k-th differences, the block route included, takes its step h,
+or eps^(1/(k+2)) (1 + max |x_i|) if h is None or 0, by one rule:
 ``_step``.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
@@ -53,7 +53,6 @@ __all__ = [
     "CriticalReport",
     "classify_critical",
     "laplacian",
-    "is_harmonic",
     "mean_value_gap",
     "spherical_laplacian",
     "unity_root_average",
@@ -359,13 +358,6 @@ def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> flo
     x = _point(x)
     h = _step(h, x, 2)
     return math.fsum(_derivatives(len(x), "axes")(f, x, h)[2])
-
-
-def is_harmonic(
-    f: ScalarField, points: Sequence[Sequence[float]], tol: float = 1e-4
-) -> bool:
-    """True when |laplacian f| <= tol at every sample point."""
-    return all(abs(laplacian(f, p)) <= tol for p in points)
 
 
 def mean_value_gap(

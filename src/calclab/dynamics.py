@@ -3,7 +3,7 @@
 Vector products and rotating-frame kinematics, relativistic velocity
 addition, the one-dimensional free-fall closed form, a fourth-order two-body
 integrator with conic-fit verification, conic classification, ellipse
-area/length, stereographic projection, the d'Alembert wave solution and its
+length, stereographic projection, the d'Alembert wave solution and its
 lattice counterpart, forward-Euler heat stepping with the Gaussian kernel,
 second-order linear ODEs, and numerical verification of Gauss's law (one
 polar Gauss-Legendre rule per charge) and of the divergence and Stokes
@@ -34,16 +34,12 @@ __all__ = [
     "einstein_add_3d",
     "rotating_acceleration",
     "gravity1d_time",
-    "gravity1d_stop_time",
     "OrbitState",
-    "kepler_step",
     "kepler_integrate",
-    "canonicalize_orbit",
     "orbit_params",
     "orbit_period",
     "conic_fit",
     "classify_conic",
-    "ellipse_area",
     "ellipse_length",
     "stereographic_to_sphere",
     "stereographic_to_plane",
@@ -128,27 +124,21 @@ def rotating_acceleration(
 
 
 def gravity1d_time(x: float, x0: float, k: float) -> float:
-    """Fall time to height x from rest at x0 under xdd = -k/x^2 (see :func:`_fall_time`)."""
+    """Fall time to height x from rest at x0 under xdd = -k/x^2 (see :func:`_fall_time`);
+    at x = 0 it is the whole fall, pi sqrt(x0^3/(8k))."""
     if not 0 < k < math.inf:
         raise ValueError("need k > 0 and finite")
     if not (0.0 <= x <= x0 and 0 < x0 < math.inf):
         raise ValueError("need 0 <= x <= x0 and a finite x0 > 0")
     y = x / x0
-    return _fall_time(x0, 2.0, k, math.sqrt(max(0.0, y * (1.0 - y))) + math.acos(math.sqrt(y)))
+    return _fall_time(x0, k, math.sqrt(max(0.0, y * (1.0 - y))) + math.acos(math.sqrt(y)))
 
 
-def gravity1d_stop_time(x0: float, k: float) -> float:
-    """Total fall time pi sqrt(x0^3/(8k)) (see :func:`_fall_time`)."""
-    if not (0 < k < math.inf and 0 < x0 < math.inf):
-        raise ValueError("need x0, k > 0 and finite")
-    return _fall_time(x0, 8.0, k, math.pi)
-
-
-def _fall_time(x0: float, c: float, k: float, factor: float) -> float:
-    """sqrt(x0^3/(c k)) factor, by logarithms where x0^3/(c k) is not a normal float;
+def _fall_time(x0: float, k: float, factor: float) -> float:
+    """sqrt(x0^3/(2k)) factor, by logarithms where x0^3/(2k) is not a normal float;
     ValueError where the fall time leaves the float range."""
     try:
-        q = x0**3 / (c * k)
+        q = x0**3 / (2.0 * k)
         if 2.0**-1022 <= q < math.inf:
             return math.sqrt(q) * factor
     except OverflowError:  # x0^3
@@ -156,7 +146,7 @@ def _fall_time(x0: float, c: float, k: float, factor: float) -> float:
     if not factor:
         return 0.0
     try:
-        return math.exp(0.5 * (3.0 * math.log(x0) - math.log(c) - math.log(k)) + math.log(factor))
+        return math.exp(0.5 * (3.0 * math.log(x0) - math.log(2.0) - math.log(k)) + math.log(factor))
     except OverflowError:
         raise ValueError("the fall time leaves the float range") from None
 
@@ -181,17 +171,6 @@ class OrbitState(Record):
     @property
     def energy(self) -> float:
         return 0.5 * (self.vx**2 + self.vy**2) - self.K / self.r
-
-
-def kepler_step(s: OrbitState, dt: float, r_min: float = 1e-12) -> OrbitState:
-    """One classical fourth-order (RK4) step of zdd = -K z/|z|^3: the loop of
-    :func:`kepler_integrate` run for one step.
-
-    Evaluated on Python floats, in the operation order of the vector form
-    z + dt/6 (k1 + 2 k2 + 2 k3 + k4) with stages at z + (dt/2) k1,
-    z + (dt/2) k2 and z + dt k3.
-    """
-    return _rk4_steps(s, dt, 1, r_min, [])[0]
 
 
 def _rk4_steps(s: OrbitState, dt: float, steps: int, r_min: float, out: list) -> list:
@@ -244,8 +223,8 @@ def kepler_integrate(
     as for dt = T/n) the trajectory is n full steps.  Otherwise it is
     floor(T/dt) full steps plus one shorter step that ends at s.time + T, so
     T = 1, dt = 0.3 gives four steps and T < dt gives one step of T.  The
-    steps are one loop on local floats, the same as a loop of
-    :func:`kepler_step`, bit for bit.
+    steps are one loop on local floats, so a trajectory restarted from any
+    of its states continues with the same bits.
 
     Pass a physically meaningful r_min when collisions are possible; the
     default only catches an exact fall onto the center.  More than 10^6
@@ -273,29 +252,6 @@ def kepler_integrate(
         last = _rk4_steps(s, end - s.time, 1, r_min, [])[0]
         out.append(OrbitState(last.x, last.y, last.vx, last.vy, last.K, end))
     return out
-
-
-def canonicalize_orbit(s: OrbitState) -> tuple[OrbitState, float]:
-    """Rotate a planar state onto the positive x-axis (theta_0 = 0).
-
-    Returns the rotated state and the rotation angle applied, so outputs can
-    be mapped back by rotating through -angle.
-    """
-    if s.r == 0.0:
-        raise ValueError("cannot canonicalize a state at the origin")
-    angle = -math.atan2(s.y, s.x)
-    c, sn = math.cos(angle), math.sin(angle)
-    return (
-        OrbitState(
-            c * s.x - sn * s.y,
-            sn * s.x + c * s.y,
-            c * s.vx - sn * s.vy,
-            sn * s.vx + c * s.vy,
-            s.K,
-            s.time,
-        ),
-        angle,
-    )
 
 
 def orbit_params(s0: OrbitState) -> tuple[float, float, float, float]:
@@ -401,16 +357,6 @@ def classify_conic(
     if abs(disc) <= tol:
         return "line"
     return "parallel_lines" if disc * lam > 0 else "empty"
-
-
-def ellipse_area(a: float, b: float) -> float:
-    """pi a b; ValueError where it leaves the float range."""
-    if not (a > 0 and b > 0):
-        raise ValueError("need a, b > 0")
-    area = math.pi * a * b
-    if area == math.inf:
-        raise ValueError("the area pi a b leaves the float range")
-    return area
 
 
 def ellipse_length(a: float, b: float) -> float:
@@ -939,7 +885,8 @@ def green_check(
     counterclockwise, so degenerate or cancelling edges contribute nothing.
     P and Q get Python floats.  Returns (line integral of P dx + Q dy, area
     integral of (dQ/dx - dP/dy) det J, |difference|), with the steps, rules
-    and settling of :func:`stokes_check`.
+    and settling of :func:`stokes_check`: ValueError where no two sizes
+    agree by n = 256, and two agreeing coarse sizes trusted.
     """
 
     def field(p: np.ndarray) -> tuple[float, float]:
@@ -966,7 +913,10 @@ def stokes_check(
     before F is called where it does not fit its points (as over
     [0, 1e-320]^2 or [0, 1e300]^2; ``diffcalc._step``).  Simpson's rule
     takes n intervals per side, 2n per edge; n None settles
-    (:func:`quad._settle`) both over 8, 16, ... 256 to 1e-9.
+    (:func:`quad._settle`) both over 8, 16, ... 256 to 1e-9, and raises
+    ValueError where no two sizes agree by 256.  Two agreeing coarse sizes
+    are trusted, so pass n for a field with structure finer than the first
+    grids.
     """
     mapping, u_span, v_span = surface
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
@@ -1005,7 +955,10 @@ def divergence_check(
     infinite value raises ValueError, as does a radius that is not finite
     and positive or a NaN or infinite center, before F is called.  Returns
     (ball integral, flux, |difference|).  ``order`` None settles it
-    (:func:`quad._settle`): 8, 16, 32, to 1e-9 relative on both sides.
+    (:func:`quad._settle`): 8, 16, 32, to 1e-9 relative on both sides, and
+    raises ValueError where no two orders agree by 32.  Two agreeing coarse
+    orders are trusted, so pass ``order`` for a field with structure finer
+    than the first sphere grids.
     """
     if radial_nodes < 1:
         raise ValueError("need radial_nodes >= 1")

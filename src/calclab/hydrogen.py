@@ -1,7 +1,7 @@
 """Orthogonal polynomial families and the hydrogen atom.
 
-Legendre and Laguerre polynomials are built from their explicit sums (DLMF
-18.5(iv)) in exact rational arithmetic; P_l^m comes from its recurrence in l
+Laguerre polynomials are built from their explicit sums (DLMF 18.5(iv))
+in exact rational arithmetic; P_l^m comes from its recurrence in l
 (DLMF 14.10.3; Press et al., *Numerical Recipes*, 3rd ed., 6.7), accurate at
 degrees where a polynomial over rounded coefficients of alternating sign
 cancels (past l = 30), and Y_l^m and rho_nl take their norms as exact
@@ -46,7 +46,6 @@ __all__ = [
     "DIMENSIONLESS_CONSTANTS",
     "RYDBERG_HYDROGEN_MEASURED",
     "QuantumNumbers",
-    "legendre",
     "assoc_legendre",
     "spherical_harmonic",
     "laguerre",
@@ -55,12 +54,10 @@ __all__ = [
     "bohr_energy",
     "rydberg_constant",
     "line_wavelength",
-    "ritz_combination_gap",
     "bohr_radius",
     "radial_wavefunction",
     "wavefunction",
     "spectral_series",
-    "air_refractive_index",
     "SPECTRAL_SERIES_NAMES",
 ]
 
@@ -116,22 +113,6 @@ class QuantumNumbers(Record):
         if abs(m) > l:
             raise ValueError("need |m| <= l")
         self._set(n, l, m)
-
-
-def legendre(l: int) -> Polynomial:
-    """Legendre polynomial P_l with exact rational coefficients.
-
-    Explicit sum: P_l = 2^-l sum_k (-1)^k C(l, k) C(2l-2k, l) x^(l-2k), with
-    the standard normalization P_l(1) = 1.  (The unit-L^2-norm normalization
-    is a different convention; spherical harmonics carry their own explicit
-    constant.)
-    """
-    if l < 0:
-        raise ValueError("need l >= 0")
-    coeffs = [Fraction(0)] * (l + 1)
-    for k in range(l // 2 + 1):
-        coeffs[l - 2 * k] = Fraction((-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l), 2**l)
-    return Polynomial(coeffs)
 
 
 def _horner(coefficients: list[Fraction], x: str) -> str:
@@ -250,7 +231,7 @@ def rydberg_constant(constants: PhysicalConstants = BOOK_CONSTANTS) -> float:
     return -bohr_energy(1, constants).joules / (constants.h0 * constants.c)
 
 
-def air_refractive_index(wavelength_vacuum_m: float) -> float:
+def _air_refractive_index(wavelength_vacuum_m: float) -> float:
     """Standard-air refractive index at the given vacuum wavelength."""
     s = 1e-6 / wavelength_vacuum_m  # inverse microns
     return (
@@ -281,21 +262,8 @@ def line_wavelength(
     R = RYDBERG_HYDROGEN_MEASURED if constants is None else rydberg_constant(constants)
     lam = 1.0 / (R * (1.0 / n1**2 - 1.0 / n2**2))
     if medium == "air" and lam > 200e-9:
-        lam /= air_refractive_index(lam)
+        lam /= _air_refractive_index(lam)
     return lam
-
-
-def ritz_combination_gap(n1: int, n2: int, n3: int) -> float:
-    """|1/lambda_12 + 1/lambda_23 - 1/lambda_13| on vacuum wavelengths.
-
-    Algebraically zero by the additivity of the inverse-wavelength law.
-    """
-    if not n1 < n2 < n3:
-        raise ValueError("need n1 < n2 < n3")
-    l12 = line_wavelength(n1, n2, medium="vacuum")
-    l23 = line_wavelength(n2, n3, medium="vacuum")
-    l13 = line_wavelength(n1, n3, medium="vacuum")
-    return abs(1.0 / l12 + 1.0 / l23 - 1.0 / l13)
 
 
 def bohr_radius(constants: PhysicalConstants = BOOK_CONSTANTS) -> float:
@@ -394,6 +362,6 @@ def spectral_series(
     R = RYDBERG_HYDROGEN_MEASURED if constants is None else rydberg_constant(constants)
     lam_limit = n1 * n1 / R
     if lam_limit > 200e-9:
-        lam_limit /= air_refractive_index(lam_limit)
+        lam_limit /= _air_refractive_index(lam_limit)
     rows.append((n1, None, lam_limit * 1e9))
     return rows

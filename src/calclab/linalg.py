@@ -4,9 +4,10 @@
 ``roots_of_unity`` live in the numpy-free ``calclab.poly`` and are
 re-exported here.  Matrices are numpy arrays.  A determinant is exact
 (Bareiss elimination) when every entry is rational and numpy's LU
-otherwise; the permutation sum is the definition, kept as the reference.  The Jacobi eigensolver is implemented
-directly, one route per question: the eigenvalues alone on Python lists (for
-n = 3 the same sweeps written out on locals), with the eigenvectors in numpy
+otherwise (the permutation sum, the definition, is the tests' reference in
+``tests/oracles.py``).  The Jacobi eigensolver is implemented directly, one
+route per question: the eigenvalues alone on Python lists (for n = 3 the
+same sweeps written out on locals), with the eigenvectors in numpy
 round-robin sweeps.  ``inverse`` delegates to numpy.
 
 ``np`` is the deferred binding of ``calclab._numpy``, so importing this module
@@ -16,14 +17,12 @@ round-robin sweeps.  ``inverse`` delegates to numpy.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from fractions import Fraction
 from typing import Sequence
 
 from ._numpy import np
-from .combinat import signature
 from .poly import Polynomial, all_roots, cardano, roots_of_unity, solve_quadratic
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "roots_of_unity",
     "equilateral_test",
     "determinant",
-    "det_permutation_sum",
     "inverse",
     "symmetric_eigen",
     "classify_definiteness",
@@ -119,21 +117,6 @@ def equilateral_test(I: complex, J: complex, K: complex, tol: float = 1e-9) -> b
     value = I + w * J + w2 * K
     scale = max(abs(I), abs(J), abs(K), 1.0)
     return abs(value) <= tol * scale
-
-
-def det_permutation_sum(A: np.ndarray) -> complex:
-    """The definition: the signed sum over all n! permutations (the tests' reference)."""
-    A = np.asarray(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    total = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        term = signature(perm)
-        for i in range(n):
-            term = term * A[i, perm[i] - 1]
-        total += term
-    return total
 
 
 def determinant(A: np.ndarray) -> int | Fraction | complex:

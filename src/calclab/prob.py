@@ -45,14 +45,10 @@ __all__ = [
     "law_fourier",
     "bernoulli_law",
     "binomial_law",
-    "binomial_stats",
     "poisson_law",
-    "poisson_fourier",
-    "poisson_moment",
     "poisson_moments",
     "gaussian_law",
     "gaussian_moment",
-    "gaussian_fourier",
     "complex_gaussian_moment",
     "wick",
     "convolve",
@@ -113,6 +109,7 @@ class Law(Record):
         self._set(atoms, density, support)
 
     def total_mass(self, nodes: int | None = None) -> float:
+        """M_0 by :func:`moments`: its rule settled or fixed by ``nodes``, and its ValueError."""
         return moments(self, 0, nodes)[0]
 
 
@@ -204,7 +201,10 @@ def moments(law: Law, upto: int, nodes: int | None = None) -> list[float]:
 
     The density takes composite Gauss-Legendre in u, x = a + (b-a) sin^2(u/2),
     doubled until every moment settles to 1e-12 relative (at most 240
-    density calls for the builtin laws to order 10); ``nodes`` fixes it.  A
+    density calls for the builtin laws to order 10); ``nodes`` fixes it.
+    Where no two sizes agree by 8,192 nodes, ValueError says so.  Two sizes
+    that agree are trusted, so a density feature narrower than the first
+    panels can go unseen: pass ``nodes`` for such a density.  A
     convolution of two densities takes the outer product of their rules,
     min(nodes, 256) per factor, so the doubling stops once both are capped.
     """
@@ -228,7 +228,9 @@ def _atom_moment(atoms: tuple[tuple[float, float], ...], k: int) -> float:
 
 
 def law_fourier(law: Law, y: float, nodes: int | None = None) -> complex:
-    """E(exp(iyX)) for a finite y; the density takes the rule of :func:`moments`."""
+    """E(exp(iyX)) for a finite y; the density takes the rule of :func:`moments`: settled to
+    1e-12 over 16 ... 8,192 nodes with ValueError where no two sizes agree, two agreeing coarse
+    sizes trusted, or fixed by ``nodes``."""
     if not math.isfinite(y):
         raise ValueError("need a finite y")
     out = sum(mass * cmath.exp(1j * y * loc) for loc, mass in law.atoms)
@@ -276,15 +278,6 @@ def binomial_law(x: float, n: int) -> Law:
         k -= 1
     start = mode - len(lower)
     return Law(atoms=tuple((float(start + i), m) for i, m in enumerate(lower[::-1] + upper)))
-
-
-def binomial_stats(x: float, n: int) -> tuple[float, float]:
-    """(mean, variance) = (nx, nx(1-x))."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("need x in [0, 1]")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return n * x, n * x * (1.0 - x)
 
 
 def poisson_law(t: float, residual: float = 1e-12) -> Law:
@@ -335,13 +328,6 @@ def _poisson_log_mode_mass(t: float, mode: int) -> float:
     return mode * math.log1p(f / mode) - f - 0.5 * math.log(2.0 * math.pi * mode) - stirling
 
 
-def poisson_fourier(t: float, y: float) -> complex:
-    """exp((e^{iy} - 1) t)."""
-    if not t > 0:
-        raise ValueError("need t > 0")
-    return cmath.exp((cmath.exp(1j * y) - 1.0) * t)
-
-
 def poisson_moments(t: float, upto: int) -> list[float]:
     """Poisson moments M_0..M_upto, the Touchard polynomials sum_b S(k, b) t^b.
 
@@ -368,11 +354,6 @@ def poisson_moments(t: float, upto: int) -> list[float]:
         ms.append(m)
         row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
     return ms
-
-
-def poisson_moment(t: float, k: int) -> float:
-    """The k-th Poisson moment; ``moments(poisson_law(t), k)`` agrees to quadrature accuracy."""
-    return poisson_moments(t, k)[k]
 
 
 def gaussian_law(t: float) -> Law:
@@ -402,13 +383,6 @@ def gaussian_moment(t: float, k: int) -> float:
     if k % 2:
         return 0.0
     return _rounded(semi_factorial(k), f"the Gaussian moment of order {k}", t, k // 2)
-
-
-def gaussian_fourier(t: float, x: float) -> float:
-    """exp(-t x^2/2)."""
-    if not t > 0:
-        raise ValueError("need t > 0")
-    return math.exp(-t * x * x / 2.0)
 
 
 def complex_gaussian_moment(t: float, word: str) -> float:

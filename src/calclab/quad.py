@@ -6,7 +6,7 @@ and seeded Monte Carlo, the Gauss and Fresnel improper integrals with their
 quadrature verifiers, Wallis trigonometric integrals, sphere volumes/areas
 and polynomial moments over real and complex unit spheres, the product
 rule on the unit 2-sphere of the divergence and mean-value checks, and the
-Jacobians of polar/spherical coordinates.
+spherical-coordinate Jacobian (the polar one at N = 2).
 
 Closed forms are evaluated in exact rational arithmetic and converted to
 float at the end by ``combinat._rounded``, which rounds the exact value
@@ -45,7 +45,6 @@ __all__ = [
     "verify_gauss",
     "fresnel",
     "verify_fresnel",
-    "wallis",
     "wallis2",
     "sphere_volume",
     "sphere_area",
@@ -58,7 +57,6 @@ __all__ = [
     "sphere_moment_mc",
     "sample_real_sphere",
     "sample_complex_sphere",
-    "jacobian_polar",
     "jacobian_spherical",
 ]
 
@@ -313,7 +311,9 @@ def gauss_integral() -> float:
 def verify_gauss(L: float = 8.0, nodes: int | None = None) -> float:
     """|quadrature of exp(-x^2) on [-L, L] - sqrt(pi)|, Simpson with ``nodes``, or settled 64 ... 10,000 to 1e-12.
 
-    The truncated tail is below exp(-L^2)/L, so L >= 6 makes it negligible.
+    A settle where no two sizes agree by 10,000 raises ValueError; two
+    agreeing coarse sizes are trusted.  The truncated tail is below
+    exp(-L^2)/L, so L >= 6 makes it negligible.
     """
     if L < 6:
         raise ValueError("need L >= 6 for a negligible tail")
@@ -352,15 +352,9 @@ def _epsilon(p: int) -> int:
     return 1 if p % 2 == 0 else 0
 
 
-def wallis(p: int) -> float:
-    """Quarter-period integral of cos^p (or sin^p): (pi/2)^eps(p) p!!/(p+1)!!."""
-    if p < 0:
-        raise ValueError("need p >= 0")
-    return wallis2(p, 0)
-
-
 def wallis2(p: int, q: int) -> float:
-    """Quarter-period integral of cos^p sin^q: (pi/2)^(eps(p)eps(q)) p!!q!!/(p+q+1)!!."""
+    """Quarter-period integral of cos^p sin^q: (pi/2)^(eps(p)eps(q)) p!!q!!/(p+q+1)!!; at q = 0
+    the integral of cos^p (or sin^p), (pi/2)^eps(p) p!!/(p+1)!!."""
     if p < 0 or q < 0:
         raise ValueError("need p, q >= 0")
     ratio = Fraction(semi_factorial(p) * semi_factorial(q), semi_factorial(p + q + 1))
@@ -576,13 +570,6 @@ def sphere_moment_mc(
 
     rng.map_blocks(samples, _SPHERE_BLOCK, block)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
-
-
-def jacobian_polar(r: float) -> float:
-    """Polar-coordinate Jacobian: r."""
-    if not r >= 0:
-        raise ValueError("need r >= 0")
-    return r
 
 
 def jacobian_spherical(N: int, r: float, *angles: float) -> float:

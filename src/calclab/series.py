@@ -22,7 +22,6 @@ __all__ = [
     "basel_sum",
     "basel_sum_corrected",
     "babylonian_sqrt",
-    "babylonian_iterates",
     "coth_series_coeff",
     "sqrt_one_minus_4t",
     "recip_sqrt_one_minus_4t",
@@ -144,7 +143,7 @@ def basel_sum_corrected(terms: int) -> tuple[float, float]:
     return partial + 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def babylonian_iterates(a: float) -> Iterator[float]:
+def _babylonian_iterates(a: float) -> Iterator[float]:
     """Iterates of x -> (x + a/x)/2 from x0 = max(a, 1), for a finite a > 0."""
     if not 0 < a < math.inf:  # an infinite a iterates to nan, and a nan a is nan throughout
         raise ValueError("need a finite a > 0")
@@ -163,7 +162,7 @@ def babylonian_sqrt(a: float, tol: float) -> float:
     """
     if not (0 < a < math.inf and tol > 0):
         raise ValueError("need a finite a > 0 and tol > 0")
-    for x in babylonian_iterates(a):
+    for x in _babylonian_iterates(a):
         if abs(x * x - a) <= tol:
             return x
         if x == 0.5 * (x + a / x):  # fixed point at float precision

@@ -32,11 +32,13 @@
   whose order among equal eigenvalues depends on the sort kernel numpy
   picks for the CPU.  The tests hold both library routes to its bits, and
   ``classify_critical`` here takes its eigenvalues alone from it.
-- ``legendre``, ``laguerre`` and ``assoc_laguerre`` are the ``hydrogen``
-  families before their explicit sums: Rodrigues' formula by l-fold
-  differentiation of (x^2 - 1)^l, q applications of p -> p' - p to x^q, and
-  the p-fold derivative of L_{p+q}, all on ``Fraction`` polynomials.  The
-  tests hold the explicit sums to these exact coefficients.
+- ``legendre`` is the exact P_l by Rodrigues' formula, l-fold
+  differentiation of (x^2 - 1)^l on ``Fraction`` polynomials: the reference
+  for ``hydrogen.assoc_legendre``.
+- ``laguerre`` and ``assoc_laguerre`` are the ``hydrogen`` families before
+  their explicit sums: q applications of p -> p' - p to x^q, and the p-fold
+  derivative of L_{p+q}, on ``Fraction`` polynomials.  The tests hold the
+  explicit sums to these exact coefficients.
 - ``radial_wavefunction`` is the ``hydrogen`` float function as it was
   before its inlined Horner loop: the rounded coefficients wrapped in a
   ``Polynomial`` and evaluated by its ``__call__``, times the library's one
@@ -61,18 +63,28 @@
   grids by ``np.linspace`` and numpy's array arithmetic, the series terms
   from integers) and sum them with it.  The tests hold the routes' sums,
   and ``combinat._fsum``, to these bits.
-- ``poisson_moment`` is ``prob.poisson_moment`` before the Touchard
-  recurrence: the sum of t^(number of blocks) over all Bell(k) set
-  partitions of k, enumerated (4.2M partitions at k = 12).  The tests hold
-  the recurrence to it.
+- ``set_partitions`` enumerates the partitions of {1..k} that
+  ``combinat.bell`` counts.  ``poisson_moment`` is the k-th Poisson moment
+  before the Touchard recurrence of ``prob.poisson_moments``: the sum of
+  t^(number of blocks) over all Bell(k) set partitions of k, enumerated
+  (4.2M partitions at k = 12).  The tests hold the recurrence to it.
 - ``touchard_moments`` is the exact Poisson moment sum_b S(k, b) t^b in
   integers: the Stirling numbers from their own recurrence and t as its exact
   binary fraction, rounded to a float once.  It shares no step with
   ``prob.poisson_moments``' binomial recurrence, and holds it to 1e-13
   where its float route overflows.
+- ``gaussian_fourier`` and ``poisson_fourier`` are the closed-form Fourier
+  transforms that ``prob.law_fourier`` of the Gaussian and Poisson laws is
+  held to.
+- ``det_permutation_sum`` is the determinant by its definition, the signed
+  sum over all n! permutations, that ``linalg.determinant`` is held to.
+- ``ritz_combination_gap`` is |1/lambda_12 + 1/lambda_23 - 1/lambda_13| of
+  ``hydrogen.line_wavelength`` in vacuum, algebraically zero.
 """
 
+import cmath
 import csv
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -81,7 +93,7 @@ from functools import lru_cache
 import numpy as np
 
 from calclab import hydrogen
-from calclab.combinat import factorial, pairings, set_partitions
+from calclab.combinat import factorial, pairings, signature
 from calclab.diffcalc import CriticalReport
 from calclab.linalg import _rotate, _round_robin
 from calclab.poly import Polynomial
@@ -447,6 +459,19 @@ def simpson_density_rule(law, nodes=8000):
     return x, c * half * np.sin(u[1:-1]) * density
 
 
+def set_partitions(k):
+    """Yield all partitions of {1..k} as tuples of sorted blocks."""
+    if k < 0:
+        raise ValueError("set_partitions needs k >= 0")
+    if k == 0:
+        yield ()
+        return
+    for smaller in set_partitions(k - 1):
+        for i, block in enumerate(smaller):
+            yield smaller[:i] + (block + (k,),) + smaller[i + 1 :]
+        yield smaller + ((k,),)
+
+
 def poisson_moment(t, k):
     return float(sum(t ** len(p) for p in set_partitions(k)))
 
@@ -523,3 +548,42 @@ def trapezoid(f, a, b, N):
     x = np.linspace(a, b, N + 1)
     y = _values(f, x)
     return exact_sum((np.diff(x) * (y[1:] + y[:-1]) / 2.0).tolist())
+
+
+def gaussian_fourier(t, x):
+    """exp(-t x^2/2)."""
+    if not t > 0:
+        raise ValueError("need t > 0")
+    return math.exp(-t * x * x / 2.0)
+
+
+def poisson_fourier(t, y):
+    """exp((e^{iy} - 1) t)."""
+    if not t > 0:
+        raise ValueError("need t > 0")
+    return cmath.exp((cmath.exp(1j * y) - 1.0) * t)
+
+
+def det_permutation_sum(A):
+    """The signed sum over all n! permutations."""
+    A = np.asarray(A)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("matrix must be square")
+    total = 0
+    for perm in itertools.permutations(range(1, n + 1)):
+        term = signature(perm)
+        for i in range(n):
+            term = term * A[i, perm[i] - 1]
+        total += term
+    return total
+
+
+def ritz_combination_gap(n1, n2, n3):
+    """|1/lambda_12 + 1/lambda_23 - 1/lambda_13| on vacuum wavelengths."""
+    if not n1 < n2 < n3:
+        raise ValueError("need n1 < n2 < n3")
+    l12 = hydrogen.line_wavelength(n1, n2, medium="vacuum")
+    l23 = hydrogen.line_wavelength(n2, n3, medium="vacuum")
+    l13 = hydrogen.line_wavelength(n1, n3, medium="vacuum")
+    return abs(1.0 / l12 + 1.0 / l23 - 1.0 / l13)

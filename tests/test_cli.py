@@ -170,6 +170,30 @@ def test_node_counts_past_their_cap_are_refused_before_any_node(capsys, tmp_path
     assert (code, out, err) == (2, "", f"calclab: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["constants", "--which", "pi", "--terms", "1000000000000000"], "--terms has 1e+15 terms, past the cap of 10,000,000"),
+        (["constants", "--which", "e", "--terms", "20000000"], "--terms has 2e+07 terms, past the cap of 10,000,000"),
+        (["sequence", "--kind", "catalan", "--n", "1000000000000000"], "--n has 1e+15 terms, past the cap of 3,000"),
+        (["law", "--name", "semicircle", "--moments", "1000000000000000"], "--moments has 1e+15 orders, past the cap of 4,000"),
+        (["law", "--name", "bernoulli", "--moments", "4001"], "--moments has 4001 orders, past the cap of 4,000"),
+        (["law", "--name", "binomial", "--count", "1000000000000000", "--moments", "2"],
+         "--count has 1e+15 trials, past the cap of 100,000"),
+        (["hydrogen", "lines", "--series", "balmer", "--upto", "1000000000000000"],
+         "--upto has 1e+15 levels, past the cap of 100,000"),
+    ],
+    ids=["constants-pi", "constants-e", "sequence-catalan", "law-semicircle", "law-bernoulli", "law-binomial-count",
+         "hydrogen-lines"],
+)
+def test_counts_past_their_cap_are_refused_by_their_parse_type(capsys, argv, message):
+    # each 1e+15 count ran until killed: the terms or rows one by one, the exact moments, the atoms
+    start = time.perf_counter()
+    code, out, err = invoke(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"calclab: {message}\n")
+
+
 def test_roots_past_the_float_range_exit_2_without_nan(capsys):
     code, out, err = invoke(["roots", "--coeffs=1,1e160,1"], capsys)
     assert (code, out) == (2, "")

@@ -2,6 +2,7 @@
 usage-error line (exit 1) that names the option, before any command computes."""
 
 import argparse
+import inspect
 
 import pytest
 
@@ -13,6 +14,7 @@ from test_cli_output import _CHARGES, _MATRIX, COMMANDS
 REFUSED = {
     cli._positive_int: ["0", "-1", "1.5", "nan", "inf", "abc"],
     cli._natural: ["-1", "1.5", "nan", "inf", "abc"],
+    cli._int: ["1.5", "nan", "inf", "abc"],
     cli._finite_float: ["nan", "inf", "-inf", "abc"],
 }
 
@@ -54,11 +56,12 @@ def test_every_typed_option_refuses_what_its_type_refuses(tmp_path, capsys):
     for path, parser, base in _baselines(tmp_path):
         cli._build_parser(base).parse_args(base)  # the baseline parses
         for action in parser._actions:
-            if action.type in (int, float):
+            kind = inspect.unwrap(action.type) if action.type else None  # a capped count's own type
+            if kind in (int, float):
                 plain.add((path[-1], *action.option_strings))
-            for text in REFUSED.get(action.type, ()):
+            for text in REFUSED.get(kind, ()):
                 (option,) = action.option_strings
-                types.add(action.type)
+                types.add(kind)
                 argv = _splice(base, option, text)
                 code = cli.main(argv)
                 out, err = capsys.readouterr()
@@ -67,7 +70,7 @@ def test_every_typed_option_refuses_what_its_type_refuses(tmp_path, capsys):
                     wrong.append((argv, code, err))
     assert types == set(REFUSED)
     # the only bare int options are checked against another option or by the library
-    assert plain == {("lines", "--upto"), ("wavefunction", "--l"), ("wavefunction", "--m")}
+    assert plain == {("wavefunction", "--l"), ("wavefunction", "--m")}
     assert not wrong
 
 
@@ -80,17 +83,18 @@ def test_sphere_key_is_checked_for_every_what(capsys, what):
 
 
 def test_every_int_option_refuses_a_non_integer_in_argparse_words(tmp_path, capsys):
-    # the parse types _positive_int and _natural say what argparse says for int, not their own names
+    # the parse types _positive_int, _natural and _int say what argparse says for int, not their own names
     wrong, seen = [], set()
     for _, parser, base in _baselines(tmp_path):
         for action in parser._actions:
-            if action.type in (int, cli._positive_int, cli._natural):
+            kind = inspect.unwrap(action.type) if action.type else None
+            if kind in (int, cli._positive_int, cli._natural, cli._int):
                 (option,) = action.option_strings
-                seen.add(action.type)
+                seen.add(kind)
                 argv = _splice(base, option, "1.5")
                 code = cli.main(argv)
                 out, err = capsys.readouterr()
                 if (code, out, err) != (1, "", f"calclab: usage error: argument {option}: invalid int value: '1.5'\n"):
                     wrong.append((argv, code, err))
-    assert seen == {int, cli._positive_int, cli._natural}
+    assert seen == {int, cli._positive_int, cli._natural, cli._int}
     assert not wrong

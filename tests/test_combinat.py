@@ -18,14 +18,12 @@ from calclab.combinat import (
     catalan,
     central_binomial,
     count_matching_pairings,
-    count_pairings,
     factorial,
     generalized_binomial,
     middle_binomial,
     pairings,
     power_sum,
     semi_factorial,
-    set_partitions,
     signature,
 )
 
@@ -160,9 +158,9 @@ def test_bell_numbers():
     assert bell(1) == 1
     assert bell(2) == 2
     # enumeration oracle
-    assert bell(3) == len(list(set_partitions(3))) == 5
+    assert bell(3) == len(list(oracles.set_partitions(3))) == 5
     for k in range(11):
-        assert bell(k) == len(list(set_partitions(k)))
+        assert bell(k) == len(list(oracles.set_partitions(k)))
 
 
 def test_bell_cold_cache_is_not_recursive():
@@ -172,7 +170,7 @@ def test_bell_cold_cache_is_not_recursive():
     assert big % 1499 == (bell(1) + bell(2)) % 1499
     bell.cache_clear()
     for k in range(9):
-        assert bell(k) == len(list(set_partitions(k)))
+        assert bell(k) == len(list(oracles.set_partitions(k)))
 
 
 def test_bernoulli_table():
@@ -240,14 +238,12 @@ def test_permutation_rejects_non_bijection():
 
 
 def test_count_pairings():
-    assert count_pairings(0) == 1
-    assert count_pairings(4) == len(list(pairings(4))) == 3
-    assert count_pairings(5) == 0
-    for k in range(1, 11):
-        assert count_pairings(2 * k) == semi_factorial(2 * k)
-    # enumeration oracle up to 8 points
-    for k in (2, 6, 8):
-        assert count_pairings(k) == len(list(pairings(k)))
+    # |P_2(k)| is semi_factorial(k) for even k; an odd k has no pairing
+    assert len(list(pairings(0))) == semi_factorial(0) == 1
+    assert len(list(pairings(4))) == semi_factorial(4) == 3
+    assert list(pairings(5)) == []
+    for k in (2, 6, 8, 10):
+        assert len(list(pairings(k))) == semi_factorial(k)
 
 
 def test_count_matching_pairings():

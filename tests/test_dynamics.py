@@ -20,17 +20,14 @@ from calclab.dynamics import (
     einstein_add_1d,
     einstein_add_3d,
     electric_field,
-    ellipse_area,
     ellipse_length,
     flux_through_sphere,
-    gravity1d_stop_time,
     gravity1d_time,
     green_check,
     heat_kernel,
     heat_lattice_step,
     heat_solve,
     kepler_integrate,
-    kepler_step,
     ode2_solve,
     orbit_params,
     orbit_period,
@@ -122,7 +119,7 @@ def test_rotating_acceleration():
 
 def test_gravity1d():
     assert gravity1d_time(2.0, 2.0, 1.0) == 0.0
-    assert gravity1d_time(0.0, 2.0, 1.0) == pytest.approx(gravity1d_stop_time(2.0, 1.0))
+    assert gravity1d_time(0.0, 2.0, 1.0) == pytest.approx(math.pi * math.sqrt(2.0**3 / 8.0))  # the whole fall
     with pytest.raises(ValueError):
         gravity1d_time(3.0, 2.0, 1.0)
 
@@ -232,8 +229,6 @@ def test_classify_conic():
 
 
 def test_ellipse():
-    assert ellipse_area(3.0, 2.0) == pytest.approx(6.0 * math.pi)
-    assert ellipse_area(1.0, 1.0) == pytest.approx(math.pi)
     assert ellipse_length(1.0, 1.0) == pytest.approx(2.0 * math.pi, abs=1e-10)
     assert ellipse_length(2.0, 1.0) == pytest.approx(9.6884, abs=1e-3)
     # the perimeter by the arithmetic-geometric mean: 2 pi (a^2 - sum 2^(k-1) c_k^2) / AGM(a, b)
@@ -357,8 +352,6 @@ def test_lattice_parameters_are_checked_before_sampling(kind, bad, message):
 
 def test_kepler_start_at_the_center_is_a_collision():
     s0 = OrbitState(0.0, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ArithmeticError, match="collision"):
-        kepler_step(s0, 0.1)
     with pytest.raises(ArithmeticError, match="collision"):
         kepler_integrate(s0, 1.0, 0.1)
 
@@ -639,26 +632,6 @@ def test_a_checker_whose_step_does_not_fit_is_refused_before_calling_f(check):
     assert calls == []
 
 
-def test_canonicalize_orbit():
-    from calclab.dynamics import canonicalize_orbit
-
-    # an off-axis start rotates onto the positive x-axis; the angle is
-    # recorded, and the orbit geometry is rotation-invariant
-    s = OrbitState(0.6, 0.8, -0.3, 0.9, 1.0)
-    canon, angle = canonicalize_orbit(s)
-    assert canon.y == pytest.approx(0.0, abs=1e-12)
-    assert canon.x == pytest.approx(s.r)
-    assert canon.angular_momentum == pytest.approx(s.angular_momentum)
-    assert canon.energy == pytest.approx(s.energy)
-    # mapping the canonical position back through -angle recovers the input
-    c, sn = math.cos(-angle), math.sin(-angle)
-    assert c * canon.x - sn * canon.y == pytest.approx(s.x)
-    assert sn * canon.x + c * canon.y == pytest.approx(s.y)
-    # canonicalized states feed the parameter extraction directly
-    c0, eps, delta, lam = orbit_params(canon)
-    assert lam == pytest.approx(s.angular_momentum)
-
-
 # --- the batched routes against the per-point routes they replaced --------
 
 from hypothesis import assume, given, settings, strategies as st
@@ -667,8 +640,7 @@ from calclab import cli, dynamics
 from calclab.dynamics import _sphere_quadrature
 from calclab.diffcalc import holder_critical_check
 from calclab.poly import roots_of_unity
-from calclab.prob import binomial_stats
-from calclab.quad import _legendre_rule, jacobian_polar, jacobian_spherical, verify_fresnel
+from calclab.quad import _legendre_rule, jacobian_spherical, verify_fresnel
 
 
 def _partial(F, x, i, h):
@@ -854,6 +826,17 @@ def test_a_green_check_that_does_not_settle_says_so():
         green_check(P, Q, disk_map())
     lhs, rhs, _ = green_check(P, Q, disk_map(), 512)
     assert abs(lhs - math.pi * w * w) <= 1e-7 and abs(rhs - math.pi * w * w) <= 1e-7
+
+
+def test_a_divergence_check_that_does_not_settle_says_so():
+    # F = g c with g a Gaussian bump of width 0.03 centred on the unit sphere at c, (theta, phi) = (1, 0.37):
+    # the 2 order^2 sphere nodes resolve it only past the cap of order 32
+    c = np.array([math.sin(1.0) * math.cos(0.37), math.sin(1.0) * math.sin(0.37), math.cos(1.0)])
+    F = lambda p: math.exp(-float((p - c) @ (p - c)) / 0.03**2) * c
+    with pytest.raises(ValueError, match=r"did not settle to 1e-09 by n = 32 \(last change 0\.0012\); pass n"):
+        divergence_check(F)
+    lhs, rhs, _ = divergence_check(F, order=64)
+    assert abs(lhs - 0.0028793) <= 1e-7 and abs(rhs - 0.0028234) <= 1e-7
 
 
 def test_default_theorem_checks_settle_within_a_few_thousand_calls():
@@ -1049,11 +1032,11 @@ def test_kepler_integrate_clips_the_last_step():
     assert len(traj) == 5
     assert [p.time for p in traj[:4]] == [p.time for p in kepler_integrate(s0, 0.9, 0.3)]
     assert traj[-1].time == 1.0
-    last = kepler_step(traj[3], 1.0 - traj[3].time)
+    last = kepler_integrate(traj[3], 1.0 - traj[3].time, 1.0 - traj[3].time)[1]
     assert (traj[-1].x, traj[-1].y, traj[-1].vx, traj[-1].vy) == (last.x, last.y, last.vx, last.vy)
     # a duration shorter than dt is one step of that duration
     short = kepler_integrate(s0, 0.05, 0.1)
-    one = kepler_step(s0, 0.05)
+    one = kepler_integrate(s0, 0.05, 0.05)[1]
     assert len(short) == 2 and short[1].time == 0.05 and short[1].x == one.x
     # the end is s.time + T for a state that does not start at t = 0
     later = kepler_integrate(OrbitState(1.0, 0.0, 0.0, 1.1, 1.0, time=2.0), 1.0, 0.3)
@@ -1064,11 +1047,11 @@ def test_kepler_integrate_clips_the_last_step():
 
 @pytest.mark.parametrize("dt", [0.001, 0.0137, 0.3])
 def test_kepler_step_is_one_step_of_kepler_integrate(dt):
+    # one Kepler step is kepler_integrate(s, dt, dt)[1]: chained from each state, it retraces the trajectory
     s = OrbitState(0.8, 0.1, -0.2, 1.2, 1.3, time=0.25)
-    assert kepler_step(s, dt) == kepler_integrate(s, dt, dt)[1]
     traj = kepler_integrate(s, 400 * dt, dt)
     for got in traj[1:]:
-        s = kepler_step(s, dt)
+        s = kepler_integrate(s, dt, dt)[1]
         assert got == s
 
 
@@ -1227,19 +1210,16 @@ _NAN = math.nan
 _REFUSED = [
     (dynamics.einstein_add_1d, (_NAN, 0.5), "speeds must satisfy"),
     (dynamics.einstein_add_3d, ([_NAN, 0.0, 0.0], [0.0, 0.0, 0.0]), "speeds must satisfy"),
-    (dynamics.gravity1d_stop_time, (_NAN, 1.0), "need x0, k > 0"),
+    (dynamics.gravity1d_time, (0.0, _NAN, 1.0), "a finite x0 > 0"),
     (dynamics.gravity1d_time, (0.5, 1.0, _NAN), "need k > 0"),
     (dynamics.gravity1d_time, (0.0, 0.0, 1.0), "x0 > 0"),  # a bare ZeroDivisionError
-    (dynamics.ellipse_area, (_NAN, 1.0), "need a, b > 0"),
-    (dynamics.ellipse_area, (1e200, 1e200), "leaves the float range"),  # inf
     (dynamics.heat_kernel, (1.0, _NAN, 0.0), "need alpha, t > 0"),
     (dynamics.heat_kernel, (_NAN, 1.0, 0.0), "need alpha, t > 0"),
     (dynamics.classify_conic, (_NAN, 0.0, 1.0, 0.0, 0.0, -1.0), "need finite coefficients"),  # "empty"
-    (jacobian_polar, (_NAN,), "need r >= 0"),
+    (jacobian_spherical, (2, _NAN), "need r >= 0"),
     (jacobian_spherical, (3, _NAN, 1.0), "need r >= 0"),
     (holder_critical_check, ([1.0, 2.0], _NAN), "need a finite p > 1"),
     (verify_fresnel, (_NAN,), "need a finite T >= 5"),  # not "cannot convert float NaN to integer"
-    (binomial_stats, (0.5, -3), "need n >= 1"),  # (-1.5, -0.75), although binomial_law refuses n < 1
 ]
 
 
@@ -1255,7 +1235,7 @@ def test_guards_refuse_nan_and_results_past_the_float_range(f, args, message):
 @pytest.mark.parametrize(
     "route, expected",
     [
-        (lambda: gravity1d_stop_time(1e103, 1e10), 3.51240736552036320667113424322e149),
+        (lambda: gravity1d_time(0.0, 1e103, 1e10), 3.51240736552036320667113424322e149),
         (lambda: gravity1d_time(1e102, 1e103, 1e10), 3.46377164734116434041424258078e149),
         (lambda: jacobian_spherical(3, 1e200, 1e-150), 9.99999999999999945761602657194e249),
         (lambda: heat_kernel(1e-310, 1.0, [5.29e-154, 0.0, 0.0]), 3.29366881801503383876729484999e159),

@@ -25,13 +25,11 @@ from calclab.prob import (
     arcsine_transform,
     bernoulli_law,
     binomial_law,
-    binomial_stats,
     cauchy_transform,
     clt_moment_gap,
     complex_gaussian_moment,
     convolve,
     derangement_probability_exact,
-    gaussian_fourier,
     gaussian_law,
     gaussian_moment,
     graph_loop_moment,
@@ -44,9 +42,7 @@ from calclab.prob import (
     mp_transform,
     orthopoly_from_moments,
     plt_distance,
-    poisson_fourier,
     poisson_law,
-    poisson_moment,
     poisson_moments,
     semicircle_law,
     semicircle_transform,
@@ -59,7 +55,15 @@ from calclab.prob import (
 )
 from calclab.rng import RandomSource
 
-from oracles import matching_pairings, poisson_moment as partition_poisson_moment, simpson_density_rule, touchard_moments
+from oracles import (
+    gaussian_fourier,
+    matching_pairings,
+    poisson_fourier,
+    poisson_moment as partition_poisson_moment,
+    set_partitions,
+    simpson_density_rule,
+    touchard_moments,
+)
 
 
 def test_law_validation():
@@ -191,6 +195,15 @@ def test_semicircle_fourier_matches_its_moment_series(y):
     assert abs(law_fourier(semicircle_law(), y) - float(series)) <= 1e-14
 
 
+def test_a_density_that_does_not_settle_says_so():
+    # 1 + sin(2 pi 20000 x^2)/2 oscillates 20,000 times on [0, 1]: no two rule sizes up to 8,192 agree
+    law = Law(density=lambda x: 1.0 + 0.5 * math.sin(2.0 * math.pi * 20000.0 * x * x), support=(0.0, 1.0))
+    for call in (lambda: moments(law, 2), lambda: law_fourier(law, 1.0), law.total_mass):
+        with pytest.raises(ValueError, match=r"did not settle to 1e-12 by n = 8192 \(last change .*\); pass n"):
+            call()
+    assert all(map(math.isfinite, moments(law, 2, 4096)))
+
+
 @pytest.mark.parametrize("law", [semicircle_law(), bernoulli_law(0.3)])
 @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
 def test_law_fourier_rejects_a_non_finite_y(law, y):
@@ -223,12 +236,10 @@ def test_builtin_law_moment_sequences():
 def test_bernoulli_binomial():
     assert bernoulli_law(0.0).atoms[1][1] == 0.0  # delta_0
     law = binomial_law(0.3, 10)
-    mean, var = binomial_stats(0.3, 10)
-    assert mean == pytest.approx(3.0)
-    assert var == pytest.approx(2.1)
+    # (mean, variance) = (nx, nx(1-x))
     m = moments(law, 2)
-    assert m[1] == pytest.approx(mean, abs=1e-12)
-    assert m[2] - m[1] ** 2 == pytest.approx(var, abs=1e-12)
+    assert m[1] == pytest.approx(3.0, abs=1e-12)
+    assert m[2] - m[1] ** 2 == pytest.approx(2.1, abs=1e-12)
     with pytest.raises(ValueError):
         binomial_law(1.5, 3)
 
@@ -246,9 +257,10 @@ def test_poisson_law_and_moments():
     t = 1.5
     law = poisson_law(t)
     assert abs(law.total_mass() - 1.0) < 1e-11
-    assert poisson_moment(t, 1) == pytest.approx(t)
-    assert poisson_moment(t, 2) == pytest.approx(t + t * t)
+    assert poisson_moments(t, 2)[1:] == pytest.approx([t, t + t * t])
     assert poisson_fourier(t, 0.0) == pytest.approx(1.0)
+    for y in (0.0, 0.7, -2.5):
+        assert abs(law_fourier(law, y) - poisson_fourier(t, y)) <= 1e-11
     with pytest.raises(ValueError):
         poisson_law(-1.0)
     with pytest.raises(ValueError):
@@ -271,27 +283,27 @@ def test_poisson_partition_vs_atom_moments(t):
     # ~1e-7 relative level; a tighter truncation meets 1e-8
     law = poisson_law(t, residual=1e-20)
     atom = moments(law, 8)
+    pms = poisson_moments(t, 8)
     for k in range(9):
-        pm = poisson_moment(t, k)
-        assert abs(pm - atom[k]) <= 1e-8 * max(1.0, pm)
+        assert abs(pms[k] - atom[k]) <= 1e-8 * max(1.0, pms[k])
     default_atom = moments(poisson_law(t), 8)
-    assert abs(poisson_moment(t, 8) - default_atom[8]) <= 1e-6 * poisson_moment(t, 8)
+    assert abs(pms[8] - default_atom[8]) <= 1e-6 * pms[8]
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.0, 7.5])
 def test_poisson_moment_recurrence_is_the_partition_sum(t):
+    pms = poisson_moments(t, 10)
     for k in range(11):
         want = partition_poisson_moment(t, k)
-        assert abs(poisson_moment(t, k) - want) <= 1e-13 * want
+        assert abs(pms[k] - want) <= 1e-13 * want
 
 
 def test_poisson_moment_is_within_an_ulp_of_the_exact_partition_sum():
     # at t = 0.3 the float partition sum drifts (3.8e-13 relative at k = 9); the recurrence does not
-    from calclab.combinat import set_partitions
-
+    pms = poisson_moments(0.3, 10)
     for k in range(11):
         exact = sum(n * Fraction(0.3) ** b for b, n in Counter(map(len, set_partitions(k))).items())
-        assert abs(Fraction(poisson_moment(0.3, k)) - exact) <= Fraction(math.ulp(float(exact)))
+        assert abs(Fraction(pms[k]) - exact) <= Fraction(math.ulp(float(exact)))
 
 
 def test_poisson_moments_past_the_partition_cap_and_the_float_range():
@@ -301,9 +313,9 @@ def test_poisson_moments_past_the_partition_cap_and_the_float_range():
     got = poisson_moments(1.0, 218)
     assert all(abs(m - bell(k)) <= 1e-13 * bell(k) for k, m in enumerate(got))
     with pytest.raises(ValueError, match="order 219"):
-        poisson_moment(1.0, 300)
+        poisson_moments(1.0, 300)
     with pytest.raises(ValueError):
-        poisson_moment(1.0, -1)
+        poisson_moments(1.0, -1)
 
 
 @pytest.mark.parametrize(
@@ -327,8 +339,8 @@ def test_poisson_moments_are_bell_numbers_at_t1():
     # M_k(p_1) = Bell_k
     from calclab.combinat import bell
 
-    for k in range(9):
-        assert poisson_moment(1.0, k) == pytest.approx(bell(k))
+    for k, m in enumerate(poisson_moments(1.0, 8)):
+        assert m == pytest.approx(bell(k))
 
 
 def test_gaussian():
@@ -344,6 +356,8 @@ def test_gaussian():
     # quadrature oracle for M4
     assert m[4] == pytest.approx(gaussian_moment(t, 4), rel=1e-8)
     assert gaussian_fourier(2.0, 0.5) == pytest.approx(math.exp(-0.25))
+    for y in (0.0, 0.5, -1.7):
+        assert abs(law_fourier(law, y) - gaussian_fourier(t, y)) <= 1e-11
 
 
 def test_complex_gaussian_moment():

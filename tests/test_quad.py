@@ -26,7 +26,6 @@ from calclab.quad import (
     SphereMomentKey,
     fresnel,
     gauss_integral,
-    jacobian_polar,
     jacobian_spherical,
     monte_carlo,
     riemann,
@@ -44,7 +43,6 @@ from calclab.quad import (
     trapezoid,
     verify_fresnel,
     verify_gauss,
-    wallis,
     wallis2,
 )
 from calclab.rng import RandomSource
@@ -248,6 +246,13 @@ def test_node_counts_past_their_cap_are_refused_before_any_node(run, message):
     assert calls == [] and peak < 10**5
 
 
+def test_a_verify_gauss_that_does_not_settle_says_so():
+    # on [-1e4, 1e4] even 10,000 Simpson intervals are 20 wide, far coarser than the Gaussian
+    with pytest.raises(ValueError, match=r"did not settle to 1e-12 by n = 10000 \(last change 0\.15\); pass n"):
+        verify_gauss(1e4)
+    assert math.isfinite(verify_gauss(1e4, 10_000))
+
+
 def test_fresnel():
     assert fresnel() == pytest.approx(0.6266570686577501, abs=1e-12)
     assert verify_fresnel(20.0, 8) < 1e-3
@@ -256,16 +261,16 @@ def test_fresnel():
 
 
 def test_wallis_values():
-    assert wallis(0) == pytest.approx(math.pi / 2)
-    assert wallis(2) == pytest.approx(math.pi / 4)
-    assert wallis(1) == pytest.approx(1.0)
+    assert wallis2(0, 0) == pytest.approx(math.pi / 2)
+    assert wallis2(2, 0) == pytest.approx(math.pi / 4)
+    assert wallis2(1, 0) == pytest.approx(1.0)
     assert wallis2(1, 1) == pytest.approx(0.5)
     assert wallis2(0, 0) == pytest.approx(math.pi / 2)
 
 
 @pytest.mark.parametrize("p", range(9))
 def test_wallis_against_simpson(p):
-    got = wallis(p)
+    got = wallis2(p, 0)
     quad = simpson(lambda t: math.cos(t) ** p, 0.0, math.pi / 2, 2000)
     assert got == pytest.approx(quad, abs=1e-8)
 
@@ -323,7 +328,7 @@ def test_sphere_volume_by_spherical_quadrature():
     shell = simpson(integrand, 0.0, math.pi, 400) * 2 * math.pi / 3  # r^2 dr -> 1/3
     assert shell == pytest.approx(sphere_volume(3), abs=1e-4)
     # N = 4: volume = (2 pi) * int r^3 dr * int sin^2 s1 ds1 * int sin s2 ds2
-    v4 = (2 * math.pi) * 0.25 * wallis(2) * 2 * wallis(1) * 2
+    v4 = (2 * math.pi) * 0.25 * wallis2(2, 0) * 2 * wallis2(1, 0) * 2
     assert v4 == pytest.approx(sphere_volume(4), abs=1e-4)
 
 
@@ -363,8 +368,8 @@ def test_sphere_moment_closed_forms():
 
 
 def test_one_closed_form_per_quantity_keeps_every_bit():
-    # an even real key's moment is its absolute moment at (2/pi)^0, and wallis(p) is wallis2(p, 0):
-    # each gives the bits of the double-factorial ratio it formed on its own
+    # an even real key's moment is its absolute moment at (2/pi)^0, and wallis2(p, 0) has the
+    # bits of the double-factorial ratio p!!/(p+1)!!
     for N in range(1, 6):
         for ks in itertools.product(range(0, 9, 2), repeat=N):
             num = semi_factorial(N - 1) * math.prod(map(semi_factorial, ks))
@@ -372,7 +377,7 @@ def test_one_closed_form_per_quantity_keeps_every_bit():
             assert sphere_moment(SphereMomentKey(ks)).hex() == want.hex(), ks
     for p in range(300):
         want = _rounded(Fraction(semi_factorial(p), semi_factorial(p + 1)), "", math.pi / 2.0, 1 - p % 2)
-        assert wallis(p).hex() == want.hex(), p
+        assert wallis2(p, 0).hex() == want.hex(), p
 
 
 def test_complex_moment_beta_integral_oracle():
@@ -621,13 +626,12 @@ def test_sphere_samplers_reject_bad_arguments(sample, N, samples, name):
 
 
 def test_jacobians():
-    assert jacobian_polar(2.0) == 2.0
+    assert jacobian_spherical(2, 2.0) == 2.0  # the polar Jacobian r
     assert jacobian_spherical(3, 2.0, 0.5) == pytest.approx(4.0 * math.sin(0.5))
-    assert jacobian_spherical(2, 2.0) == pytest.approx(jacobian_polar(2.0))
     with pytest.raises(ValueError):
         jacobian_spherical(3, 1.0)
     with pytest.raises(ValueError):
-        jacobian_polar(-1.0)
+        jacobian_spherical(2, -1.0)
 
 
 def test_polar_change_of_variables_consistency():

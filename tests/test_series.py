@@ -13,7 +13,7 @@ import oracles
 
 import calclab
 from calclab.series import (
-    babylonian_iterates,
+    _babylonian_iterates,
     babylonian_sqrt,
     basel_sum,
     basel_sum_corrected,
@@ -165,11 +165,11 @@ def test_babylonian_sqrt_returns_at_its_float_fixed_point():
 
 _BABYLONIAN_REFUSALS = """
 import math
-from calclab.series import babylonian_iterates, babylonian_sqrt
+from calclab.series import _babylonian_iterates, babylonian_sqrt
 
 calls = [(babylonian_sqrt, a, tol) for a, tol in
          [(math.nan, 1e-12), (math.inf, 1e-12), (-math.inf, 1e-12), (2.0, math.nan), (2.0, 0.0), (2.0, -1.0)]]
-calls += [(lambda a: next(babylonian_iterates(a)), a) for a in (math.nan, math.inf)]
+calls += [(lambda a: next(_babylonian_iterates(a)), a) for a in (math.nan, math.inf)]
 for f, *args in calls:
     try:
         print("returned", f(*args))
@@ -193,7 +193,7 @@ def test_babylonian_refuses_a_non_finite_a_and_a_tol_that_is_not_positive():
 
 
 def test_babylonian_contraction():
-    its = list(islice(babylonian_iterates(3.0), 12))
+    its = list(islice(_babylonian_iterates(3.0), 12))
     # monotone decreasing once above sqrt(a)
     above = [x for x in its if x >= math.sqrt(3.0)]
     assert all(a >= b for a, b in zip(above, above[1:]))
