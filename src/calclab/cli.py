@@ -5,8 +5,7 @@ emitting CSV (default) or JSON tables.  Numbers are written with full
 round-trip precision unless --digits is given; exact rationals print as
 p/q, and numpy scalars as the Python numbers they stand for.  Exit codes:
 0 success, 1 usage error (out-of-range counts and input files that cannot
-be read included), 2 numerical failure.  The CALCLAB_FORMAT environment
-variable sets the default output format.
+be read included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import functools
 import io
 import math
 import numbers
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -42,7 +40,9 @@ class ResultTable(Record):
 # at least 10x the largest count of a test, benchmark case, CI line or README example, except
 # sequence --n, where a test prints the factorials to 1700! and bell at 5,000 takes 19 s; a run at a
 # cap takes at most about 5 s on a 2-vCPU x86.
-_MAX_GRID_POINTS = 10**5  # stieltjes --x, hydrogen wavefunction --grid: the bench's --grid 30,2000
+# stieltjes --x, hydrogen wavefunction --grid: the bench's --grid 30,2000; harmonic --samples: 10 in tests and the
+# bench, 1.4 s at the cap
+_MAX_GRID_POINTS = 10**5
 _MAX_TERMS = 10**7  # constants --terms: README's basel 10^6; e takes 2.6 s at the cap
 _MAX_SEQUENCE_N = 3000  # sequence --n: bell and bernoulli take 3.3 s at the cap
 _MAX_MOMENTS = 4000  # law --moments: CI's 400; poisson leaves the float range by order 2,663, in 5 s
@@ -641,7 +641,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     command = argv[0] if argv else None
     parser = _Parser(prog="calclab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["csv", "json"], default=None)
+    common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--digits", type=_positive_int, default=None, help="significant digits for floats (>= 1)")
     common.add_argument("--output", default=None, help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -703,7 +703,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
 
     if p := add_parser("harmonic", _cmd_harmonic, "laplacian residual samples"):
         p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
-        p.add_argument("--samples", type=_positive_int, required=True)
+        p.add_argument("--samples", type=_capped(_positive_int, "--samples", _MAX_GRID_POINTS, "points"), required=True)
         p.add_argument("--seed", type=_natural, required=True)
 
     if p := add_parser("orbit", _cmd_orbit, "two-body trajectory with conservation columns"):
@@ -770,12 +770,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else type(exc).__name__)
         print(f"calclab: {text}", file=sys.stderr)
         return 2
-    fmt = args.format or os.environ.get("CALCLAB_FORMAT", "csv")
-    if fmt not in ("csv", "json"):
-        print(f"calclab: usage error: bad CALCLAB_FORMAT {fmt!r}", file=sys.stderr)
-        return 1
     buffer = io.StringIO()
-    emit(table, fmt, buffer, digits=args.digits)
+    emit(table, args.format, buffer, digits=args.digits)
     text = buffer.getvalue()
     if args.output:
         try:

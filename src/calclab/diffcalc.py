@@ -6,8 +6,10 @@ construction), Taylor approximation, critical-point classification by Hessian
 eigenvalue signs, Laplacians, the spherical-coordinate Laplacian,
 root-of-unity derivative averaging, and the constrained-extremum verifiers
 (p-norm sphere maximizer, 1-norm criticality on the orthogonal group).  The
-stencil sums (a k-th difference, a Taylor polynomial, a Laplacian) are
-``math.fsum``: the exact sum of the float terms, rounded once.  Every
+stencil sums (a k-th difference, a Taylor polynomial, a Laplacian) and a
+point's dot product are ``combinat._fsum``: the exact sum of the float terms,
+rounded once, and ValueError past the float range, as is a difference that
+overflows (``_finite``).  Every
 stencil of k-th differences, the block route included, takes its step h,
 or eps^(1/(k+2)) (1 + max |x_i|) if h is None or 0, by one rule:
 ``_step``.
@@ -39,6 +41,7 @@ from typing import Callable, Sequence
 from ._codegen import compile_function as _compile
 from ._numpy import np
 from ._record import Record
+from .combinat import _fsum
 from .linalg import _jacobi
 from .poly import roots_of_unity
 from .quad import _gauss_rule, _samples, _sphere_quadrature
@@ -72,7 +75,7 @@ class _Point(tuple):
     __slots__ = ()
 
     def __matmul__(self, other: Sequence[float]) -> float:
-        return math.fsum(a * b for a, b in zip(self, other, strict=True))
+        return _fsum([a * b for a, b in zip(self, other, strict=True)], "the dot product")
 
     __rmatmul__ = __matmul__
 
@@ -107,6 +110,17 @@ def _step(h: float | None, x: Sequence[float], k: int, offsets: Sequence[float] 
         if k <= 2 and h < 1e150:
             return h
     return _usable(h, x, k, offsets)
+
+
+def _finite(differences: list[float], what: str, h: float) -> list[float]:
+    """The differences, if every one is finite; else ValueError naming ``what`` and the step h.
+
+    f's values are finite, but u - 2.0 v + w overflows in 2.0 v once |v|
+    passes about 9e307, and a difference over h^k may pass the float range.
+    """
+    if not all(map(math.isfinite, differences)):
+        raise ValueError(f"{what} at the step h = {h!r} leaves the float range")
+    return differences
 
 
 def _central_differences(
@@ -238,11 +252,14 @@ def hessian(f: ScalarField, x: Sequence[float], h: float | None = None) -> np.nd
     symmetric by construction: 1 + 2d + 2d(d - 1) calls of f, sampled in
     one block.  A step h, given or default, that does not fit the stencil
     (``_step``) raises ValueError before f is called, the default past
-    |x_i| ~ 5e157, where 4h^2 overflows.
+    |x_i| ~ 5e157, where 4h^2 overflows, and an entry past the float range
+    raises it after.
     """
     x = _point(x)
     h = _step(h, x, 2)
-    return np.array(_derivatives(len(x), "hessian")(f, x, h)[1])
+    H = _derivatives(len(x), "hessian")(f, x, h)[1]
+    _finite([v for row in H for v in row], "a second difference", h)
+    return np.array(H)
 
 
 def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None = None) -> float:
@@ -255,7 +272,7 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
     ValueError if x, or f at a stencil point, is NaN or infinite, and,
     before f is called, if the step h, given or default, does not fit the
     stencil of k + 1 points (``_step``; the default does not from |x| ~
-    5e157 at k = 2).
+    5e157 at k = 2), and, after, if the difference leaves the float range.
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -265,7 +282,9 @@ def derivative_1d(f: Callable[[float], float], x: float, k: int, h: float | None
     offsets = [k / 2.0 - j for j in range(k + 1)]
     h = _step(h, [x], k, offsets)
     values = _samples(f, [x + u * h for u in offsets])
-    return math.fsum((-1.0) ** j * math.comb(k, j) * v for j, v in enumerate(values)) / h**k
+    what = f"the difference of order {k}"
+    terms = _finite([(-1.0) ** j * math.comb(k, j) * v for j, v in enumerate(values)], what, h)
+    return _finite([_fsum(terms, what) / h**k], what, h)[0]
 
 
 def taylor1d(f: Callable[[float], float], x: float, order: int, t: float) -> float:
@@ -276,7 +295,8 @@ def taylor1d(f: Callable[[float], float], x: float, order: int, t: float) -> flo
     """
     if order < 0:
         raise ValueError("need order >= 0")
-    return math.fsum(derivative_1d(f, x, k) / math.factorial(k) * t**k for k in range(order, -1, -1))
+    terms = [derivative_1d(f, x, k) / math.factorial(k) * t**k for k in range(order, -1, -1)]
+    return _fsum(terms, "the Taylor value")
 
 
 def taylor2_multi(f: ScalarField, x: Sequence[float], t: Sequence[float]) -> float:
@@ -293,10 +313,13 @@ def _gradient_and_hessian(
     """The gradient of :func:`gradient`, f(x) and the Hessian of :func:`hessian`, as Python floats.
 
     The gradient's 2d points go in front of the Hessian's stencil, and f is
-    sampled once, in one block of 1 + 4d + 2d(d - 1) points.
+    sampled once, in one block of 1 + 4d + 2d(d - 1) points; a Hessian entry past the float
+    range raises ValueError.
     """
     h2, h1 = _step(h, x, 2), _step(h, x, 1)
-    return _derivatives(len(x), "critical")(f, x, h1, h2)
+    g, fx, H = _derivatives(len(x), "critical")(f, x, h1, h2)
+    _finite([v for row in H for v in row], "a second difference", h2)
+    return g, fx, H
 
 
 class CriticalReport(Record):
@@ -327,7 +350,7 @@ def classify_critical(
     """
     x = _point(x)
     g, fx, H = _gradient_and_hessian(f, x, h)
-    gnorm = math.sqrt(math.fsum(v * v for v in g))
+    gnorm = math.sqrt(_fsum([v * v for v in g], "the squared gradient norm"))
     eig = _jacobi(H, 1e-12, vectors=False)[0]
     if gnorm > grad_tol * (1.0 + abs(fx)):
         label = "not critical"
@@ -352,12 +375,13 @@ def classify_critical(
 def laplacian(f: ScalarField, x: Sequence[float], h: float | None = None) -> float:
     """Sum of second central differences along the axes, rounded once.
 
-    A step h, given or default, that does not fit the stencil is refused
-    as in :func:`hessian`.
+    A step h, given or default, that does not fit the stencil, and a
+    difference or a sum past the float range, are refused as in
+    :func:`hessian`.
     """
     x = _point(x)
     h = _step(h, x, 2)
-    return math.fsum(_derivatives(len(x), "axes")(f, x, h)[2])
+    return _fsum(_finite(_derivatives(len(x), "axes")(f, x, h)[2], "a second difference", h), "the Laplacian")
 
 
 def mean_value_gap(
@@ -417,8 +441,8 @@ def spherical_laplacian(
     Evaluates the radial, polar and azimuthal terms by central differences
     from the 7 values of f at (r, s, t) and its axis neighbours; the polar
     axis (sin s = 0) and a NaN or infinite coordinate are rejected.  The
-    step, given or default, is capped at 0.45 r and then checked as in
-    :func:`laplacian`.
+    step, given or the default of ``_step`` at (r, s, t), is capped at
+    0.45 r and then checked as in :func:`laplacian`.
     """
     r, s, t = _point([r, s, t])
     if r <= 0:
@@ -426,11 +450,11 @@ def spherical_laplacian(
     sin_s = math.sin(s)
     if abs(sin_s) < 1e-9:
         raise ValueError("polar axis: the spherical form is singular there")
-    h = h or _EPS ** 0.25 * (1.0 + abs(r) + abs(s) + abs(t))
     # keep the radial stencil away from the origin
-    h = _usable(min(h, 0.45 * r), (r, s, t), 2)
+    h = _usable(min(h or _step(None, (r, s, t), 2), 0.45 * r), (r, s, t), 2)
     differences = _derivatives(3, "axes")
-    _, (f_r, f_s, _), (f_rr, f_ss, f_tt) = differences(lambda p: f(*p), (r, s, t), h)
+    _, (f_r, f_s, _), second = differences(lambda p: f(*p), (r, s, t), h)
+    f_rr, f_ss, f_tt = _finite(second, "a second difference", h)
     radial = f_rr + 2.0 * f_r / r
     polar = (f_ss + (math.cos(s) / sin_s) * f_s) / (r * r)
     azimuthal = f_tt / (r * r * sin_s * sin_s)

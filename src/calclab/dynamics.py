@@ -26,6 +26,7 @@ from ._numpy import np
 from ._record import Record
 from .combinat import _fsum, _rounded
 from .diffcalc import _central_differences
+from .linalg import determinant
 from .quad import _gauss_rule, _legendre_rule, _samples, _settle, _simpson_rule, _sphere_quadrature, simpson
 
 __all__ = [
@@ -318,10 +319,7 @@ def classify_conic(
     if scale == 0.0:
         return "plane"
     a, b, c, d, e, f = (v / scale for v in (a, b, c, d, e, f))
-    M3 = np.array(
-        [[a, b / 2.0, d / 2.0], [b / 2.0, c, e / 2.0], [d / 2.0, e / 2.0, f]]
-    )
-    det3 = float(np.linalg.det(M3))
+    det3 = float(determinant([[a, b / 2.0, d / 2.0], [b / 2.0, c, e / 2.0], [d / 2.0, e / 2.0, f]]))
     detQ = a * c - b * b / 4.0
     trQ = a + c
     if abs(det3) > tol:
@@ -776,7 +774,7 @@ def electric_field(cfg: ChargeConfig, x: Sequence[float]) -> np.ndarray:
             raise ZeroDivisionError("field evaluated at a charge location")
         scale = cfg.k * q / r / r
         terms.append([c / r * scale for c in d])
-    return np.array([math.fsum(term[i] for term in terms) for i in range(3)])
+    return np.array([_fsum([term[i] for term in terms], "the electric field") for i in range(3)])
 
 
 def _ball(center: Sequence[float], radius: float) -> list[float]:
@@ -819,6 +817,7 @@ def flux_through_sphere(
             raise ValueError("a charge lies on the sphere surface")
         if c < math.inf:
             r = [math.sqrt((1.0 - c) * (1.0 - c) + 2.0 * c * (1.0 + m)) for m in mu]
+            # bounded: r >= |1 - c| >= 1e-9, so each term is below 2 w_i 1e27
             s = math.fsum([wi * (1.0 + c * m) / ri / ri / ri for m, wi, ri in zip(mu, w, r)])
             total += Fraction(q) * Fraction(s)
     return _rounded(Fraction(cfg.k) * total, "the flux", 2.0 * math.pi, 1)
@@ -850,8 +849,6 @@ def _boundary_edges(mapping, u_span, v_span):
 
 def _line_integral(G, curve, t0: float, t1: float, n: int, h: float) -> float:
     """Simpson integral of <G(x), dx/dt> along x = curve(t), dx/dt by central differences."""
-    if n < 2:
-        raise ValueError("need N >= 2")
     t, w = _simpson_rule(t0, t1, n)
     path = lambda p: curve(p[0])
     x = _samples(path, t[:, None])
@@ -916,8 +913,10 @@ def stokes_check(
     (:func:`quad._settle`) both over 8, 16, ... 256 to 1e-9, and raises
     ValueError where no two sizes agree by 256.  Two agreeing coarse sizes
     are trusted, so pass n for a field with structure finer than the first
-    grids.
+    grids.  An n below 1 raises ValueError.
     """
+    if n is not None and n < 1:
+        raise ValueError("need n >= 1")
     mapping, u_span, v_span = surface
     h = 1e-6 * max(u_span[1] - u_span[0], v_span[1] - v_span[0])
     chart = lambda p: mapping(*p.tolist())
@@ -929,7 +928,8 @@ def stokes_check(
 
     def sides(n: int) -> tuple[float, float]:
         lhs = _tensor_simpson(surf_integrand, u_span, v_span, n)
-        rhs = math.fsum(_line_integral(F, *edge, 2 * n, h) for edge in _boundary_edges(mapping, u_span, v_span))
+        edges = _boundary_edges(mapping, u_span, v_span)
+        rhs = _fsum([_line_integral(F, *edge, 2 * n, h) for edge in edges], "the boundary integral")
         return lhs, rhs
 
     lhs, rhs = _settle(sides, n, 8, 256, 1e-9)

@@ -226,6 +226,7 @@ def _jacobi(rows: list[list[float]], tol: float, vectors: bool) -> tuple[list[fl
         d, v = _batched_sweeps(a, bound) if n > 1 else ([row[0] for row in a], [[1.0]] * n)
     else:
         for _ in range(_MAX_SWEEPS):
+            # bounded: rotations keep the scaled matrix's squares summing to below n^2
             if math.fsum(x * x for p in range(n - 1) for x in a[p][p + 1 :]) <= bound:
                 break
             for p in range(n - 1):
@@ -286,7 +287,7 @@ def _jacobi3(rows: list[list[float]], tol: float) -> list[float]:
     a11, a12, a22 = 0.5 * (e11 + e11), 0.5 * (e12 + e21), 0.5 * (e22 + e22)
     bound = 0.5 * (tol * norm) ** 2
     for _ in range(_MAX_SWEEPS):
-        if math.fsum((a01 * a01, a02 * a02, a12 * a12)) <= bound:
+        if math.fsum((a01 * a01, a02 * a02, a12 * a12)) <= bound:  # bounded: the scaled squares sum below 9
             break
         if a01 != 0.0:
             e = a11 - a00

@@ -64,6 +64,9 @@ __all__ = [
 # checked before any node is built
 _MAX_INTERVALS = 10**6  # riemann, trapezoid, simpson: a few seconds and about 100 MB of lists
 _MAX_GAUSS_NODES = 8192  # _legendre_rule: O(n^2), about 35 s at the cap on a 2-vCPU x86
+# monte_carlo, sphere_moment_mc, sn_fixed_point_law: 10x the 10^6 samples of the tests and of snchi; at the cap
+# 1.2 s, 0.3-0.6 s and (N = 12) 1.8 s on a 2-vCPU x86
+_MAX_SAMPLES = 10**7
 _SPHERE_ZERO_N = 456  # sphere volumes round to 0.0 from N = 453 on, and areas from N = 456
 _SPHERE_BLOCK = 16_384  # rows that the sphere samplers and sphere_moment_mc draw per substream
 
@@ -125,6 +128,12 @@ def _intervals(N: int, least: int, rule: str) -> None:
         raise ValueError(f"need N >= {least}")
     if N > _MAX_INTERVALS:
         raise ValueError(f"the {rule} rule has {N:.7g} subintervals, past the cap of {_MAX_INTERVALS:,}")
+
+
+def _sample_cap(n: int, what: str) -> None:
+    """ValueError naming ``what`` where n samples pass the cap of 10^7, before any draw."""
+    if n > _MAX_SAMPLES:
+        raise ValueError(f"{what} asks for {n:.7g} samples, past the cap of {_MAX_SAMPLES:,}")
 
 
 def _finite_interval(a: float, b: float) -> None:
@@ -289,10 +298,12 @@ def monte_carlo(
     """Monte Carlo estimate of the integral over [a, b], with standard error.
 
     Deterministic for a fixed RandomSource.  One sample (N = 1) gives a
-    finite estimate and a standard error of inf, with no warning.
+    finite estimate and a standard error of inf, with no warning; N past
+    10^7 raises ValueError before any draw.
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    _sample_cap(N, "monte_carlo")
     _finite_interval(a, b)
     values = _samples(f, rng.generator().uniform(a, b, size=N))
     mean = float(values.mean())
@@ -444,7 +455,7 @@ def sphere_moment(key: SphereMomentKey) -> float:
     num = factorial(N - 1)
     for k in ks:
         num *= factorial(k)
-    return float(Fraction(num, factorial(N + total - 1)))
+    return _rounded(Fraction(num, factorial(N + total - 1)), "a complex sphere moment")
 
 
 def sphere_moment_abs(key: SphereMomentKey) -> float:
@@ -530,10 +541,12 @@ def sphere_moment_mc(
     the bits do not depend on the CPU count.  The squares are summed left
     to right, the chi-square variate last, and integer powers are taken by
     multiplication (repeated squaring), never by ``**``.  An all-zero key
-    returns (1.0, 0.0) without drawing.
+    returns (1.0, 0.0) without drawing.  Between 1000 and 10^7 samples, else
+    ValueError before any draw.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
+    _sample_cap(samples, "sphere_moment_mc")
     used = [(i, k) for i, k in enumerate(key.exponents) if k]
     if not used:
         return 1.0, 0.0

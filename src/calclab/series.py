@@ -1,7 +1,8 @@
 """Power-series evaluation with honest truncation bounds, plus the classical
 constants (e, pi via the odd-reciprocal alternating series, the Basel sum)
 and fixed-point square roots.  Nothing here loads numpy.  Every partial sum
-is ``math.fsum``: the exact sum of its float terms, rounded once.
+is the exact sum of its float terms, rounded once: ``combinat._fsum`` for a
+series' terms, ``math.fsum`` for the bounded pi and Basel sums.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ def pi_leibnitz(terms: int) -> tuple[float, float]:
     """pi from 4(1 - 1/3 + 1/5 - ...); the bound is 4/(2*terms+1)."""
     if terms < 1:
         raise ValueError("need terms >= 1")
+    # bounded: every term is at most 1 in size
     value = 4.0 * math.fsum(s / d for s, d in zip(cycle((1.0, -1.0)), range(1, 2 * terms, 2)))
     return value, 4.0 / (2 * terms + 1)
 
@@ -129,7 +131,7 @@ def basel_sum(terms: int) -> float:
     """Partial sum of sum 1/k^2; the tail lies in (1/(terms+1), 1/terms)."""
     if terms < 1:
         raise ValueError("need terms >= 1")
-    return math.fsum(1.0 / (k * k) for k in map(float, range(1, terms + 1)))
+    return math.fsum(1.0 / (k * k) for k in map(float, range(1, terms + 1)))  # bounded: below pi^2/6
 
 
 def basel_sum_corrected(terms: int) -> tuple[float, float]:

@@ -182,9 +182,11 @@ def test_node_counts_past_their_cap_are_refused_before_any_node(capsys, tmp_path
          "--count has 1e+15 trials, past the cap of 100,000"),
         (["hydrogen", "lines", "--series", "balmer", "--upto", "1000000000000000"],
          "--upto has 1e+15 levels, past the cap of 100,000"),
+        (["harmonic", "--fn", "inv_r", "--samples", "1000000000000000", "--seed", "1"],
+         "--samples has 1e+15 points, past the cap of 100,000"),
     ],
     ids=["constants-pi", "constants-e", "sequence-catalan", "law-semicircle", "law-bernoulli", "law-binomial-count",
-         "hydrogen-lines"],
+         "hydrogen-lines", "harmonic-samples"],
 )
 def test_counts_past_their_cap_are_refused_by_their_parse_type(capsys, argv, message):
     # each 1e+15 count ran until killed: the terms or rows one by one, the exact moments, the atoms
@@ -219,17 +221,6 @@ def test_json_round_trip(capsys):
     assert doc["rows"][0][0] == table.rows[0][0]
     assert doc["rows"][0][1] == table.rows[0][1]  # floats survive exactly
     assert doc["rows"][0][2] == table.rows[0][2]
-
-
-def test_env_var_sets_format(capsys, monkeypatch):
-    monkeypatch.setenv("CALCLAB_FORMAT", "json")
-    code, out, _ = invoke(["sequence", "--kind", "bell", "--n", "3"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["rows"][-1] == [3, 5]
-    monkeypatch.setenv("CALCLAB_FORMAT", "yaml")
-    code, _, err = invoke(["sequence", "--kind", "bell", "--n", "3"], capsys)
-    assert code == 1
 
 
 def test_output_file(tmp_path, capsys):

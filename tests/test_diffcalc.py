@@ -538,7 +538,7 @@ def test_spherical_laplacian_matches_per_point_oracle(r, s, t):
             [r * math.cos(s), r * math.sin(s) * math.cos(t), r * math.sin(s) * math.sin(t)]
         )
 
-    h = min(_EPS**0.25 * (1.0 + r + abs(s) + abs(t)), 0.45 * r)  # the default step
+    h = min(diffcalc._step(None, (r, s, t), 2), 0.45 * r)  # the default step
     assert _close(spherical_laplacian(spher, r, s, t), oracles.spherical_laplacian(spher, r, s, t, h))
 
 
@@ -822,3 +822,34 @@ def test_the_block_route_checks_its_step_at_each_axis_largest_coordinate():
     block = np.array([[0.5, 0.25], [-0.75, 1.5], [-3.0, 2.0]])
     want = [[(F(x + 1e-5 * e) - F(x - 1e-5 * e)) / (2.0 * 1e-5) for e in np.eye(2)] for x in block]
     assert _central_differences(F, block, 1e-5).tolist() == want
+
+
+_MAX_CONSTANT = lambda p: 1e308  # a constant: every difference is exactly 0, but 2.0 * 1e308 overflows
+
+
+@pytest.mark.parametrize(
+    "route, what",
+    [
+        (lambda: laplacian(_MAX_CONSTANT, (0.0, 0.0)), "a second difference"),
+        (lambda: hessian(_MAX_CONSTANT, (0.0, 0.0)), "a second difference"),
+        (lambda: taylor2_multi(_MAX_CONSTANT, (0.0, 0.0), (0.1, 0.1)), "a second difference"),
+        (lambda: classify_critical(_MAX_CONSTANT, (0.0, 0.0)), "a second difference"),
+        (lambda: spherical_laplacian(lambda r, s, t: 1e308, 1.0, 0.9, 0.4), "a second difference"),
+        (lambda: derivative_1d(lambda t: 1e308, 0.0, 2), "the difference of order 2"),
+        (lambda: derivative_1d(lambda t: 1e308, 0.0, 4), "the difference of order 4"),
+        (lambda: taylor1d(lambda t: 1e308, 0.0, 2, 0.1), "the difference of order 2"),
+    ],
+    ids=["laplacian", "hessian", "taylor2_multi", "classify_critical", "spherical_laplacian", "derivative_1d-2",
+         "derivative_1d-4", "taylor1d"],
+)
+def test_a_difference_that_overflows_is_refused_not_inf(route, what):
+    # each returned -inf (or, at order 4, fsum's "-inf + inf"), where the exact answer is 0
+    with pytest.raises(ValueError, match=f"^{what} at the step h = .* leaves the float range$"):
+        route()
+
+
+def test_a_difference_of_a_constant_below_the_overflow_is_still_zero():
+    f = lambda p: 8e307
+    assert laplacian(f, (0.0, 0.0)) == 0.0
+    assert hessian(f, (0.0, 0.0)).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert derivative_1d(lambda t: 8e307, 0.0, 2) == 0.0

@@ -1276,3 +1276,14 @@ def test_values_past_an_intermediate_power(route, expected):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert route() == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_circulation_check_of_fewer_than_one_interval_is_refused(n):
+    # n = 0 divided by zero and n = -3 asked numpy for a negative dimension
+    calls = []
+    field = lambda p: calls.append(p) or (0.0, 0.0)
+    for call in (lambda: stokes_check(field, disk_map(), n), lambda: green_check(lambda x, y: 0.0, lambda x, y: 0.0, disk_map(), n)):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            call()
+    assert calls == []

@@ -53,6 +53,7 @@ from calclab.prob import (
     su2_character_moment_mc,
     wick,
 )
+from calclab.poly import Polynomial
 from calclab.rng import RandomSource
 
 from oracles import (
@@ -209,6 +210,15 @@ def test_a_density_that_does_not_settle_says_so():
 def test_law_fourier_rejects_a_non_finite_y(law, y):
     with pytest.raises(ValueError, match="y"):
         law_fourier(law, y)
+
+
+@pytest.mark.parametrize("nodes", [0, -3])
+def test_a_rule_of_fewer_than_one_node_is_refused(nodes):
+    # the rule took 8 nodes: the semicircle's M_2 came back as 1.0000037696
+    for law in (semicircle_law(), bernoulli_law(0.3)):
+        for call in (lambda: moments(law, 2, nodes), lambda: law_fourier(law, 1.0, nodes), lambda: law.total_mass(nodes)):
+            with pytest.raises(ValueError, match="^need nodes >= 1$"):
+                call()
 
 
 def test_density_rule_rejects_non_finite_density():
@@ -754,6 +764,50 @@ def test_orthopoly_from_moments():
         orthopoly_from_moments([1.0, 0.0, 0.0, 0.0], 2)  # degenerate Hankel
 
 
+@pytest.mark.parametrize("name", ["mp", "semicircle"])
+def test_hankel_determinants_of_integer_moments_are_exact(name):
+    # the Catalan moments' Hankel determinants are all 1; on floats LU read -0.68 at depth 14 and
+    # 83,794.5 at depth 16 for the Marchenko-Pastur law
+    ms = [prob.BUILTIN_MOMENTS[name](k) for k in range(31)]
+    dets = hankel_check(ms, 16)
+    assert dets == [1.0] * 16 and all(type(d) is float for d in dets)
+
+
+def test_hankel_determinants_of_fraction_moments_are_rounded_once():
+    # uniform on [-1, 1]: M_2k = 1/(2k + 1); the 3 x 3 determinant is 1/15 - 1/27 = 4/135
+    ms = [Fraction(1), 0, Fraction(1, 3), 0, Fraction(1, 5)]
+    assert hankel_check(ms, 3) == [1.0, 1 / 3, 4 / 135]
+    with pytest.raises(ValueError, match="^the Hankel determinant of size 2 leaves the float range$"):
+        hankel_check([1, 0, -(10**400)], 2)
+
+
+def _monic_chebyshev_u(k):
+    """U_k(x/2) by its three-term recurrence P_(j+1) = x P_j - P_(j-1), in integers."""
+    polys = [Polynomial([1]), Polynomial([0, 1])]
+    while len(polys) <= k:
+        polys.append(Polynomial([0, 1]) * polys[-1] - polys[-2])
+    return polys[k]
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_orthopoly_from_the_semicircles_integer_moments_is_exact(k):
+    # the floats' LU called the leading minor degenerate from k = 8 on
+    ms = [prob.BUILTIN_MOMENTS["semicircle"](j) for j in range(2 * k)]
+    got = orthopoly_from_moments(ms, k)
+    assert got.coefficients == _monic_chebyshev_u(k).coefficients
+    assert all(type(c) is Fraction for c in got.coefficients)
+
+
+def test_an_exact_leading_minor_is_degenerate_only_at_zero():
+    with pytest.raises(ValueError, match="degenerate Hankel minor"):
+        orthopoly_from_moments([1, 0, 0, 0], 2)
+    # M_2 = 1e-20: a float minor of 1e-20 is degenerate, the exact one is not
+    with pytest.raises(ValueError, match="degenerate Hankel minor"):
+        orthopoly_from_moments([1.0, 0.0, 1e-20, 0.0], 2)
+    got = orthopoly_from_moments([1, 0, Fraction(1, 10**20), 0], 2)
+    assert got.coefficients == [-Fraction(1, 10**20), 0, 1]
+
+
 def test_orthopoly_gram_schmidt_oracle():
     # Gram-Schmidt on 1, x, x^2 under the semicircle moments
     ms = [1.0, 0.0, 1.0, 0.0, 2.0, 0.0]
@@ -943,3 +997,13 @@ def test_atom_moments_past_the_float_range_of_the_powers():
     assert got[311] == 9.765625000000574e307
     with pytest.raises(ValueError, match="^the atom moment of order 312 leaves the float range$"):
         moments(law, 312)
+
+
+def test_a_permutation_sample_count_past_the_cap_is_refused_before_any_draw():
+    class NoDraws:
+        def map_blocks(self, *args):
+            raise AssertionError("drew before refusing the count")
+
+    for samples in (10**7 + 1, 10**15):
+        with pytest.raises(ValueError, match=r"^sn_fixed_point_law asks for 1e\+(07|15) samples, past the cap of 10,000,000$"):
+            sn_fixed_point_law(12, 1.0, rng=NoDraws(), samples=samples)

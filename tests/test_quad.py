@@ -857,3 +857,34 @@ def test_rules_give_the_numpy_routes_bits(ours, numpy_route, fn):
 def test_rules_past_the_float_range_name_the_rule(rule, f, a, b, N):
     with pytest.raises(ValueError, match=f"^the {rule.__name__} sum leaves the float range$"):
         rule(f, a, b, N)
+
+
+class _NoDraws:
+    def generator(self):
+        raise AssertionError("a sampler drew before refusing its count")
+
+    def map_blocks(self, *args):
+        raise AssertionError("a sampler drew before refusing its count")
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda n: monte_carlo(math.sin, 0.0, 1.0, n, _NoDraws()), "monte_carlo"),
+        (lambda n: sphere_moment_mc(SphereMomentKey((2, 0)), n, _NoDraws()), "sphere_moment_mc"),
+        (lambda n: sphere_moment_mc(SphereMomentKey((1, 1), field="complex"), n, _NoDraws()), "sphere_moment_mc"),
+    ],
+    ids=["monte_carlo", "sphere_moment_mc-real", "sphere_moment_mc-complex"],
+)
+def test_a_sample_count_past_the_cap_is_refused_before_any_draw(call, what):
+    # 10^15 samples asked numpy for 8 PB
+    for n, shown in ((10**7 + 1, "1e+07"), (10**15, "1e+15")):
+        with pytest.raises(ValueError, match=f"^{what} asks for {re.escape(shown)} samples, past the cap of 10,000,000$"):
+            call(n)
+
+
+@pytest.mark.parametrize("ks", [(0, 0), (3, 1), (2, 2, 2), (10, 0, 5, 1), (40, 40)])
+def test_complex_sphere_moments_are_the_exact_ratio_rounded_once(ks):
+    N, total = len(ks), sum(ks)
+    exact = Fraction(math.factorial(N - 1) * math.prod(map(math.factorial, ks)), math.factorial(N + total - 1))
+    assert sphere_moment(SphereMomentKey(ks, field="complex")).hex() == float(exact).hex()
