@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
 
@@ -105,7 +105,15 @@ def _fsum(terms: list[float], what: str) -> float:
     except ValueError:
         raise ValueError(f"{what} adds inf to -inf") from None
     special = [t for t in terms if not math.isfinite(t)]
-    return _fsum(special, what) if special else _rounded(sum(map(Fraction, terms)), what)
+    return _fsum(special, what) if special else _rounded(_ratio_sum(t.as_integer_ratio() for t in terms), what)
+
+
+def _ratio_sum(ratios: Iterable[tuple[int, int]]) -> Fraction:
+    """The exact sum of the ratios n/d (integers, d > 0) in integers over the lcm of the d, with no
+    gcd per term; the d of floats are powers of two, whose lcm is the largest."""
+    ratios = list(ratios)
+    den = math.lcm(*(d for _, d in ratios))
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
 def generalized_binomial(a: float, k: int) -> float:

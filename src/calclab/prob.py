@@ -26,6 +26,7 @@ from ._numpy import np
 from ._record import Record
 from .combinat import (
     _fsum,
+    _ratio_sum,
     _rounded,
     binomial as binom,
     catalan,
@@ -222,18 +223,15 @@ def moments(law: Law, upto: int, nodes: int | None = None) -> list[float]:
 
 
 def _atom_moment(atoms: tuple[tuple[float, float], ...], k: int) -> float:
-    """sum m l^k over the atoms (l, m), rounded once; exact where l^k overflows, and ValueError
-    naming the order past the float range.  The exact sum is taken in integers over one common
-    denominator (a power of two for float atoms), with no gcd per term."""
+    """sum m l^k over the atoms (l, m), rounded once; exact where l^k overflows
+    (``combinat._ratio_sum``), and ValueError naming the order past the float range."""
     what = f"the atom moment of order {k}"
     try:
         return _fsum([mass * loc**k for loc, mass in atoms], what)
     except OverflowError:
         pass
     ratios = [(loc.as_integer_ratio(), mass.as_integer_ratio()) for loc, mass in atoms]
-    terms = [(mn * ln**k, md * ld**k) for (ln, ld), (mn, md) in ratios]
-    den = math.lcm(*(d for _, d in terms))
-    return _rounded(Fraction(sum(n * (den // d) for n, d in terms), den), what)
+    return _rounded(_ratio_sum((mn * ln**k, md * ld**k) for (ln, ld), (mn, md) in ratios), what)
 
 
 def law_fourier(law: Law, y: float, nodes: int | None = None) -> complex:
@@ -345,8 +343,9 @@ def poisson_moments(t: float, upto: int) -> list[float]:
     M_0 = 1, M_{j+1} = t fsum_i C(j, i) M_i: about 1 ulp from exact at t = 0.3.
     An order whose float step overflows (the sum M_{j+1}/t, a term, or past
     j = 1,030 a binomial C(j, i) leaves the float range) is summed exactly
-    from the float M_i and rounded once (``combinat._rounded``); ValueError
-    names the first order whose moment itself leaves the float range.
+    from the float M_i (``combinat._ratio_sum``) and rounded once
+    (``combinat._rounded``); ValueError names the first order whose moment
+    itself leaves the float range.
     """
     if not t > 0 or upto < 0:
         raise ValueError("need t > 0 and upto >= 0")
@@ -356,12 +355,10 @@ def poisson_moments(t: float, upto: int) -> list[float]:
             m = t * math.fsum(c * x for c, x in zip(row, ms))
         except OverflowError:
             m = math.inf
-        if m == math.inf:  # t sum_i C(j, i) M_i in integers over one power of two
+        if m == math.inf:  # sum_i t C(j, i) M_i, exact
             tn, td = t.as_integer_ratio()
-            pairs = [x.as_integer_ratio() for x in ms]
-            den = max(d for _, d in pairs)  # every float's denominator is a power of two, so d divides it
-            total = tn * sum(c * n * (den // d) for c, (n, d) in zip(row, pairs))
-            m = _rounded(Fraction(total, td * den), f"the Poisson moment of order {j + 1}")
+            terms = ((tn * c * n, td * d) for c, (n, d) in zip(row, map(float.as_integer_ratio, ms)))
+            m = _rounded(_ratio_sum(terms), f"the Poisson moment of order {j + 1}")
         ms.append(m)
         row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
     return ms
@@ -742,8 +739,10 @@ def _fixed_point_count(N: int, m: int, k: int) -> int:
     return binom(m, k) * sum((-1) ** j * binom(m - k, j) * factorial(N - k - j) for j in range(m - k + 1))
 
 
-# entries per block of sampled permutations: at most 512 KiB of int64
+# entries per block of sampled permutations: at most 512 KiB of int64, so N is capped there too
 _SAMPLE_BLOCK_ENTRIES = 2**16
+# N samples, the entries shuffled in all: the sample cap at N = 12, ten times snchi --n 12
+_MAX_PERMUTATION_ENTRIES = 12 * 10**7
 
 
 def sn_fixed_point_law(
@@ -759,9 +758,10 @@ def sn_fixed_point_law(
     explicit RandomSource (then required), shuffled in row blocks of at most
     2**16 entries, row block b from substream b of the source; the blocks
     run on every CPU, and their fixed-point counts are summed as integers,
-    so the same source gives the same atoms on any CPU count.  ``samples``
-    past 10^7 raises ValueError before any draw; the work grows as N
-    samples (1.8 s at N = 12 and 15 s at N = 100 at the cap, 2-vCPU x86).
+    so the same source gives the same atoms on any CPU count.  The work
+    grows as N samples, so ValueError is raised before any draw for
+    ``samples`` past 10^7, N past 2**16 (one block's entries) or N samples
+    past 1.2 10^8 (1.6-2.0 s at that cap from N = 12 to 2**16, 2-vCPU x86).
     Both modes give Python float masses.  The result reports which mode was
     used.
     """
@@ -781,6 +781,11 @@ def sn_fixed_point_law(
     if samples < 1:
         raise ValueError("need samples >= 1")
     _sample_cap(samples, "sn_fixed_point_law")
+    if N > _SAMPLE_BLOCK_ENTRIES:
+        raise ValueError(f"sn_fixed_point_law asks for N = {N:,} points, past the cap of {_SAMPLE_BLOCK_ENTRIES:,}")
+    if N * samples > _MAX_PERMUTATION_ENTRIES:
+        entries = f"{N * samples:,} entries ({samples:,} samples of N = {N:,})"
+        raise ValueError(f"sn_fixed_point_law asks for {entries}, past the cap of {_MAX_PERMUTATION_ENTRIES:,}")
     m = int(t * N)
     identity = np.tile(np.arange(N), (max(1, _SAMPLE_BLOCK_ENTRIES // N), 1))
 
@@ -847,6 +852,10 @@ def su2_character_moment(k: int) -> tuple[float, float]:
 def su2_character_moment_mc(
     k: int, samples: int, rng: RandomSource
 ) -> tuple[float, float]:
-    """Monte Carlo version of the rescaled character moment, with stderr, both rescaled exactly."""
+    """Monte Carlo version of the rescaled character moment, with stderr, both rescaled exactly.
+
+    The estimate and standard error are :func:`calclab.quad.sphere_moment_mc`'s: the mean and
+    numpy's ``std`` with ``ddof=1`` over sqrt(samples), computed in place on the per-sample values.
+    """
     est, se = sphere_moment_mc(SphereMomentKey((2 * k, 0, 0, 0)), samples, rng)
     return tuple(_rounded(Fraction(v), f"the rescaled moment for k = {k}", 4.0, k) for v in (est, se))

@@ -297,6 +297,9 @@ def monte_carlo(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the integral over [a, b], with standard error.
 
+    The estimate is (b - a) times the mean of the f values, and the
+    standard error |b - a| times numpy's ``std`` with ``ddof=1`` over
+    sqrt(N), computed in place on the per-sample values.
     Deterministic for a fixed RandomSource.  One sample (N = 1) gives a
     finite estimate and a standard error of inf, with no warning; N past
     10^7 raises ValueError before any draw.
@@ -305,13 +308,21 @@ def monte_carlo(
         raise ValueError("need N >= 1")
     _sample_cap(N, "monte_carlo")
     _finite_interval(a, b)
-    values = _samples(f, rng.generator().uniform(a, b, size=N))
-    mean = float(values.mean())
-    if N > 1:
-        stderr = float(values.std(ddof=1) / math.sqrt(N))
-    else:
-        stderr = math.inf
+    mean, stderr = _mean_and_stderr(_samples(f, rng.generator().uniform(a, b, size=N)))
     return (b - a) * mean, abs(b - a) * stderr
+
+
+def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """``values.mean()`` and ``values.std`` with ``ddof=1`` over sqrt(n) of n >= 1 floats, bit for
+    bit (inf for one value), by numpy's own steps in place: the pairwise ``sum`` over n, then the
+    deviations squared, summed and divided by n - 1, rooted.  values is left holding the squares."""
+    n = len(values)
+    mean = values.sum() / n
+    if n == 1:
+        return float(mean), math.inf
+    values -= mean
+    values *= values
+    return float(mean), float(np.sqrt(values.sum() / (n - 1)) / math.sqrt(n))
 
 
 def gauss_integral() -> float:
@@ -540,9 +551,11 @@ def sphere_moment_mc(
     as above; the blocks run on every CPU and write disjoint slices, so
     the bits do not depend on the CPU count.  The squares are summed left
     to right, the chi-square variate last, and integer powers are taken by
-    multiplication (repeated squaring), never by ``**``.  An all-zero key
-    returns (1.0, 0.0) without drawing.  Between 1000 and 10^7 samples, else
-    ValueError before any draw.
+    multiplication (repeated squaring), never by ``**``.  The standard
+    error is numpy's ``std`` with ``ddof=1`` over sqrt(samples), computed
+    in place on the per-sample values.  An all-zero key returns (1.0, 0.0)
+    without drawing.  Between 1000 and 10^7 samples, else ValueError
+    before any draw.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -582,7 +595,7 @@ def sphere_moment_mc(
                     x = x * x
 
     rng.map_blocks(samples, _SPHERE_BLOCK, block)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
+    return _mean_and_stderr(values)
 
 
 def jacobian_spherical(N: int, r: float, *angles: float) -> float:

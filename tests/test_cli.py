@@ -827,3 +827,17 @@ def test_binomial_atom_moments_print_past_the_float_range_of_the_powers(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert code == 0 and [r[0] for r in rows[-3:]] == ["309", "310", "311"]
     assert float(rows[-1][1]) == 9.765625000000574e307
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [(["snchi", "--n", "1000000000", "--seed", "1"], "N = 1,000,000,000 points, past the cap of 65,536"),
+     (["snchi", "--n", "200", "--seed", "1"], "200,000,000 entries (1,000,000 samples of N = 200), past the cap of 120,000,000")],
+    ids=["n-past-2-16", "n-times-samples"],
+)
+def test_snchi_past_its_size_caps_is_one_line_and_exit_2(capsys, argv, shown):
+    start = time.perf_counter()
+    code, out, err = invoke(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"calclab: sn_fixed_point_law asks for {shown}\n"

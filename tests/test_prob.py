@@ -1,8 +1,12 @@
+import ast
 import cmath
+import inspect
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1007,3 +1011,84 @@ def test_a_permutation_sample_count_past_the_cap_is_refused_before_any_draw():
     for samples in (10**7 + 1, 10**15):
         with pytest.raises(ValueError, match=r"^sn_fixed_point_law asks for 1e\+(07|15) samples, past the cap of 10,000,000$"):
             sn_fixed_point_law(12, 1.0, rng=NoDraws(), samples=samples)
+
+
+class _NoPermutationDraws:
+    def map_blocks(self, *args):
+        raise AssertionError("drew the first block")
+
+
+def test_a_permutation_size_past_its_cap_is_refused_before_any_draw():
+    for N in (2**16 + 1, 10**9):  # one row of the identity tile would pass 512 KiB
+        with pytest.raises(ValueError, match=f"^sn_fixed_point_law asks for N = {N:,} points, past the cap of 65,536$"):
+            sn_fixed_point_law(N, 1.0, rng=_NoPermutationDraws(), samples=1)
+    for N, samples in ((13, 10**7), (200, 10**6), (2**16, 1832)):
+        entries = re.escape(f"{N * samples:,} entries ({samples:,} samples of N = {N:,})")
+        with pytest.raises(ValueError, match=f"^sn_fixed_point_law asks for {entries}, past the cap of 120,000,000$"):
+            sn_fixed_point_law(N, 1.0, rng=_NoPermutationDraws(), samples=samples)
+    for N, samples in ((12, 10**7), (2**16, 1831)):  # at the caps: the first block is drawn
+        with pytest.raises(AssertionError, match="^drew the first block$"):
+            sn_fixed_point_law(N, 1.0, rng=_NoPermutationDraws(), samples=samples)
+
+
+def _sampled_permutation_sizes(path):
+    """(where, N, samples) of each sampled ``sn_fixed_point_law`` call and each seeded ``snchi`` argv
+    in the file, read from its source without running it.  N and samples are evaluated from the
+    literals and the assignments before the call in its function (a bench ``run_<kind>`` reads p
+    from the dict literal that ``gen_<kind>`` returns); calls under ``pytest.raises`` are refusals
+    and are left out; N <= 9 is exact and draws nothing, and snchi draws the default samples."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    default = inspect.signature(sn_fixed_point_law).parameters["samples"].default
+    gens = {f.name[4:]: f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("gen_")}
+    refused = {
+        id(node)
+        for w in ast.walk(tree)
+        if isinstance(w, ast.With) and any("raises" in ast.unparse(item.context_expr) for item in w.items)
+        for node in ast.walk(w)
+    }
+    scopes = [tree, *(f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))]
+    owner = {id(node): scope for scope in scopes for node in ast.walk(scope)}  # the innermost scope: walked last
+    sizes = []
+    for node in ast.walk(tree):
+        if id(node) in refused:
+            continue
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("sn_fixed_point_law"):
+            args = dict(zip(["N", "t", "rng", "samples"], node.args)) | {k.arg: k.value for k in node.keywords}
+            n_expr, samples_expr = args["N"], args.get("samples")
+        elif isinstance(node, ast.List) and node.elts and ast.unparse(node.elts[0]) == "'snchi'":
+            words = [ast.unparse(e) for e in node.elts]
+            if not any(w.strip("'").startswith("--seed") for w in words):
+                continue
+            n_expr, samples_expr = node.elts[words.index("'--n'") + 1], None
+        else:
+            continue
+        scope = owner[id(node)]
+        space = {"prob": prob}
+        if isinstance(scope, ast.FunctionDef) and scope.name.startswith("run_") and scope.name[4:] in gens:
+            [ret] = [r for r in ast.walk(gens[scope.name[4:]]) if isinstance(r, ast.Return)]
+            space["p"] = ast.literal_eval(ret.value)
+        for stmt in sorted((a for a in ast.walk(scope) if isinstance(a, ast.Assign)), key=lambda a: a.lineno):
+            if stmt.lineno < node.lineno:
+                try:
+                    exec(compile(ast.Module([stmt], []), str(path), "exec"), space)
+                except Exception:  # an assignment that needs the test's own values does not size a call
+                    pass
+        where = f"{path.name}:{node.lineno}"
+        N = int(eval(compile(ast.Expression(n_expr), where, "eval"), space))
+        if N > 9:
+            samples = default if samples_expr is None else eval(compile(ast.Expression(samples_expr), where, "eval"), space)
+            sizes.append((where, N, samples))
+    return sizes
+
+
+def test_every_sampled_permutation_law_of_the_tests_and_the_bench_is_10x_under_the_entry_cap():
+    root = Path(__file__).resolve().parents[1]
+    sizes = [s for path in [*sorted((root / "tests").glob("test_*.py")), root / "bench" / "cases.py"]
+             for s in _sampled_permutation_sizes(path)]
+    # a size past a cap is refused before any draw, and shuffles nothing
+    used = [(w, N, s) for w, N, s in sizes if N <= 2**16 and s <= 10**7 and N * s <= prob._MAX_PERMUTATION_ENTRIES]
+    where = {w.split(":")[0] for w, _, _ in used}
+    assert {"test_prob.py", "test_rng.py", "test_seed_contract.py", "test_cli.py", "cases.py"} <= where, used
+    assert ("cases.py", 12, 200_000) in {(w.split(":")[0], N, s) for w, N, s in used}  # gen_snlaw
+    # the largest today is snchi --n 12 --seed 3 with the default 10^6 samples: exactly 10x under
+    assert 10 * max(N * samples for _, N, samples in used) <= prob._MAX_PERMUTATION_ENTRIES

@@ -21,6 +21,7 @@ from calclab.quad import (
     _gauss_rule,
     _legendre_rule,
     _linspace,
+    _mean_and_stderr,
     _samples,
     _settle,
     SphereMomentKey,
@@ -888,3 +889,38 @@ def test_complex_sphere_moments_are_the_exact_ratio_rounded_once(ks):
     N, total = len(ks), sum(ks)
     exact = Fraction(math.factorial(N - 1) * math.prod(map(math.factorial, ks)), math.factorial(N + total - 1))
     assert sphere_moment(SphereMomentKey(ks, field="complex")).hex() == float(exact).hex()
+
+
+def _numpy_mean_and_stderr(values):
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, _SPHERE_BLOCK + 1, 200_000])
+def test_mean_and_stderr_is_numpys_mean_and_std_bit_for_bit(n):
+    # a large common offset: the deviations cancel most of each value's bits
+    values = 1e6 + np.random.default_rng(n).uniform(size=n)
+    want = _numpy_mean_and_stderr(values)
+    assert _mean_and_stderr(values.copy()) == want
+
+
+def test_mean_and_stderr_allocates_nothing_the_size_of_the_sample():
+    values = 1e6 + np.random.default_rng(7).uniform(size=200_000)
+    copy = values.copy()
+    tracemalloc.start()
+    try:
+        _mean_and_stderr(values)
+        _, ours = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        copy.std(ddof=1)
+        _, numpys = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ours < 1024 and numpys >= 8 * 200_000
+
+
+@pytest.mark.parametrize("N", [2, 1000, 100_000])
+def test_monte_carlo_is_the_whole_array_route_bit_for_bit(N):
+    f, a, b = (lambda x: math.exp(-x * x)), -0.5, 1.0
+    x = RandomSource(N).generator().uniform(a, b, size=N)
+    mean, stderr = _numpy_mean_and_stderr(np.array([f(v) for v in x.tolist()]))
+    assert monte_carlo(f, a, b, N, RandomSource(N)) == ((b - a) * mean, abs(b - a) * stderr)
