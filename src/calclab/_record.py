@@ -1,4 +1,11 @@
-"""Immutable value records whose behaviour follows from ``__slots__``."""
+"""Immutable value records whose behaviour follows from ``__slots__``, and the one work-cap refusal,
+here because every module that caps a count imports this one."""
+
+
+def _refuse(count: int, cap: int, what: str, unit: str) -> None:
+    """ValueError naming what, the count written exactly, its unit and the cap, where count passes cap."""
+    if count > cap:
+        raise ValueError(f"{what} {count:,} {unit}, past the cap of {cap:,}")
 
 
 class Record:

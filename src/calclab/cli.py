@@ -11,15 +11,14 @@ be read included), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import math
 import numbers
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from ._record import Record
+from ._record import Record, _refuse
 
 # Each subcommand imports the modules it uses inside its _cmd_* function, so a
 # process pays only for its own command: the exact ones never load numpy.
@@ -36,17 +35,16 @@ class ResultTable(Record):
         self._set(columns, rows, note)
 
 
-# Counts that their parse type refuses past a cap, before any work (_refuse_past_the_cap).  Each cap is
-# at least 10x the largest count of a test, benchmark case, CI line or README example, except
-# sequence --n, where a test prints the factorials to 1700! and bell at 5,000 takes 19 s; a run at a
-# cap takes at most about 5 s on a 2-vCPU x86.
-# stieltjes --x, hydrogen wavefunction --grid: the bench's --grid 30,2000; harmonic --samples: 10 in tests and the
-# bench, 1.4 s at the cap
+# Counts that _parse refuses past a cap once argv is parsed, before any grid, node or draw is made; each
+# subcommand's ``caps`` default, beside the add_argument, names its capped options.  Each cap is at least 10x
+# the largest count of a test, benchmark case, CI line or README example, except sequence --n, where a test
+# prints 1700! and bell at 5,000 takes 19 s.  Times are of one process at the cap on a 2-vCPU x86.
+# stieltjes --x, wavefunction --grid, harmonic --samples: the bench's 2,000; 0.6 s, 0.5 s, 1.4 s (inv_r)
 _MAX_GRID_POINTS = 10**5
-_MAX_TERMS = 10**7  # constants --terms: README's basel 10^6; e takes 2.6 s at the cap
-_MAX_SEQUENCE_N = 3000  # sequence --n: bell and bernoulli take 3.3 s at the cap
-_MAX_MOMENTS = 4000  # law --moments: CI's 400; poisson leaves the float range by order 2,663, in 5 s
-_MAX_TRIALS = 10**5  # law --count: a test's 2,000; binomial takes 3.7 s at the cap
+_MAX_TERMS = 10**7  # constants --terms: README's basel 10^6; e 2.1 s, pi 0.9 s, basel 1.0 s at the cap
+_MAX_SEQUENCE_N = 3000  # sequence --n: bell 3.5 s, bernoulli 2.5 s at the cap
+_MAX_MOMENTS = 4000  # law --moments: CI's 400; mp, arcsine 2.7 s; poisson --t 1e-300 16 s, orders past 1,030 exact
+_MAX_TRIALS = 10**5  # law --count: a test's 2,000; binomial 0.6 s at the cap with 20 moments
 _MAX_LEVELS = 10**5  # hydrogen lines --upto: the bench's 9; 0.3 s at the cap
 
 
@@ -213,9 +211,9 @@ def _point(text: str) -> tuple[float, ...]:
     return point
 
 
-def _grid(text: str) -> list[float]:
-    """The parse type of stieltjes --x: a comma list, or start:stop:count with count >= 1 and a
-    finite span (a _UsageError, which argparse passes on as it is, names the option)."""
+def _grid(text: str) -> list[float] | tuple[float, float, int]:
+    """The parse type of stieltjes --x: a comma list, or (start, stop, count) of start:stop:count with count
+    >= 1 and a finite span, unbuilt (a _UsageError, which argparse passes on as it is, names the option)."""
     if ":" not in text:
         return _floats(text)
     try:
@@ -227,10 +225,7 @@ def _grid(text: str) -> list[float]:
         raise _UsageError("--x grid count must be at least 1")
     if not math.isfinite(b - a):
         raise _UsageError(f"--x grid {text!r} spans more than the largest float")
-    _refuse_past_the_cap(n, "--x", _MAX_GRID_POINTS, "points")
-    from .quad import _linspace
-
-    return _linspace(a, b, n)
+    return a, b, n
 
 
 def _radial_grid(text: str) -> tuple[float, int]:
@@ -242,29 +237,7 @@ def _radial_grid(text: str) -> tuple[float, int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not rmax,steps") from None
     if not (0 < rmax < math.inf) or steps < 1:
         raise argparse.ArgumentTypeError("needs a finite rmax > 0 and steps >= 1")
-    _refuse_past_the_cap(steps, "--grid", _MAX_GRID_POINTS, "points")
     return rmax, steps
-
-
-def _refuse_past_the_cap(n: int, option: str, cap: int, unit: str) -> None:
-    """Refuse a count of n units past its cap before any work: exit 2 with one line, as the
-    library's caps do.  It is a MemoryError, which argparse passes on from a parse type, where a
-    ValueError would become its usage error."""
-    if n > cap:
-        raise MemoryError(f"{option} has {n:.7g} {unit}, past the cap of {cap:,}")
-
-
-def _capped(parse: Callable[[str], int], option: str, cap: int, unit: str) -> Callable[[str], int]:
-    """The parse type ``parse`` of a count, refusing one past cap by :func:`_refuse_past_the_cap`;
-    ``inspect.unwrap`` gives ``parse`` back."""
-
-    @functools.wraps(parse)
-    def count(text: str) -> int:
-        n = parse(text)
-        _refuse_past_the_cap(n, option, cap, unit)
-        return n
-
-    return count
 
 
 def _int(text: str) -> int:
@@ -330,14 +303,26 @@ _INTEGRANDS = {
 }
 
 
+def _log_r(v) -> float:
+    if not (r := math.hypot(v[0], v[1])):
+        raise ValueError(f"log_r = log r has no value at {tuple(v)}, where r = 0")
+    return math.log(r)
+
+
+def _inv_r(v) -> float:
+    if not (r2 := v[0] ** 2 + v[1] ** 2 + v[2] ** 2):  # also where the squares underflow
+        raise ValueError(f"inv_r = 1/r has no value at {tuple(v)}, where r^2 rounds to 0")
+    return 1.0 / math.sqrt(r2)
+
+
 _FIELDS = {
     "bowl": (lambda v: v[0] * v[0] + v[1] * v[1], 2),
     "saddle": (lambda v: v[0] ** 2 - v[1] ** 2, 2),
     "cubic": (lambda v: v[0] ** 3, 1),
     "xy": (lambda v: v[0] * v[1], 2),
     "re_z3": (lambda v: v[0] ** 3 - 3.0 * v[0] * v[1] ** 2, 2),
-    "log_r": (lambda v: math.log(math.hypot(v[0], v[1])), 2),
-    "inv_r": (lambda v: 1.0 / math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2), 3),
+    "log_r": (_log_r, 2),
+    "inv_r": (_inv_r, 3),
 }
 
 _PROFILES = {
@@ -470,9 +455,10 @@ def _cmd_law(args) -> ResultTable:
 
 
 def _cmd_stieltjes(args) -> ResultTable:
-    from . import prob
+    from . import prob, quad
 
-    rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in args.x]
+    xs = quad._linspace(*args.x) if isinstance(args.x, tuple) else args.x
+    rows = [(x, prob.stieltjes_density(args.law, x, args.t)) for x in xs]
     return ResultTable(["x", "density"], rows, note=f"pointwise inversion at height t={args.t}")
 
 
@@ -498,7 +484,7 @@ def _cmd_critical(args) -> ResultTable:
         raise _UsageError(f"--x needs {dim} coordinates for {args.fn}")
     try:
         report = diffcalc.classify_critical(f, x)
-    except (ValueError, ArithmeticError) as exc:  # e.g. log_r or inv_r sampled at its singularity
+    except (ValueError, ArithmeticError) as exc:  # e.g. the stencil's step, or log_r or inv_r at r = 0
         raise ValueError(f"the field {args.fn} cannot be classified at x = {args.x}: {exc}") from None
     rows = [
         ("classification", report.classification),
@@ -649,16 +635,18 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     def add_parser(name, fn_impl, help):
         if command in (None, name):
             p = sub.add_parser(name, parents=[common], help=help)
-            p.set_defaults(fn_impl=fn_impl)
+            p.set_defaults(fn_impl=fn_impl, caps=())
             return p
 
     if p := add_parser("sequence", _cmd_sequence, "exact combinatorial sequences"):
         p.add_argument("--kind", required=True, choices=["factorial", "catalan", "central", "middle", "bell", "bernoulli"])
-        p.add_argument("--n", type=_capped(_natural, "--n", _MAX_SEQUENCE_N, "terms"), required=True)
+        p.add_argument("--n", type=_natural, required=True)
+        p.set_defaults(caps=[("--n", _MAX_SEQUENCE_N, "terms")])
 
     if p := add_parser("constants", _cmd_constants, "classical constants with error bounds"):
         p.add_argument("--which", required=True, choices=["e", "pi", "basel"])
-        p.add_argument("--terms", type=_capped(_positive_int, "--terms", _MAX_TERMS, "terms"), required=True)
+        p.add_argument("--terms", type=_positive_int, required=True)
+        p.set_defaults(caps=[("--terms", _MAX_TERMS, "terms")])
 
     if p := add_parser("roots", _cmd_roots, "all roots of a complex polynomial"):
         p.add_argument("--coeffs", required=True, help="c0,c1,... ascending, entries like 1+2i")
@@ -682,14 +670,16 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
 
     if p := add_parser("law", _cmd_law, "moment sequences of the builtin laws"):
         p.add_argument("--name", required=True, choices=["bernoulli", "binomial", "poisson", "gauss", "cgauss", "semicircle", "mp", "arcsine", "marcsine"])
-        p.add_argument("--moments", type=_capped(_natural, "--moments", _MAX_MOMENTS, "orders"), required=True)
+        p.add_argument("--moments", type=_natural, required=True)
         p.add_argument("--x", type=_finite_float, default=0.5, help="coin bias for bernoulli/binomial")
-        p.add_argument("--count", type=_capped(_positive_int, "--count", _MAX_TRIALS, "trials"), default=10, help="binomial trial count")
+        p.add_argument("--count", type=_positive_int, default=10, help="binomial trial count")
+        p.set_defaults(caps=[("--moments", _MAX_MOMENTS, "orders"), ("--count", _MAX_TRIALS, "trials")])
         p.add_argument("--t", type=_finite_float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
 
     if p := add_parser("stieltjes", _cmd_stieltjes, "pointwise density recovery"):
         p.add_argument("--law", required=True, choices=["semicircle", "mp", "arcsine", "marcsine"])
         p.add_argument("--x", type=_grid, required=True, help="comma list or start:stop:count")
+        p.set_defaults(caps=[("--x", _MAX_GRID_POINTS, "points")])
         p.add_argument("--t", type=_finite_float, required=True)
 
     if p := add_parser("snchi", _cmd_snchi, "fixed-point law of random permutations"):
@@ -703,7 +693,8 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
 
     if p := add_parser("harmonic", _cmd_harmonic, "laplacian residual samples"):
         p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
-        p.add_argument("--samples", type=_capped(_positive_int, "--samples", _MAX_GRID_POINTS, "points"), required=True)
+        p.add_argument("--samples", type=_positive_int, required=True)
+        p.set_defaults(caps=[("--samples", _MAX_GRID_POINTS, "points")])
         p.add_argument("--seed", type=_natural, required=True)
 
     if p := add_parser("orbit", _cmd_orbit, "two-body trajectory with conservation columns"):
@@ -739,7 +730,8 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         hsub = p.add_subparsers(dest="hydrogen_cmd", required=True, parser_class=_Parser)
         ph = hsub.add_parser("lines", parents=[common])
         ph.add_argument("--series", required=True, choices=_SPECTRAL_SERIES)
-        ph.add_argument("--upto", type=_capped(_int, "--upto", _MAX_LEVELS, "levels"), required=True)
+        ph.add_argument("--upto", type=_int, required=True)
+        ph.set_defaults(caps=[("--upto", _MAX_LEVELS, "levels")])
         ph = hsub.add_parser("energy", parents=[common])
         ph.add_argument("--n", type=_positive_int, required=True)
         ph = hsub.add_parser("wavefunction", parents=[common])
@@ -747,20 +739,32 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         ph.add_argument("--l", type=int, required=True)
         ph.add_argument("--m", type=int, required=True)
         ph.add_argument("--grid", type=_radial_grid, required=True, help="rmax,steps")
+        ph.set_defaults(caps=[("--grid", _MAX_GRID_POINTS, "points")])
 
     return parser if sub.choices else _build_parser()
 
 
-def run(argv: Sequence[str]) -> ResultTable:
-    """Parse argv and execute the subcommand, returning the result table."""
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed, and each count its subcommand caps (``caps``: option, cap, unit) handed to _refuse: an
+    int, a comma list's length, or the last field of rmax,steps or start:stop:count."""
     args = _build_parser(argv).parse_args(argv)
+    for option, cap, unit in args.caps:
+        count = getattr(args, option[2:])
+        count = len(count) if isinstance(count, list) else count[-1] if isinstance(count, tuple) else count
+        _refuse(count, cap, f"{option} has", unit)
+    return args
+
+
+def run(argv: Sequence[str]) -> ResultTable:
+    """Parse argv, refuse its counts past their caps and execute the subcommand, returning the result table."""
+    args = _parse(argv)
     return args.fn_impl(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _parse(argv)
         table = args.fn_impl(args)
     except (_UsageError, argparse.ArgumentTypeError) as exc:  # the latter from a parse type a command applies
         print(f"calclab: usage error: {exc}", file=sys.stderr)

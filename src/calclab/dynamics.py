@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._numpy import np
-from ._record import Record
+from ._record import Record, _refuse
 from .combinat import _fsum, _rounded
 from .diffcalc import _central_differences
 from .linalg import determinant
@@ -62,11 +62,13 @@ __all__ = [
     "divergence_check",
 ]
 
-# Work caps, each with at least 50x margin over every test, benchmark case and README example: a run
-# past one would take minutes or more, or memory the machine does not have.
-_MAX_ORBIT_STEPS = 10**6  # about 5 s and 200 MB of OrbitState on a 2-vCPU x86
+# Work caps, each with at least 50x margin over every test, benchmark case and README example: a run past one
+# would take minutes or more, or memory the machine does not have.  On a 2-vCPU x86 kepler_integrate takes 3.3 s
+# at its cap, the orbit command 8.7 s and 640 MB (its 10^6-row table); a heat lattice 0.5 s at either lattice
+# cap (one step, or 201 points), but 15 s at both
+_MAX_ORBIT_STEPS = 10**6
 _MAX_LATTICE_POINTS = 10**5
-_MAX_LATTICE_STEPS = 10**5  # about 1 s on a few points, 2 min on 10^5
+_MAX_LATTICE_STEPS = 10**5
 
 
 def cross(u: Sequence[float], v: Sequence[float]) -> np.ndarray:
@@ -242,8 +244,7 @@ def kepler_integrate(
     clipped = abs(ratio - steps) > 1e-9 * ratio
     if clipped:
         steps = math.floor(ratio)
-    if steps + clipped > _MAX_ORBIT_STEPS:
-        raise ValueError(f"the orbit needs {steps + clipped:.7g} RK4 steps, past the cap of {_MAX_ORBIT_STEPS:,}")
+    _refuse(steps + clipped, _MAX_ORBIT_STEPS, "the orbit needs", "RK4 steps")
     end = s.time + T
     out = [s]
     if steps:
@@ -519,8 +520,7 @@ def _lattice(g: Callable[[float], float], a: float, b: float, dx: float) -> np.n
     if not math.isfinite((b - a) / dx):
         raise ValueError("the lattice's (b - a)/dx overflows")
     n = int(round((b - a) / dx)) + 1
-    if n > _MAX_LATTICE_POINTS:
-        raise ValueError(f"the lattice has {n:.7g} points, past the cap of {_MAX_LATTICE_POINTS:,}")
+    _refuse(n, _MAX_LATTICE_POINTS, "the lattice has", "points")
     return _samples(g, np.linspace(a, b, n))
 
 
@@ -530,8 +530,7 @@ def _lattice_steps(dt: float, times: Sequence[float]) -> None:
     steps = times[-1] / dt if times else 0.0
     if not math.isfinite(steps):
         raise ValueError("the step count t/dt overflows")
-    if round(steps) > _MAX_LATTICE_STEPS:
-        raise ValueError(f"the lattice needs {round(steps):.7g} steps, past the cap of {_MAX_LATTICE_STEPS:,}")
+    _refuse(round(steps), _MAX_LATTICE_STEPS, "the lattice needs", "steps")
 
 
 def _frames(step, older, current, a: float, b: float, dt: float, times: Sequence[float]) -> list[Grid1D]:

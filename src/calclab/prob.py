@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._numpy import np
-from ._record import Record
+from ._record import Record, _refuse
 from .combinat import (
     _fsum,
     _ratio_sum,
@@ -38,7 +38,7 @@ from .combinat import (
 )
 from .linalg import determinant
 from .poly import Polynomial
-from .quad import SphereMomentKey, _gauss_rule, _sample_cap, _samples, _settle, sphere_moment, sphere_moment_mc
+from .quad import _MAX_SAMPLES, SphereMomentKey, _gauss_rule, _samples, _settle, sphere_moment, sphere_moment_mc
 from .rng import RandomSource
 
 __all__ = [
@@ -740,8 +740,8 @@ def _fixed_point_count(N: int, m: int, k: int) -> int:
 
 
 # entries per block of sampled permutations: at most 512 KiB of int64, so N is capped there too
-_SAMPLE_BLOCK_ENTRIES = 2**16
-# N samples, the entries shuffled in all: the sample cap at N = 12, ten times snchi --n 12
+_SAMPLE_BLOCK_ENTRIES = 2**16  # 1.5 s at N = 2**16 with 1,831 samples, as a process on a 2-vCPU x86
+# N samples, the entries shuffled in all: the sample cap at N = 12, ten times snchi --n 12; 1.4 s at N = 12
 _MAX_PERMUTATION_ENTRIES = 12 * 10**7
 
 
@@ -780,12 +780,10 @@ def sn_fixed_point_law(
         raise ValueError("sampling mode needs an explicit RandomSource")
     if samples < 1:
         raise ValueError("need samples >= 1")
-    _sample_cap(samples, "sn_fixed_point_law")
-    if N > _SAMPLE_BLOCK_ENTRIES:
-        raise ValueError(f"sn_fixed_point_law asks for N = {N:,} points, past the cap of {_SAMPLE_BLOCK_ENTRIES:,}")
-    if N * samples > _MAX_PERMUTATION_ENTRIES:
-        entries = f"{N * samples:,} entries ({samples:,} samples of N = {N:,})"
-        raise ValueError(f"sn_fixed_point_law asks for {entries}, past the cap of {_MAX_PERMUTATION_ENTRIES:,}")
+    _refuse(samples, _MAX_SAMPLES, "sn_fixed_point_law asks for", "samples")
+    _refuse(N, _SAMPLE_BLOCK_ENTRIES, "sn_fixed_point_law asks for N =", "points")
+    entries = f"entries ({samples:,} samples of N = {N:,})"
+    _refuse(N * samples, _MAX_PERMUTATION_ENTRIES, "sn_fixed_point_law asks for", entries)
     m = int(t * N)
     identity = np.tile(np.arange(N), (max(1, _SAMPLE_BLOCK_ENTRIES // N), 1))
 

@@ -1,9 +1,11 @@
 import csv
 import decimal
+import importlib.util
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from calclab import cli
 from calclab.cli import ResultTable, emit, main, run
 from calclab.combinat import bell
 from calclab.quad import sphere_volume
@@ -126,13 +129,13 @@ def test_a_radial_power_past_the_float_range_is_one_line_naming_rho(capsys):
     "argv, message",
     [
         (["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "1e300", "--dt", "0.1"],
-         "the orbit needs 1e+301 RK4 steps, past the cap of 1,000,000"),
+         f"the orbit needs {round(1e300 / 0.1):,} RK4 steps, past the cap of 1,000,000"),
         (["heat", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-5"],
-         "the lattice has 1000001 points, past the cap of 100,000"),
+         "the lattice has 1,000,001 points, past the cap of 100,000"),
         (["wave", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-12"],
-         "the lattice has 2e+13 points, past the cap of 100,000"),
+         "the lattice has 20,000,000,000,001 points, past the cap of 100,000"),
         (["heat", "--profile", "gaussian", "--t", "1000", "--frames", "2"],
-         "the lattice needs 1600000 steps, past the cap of 100,000"),
+         "the lattice needs 1,600,000 steps, past the cap of 100,000"),
     ],
     ids=["orbit-T-1e300", "heat-dx-1e-5", "wave-dx-1e-12", "heat-t-1000"],
 )
@@ -148,15 +151,15 @@ def test_work_past_its_cap_is_refused_by_count_before_it_starts(capsys, argv, me
     "argv, message",
     [
         (["integrate", "--method", "riemann", "--fn", "sin", "--a", "0", "--b", "1", "--n", "1000000000000000"],
-         "the riemann rule has 1e+15 subintervals, past the cap of 1,000,000"),
+         "the riemann rule has 1,000,000,000,000,000 subintervals, past the cap of 1,000,000"),
         (["integrate", "--method", "trapezoid", "--fn", "sin", "--a", "0", "--b", "1", "--n", "1000001"],
-         "the trapezoid rule has 1000001 subintervals, past the cap of 1,000,000"),
+         "the trapezoid rule has 1,000,001 subintervals, past the cap of 1,000,000"),
         (["stieltjes", "--law", "mp", "--x=0.7:3.2:1000000000000000", "--t", "0.1"],
-         "--x has 1e+15 points, past the cap of 100,000"),
+         "--x has 1,000,000,000,000,000 points, past the cap of 100,000"),
         (["hydrogen", "wavefunction", "--n", "3", "--l", "1", "--m", "1", "--grid", "5,1000000000000000"],
-         "--grid has 1e+15 points, past the cap of 100,000"),
+         "--grid has 1,000,000,000,000,000 points, past the cap of 100,000"),
         (["flux", "--charges", "{charges}", "--center", "0,0,0", "--radius", "1", "--order", "100000000"],
-         "the Gauss-Legendre rule has 1e+08 nodes, past the cap of 8,192"),
+         "the Gauss-Legendre rule has 100,000,000 nodes, past the cap of 8,192"),
     ],
     ids=["riemann-n", "trapezoid-n", "stieltjes-x", "hydrogen-grid", "flux-order"],
 )
@@ -173,27 +176,74 @@ def test_node_counts_past_their_cap_are_refused_before_any_node(capsys, tmp_path
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["constants", "--which", "pi", "--terms", "1000000000000000"], "--terms has 1e+15 terms, past the cap of 10,000,000"),
-        (["constants", "--which", "e", "--terms", "20000000"], "--terms has 2e+07 terms, past the cap of 10,000,000"),
-        (["sequence", "--kind", "catalan", "--n", "1000000000000000"], "--n has 1e+15 terms, past the cap of 3,000"),
-        (["law", "--name", "semicircle", "--moments", "1000000000000000"], "--moments has 1e+15 orders, past the cap of 4,000"),
-        (["law", "--name", "bernoulli", "--moments", "4001"], "--moments has 4001 orders, past the cap of 4,000"),
+        (["constants", "--which", "pi", "--terms", "1000000000000000"], "--terms has 1,000,000,000,000,000 terms, past the cap of 10,000,000"),
+        (["constants", "--which", "e", "--terms", "20000000"], "--terms has 20,000,000 terms, past the cap of 10,000,000"),
+        (["constants", "--which", "basel", "--terms", "10000001"], "--terms has 10,000,001 terms, past the cap of 10,000,000"),
+        (["sequence", "--kind", "catalan", "--n", "1000000000000000"], "--n has 1,000,000,000,000,000 terms, past the cap of 3,000"),
+        (["law", "--name", "semicircle", "--moments", "1000000000000000"], "--moments has 1,000,000,000,000,000 orders, past the cap of 4,000"),
+        (["law", "--name", "bernoulli", "--moments", "4001"], "--moments has 4,001 orders, past the cap of 4,000"),
         (["law", "--name", "binomial", "--count", "1000000000000000", "--moments", "2"],
-         "--count has 1e+15 trials, past the cap of 100,000"),
+         "--count has 1,000,000,000,000,000 trials, past the cap of 100,000"),
         (["hydrogen", "lines", "--series", "balmer", "--upto", "1000000000000000"],
-         "--upto has 1e+15 levels, past the cap of 100,000"),
+         "--upto has 1,000,000,000,000,000 levels, past the cap of 100,000"),
         (["harmonic", "--fn", "inv_r", "--samples", "1000000000000000", "--seed", "1"],
-         "--samples has 1e+15 points, past the cap of 100,000"),
+         "--samples has 1,000,000,000,000,000 points, past the cap of 100,000"),
     ],
-    ids=["constants-pi", "constants-e", "sequence-catalan", "law-semicircle", "law-bernoulli", "law-binomial-count",
+    ids=["constants-pi", "constants-e", "constants-basel-one-past", "sequence-catalan", "law-semicircle", "law-bernoulli", "law-binomial-count",
          "hydrogen-lines", "harmonic-samples"],
 )
 def test_counts_past_their_cap_are_refused_by_their_parse_type(capsys, argv, message):
-    # each 1e+15 count ran until killed: the terms or rows one by one, the exact moments, the atoms
+    # each 1e+15 count ran until killed: the terms or rows one by one, the exact moments, the atoms.
+    # cli._parse refuses them once argv is parsed; their parse types did before
     start = time.perf_counter()
     code, out, err = invoke(argv, capsys)
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (2, "", f"calclab: {message}\n")
+
+
+def _documented_argvs():
+    """(where, argv) of every argv in tests/test_cli_output.py, every `calclab ...` line of README's code blocks and
+    every CLI case of the benchmark's decks at seeds 1-10 (5 rounds each), none of them run."""
+    import test_cli_output
+
+    root = Path(__file__).resolve().parents[1]
+    own = test_cli_output.NUMPY_FREE + test_cli_output.COMMANDS + list(map(list, test_cli_output.NEGATIVE_ZERO))
+    argvs = [("test_cli_output.py", argv) for argv in own]
+    blocks = (root / "README.md").read_text(encoding="utf-8").split("```")[1::2]
+    argvs += [("README.md", shlex.split(line)[1:]) for b in blocks for line in b.splitlines() if line.startswith("calclab ")]
+    spec = importlib.util.spec_from_file_location("bench_cases", root / "bench" / "cases.py")
+    cases = sys.modules["bench_cases"] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(cases)
+    for name, workload in cases.WORKLOADS.items():
+        for seed in range(1, 11):
+            argvs += [(f"bench {name} seed {seed}", p["argv"]) for _, p in workload.build(seed, 5) if "argv" in p]
+    return argvs
+
+
+def test_every_documented_cli_count_is_10x_under_its_cap(monkeypatch):
+    # the counts as run() checks them: cli._parse hands each capped count to _refuse
+    checked = []
+    monkeypatch.setattr(cli, "_refuse", lambda count, cap, what, unit: checked.append((what, count, cap)))
+    largest, where = {}, set()
+    for place, argv in _documented_argvs():
+        checked.clear()
+        cli._parse(argv)
+        where.add(place.split(" seed ")[0])
+        for what, count, cap in checked:
+            key = (argv[0], what)
+            largest[key] = max(largest.get(key, (0, cap, place)), (count, cap, place))
+    assert where == {"test_cli_output.py", "README.md", "bench cli-oneshot", "bench numerics"}
+    # every capped CLI count is used somewhere
+    assert set(largest) == {
+        ("sequence", "--n has"), ("constants", "--terms has"), ("law", "--moments has"), ("law", "--count has"),
+        ("stieltjes", "--x has"), ("harmonic", "--samples has"), ("hydrogen", "--upto has"), ("hydrogen", "--grid has"),
+    }
+    # the one exception: sequence --n is held under its cap of 3,000 alone, since
+    # test_sequence_prints_integers_past_the_str_digits_limit prints 1700!
+    allowed = {key: cap if key == ("sequence", "--n has") else cap / 10 for key, (_, cap, _) in largest.items()}
+    assert {key: v for key, v in largest.items() if v[0] > allowed[key]} == {}
+    cli._parse(["sequence", "--kind", "factorial", "--n", "1700"])
+    assert checked[-1] == ("--n has", 1700, 3000)
 
 
 def test_roots_past_the_float_range_exit_2_without_nan(capsys):
@@ -376,12 +426,18 @@ def test_critical_cli(capsys):
 
 
 @pytest.mark.parametrize(
-    "fn, x, cause", [("log_r", "0,0", "math domain error"), ("inv_r", "0,0,0", "float division by zero")]
+    "fn, x, cause",
+    [("log_r", "0,0", "math domain error"), ("inv_r", "0,0,0", "float division by zero"),
+     ("inv_r", "1e-320,0,0", "float division by zero")],  # r^2 underflows to 0
 )
 def test_critical_at_a_singularity_names_the_field_and_the_point(capsys, fn, x, cause):
+    # cause: Python's own text, which the line carried before the field named its singular point
     code, out, err = invoke(["critical", "--fn", fn, "--x", x], capsys)
+    point = tuple(map(float, x.split(",")))  # the stencil's first call, at x itself
+    why = {"log_r": "log r has no value at {}, where r = 0", "inv_r": "1/r has no value at {}, where r^2 rounds to 0"}
     assert (code, out) == (2, "")
-    assert err == f"calclab: the field {fn} cannot be classified at x = {x}: {cause}\n"
+    assert err == f"calclab: the field {fn} cannot be classified at x = {x}: {fn} = {why[fn].format(point)}\n"
+    assert cause not in err
 
 
 @pytest.mark.parametrize(

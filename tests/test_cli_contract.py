@@ -2,7 +2,6 @@
 usage-error line (exit 1) that names the option, before any command computes."""
 
 import argparse
-import inspect
 
 import pytest
 
@@ -56,7 +55,7 @@ def test_every_typed_option_refuses_what_its_type_refuses(tmp_path, capsys):
     for path, parser, base in _baselines(tmp_path):
         cli._build_parser(base).parse_args(base)  # the baseline parses
         for action in parser._actions:
-            kind = inspect.unwrap(action.type) if action.type else None  # a capped count's own type
+            kind = action.type
             if kind in (int, float):
                 plain.add((path[-1], *action.option_strings))
             for text in REFUSED.get(kind, ()):
@@ -87,7 +86,7 @@ def test_every_int_option_refuses_a_non_integer_in_argparse_words(tmp_path, caps
     wrong, seen = [], set()
     for _, parser, base in _baselines(tmp_path):
         for action in parser._actions:
-            kind = inspect.unwrap(action.type) if action.type else None
+            kind = action.type
             if kind in (int, cli._positive_int, cli._natural, cli._int):
                 (option,) = action.option_strings
                 seen.add(kind)

@@ -1009,7 +1009,7 @@ def test_a_permutation_sample_count_past_the_cap_is_refused_before_any_draw():
             raise AssertionError("drew before refusing the count")
 
     for samples in (10**7 + 1, 10**15):
-        with pytest.raises(ValueError, match=r"^sn_fixed_point_law asks for 1e\+(07|15) samples, past the cap of 10,000,000$"):
+        with pytest.raises(ValueError, match=f"^sn_fixed_point_law asks for {samples:,} samples, past the cap of 10,000,000$"):
             sn_fixed_point_law(12, 1.0, rng=NoDraws(), samples=samples)
 
 

@@ -228,10 +228,10 @@ def test_settle_contract():
 @pytest.mark.parametrize(
     "run, message",
     [
-        (lambda f: riemann(f, 0.0, 1.0, 10**15), "the riemann rule has 1e+15 subintervals"),
-        (lambda f: trapezoid(f, 0.0, 1.0, 10**6 + 1), "the trapezoid rule has 1000001 subintervals"),
-        (lambda f: simpson(f, 0.0, 1.0, 10**15), "the simpson rule has 1e+15 subintervals"),
-        (lambda f: _gauss_rule(0.0, 1.0, 8193), "the Gauss-Legendre rule has 8193 nodes"),
+        (lambda f: riemann(f, 0.0, 1.0, 10**15), "the riemann rule has 1,000,000,000,000,000 subintervals"),
+        (lambda f: trapezoid(f, 0.0, 1.0, 10**6 + 1), "the trapezoid rule has 1,000,001 subintervals"),
+        (lambda f: simpson(f, 0.0, 1.0, 10**15), "the simpson rule has 1,000,000,000,000,000 subintervals"),
+        (lambda f: _gauss_rule(0.0, 1.0, 8193), "the Gauss-Legendre rule has 8,193 nodes"),
     ],
     ids=["riemann", "trapezoid", "simpson", "gauss-legendre"],
 )
@@ -879,8 +879,8 @@ class _NoDraws:
 )
 def test_a_sample_count_past_the_cap_is_refused_before_any_draw(call, what):
     # 10^15 samples asked numpy for 8 PB
-    for n, shown in ((10**7 + 1, "1e+07"), (10**15, "1e+15")):
-        with pytest.raises(ValueError, match=f"^{what} asks for {re.escape(shown)} samples, past the cap of 10,000,000$"):
+    for n, shown in ((10**7 + 1, "10,000,001"), (10**15, "1,000,000,000,000,000")):
+        with pytest.raises(ValueError, match=f"^{what} asks for {shown} samples, past the cap of 10,000,000$"):
             call(n)
 
 
