@@ -35,19 +35,6 @@ class ResultTable(Record):
         self._set(columns, rows, note)
 
 
-# Counts that _parse refuses past a cap once argv is parsed, before any grid, node or draw is made; each
-# subcommand's ``caps`` default, beside the add_argument, names its capped options.  Each cap is at least 10x
-# the largest count of a test, benchmark case, CI line or README example, except sequence --n, where a test
-# prints 1700! and bell at 5,000 takes 19 s.  Times are of one process at the cap on a 2-vCPU x86.
-# stieltjes --x, wavefunction --grid, harmonic --samples: the bench's 2,000; 0.6 s, 0.5 s, 1.4 s (inv_r)
-_MAX_GRID_POINTS = 10**5
-_MAX_TERMS = 10**7  # constants --terms: README's basel 10^6; e 2.1 s, pi 0.9 s, basel 1.0 s at the cap
-_MAX_SEQUENCE_N = 3000  # sequence --n: bell 3.5 s, bernoulli 2.5 s at the cap
-_MAX_MOMENTS = 4000  # law --moments: CI's 400; mp, arcsine 2.7 s; poisson --t 1e-300 16 s, orders past 1,030 exact
-_MAX_TRIALS = 10**5  # law --count: a test's 2,000; binomial 0.6 s at the cap with 20 moments
-_MAX_LEVELS = 10**5  # hydrogen lines --upto: the bench's 9; 0.3 s at the cap
-
-
 class _UsageError(Exception):
     pass
 
@@ -641,12 +628,12 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     if p := add_parser("sequence", _cmd_sequence, "exact combinatorial sequences"):
         p.add_argument("--kind", required=True, choices=["factorial", "catalan", "central", "middle", "bell", "bernoulli"])
         p.add_argument("--n", type=_natural, required=True)
-        p.set_defaults(caps=[("--n", _MAX_SEQUENCE_N, "terms")])
+        p.set_defaults(caps=[("--n", "sequence terms")])
 
     if p := add_parser("constants", _cmd_constants, "classical constants with error bounds"):
         p.add_argument("--which", required=True, choices=["e", "pi", "basel"])
         p.add_argument("--terms", type=_positive_int, required=True)
-        p.set_defaults(caps=[("--terms", _MAX_TERMS, "terms")])
+        p.set_defaults(caps=[("--terms", "series terms")])
 
     if p := add_parser("roots", _cmd_roots, "all roots of a complex polynomial"):
         p.add_argument("--coeffs", required=True, help="c0,c1,... ascending, entries like 1+2i")
@@ -673,13 +660,13 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         p.add_argument("--moments", type=_natural, required=True)
         p.add_argument("--x", type=_finite_float, default=0.5, help="coin bias for bernoulli/binomial")
         p.add_argument("--count", type=_positive_int, default=10, help="binomial trial count")
-        p.set_defaults(caps=[("--moments", _MAX_MOMENTS, "orders"), ("--count", _MAX_TRIALS, "trials")])
+        p.set_defaults(caps=[("--moments", "moment orders"), ("--count", "binomial trials")])
         p.add_argument("--t", type=_finite_float, default=1.0, help="semigroup parameter for poisson/gauss/cgauss")
 
     if p := add_parser("stieltjes", _cmd_stieltjes, "pointwise density recovery"):
         p.add_argument("--law", required=True, choices=["semicircle", "mp", "arcsine", "marcsine"])
         p.add_argument("--x", type=_grid, required=True, help="comma list or start:stop:count")
-        p.set_defaults(caps=[("--x", _MAX_GRID_POINTS, "points")])
+        p.set_defaults(caps=[("--x", "grid points")])
         p.add_argument("--t", type=_finite_float, required=True)
 
     if p := add_parser("snchi", _cmd_snchi, "fixed-point law of random permutations"):
@@ -694,7 +681,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
     if p := add_parser("harmonic", _cmd_harmonic, "laplacian residual samples"):
         p.add_argument("--fn", required=True, choices=sorted(_FIELDS))
         p.add_argument("--samples", type=_positive_int, required=True)
-        p.set_defaults(caps=[("--samples", _MAX_GRID_POINTS, "points")])
+        p.set_defaults(caps=[("--samples", "grid points")])
         p.add_argument("--seed", type=_natural, required=True)
 
     if p := add_parser("orbit", _cmd_orbit, "two-body trajectory with conservation columns"):
@@ -731,7 +718,7 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         ph = hsub.add_parser("lines", parents=[common])
         ph.add_argument("--series", required=True, choices=_SPECTRAL_SERIES)
         ph.add_argument("--upto", type=_int, required=True)
-        ph.set_defaults(caps=[("--upto", _MAX_LEVELS, "levels")])
+        ph.set_defaults(caps=[("--upto", "series levels")])
         ph = hsub.add_parser("energy", parents=[common])
         ph.add_argument("--n", type=_positive_int, required=True)
         ph = hsub.add_parser("wavefunction", parents=[common])
@@ -739,19 +726,20 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
         ph.add_argument("--l", type=int, required=True)
         ph.add_argument("--m", type=int, required=True)
         ph.add_argument("--grid", type=_radial_grid, required=True, help="rmax,steps")
-        ph.set_defaults(caps=[("--grid", _MAX_GRID_POINTS, "points")])
+        ph.set_defaults(caps=[("--grid", "grid points")])
 
     return parser if sub.choices else _build_parser()
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """argv parsed, and each count its subcommand caps (``caps``: option, cap, unit) handed to _refuse: an
-    int, a comma list's length, or the last field of rmax,steps or start:stop:count."""
+    """argv parsed, and each count its subcommand caps (``caps``: option, the name of its cap) handed to
+    _refuse, before any grid, node or draw is made: an int, a comma list's length, or the last field of
+    rmax,steps or start:stop:count."""
     args = _build_parser(argv).parse_args(argv)
-    for option, cap, unit in args.caps:
+    for option, name in args.caps:
         count = getattr(args, option[2:])
         count = len(count) if isinstance(count, list) else count[-1] if isinstance(count, tuple) else count
-        _refuse(count, cap, f"{option} has", unit)
+        _refuse(count, name, f"{option} has")
     return args
 
 

@@ -329,21 +329,14 @@ class CriticalReport(Record):
         self._set(point, gradient_norm, eigenvalues, classification)
 
 
-def classify_critical(
-    f: ScalarField,
-    x: Sequence[float],
-    h: float | None = None,
-    grad_tol: float = 1e-5,
-    zero_band: float = 1e-4,
-) -> CriticalReport:
+def classify_critical(f: ScalarField, x: Sequence[float], h: float | None = None) -> CriticalReport:
     """Classify a candidate critical point by its Hessian eigenvalue signs.
 
-    Eigenvalues within +/- zero_band * ||H|| count as zero; any zero makes
+    Eigenvalues within +/- 1e-4 ||H|| count as zero; any zero makes
     the verdict "degenerate" (no higher-order analysis is attempted).  A
-    gradient norm above grad_tol * scale reports "not critical", where
-    scale = 1 + |f(x)|.  The gradient and Hessian stencils are sampled in
-    one block, 1 + 4d + 2d(d - 1) calls of f (25 in 3-D), by one generated
-    kernel, and the Hessian's eigenvalues come from the numpy-free Jacobi
+    gradient norm above 1e-5 (1 + |f(x)|) reports "not critical".  The
+    gradient and Hessian stencils are sampled in one block, 1 + 4d +
+    2d(d - 1) calls of f (25 in 3-D), by one generated kernel, and the Hessian's eigenvalues come from the numpy-free Jacobi
     sweeps on lists (at d = 3 written out on locals).  A NaN or infinite
     coordinate of x, or a step h, given or default, that does not fit the
     gradient's or the Hessian's stencil, raises ValueError before f is called.
@@ -352,11 +345,11 @@ def classify_critical(
     g, fx, H = _gradient_and_hessian(f, x, h)
     gnorm = math.sqrt(_fsum([v * v for v in g], "the squared gradient norm"))
     eig = _jacobi(H, 1e-12, vectors=False)[0]
-    if gnorm > grad_tol * (1.0 + abs(fx)):
+    if gnorm > 1e-5 * (1.0 + abs(fx)):
         label = "not critical"
     else:
         # the eigenvalues come sorted in descending order, so the largest |v| is at an end
-        band = zero_band * max(abs(eig[0]), abs(eig[-1]), 1e-30)
+        band = 1e-4 * max(abs(eig[0]), abs(eig[-1]), 1e-30)
         pos = neg = 0
         for v in eig:
             pos += v > band
@@ -530,21 +523,21 @@ def _holder_steps(y: np.ndarray, p: float) -> tuple[np.ndarray, float, float, bo
     return x, value, expected, bool(np.linalg.norm(tangential) <= 1e-8 * float(np.linalg.norm(y)))
 
 
-def onorm_criticality(U: np.ndarray, tol: float = 1e-9) -> bool:
-    """1-norm criticality of an orthogonal matrix: is sign(U) U^T symmetric?
+def onorm_criticality(U: np.ndarray) -> bool:
+    """1-norm criticality of an orthogonal matrix: is sign(U) U^T symmetric, to 1e-8?
 
-    Nonzero entries within tol of zero make the sign pattern ambiguous and
+    Nonzero entries within 1e-9 of zero make the sign pattern ambiguous and
     are rejected; exact zeros (permutation-like patterns) get sign 0.
     """
     U = np.asarray(U, dtype=float)
     n = U.shape[0]
     if U.shape != (n, n):
         raise ValueError("matrix must be square")
-    if np.abs(U.T @ U - np.eye(n)).max() > max(tol, 1e-9) * 10:
+    if np.abs(U.T @ U - np.eye(n)).max() > 1e-8:
         raise ValueError("matrix is not orthogonal to tolerance")
-    ambiguous = (U != 0.0) & (np.abs(U) <= max(tol, 1e-12))
+    ambiguous = (U != 0.0) & (np.abs(U) <= 1e-9)
     if ambiguous.any():
         raise ValueError("near-zero entry: the sign pattern is ambiguous")
     S = np.sign(U)
     M = S @ U.T
-    return bool(np.abs(M - M.T).max() <= max(tol, 1e-9) * 10)
+    return bool(np.abs(M - M.T).max() <= 1e-8)

@@ -62,15 +62,6 @@ __all__ = [
     "divergence_check",
 ]
 
-# Work caps, each with at least 50x margin over every test, benchmark case and README example: a run past one
-# would take minutes or more, or memory the machine does not have.  On a 2-vCPU x86 kepler_integrate takes 3.3 s
-# at its cap, the orbit command 8.7 s and 640 MB (its 10^6-row table); a heat lattice 0.5 s at either lattice
-# cap (one step, or 201 points), but 15 s at both
-_MAX_ORBIT_STEPS = 10**6
-_MAX_LATTICE_POINTS = 10**5
-_MAX_LATTICE_STEPS = 10**5
-
-
 def cross(u: Sequence[float], v: Sequence[float]) -> np.ndarray:
     """Vector product in R^3 by the 2x2-determinant rule (row by row for stacks of vectors)."""
     u = np.asarray(u, dtype=float)
@@ -230,7 +221,7 @@ def kepler_integrate(
     of its states continues with the same bits.
 
     Pass a physically meaningful r_min when collisions are possible; the
-    default only catches an exact fall onto the center.  More than 10^6
+    default only catches an exact fall onto the center.  More than 10^5
     steps raise ValueError before the first one.
     """
     if T <= 0:
@@ -244,7 +235,7 @@ def kepler_integrate(
     clipped = abs(ratio - steps) > 1e-9 * ratio
     if clipped:
         steps = math.floor(ratio)
-    _refuse(steps + clipped, _MAX_ORBIT_STEPS, "the orbit needs", "RK4 steps")
+    _refuse(steps + clipped, "orbit steps", "the orbit needs")
     end = s.time + T
     out = [s]
     if steps:
@@ -512,7 +503,7 @@ def _heat_step(u, out, mu: float) -> None:
 
 def _lattice(g: Callable[[float], float], a: float, b: float, dx: float) -> np.ndarray:
     """g sampled at the round((b-a)/dx) + 1 points of the lattice on [a, b]; needs dx > 0, a < b
-    and at most 10^5 points, checked before g is called or the lattice allocated."""
+    and at most the "lattice points" cap, checked before g is called or the lattice allocated."""
     if not dx > 0:
         raise ValueError("need dx > 0")
     if not a < b:
@@ -520,17 +511,19 @@ def _lattice(g: Callable[[float], float], a: float, b: float, dx: float) -> np.n
     if not math.isfinite((b - a) / dx):
         raise ValueError("the lattice's (b - a)/dx overflows")
     n = int(round((b - a) / dx)) + 1
-    _refuse(n, _MAX_LATTICE_POINTS, "the lattice has", "points")
+    _refuse(n, "lattice points", "the lattice has")
     return _samples(g, np.linspace(a, b, n))
 
 
-def _lattice_steps(dt: float, times: Sequence[float]) -> None:
+def _lattice_steps(dt: float, times: Sequence[float], points: int) -> None:
     """ValueError, before the first step, unless the last of the nondecreasing times is at most
-    10^5 steps of dt."""
+    the "lattice steps" cap of dt, and those steps times the points at most the "lattice point-steps" cap."""
     steps = times[-1] / dt if times else 0.0
     if not math.isfinite(steps):
         raise ValueError("the step count t/dt overflows")
-    _refuse(round(steps), _MAX_LATTICE_STEPS, "the lattice needs", "steps")
+    steps = round(steps)
+    _refuse(steps, "lattice steps", "the lattice needs")
+    _refuse(points * steps, "lattice point-steps", "the lattice needs", f" ({points:,} points by {steps:,} steps)")
 
 
 def _frames(step, older, current, a: float, b: float, dt: float, times: Sequence[float]) -> list[Grid1D]:
@@ -569,7 +562,7 @@ def _wave_frames(g, h, v, a, b, dx, cfl, times) -> list[Grid1D]:
         raise ValueError("need v > 0")
     dt = cfl * dx / v
     u0, hv = _lattice(g, a, b, dx), _lattice(h, a, b, dx)
-    _lattice_steps(dt, times)
+    _lattice_steps(dt, times, len(u0))
     lam2 = (v * dt / dx) ** 2
     u1 = np.copy(u0)
     u1[1:-1] = u0[1:-1] + dt * hv[1:-1] + 0.5 * lam2 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])
@@ -594,7 +587,7 @@ def _heat_frames(g, alpha, a, b, dx, cfl, times) -> list[Grid1D]:
         raise ValueError("need alpha > 0")
     dt = cfl * dx * dx / alpha
     u0 = Grid1D(_lattice(g, a, b, dx), a, b, 0.0)
-    _lattice_steps(dt, times)
+    _lattice_steps(dt, times, len(u0.values))
     start = heat_lattice_step(u0, alpha, dt)
     mu = alpha * dt / (u0.dx * u0.dx)  # heat_lattice_step's ratio, checked by it
     return _frames(lambda older, current: _heat_step(current, older, mu), u0.values, start.values, a, b, dt, times)

@@ -319,11 +319,9 @@ def radial_wavefunction(
     )
 
 
-def wavefunction(
-    qn: QuantumNumbers, constants: PhysicalConstants = DIMENSIONLESS_CONSTANTS
-) -> Callable[[float, float, float], complex]:
-    """Full bound-state wavefunction (r, s, t) -> rho_nl(r) Y_l^m(s, t)."""
-    rho = radial_wavefunction(qn.n, qn.l, constants)
+def wavefunction(qn: QuantumNumbers) -> Callable[[float, float, float], complex]:
+    """Full bound-state wavefunction (r, s, t) -> rho_nl(r) Y_l^m(s, t), in the dimensionless constants."""
+    rho = radial_wavefunction(qn.n, qn.l)
     Y = spherical_harmonic(qn.l, qn.m)
 
     def phi(r: float, s: float, t: float) -> complex:
@@ -342,10 +340,8 @@ SPECTRAL_SERIES_NAMES = {
 }
 
 
-def spectral_series(
-    name: str, upto: int, constants: PhysicalConstants | None = None
-) -> list[tuple[int, float | None, float]]:
-    """Wavelength table (n1, n2, lambda_nm) for a named series, plus the limit.
+def spectral_series(name: str, upto: int) -> list[tuple[int, float | None, float]]:
+    """Wavelength table (n1, n2, lambda_nm) for a named series, plus the limit, by the measured Rydberg constant.
 
     Rows run n2 = n1+1 .. upto; the final row has n2 = None and carries the
     series limit n1^2/R.  Wavelengths above 200 nm are standard-air values.
@@ -358,9 +354,8 @@ def spectral_series(
         raise ValueError("need upto > the series base level")
     rows: list[tuple[int, float | None, float]] = []
     for n2 in range(n1 + 1, upto + 1):
-        rows.append((n1, n2, line_wavelength(n1, n2, constants) * 1e9))
-    R = RYDBERG_HYDROGEN_MEASURED if constants is None else rydberg_constant(constants)
-    lam_limit = n1 * n1 / R
+        rows.append((n1, n2, line_wavelength(n1, n2) * 1e9))
+    lam_limit = n1 * n1 / RYDBERG_HYDROGEN_MEASURED
     if lam_limit > 200e-9:
         lam_limit /= _air_refractive_index(lam_limit)
     rows.append((n1, None, lam_limit * 1e9))

@@ -138,10 +138,10 @@ def determinant(A: np.ndarray) -> int | Fraction | complex:
     return np.linalg.det(A)
 
 
-def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def inverse(A: np.ndarray) -> np.ndarray:
     """Matrix inverse by numpy's LU.
 
-    Raises ValueError when |det A| <= tol * (max |a_ij|)^n, compared as
+    Raises ValueError when |det A| <= 1e-12 (max |a_ij|)^n, compared as
     logarithms (``numpy.linalg.slogdet``) so that neither side can overflow.
     """
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
@@ -150,7 +150,7 @@ def inverse(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("matrix must be square")
     scale = float(np.abs(A).max()) or 1.0
     logdet = np.linalg.slogdet(A)[1]
-    if logdet - n * math.log(scale) <= (math.log(tol) if tol > 0 else -math.inf):
+    if logdet - n * math.log(scale) <= math.log(1e-12):
         raise ValueError("matrix is singular to the working tolerance")
     return np.linalg.inv(A)
 
@@ -398,16 +398,16 @@ def _rotate(X, axis, PQ, QP, c, s, a, b) -> None:
         X[PQ] = a
 
 
-def classify_definiteness(A: np.ndarray, tol: float = 1e-10) -> str:
+def classify_definiteness(A: np.ndarray) -> str:
     """Sign pattern of the eigenvalues of a symmetric matrix.
 
-    Eigenvalues within +/- tol * ||A|| of zero count as zero.  Returns one
+    Eigenvalues within +/- 1e-10 ||A|| of zero count as zero.  Returns one
     of: pos_def, pos_semi, neg_def, neg_semi, indefinite, zero (also for
     the 0 x 0 matrix, which has no eigenvalues).
     """
     A = np.asarray(A, dtype=float)
-    d = _jacobi(_square_rows(A), max(tol, 1e-12), vectors=False)[0]
-    band = tol * (float(np.linalg.norm(A)) or 1.0)
+    d = _jacobi(_square_rows(A), 1e-10, vectors=False)[0]
+    band = 1e-10 * (float(np.linalg.norm(A)) or 1.0)
     pos = sum(v > band for v in d)
     neg = sum(v < -band for v in d)
     zero = len(d) - pos - neg

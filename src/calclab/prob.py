@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._numpy import np
-from ._record import Record, _refuse
+from ._record import _CAPS, Record, _refuse
 from .combinat import (
     _fsum,
     _ratio_sum,
@@ -38,7 +38,7 @@ from .combinat import (
 )
 from .linalg import determinant
 from .poly import Polynomial
-from .quad import _MAX_SAMPLES, SphereMomentKey, _gauss_rule, _samples, _settle, sphere_moment, sphere_moment_mc
+from .quad import SphereMomentKey, _gauss_rule, _samples, _settle, sphere_moment, sphere_moment_mc
 from .rng import RandomSource
 
 __all__ = [
@@ -739,12 +739,6 @@ def _fixed_point_count(N: int, m: int, k: int) -> int:
     return binom(m, k) * sum((-1) ** j * binom(m - k, j) * factorial(N - k - j) for j in range(m - k + 1))
 
 
-# entries per block of sampled permutations: at most 512 KiB of int64, so N is capped there too
-_SAMPLE_BLOCK_ENTRIES = 2**16  # 1.5 s at N = 2**16 with 1,831 samples, as a process on a 2-vCPU x86
-# N samples, the entries shuffled in all: the sample cap at N = 12, ten times snchi --n 12; 1.4 s at N = 12
-_MAX_PERMUTATION_ENTRIES = 12 * 10**7
-
-
 def sn_fixed_point_law(
     N: int,
     t: float = 1.0,
@@ -780,12 +774,12 @@ def sn_fixed_point_law(
         raise ValueError("sampling mode needs an explicit RandomSource")
     if samples < 1:
         raise ValueError("need samples >= 1")
-    _refuse(samples, _MAX_SAMPLES, "sn_fixed_point_law asks for", "samples")
-    _refuse(N, _SAMPLE_BLOCK_ENTRIES, "sn_fixed_point_law asks for N =", "points")
-    entries = f"entries ({samples:,} samples of N = {N:,})"
-    _refuse(N * samples, _MAX_PERMUTATION_ENTRIES, "sn_fixed_point_law asks for", entries)
+    _refuse(samples, "samples", "sn_fixed_point_law asks for")
+    _refuse(N, "permutation N", "sn_fixed_point_law asks for N =")
+    _refuse(N * samples, "permutation entries", "sn_fixed_point_law asks for", f" ({samples:,} samples of N = {N:,})")
     m = int(t * N)
-    identity = np.tile(np.arange(N), (max(1, _SAMPLE_BLOCK_ENTRIES // N), 1))
+    # a block holds as many entries as the cap on N: at most 512 KiB of int64
+    identity = np.tile(np.arange(N), (max(1, _CAPS["permutation N"][0] // N), 1))
 
     def block(rows: slice, gen: np.random.Generator) -> np.ndarray:
         perms = gen.permuted(identity[: rows.stop - rows.start], axis=1)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import decimal
 import importlib.util
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from calclab import cli
+from calclab._record import _CAPS
 from calclab.cli import ResultTable, emit, main, run
 from calclab.combinat import bell
 from calclab.quad import sphere_volume
@@ -98,9 +100,7 @@ def test_numerical_failure_exit_2(capsys):
 def test_an_allocation_numpy_refuses_is_one_line_and_exit_2(capsys, monkeypatch):
     # np.linspace refuses 146 TiB before it allocates anything; with the point cap lifted, the
     # MemoryError backstop in main is what answers
-    from calclab import dynamics
-
-    monkeypatch.setattr(dynamics, "_MAX_LATTICE_POINTS", math.inf, raising=False)
+    monkeypatch.setitem(_CAPS, "lattice points", (math.inf, *_CAPS["lattice points"][1:]))
     code, out, err = invoke(["wave", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-12"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("calclab: Unable to allocate") and err.count("\n") == 1, err
@@ -129,18 +129,26 @@ def test_a_radial_power_past_the_float_range_is_one_line_naming_rho(capsys):
     "argv, message",
     [
         (["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "1e300", "--dt", "0.1"],
-         f"the orbit needs {round(1e300 / 0.1):,} RK4 steps, past the cap of 1,000,000"),
+         f"the orbit needs {round(1e300 / 0.1):,} RK4 steps, past the cap of 100,000"),
+        (["orbit", "--r0", "1", "--vt0", "1", "--K", "1", "--T", "100.001", "--dt", "0.001"],
+         "the orbit needs 100,001 RK4 steps, past the cap of 100,000"),
         (["heat", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-5"],
          "the lattice has 1,000,001 points, past the cap of 100,000"),
         (["wave", "--profile", "gaussian", "--t", "1", "--frames", "2", "--dx", "1e-12"],
          "the lattice has 20,000,000,000,001 points, past the cap of 100,000"),
         (["heat", "--profile", "gaussian", "--t", "1000", "--frames", "2"],
-         "the lattice needs 1,600,000 steps, past the cap of 100,000"),
+         "the lattice needs 1,600,000 steps, past the cap of 32,000"),
+        (["heat", "--profile", "gaussian", "--a", "0", "--b", "9.9999", "--dx", "0.0001", "--t", "0.00025", "--frames", "1"],
+         "the lattice needs 100,000 steps, past the cap of 32,000"),
+        (["heat", "--profile", "gaussian", "--a", "0", "--b", "9.9999", "--dx", "0.0001", "--t", "0.00008", "--frames", "1"],
+         "the lattice needs 3,200,000,000 point-steps (100,000 points by 32,000 steps), past the cap of 1,000,000,000"),
     ],
-    ids=["orbit-T-1e300", "heat-dx-1e-5", "wave-dx-1e-12", "heat-t-1000"],
+    ids=["orbit-T-1e300", "orbit-one-past", "heat-dx-1e-5", "wave-dx-1e-12", "heat-t-1000", "heat-both-caps", "heat-point-steps"],
 )
 def test_work_past_its_cap_is_refused_by_count_before_it_starts(capsys, argv, message):
-    # the first two ran until killed, the third ended in numpy's allocation refusal
+    # orbit-T-1e300 and heat-dx-1e-5 ran until killed, wave-dx-1e-12 ended in numpy's allocation refusal;
+    # orbit-one-past, heat-both-caps and heat-point-steps ran 1.0 s, 15 s and 5.8 s under the old caps of 10^6
+    # orbit and 10^5 lattice steps
     start = time.perf_counter()
     code, out, err = invoke(argv, capsys)
     assert time.perf_counter() - start < 1.0
@@ -223,7 +231,7 @@ def _documented_argvs():
 def test_every_documented_cli_count_is_10x_under_its_cap(monkeypatch):
     # the counts as run() checks them: cli._parse hands each capped count to _refuse
     checked = []
-    monkeypatch.setattr(cli, "_refuse", lambda count, cap, what, unit: checked.append((what, count, cap)))
+    monkeypatch.setattr(cli, "_refuse", lambda count, name, what: checked.append((what, count, _CAPS[name][0])))
     largest, where = {}, set()
     for place, argv in _documented_argvs():
         checked.clear()
@@ -244,6 +252,50 @@ def test_every_documented_cli_count_is_10x_under_its_cap(monkeypatch):
     assert {key: v for key, v in largest.items() if v[0] > allowed[key]} == {}
     cli._parse(["sequence", "--kind", "factorial", "--n", "1700"])
     assert checked[-1] == ("--n has", 1700, 3000)
+
+
+def test_every_refusal_names_a_cap_of_the_table_and_every_cap_is_refused():
+    # _refuse's name argument is a literal at every site but cli._parse, which reads it from the caps defaults
+    named, variable = set(), []
+    for path in Path(calclab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refuse":
+                name = node.args[1]
+                if isinstance(name, ast.Constant):
+                    named.add(name.value)
+                else:
+                    variable.append((path.name, name.id))
+            elif isinstance(node, ast.keyword) and node.arg == "caps" and isinstance(node.value, ast.List):
+                named |= {pair.elts[1].value for pair in node.value.elts}
+    assert variable == [("cli.py", "name")]
+    assert named == set(_CAPS)
+
+
+def _readme_caps_paragraph():
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    start = text.index("The work is sized before it starts")
+    return text[start : text.index("Explicit counts below 1", start)]
+
+
+def test_readme_states_every_cap_of_the_table_and_every_run_past_5_s():
+    paragraph = _readme_caps_paragraph()
+    sup = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+    for name, (cap, _, seconds, why) in _CAPS.items():
+        # README writes a cap as 3,000, 10⁵, 2¹⁶ or 1.2·10⁸
+        mantissa, exponent = f"{cap:e}".split("e")
+        power = str(int(exponent)).translate(sup)
+        written = {f"{cap:,}", f"{float(mantissa):g}·10{power}", f"10{power}" if float(mantissa) == 1 else None}
+        if cap & (cap - 1) == 0:
+            written.add("2" + str(cap.bit_length() - 1).translate(sup))
+        assert any(form and form in paragraph for form in written), (name, written)
+        # a run past about 5 s at its cap says why, and README names its time and its ROADMAP item; bell at the
+        # sequence cap, 5.3 s, is about 5 s
+        assert bool(why) == (seconds > 6), name
+        if why:
+            item = why.split(":")[0]
+            assert item.startswith("ROADMAP item ") and item in paragraph and f"{seconds:.0f} s" in paragraph, name
+    past = sum(seconds > 6 for _, _, seconds, _ in _CAPS.values())
+    assert f"with {('no', 'one', 'two', 'three', 'four')[past]} exception" in paragraph
 
 
 def test_roots_past_the_float_range_exit_2_without_nan(capsys):

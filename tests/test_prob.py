@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calclab import prob
+from calclab._record import _CAPS
 
 from calclab.combinat import (
     catalan,
@@ -911,7 +912,7 @@ def test_sn_fixed_point_counts_against_enumeration(N):
 
 def test_sn_fixed_points_sampled_reproducible_across_blocks():
     N = 12
-    samples = prob._SAMPLE_BLOCK_ENTRIES // N + 1  # one full block and one row
+    samples = _CAPS["permutation N"][0] // N + 1  # one full block and one row
     a = sn_fixed_point_law(N, 1.0, rng=RandomSource(9), samples=samples)
     b = sn_fixed_point_law(N, 1.0, rng=RandomSource(9), samples=samples)
     assert a.law.atoms == b.law.atoms
@@ -1063,7 +1064,7 @@ def _sampled_permutation_sizes(path):
         else:
             continue
         scope = owner[id(node)]
-        space = {"prob": prob}
+        space = {"prob": prob, "_CAPS": _CAPS}
         if isinstance(scope, ast.FunctionDef) and scope.name.startswith("run_") and scope.name[4:] in gens:
             [ret] = [r for r in ast.walk(gens[scope.name[4:]]) if isinstance(r, ast.Return)]
             space["p"] = ast.literal_eval(ret.value)
@@ -1086,9 +1087,9 @@ def test_every_sampled_permutation_law_of_the_tests_and_the_bench_is_10x_under_t
     sizes = [s for path in [*sorted((root / "tests").glob("test_*.py")), root / "bench" / "cases.py"]
              for s in _sampled_permutation_sizes(path)]
     # a size past a cap is refused before any draw, and shuffles nothing
-    used = [(w, N, s) for w, N, s in sizes if N <= 2**16 and s <= 10**7 and N * s <= prob._MAX_PERMUTATION_ENTRIES]
+    used = [(w, N, s) for w, N, s in sizes if N <= 2**16 and s <= 10**7 and N * s <= _CAPS["permutation entries"][0]]
     where = {w.split(":")[0] for w, _, _ in used}
     assert {"test_prob.py", "test_rng.py", "test_seed_contract.py", "test_cli.py", "cases.py"} <= where, used
     assert ("cases.py", 12, 200_000) in {(w.split(":")[0], N, s) for w, N, s in used}  # gen_snlaw
     # the largest today is snchi --n 12 --seed 3 with the default 10^6 samples: exactly 10x under
-    assert 10 * max(N * samples for _, N, samples in used) <= prob._MAX_PERMUTATION_ENTRIES
+    assert 10 * max(N * samples for _, N, samples in used) <= _CAPS["permutation entries"][0]
